@@ -554,8 +554,10 @@ def parse_case(text: str) -> DisputeCase:
                 segment_proofs.append(None if value == "-" else _proof_parse(value))
             else:
                 fields[key] = value
+        # Membership checks on the evidence mean "in the order-q subgroup"
+        # only for a safe-prime group, so a record's group is checked first.
         params = GroupParams(n=int(fields["n"]), q=int(fields["q"]),
-                             g=int(fields["g"]), bits=int(fields["bits"]))
+                             g=int(fields["g"]), bits=int(fields["bits"])).validate()
         case = DisputeCase(
             kind=fields["kind"], params=params,
             verify_pk=bytes.fromhex(fields["verify_pk"]),

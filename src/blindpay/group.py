@@ -8,8 +8,13 @@ perfect: g generates every residue, so a blinded value is uniform over the
 subgroup whatever it hides.
 
 Functions that the complexity accounting cares about (pow_mod, div_mod)
-accept an optional counter object and increment it; validation helpers use
-raw pow() and stay off the books.
+accept an optional counter object and increment it; validation helpers
+(is_member, ensure_member, validate) stay off the books.
+
+Membership is decided by the Jacobi symbol, which equals the Legendre
+symbol for a prime n and so, by Euler's criterion, marks exactly the
+quadratic residues.  That holds only when n = 2q + 1 is a safe prime: every
+function here assumes its GroupParams have passed validate().
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ class GroupParams:
             raise ValueError("bits field disagrees with n")
         if not (2 <= self.g <= self.n - 1) or self.g == 1:
             raise ValueError("generator out of range")
-        if pow(self.g, self.q, self.n) != 1:
+        if not is_member(self.g, self):
             raise ValueError("generator is not in the order-q subgroup")
         return self
 
@@ -114,9 +119,33 @@ def gen_params(bits: int, seed: int | None = None) -> GroupParams:
     return GroupParams(n=n, q=q, g=g, bits=bits)
 
 
+def _jacobi(a: int, m: int) -> int:
+    """Jacobi symbol (a/m) for odd m > 0, by the binary algorithm (Cohen,
+    Alg. 1.4.10): strip factors of two, then swap by quadratic reciprocity."""
+    a %= m
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and (m & 7) in (3, 5):
+            sign = -sign
+        if (a & m & 3) == 3:
+            sign = -sign
+        a, m = m % a, a
+    return sign if m == 1 else 0
+
+
 def is_member(e: int, params: GroupParams) -> bool:
-    """Subgroup membership test (not billed to any operation counter)."""
-    return 0 < e < params.n and pow(e, params.q, params.n) == 1
+    """Subgroup membership test (not billed to any operation counter).
+
+    Precondition: params have passed validate(), so n is a safe prime and
+    the order-q subgroup is exactly the set of quadratic residues, the
+    elements of Jacobi symbol 1.  For a composite n the answer means
+    nothing.  Running time depends on e, as CPython's pow does; every
+    element checked here is public (blinded requests and responses,
+    catalog entries, proof commitments), so no secret leaks through it.
+    """
+    return 0 < e < params.n and _jacobi(e, params.n) == 1
 
 
 def ensure_member(e: int, params: GroupParams) -> int:

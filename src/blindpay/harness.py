@@ -13,6 +13,7 @@ actual on-wire sizes including framing.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass, replace
 
 from . import wire
@@ -231,14 +232,18 @@ def card_error_code(exc: CardError) -> str:
 
 class RemoteBank:
     """Seller-side client for a bank server; satisfies the same contract as
-    CardLedger.spend_atomic."""
+    CardLedger.spend_atomic.  Safe to share between the connection threads
+    of a seller server: one spend holds the endpoint from request to reply,
+    so no thread reads another's receipts."""
 
     def __init__(self, endpoint):
         self.endpoint = endpoint
+        self._lock = threading.Lock()
 
     def spend_atomic(self, card_ids: list[str], account: str) -> list[SpendReceipt]:
-        self.endpoint.send(wire.CardSpend(card_ids=tuple(card_ids), account=account))
-        reply = self.endpoint.recv()
+        with self._lock:
+            self.endpoint.send(wire.CardSpend(card_ids=tuple(card_ids), account=account))
+            reply = self.endpoint.recv()
         if isinstance(reply, wire.SpendOk):
             return [SpendReceipt(card_id=cid, seller_account=acct, value=value, seq=seq)
                     for seq, cid, value, acct in reply.receipts]

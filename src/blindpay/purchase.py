@@ -98,25 +98,44 @@ def plan_steps(price: int, available_powers: set[int]) -> list[int]:
 
 def _allocate_cards(cards: list[tuple[str, int]], plan: list[int]) -> list[list[str]]:
     """Assign cards to steps so each step's cards sum to its value exactly.
-    Greedy largest-first; callers provision matching denominations."""
+
+    Depth-first search: each step takes cards largest first and the search
+    backs up on a dead end, so the first assignment found is the greedy
+    one whenever greedy succeeds, and InsufficientFunds means that no
+    assignment exists.  Equal-valued cards are interchangeable, so a value
+    that led to a dead end is not tried again at the same point.
+    """
     pool = sorted(cards, key=lambda c: -c[1])
     used = [False] * len(pool)
-    out = []
-    for t in plan:
-        chosen = []
-        need = t
-        for i, (cid, value) in enumerate(pool):
-            if not used[i] and value <= need:
-                used[i] = True
-                chosen.append(cid)
-                need -= value
-                if need == 0:
-                    break
-        if need != 0:
-            raise InsufficientFunds(
-                f"cannot cover a {t}-unit step from the remaining cards")
-        out.append(chosen)
-    return out
+
+    def choices(start: int, need: int):
+        tried = set()
+        for i in range(start, len(pool)):
+            value = pool[i][1]
+            if used[i] or value > need or value in tried:
+                continue
+            used[i] = True
+            if value == need:
+                yield [i]
+            else:
+                for rest in choices(i + 1, need - value):
+                    yield [i] + rest
+            used[i] = False
+            tried.add(value)
+
+    searches, picks = [], []
+    while len(picks) < len(plan):
+        if len(searches) == len(picks):
+            searches.append(choices(0, plan[len(picks)]))
+        pick = next(searches[-1], None)
+        if pick is not None:
+            picks.append(pick)
+            continue
+        searches.pop()
+        if not picks:
+            raise InsufficientFunds(f"no assignment of the cards covers the steps {plan}")
+        picks.pop()
+    return [[pool[i][0] for i in pick] for pick in picks]
 
 
 @dataclass
@@ -401,12 +420,13 @@ def load_session(path: str, catalog: Catalog, rng: random.Random | None = None,
         session.transcripts.append(StepTranscript(
             m=int(m), m_out=int(m_out), t=int(t),
             step_signature=base64.b64decode(sig), card_ids=(), alpha=int(alpha)))
-    params = session.params
-    session.r = pow_mod(params.g, session.alpha, params, ops)
-    if session.remaining > 0:
-        remaining_powers = set(session.plan[session._idx:])
-        if session.refresh_blinding:
-            remaining_powers = {session.plan[session._idx]}
-        for t in sorted(remaining_powers):
-            session.unblinders[t] = pow_mod(catalog.k_table[t], session.alpha, params, ops)
+    # Recompute without billing: the cost model bills r and the unblinders
+    # once, when they were first computed before the checkpoint.  With
+    # refresh on, a resumed step past the first draws fresh ones anyway.
+    if session.remaining > 0 and not (session.refresh_blinding and session._idx > 0):
+        params = session.params
+        session.r = pow_mod(params.g, session.alpha, params)
+        rest = session.plan[session._idx:]
+        for t in sorted({rest[0]} if session.refresh_blinding else set(rest)):
+            session.unblinders[t] = pow_mod(catalog.k_table[t], session.alpha, params)
     return session

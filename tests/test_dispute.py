@@ -29,6 +29,7 @@ from blindpay.catalog import with_published_terms
 from blindpay.errors import (
     AuthenticationFailure,
     BadStepSignature,
+    MalformedEvidence,
     MissingKPower,
     SellerUnresponsive,
 )
@@ -381,6 +382,22 @@ def test_case_replay_reaches_same_verdict(params64, tmp_path):
     assert resolve_type_d_method3(replayed) == live3
     # and determinism on the exact same record
     assert resolve_type_d_method1(parse_case(write_case(case))) == live1
+
+
+def test_case_record_with_composite_modulus_refused(params64):
+    # With a composite n, neither Euler's criterion nor the Jacobi symbol
+    # decides membership of the order-q subgroup, so the record is refused.
+    keys, cat, bank, session = completed_session(params64, price=2, seed=71)
+    text = write_case(build_type_d_case(cat, session))
+    p = params64
+    bad_n = 3 * p.n
+    forged = (text.replace(f"n: {p.n}\n", f"n: {bad_n}\n")
+                  .replace(f"q: {p.q}\n", f"q: {(bad_n - 1) // 2}\n")
+                  .replace(f"bits: {p.bits}\n", f"bits: {bad_n.bit_length()}\n"))
+    assert forged != text
+    parse_case(text)
+    with pytest.raises(MalformedEvidence):
+        parse_case(forged)
 
 
 def test_resolve_case_dispatch(params64):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from blindpay.errors import MalformedElement
 from blindpay.group import (
     DlEqProof,
+    _jacobi,
     GroupParams,
     dleq_equations_hold,
     dleq_prove,
@@ -176,6 +177,56 @@ def test_is_member(params23):
         assert is_member(e, params23) == (e in members)
     assert not is_member(0, params23)
     assert not is_member(23, params23)
+
+
+def euler_member(e, params):
+    """Euler's criterion, the exponentiation is_member must agree with."""
+    return 0 < e < params.n and pow(e, params.q, params.n) == 1
+
+
+def legendre_product(a, m):
+    """Jacobi symbol from its definition: the product of Euler-criterion
+    Legendre symbols over the prime factors of m, found by trial division."""
+    out, d = 1, 3
+    while m > 1:
+        if d * d > m:
+            d = m
+        while m % d == 0:
+            out *= 0 if a % d == 0 else (1 if pow(a, (d - 1) // 2, d) == 1 else -1)
+            m //= d
+        d += 2
+    return out
+
+
+def test_jacobi_matches_definition_on_small_odd_moduli():
+    for m in range(1, 400, 2):
+        for a in range(-3, 2 * m + 3):
+            assert _jacobi(a, m) == legendre_product(a, m), (a, m)
+
+
+@pytest.mark.parametrize("name", ["params23", "params16"])
+def test_is_member_matches_euler_exhaustively(name, request):
+    params = request.getfixturevalue(name)
+    for e in range(-1, params.n + 2):
+        assert is_member(e, params) == euler_member(e, params), e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64), st.booleans())
+def test_is_member_matches_euler_at_64_bits(params64, v, square):
+    e = pow(v, 2, params64.n) if square else v
+    assert is_member(e, params64) == euler_member(e, params64)
+
+
+def test_is_member_edges(params16, params64):
+    for params in (params16, params64):
+        n = params.n
+        assert not is_member(0, params)
+        assert is_member(1, params)
+        assert not is_member(n - 1, params)  # -1 is a non-residue: q is odd
+        assert not is_member(n, params)
+        for e in (0, 1, n - 1, n):
+            assert is_member(e, params) == euler_member(e, params)
 
 
 # --- hash-to-group ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -255,6 +256,67 @@ def test_remote_bank_over_memory_pair(params64):
     a.close()
     t.join(timeout=2)
     assert ledger.balance("seller-1") == 1
+
+
+class FirstReplyHeldBack:
+    """Endpoint wrapper that holds the first reader back until another
+    reader has taken a reply (or half a second has passed): the interleaving
+    two seller connection threads sharing one bank link can produce."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.first_waiting = threading.Event()
+        self.replied = threading.Event()
+        self._readers = 0
+        self._count_lock = threading.Lock()
+
+    def send(self, msg):
+        self.inner.send(msg)
+
+    def recv(self):
+        with self._count_lock:
+            self._readers += 1
+            first = self._readers == 1
+        if first:
+            self.first_waiting.set()
+            self.replied.wait(timeout=0.5)
+        reply = self.inner.recv(timeout=2.0)
+        self.replied.set()
+        return reply
+
+
+def test_shared_remote_bank_keeps_replies_apart():
+    ledger = CardLedger(rng=random.Random(12))
+    cards = ledger.issue_cards(2, 1)
+    ledger.distribute([c.card_id for c in cards], "store-1")
+    a, b = wire.MemoryEndpoint.pair()
+    handle = make_bank_handler(ledger)
+
+    def bank_side():
+        while True:
+            try:
+                b.send(handle(b.recv(timeout=2.0)))
+            except Exception:
+                return
+
+    threading.Thread(target=bank_side, daemon=True).start()
+    endpoint = FirstReplyHeldBack(a)
+    remote = RemoteBank(endpoint)
+    got = {}
+
+    def spend(card_id):
+        receipts = remote.spend_atomic([card_id], "seller-1")
+        got[card_id] = [r.card_id for r in receipts]
+
+    first = threading.Thread(target=spend, args=(cards[0].card_id,))
+    first.start()
+    assert endpoint.first_waiting.wait(timeout=2.0)
+    second = threading.Thread(target=spend, args=(cards[1].card_id,))
+    second.start()
+    first.join(timeout=5)
+    second.join(timeout=5)
+    a.close()
+    assert got == {c.card_id: [c.card_id] for c in cards}
 
 
 def test_remote_prover_method1(params64):

@@ -47,7 +47,7 @@ def fund(bank, plan):
     return [(c.card_id, c.value) for c in cards]
 
 
-def rig(params, price=3, mode=MODE_BASIC, refresh=False, seed=5, prices=None):
+def rig(params, price=3, mode=MODE_BASIC, refresh=False, seed=5, prices=None, ops=None):
     keys, cat = make_catalog(params, prices=prices or (price,), seed=seed)
     bank = CardLedger(rng=random.Random(seed + 1))
     powers = set(cat.k_table) if mode == MODE_ENHANCED else {1}
@@ -56,7 +56,7 @@ def rig(params, price=3, mode=MODE_BASIC, refresh=False, seed=5, prices=None):
     handler = SellerStepHandler(keys, params, bank, "seller-1")
     rng = random.Random(seed + 2)
     session = buyer_begin(cat, f"lic-{price}", cards, mode=mode,
-                          refresh_blinding=refresh, rng=rng)
+                          refresh_blinding=refresh, rng=rng, ops=ops)
     return keys, cat, bank, handler, session
 
 
@@ -302,6 +302,30 @@ def test_insufficient_funds(params64):
         buyer_begin(cat, "lic-3", cards)
 
 
+def test_allocation_finds_what_greedy_misses(params64):
+    # Largest-first greedy puts the 3 on the 4-unit step and is left one
+    # unit short; 2 + 2 pays it.
+    keys, cat = make_catalog(params64, prices=(4,))
+    bank = CardLedger(rng=random.Random(14))
+    cards = fund(bank, [3, 2, 2])
+    session = buyer_begin(cat, "lic-4", cards, mode=MODE_ENHANCED,
+                          rng=random.Random(15))
+    assert session.plan == [4]
+    twos = sorted(cid for cid, value in cards if value == 2)
+    assert sorted(session.step_cards[0]) == twos
+
+
+def test_allocation_infeasible_still_refused(params64):
+    # Enough units in total, but no subset of {3, 3} sums to 4.
+    keys, cat = make_catalog(params64, prices=(4,))
+    bank = CardLedger(rng=random.Random(16))
+    cards = fund(bank, [3, 3])
+    with pytest.raises(InsufficientFunds):
+        buyer_begin(cat, "lic-4", cards, mode=MODE_ENHANCED)
+    with pytest.raises(InsufficientFunds):
+        buyer_begin(cat, "lic-4", fund(bank, [2] * 5), mode=MODE_BASIC)
+
+
 def test_missing_unit_power_rejected(params64):
     from blindpay.errors import MissingKPower
     keys, cat = make_catalog(params64, prices=(2,))
@@ -407,15 +431,28 @@ def test_upgrade_rejects_mismatched_factor(params64):
 
 @pytest.mark.parametrize("refresh", [False, True])
 def test_checkpoint_resume(tmp_path, params64, refresh):
-    keys, cat, bank, handler, session = rig(params64, price=3, refresh=refresh)
-    buyer_process_response(session, handler.handle(buyer_step_request(session)))
-    path = str(tmp_path / "session.txt")
-    save_session(session, path)
+    straight_ops = OpCounter()
+    *_, straight_handler, straight = rig(params64, price=3, refresh=refresh,
+                                         ops=straight_ops)
+    run_purchase(straight, straight_handler.handle)
 
-    resumed = load_session(path, cat, rng=random.Random(99))
-    assert resumed.remaining == 2
-    assert resumed.acc == session.acc
-    plain = run_purchase(resumed, handler.handle)
-    assert plain.license_id == "lic-3"
-    expected = derive_license_key(cat.entry("lic-3").x, 3, keys.s, params64)
-    assert resumed.acc == expected
+    # The cost model bills the purchase, not its checkpoints: resumed after
+    # any step, a purchase bills exactly what the uninterrupted one does.
+    for done in (0, 1):
+        ops = OpCounter()
+        keys, cat, bank, handler, session = rig(params64, price=3, refresh=refresh,
+                                                ops=ops)
+        for _ in range(done):
+            buyer_process_response(session, handler.handle(buyer_step_request(session)))
+        path = str(tmp_path / f"session-{done}.txt")
+        save_session(session, path)
+
+        resumed = load_session(path, cat, rng=random.Random(99), ops=ops)
+        assert resumed.remaining == 3 - done
+        assert resumed.acc == session.acc
+        plain = run_purchase(resumed, handler.handle)
+        assert plain.license_id == "lic-3"
+        expected = derive_license_key(cat.entry("lic-3").x, 3, keys.s, params64)
+        assert resumed.acc == expected
+        assert (ops.exponentiations, ops.divisions) == \
+            (straight_ops.exponentiations, straight_ops.divisions)
