@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import random
 import sys
 
@@ -25,15 +26,7 @@ from .catalog import (
 from .dispute import build_type_c_case, parse_case, resolve_case, write_case
 from .errors import BadStepSignature, BlindpayError, ScenarioInvalid, StepRejected
 from .group import gen_params
-from .purchase import (
-    StepRequest,
-    StepResponse,
-    SellerStepHandler,
-    buyer_begin,
-    buyer_finish,
-    buyer_process_response,
-    buyer_step_request,
-)
+from .purchase import SellerStepHandler, buyer_begin, run_purchase
 
 EXIT_OK = 0
 EXIT_PROTOCOL = 1
@@ -174,13 +167,16 @@ def cmd_seller_serve(args) -> int:
 
 
 def cmd_buyer_purchase(args) -> int:
-    ep = wire.connect(*args.connect)
     if args.catalog:
         with open(args.catalog, encoding="utf-8") as fh:
             cat = parse_catalog(fh.read())
     else:
-        ep.send(wire.CatalogGet())
-        doc = ep.recv()
+        ep = wire.connect(*args.connect)
+        try:
+            ep.send(wire.CatalogGet())
+            doc = ep.recv()
+        finally:
+            ep.close()
         if not isinstance(doc, wire.CatalogDoc):
             print("seller did not return a catalog", file=sys.stderr)
             return EXIT_PROTOCOL
@@ -194,21 +190,8 @@ def cmd_buyer_purchase(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
     session = buyer_begin(cat, args.license, cards, mode=args.mode,
                           refresh_blinding=not args.no_refresh, rng=rng)
-
-    def step_fn(req: StepRequest) -> StepResponse:
-        ep.send(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
-        reply = ep.recv()
-        if isinstance(reply, wire.StepResp):
-            return StepResponse(m_out=reply.m_out, step_signature=reply.signature)
-        if isinstance(reply, wire.StepErr):
-            raise StepRejected(reply.code, reply.detail)
-        raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
-
     try:
-        while session.remaining > 0:
-            resp = step_fn(buyer_step_request(session))
-            buyer_process_response(session, resp)
-        plain = buyer_finish(session)
+        plain = run_purchase(session, functools.partial(harness.remote_step, args.connect))
     except BadStepSignature as bad:
         case = build_type_c_case(cat, bad)
         with open(args.case_out, "w", encoding="utf-8") as fh:

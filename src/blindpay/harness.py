@@ -12,6 +12,7 @@ actual on-wire sizes including framing.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from dataclasses import dataclass, replace
@@ -32,11 +33,7 @@ from .dispute import (
     build_type_b_case,
     build_type_c_case,
     build_type_d_case,
-    resolve_type_b,
-    resolve_type_c,
-    resolve_type_d_method1,
-    resolve_type_d_method2,
-    resolve_type_d_method3,
+    resolve_case,
 )
 from .errors import (
     AlreadySpent,
@@ -54,15 +51,12 @@ from .group import DlEqProof, gen_params
 from .purchase import (
     MODE_BASIC,
     MODE_ENHANCED,
-    PurchaseSession,
     SellerStepHandler,
     StepRequest,
     StepResponse,
     buyer_begin,
-    buyer_finish,
-    buyer_process_response,
-    buyer_step_request,
     plan_steps,
+    run_purchase,
 )
 
 BETA_DEFAULT = 128  # card identifier bits
@@ -263,16 +257,12 @@ def _spend_error(err: wire.SpendErr) -> CardError:
 
 
 def make_bank_handler(ledger: CardLedger):
-    """Wire handler exposing a ledger: issue, distribute, spend."""
+    """Wire handler exposing a ledger: issue, distribute, spend.  A request
+    the ledger refuses gets a SpendErr reply; the connection stays up."""
 
-    def handle(msg: wire.Message) -> wire.Message:
+    def answer(msg: wire.Message) -> wire.Message:
         if isinstance(msg, wire.CardSpend):
-            try:
-                receipts = ledger.spend_atomic(list(msg.card_ids), msg.account)
-            except CardError as exc:
-                prior = exc.prior_seq if isinstance(exc, AlreadySpent) else 0
-                return wire.SpendErr(code=card_error_code(exc), detail=exc.card_id,
-                                     prior_seq=prior)
+            receipts = ledger.spend_atomic(list(msg.card_ids), msg.account)
             return wire.SpendOk(receipts=tuple(
                 (r.seq, r.card_id, r.value, r.seller_account) for r in receipts))
         if isinstance(msg, wire.CardIssue):
@@ -280,13 +270,19 @@ def make_bank_handler(ledger: CardLedger):
             return wire.SpendOk(receipts=tuple(
                 (0, c.card_id, c.value, "-") for c in cards))
         if isinstance(msg, wire.CardDistribute):
-            try:
-                ledger.distribute(list(msg.card_ids), msg.store_id)
-            except CardError as exc:
-                return wire.SpendErr(code=card_error_code(exc), detail=exc.card_id,
-                                     prior_seq=0)
+            ledger.distribute(list(msg.card_ids), msg.store_id)
             return wire.SpendOk(receipts=())
         return wire.SpendErr(code="unsupported", detail=type(msg).__name__, prior_seq=0)
+
+    def handle(msg: wire.Message) -> wire.Message:
+        try:
+            return answer(msg)
+        except CardError as exc:
+            prior = exc.prior_seq if isinstance(exc, AlreadySpent) else 0
+            return wire.SpendErr(code=card_error_code(exc), detail=exc.card_id,
+                                 prior_seq=prior)
+        except ValueError as exc:
+            return wire.SpendErr(code="bad-request", detail=str(exc), prior_seq=0)
 
     return handle
 
@@ -324,11 +320,27 @@ def make_seller_handler(step_handler, catalog: Catalog,
                                          response=pr.response)
             if isinstance(msg, wire.DisputeChainReq):
                 chain = agent.reveal_chain(msg.license_id)
-                return wire.DisputeChain(license_id=msg.license_id,
-                                         chain=tuple(chain), link_proofs=())
+                return wire.DisputeChain(license_id=msg.license_id, chain=tuple(chain))
         return wire.StepErr(code="unsupported", detail=type(msg).__name__)
 
     return handle
+
+
+def remote_step(address: tuple[str, int], req: StepRequest) -> StepResponse:
+    """Send one step to a seller server and return its response.  Each step
+    gets a connection of its own, closed after the reply: steps that shared
+    a connection would be linkable by the seller."""
+    ep = wire.connect(*address)
+    try:
+        ep.send(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
+        reply = ep.recv()
+    finally:
+        ep.close()
+    if isinstance(reply, wire.StepResp):
+        return StepResponse(m_out=reply.m_out, step_signature=reply.signature)
+    if isinstance(reply, wire.StepErr):
+        raise StepRejected(reply.code, reply.detail)
+    raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
 
 
 class RemoteSellerProver:
@@ -338,16 +350,18 @@ class RemoteSellerProver:
 
     def __init__(self, endpoint):
         self.endpoint = endpoint
+        self._values: wire.DisputeValues | None = None
 
     def original_values(self, m: int, t: int) -> tuple[int, int]:
         self.endpoint.send(wire.DisputeValuesReq(m=m, t=t))
-        reply = self.endpoint.recv()
-        return reply.m, reply.m_out
+        self._values = self.endpoint.recv()
+        return self._values.m, self._values.m_out
 
     def sign_values(self, m: int, m_out: int) -> bytes:
-        self.endpoint.send(wire.DisputeValuesReq(m=m, t=1))
-        reply = self.endpoint.recv()
-        return reply.signature
+        """The seller's signature on exactly (m, m_out): the one carried by
+        the last values reply, if that reply named this pair; else empty."""
+        v = self._values
+        return v.signature if v is not None and (v.m, v.m_out) == (m, m_out) else b""
 
     def prove(self, base1, y1, base2, y2, t) -> DlEqProof:
         self.endpoint.send(wire.DisputeProofReq(base1=base1, y1=y1, base2=base2,
@@ -443,27 +457,14 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
     handler = SellerStepHandler(keys, params, bank, "seller-1", ops=seller_ops)
     faulty = FaultingSeller(handler, sc.fault, sc.fault_step)
 
-    servers = []
-    endpoints = []
+    closers = []
     if sc.transport == "socket":
         bank_srv = wire.Server("127.0.0.1", 0, make_bank_handler(bank)).start()
-        servers.append(bank_srv)
         bank_ep = wire.connect(*bank_srv.address)
-        endpoints.append(bank_ep)
         handler.bank = RemoteBank(bank_ep)
         seller_srv = wire.Server("127.0.0.1", 0, make_seller_handler(faulty, cat)).start()
-        servers.append(seller_srv)
-        seller_ep = wire.connect(*seller_srv.address)
-        endpoints.append(seller_ep)
-
-        def raw_step(req: StepRequest) -> StepResponse:
-            seller_ep.send(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
-            reply = seller_ep.recv()
-            if isinstance(reply, wire.StepResp):
-                return StepResponse(m_out=reply.m_out, step_signature=reply.signature)
-            if isinstance(reply, wire.StepErr):
-                raise StepRejected(reply.code, reply.detail)
-            raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
+        closers = [bank_ep.close, bank_srv.stop, seller_srv.stop]
+        raw_step = functools.partial(remote_step, seller_srv.address)
     else:
         def raw_step(req: StepRequest) -> StepResponse:
             try:
@@ -483,51 +484,36 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
             wire.StepResp(m_out=resp.m_out, signature=resp.step_signature))
         return resp
 
-    agent = SellerDisputeAgent(keys, cat, rng=rng)
     outcome, key_ok, terms_match = "completed", "-", "-"
-    verdicts: list[tuple[str, Verdict]] = []
     plain = None
-    session: PurchaseSession | None = None
+    case = None
     try:
         session = buyer_begin(cat, "lic-main", buyer_cards, mode=sc.mode,
                               refresh_blinding=sc.refresh, rng=rng, ops=buyer_ops)
-        try:
-            while session.remaining > 0:
-                req = buyer_step_request(session)
-                resp = step_fn(req)
-                buyer_process_response(session, resp)
-            try:
-                plain = buyer_finish(session)
-                key_ok = "yes"
-                terms_match = "yes" if plain.terms == session.entry.terms else "no"
-            except AuthenticationFailure:
-                key_ok = "no"
-                outcome = "key-unusable"
-                case = build_type_d_case(cat, session)
-                verdicts.append(("D-method1", resolve_type_d_method1(case, agent)))
-                verdicts.append(("D-method2", resolve_type_d_method2(case, cat, agent, rng)))
-                verdicts.append(("D-method3", resolve_type_d_method3(case, agent.reveal_s())))
-        except BadStepSignature as bad:
-            outcome = "aborted:bad-step-signature"
-            case = build_type_c_case(cat, bad)
-            verdicts.append(("C", resolve_type_c(case, agent)))
-        except StepRejected as rej:
-            outcome = f"aborted:{rej.code}"
+        plain = run_purchase(session, step_fn)
+        key_ok = "yes"
+        terms_match = "yes" if plain.terms == session.entry.terms else "no"
+    except AuthenticationFailure:
+        key_ok = "no"
+        outcome = "key-unusable"
+        case = build_type_d_case(cat, session)
+    except BadStepSignature as bad:
+        outcome = "aborted:bad-step-signature"
+        case = build_type_c_case(cat, bad)
+    except StepRejected as rej:
+        outcome = f"aborted:{rej.code}"
     finally:
-        for ep in endpoints:
-            ep.close()
-        for srv in servers:
-            srv.stop()
+        for close in closers:
+            close()
 
-    if outcome == "completed":
-        if terms_match == "no":
-            case = build_type_b_case(cat, session)
-            verdicts.append(("B", resolve_type_b(case)))
-        elif sc.fault == "false-claim" and session is not None:
-            case = build_type_d_case(cat, session)
-            verdicts.append(("D-method1", resolve_type_d_method1(case, agent)))
-            verdicts.append(("D-method2", resolve_type_d_method2(case, cat, agent, rng)))
-            verdicts.append(("D-method3", resolve_type_d_method3(case, agent.reveal_s())))
+    if terms_match == "no":
+        case = build_type_b_case(cat, session)
+    elif outcome == "completed" and sc.fault == "false-claim":
+        case = build_type_d_case(cat, session)
+    verdicts: list[tuple[str, Verdict]] = []
+    if case is not None:
+        agent = SellerDisputeAgent(keys, cat, rng=rng)
+        verdicts = resolve_case(case, catalog=cat, seller=agent, rng=rng)
 
     bank.check_conservation()
     return ScenarioReport(scenario=sc, outcome=outcome, key_ok=key_ok,

@@ -207,41 +207,8 @@ class CatalogDoc(Message):
         return cls(text=r.lp_str())
 
 
-def _enc_proof4(vals: tuple[int, int, int, int]) -> bytes:
-    return b"".join(enc_int(v) for v in vals)
-
-
-def _dec_proof4(r: Reader) -> tuple[int, int, int, int]:
-    return (r.lp_int(), r.lp_int(), r.lp_int(), r.lp_int())
-
-
-@dataclass(frozen=True)
-class DisputeCaseFile(Message):
-    TYPE: ClassVar[int] = 16
-    kind: str
-    case_text: str
-
-    def encode_body(self):
-        return enc_str(self.kind) + enc_str(self.case_text)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(kind=r.lp_str(), case_text=r.lp_str())
-
-
-@dataclass(frozen=True)
-class DisputeVerdict(Message):
-    TYPE: ClassVar[int] = 17
-    outcome: str
-    rationale: str
-    checked_steps: int
-
-    def encode_body(self):
-        return enc_str(self.outcome) + enc_str(self.rationale) + enc_u32(self.checked_steps)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(outcome=r.lp_str(), rationale=r.lp_str(), checked_steps=r.u32())
+# Tags 16 and 17 are reserved: no message type uses them, so decoding
+# either raises UnknownMessageType.
 
 
 @dataclass(frozen=True)
@@ -301,13 +268,13 @@ class DisputeProof(Message):
     response: int
 
     def encode_body(self):
-        return _enc_proof4((self.commitment_a, self.commitment_b,
-                            self.challenge, self.response))
+        return (enc_int(self.commitment_a) + enc_int(self.commitment_b)
+                + enc_int(self.challenge) + enc_int(self.response))
 
     @classmethod
     def decode_body(cls, r):
-        a, b, c, z = _dec_proof4(r)
-        return cls(commitment_a=a, commitment_b=b, challenge=c, response=z)
+        return cls(commitment_a=r.lp_int(), commitment_b=r.lp_int(),
+                   challenge=r.lp_int(), response=r.lp_int())
 
 
 @dataclass(frozen=True)
@@ -328,31 +295,24 @@ class DisputeChain(Message):
     TYPE: ClassVar[int] = 23
     license_id: str
     chain: tuple[int, ...]
-    link_proofs: tuple[tuple[int, int, int, int], ...]
 
     def encode_body(self):
         out = enc_str(self.license_id) + enc_u32(len(self.chain))
         for c in self.chain:
             out += enc_int(c)
-        out += enc_u32(len(self.link_proofs))
-        for pr in self.link_proofs:
-            out += _enc_proof4(pr)
         return out
 
     @classmethod
     def decode_body(cls, r):
-        license_id = r.lp_str()
-        chain = tuple(r.lp_int() for _ in range(r.u32()))
-        proofs = tuple(_dec_proof4(r) for _ in range(r.u32()))
-        return cls(license_id=license_id, chain=chain, link_proofs=proofs)
+        return cls(license_id=r.lp_str(), chain=tuple(r.lp_int() for _ in range(r.u32())))
 
 
 MESSAGE_TYPES: dict[int, type[Message]] = {
     cls.TYPE: cls for cls in (
         CardIssue, CardDistribute, CardSpend, SpendOk, SpendErr,
         StepReq, StepResp, StepErr, CatalogGet, CatalogDoc,
-        DisputeCaseFile, DisputeVerdict, DisputeValuesReq, DisputeValues,
-        DisputeProofReq, DisputeProof, DisputeChainReq, DisputeChain,
+        DisputeValuesReq, DisputeValues, DisputeProofReq, DisputeProof,
+        DisputeChainReq, DisputeChain,
     )
 }
 

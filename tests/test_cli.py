@@ -1,11 +1,15 @@
+import contextlib
 import random
+import threading
 
 import pytest
 
 from blindpay import cli, wire
 from blindpay.cards import CardLedger
+from blindpay.catalog import parse_catalog
 from blindpay.dispute import build_type_d_case, SellerDisputeAgent, write_case
-from blindpay.harness import make_bank_handler, make_seller_handler
+from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler
+from blindpay.purchase import SellerStepHandler
 
 from test_dispute import completed_session
 
@@ -108,8 +112,11 @@ def test_arbitrate_type_c_record(tmp_path, capsys, params64):
     assert f"C: {live.outcome}" in out
 
 
-def test_buyer_purchase_over_sockets(tmp_path, capsys):
-    # full multi-party run through the CLI entry points, servers in-process
+@contextlib.contextmanager
+def cli_market(tmp_path, capsys, wrap=lambda handle: handle):
+    """A seller (catalog price 3) and its bank served in-process, plus a
+    cards file worth 3 units.  Yields the buyer's CLI arguments and the
+    ledger.  wrap may interpose on the seller's wire handler."""
     catp = str(tmp_path / "cat.txt")
     secp = str(tmp_path / "sec.txt")
     run_cli("seller", "init", "--catalog", catp, "--secrets", secp, "--seed", "3",
@@ -122,51 +129,54 @@ def test_buyer_purchase_over_sockets(tmp_path, capsys):
     cards_file = tmp_path / "cards.txt"
     cards_file.write_text("".join(f"{c.card_id} 1\n" for c in cards))
 
-    from blindpay.catalog import parse_catalog
-    from blindpay.purchase import SellerStepHandler
-    cat = parse_catalog(open(catp).read())
+    cat = parse_catalog((tmp_path / "cat.txt").read_text())
     keys = cli._read_secrets(secp)
     bank_srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
-    from blindpay.harness import RemoteBank
-    handler = SellerStepHandler(keys, cat.params,
-                                RemoteBank(wire.connect(*bank_srv.address)),
-                                "seller-1")
-    seller_srv = wire.Server("127.0.0.1", 0, make_seller_handler(handler, cat)).start()
+    bank_ep = wire.connect(*bank_srv.address)
+    handler = SellerStepHandler(keys, cat.params, RemoteBank(bank_ep), "seller-1")
+    seller_srv = wire.Server("127.0.0.1", 0,
+                             wrap(make_seller_handler(handler, cat))).start()
     try:
-        out_file = tmp_path / "license.txt"
-        code = run_cli("buyer", "purchase", "--license", "lic-a", "--cards",
-                       str(cards_file), "--connect",
-                       f"127.0.0.1:{seller_srv.address[1]}",
-                       "--seed", "1", "--out", str(out_file))
-        assert code == 0
-        assert "license: lic-a" in out_file.read_text()
-        assert ledger.balance("seller-1") == 3
+        yield ["buyer", "purchase", "--license", "lic-a", "--cards", str(cards_file),
+               "--connect", f"127.0.0.1:{seller_srv.address[1]}", "--seed", "1"], ledger
     finally:
         seller_srv.stop()
+        bank_ep.close()
         bank_srv.stop()
 
 
+def test_buyer_purchase_over_sockets(tmp_path, capsys):
+    # full multi-party run through the CLI entry points, servers in-process
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        out_file = tmp_path / "license.txt"
+        code = run_cli(*argv, "--out", str(out_file))
+        assert code == 0
+        assert "license: lic-a" in out_file.read_text()
+        assert ledger.balance("seller-1") == 3
+
+
+def test_buyer_purchase_sends_each_step_on_its_own_connection(tmp_path, capsys):
+    # the server runs one thread per connection, so a thread-local record
+    # holds the step requests that arrived on one connection
+    conn = threading.local()
+    per_connection = []
+
+    def recording(handle):
+        def handle_and_record(msg):
+            if isinstance(msg, wire.StepReq):
+                if not hasattr(conn, "steps"):
+                    conn.steps = []
+                    per_connection.append(conn.steps)
+                conn.steps.append(msg)
+            return handle(msg)
+        return handle_and_record
+
+    with cli_market(tmp_path, capsys, wrap=recording) as (argv, ledger):
+        assert run_cli(*argv, "--out", str(tmp_path / "license.txt")) == 0
+    assert [len(steps) for steps in per_connection] == [1, 1, 1]
+
+
 def test_buyer_purchase_insufficient_cards(tmp_path, capsys):
-    catp = str(tmp_path / "cat.txt")
-    secp = str(tmp_path / "sec.txt")
-    run_cli("seller", "init", "--catalog", catp, "--secrets", secp, "--seed", "3",
-            "--group-bits", "32", "--license", "lic-a:3:read-only")
-    capsys.readouterr()
-
-    ledger = CardLedger(rng=random.Random(8))
-    cards_file = tmp_path / "cards.txt"
-    cards_file.write_text("")  # no cards at all
-
-    from blindpay.catalog import parse_catalog
-    from blindpay.purchase import SellerStepHandler
-    cat = parse_catalog(open(catp).read())
-    keys = cli._read_secrets(secp)
-    handler = SellerStepHandler(keys, cat.params, ledger, "seller-1")
-    seller_srv = wire.Server("127.0.0.1", 0, make_seller_handler(handler, cat)).start()
-    try:
-        code = run_cli("buyer", "purchase", "--license", "lic-a", "--cards",
-                       str(cards_file), "--connect",
-                       f"127.0.0.1:{seller_srv.address[1]}", "--seed", "1")
-        assert code == 1
-    finally:
-        seller_srv.stop()
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        (tmp_path / "cards.txt").write_text("")  # no cards at all
+        assert run_cli(*argv) == 1

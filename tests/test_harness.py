@@ -11,10 +11,13 @@ from blindpay.dispute import (
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
     SellerDisputeAgent,
+    build_type_c_case,
     build_type_d_case,
+    resolve_type_c,
     resolve_type_d_method1,
+    resolve_type_d_method2,
 )
-from blindpay.errors import ScenarioInvalid
+from blindpay.errors import BadStepSignature, ScenarioInvalid
 from blindpay.harness import (
     Metrics,
     RemoteBank,
@@ -28,11 +31,17 @@ from blindpay.harness import (
     run_sweep,
     scenario_text,
 )
-from blindpay.purchase import SellerStepHandler
+from blindpay.purchase import (
+    MODE_ENHANCED,
+    SellerStepHandler,
+    StepResponse,
+    buyer_process_response,
+    buyer_step_request,
+)
 
 from conftest import make_catalog
 from test_dispute import completed_session
-from test_purchase import fund
+from test_purchase import fund, rig
 
 
 # --- scenario plumbing ------------------------------------------------------------
@@ -342,3 +351,75 @@ def test_remote_prover_method1(params64):
     verdict = resolve_type_d_method1(case, prover)
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     a.close()
+
+
+def _type_c_evidence(params, t):
+    """A corrupt-signature case on the buyer's first step, of value t."""
+    keys, cat, bank, handler, session = rig(params, price=t, mode=MODE_ENHANCED,
+                                            seed=52, prices=(t,))
+    resp = handler.handle(buyer_step_request(session))
+    with pytest.raises(BadStepSignature) as exc:
+        buyer_process_response(session, StepResponse(m_out=resp.m_out,
+                                                     step_signature=bytes(64)))
+    assert exc.value.t == t
+    return keys, cat, lambda: build_type_c_case(cat, exc.value)
+
+
+def _type_d_evidence(params, wrong_s_at):
+    keys, cat, bank, session = completed_session(params, price=4, seed=71,
+                                                 prices=(3, 4), wrong_s_at=wrong_s_at)
+    return keys, cat, lambda: build_type_d_case(cat, session)
+
+
+RESOLVERS = {
+    "C": lambda case, cat, seller: resolve_type_c(case, seller),
+    "D-method1": lambda case, cat, seller: resolve_type_d_method1(case, seller),
+    "D-method2": lambda case, cat, seller: resolve_type_d_method2(case, cat, seller,
+                                                                  random.Random(16)),
+}
+
+
+@pytest.mark.parametrize("label, evidence", [
+    ("C", "t=1"), ("C", "t=4"),
+    ("D-method1", "honest"), ("D-method1", "wrong-s"),
+    ("D-method2", "honest"), ("D-method2", "wrong-s"),
+])
+def test_remote_prover_reaches_local_verdict(params64, label, evidence):
+    # method 3 needs the generation factor, which never travels the wire
+    if label == "C":
+        keys, cat, new_case = _type_c_evidence(params64, int(evidence[2:]))
+        expected = SELLER_MUST_RESIGN
+    else:
+        keys, cat, new_case = _type_d_evidence(params64, 2 if evidence == "wrong-s" else None)
+        expected = SELLER_AT_FAULT if evidence == "wrong-s" else BUYER_CLAIM_REJECTED
+    resolve = RESOLVERS[label]
+    local = resolve(new_case(), cat, SellerDisputeAgent(keys, cat, random.Random(17)))
+    agent = SellerDisputeAgent(keys, cat, random.Random(18))
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(None, cat, agent)).start()
+    ep = wire.connect(*srv.address)
+    try:
+        remote = resolve(new_case(), cat, RemoteSellerProver(ep))
+    finally:
+        ep.close()
+        srv.stop()
+    assert local.outcome == expected
+    assert remote == local
+
+
+def test_bank_rejects_bad_request_and_keeps_the_connection():
+    ledger = CardLedger(rng=random.Random(13))
+    srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    ep = wire.connect(*srv.address)
+    try:
+        ep.send(wire.CardIssue(count=1, value=0))
+        reply = ep.recv()
+        assert isinstance(reply, wire.SpendErr) and reply.code == "bad-request"
+        ep.send(wire.CardSpend(card_ids=(), account="seller-1"))
+        reply = ep.recv()
+        assert isinstance(reply, wire.SpendErr) and reply.code == "bad-request"
+        ep.send(wire.CardIssue(count=2, value=1))
+        reply = ep.recv()
+        assert isinstance(reply, wire.SpendOk) and len(reply.receipts) == 2
+    finally:
+        ep.close()
+        srv.stop()
