@@ -102,11 +102,11 @@ class LicenseSpec:
 
 # --- key derivation and symmetric encryption ----------------------------------
 
-def derive_license_key(x: int, price: int, s: int, params: GroupParams, ops=None) -> int:
+def derive_license_key(x: int, price: int, s: int, params: GroupParams) -> int:
     """x^(s^price) with the exponent tower reduced mod the subgroup order."""
     if price < 1:
         raise ValueError("price must be >= 1")
-    return pow_mod(x, pow(s, price, params.q), params, ops)
+    return pow_mod(x, pow(s, price, params.q), params)
 
 
 def kdf(key_element: int) -> bytes:

@@ -290,20 +290,13 @@ def make_bank_handler(ledger: CardLedger):
 def make_seller_handler(step_handler, catalog: Catalog,
                         agent: SellerDisputeAgent | None = None):
     """Wire handler for a seller: steps, catalog fetches and, when an
-    arbitration agent is attached, dispute queries."""
+    arbitration agent is attached, dispute queries.  A request it cannot
+    serve gets a StepErr reply; the connection stays up."""
     catalog_text = serialize_catalog(catalog)
 
-    def handle(msg: wire.Message) -> wire.Message:
+    def answer(msg: wire.Message) -> wire.Message:
         if isinstance(msg, wire.StepReq):
-            req = StepRequest(card_ids=list(msg.card_ids), m=msg.m)
-            try:
-                resp = step_handler.handle(req)
-            except CardError as exc:
-                return wire.StepErr(code=card_error_code(exc), detail=exc.card_id)
-            except MalformedElement as exc:
-                return wire.StepErr(code="malformed-element", detail=str(exc))
-            except ValueError as exc:
-                return wire.StepErr(code="bad-request", detail=str(exc))
+            resp = step_handler.handle(StepRequest(card_ids=list(msg.card_ids), m=msg.m))
             return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
         if isinstance(msg, wire.CatalogGet):
             return wire.CatalogDoc(text=catalog_text)
@@ -323,7 +316,29 @@ def make_seller_handler(step_handler, catalog: Catalog,
                 return wire.DisputeChain(license_id=msg.license_id, chain=tuple(chain))
         return wire.StepErr(code="unsupported", detail=type(msg).__name__)
 
+    def handle(msg: wire.Message) -> wire.Message:
+        try:
+            return answer(msg)
+        except CardError as exc:
+            return wire.StepErr(code=card_error_code(exc), detail=exc.card_id)
+        except MalformedElement as exc:
+            return wire.StepErr(code="malformed-element", detail=str(exc))
+        except (ValueError, KeyError) as exc:
+            return wire.StepErr(code="bad-request", detail=str(exc))
+
     return handle
+
+
+def _ask(endpoint, req: wire.Message, reply_type: type[wire.Message]) -> wire.Message:
+    """Send one request and return the reply if it has the type asked for;
+    a StepErr or any other reply raises StepRejected."""
+    endpoint.send(req)
+    reply = endpoint.recv()
+    if isinstance(reply, reply_type):
+        return reply
+    if isinstance(reply, wire.StepErr):
+        raise StepRejected(reply.code, reply.detail)
+    raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
 
 
 def remote_step(address: tuple[str, int], req: StepRequest) -> StepResponse:
@@ -332,29 +347,24 @@ def remote_step(address: tuple[str, int], req: StepRequest) -> StepResponse:
     a connection would be linkable by the seller."""
     ep = wire.connect(*address)
     try:
-        ep.send(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
-        reply = ep.recv()
+        resp = _ask(ep, wire.StepReq(card_ids=tuple(req.card_ids), m=req.m), wire.StepResp)
     finally:
         ep.close()
-    if isinstance(reply, wire.StepResp):
-        return StepResponse(m_out=reply.m_out, step_signature=reply.signature)
-    if isinstance(reply, wire.StepErr):
-        raise StepRejected(reply.code, reply.detail)
-    raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
+    return StepResponse(m_out=resp.m_out, step_signature=resp.signature)
 
 
 class RemoteSellerProver:
     """Arbitrator-side view of a seller reachable over a connection.  The
-    generation factor is never sent over the wire; method 3 needs the
-    direct evidence channel."""
+    generation factor is never sent over the wire; method 3 needs the direct
+    evidence channel.  A query the seller refuses raises StepRejected."""
 
     def __init__(self, endpoint):
         self.endpoint = endpoint
         self._values: wire.DisputeValues | None = None
 
     def original_values(self, m: int, t: int) -> tuple[int, int]:
-        self.endpoint.send(wire.DisputeValuesReq(m=m, t=t))
-        self._values = self.endpoint.recv()
+        req = wire.DisputeValuesReq(m=m, t=t)
+        self._values = _ask(self.endpoint, req, wire.DisputeValues)
         return self._values.m, self._values.m_out
 
     def sign_values(self, m: int, m_out: int) -> bytes:
@@ -364,16 +374,15 @@ class RemoteSellerProver:
         return v.signature if v is not None and (v.m, v.m_out) == (m, m_out) else b""
 
     def prove(self, base1, y1, base2, y2, t) -> DlEqProof:
-        self.endpoint.send(wire.DisputeProofReq(base1=base1, y1=y1, base2=base2,
-                                                y2=y2, t=t))
-        reply = self.endpoint.recv()
+        req = wire.DisputeProofReq(base1=base1, y1=y1, base2=base2, y2=y2, t=t)
+        reply = _ask(self.endpoint, req, wire.DisputeProof)
         return DlEqProof(commitment_a=reply.commitment_a,
                          commitment_b=reply.commitment_b,
                          challenge=reply.challenge, response=reply.response)
 
     def reveal_chain(self, license_id: str) -> list[int]:
-        self.endpoint.send(wire.DisputeChainReq(license_id=license_id))
-        return list(self.endpoint.recv().chain)
+        req = wire.DisputeChainReq(license_id=license_id)
+        return list(_ask(self.endpoint, req, wire.DisputeChain).chain)
 
     def reveal_s(self) -> int:
         raise SellerUnresponsive("generation factor never travels the wire")
@@ -567,16 +576,7 @@ def report_tables(sweep: dict[str, list[ScenarioReport]], beta: int = BETA_DEFAU
                 str(p), str(b), str(p + 2), _pf(b == p + 2),
                 str(s), str(2 * p), _pf(s == 2 * p)]))
         lines.append("")
-        lines.append("payload bits, basic mode (framing excluded)")
-        lines.append("p\tbuyer_bits\texpect\tok\tseller_bits\texpect\tok")
-        for rep in basic:
-            p = rep.scenario.price
-            bb = rep.metrics.actor("buyer").payload_bits
-            sb = rep.metrics.actor("seller").payload_bits
-            lines.append("\t".join([
-                str(p), str(bb), str(p * (beta + gamma)), _pf(bb == p * (beta + gamma)),
-                str(sb), str(2 * p * gamma), _pf(sb == 2 * p * gamma)]))
-        lines.append("")
+        lines += _payload_lines(MODE_BASIC, basic, beta)
     enhanced = sweep.get(MODE_ENHANCED, [])
     if enhanced:
         gamma = enhanced[0].scenario.group_bits
@@ -593,18 +593,24 @@ def report_tables(sweep: dict[str, list[ScenarioReport]], beta: int = BETA_DEFAU
                 str(msgs), str(pc), _pf(msgs == pc),
                 str(_ceil_log2(p) + 1), _pf(msgs <= _ceil_log2(p) + 1)]))
         lines.append("")
-        lines.append("payload bits, enhanced mode (framing excluded)")
-        lines.append("p\tbuyer_bits\texpect\tok\tseller_bits\texpect\tok")
-        for rep in enhanced:
-            p = rep.scenario.price
-            pc = bin(p).count("1")
-            bb = rep.metrics.actor("buyer").payload_bits
-            sb = rep.metrics.actor("seller").payload_bits
-            lines.append("\t".join([
-                str(p), str(bb), str(pc * (beta + gamma)), _pf(bb == pc * (beta + gamma)),
-                str(sb), str(2 * pc * gamma), _pf(sb == 2 * pc * gamma)]))
-        lines.append("")
+        lines += _payload_lines(MODE_ENHANCED, enhanced, beta)
     return "\n".join(lines)
+
+
+def _payload_lines(mode: str, reports: list[ScenarioReport], beta: int) -> list[str]:
+    gamma = reports[0].scenario.group_bits
+    lines = [f"payload bits, {mode} mode (framing excluded)",
+             "p\tbuyer_bits\texpect\tok\tseller_bits\texpect\tok"]
+    for rep in reports:
+        p = rep.scenario.price
+        k = p if mode == MODE_BASIC else bin(p).count("1")  # messages sent
+        bb = rep.metrics.actor("buyer").payload_bits
+        sb = rep.metrics.actor("seller").payload_bits
+        lines.append("\t".join([
+            str(p), str(bb), str(k * (beta + gamma)), _pf(bb == k * (beta + gamma)),
+            str(sb), str(2 * k * gamma), _pf(sb == 2 * k * gamma)]))
+    lines.append("")
+    return lines
 
 
 def _pf(ok: bool) -> str:

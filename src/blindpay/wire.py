@@ -1,6 +1,15 @@
 """Binary message formats and transports between the four parties.
 
 One byte of type tag, then the type's fields in the canonical encoding.
+Each message type states its layout once, in ``WIRE``: one field kind per
+dataclass field, in declaration order.  ``encode`` and ``decode`` walk that
+layout against the fields, so a layout that drifts from them fails at once.
+``FIELD_KINDS`` maps each kind to its encoder and reader.  The scalar kinds
+are ``u32`` (4 bytes), ``int``, ``str``, ``bytes`` and ``id`` (a hex card
+id sent as raw bytes), all but ``u32`` length-prefixed.  The sequence kinds
+``ids``, ``ints`` and ``receipts`` are a u32 count followed by the items; a
+receipt is laid out by ``RECEIPT_WIRE``.
+
 Frames are a 4-byte big-endian length followed by the payload, capped at
 1 MiB.  Deliberately absent from every message: buyer identifiers, session
 identifiers, step counters.  A step request looks exactly the same whether
@@ -32,6 +41,7 @@ MAX_FRAME = 1 << 20
 
 # receipt record on the wire: (seq, card_id, value, account)
 ReceiptRec = tuple[int, str, int, str]
+RECEIPT_WIRE = ("int", "id", "u32", "str")
 
 
 def _enc_card_id(cid: str) -> bytes:
@@ -41,170 +51,115 @@ def _enc_card_id(cid: str) -> bytes:
         raise ValueError(f"card id {cid!r} is not hex")
 
 
+def _enc_receipt(rec: ReceiptRec) -> bytes:
+    return b"".join(FIELD_KINDS[kind][0](v) for kind, v in zip(RECEIPT_WIRE, rec, strict=True))
+
+
+def _dec_receipt(r: Reader) -> ReceiptRec:
+    return tuple(FIELD_KINDS[kind][1](r) for kind in RECEIPT_WIRE)
+
+
+def _sequence(enc_item, dec_item):
+    """Codec of a u32 item count followed by the items."""
+    return (lambda items: enc_u32(len(items)) + b"".join(map(enc_item, items)),
+            lambda r: tuple(dec_item(r) for _ in range(r.u32())))
+
+
+# kind -> (encoder of a field value, reader of it from a Reader)
+FIELD_KINDS = {
+    "u32": (enc_u32, Reader.u32),
+    "int": (enc_int, Reader.lp_int),
+    "str": (enc_str, Reader.lp_str),
+    "bytes": (enc_bytes, Reader.lp_bytes),
+    "id": (_enc_card_id, lambda r: r.lp_bytes().hex()),
+}
+FIELD_KINDS.update(
+    ids=_sequence(*FIELD_KINDS["id"]),
+    ints=_sequence(*FIELD_KINDS["int"]),
+    receipts=_sequence(_enc_receipt, _dec_receipt),
+)
+
+
 class Message:
     TYPE: ClassVar[int] = 0
-
-    def encode_body(self) -> bytes:
-        raise NotImplementedError
-
-    @classmethod
-    def decode_body(cls, r: Reader) -> "Message":
-        raise NotImplementedError
+    WIRE: ClassVar[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class CardIssue(Message):
     TYPE: ClassVar[int] = 1
+    WIRE: ClassVar[tuple[str, ...]] = ("u32", "u32")
     count: int
     value: int
-
-    def encode_body(self):
-        return enc_u32(self.count) + enc_u32(self.value)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(count=r.u32(), value=r.u32())
 
 
 @dataclass(frozen=True)
 class CardDistribute(Message):
     TYPE: ClassVar[int] = 2
+    WIRE: ClassVar[tuple[str, ...]] = ("ids", "str")
     card_ids: tuple[str, ...]
     store_id: str
-
-    def encode_body(self):
-        out = enc_u32(len(self.card_ids))
-        for cid in self.card_ids:
-            out += _enc_card_id(cid)
-        return out + enc_str(self.store_id)
-
-    @classmethod
-    def decode_body(cls, r):
-        ids = tuple(r.lp_bytes().hex() for _ in range(r.u32()))
-        return cls(card_ids=ids, store_id=r.lp_str())
 
 
 @dataclass(frozen=True)
 class CardSpend(Message):
     TYPE: ClassVar[int] = 3
+    WIRE: ClassVar[tuple[str, ...]] = ("ids", "str")
     card_ids: tuple[str, ...]
     account: str
-
-    def encode_body(self):
-        out = enc_u32(len(self.card_ids))
-        for cid in self.card_ids:
-            out += _enc_card_id(cid)
-        return out + enc_str(self.account)
-
-    @classmethod
-    def decode_body(cls, r):
-        ids = tuple(r.lp_bytes().hex() for _ in range(r.u32()))
-        return cls(card_ids=ids, account=r.lp_str())
 
 
 @dataclass(frozen=True)
 class SpendOk(Message):
     TYPE: ClassVar[int] = 4
+    WIRE: ClassVar[tuple[str, ...]] = ("receipts",)
     receipts: tuple[ReceiptRec, ...]
-
-    def encode_body(self):
-        out = enc_u32(len(self.receipts))
-        for seq, cid, value, account in self.receipts:
-            out += enc_int(seq) + _enc_card_id(cid) + enc_u32(value) + enc_str(account)
-        return out
-
-    @classmethod
-    def decode_body(cls, r):
-        n = r.u32()
-        recs = tuple((r.lp_int(), r.lp_bytes().hex(), r.u32(), r.lp_str())
-                     for _ in range(n))
-        return cls(receipts=recs)
 
 
 @dataclass(frozen=True)
 class SpendErr(Message):
     TYPE: ClassVar[int] = 5
+    WIRE: ClassVar[tuple[str, ...]] = ("str", "str", "int")
     code: str
     detail: str
     prior_seq: int = 0  # 0 when not applicable
-
-    def encode_body(self):
-        return enc_str(self.code) + enc_str(self.detail) + enc_int(self.prior_seq)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(code=r.lp_str(), detail=r.lp_str(), prior_seq=r.lp_int())
 
 
 @dataclass(frozen=True)
 class StepReq(Message):
     TYPE: ClassVar[int] = 6
+    WIRE: ClassVar[tuple[str, ...]] = ("ids", "int")
     card_ids: tuple[str, ...]
     m: int
-
-    def encode_body(self):
-        out = enc_u32(len(self.card_ids))
-        for cid in self.card_ids:
-            out += _enc_card_id(cid)
-        return out + enc_int(self.m)
-
-    @classmethod
-    def decode_body(cls, r):
-        ids = tuple(r.lp_bytes().hex() for _ in range(r.u32()))
-        return cls(card_ids=ids, m=r.lp_int())
 
 
 @dataclass(frozen=True)
 class StepResp(Message):
     TYPE: ClassVar[int] = 7
+    WIRE: ClassVar[tuple[str, ...]] = ("int", "bytes")
     m_out: int
     signature: bytes
-
-    def encode_body(self):
-        return enc_int(self.m_out) + enc_bytes(self.signature)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(m_out=r.lp_int(), signature=r.lp_bytes())
 
 
 @dataclass(frozen=True)
 class StepErr(Message):
     TYPE: ClassVar[int] = 8
+    WIRE: ClassVar[tuple[str, ...]] = ("str", "str")
     code: str
     detail: str
-
-    def encode_body(self):
-        return enc_str(self.code) + enc_str(self.detail)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(code=r.lp_str(), detail=r.lp_str())
 
 
 @dataclass(frozen=True)
 class CatalogGet(Message):
     TYPE: ClassVar[int] = 9
-
-    def encode_body(self):
-        return b""
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls()
+    WIRE: ClassVar[tuple[str, ...]] = ()
 
 
 @dataclass(frozen=True)
 class CatalogDoc(Message):
     TYPE: ClassVar[int] = 10
+    WIRE: ClassVar[tuple[str, ...]] = ("str",)
     text: str
-
-    def encode_body(self):
-        return enc_str(self.text)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(text=r.lp_str())
 
 
 # Tags 16 and 17 are reserved: no message type uses them, so decoding
@@ -214,97 +169,54 @@ class CatalogDoc(Message):
 @dataclass(frozen=True)
 class DisputeValuesReq(Message):
     TYPE: ClassVar[int] = 18
+    WIRE: ClassVar[tuple[str, ...]] = ("int", "u32")
     m: int
     t: int
-
-    def encode_body(self):
-        return enc_int(self.m) + enc_u32(self.t)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(m=r.lp_int(), t=r.u32())
 
 
 @dataclass(frozen=True)
 class DisputeValues(Message):
     TYPE: ClassVar[int] = 19
+    WIRE: ClassVar[tuple[str, ...]] = ("int", "int", "bytes")
     m: int
     m_out: int
     signature: bytes
-
-    def encode_body(self):
-        return enc_int(self.m) + enc_int(self.m_out) + enc_bytes(self.signature)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(m=r.lp_int(), m_out=r.lp_int(), signature=r.lp_bytes())
 
 
 @dataclass(frozen=True)
 class DisputeProofReq(Message):
     TYPE: ClassVar[int] = 20
+    WIRE: ClassVar[tuple[str, ...]] = ("int", "int", "int", "int", "u32")
     base1: int
     y1: int
     base2: int
     y2: int
     t: int
 
-    def encode_body(self):
-        return (enc_int(self.base1) + enc_int(self.y1) + enc_int(self.base2)
-                + enc_int(self.y2) + enc_u32(self.t))
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(base1=r.lp_int(), y1=r.lp_int(), base2=r.lp_int(),
-                   y2=r.lp_int(), t=r.u32())
-
 
 @dataclass(frozen=True)
 class DisputeProof(Message):
     TYPE: ClassVar[int] = 21
+    WIRE: ClassVar[tuple[str, ...]] = ("int", "int", "int", "int")
     commitment_a: int
     commitment_b: int
     challenge: int
     response: int
 
-    def encode_body(self):
-        return (enc_int(self.commitment_a) + enc_int(self.commitment_b)
-                + enc_int(self.challenge) + enc_int(self.response))
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(commitment_a=r.lp_int(), commitment_b=r.lp_int(),
-                   challenge=r.lp_int(), response=r.lp_int())
-
 
 @dataclass(frozen=True)
 class DisputeChainReq(Message):
     TYPE: ClassVar[int] = 22
+    WIRE: ClassVar[tuple[str, ...]] = ("str",)
     license_id: str
-
-    def encode_body(self):
-        return enc_str(self.license_id)
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(license_id=r.lp_str())
 
 
 @dataclass(frozen=True)
 class DisputeChain(Message):
     TYPE: ClassVar[int] = 23
+    WIRE: ClassVar[tuple[str, ...]] = ("str", "ints")
     license_id: str
     chain: tuple[int, ...]
-
-    def encode_body(self):
-        out = enc_str(self.license_id) + enc_u32(len(self.chain))
-        for c in self.chain:
-            out += enc_int(c)
-        return out
-
-    @classmethod
-    def decode_body(cls, r):
-        return cls(license_id=r.lp_str(), chain=tuple(r.lp_int() for _ in range(r.u32())))
 
 
 MESSAGE_TYPES: dict[int, type[Message]] = {
@@ -324,7 +236,10 @@ def message_field_names() -> dict[str, tuple[str, ...]]:
 
 
 def encode(msg: Message) -> bytes:
-    return enc_u8(msg.TYPE) + msg.encode_body()
+    cls = type(msg)
+    return enc_u8(cls.TYPE) + b"".join(
+        FIELD_KINDS[kind][0](getattr(msg, f.name))
+        for kind, f in zip(cls.WIRE, fields(cls), strict=True))
 
 
 def decode(data: bytes) -> Message:
@@ -337,7 +252,8 @@ def decode(data: bytes) -> Message:
     cls = MESSAGE_TYPES.get(tag)
     if cls is None:
         raise UnknownMessageType(0, tag)
-    msg = cls.decode_body(r)
+    msg = cls(**{f.name: FIELD_KINDS[kind][1](r)
+                 for kind, f in zip(cls.WIRE, fields(cls), strict=True)})
     r.expect_end()
     return msg
 
@@ -446,8 +362,11 @@ class SocketEndpoint:
 
 
 def connect(host: str, port: int, timeout: float = 5.0) -> SocketEndpoint:
-    return SocketEndpoint(socket.create_connection((host, port), timeout=timeout),
-                          timeout=timeout)
+    try:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    except OSError as exc:
+        raise ConnectionClosed(f"cannot connect to {host}:{port}: {exc}")
+    return SocketEndpoint(sock, timeout=timeout)
 
 
 class Server:

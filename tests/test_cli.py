@@ -1,5 +1,6 @@
 import contextlib
 import random
+import socket
 import threading
 
 import pytest
@@ -180,3 +181,19 @@ def test_buyer_purchase_insufficient_cards(tmp_path, capsys):
     with cli_market(tmp_path, capsys) as (argv, ledger):
         (tmp_path / "cards.txt").write_text("")  # no cards at all
         assert run_cli(*argv) == 1
+
+
+def test_buyer_purchase_against_closed_port_exits_1(tmp_path, capsys):
+    catp = str(tmp_path / "cat.txt")
+    run_cli("seller", "init", "--catalog", catp, "--secrets", str(tmp_path / "sec.txt"),
+            "--seed", "3", "--group-bits", "32", "--license", "lic-a:3:read-only")
+    cards_file = tmp_path / "cards.txt"
+    cards_file.write_text("".join(f"{k:032x} 1\n" for k in range(3)))
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()  # nothing listens on the port now
+    capsys.readouterr()
+    assert run_cli("buyer", "purchase", "--license", "lic-a", "--cards", str(cards_file),
+                   "--catalog", catp, "--connect", f"127.0.0.1:{port}") == 1
+    assert f"cannot connect to 127.0.0.1:{port}" in capsys.readouterr().err

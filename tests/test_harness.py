@@ -17,7 +17,7 @@ from blindpay.dispute import (
     resolve_type_d_method1,
     resolve_type_d_method2,
 )
-from blindpay.errors import BadStepSignature, ScenarioInvalid
+from blindpay.errors import BadStepSignature, ScenarioInvalid, StepRejected
 from blindpay.harness import (
     Metrics,
     RemoteBank,
@@ -420,6 +420,38 @@ def test_bank_rejects_bad_request_and_keeps_the_connection():
         ep.send(wire.CardIssue(count=2, value=1))
         reply = ep.recv()
         assert isinstance(reply, wire.SpendOk) and len(reply.receipts) == 2
+    finally:
+        ep.close()
+        srv.stop()
+
+
+def test_seller_refuses_bad_query_and_keeps_the_connection(params64):
+    keys, cat = make_catalog(params64)
+    agent = SellerDisputeAgent(keys, cat, random.Random(19))
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(None, cat, agent)).start()
+    ep = wire.connect(*srv.address)
+    try:
+        ep.send(wire.DisputeChainReq(license_id="no-such-license"))
+        reply = ep.recv()
+        assert isinstance(reply, wire.StepErr) and reply.code == "bad-request"
+        ep.send(wire.CatalogGet())
+        assert isinstance(ep.recv(), wire.CatalogDoc)
+    finally:
+        ep.close()
+        srv.stop()
+
+
+def test_remote_prover_raises_step_rejected_on_refusal(params64):
+    keys, cat = make_catalog(params64)
+    agent = SellerDisputeAgent(keys, cat, random.Random(20))
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(None, cat, agent)).start()
+    ep = wire.connect(*srv.address)
+    try:
+        prover = RemoteSellerProver(ep)
+        with pytest.raises(StepRejected) as exc:
+            prover.reveal_chain("no-such-license")
+        assert exc.value.code == "bad-request"
+        assert prover.reveal_chain("lic-3") == agent.reveal_chain("lic-3")
     finally:
         ep.close()
         srv.stop()

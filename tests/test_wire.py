@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,13 @@ def test_every_type_round_trips():
         back = wire.decode(data)
         assert back == msg
         assert wire.encode(back) == data
+
+
+def test_every_type_declares_its_layout():
+    for cls in wire.MESSAGE_TYPES.values():
+        assert "WIRE" in vars(cls), cls.__name__
+        assert len(cls.WIRE) == len(fields(cls)), cls.__name__
+        assert set(cls.WIRE) <= set(wire.FIELD_KINDS), cls.__name__
 
 
 def test_golden_vectors():
