@@ -43,7 +43,15 @@ from .errors import (
     MissingKPower,
     SellerUnresponsive,
 )
-from .group import DlEqProof, GroupParams, dleq_prove, dleq_verify
+from .group import (
+    DlEqProof,
+    GroupParams,
+    dleq_prove,
+    dleq_verify,
+    ensure_member,
+    is_member,
+    pow_fixed,
+)
 from .purchase import step_payload
 
 SELLER_AT_FAULT = "seller-at-fault"
@@ -157,19 +165,32 @@ class SellerDisputeAgent:
         return self.catalog.params
 
     def original_values(self, m: int, t: int) -> tuple[int, int]:
-        """Recompute what this seller would have responded to request m."""
+        """Recompute what this seller would have responded to request m.
+        No step carries a non-member m (MalformedElement) or a value t
+        outside the K table (ValueError), so neither gets an answer."""
         p = self.params
+        ensure_member(m, p)
+        if t not in self.catalog.k_table:
+            raise ValueError(f"no step value {t} in the K table")
         return m, pow(m, pow(self.keys.s, t, p.q), p.n)
 
     def sign_values(self, m: int, m_out: int) -> bytes:
         return sign_payload(self.keys.sign_sk, step_payload(m, m_out))
 
-    def prove(self, base1: int, y1: int, base2: int, y2: int, t: int) -> DlEqProof:
-        """Equality proof with secret s^t.  y1/y2 are part of the statement
-        the arbitrator wants checked; if they do not match this seller's
-        secret the proof simply will not verify."""
-        secret = pow(self.keys.s, t, self.params.q)
-        return dleq_prove(secret, base1, base2, self.params, self.rng)
+    def prove(self, base1: int, y1: int, base2: int, y2: int, t: int) -> DlEqProof | None:
+        """Equality proof with secret s^t, made only for a true statement:
+        all four values subgroup members, y1 = base1^(s^t) and
+        y2 = base2^(s^t).  Otherwise None, which every resolver scores as a
+        failed proof.  A proof of a statement the asker picked would hand it
+        base1^(s^t), since a Chaum-Pedersen transcript determines y1; for
+        base1 = x that is a license key."""
+        p = self.params
+        # y1 and y2 equal powers of member bases, hence are members, exactly
+        # when the bases are members and the claim below holds.
+        if not (is_member(base1, p) and is_member(base2, p)):
+            return None
+        secret = pow(self.keys.s, t, p.q)
+        return dleq_prove(secret, base1, base2, p, self.rng, claim=(y1, y2))
 
     def reveal_chain(self, license_id: str) -> list[int]:
         entry = self.catalog.entry(license_id)
@@ -218,14 +239,14 @@ def resolve_type_b(case: DisputeCase) -> Verdict:
             raise MalformedEvidence(f"step {i}: blinding exponent missing")
         if not verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature):
             return Verdict(BUYER_CLAIM_REJECTED, f"step {i}: step signature invalid", i)
-        expected_m = (pow(p.g, st.alpha, p.n) * acc) % p.n
+        expected_m = (pow_fixed(p.g, st.alpha, p) * acc) % p.n
         if st.m != expected_m:
             return Verdict(BUYER_CLAIM_REJECTED,
                            f"step {i}: request inconsistent with blinding exponent", i)
         k = case.k_table.get(st.t)
         if k is None:
             raise MalformedEvidence(f"step {i}: no unblinding key for value {st.t}")
-        unblinder = pow(k, st.alpha, p.n)
+        unblinder = pow_fixed(k, st.alpha, p)
         acc = (st.m_out * pow(unblinder, -1, p.n)) % p.n
     if acc != case.buyer_key:
         return Verdict(BUYER_CLAIM_REJECTED,

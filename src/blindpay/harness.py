@@ -287,6 +287,10 @@ def make_bank_handler(ledger: CardLedger):
     return handle
 
 
+# StepErr code of a dispute proof the seller refuses: the statement is false.
+PROOF_REFUSED = "proof-refused"
+
+
 def make_seller_handler(step_handler, catalog: Catalog,
                         agent: SellerDisputeAgent | None = None):
     """Wire handler for a seller: steps, catalog fetches and, when an
@@ -307,6 +311,8 @@ def make_seller_handler(step_handler, catalog: Catalog,
                                           signature=agent.sign_values(m, m_out))
             if isinstance(msg, wire.DisputeProofReq):
                 pr = agent.prove(msg.base1, msg.y1, msg.base2, msg.y2, msg.t)
+                if pr is None:
+                    return wire.StepErr(code=PROOF_REFUSED, detail="statement does not hold")
                 return wire.DisputeProof(commitment_a=pr.commitment_a,
                                          commitment_b=pr.commitment_b,
                                          challenge=pr.challenge,
@@ -373,9 +379,15 @@ class RemoteSellerProver:
         v = self._values
         return v.signature if v is not None and (v.m, v.m_out) == (m, m_out) else b""
 
-    def prove(self, base1, y1, base2, y2, t) -> DlEqProof:
+    def prove(self, base1, y1, base2, y2, t) -> DlEqProof | None:
+        """The seller's proof, or None if it refuses to prove the statement."""
         req = wire.DisputeProofReq(base1=base1, y1=y1, base2=base2, y2=y2, t=t)
-        reply = _ask(self.endpoint, req, wire.DisputeProof)
+        try:
+            reply = _ask(self.endpoint, req, wire.DisputeProof)
+        except StepRejected as exc:
+            if exc.code == PROOF_REFUSED:
+                return None
+            raise
         return DlEqProof(commitment_a=reply.commitment_a,
                          commitment_b=reply.commitment_b,
                          challenge=reply.challenge, response=reply.response)

@@ -38,7 +38,7 @@ from .errors import (
     SessionComplete,
     SessionStateError,
 )
-from .group import GroupParams, div_mod, ensure_member, mul_mod, pow_mod
+from .group import GroupParams, div_mod, ensure_member, mul_mod, pow_fixed, pow_mod
 
 MODE_BASIC = "basic"
 MODE_ENHANCED = "enhanced"
@@ -176,13 +176,13 @@ def _ensure_unblinder(session: PurchaseSession, t: int):
     k = session.catalog.k_table.get(t)
     if k is None:
         raise MissingKPower(t)
-    session.unblinders[t] = pow_mod(k, session.alpha, session.params, session._ops)
+    session.unblinders[t] = pow_fixed(k, session.alpha, session.params, session._ops)
 
 
 def _fresh_blinding(session: PurchaseSession, powers: set[int]):
     params = session.params
     session.alpha = session._randrange(params.q)
-    session.r = pow_mod(params.g, session.alpha, params, session._ops)
+    session.r = pow_fixed(params.g, session.alpha, params, session._ops)
     session.unblinders = {}
     for t in sorted(powers):
         _ensure_unblinder(session, t)
@@ -425,8 +425,8 @@ def load_session(path: str, catalog: Catalog, rng: random.Random | None = None,
     # refresh on, a resumed step past the first draws fresh ones anyway.
     if session.remaining > 0 and not (session.refresh_blinding and session._idx > 0):
         params = session.params
-        session.r = pow_mod(params.g, session.alpha, params)
+        session.r = pow_fixed(params.g, session.alpha, params)
         rest = session.plan[session._idx:]
         for t in sorted({rest[0]} if session.refresh_blinding else set(rest)):
-            session.unblinders[t] = pow_mod(catalog.k_table[t], session.alpha, params)
+            session.unblinders[t] = pow_fixed(catalog.k_table[t], session.alpha, params)
     return session

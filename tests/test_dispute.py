@@ -29,11 +29,12 @@ from blindpay.catalog import with_published_terms
 from blindpay.errors import (
     AuthenticationFailure,
     BadStepSignature,
+    MalformedElement,
     MalformedEvidence,
     MissingKPower,
     SellerUnresponsive,
 )
-from blindpay.group import mul_mod
+from blindpay.group import dleq_verify, mul_mod, pow_mod
 from blindpay.purchase import (
     MODE_ENHANCED,
     SellerStepHandler,
@@ -64,6 +65,38 @@ def completed_session(params, price=4, mode="basic", seed=33, wrong_s_at=None,
         active = crooked if step == wrong_s_at else handler
         buyer_process_response(session, active.handle(req))
     return keys, cat, bank, session
+
+
+# --- the seller's prover ------------------------------------------------------------
+
+def test_agent_proves_only_true_statements(params64):
+    keys, cat = make_catalog(params64)
+    agent = SellerDisputeAgent(keys, cat, random.Random(8))
+    p = params64
+    m = pow_mod(p.g, 4242, p)
+    e = pow(keys.s, 2, p.q)
+    true = (m, pow(m, e, p.n), p.g, cat.k_table[2])
+    assert dleq_verify(agent.prove(*true, 2), *true, p)
+    assert agent.prove(m, mul_mod(true[1], p.g, p), p.g, cat.k_table[2], 2) is None
+    assert agent.prove(m, true[1], p.g, cat.k_table[1], 2) is None
+    # -1 is outside the subgroup; a proof for it would tell the parity of s^t
+    for i in range(4):
+        bad = list(true)
+        bad[i] = p.n - 1
+        assert agent.prove(*bad, 2) is None
+
+
+def test_agent_original_values_refuses_what_no_step_carries(params64):
+    keys, cat = make_catalog(params64)
+    agent = SellerDisputeAgent(keys, cat)
+    m = pow_mod(params64.g, 99, params64)
+    for bad_m in (0, params64.n - 1, params64.n + m):
+        with pytest.raises(MalformedElement):
+            agent.original_values(bad_m, 1)
+    for bad_t in (0, 3, 200):
+        with pytest.raises(ValueError):
+            agent.original_values(m, bad_t)
+    assert agent.original_values(m, 2) == (m, pow(m, pow(keys.s, 2, params64.q), params64.n))
 
 
 # --- type B --------------------------------------------------------------------------

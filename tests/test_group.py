@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from blindpay.errors import MalformedElement
 from blindpay.group import (
     DlEqProof,
+    _comb_table,
     _jacobi,
     GroupParams,
     dleq_equations_hold,
@@ -18,8 +19,10 @@ from blindpay.group import (
     is_member,
     is_probable_prime,
     mul_mod,
+    pow_fixed,
     pow_mod,
 )
+from blindpay.harness import OpCounter
 
 from conftest import PARAMS23
 
@@ -133,6 +136,53 @@ def test_pow_mod_matches_naive_oracle(params23):
     for base in (2, 3, 4, 8, 9, 16):
         for e in range(12):
             assert pow_mod(base, e, params23) == naive_pow(base, e % 11, 23)
+
+
+def comb_edge_exponents(q):
+    return (0, 1, q - 1, q, q + 1, -1, 2 * q + 3)
+
+
+@pytest.mark.parametrize("name", ["params23", "params16", "params64"])
+def test_pow_fixed_matches_pow_at_edge_exponents(name, request):
+    params = request.getfixturevalue(name)
+    for base in (params.g, hash_to_group(b"comb-base", params)):
+        for e in comb_edge_exponents(params.q):
+            assert pow_fixed(base, e, params) == pow(base, e % params.q, params.n), e
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["params23", "params16", "params64"]),
+       st.integers(min_value=-2**80, max_value=2**80), st.booleans())
+def test_pow_fixed_matches_pow(request, name, e, use_g):
+    params = request.getfixturevalue(name)
+    base = params.g if use_g else hash_to_group(b"comb-base", params)
+    assert pow_fixed(base, e, params) == pow(base, e % params.q, params.n)
+
+
+def test_pow_fixed_matches_pow_at_2048_bits():
+    # the comb identity holds for any modulus, so an unvalidated group of
+    # full size checks it at the size the buyer runs
+    rng = random.Random(41)
+    n = rng.getrandbits(2048) | (1 << 2047) | 1
+    params = GroupParams(n=n, q=(n - 1) // 2, g=2, bits=2048)
+    base = rng.randrange(2, n)
+    exponents = list(comb_edge_exponents(params.q)) + [rng.randrange(params.q)
+                                                       for _ in range(3)]
+    for e in exponents:
+        assert pow_fixed(base, e, params) == pow(base, e % params.q, n)
+
+
+def test_pow_fixed_bills_one_exponentiation_per_call(params64):
+    base = hash_to_group(b"comb-billing", params64)
+    _comb_table.cache_clear()
+    ops = OpCounter()
+    for calls in (1, 2, 3):  # the first call builds the table, the rest reuse it
+        pow_fixed(base, 12345 + calls, params64, ops)
+        assert ops.exponentiations == calls
+        assert _comb_table.cache_info()[:2] == (calls - 1, 1)  # (hits, misses)
+    pow_fixed(base, 99, params64)  # unbilled without a counter
+    assert ops.exponentiations == 3
+    assert (ops.divisions, ops.signings) == (0, 0)
 
 
 def test_inv_mod_trivial_and_hand_value(params23):

@@ -17,8 +17,10 @@ from blindpay.dispute import (
     resolve_type_d_method1,
     resolve_type_d_method2,
 )
+from blindpay.catalog import decrypt_license
 from blindpay.errors import BadStepSignature, ScenarioInvalid, StepRejected
 from blindpay.harness import (
+    PROOF_REFUSED,
     Metrics,
     RemoteBank,
     RemoteSellerProver,
@@ -139,16 +141,19 @@ def test_wire_bytes_exceed_payload_bits():
 
 
 def test_counter_soundness_against_call_counting(monkeypatch, params64):
-    # independent oracle: count actual pow_mod invocations inside the
-    # purchase module and compare with the billed counter
+    # independent oracle: count actual invocations of both exponentiation
+    # functions inside the purchase module and compare with the billed counter
     calls = {"n": 0}
-    real_pow_mod = blindpay.purchase.pow_mod
 
-    def counting_pow_mod(base, e, params, ops=None):
-        calls["n"] += 1
-        return real_pow_mod(base, e, params, ops)
+    def counting(real):
+        def wrapper(base, e, params, ops=None):
+            calls["n"] += 1
+            return real(base, e, params, ops)
+        return wrapper
 
-    monkeypatch.setattr(blindpay.purchase, "pow_mod", counting_pow_mod)
+    for name in ("pow_mod", "pow_fixed"):
+        monkeypatch.setattr(blindpay.purchase, name,
+                            counting(getattr(blindpay.purchase, name)))
 
     keys, cat = make_catalog(params64, prices=(5,))
     bank = CardLedger(rng=random.Random(4))
@@ -452,6 +457,64 @@ def test_remote_prover_raises_step_rejected_on_refusal(params64):
             prover.reveal_chain("no-such-license")
         assert exc.value.code == "bad-request"
         assert prover.reveal_chain("lic-3") == agent.reveal_chain("lic-3")
+    finally:
+        ep.close()
+        srv.stop()
+
+
+# --- dispute queries open no license ------------------------------------------------------
+
+def _transcript_statement_y1(proof, base1, params):
+    """The y1 a Chaum-Pedersen transcript determines on its own:
+    (base1^z * a1^-1)^(c^-1 mod q).  An asker who picks base1 learns
+    base1^(s^t) from any proof the seller makes for it."""
+    n = params.n
+    v = pow(base1, proof.response, n) * pow(proof.commitment_a, -1, n) % n
+    return pow(v, pow(proof.challenge, -1, params.q), n)
+
+
+def test_proof_query_answers_only_true_statements(params64):
+    # No cards are spent: the queries go straight to the seller's handler.
+    keys, cat = make_catalog(params64)
+    entry = cat.entry("lic-2")
+    agent = SellerDisputeAgent(keys, cat, random.Random(21))
+    handle = make_seller_handler(None, cat, agent)
+    g, k2 = params64.g, cat.k_table[2]
+    # a true statement is proven, and the proof tells the asker only the
+    # y1 it already named
+    m = blindpay.purchase.pow_mod(g, 777, params64)
+    m_out = pow(m, pow(keys.s, 2, params64.q), params64.n)
+    reply = handle(wire.DisputeProofReq(base1=m, y1=m_out, base2=g, y2=k2, t=2))
+    assert isinstance(reply, wire.DisputeProof)
+    assert _transcript_statement_y1(reply, m, params64) == m_out
+    # base1 = x with a made-up y1 would yield x^(s^2), the key of lic-2
+    reply = handle(wire.DisputeProofReq(base1=entry.x, y1=g, base2=g, y2=k2, t=2))
+    assert isinstance(reply, wire.StepErr) and reply.code == PROOF_REFUSED
+
+
+def test_values_query_refuses_nonmember_and_unknown_step_value(params64):
+    keys, cat = make_catalog(params64)
+    handle = make_seller_handler(None, cat, SellerDisputeAgent(keys, cat, random.Random(22)))
+    reply = handle(wire.DisputeValuesReq(m=0, t=0))
+    assert isinstance(reply, wire.StepErr) and reply.code == "malformed-element"
+    assert 200 not in cat.k_table
+    reply = handle(wire.DisputeValuesReq(m=cat.entry("lic-5").x, t=200))
+    assert isinstance(reply, wire.StepErr) and reply.code == "bad-request"
+
+
+def test_remote_prover_maps_a_refused_proof_to_none(params64):
+    keys, cat = make_catalog(params64)
+    entry = cat.entry("lic-1")
+    agent = SellerDisputeAgent(keys, cat, random.Random(23))
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(None, cat, agent)).start()
+    ep = wire.connect(*srv.address)
+    try:
+        prover = RemoteSellerProver(ep)
+        g, k1 = params64.g, cat.k_table[1]
+        assert prover.prove(entry.x, g, g, k1, 1) is None
+        key = pow(entry.x, keys.s, params64.n)
+        decrypt_license(key, entry.encrypted_license)
+        assert prover.prove(entry.x, key, g, k1, 1) is not None
     finally:
         ep.close()
         srv.stop()
