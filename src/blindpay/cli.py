@@ -23,7 +23,13 @@ from .catalog import (
     setup,
     verify_catalog,
 )
-from .dispute import build_type_c_case, parse_case, resolve_case, write_case
+from .dispute import (
+    SellerDisputeAgent,
+    build_type_c_case,
+    parse_case,
+    resolve_case,
+    write_case,
+)
 from .errors import BadStepSignature, BlindpayError, ScenarioInvalid, StepRejected
 from .group import gen_params
 from .purchase import SellerStepHandler, buyer_begin, run_purchase
@@ -154,15 +160,30 @@ def cmd_seller_serve(args) -> int:
         print("seller serve needs --bank or --ledger", file=sys.stderr)
         return EXIT_USAGE
     handler = SellerStepHandler(keys, cat.params, bank, args.account)
-    from .dispute import SellerDisputeAgent
-    agent = SellerDisputeAgent(keys, cat)
     host, port = args.listen
-    srv = wire.Server(host, port, harness.make_seller_handler(handler, cat, agent)).start()
+    srv = wire.Server(host, port, harness.make_seller_handler(handler, cat)).start()
     print(f"seller listening on {srv.address[0]}:{srv.address[1]}", flush=True)
     try:
         srv._thread.join()
     except KeyboardInterrupt:
         srv.stop()
+    return EXIT_OK
+
+
+def cmd_seller_answer(args) -> int:
+    """Answer a case record as the seller: every value, proof and chain the
+    resolvers ask for goes into the record, which the arbitrator replays.
+    The generation factor stays out of it, so method 3 is never offered."""
+    with open(args.case, encoding="utf-8") as fh:
+        case = parse_case(fh.read())
+    with open(args.catalog, encoding="utf-8") as fh:
+        cat = parse_catalog(fh.read())
+    agent = SellerDisputeAgent(_read_secrets(args.secrets), cat)
+    resolve_case(case, catalog=cat, seller=agent)
+    case.s_revealed = None
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(write_case(case))
+    print(f"answered case written to {args.out}")
     return EXIT_OK
 
 
@@ -310,6 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     sserve.add_argument("--ledger")
     sserve.add_argument("--account", default="seller-1")
     sserve.set_defaults(fn=cmd_seller_serve)
+    answer = seller_sub.add_parser("answer", help="answer a dispute case record")
+    answer.add_argument("--case", required=True)
+    answer.add_argument("--catalog", required=True)
+    answer.add_argument("--secrets", required=True)
+    answer.add_argument("--out", required=True)
+    answer.set_defaults(fn=cmd_seller_answer)
 
     buyer = sub.add_parser("buyer", help="license buyer")
     buyer_sub = buyer.add_subparsers(dest="buyer_cmd", required=True)

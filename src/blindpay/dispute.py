@@ -14,12 +14,14 @@ commitments: per-step equality proofs against the K table, an audited
 key chain for a randomly chosen license, or outright disclosure of the
 generation factor.
 
-Resolvers work from a DisputeCase.  When a live seller agent is supplied,
-its answers (values, proofs, chains) are recorded into the case, so the
-same resolver replayed on the stored record reaches the same verdict with
-no seller present.  Evidence for kinds C and D carries only blinded
-request/response pairs: the arbitrator never sees card identifiers, the
-license factor, or anything naming the buyer.
+Resolvers work from a DisputeCase.  When a seller agent is supplied (a
+live seller agent or ``blindpay seller answer``), its answers (values,
+proofs, chains) are recorded into the case, so the same resolver replayed
+on the stored record reaches the same verdict with no seller present.  The
+case record file is the only channel between seller and arbitrator; a
+record nobody answered is judged by the timeout rule.  Evidence for kinds C
+and D carries only blinded request/response pairs: the arbitrator never
+sees card identifiers, the license factor, or anything naming the buyer.
 """
 
 from __future__ import annotations
@@ -268,12 +270,14 @@ def resolve_type_b(case: DisputeCase) -> Verdict:
 def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) -> Verdict:
     """Corrupt step signature.
 
-    Valid signature: claim rejected.  Seller concurs with the values: the
-    remedy is a fresh valid signature.  Seller's values conflict with the
-    buyer's: escalate, the seller must prove its own pair correct; success
-    rejects the claim (and the proven pair goes to the buyer), failure
-    obliges the seller to sign the buyer's values.  No answer at all is
-    treated as fault by timeout.
+    Valid signature: claim rejected.  A request no step carries (m outside
+    the subgroup, or t outside the K table) is refused by the step handler,
+    so a claim about one is rejected before the seller is asked.  Seller
+    concurs with the values: the remedy is a fresh valid signature.
+    Seller's values conflict with the buyer's: escalate, the seller must
+    prove its own pair correct; success rejects the claim (and the proven
+    pair goes to the buyer), failure obliges the seller to sign the buyer's
+    values.  No answer at all is treated as fault by timeout.
     """
     if case.kind != "C":
         raise MalformedEvidence(f"type C resolver got kind {case.kind!r}")
@@ -282,6 +286,11 @@ def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) 
     st = case.steps[0]
     if verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature):
         return Verdict(BUYER_CLAIM_REJECTED, "presented signature is valid", 1)
+    if not is_member(st.m, case.params):
+        return Verdict(BUYER_CLAIM_REJECTED, "request is not a subgroup member", 1)
+    k = case.k_table.get(st.t)
+    if k is None:
+        return Verdict(BUYER_CLAIM_REJECTED, f"no unblinding key for step value {st.t}", 1)
 
     if case.seller_values is None and seller is not None:
         try:
@@ -304,9 +313,6 @@ def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) 
 
     case.stages.append(Verdict(
         ESCALATED_TO_D, "seller's original values conflict with the buyer's", 1))
-    k = case.k_table.get(st.t)
-    if k is None:
-        raise MissingKPower(st.t)
     if case.seller_proof is None and seller is not None:
         case.seller_proof = seller.prove(q_val, n_val, case.params.g, k, st.t)
     if _safe_verify(case.seller_proof, q_val, n_val, case.params.g, k, case.params):

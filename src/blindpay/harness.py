@@ -43,11 +43,10 @@ from .errors import (
     MalformedElement,
     NotDistributed,
     ScenarioInvalid,
-    SellerUnresponsive,
     StepRejected,
     UnknownCard,
 )
-from .group import DlEqProof, gen_params
+from .group import gen_params
 from .purchase import (
     MODE_BASIC,
     MODE_ENHANCED,
@@ -287,15 +286,11 @@ def make_bank_handler(ledger: CardLedger):
     return handle
 
 
-# StepErr code of a dispute proof the seller refuses: the statement is false.
-PROOF_REFUSED = "proof-refused"
-
-
-def make_seller_handler(step_handler, catalog: Catalog,
-                        agent: SellerDisputeAgent | None = None):
-    """Wire handler for a seller: steps, catalog fetches and, when an
-    arbitration agent is attached, dispute queries.  A request it cannot
-    serve gets a StepErr reply; the connection stays up."""
+def make_seller_handler(step_handler, catalog: Catalog):
+    """Wire handler for a seller: purchase steps and catalog fetches.  A
+    request it cannot serve gets a StepErr reply; the connection stays up.
+    Dispute evidence never comes through here: the seller answers a case
+    record file (``blindpay seller answer``)."""
     catalog_text = serialize_catalog(catalog)
 
     def answer(msg: wire.Message) -> wire.Message:
@@ -304,22 +299,6 @@ def make_seller_handler(step_handler, catalog: Catalog,
             return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
         if isinstance(msg, wire.CatalogGet):
             return wire.CatalogDoc(text=catalog_text)
-        if agent is not None:
-            if isinstance(msg, wire.DisputeValuesReq):
-                m, m_out = agent.original_values(msg.m, msg.t)
-                return wire.DisputeValues(m=m, m_out=m_out,
-                                          signature=agent.sign_values(m, m_out))
-            if isinstance(msg, wire.DisputeProofReq):
-                pr = agent.prove(msg.base1, msg.y1, msg.base2, msg.y2, msg.t)
-                if pr is None:
-                    return wire.StepErr(code=PROOF_REFUSED, detail="statement does not hold")
-                return wire.DisputeProof(commitment_a=pr.commitment_a,
-                                         commitment_b=pr.commitment_b,
-                                         challenge=pr.challenge,
-                                         response=pr.response)
-            if isinstance(msg, wire.DisputeChainReq):
-                chain = agent.reveal_chain(msg.license_id)
-                return wire.DisputeChain(license_id=msg.license_id, chain=tuple(chain))
         return wire.StepErr(code="unsupported", detail=type(msg).__name__)
 
     def handle(msg: wire.Message) -> wire.Message:
@@ -335,69 +314,22 @@ def make_seller_handler(step_handler, catalog: Catalog,
     return handle
 
 
-def _ask(endpoint, req: wire.Message, reply_type: type[wire.Message]) -> wire.Message:
-    """Send one request and return the reply if it has the type asked for;
-    a StepErr or any other reply raises StepRejected."""
-    endpoint.send(req)
-    reply = endpoint.recv()
-    if isinstance(reply, reply_type):
-        return reply
-    if isinstance(reply, wire.StepErr):
-        raise StepRejected(reply.code, reply.detail)
-    raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
-
-
 def remote_step(address: tuple[str, int], req: StepRequest) -> StepResponse:
     """Send one step to a seller server and return its response.  Each step
     gets a connection of its own, closed after the reply: steps that shared
-    a connection would be linkable by the seller."""
+    a connection would be linkable by the seller.  A StepErr or any other
+    reply raises StepRejected."""
     ep = wire.connect(*address)
     try:
-        resp = _ask(ep, wire.StepReq(card_ids=tuple(req.card_ids), m=req.m), wire.StepResp)
+        ep.send(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
+        reply = ep.recv()
     finally:
         ep.close()
-    return StepResponse(m_out=resp.m_out, step_signature=resp.signature)
-
-
-class RemoteSellerProver:
-    """Arbitrator-side view of a seller reachable over a connection.  The
-    generation factor is never sent over the wire; method 3 needs the direct
-    evidence channel.  A query the seller refuses raises StepRejected."""
-
-    def __init__(self, endpoint):
-        self.endpoint = endpoint
-        self._values: wire.DisputeValues | None = None
-
-    def original_values(self, m: int, t: int) -> tuple[int, int]:
-        req = wire.DisputeValuesReq(m=m, t=t)
-        self._values = _ask(self.endpoint, req, wire.DisputeValues)
-        return self._values.m, self._values.m_out
-
-    def sign_values(self, m: int, m_out: int) -> bytes:
-        """The seller's signature on exactly (m, m_out): the one carried by
-        the last values reply, if that reply named this pair; else empty."""
-        v = self._values
-        return v.signature if v is not None and (v.m, v.m_out) == (m, m_out) else b""
-
-    def prove(self, base1, y1, base2, y2, t) -> DlEqProof | None:
-        """The seller's proof, or None if it refuses to prove the statement."""
-        req = wire.DisputeProofReq(base1=base1, y1=y1, base2=base2, y2=y2, t=t)
-        try:
-            reply = _ask(self.endpoint, req, wire.DisputeProof)
-        except StepRejected as exc:
-            if exc.code == PROOF_REFUSED:
-                return None
-            raise
-        return DlEqProof(commitment_a=reply.commitment_a,
-                         commitment_b=reply.commitment_b,
-                         challenge=reply.challenge, response=reply.response)
-
-    def reveal_chain(self, license_id: str) -> list[int]:
-        req = wire.DisputeChainReq(license_id=license_id)
-        return list(_ask(self.endpoint, req, wire.DisputeChain).chain)
-
-    def reveal_s(self) -> int:
-        raise SellerUnresponsive("generation factor never travels the wire")
+    if isinstance(reply, wire.StepResp):
+        return StepResponse(m_out=reply.m_out, step_signature=reply.signature)
+    if isinstance(reply, wire.StepErr):
+        raise StepRejected(reply.code, reply.detail)
+    raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
 
 
 # --- the runner -----------------------------------------------------------------------

@@ -7,8 +7,8 @@ layout against the fields, so a layout that drifts from them fails at once.
 ``FIELD_KINDS`` maps each kind to its encoder and reader.  The scalar kinds
 are ``u32`` (4 bytes), ``int``, ``str``, ``bytes`` and ``id`` (a hex card
 id sent as raw bytes), all but ``u32`` length-prefixed.  The sequence kinds
-``ids``, ``ints`` and ``receipts`` are a u32 count followed by the items; a
-receipt is laid out by ``RECEIPT_WIRE``.
+``ids`` and ``receipts`` are a u32 count followed by the items; a receipt
+is laid out by ``RECEIPT_WIRE``.
 
 Frames are a 4-byte big-endian length followed by the payload, capped at
 1 MiB.  Deliberately absent from every message: buyer identifiers, session
@@ -75,7 +75,6 @@ FIELD_KINDS = {
 }
 FIELD_KINDS.update(
     ids=_sequence(*FIELD_KINDS["id"]),
-    ints=_sequence(*FIELD_KINDS["int"]),
     receipts=_sequence(_enc_receipt, _dec_receipt),
 )
 
@@ -162,69 +161,15 @@ class CatalogDoc(Message):
     text: str
 
 
-# Tags 16 and 17 are reserved: no message type uses them, so decoding
-# either raises UnknownMessageType.
-
-
-@dataclass(frozen=True)
-class DisputeValuesReq(Message):
-    TYPE: ClassVar[int] = 18
-    WIRE: ClassVar[tuple[str, ...]] = ("int", "u32")
-    m: int
-    t: int
-
-
-@dataclass(frozen=True)
-class DisputeValues(Message):
-    TYPE: ClassVar[int] = 19
-    WIRE: ClassVar[tuple[str, ...]] = ("int", "int", "bytes")
-    m: int
-    m_out: int
-    signature: bytes
-
-
-@dataclass(frozen=True)
-class DisputeProofReq(Message):
-    TYPE: ClassVar[int] = 20
-    WIRE: ClassVar[tuple[str, ...]] = ("int", "int", "int", "int", "u32")
-    base1: int
-    y1: int
-    base2: int
-    y2: int
-    t: int
-
-
-@dataclass(frozen=True)
-class DisputeProof(Message):
-    TYPE: ClassVar[int] = 21
-    WIRE: ClassVar[tuple[str, ...]] = ("int", "int", "int", "int")
-    commitment_a: int
-    commitment_b: int
-    challenge: int
-    response: int
-
-
-@dataclass(frozen=True)
-class DisputeChainReq(Message):
-    TYPE: ClassVar[int] = 22
-    WIRE: ClassVar[tuple[str, ...]] = ("str",)
-    license_id: str
-
-
-@dataclass(frozen=True)
-class DisputeChain(Message):
-    TYPE: ClassVar[int] = 23
-    WIRE: ClassVar[tuple[str, ...]] = ("str", "ints")
-    license_id: str
-    chain: tuple[int, ...]
+# Tags 16 to 23 are reserved: no message type uses them, so decoding any
+# of them raises UnknownMessageType.  Dispute evidence travels in case
+# record files, never on a seller's listener.
 
 
 MESSAGE_TYPES: dict[int, type[Message]] = {
     cls.TYPE: cls for cls in (
         CardIssue, CardDistribute, CardSpend, SpendOk, SpendErr,
         StepReq, StepResp, StepErr, CatalogGet, CatalogDoc,
-        DisputeValuesReq, DisputeValues, DisputeProofReq, DisputeProof,
-        DisputeChainReq, DisputeChain,
     )
 }
 

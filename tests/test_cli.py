@@ -7,12 +7,30 @@ import pytest
 
 from blindpay import cli, wire
 from blindpay.cards import CardLedger
-from blindpay.catalog import parse_catalog
-from blindpay.dispute import build_type_d_case, SellerDisputeAgent, write_case
+from blindpay.catalog import parse_catalog, serialize_catalog
+from blindpay.dispute import (
+    BUYER_CLAIM_REJECTED,
+    SELLER_AT_FAULT,
+    SELLER_MUST_RESIGN,
+    SellerDisputeAgent,
+    build_type_c_case,
+    build_type_d_case,
+    resolve_case,
+    write_case,
+)
+from blindpay.encoding import enc_int, enc_u32
+from blindpay.errors import BadStepSignature
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler
-from blindpay.purchase import SellerStepHandler
+from blindpay.purchase import (
+    MODE_ENHANCED,
+    SellerStepHandler,
+    StepResponse,
+    buyer_process_response,
+    buyer_step_request,
+)
 
 from test_dispute import completed_session
+from test_purchase import rig
 
 
 def run_cli(*argv):
@@ -111,6 +129,106 @@ def test_arbitrate_type_c_record(tmp_path, capsys, params64):
     assert run_cli("arbitrate", "--case", str(path)) == 0
     out = capsys.readouterr().out
     assert f"C: {live.outcome}" in out
+
+
+def _type_c_evidence(params, t):
+    """A corrupt-signature case on the buyer's first step, of value t."""
+    keys, cat, bank, handler, session = rig(params, price=t, mode=MODE_ENHANCED,
+                                            seed=52, prices=(t,))
+    resp = handler.handle(buyer_step_request(session))
+    with pytest.raises(BadStepSignature) as exc:
+        buyer_process_response(session, StepResponse(m_out=resp.m_out,
+                                                     step_signature=bytes(64)))
+    assert exc.value.t == t
+    return keys, cat, lambda: build_type_c_case(cat, exc.value)
+
+
+def _type_d_evidence(params, wrong_s_at):
+    keys, cat, bank, session = completed_session(params, price=4, seed=71,
+                                                 prices=(3, 4), wrong_s_at=wrong_s_at)
+    return keys, cat, lambda: build_type_d_case(cat, session)
+
+
+EXPECTED_VERDICT = {
+    "C-t=1": SELLER_MUST_RESIGN, "C-t=4": SELLER_MUST_RESIGN,
+    "D-honest": BUYER_CLAIM_REJECTED, "D-wrong-s": SELLER_AT_FAULT,
+}
+
+
+@pytest.mark.parametrize("evidence", list(EXPECTED_VERDICT))
+def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, evidence):
+    if evidence.startswith("C"):
+        keys, cat, new_case = _type_c_evidence(params64, int(evidence[4:]))
+    else:
+        keys, cat, new_case = _type_d_evidence(params64,
+                                               2 if evidence == "D-wrong-s" else None)
+    live = resolve_case(new_case(), catalog=cat, rng=random.Random(16),
+                        seller=SellerDisputeAgent(keys, cat, random.Random(17)))
+    # method 3 discloses the generation factor, which the file channel never carries
+    live = [(label, v) for label, v in live if label != "D-method3"]
+    assert [v.outcome for _, v in live] == [EXPECTED_VERDICT[evidence]] * len(live)
+
+    case_in, answered = tmp_path / "case.txt", tmp_path / "case-answered.txt"
+    case_in.write_text(write_case(new_case()))
+    (tmp_path / "cat.txt").write_text(serialize_catalog(cat))
+    cli._write_secrets(str(tmp_path / "sec.txt"), keys)
+    assert run_cli("seller", "answer", "--case", str(case_in),
+                   "--catalog", str(tmp_path / "cat.txt"),
+                   "--secrets", str(tmp_path / "sec.txt"), "--out", str(answered)) == 0
+    assert not any(line.startswith("s_revealed:")
+                   for line in answered.read_text().splitlines())
+    capsys.readouterr()
+    assert run_cli("arbitrate", "--case", str(answered)) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{label}: {v.outcome} (steps checked: {v.checked_steps})\n  {v.rationale}\n"
+        for label, v in live)
+
+
+def test_seller_serve_answers_no_dispute_query(tmp_path, capsys, monkeypatch):
+    # A seller's listener answers no dispute query: a values query (tag 18)
+    # for a license factor x at its price would return the license key
+    # x^(s^price) to any client, with no card spent.
+    catp, secp, ledger = (str(tmp_path / n) for n in ("cat.txt", "sec.txt", "ledger.tsv"))
+    run_cli("seller", "init", "--catalog", catp, "--secrets", secp, "--seed", "3",
+            "--group-bits", "32", "--license", "lic-a:2:read-only")
+    run_cli("bank", "issue", "--ledger", ledger, "--count", "1", "--seed", "4")
+    cat = parse_catalog((tmp_path / "cat.txt").read_text())
+    entry, g = cat.entry("lic-a"), cat.params.g
+    assert entry.price in cat.k_table
+
+    servers = []
+
+    class RecordedServer(wire.Server):
+        def start(self):
+            servers.append(self)
+            return super().start()
+
+    monkeypatch.setattr(wire, "Server", RecordedServer)
+    serve = threading.Thread(target=run_cli, daemon=True, args=(
+        "seller", "serve", "--catalog", catp, "--secrets", secp, "--ledger", ledger))
+    serve.start()
+    for _ in range(500):
+        if servers:
+            break
+        serve.join(timeout=0.01)
+    assert servers, "seller serve did not start"
+    queries = [
+        bytes([18]) + enc_int(entry.x) + enc_u32(entry.price),
+        bytes([20]) + enc_int(entry.x) + enc_int(g) + enc_int(g)
+        + enc_int(cat.k_table[entry.price]) + enc_u32(entry.price),
+    ]
+    sock = socket.create_connection(servers[0].address)
+    ep = wire.SocketEndpoint(sock)
+    try:
+        for query in queries:
+            sock.sendall(wire.frame(query))
+            reply = ep.recv()
+            assert isinstance(reply, wire.StepErr), type(reply).__name__
+    finally:
+        ep.close()
+        servers[0].stop()
+        serve.join(timeout=5)
+    assert not serve.is_alive()
 
 
 @contextlib.contextmanager

@@ -210,6 +210,23 @@ def test_type_c_unresponsive_seller_at_fault(params64):
     assert resolve_type_c(case, None).outcome == SELLER_AT_FAULT
 
 
+@pytest.mark.parametrize("with_agent", [True, False], ids=["agent", "no-agent"])
+@pytest.mark.parametrize("bad, check", [
+    (lambda p: {"m": p.n - 1}, "subgroup member"),  # Jacobi symbol -1
+    (lambda p: {"t": 999}, "no unblinding key for step value 999"),
+], ids=["nonmember-m", "t=999"])
+def test_type_c_claim_no_step_carries_is_rejected(params64, with_agent, bad, check):
+    # the step handler refuses such a request, so no seller signed or owes
+    # anything for it; the public check decides before the seller is asked
+    keys, cat, case = corrupt_signature_case(params64)
+    case.steps[0] = replace(case.steps[0], **bad(params64))
+    agent = SellerDisputeAgent(keys, cat, random.Random(9)) if with_agent else None
+    verdict = resolve_type_c(case, agent)
+    assert verdict.outcome == BUYER_CLAIM_REJECTED
+    assert check in verdict.rationale
+    assert case.seller_values is None and case.stages == []
+
+
 # --- type D method 1 -------------------------------------------------------------------
 
 def test_method1_honest_seller_rejected(params64):

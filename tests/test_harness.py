@@ -6,24 +6,11 @@ import pytest
 import blindpay.purchase
 from blindpay import wire
 from blindpay.cards import CardLedger
-from blindpay.dispute import (
-    BUYER_CLAIM_REJECTED,
-    SELLER_AT_FAULT,
-    SELLER_MUST_RESIGN,
-    SellerDisputeAgent,
-    build_type_c_case,
-    build_type_d_case,
-    resolve_type_c,
-    resolve_type_d_method1,
-    resolve_type_d_method2,
-)
-from blindpay.catalog import decrypt_license
-from blindpay.errors import BadStepSignature, ScenarioInvalid, StepRejected
+from blindpay.dispute import BUYER_CLAIM_REJECTED, SELLER_AT_FAULT, SELLER_MUST_RESIGN
+from blindpay.errors import ScenarioInvalid
 from blindpay.harness import (
-    PROOF_REFUSED,
     Metrics,
     RemoteBank,
-    RemoteSellerProver,
     Scenario,
     make_bank_handler,
     make_seller_handler,
@@ -33,17 +20,10 @@ from blindpay.harness import (
     run_sweep,
     scenario_text,
 )
-from blindpay.purchase import (
-    MODE_ENHANCED,
-    SellerStepHandler,
-    StepResponse,
-    buyer_process_response,
-    buyer_step_request,
-)
+from blindpay.purchase import SellerStepHandler
 
 from conftest import make_catalog
-from test_dispute import completed_session
-from test_purchase import fund, rig
+from test_purchase import fund
 
 
 # --- scenario plumbing ------------------------------------------------------------
@@ -240,7 +220,7 @@ def test_report_tables_flags_failures():
     assert "FAIL" in report_tables(sweep)
 
 
-# --- remote bank and remote prover over the wire --------------------------------------------------
+# --- remote bank and seller over the wire --------------------------------------------------
 
 def test_remote_bank_over_memory_pair(params64):
     ledger = CardLedger(rng=random.Random(11))
@@ -333,84 +313,6 @@ def test_shared_remote_bank_keeps_replies_apart():
     assert got == {c.card_id: [c.card_id] for c in cards}
 
 
-def test_remote_prover_method1(params64):
-    keys, cat, bank, session = completed_session(params64, price=3, seed=70)
-    agent = SellerDisputeAgent(keys, cat, random.Random(12))
-    handler = SellerStepHandler(keys, params64, bank, "seller-1")
-    handle = make_seller_handler(handler, cat, agent)
-
-    a, b = wire.MemoryEndpoint.pair()
-    import threading
-
-    def seller_side():
-        while True:
-            try:
-                b.send(handle(b.recv(timeout=1.0)))
-            except Exception:
-                return
-
-    t = threading.Thread(target=seller_side, daemon=True)
-    t.start()
-    prover = RemoteSellerProver(a)
-    case = build_type_d_case(cat, session)
-    verdict = resolve_type_d_method1(case, prover)
-    assert verdict.outcome == BUYER_CLAIM_REJECTED
-    a.close()
-
-
-def _type_c_evidence(params, t):
-    """A corrupt-signature case on the buyer's first step, of value t."""
-    keys, cat, bank, handler, session = rig(params, price=t, mode=MODE_ENHANCED,
-                                            seed=52, prices=(t,))
-    resp = handler.handle(buyer_step_request(session))
-    with pytest.raises(BadStepSignature) as exc:
-        buyer_process_response(session, StepResponse(m_out=resp.m_out,
-                                                     step_signature=bytes(64)))
-    assert exc.value.t == t
-    return keys, cat, lambda: build_type_c_case(cat, exc.value)
-
-
-def _type_d_evidence(params, wrong_s_at):
-    keys, cat, bank, session = completed_session(params, price=4, seed=71,
-                                                 prices=(3, 4), wrong_s_at=wrong_s_at)
-    return keys, cat, lambda: build_type_d_case(cat, session)
-
-
-RESOLVERS = {
-    "C": lambda case, cat, seller: resolve_type_c(case, seller),
-    "D-method1": lambda case, cat, seller: resolve_type_d_method1(case, seller),
-    "D-method2": lambda case, cat, seller: resolve_type_d_method2(case, cat, seller,
-                                                                  random.Random(16)),
-}
-
-
-@pytest.mark.parametrize("label, evidence", [
-    ("C", "t=1"), ("C", "t=4"),
-    ("D-method1", "honest"), ("D-method1", "wrong-s"),
-    ("D-method2", "honest"), ("D-method2", "wrong-s"),
-])
-def test_remote_prover_reaches_local_verdict(params64, label, evidence):
-    # method 3 needs the generation factor, which never travels the wire
-    if label == "C":
-        keys, cat, new_case = _type_c_evidence(params64, int(evidence[2:]))
-        expected = SELLER_MUST_RESIGN
-    else:
-        keys, cat, new_case = _type_d_evidence(params64, 2 if evidence == "wrong-s" else None)
-        expected = SELLER_AT_FAULT if evidence == "wrong-s" else BUYER_CLAIM_REJECTED
-    resolve = RESOLVERS[label]
-    local = resolve(new_case(), cat, SellerDisputeAgent(keys, cat, random.Random(17)))
-    agent = SellerDisputeAgent(keys, cat, random.Random(18))
-    srv = wire.Server("127.0.0.1", 0, make_seller_handler(None, cat, agent)).start()
-    ep = wire.connect(*srv.address)
-    try:
-        remote = resolve(new_case(), cat, RemoteSellerProver(ep))
-    finally:
-        ep.close()
-        srv.stop()
-    assert local.outcome == expected
-    assert remote == local
-
-
 def test_bank_rejects_bad_request_and_keeps_the_connection():
     ledger = CardLedger(rng=random.Random(13))
     srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
@@ -432,89 +334,20 @@ def test_bank_rejects_bad_request_and_keeps_the_connection():
 
 def test_seller_refuses_bad_query_and_keeps_the_connection(params64):
     keys, cat = make_catalog(params64)
-    agent = SellerDisputeAgent(keys, cat, random.Random(19))
-    srv = wire.Server("127.0.0.1", 0, make_seller_handler(None, cat, agent)).start()
+    ledger = CardLedger(rng=random.Random(19))
+    handler = SellerStepHandler(keys, params64, ledger, "seller-1")
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(handler, cat)).start()
     ep = wire.connect(*srv.address)
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
     try:
-        ep.send(wire.DisputeChainReq(license_id="no-such-license"))
+        ep.send(wire.StepReq(card_ids=("00" * 16,), m=m))
         reply = ep.recv()
-        assert isinstance(reply, wire.StepErr) and reply.code == "bad-request"
+        assert isinstance(reply, wire.StepErr) and reply.code == "unknown-card"
+        ep.send(wire.StepReq(card_ids=("00" * 16,), m=params64.n - 1))
+        reply = ep.recv()
+        assert isinstance(reply, wire.StepErr) and reply.code == "malformed-element"
         ep.send(wire.CatalogGet())
         assert isinstance(ep.recv(), wire.CatalogDoc)
-    finally:
-        ep.close()
-        srv.stop()
-
-
-def test_remote_prover_raises_step_rejected_on_refusal(params64):
-    keys, cat = make_catalog(params64)
-    agent = SellerDisputeAgent(keys, cat, random.Random(20))
-    srv = wire.Server("127.0.0.1", 0, make_seller_handler(None, cat, agent)).start()
-    ep = wire.connect(*srv.address)
-    try:
-        prover = RemoteSellerProver(ep)
-        with pytest.raises(StepRejected) as exc:
-            prover.reveal_chain("no-such-license")
-        assert exc.value.code == "bad-request"
-        assert prover.reveal_chain("lic-3") == agent.reveal_chain("lic-3")
-    finally:
-        ep.close()
-        srv.stop()
-
-
-# --- dispute queries open no license ------------------------------------------------------
-
-def _transcript_statement_y1(proof, base1, params):
-    """The y1 a Chaum-Pedersen transcript determines on its own:
-    (base1^z * a1^-1)^(c^-1 mod q).  An asker who picks base1 learns
-    base1^(s^t) from any proof the seller makes for it."""
-    n = params.n
-    v = pow(base1, proof.response, n) * pow(proof.commitment_a, -1, n) % n
-    return pow(v, pow(proof.challenge, -1, params.q), n)
-
-
-def test_proof_query_answers_only_true_statements(params64):
-    # No cards are spent: the queries go straight to the seller's handler.
-    keys, cat = make_catalog(params64)
-    entry = cat.entry("lic-2")
-    agent = SellerDisputeAgent(keys, cat, random.Random(21))
-    handle = make_seller_handler(None, cat, agent)
-    g, k2 = params64.g, cat.k_table[2]
-    # a true statement is proven, and the proof tells the asker only the
-    # y1 it already named
-    m = blindpay.purchase.pow_mod(g, 777, params64)
-    m_out = pow(m, pow(keys.s, 2, params64.q), params64.n)
-    reply = handle(wire.DisputeProofReq(base1=m, y1=m_out, base2=g, y2=k2, t=2))
-    assert isinstance(reply, wire.DisputeProof)
-    assert _transcript_statement_y1(reply, m, params64) == m_out
-    # base1 = x with a made-up y1 would yield x^(s^2), the key of lic-2
-    reply = handle(wire.DisputeProofReq(base1=entry.x, y1=g, base2=g, y2=k2, t=2))
-    assert isinstance(reply, wire.StepErr) and reply.code == PROOF_REFUSED
-
-
-def test_values_query_refuses_nonmember_and_unknown_step_value(params64):
-    keys, cat = make_catalog(params64)
-    handle = make_seller_handler(None, cat, SellerDisputeAgent(keys, cat, random.Random(22)))
-    reply = handle(wire.DisputeValuesReq(m=0, t=0))
-    assert isinstance(reply, wire.StepErr) and reply.code == "malformed-element"
-    assert 200 not in cat.k_table
-    reply = handle(wire.DisputeValuesReq(m=cat.entry("lic-5").x, t=200))
-    assert isinstance(reply, wire.StepErr) and reply.code == "bad-request"
-
-
-def test_remote_prover_maps_a_refused_proof_to_none(params64):
-    keys, cat = make_catalog(params64)
-    entry = cat.entry("lic-1")
-    agent = SellerDisputeAgent(keys, cat, random.Random(23))
-    srv = wire.Server("127.0.0.1", 0, make_seller_handler(None, cat, agent)).start()
-    ep = wire.connect(*srv.address)
-    try:
-        prover = RemoteSellerProver(ep)
-        g, k1 = params64.g, cat.k_table[1]
-        assert prover.prove(entry.x, g, g, k1, 1) is None
-        key = pow(entry.x, keys.s, params64.n)
-        decrypt_license(key, entry.encrypted_license)
-        assert prover.prove(entry.x, key, g, k1, 1) is not None
     finally:
         ep.close()
         srv.stop()
