@@ -13,24 +13,15 @@ from blindpay.dispute import (
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
     SellerDisputeAgent,
-    build_type_c_case,
     build_type_d_case,
     resolve_case,
     write_case,
 )
 from blindpay.encoding import enc_int, enc_u32
-from blindpay.errors import BadStepSignature
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler
-from blindpay.purchase import (
-    MODE_ENHANCED,
-    SellerStepHandler,
-    StepResponse,
-    buyer_process_response,
-    buyer_step_request,
-)
+from blindpay.purchase import SellerStepHandler
 
-from test_dispute import completed_session
-from test_purchase import rig
+from test_dispute import completed_session, type_c_evidence, type_d_evidence
 
 
 def run_cli(*argv):
@@ -131,24 +122,6 @@ def test_arbitrate_type_c_record(tmp_path, capsys, params64):
     assert f"C: {live.outcome}" in out
 
 
-def _type_c_evidence(params, t):
-    """A corrupt-signature case on the buyer's first step, of value t."""
-    keys, cat, bank, handler, session = rig(params, price=t, mode=MODE_ENHANCED,
-                                            seed=52, prices=(t,))
-    resp = handler.handle(buyer_step_request(session))
-    with pytest.raises(BadStepSignature) as exc:
-        buyer_process_response(session, StepResponse(m_out=resp.m_out,
-                                                     step_signature=bytes(64)))
-    assert exc.value.t == t
-    return keys, cat, lambda: build_type_c_case(cat, exc.value)
-
-
-def _type_d_evidence(params, wrong_s_at):
-    keys, cat, bank, session = completed_session(params, price=4, seed=71,
-                                                 prices=(3, 4), wrong_s_at=wrong_s_at)
-    return keys, cat, lambda: build_type_d_case(cat, session)
-
-
 EXPECTED_VERDICT = {
     "C-t=1": SELLER_MUST_RESIGN, "C-t=4": SELLER_MUST_RESIGN,
     "D-honest": BUYER_CLAIM_REJECTED, "D-wrong-s": SELLER_AT_FAULT,
@@ -158,9 +131,9 @@ EXPECTED_VERDICT = {
 @pytest.mark.parametrize("evidence", list(EXPECTED_VERDICT))
 def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, evidence):
     if evidence.startswith("C"):
-        keys, cat, new_case = _type_c_evidence(params64, int(evidence[4:]))
+        keys, cat, new_case = type_c_evidence(params64, int(evidence[4:]))
     else:
-        keys, cat, new_case = _type_d_evidence(params64,
+        keys, cat, new_case = type_d_evidence(params64,
                                                2 if evidence == "D-wrong-s" else None)
     live = resolve_case(new_case(), catalog=cat, rng=random.Random(16),
                         seller=SellerDisputeAgent(keys, cat, random.Random(17)))

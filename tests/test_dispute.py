@@ -67,6 +67,12 @@ def completed_session(params, price=4, mode="basic", seed=33, wrong_s_at=None,
     return keys, cat, bank, session
 
 
+def type_d_evidence(params, wrong_s_at):
+    keys, cat, bank, session = completed_session(params, price=4, seed=71,
+                                                 prices=(3, 4), wrong_s_at=wrong_s_at)
+    return keys, cat, lambda: build_type_d_case(cat, session)
+
+
 # --- the seller's prover ------------------------------------------------------------
 
 def test_agent_proves_only_true_statements(params64):
@@ -145,6 +151,18 @@ def test_type_b_claimed_key_must_follow_from_transcript(params64):
 
 
 # --- type C --------------------------------------------------------------------------
+
+def type_c_evidence(params, t):
+    """A corrupt-signature case on the buyer's first step, of value t."""
+    keys, cat, bank, handler, session = rig(params, price=t, mode=MODE_ENHANCED,
+                                            seed=52, prices=(t,))
+    resp = handler.handle(buyer_step_request(session))
+    with pytest.raises(BadStepSignature) as exc:
+        buyer_process_response(session, StepResponse(m_out=resp.m_out,
+                                                     step_signature=bytes(64)))
+    assert exc.value.t == t
+    return keys, cat, lambda: build_type_c_case(cat, exc.value)
+
 
 def corrupt_signature_case(params, seed=50):
     keys, cat, bank, handler, session = rig(params, price=2, seed=seed, prices=(2,))

@@ -6,7 +6,18 @@ import pytest
 import blindpay.purchase
 from blindpay import wire
 from blindpay.cards import CardLedger
-from blindpay.dispute import BUYER_CLAIM_REJECTED, SELLER_AT_FAULT, SELLER_MUST_RESIGN
+from blindpay.dispute import (
+    BUYER_CLAIM_REJECTED,
+    SELLER_AT_FAULT,
+    SELLER_MUST_RESIGN,
+    SellerDisputeAgent,
+    build_type_d_case,
+    parse_case,
+    resolve_type_c,
+    resolve_type_d_method1,
+    resolve_type_d_method2,
+    write_case,
+)
 from blindpay.errors import ScenarioInvalid
 from blindpay.harness import (
     Metrics,
@@ -23,6 +34,7 @@ from blindpay.harness import (
 from blindpay.purchase import SellerStepHandler
 
 from conftest import make_catalog
+from test_dispute import completed_session, type_c_evidence, type_d_evidence
 from test_purchase import fund
 
 
@@ -351,3 +363,53 @@ def test_seller_refuses_bad_query_and_keeps_the_connection(params64):
     finally:
         ep.close()
         srv.stop()
+
+
+# --- remote prover: the seller answers a case record apart from the arbitrator ---------------
+
+def _answer_apart(case, cat, agent, resolve):
+    """The seller answers the case record on its own side; the arbitrator
+    gets back only the answered record, never the generation factor."""
+    answered = parse_case(write_case(case))
+    resolve(answered, cat, agent)
+    answered.s_revealed = None
+    return parse_case(write_case(answered))
+
+
+RESOLVERS = {
+    "C": lambda case, cat, seller: resolve_type_c(case, seller),
+    "D-method1": lambda case, cat, seller: resolve_type_d_method1(case, seller),
+    "D-method2": lambda case, cat, seller: resolve_type_d_method2(case, cat, seller,
+                                                                  random.Random(16)),
+}
+
+
+def test_remote_prover_method1(params64):
+    keys, cat, bank, session = completed_session(params64, price=3, seed=70)
+    agent = SellerDisputeAgent(keys, cat, random.Random(12))
+    record = _answer_apart(build_type_d_case(cat, session), cat, agent, RESOLVERS["D-method1"])
+    assert record.step_proofs is not None
+    verdict = resolve_type_d_method1(record)
+    assert verdict.outcome == BUYER_CLAIM_REJECTED
+
+
+@pytest.mark.parametrize("label, evidence", [
+    ("C", "t=1"), ("C", "t=4"),
+    ("D-method1", "honest"), ("D-method1", "wrong-s"),
+    ("D-method2", "honest"), ("D-method2", "wrong-s"),
+])
+def test_remote_prover_reaches_local_verdict(params64, label, evidence):
+    # method 3 needs the generation factor, which the case record never carries
+    if label == "C":
+        keys, cat, new_case = type_c_evidence(params64, int(evidence[2:]))
+        expected = SELLER_MUST_RESIGN
+    else:
+        keys, cat, new_case = type_d_evidence(params64, 2 if evidence == "wrong-s" else None)
+        expected = SELLER_AT_FAULT if evidence == "wrong-s" else BUYER_CLAIM_REJECTED
+    resolve = RESOLVERS[label]
+    local = resolve(new_case(), cat, SellerDisputeAgent(keys, cat, random.Random(17)))
+    record = _answer_apart(new_case(), cat, SellerDisputeAgent(keys, cat, random.Random(18)),
+                           resolve)
+    remote = resolve(record, cat, None)
+    assert local.outcome == expected
+    assert remote == local
