@@ -25,6 +25,7 @@ from .catalog import (
 )
 from .dispute import (
     SellerDisputeAgent,
+    answer_case,
     build_type_c_case,
     parse_case,
     resolve_case,
@@ -171,18 +172,14 @@ def cmd_seller_serve(args) -> int:
 
 
 def cmd_seller_answer(args) -> int:
-    """Answer a case record as the seller: every value, proof and chain the
-    resolvers ask for goes into the record, which the arbitrator replays.
-    The generation factor stays out of it, so method 3 is never offered."""
+    """Answer a case record as the seller (see dispute.answer_case)."""
     with open(args.case, encoding="utf-8") as fh:
         case = parse_case(fh.read())
     with open(args.catalog, encoding="utf-8") as fh:
         cat = parse_catalog(fh.read())
-    agent = SellerDisputeAgent(_read_secrets(args.secrets), cat)
-    resolve_case(case, catalog=cat, seller=agent)
-    case.s_revealed = None
+    answered = answer_case(case, cat, SellerDisputeAgent(_read_secrets(args.secrets), cat))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(write_case(case))
+        fh.write(write_case(answered))
     print(f"answered case written to {args.out}")
     return EXIT_OK
 

@@ -15,9 +15,10 @@ key chain for a randomly chosen license, or outright disclosure of the
 generation factor.
 
 Resolvers work from a DisputeCase.  When a seller agent is supplied (a
-live seller agent or ``blindpay seller answer``), its answers (values,
-proofs, chains) are recorded into the case, so the same resolver replayed
-on the stored record reaches the same verdict with no seller present.  The
+live seller agent, or answer_case behind ``blindpay seller answer``), its
+answers (values, proofs, chains) are recorded into the case, so the same
+resolver replayed on the stored record reaches the same verdict with no
+seller present.  The
 case record file is the only channel between seller and arbitrator; a
 record nobody answered is judged by the timeout rule.  Evidence for kinds C
 and D carries only blinded request/response pairs: the arbitrator never
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import base64
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .catalog import (
     Catalog,
@@ -647,3 +648,27 @@ def resolve_case(case: DisputeCase, catalog: Catalog | None = None,
                                      "seller unresponsive within the deadline", 0)))
         return out
     raise MalformedEvidence(f"unknown dispute kind {case.kind!r}")
+
+
+def answer_case(case: DisputeCase, catalog: Catalog,
+                seller: SellerDisputeAgent) -> DisputeCase:
+    """The seller's answer to a case record, for the arbitrator to replay.
+
+    The record must carry this seller's group, verification key and K table:
+    proofs against an edited K table fail however honest the seller.  Any
+    seller-side material the record already carries is dropped, so every
+    value, signature, proof and chain in the answer is the seller's own
+    computation, and the seller picks the audited license itself.  The
+    generation factor is left out, so method 3 is never offered."""
+    for what, theirs, ours in (("group", case.params, catalog.params),
+                               ("verify_pk", case.verify_pk, catalog.verify_pk),
+                               ("K table", case.k_table, catalog.k_table)):
+        if theirs != ours:
+            raise MalformedEvidence(f"case record {what} differs from the seller's catalog")
+    answered = replace(case, seller_values=None, seller_resign=None, seller_proof=None,
+                       step_proofs=None, audit_license_id="", audit_x=0, audit_price=0,
+                       audit_blob=b"", chain=None, link_proofs=None, segment_proofs=None,
+                       s_revealed=None, stages=[])
+    resolve_case(answered, catalog=catalog, seller=seller, rng=seller.rng)
+    answered.s_revealed = None
+    return answered

@@ -2,24 +2,27 @@ import contextlib
 import random
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
 
 from blindpay import cli, wire
 from blindpay.cards import CardLedger
-from blindpay.catalog import parse_catalog, serialize_catalog
+from blindpay.catalog import parse_catalog, serialize_catalog, verify_payload
 from blindpay.dispute import (
     BUYER_CLAIM_REJECTED,
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
     SellerDisputeAgent,
     build_type_d_case,
+    parse_case,
     resolve_case,
     write_case,
 )
 from blindpay.encoding import enc_int, enc_u32
+from blindpay.group import DlEqProof, pow_mod
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler
-from blindpay.purchase import SellerStepHandler
+from blindpay.purchase import SellerStepHandler, step_payload
 
 from test_dispute import completed_session, type_c_evidence, type_d_evidence
 
@@ -122,6 +125,18 @@ def test_arbitrate_type_c_record(tmp_path, capsys, params64):
     assert f"C: {live.outcome}" in out
 
 
+def seller_answer(tmp_path, keys, cat, case):
+    """Run ``seller answer`` on case; return its exit code and the out path."""
+    case_in, answered = tmp_path / "case.txt", tmp_path / "case-answered.txt"
+    case_in.write_text(write_case(case))
+    (tmp_path / "cat.txt").write_text(serialize_catalog(cat))
+    cli._write_secrets(str(tmp_path / "sec.txt"), keys)
+    code = run_cli("seller", "answer", "--case", str(case_in),
+                   "--catalog", str(tmp_path / "cat.txt"),
+                   "--secrets", str(tmp_path / "sec.txt"), "--out", str(answered))
+    return code, answered
+
+
 EXPECTED_VERDICT = {
     "C-t=1": SELLER_MUST_RESIGN, "C-t=4": SELLER_MUST_RESIGN,
     "D-honest": BUYER_CLAIM_REJECTED, "D-wrong-s": SELLER_AT_FAULT,
@@ -141,13 +156,8 @@ def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, e
     live = [(label, v) for label, v in live if label != "D-method3"]
     assert [v.outcome for _, v in live] == [EXPECTED_VERDICT[evidence]] * len(live)
 
-    case_in, answered = tmp_path / "case.txt", tmp_path / "case-answered.txt"
-    case_in.write_text(write_case(new_case()))
-    (tmp_path / "cat.txt").write_text(serialize_catalog(cat))
-    cli._write_secrets(str(tmp_path / "sec.txt"), keys)
-    assert run_cli("seller", "answer", "--case", str(case_in),
-                   "--catalog", str(tmp_path / "cat.txt"),
-                   "--secrets", str(tmp_path / "sec.txt"), "--out", str(answered)) == 0
+    code, answered = seller_answer(tmp_path, keys, cat, new_case())
+    assert code == 0
     assert not any(line.startswith("s_revealed:")
                    for line in answered.read_text().splitlines())
     capsys.readouterr()
@@ -155,6 +165,68 @@ def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, e
     assert capsys.readouterr().out == "".join(
         f"{label}: {v.outcome} (steps checked: {v.checked_steps})\n  {v.rationale}\n"
         for label, v in live)
+
+
+def test_seller_answer_signs_only_its_own_values(tmp_path, capsys, params64):
+    # A type C record that already names the buyer's pair as the seller's
+    # values must not come back with the seller's signature on that pair:
+    # such a signed step would convict an honest seller in a type D case.
+    keys, cat, new_case = type_c_evidence(params64, 1)
+    case = new_case()
+    m, forged_out = case.steps[0].m, pow_mod(params64.g, 12345, params64)
+    case.steps[0] = replace(case.steps[0], m_out=forged_out)
+    case.seller_values = (m, forged_out)
+    code, answered = seller_answer(tmp_path, keys, cat, case)
+    assert code == 0
+    record = parse_case(answered.read_text())
+    assert record.seller_values != (m, forged_out)
+    assert record.seller_resign is None or not verify_payload(
+        cat.verify_pk, step_payload(m, forged_out), record.seller_resign)
+    capsys.readouterr()
+    assert run_cli("arbitrate", "--case", str(answered)) == 0
+    assert f"C: {BUYER_CLAIM_REJECTED}" in capsys.readouterr().out
+
+
+def test_seller_answer_ignores_seller_material_in_the_record(tmp_path, capsys, params64):
+    # Proofs, an audit license and a chain the buyer wrote into the record
+    # are dropped: the honest seller answers from its own secrets and picks
+    # the audited license itself.
+    keys, cat, new_case = type_d_evidence(params64, None)
+    case, entry = new_case(), cat.licenses[0]
+    bogus = DlEqProof(commitment_a=1, commitment_b=1, challenge=1, response=1)
+    case.step_proofs = [bogus] * len(case.steps)
+    case.audit_license_id, case.audit_price = entry.license_id, entry.price
+    case.audit_x, case.audit_blob = params64.g, entry.encrypted_license
+    case.chain = [params64.g] * (entry.price + 1)
+    case.link_proofs = [bogus] * (entry.price - 1)
+    case.segment_proofs = [bogus] * len(case.steps)
+    code, answered = seller_answer(tmp_path, keys, cat, case)
+    assert code == 0
+    record = parse_case(answered.read_text())
+    assert record.audit_x == cat.entry(record.audit_license_id).x
+    capsys.readouterr()
+    assert run_cli("arbitrate", "--case", str(answered)) == 0
+    out = capsys.readouterr().out
+    assert f"D-method1: {BUYER_CLAIM_REJECTED}" in out
+    assert f"D-method2: {BUYER_CLAIM_REJECTED}" in out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda case: case.k_table.update({1: pow_mod(case.params.g, 2, case.params)}),
+    lambda case: setattr(case, "verify_pk", bytes(32)),
+    lambda case: setattr(case, "params", replace(
+        case.params, g=pow_mod(case.params.g, 2, case.params))),
+], ids=["k-table", "verify-pk", "group"])
+def test_seller_answer_refuses_a_record_not_of_its_catalog(tmp_path, capsys, params64, edit):
+    # proofs against an edited K_1 fail however honest the seller, so a
+    # record that does not carry the seller's own commitments gets no answer
+    keys, cat, new_case = type_c_evidence(params64, 1)
+    case = new_case()
+    edit(case)
+    code, answered = seller_answer(tmp_path, keys, cat, case)
+    assert code == 1
+    assert "differs from the seller's catalog" in capsys.readouterr().err
+    assert not answered.exists()
 
 
 def test_seller_serve_answers_no_dispute_query(tmp_path, capsys, monkeypatch):

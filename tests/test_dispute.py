@@ -11,6 +11,7 @@ from blindpay.dispute import (
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
     SellerDisputeAgent,
+    answer_case,
     build_type_b_case,
     build_type_c_case,
     build_type_d_case,
@@ -243,6 +244,22 @@ def test_type_c_claim_no_step_carries_is_rejected(params64, with_agent, bad, che
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert check in verdict.rationale
     assert case.seller_values is None and case.stages == []
+
+
+def test_answer_case_picks_the_audit_license_itself(params64):
+    # whichever license the record names for audit, the seller's own draw
+    # decides which key chain it reveals
+    keys, cat, new_case = type_d_evidence(params64, None)
+    assert len(cat.licenses) >= 2
+    picks = set()
+    for entry in cat.licenses:
+        case = new_case()
+        case.audit_license_id, case.audit_x = entry.license_id, entry.x
+        case.audit_price, case.audit_blob = entry.price, entry.encrypted_license
+        answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(5)))
+        picks.add(answered.audit_license_id)
+        assert answered.s_revealed is None
+    assert len(picks) == 1
 
 
 # --- type D method 1 -------------------------------------------------------------------

@@ -11,6 +11,7 @@ from blindpay.dispute import (
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
     SellerDisputeAgent,
+    answer_case,
     build_type_d_case,
     parse_case,
     resolve_type_c,
@@ -365,15 +366,13 @@ def test_seller_refuses_bad_query_and_keeps_the_connection(params64):
         srv.stop()
 
 
-# --- remote prover: the seller answers a case record apart from the arbitrator ---------------
+# --- remote prover: the seller answers the case record apart from the arbitrator -----------
 
-def _answer_apart(case, cat, agent, resolve):
-    """The seller answers the case record on its own side; the arbitrator
-    gets back only the answered record, never the generation factor."""
-    answered = parse_case(write_case(case))
-    resolve(answered, cat, agent)
-    answered.s_revealed = None
-    return parse_case(write_case(answered))
+def _answer_apart(case, cat, agent):
+    """The seller answers the case record on its own side (answer_case, as
+    ``blindpay seller answer`` does); the arbitrator gets back only the
+    answered record."""
+    return parse_case(write_case(answer_case(parse_case(write_case(case)), cat, agent)))
 
 
 RESOLVERS = {
@@ -387,7 +386,7 @@ RESOLVERS = {
 def test_remote_prover_method1(params64):
     keys, cat, bank, session = completed_session(params64, price=3, seed=70)
     agent = SellerDisputeAgent(keys, cat, random.Random(12))
-    record = _answer_apart(build_type_d_case(cat, session), cat, agent, RESOLVERS["D-method1"])
+    record = _answer_apart(build_type_d_case(cat, session), cat, agent)
     assert record.step_proofs is not None
     verdict = resolve_type_d_method1(record)
     assert verdict.outcome == BUYER_CLAIM_REJECTED
@@ -408,8 +407,7 @@ def test_remote_prover_reaches_local_verdict(params64, label, evidence):
         expected = SELLER_AT_FAULT if evidence == "wrong-s" else BUYER_CLAIM_REJECTED
     resolve = RESOLVERS[label]
     local = resolve(new_case(), cat, SellerDisputeAgent(keys, cat, random.Random(17)))
-    record = _answer_apart(new_case(), cat, SellerDisputeAgent(keys, cat, random.Random(18)),
-                           resolve)
+    record = _answer_apart(new_case(), cat, SellerDisputeAgent(keys, cat, random.Random(18)))
     remote = resolve(record, cat, None)
     assert local.outcome == expected
     assert remote == local
