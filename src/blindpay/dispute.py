@@ -18,11 +18,11 @@ Resolvers work from a DisputeCase.  When a seller agent is supplied (a
 live seller agent, or answer_case behind ``blindpay seller answer``), its
 answers (values, proofs, chains) are recorded into the case, so the same
 resolver replayed on the stored record reaches the same verdict with no
-seller present.  The
-case record file is the only channel between seller and arbitrator; a
-record nobody answered is judged by the timeout rule.  Evidence for kinds C
-and D carries only blinded request/response pairs: the arbitrator never
-sees card identifiers, the license factor, or anything naming the buyer.
+seller present.  The case record file is the only channel between seller
+and arbitrator; a record nobody answered is judged by the timeout rule.
+Evidence for kinds C and D carries only blinded request/response pairs:
+the arbitrator never sees card identifiers, the license factor, or
+anything naming the buyer.
 """
 
 from __future__ import annotations
