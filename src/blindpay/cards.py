@@ -11,6 +11,7 @@ is cash over a counter, outside the system.
 from __future__ import annotations
 
 import enum
+import fcntl
 import random
 import secrets
 import threading
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from .errors import (
     AlreadyDistributed,
     AlreadySpent,
+    BlindpayError,
     LedgerCorrupt,
     NotDistributed,
     UnknownCard,
@@ -54,9 +56,16 @@ class SpendReceipt:
 class CardLedger:
     """All card state plus seller account balances, one lock around both.
 
-    If a path is given, every mutation appends one tab-separated record
-    (seq, op, card_id, value, account) and `replay` rebuilds an identical
-    ledger from the file.
+    With a path, the ledger is that file's only writer: it locks the file
+    before reading it, so a second writer (even in this process) is refused
+    with an error naming the file, then loads the records already there and
+    appends one tab-separated record (seq, op, card_id, value, account) per
+    mutation.  `replay` loads a file read-only.
+
+    Durability: every record is flushed but not fsynced, so a machine crash
+    can lose the last records; an fsync per spend would sit on every seller
+    step.  A last line without its newline was torn by a crash: it is not
+    loaded, and the writer truncates it before appending.
     """
 
     def __init__(self, path: str | None = None, rng: random.Random | None = None):
@@ -66,8 +75,19 @@ class CardLedger:
         self._spend_seqs: dict[str, int] = {}
         self._rng = rng
         self._lock = threading.Lock()
-        self._path = path
-        self._fh = open(path, "a", encoding="utf-8") if path else None
+        self._fh = None
+        if path:
+            fh = open(path, "a+b")
+            try:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+                fh.truncate(self._load(fh, path))
+            except BlockingIOError:
+                fh.close()
+                raise BlindpayError(f"{path}: ledger is held by another writer") from None
+            except BaseException:
+                fh.close()
+                raise
+            self._fh = fh
 
     # -- internals ------------------------------------------------------------
 
@@ -76,13 +96,24 @@ class CardLedger:
             return self._rng.getrandbits(128).to_bytes(16, "big").hex()
         return secrets.token_bytes(16).hex()
 
-    def _record(self, seq: int, op: str, card_id: str, value: int, account: str):
+    def _apply(self, op: str, card_id: str, value: int, account: str) -> int:
+        """Append one checked record to the file, if there is one, then apply
+        it to the state.  Returns its sequence number.  A closed file refuses
+        the write (ValueError) before any state changes."""
         if self._fh is not None:
-            self._fh.write(f"{seq}\t{op}\t{card_id}\t{value}\t{account}\n")
+            self._fh.write(f"{self._seq + 1}\t{op}\t{card_id}\t{value}\t{account}\n".encode())
             self._fh.flush()
-
-    def _next_seq(self) -> int:
         self._seq += 1
+        if op == "ISSUE":
+            self.cards[card_id] = PrepaidCard(card_id=card_id, value=value,
+                                              status=CardStatus.GENERATED)
+        elif op == "DIST":
+            self.cards[card_id].status = CardStatus.DISTRIBUTED
+        else:
+            card = self.cards[card_id]
+            card.status, card.spent_by = CardStatus.SPENT, account
+            self._spend_seqs[card_id] = self._seq
+            self.accounts[account] = self.accounts.get(account, 0) + value
         return self._seq
 
     # -- operations -------------------------------------------------------------
@@ -99,10 +130,8 @@ class CardLedger:
                 cid = self._new_id()
                 while cid in self.cards:  # 128-bit ids; loop is theory only
                     cid = self._new_id()
-                card = PrepaidCard(card_id=cid, value=value, status=CardStatus.GENERATED)
-                self.cards[cid] = card
-                self._record(self._next_seq(), "ISSUE", cid, value, "-")
-                out.append(card)
+                self._apply("ISSUE", cid, value, "-")
+                out.append(self.cards[cid])
         return out
 
     def distribute(self, card_ids: list[str], store_id: str) -> int:
@@ -115,14 +144,10 @@ class CardLedger:
                 if card.status is CardStatus.DISTRIBUTED:
                     raise AlreadyDistributed(cid)
                 if card.status is CardStatus.SPENT:
-                    raise AlreadySpent(cid, self._spend_seq(cid))
+                    raise AlreadySpent(cid, self._spend_seqs.get(cid, 0))
             for cid in card_ids:
-                self.cards[cid].status = CardStatus.DISTRIBUTED
-                self._record(self._next_seq(), "DIST", cid, self.cards[cid].value, store_id)
+                self._apply("DIST", cid, self.cards[cid].value, store_id)
         return len(card_ids)
-
-    def _spend_seq(self, card_id: str) -> int:
-        return self._spend_seqs.get(card_id, 0)
 
     def verify_and_spend(self, card_id: str, seller_account: str) -> SpendReceipt:
         """Atomically check a card and mark it spent, crediting the seller.
@@ -140,7 +165,6 @@ class CardLedger:
         """
         if not card_ids:
             raise ValueError("card_ids must be nonempty")
-        receipts = []
         with self._lock:
             seen: set[str] = set()
             for cid in card_ids:
@@ -152,17 +176,10 @@ class CardLedger:
                 if card.status is CardStatus.GENERATED:
                     raise NotDistributed(cid)
                 seen.add(cid)
-            for cid in card_ids:
-                card = self.cards[cid]
-                card.status = CardStatus.SPENT
-                card.spent_by = seller_account
-                seq = self._next_seq()
-                self._spend_seqs[cid] = seq
-                self.accounts[seller_account] = self.accounts.get(seller_account, 0) + card.value
-                self._record(seq, "SPEND", cid, card.value, seller_account)
-                receipts.append(SpendReceipt(card_id=cid, seller_account=seller_account,
-                                             value=card.value, seq=seq))
-        return receipts
+            values = [self.cards[cid].value for cid in card_ids]
+            return [SpendReceipt(card_id=cid, seller_account=seller_account, value=value,
+                                 seq=self._apply("SPEND", cid, value, seller_account))
+                    for cid, value in zip(card_ids, values)]
 
     def balance(self, seller_account: str) -> int:
         with self._lock:
@@ -177,57 +194,47 @@ class CardLedger:
                 raise LedgerCorrupt(f"spent value {spent} != credited value {credited}")
 
     def close(self):
+        """Release the file.  Later changes fail rather than go unrecorded."""
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            with self._lock:
+                self._fh.close()
 
     # -- persistence ---------------------------------------------------------
 
     @classmethod
-    def replay(cls, path: str, attach: bool = False) -> "CardLedger":
-        """Rebuild a ledger from its record file.
-
-        With attach=True the returned ledger keeps appending to the same
-        file, which is how a restarted bank resumes.
-        """
+    def replay(cls, path: str) -> "CardLedger":
+        """Rebuild a ledger from its record file, read-only."""
         ledger = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 5:
-                    raise LedgerCorrupt(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-                seq_s, op, cid, value_s, account = parts
-                try:
-                    seq, value = int(seq_s), int(value_s)
-                except ValueError:
-                    raise LedgerCorrupt(f"{path}:{lineno}: non-integer seq or value")
-                if seq != ledger._seq + 1:
-                    raise LedgerCorrupt(f"{path}:{lineno}: sequence gap ({seq} after {ledger._seq})")
-                ledger._seq = seq
-                if op == "ISSUE":
-                    ledger.cards[cid] = PrepaidCard(card_id=cid, value=value,
-                                                    status=CardStatus.GENERATED)
-                elif op == "DIST":
-                    card = ledger.cards.get(cid)
-                    if card is None:
-                        raise LedgerCorrupt(f"{path}:{lineno}: DIST of unknown card")
-                    card.status = CardStatus.DISTRIBUTED
-                elif op == "SPEND":
-                    card = ledger.cards.get(cid)
-                    if card is None:
-                        raise LedgerCorrupt(f"{path}:{lineno}: SPEND of unknown card")
-                    if card.status is CardStatus.SPENT:
-                        raise LedgerCorrupt(f"{path}:{lineno}: second SPEND of {cid}")
-                    card.status = CardStatus.SPENT
-                    card.spent_by = account
-                    ledger._spend_seqs[cid] = seq
-                    ledger.accounts[account] = ledger.accounts.get(account, 0) + value
-                else:
-                    raise LedgerCorrupt(f"{path}:{lineno}: unknown op {op!r}")
-        if attach:
-            ledger._path = path
-            ledger._fh = open(path, "a", encoding="utf-8")
+        with open(path, "rb") as fh:
+            ledger._load(fh, path)
         return ledger
+
+    def _load(self, fh, path: str) -> int:
+        """Apply the records of fh from its start; return the byte length of
+        its complete lines.  A last line without its newline is torn."""
+        fh.seek(0)
+        complete = 0
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.endswith(b"\n"):
+                break
+            complete += len(raw)
+            if raw == b"\n":
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                seq_s, op, cid, value_s, account = raw[:-1].decode("utf-8").split("\t")
+                seq, value = int(seq_s), int(value_s)
+            except ValueError:  # also a wrong field count or bytes that are not UTF-8
+                raise LedgerCorrupt(f"{where}: not five UTF-8 fields with integer seq "
+                                    "and value") from None
+            if seq != self._seq + 1:
+                raise LedgerCorrupt(f"{where}: sequence gap ({seq} after {self._seq})")
+            if op not in ("ISSUE", "DIST", "SPEND"):
+                raise LedgerCorrupt(f"{where}: unknown op {op!r}")
+            card = self.cards.get(cid)
+            if op != "ISSUE" and card is None:
+                raise LedgerCorrupt(f"{where}: {op} of unknown card")
+            if op == "SPEND" and card.status is CardStatus.SPENT:
+                raise LedgerCorrupt(f"{where}: second SPEND of {cid}")
+            self._apply(op, cid, value, account)
+        return complete

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import random
 import sys
 
@@ -27,6 +28,7 @@ from .dispute import (
     SellerDisputeAgent,
     answer_case,
     build_type_c_case,
+    check_commitments,
     parse_case,
     resolve_case,
     write_case,
@@ -92,35 +94,37 @@ def _plaintext_text(plain: LicensePlaintext) -> str:
 
 # --- subcommands ---------------------------------------------------------------
 
-def cmd_bank_serve(args) -> int:
+def _serve(who: str, address: tuple[str, int], handle, resource) -> int:
+    """Serve until the server stops or the operator interrupts, then close
+    resource (the ledger or bank connection the handler uses)."""
     try:
-        ledger = CardLedger.replay(args.ledger, attach=True)
-    except FileNotFoundError:
-        ledger = CardLedger(path=args.ledger)
-    host, port = args.listen
-    srv = wire.Server(host, port, harness.make_bank_handler(ledger)).start()
-    print(f"bank listening on {srv.address[0]}:{srv.address[1]}", flush=True)
-    try:
-        srv._thread.join()
-    except KeyboardInterrupt:
-        srv.stop()
+        srv = wire.Server(*address, handle).start()
+        print(f"{who} listening on {srv.address[0]}:{srv.address[1]}", flush=True)
+        try:
+            srv._thread.join()
+        except KeyboardInterrupt:
+            srv.stop()
+    finally:
+        resource.close()
     return EXIT_OK
 
 
+def cmd_bank_serve(args) -> int:
+    ledger = CardLedger(path=args.ledger)
+    return _serve("bank", args.listen, harness.make_bank_handler(ledger), ledger)
+
+
 def cmd_bank_issue(args) -> int:
-    try:
-        ledger = CardLedger.replay(args.ledger, attach=True)
-    except FileNotFoundError:
-        ledger = CardLedger(path=args.ledger)
     rng = random.Random(args.seed) if args.seed is not None else None
-    if rng is not None:
-        ledger._rng = rng
-    cards = ledger.issue_cards(args.count, args.value)
-    if args.store:
-        ledger.distribute([c.card_id for c in cards], args.store)
+    ledger = CardLedger(path=args.ledger, rng=rng)
+    try:
+        cards = ledger.issue_cards(args.count, args.value)
+        if args.store:
+            ledger.distribute([c.card_id for c in cards], args.store)
+    finally:
+        ledger.close()
     for c in cards:
         print(f"{c.card_id} {c.value}")
-    ledger.close()
     return EXIT_OK
 
 
@@ -156,19 +160,13 @@ def cmd_seller_serve(args) -> int:
     if args.bank is not None:
         bank = harness.RemoteBank(wire.connect(*args.bank))
     elif args.ledger is not None:
-        bank = CardLedger.replay(args.ledger, attach=True)
+        os.stat(args.ledger)  # a seller opens the bank's ledger, never creates one
+        bank = CardLedger(path=args.ledger)
     else:
         print("seller serve needs --bank or --ledger", file=sys.stderr)
         return EXIT_USAGE
     handler = SellerStepHandler(keys, cat.params, bank, args.account)
-    host, port = args.listen
-    srv = wire.Server(host, port, harness.make_seller_handler(handler, cat)).start()
-    print(f"seller listening on {srv.address[0]}:{srv.address[1]}", flush=True)
-    try:
-        srv._thread.join()
-    except KeyboardInterrupt:
-        srv.stop()
-    return EXIT_OK
+    return _serve("seller", args.listen, harness.make_seller_handler(handler, cat), bank)
 
 
 def cmd_seller_answer(args) -> int:
@@ -206,8 +204,7 @@ def cmd_buyer_purchase(args) -> int:
         return EXIT_PROTOCOL
     cards = _read_cards(args.cards)
     rng = random.Random(args.seed) if args.seed is not None else None
-    session = buyer_begin(cat, args.license, cards, mode=args.mode,
-                          refresh_blinding=not args.no_refresh, rng=rng)
+    session = buyer_begin(cat, args.license, cards, mode=args.mode, rng=rng)
     try:
         plain = run_purchase(session, functools.partial(harness.remote_step, args.connect))
     except BadStepSignature as bad:
@@ -236,6 +233,7 @@ def cmd_arbitrate(args) -> int:
     if args.catalog:
         with open(args.catalog, encoding="utf-8") as fh:
             cat = parse_catalog(fh.read())
+        check_commitments(case, cat)
     for label, verdict in resolve_case(case, catalog=cat):
         print(f"{label}: {verdict.outcome} (steps checked: {verdict.checked_steps})")
         print(f"  {verdict.rationale}")
@@ -344,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     purchase.add_argument("--connect", type=_addr, required=True)
     purchase.add_argument("--catalog")
     purchase.add_argument("--seed", type=int)
-    purchase.add_argument("--no-refresh", action="store_true",
-                          help="reuse one blinding factor for the whole purchase")
     purchase.add_argument("--out")
     purchase.add_argument("--case-out", default="case-c.txt")
     purchase.set_defaults(fn=cmd_buyer_purchase)

@@ -44,7 +44,6 @@ from .errors import (
     MalformedElement,
     MalformedEvidence,
     MissingKPower,
-    SellerUnresponsive,
 )
 from .group import (
     DlEqProof,
@@ -294,10 +293,7 @@ def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) 
         return Verdict(BUYER_CLAIM_REJECTED, f"no unblinding key for step value {st.t}", 1)
 
     if case.seller_values is None and seller is not None:
-        try:
-            case.seller_values = seller.original_values(st.m, st.t)
-        except SellerUnresponsive:
-            case.seller_values = None
+        case.seller_values = seller.original_values(st.m, st.t)
     if case.seller_values is None:
         return Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline", 1)
 
@@ -650,21 +646,26 @@ def resolve_case(case: DisputeCase, catalog: Catalog | None = None,
     raise MalformedEvidence(f"unknown dispute kind {case.kind!r}")
 
 
-def answer_case(case: DisputeCase, catalog: Catalog,
-                seller: SellerDisputeAgent) -> DisputeCase:
-    """The seller's answer to a case record, for the arbitrator to replay.
-
-    The record must carry this seller's group, verification key and K table:
-    proofs against an edited K table fail however honest the seller.  Any
-    seller-side material the record already carries is dropped, so every
-    value, signature, proof and chain in the answer is the seller's own
-    computation, and the seller picks the audited license itself.  The
-    generation factor is left out, so method 3 is never offered."""
+def check_commitments(case: DisputeCase, catalog: Catalog):
+    """Refuse a record whose group, verification key or K table is not the
+    catalog's: proofs against an edited K table fail however honest the seller."""
     for what, theirs, ours in (("group", case.params, catalog.params),
                                ("verify_pk", case.verify_pk, catalog.verify_pk),
                                ("K table", case.k_table, catalog.k_table)):
         if theirs != ours:
             raise MalformedEvidence(f"case record {what} differs from the seller's catalog")
+
+
+def answer_case(case: DisputeCase, catalog: Catalog,
+                seller: SellerDisputeAgent) -> DisputeCase:
+    """The seller's answer to a case record, for the arbitrator to replay.
+
+    The record must carry this seller's commitments (check_commitments).
+    Any seller-side material the record already carries is dropped, so
+    every value, signature, proof and chain in the answer is the seller's
+    own computation, and the seller picks the audited license itself.  The
+    generation factor is left out, so method 3 is never offered."""
+    check_commitments(case, catalog)
     answered = replace(case, seller_values=None, seller_resign=None, seller_proof=None,
                        step_proofs=None, audit_license_id="", audit_x=0, audit_price=0,
                        audit_blob=b"", chain=None, link_proofs=None, segment_proofs=None,

@@ -116,10 +116,6 @@ class ChainLengthMismatch(BlindpayError):
     pass
 
 
-class SellerUnresponsive(BlindpayError):
-    pass
-
-
 # --- wire errors --------------------------------------------------------------
 
 class MalformedMessage(BlindpayError):

@@ -115,7 +115,7 @@ FAULTS = ("none", "corrupt-signature", "wrong-terms", "wrong-s", "double-spend",
 class Scenario:
     mode: str = MODE_BASIC
     price: int = 1
-    refresh: bool = False
+    refresh: bool = False  # off reproduces the paper's cost model; linkable
     group_bits: int = 64
     transport: str = "memory"
     seed: int = 0
@@ -233,6 +233,9 @@ class RemoteBank:
         self.endpoint = endpoint
         self._lock = threading.Lock()
 
+    def close(self):
+        self.endpoint.close()
+
     def spend_atomic(self, card_ids: list[str], account: str) -> list[SpendReceipt]:
         with self._lock:
             self.endpoint.send(wire.CardSpend(card_ids=tuple(card_ids), account=account))
@@ -256,26 +259,17 @@ def _spend_error(err: wire.SpendErr) -> CardError:
 
 
 def make_bank_handler(ledger: CardLedger):
-    """Wire handler exposing a ledger: issue, distribute, spend.  A request
+    """Wire handler for a ledger's spend, the bank's only online operation
+    (the ledger's writer issues and distributes cards offline).  A request
     the ledger refuses gets a SpendErr reply; the connection stays up."""
 
-    def answer(msg: wire.Message) -> wire.Message:
-        if isinstance(msg, wire.CardSpend):
+    def handle(msg: wire.Message) -> wire.Message:
+        if not isinstance(msg, wire.CardSpend):
+            return wire.SpendErr(code="unsupported", detail=type(msg).__name__, prior_seq=0)
+        try:
             receipts = ledger.spend_atomic(list(msg.card_ids), msg.account)
             return wire.SpendOk(receipts=tuple(
                 (r.seq, r.card_id, r.value, r.seller_account) for r in receipts))
-        if isinstance(msg, wire.CardIssue):
-            cards = ledger.issue_cards(msg.count, msg.value)
-            return wire.SpendOk(receipts=tuple(
-                (0, c.card_id, c.value, "-") for c in cards))
-        if isinstance(msg, wire.CardDistribute):
-            ledger.distribute(list(msg.card_ids), msg.store_id)
-            return wire.SpendOk(receipts=())
-        return wire.SpendErr(code="unsupported", detail=type(msg).__name__, prior_seq=0)
-
-    def handle(msg: wire.Message) -> wire.Message:
-        try:
-            return answer(msg)
         except CardError as exc:
             prior = exc.prior_seq if isinstance(exc, AlreadySpent) else 0
             return wire.SpendErr(code=card_error_code(exc), detail=exc.card_id,

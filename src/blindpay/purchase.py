@@ -217,7 +217,10 @@ def buyer_begin(catalog: Catalog, license_id: str, cards: list[tuple[str, int]],
                 mode: str = MODE_BASIC, refresh_blinding: bool = True,
                 rng: random.Random | None = None, ops=None) -> PurchaseSession:
     """Open a purchase session: pick alpha, compute r = g^alpha and the
-    unblinding powers, plan the steps, and park the cards against them."""
+    unblinding powers, plan the steps, and park the cards against them.
+
+    refresh_blinding=False keeps one alpha for the whole purchase: it only
+    reproduces the paper's cost model, and makes the steps linkable."""
     entry = catalog.entry(license_id)
     ensure_member(entry.x, catalog.params)
     return _begin(catalog, entry, entry.x, entry.price, cards, mode,

@@ -85,22 +85,6 @@ class Message:
 
 
 @dataclass(frozen=True)
-class CardIssue(Message):
-    TYPE: ClassVar[int] = 1
-    WIRE: ClassVar[tuple[str, ...]] = ("u32", "u32")
-    count: int
-    value: int
-
-
-@dataclass(frozen=True)
-class CardDistribute(Message):
-    TYPE: ClassVar[int] = 2
-    WIRE: ClassVar[tuple[str, ...]] = ("ids", "str")
-    card_ids: tuple[str, ...]
-    store_id: str
-
-
-@dataclass(frozen=True)
 class CardSpend(Message):
     TYPE: ClassVar[int] = 3
     WIRE: ClassVar[tuple[str, ...]] = ("ids", "str")
@@ -161,15 +145,17 @@ class CatalogDoc(Message):
     text: str
 
 
-# Tags 16 to 23 are reserved: no message type uses them, so decoding any
-# of them raises UnknownMessageType.  Dispute evidence travels in case
-# record files, never on a seller's listener.
+# Tags 1, 2 and 16 to 23 are reserved: no message type uses them, so
+# decoding any of them raises UnknownMessageType.  Cards are issued and
+# distributed by the bank ledger's one writer, never over a listener, and
+# dispute evidence travels in case record files, never on a seller's
+# listener.
 
 
 MESSAGE_TYPES: dict[int, type[Message]] = {
     cls.TYPE: cls for cls in (
-        CardIssue, CardDistribute, CardSpend, SpendOk, SpendErr,
-        StepReq, StepResp, StepErr, CatalogGet, CatalogDoc,
+        CardSpend, SpendOk, SpendErr, StepReq, StepResp, StepErr,
+        CatalogGet, CatalogDoc,
     )
 }
 

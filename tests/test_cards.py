@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from blindpay.cards import CardLedger, CardStatus, SpendReceipt
 from blindpay.errors import (
     AlreadyDistributed,
     AlreadySpent,
+    BlindpayError,
     LedgerCorrupt,
     NotDistributed,
     UnknownCard,
@@ -205,19 +207,79 @@ def test_ledger_file_replay(tmp_path):
 
 
 def test_ledger_replay_attach_continues(tmp_path):
+    # a writer reopening its file continues the sequence it holds
     path = str(tmp_path / "ledger.tsv")
     ledger = CardLedger(path=path, rng=random.Random(3))
     cards = issue_and_distribute(ledger, 2)
     ledger.close()
-    resumed = CardLedger.replay(path, attach=True)
-    resumed.verify_and_spend(cards[0].card_id, "seller-1")
+    resumed = CardLedger(path=path, rng=random.Random(3))
+    assert resumed._seq == ledger._seq
+    # the same seed draws the ids already in the file first; they are skipped
+    more = resumed.issue_cards(2)
+    assert not {c.card_id for c in more} & {c.card_id for c in cards}
+    receipt = resumed.verify_and_spend(cards[0].card_id, "seller-1")
+    assert receipt.seq == ledger._seq + 3
     resumed.close()
     again = CardLedger.replay(path)
-    assert again.balance("seller-1") == 1
+    assert (len(again.cards), again._seq, again.balance("seller-1")) == (4, receipt.seq, 1)
 
 
 def test_ledger_replay_rejects_corrupt_file(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("1\tISSUE\tabc\t1\t-\n5\tSPEND\tabc\t1\tseller-1\n")
+    text = "1\tISSUE\tabc\t1\t-\n5\tSPEND\tabc\t1\tseller-1\n"
+    path.write_text(text)
+    with pytest.raises(LedgerCorrupt):
+        CardLedger.replay(str(path))
+    with pytest.raises(LedgerCorrupt):  # only a line without its newline is torn
+        CardLedger(path=str(path))
+    assert path.read_text() == text
+
+
+def test_ledger_second_writer_is_refused(tmp_path):
+    path = str(tmp_path / "ledger.tsv")
+    first = CardLedger(path=path)
+    try:
+        with pytest.raises(BlindpayError, match=re.escape(path)):
+            CardLedger(path=path)  # flock locks each open file: this process too
+    finally:
+        first.close()
+    CardLedger(path=path).close()
+
+
+@pytest.mark.parametrize("torn", ["3\tSPE", "3\tSPEND\t{cid}\t1\tsell"],
+                         ids=["short", "five-fields"])
+def test_ledger_torn_last_line_is_dropped(tmp_path, torn):
+    # a crash cut the third record short: it has no newline
+    path = tmp_path / "ledger.tsv"
+    ledger = CardLedger(path=str(path), rng=random.Random(3))
+    (card,) = issue_and_distribute(ledger, 1)
+    ledger.close()
+    intact = path.read_text()
+    path.write_text(intact + torn.format(cid=card.card_id))
+    replayed = CardLedger.replay(str(path))
+    assert (replayed._seq, replayed.accounts) == (2, {})
+    resumed = CardLedger(path=str(path))
+    assert path.read_text() == intact
+    resumed.verify_and_spend(card.card_id, "seller-1")
+    resumed.close()
+    assert CardLedger.replay(str(path)).accounts == {"seller-1": 1}
+
+
+def test_closed_ledger_refuses_changes(tmp_path):
+    # a server's connection thread may still spend after its bank closed the
+    # ledger; the spend must fail, not succeed unrecorded
+    path = tmp_path / "ledger.tsv"
+    ledger = CardLedger(path=str(path), rng=random.Random(3))
+    (card,) = issue_and_distribute(ledger, 1)
+    ledger.close()
+    with pytest.raises(ValueError):
+        ledger.verify_and_spend(card.card_id, "seller-1")
+    assert (ledger._seq, ledger.cards[card.card_id].status) == (2, CardStatus.DISTRIBUTED)
+    assert CardLedger.replay(str(path))._seq == 2
+
+
+def test_ledger_line_not_utf8_is_corrupt(tmp_path):
+    path = tmp_path / "ledger.tsv"
+    path.write_bytes(b"1\tISSUE\t\xff\t1\t-\n")
     with pytest.raises(LedgerCorrupt):
         CardLedger.replay(str(path))

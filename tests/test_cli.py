@@ -1,5 +1,6 @@
 import contextlib
 import random
+import re
 import socket
 import threading
 from dataclasses import replace
@@ -20,6 +21,7 @@ from blindpay.dispute import (
     write_case,
 )
 from blindpay.encoding import enc_int, enc_u32
+from blindpay.errors import BlindpayError
 from blindpay.group import DlEqProof, pow_mod
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler
 from blindpay.purchase import SellerStepHandler, step_payload
@@ -229,18 +231,9 @@ def test_seller_answer_refuses_a_record_not_of_its_catalog(tmp_path, capsys, par
     assert not answered.exists()
 
 
-def test_seller_serve_answers_no_dispute_query(tmp_path, capsys, monkeypatch):
-    # A seller's listener answers no dispute query: a values query (tag 18)
-    # for a license factor x at its price would return the license key
-    # x^(s^price) to any client, with no card spent.
-    catp, secp, ledger = (str(tmp_path / n) for n in ("cat.txt", "sec.txt", "ledger.tsv"))
-    run_cli("seller", "init", "--catalog", catp, "--secrets", secp, "--seed", "3",
-            "--group-bits", "32", "--license", "lic-a:2:read-only")
-    run_cli("bank", "issue", "--ledger", ledger, "--count", "1", "--seed", "4")
-    cat = parse_catalog((tmp_path / "cat.txt").read_text())
-    entry, g = cat.entry("lic-a"), cat.params.g
-    assert entry.price in cat.k_table
-
+@pytest.fixture()
+def started(monkeypatch):
+    """The wire servers started from here on, in start order."""
     servers = []
 
     class RecordedServer(wire.Server):
@@ -249,31 +242,131 @@ def test_seller_serve_answers_no_dispute_query(tmp_path, capsys, monkeypatch):
             return super().start()
 
     monkeypatch.setattr(wire, "Server", RecordedServer)
-    serve = threading.Thread(target=run_cli, daemon=True, args=(
-        "seller", "serve", "--catalog", catp, "--secrets", secp, "--ledger", ledger))
-    serve.start()
+    return servers
+
+
+@contextlib.contextmanager
+def serving(started, *argv):
+    """Run a ``serve`` subcommand in a thread and yield its server.  On
+    exit, stop the server and check that the command returned 0."""
+    before, codes = len(started), []
+    thread = threading.Thread(target=lambda: codes.append(run_cli(*argv)), daemon=True)
+    thread.start()
     for _ in range(500):
-        if servers:
+        if len(started) > before or not thread.is_alive():
             break
-        serve.join(timeout=0.01)
-    assert servers, "seller serve did not start"
+        thread.join(timeout=0.01)
+    assert len(started) > before, f"{' '.join(argv[:2])} did not start"
+    try:
+        yield started[before]
+    finally:
+        started[before].stop()
+        thread.join(timeout=5)
+    assert codes == [0]
+
+
+def seller_files(tmp_path, *licenses):
+    catp, secp = str(tmp_path / "cat.txt"), str(tmp_path / "sec.txt")
+    assert run_cli("seller", "init", "--catalog", catp, "--secrets", secp, "--seed", "3",
+                   *(arg for lic in licenses for arg in ("--license", lic))) == 0
+    return catp, secp
+
+
+def test_seller_serve_answers_no_dispute_query(tmp_path, capsys, started):
+    # A seller's listener answers no dispute query: a values query (tag 18)
+    # for a license factor x at its price would return the license key
+    # x^(s^price) to any client, with no card spent.
+    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
+    ledger = str(tmp_path / "ledger.tsv")
+    run_cli("bank", "issue", "--ledger", ledger, "--count", "1", "--seed", "4")
+    cat = parse_catalog((tmp_path / "cat.txt").read_text())
+    entry, g = cat.entry("lic-a"), cat.params.g
+    assert entry.price in cat.k_table
     queries = [
         bytes([18]) + enc_int(entry.x) + enc_u32(entry.price),
         bytes([20]) + enc_int(entry.x) + enc_int(g) + enc_int(g)
         + enc_int(cat.k_table[entry.price]) + enc_u32(entry.price),
     ]
-    sock = socket.create_connection(servers[0].address)
-    ep = wire.SocketEndpoint(sock)
-    try:
-        for query in queries:
-            sock.sendall(wire.frame(query))
-            reply = ep.recv()
-            assert isinstance(reply, wire.StepErr), type(reply).__name__
-    finally:
-        ep.close()
-        servers[0].stop()
-        serve.join(timeout=5)
-    assert not serve.is_alive()
+    with serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
+                 "--ledger", ledger) as srv:
+        sock = socket.create_connection(srv.address)
+        ep = wire.SocketEndpoint(sock)
+        try:
+            for query in queries:
+                sock.sendall(wire.frame(query))
+                reply = ep.recv()
+                assert isinstance(reply, wire.StepErr), type(reply).__name__
+        finally:
+            ep.close()
+
+
+def test_readme_tour(tmp_path, capsys, started):
+    # the README's multi-process tour, each party through the CLI entry point
+    catp, secp = seller_files(tmp_path, "basic:2:read-only", "full:5:read-print")
+    assert run_cli("verify-catalog", catp) == 0
+    ledger, cards = str(tmp_path / "ledger.tsv"), tmp_path / "cards.txt"
+    capsys.readouterr()
+    assert run_cli("bank", "issue", "--ledger", ledger, "--count", "2", "--value", "1",
+                   "--store", "store-1") == 0
+    cards.write_text(capsys.readouterr().out)
+    with serving(started, "bank", "serve", "--listen", "127.0.0.1:0",
+                 "--ledger", ledger) as bank:
+        # the serving bank is the ledger's one writer: issuing waits for it to stop
+        assert run_cli("bank", "issue", "--ledger", ledger, "--count", "1") == 1
+        assert ledger in capsys.readouterr().err
+        with serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
+                     "--listen", "127.0.0.1:0",
+                     "--bank", f"127.0.0.1:{bank.address[1]}") as seller:
+            assert run_cli("buyer", "purchase", "--license", "basic", "--cards", str(cards),
+                           "--connect", f"127.0.0.1:{seller.address[1]}") == 0
+    assert "license: basic" in capsys.readouterr().out
+    replayed = CardLedger.replay(ledger)
+    assert (len(replayed.cards), replayed.balance("seller-1")) == (2, 2)
+    replayed.check_conservation()
+
+
+def test_seller_serve_holds_its_ledger_until_it_stops(tmp_path, capsys, started):
+    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
+    ledger = str(tmp_path / "ledger.tsv")
+    run_cli("bank", "issue", "--ledger", ledger, "--count", "1")
+    with serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
+                 "--ledger", ledger):
+        with pytest.raises(BlindpayError, match=re.escape(ledger)):
+            CardLedger(path=ledger)
+    CardLedger(path=ledger).close()
+
+
+def test_seller_serve_missing_ledger_exits_2(tmp_path, capsys):
+    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
+    missing = tmp_path / "ledger.tsv"
+    assert run_cli("seller", "serve", "--catalog", catp, "--secrets", secp,
+                   "--ledger", str(missing)) == 2
+    assert not missing.exists()
+
+
+def test_buyer_purchase_refresh_cannot_be_turned_off():
+    # one blinding factor for a whole purchase would let the seller link its steps
+    with pytest.raises(SystemExit) as exc:
+        run_cli("buyer", "purchase", "--license", "lic-a", "--cards", "cards.txt",
+                "--connect", "127.0.0.1:9", "--no-refresh")
+    assert exc.value.code == 2
+
+
+def test_arbitrate_refuses_a_record_not_of_the_catalog(tmp_path, capsys, params64):
+    # a buyer who edits K_1 in an answered record must not get a verdict
+    keys, cat, new_case = type_d_evidence(params64, None)
+    code, answered = seller_answer(tmp_path, keys, cat, new_case())
+    assert code == 0
+    catp = str(tmp_path / "cat.txt")
+    assert run_cli("arbitrate", "--case", str(answered), "--catalog", catp) == 0
+    record = parse_case(answered.read_text())
+    record.k_table[1] = pow_mod(params64.g, 2, params64)
+    answered.write_text(write_case(record))
+    capsys.readouterr()
+    assert run_cli("arbitrate", "--case", str(answered), "--catalog", catp) == 1
+    captured = capsys.readouterr()
+    assert "differs from the seller's catalog" in captured.err
+    assert "seller-at-fault" not in captured.out
 
 
 @contextlib.contextmanager

@@ -33,7 +33,6 @@ from blindpay.errors import (
     MalformedElement,
     MalformedEvidence,
     MissingKPower,
-    SellerUnresponsive,
 )
 from blindpay.group import dleq_verify, mul_mod, pow_mod
 from blindpay.purchase import (
@@ -217,14 +216,7 @@ def test_type_c_conflicting_values_seller_proof_fails(params64):
     assert case.stages[0].outcome == ESCALATED_TO_D
 
 
-class DeafAgent(SellerDisputeAgent):
-    def original_values(self, m, t):
-        raise SellerUnresponsive("no answer")
-
-
 def test_type_c_unresponsive_seller_at_fault(params64):
-    keys, cat, case = corrupt_signature_case(params64)
-    assert resolve_type_c(case, DeafAgent(keys, cat)).outcome == SELLER_AT_FAULT
     keys, cat, case = corrupt_signature_case(params64)
     assert resolve_type_c(case, None).outcome == SELLER_AT_FAULT
 

@@ -1,11 +1,13 @@
 import random
+import socket
 import threading
 
 import pytest
 
 import blindpay.purchase
 from blindpay import wire
-from blindpay.cards import CardLedger
+from blindpay.cards import CardLedger, CardStatus
+from blindpay.encoding import enc_bytes, enc_str, enc_u32
 from blindpay.dispute import (
     BUYER_CLAIM_REJECTED,
     SELLER_AT_FAULT,
@@ -328,18 +330,43 @@ def test_shared_remote_bank_keeps_replies_apart():
 
 def test_bank_rejects_bad_request_and_keeps_the_connection():
     ledger = CardLedger(rng=random.Random(13))
+    (card,) = ledger.issue_cards(1, 1)
+    ledger.distribute([card.card_id], "store-1")
     srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
     ep = wire.connect(*srv.address)
     try:
-        ep.send(wire.CardIssue(count=1, value=0))
-        reply = ep.recv()
-        assert isinstance(reply, wire.SpendErr) and reply.code == "bad-request"
         ep.send(wire.CardSpend(card_ids=(), account="seller-1"))
         reply = ep.recv()
         assert isinstance(reply, wire.SpendErr) and reply.code == "bad-request"
-        ep.send(wire.CardIssue(count=2, value=1))
+        ep.send(wire.CardSpend(card_ids=(card.card_id,), account="seller-1"))
         reply = ep.recv()
-        assert isinstance(reply, wire.SpendOk) and len(reply.receipts) == 2
+        assert isinstance(reply, wire.SpendOk) and len(reply.receipts) == 1
+    finally:
+        ep.close()
+        srv.stop()
+
+
+def test_bank_listener_neither_issues_nor_distributes():
+    # tags 1 and 2 once minted cards and sold them to a store for any
+    # client; they are reserved now and get an error reply
+    ledger = CardLedger(rng=random.Random(14))
+    sold, unsold = ledger.issue_cards(2, 1)
+    ledger.distribute([sold.card_id], "store-1")
+    seq = ledger._seq
+    srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    sock = socket.create_connection(srv.address)
+    ep = wire.SocketEndpoint(sock)
+    try:
+        for raw in (bytes([1]) + enc_u32(1) + enc_u32(1),
+                    bytes([2]) + enc_u32(1) + enc_bytes(bytes.fromhex(unsold.card_id))
+                    + enc_str("store-1")):
+            sock.sendall(wire.frame(raw))
+            reply = ep.recv()
+            assert isinstance(reply, wire.StepErr) and reply.code == "malformed", reply
+        assert (ledger._seq, len(ledger.cards)) == (seq, 2)
+        assert ledger.cards[unsold.card_id].status is CardStatus.GENERATED
+        ep.send(wire.CardSpend(card_ids=(sold.card_id,), account="seller-1"))
+        assert isinstance(ep.recv(), wire.SpendOk)
     finally:
         ep.close()
         srv.stop()
