@@ -6,69 +6,4 @@ decryption key out of the steps, and an arbitrator settles the conflicts
 that can arise.  See README.md for the tour.
 """
 
-from .cards import CardLedger, CardStatus, PrepaidCard, SpendReceipt
-from .catalog import (
-    Catalog,
-    LicenseEntry,
-    LicensePlaintext,
-    LicenseSpec,
-    SellerKeys,
-    decrypt_license,
-    derive_license_key,
-    encrypt_license,
-    parse_catalog,
-    serialize_catalog,
-    setup,
-    sign_terms,
-    verify_catalog,
-    verify_terms,
-)
-from .dispute import (
-    BUYER_CLAIM_REJECTED,
-    ESCALATED_TO_D,
-    SELLER_AT_FAULT,
-    SELLER_MUST_RESIGN,
-    DisputeCase,
-    SellerDisputeAgent,
-    Verdict,
-    build_type_b_case,
-    build_type_c_case,
-    build_type_d_case,
-    parse_case,
-    resolve_type_b,
-    resolve_type_c,
-    resolve_type_d_method1,
-    resolve_type_d_method2,
-    resolve_type_d_method3,
-    write_case,
-)
-from .group import (
-    DlEqProof,
-    GroupParams,
-    dleq_prove,
-    dleq_verify,
-    gen_params,
-    hash_to_group,
-    inv_mod,
-    is_member,
-    pow_mod,
-)
-from .harness import Metrics, OpCounter, Scenario, ScenarioReport, run_scenario
-from .purchase import (
-    MODE_BASIC,
-    MODE_ENHANCED,
-    PurchaseSession,
-    SellerStepHandler,
-    StepRequest,
-    StepResponse,
-    buyer_begin,
-    buyer_finish,
-    buyer_process_response,
-    buyer_step_request,
-    plan_steps,
-    run_purchase,
-    seller_handle_step,
-    upgrade,
-)
-
 __version__ = "0.1.0"

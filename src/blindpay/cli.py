@@ -229,11 +229,9 @@ def cmd_buyer_purchase(args) -> int:
 def cmd_arbitrate(args) -> int:
     with open(args.case, encoding="utf-8") as fh:
         case = parse_case(fh.read())
-    cat = None
-    if args.catalog:
-        with open(args.catalog, encoding="utf-8") as fh:
-            cat = parse_catalog(fh.read())
-        check_commitments(case, cat)
+    with open(args.catalog, encoding="utf-8") as fh:
+        cat = parse_catalog(fh.read())
+    check_commitments(case, cat)
     for label, verdict in resolve_case(case, catalog=cat):
         print(f"{label}: {verdict.outcome} (steps checked: {verdict.checked_steps})")
         print(f"  {verdict.rationale}")
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     arb = sub.add_parser("arbitrate", help="replay a dispute case record")
     arb.add_argument("--case", required=True)
-    arb.add_argument("--catalog")
+    arb.add_argument("--catalog", required=True)
     arb.set_defaults(fn=cmd_arbitrate)
 
     scenario = sub.add_parser("scenario", help="deterministic end-to-end runs")

@@ -41,6 +41,7 @@ from .errors import (
     BadStepSignature,
     CardError,
     MalformedElement,
+    MalformedMessage,
     NotDistributed,
     ScenarioInvalid,
     StepRejected,
@@ -261,9 +262,12 @@ def _spend_error(err: wire.SpendErr) -> CardError:
 def make_bank_handler(ledger: CardLedger):
     """Wire handler for a ledger's spend, the bank's only online operation
     (the ledger's writer issues and distributes cards offline).  A request
-    the ledger refuses gets a SpendErr reply; the connection stays up."""
+    the ledger refuses, or a frame that does not decode, gets a SpendErr
+    reply; the connection stays up."""
 
-    def handle(msg: wire.Message) -> wire.Message:
+    def handle(msg: wire.Message | MalformedMessage) -> wire.Message:
+        if isinstance(msg, MalformedMessage):
+            return wire.SpendErr(code="malformed", detail=str(msg), prior_seq=0)
         if not isinstance(msg, wire.CardSpend):
             return wire.SpendErr(code="unsupported", detail=type(msg).__name__, prior_seq=0)
         try:
@@ -282,12 +286,16 @@ def make_bank_handler(ledger: CardLedger):
 
 def make_seller_handler(step_handler, catalog: Catalog):
     """Wire handler for a seller: purchase steps and catalog fetches.  A
-    request it cannot serve gets a StepErr reply; the connection stays up.
-    Dispute evidence never comes through here: the seller answers a case
-    record file (``blindpay seller answer``)."""
+    request it cannot serve, or a frame that does not decode, gets a StepErr
+    reply; the connection stays up.  This is the one place a refused step
+    gets its code, over sockets and in memory alike.  Dispute evidence
+    never comes through here: the seller answers a case record file
+    (``blindpay seller answer``)."""
     catalog_text = serialize_catalog(catalog)
 
-    def answer(msg: wire.Message) -> wire.Message:
+    def answer(msg: wire.Message | MalformedMessage) -> wire.Message:
+        if isinstance(msg, MalformedMessage):
+            return wire.StepErr(code="malformed", detail=str(msg))
         if isinstance(msg, wire.StepReq):
             resp = step_handler.handle(StepRequest(card_ids=list(msg.card_ids), m=msg.m))
             return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
@@ -295,7 +303,7 @@ def make_seller_handler(step_handler, catalog: Catalog):
             return wire.CatalogDoc(text=catalog_text)
         return wire.StepErr(code="unsupported", detail=type(msg).__name__)
 
-    def handle(msg: wire.Message) -> wire.Message:
+    def handle(msg: wire.Message | MalformedMessage) -> wire.Message:
         try:
             return answer(msg)
         except CardError as exc:
@@ -308,22 +316,26 @@ def make_seller_handler(step_handler, catalog: Catalog):
     return handle
 
 
-def remote_step(address: tuple[str, int], req: StepRequest) -> StepResponse:
-    """Send one step to a seller server and return its response.  Each step
-    gets a connection of its own, closed after the reply: steps that shared
-    a connection would be linkable by the seller.  A StepErr or any other
-    reply raises StepRejected."""
-    ep = wire.connect(*address)
-    try:
-        ep.send(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
-        reply = ep.recv()
-    finally:
-        ep.close()
+def step_reply(reply: wire.Message) -> StepResponse:
+    """The buyer's reading of a seller's reply to one step.  A StepErr or
+    any other reply than StepResp raises StepRejected."""
     if isinstance(reply, wire.StepResp):
         return StepResponse(m_out=reply.m_out, step_signature=reply.signature)
     if isinstance(reply, wire.StepErr):
         raise StepRejected(reply.code, reply.detail)
     raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
+
+
+def remote_step(address: tuple[str, int], req: StepRequest) -> StepResponse:
+    """Send one step to a seller server and return its response.  Each step
+    gets a connection of its own, closed after the reply: steps that shared
+    a connection would be linkable by the seller."""
+    ep = wire.connect(*address)
+    try:
+        ep.send(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
+        return step_reply(ep.recv())
+    finally:
+        ep.close()
 
 
 # --- the runner -----------------------------------------------------------------------
@@ -404,20 +416,18 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
     handler = SellerStepHandler(keys, params, bank, "seller-1", ops=seller_ops)
     faulty = FaultingSeller(handler, sc.fault, sc.fault_step)
 
+    seller = make_seller_handler(faulty, cat)
     closers = []
     if sc.transport == "socket":
         bank_srv = wire.Server("127.0.0.1", 0, make_bank_handler(bank)).start()
         bank_ep = wire.connect(*bank_srv.address)
         handler.bank = RemoteBank(bank_ep)
-        seller_srv = wire.Server("127.0.0.1", 0, make_seller_handler(faulty, cat)).start()
+        seller_srv = wire.Server("127.0.0.1", 0, seller).start()
         closers = [bank_ep.close, bank_srv.stop, seller_srv.stop]
         raw_step = functools.partial(remote_step, seller_srv.address)
     else:
         def raw_step(req: StepRequest) -> StepResponse:
-            try:
-                return faulty.handle(req)
-            except CardError as exc:
-                raise StepRejected(card_error_code(exc), exc.card_id)
+            return step_reply(seller(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m)))
 
     def step_fn(req: StepRequest) -> StepResponse:
         buyer_ops.messages_sent += 1

@@ -1,4 +1,4 @@
-"""Binary message formats and transports between the four parties.
+"""Binary message formats and the TCP transport between the four parties.
 
 One byte of type tag, then the type's fields in the canonical encoding.
 Each message type states its layout once, in ``WIRE``: one field kind per
@@ -16,13 +16,12 @@ identifiers, step counters.  A step request looks exactly the same whether
 it is the first unit of a purchase or the last.
 
 The channel itself is assumed confidential and authenticated (the usual
-TLS-shaped seam); both transports here deliver plaintext bytes and a
-production deployment wraps the socket one accordingly.
+TLS-shaped seam); the TCP transport here delivers plaintext bytes and a
+production deployment wraps it accordingly.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 from dataclasses import dataclass, fields
@@ -217,45 +216,7 @@ class FrameDecoder:
         return out
 
 
-# --- transports -------------------------------------------------------------------
-
-class MemoryEndpoint:
-    """One side of an in-process connection.  Messages still round-trip
-    through the codec and framing, so byte counts are real."""
-
-    def __init__(self):
-        self._inbox: queue.Queue[bytes | None] = queue.Queue()
-        self._peer: "MemoryEndpoint | None" = None
-        self._closed = False
-
-    @staticmethod
-    def pair() -> tuple["MemoryEndpoint", "MemoryEndpoint"]:
-        a, b = MemoryEndpoint(), MemoryEndpoint()
-        a._peer, b._peer = b, a
-        return a, b
-
-    def send(self, msg: Message):
-        if self._closed or self._peer is None:
-            raise ConnectionClosed("endpoint closed")
-        self._peer._inbox.put(frame(encode(msg)))
-
-    def recv(self, timeout: float = 5.0) -> Message:
-        try:
-            raw = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise WireTimeout(f"no message within {timeout}s")
-        if raw is None:
-            raise ConnectionClosed("peer closed the connection")
-        dec = FrameDecoder()
-        frames = dec.feed(raw)
-        return decode(frames[0])
-
-    def close(self):
-        if not self._closed:
-            self._closed = True
-            if self._peer is not None:
-                self._peer._inbox.put(None)
-
+# --- TCP transport -------------------------------------------------------------------
 
 class SocketEndpoint:
     """One TCP connection carrying framed messages."""
@@ -302,7 +263,9 @@ def connect(host: str, port: int, timeout: float = 5.0) -> SocketEndpoint:
 
 class Server:
     """Threaded request/response server: one handler call per message, one
-    connection per dialogue, no state shared between connections."""
+    connection per dialogue, no state shared between connections.  A frame
+    that does not decode is handed to the handler as its MalformedMessage,
+    so each listener answers it in its own reply type."""
 
     def __init__(self, host: str, port: int, handle):
         self._handle = handle
@@ -312,6 +275,8 @@ class Server:
         self._sock.listen(32)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._conns: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -333,6 +298,10 @@ class Server:
             threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
 
     def _serve_conn(self, conn: socket.socket):
+        # registered before the stop flag is read, so stop() either sees
+        # this connection or this loop sees the flag
+        with self._conns_lock:
+            self._conns.add(conn)
         ep = SocketEndpoint(conn, timeout=30.0)
         try:
             while not self._stop.is_set():
@@ -341,23 +310,26 @@ class Server:
                 except (ConnectionClosed, WireTimeout, OversizeFrame):
                     break
                 except MalformedMessage as exc:
-                    ep.send(StepErr(code="malformed", detail=str(exc)))
-                    continue
-                try:
-                    reply = self._handle(msg)
-                except MalformedMessage as exc:
-                    reply = StepErr(code="malformed", detail=str(exc))
-                if reply is not None:
-                    ep.send(reply)
+                    msg = exc
+                ep.send(self._handle(msg))
         except ConnectionClosed:
             pass
         finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
             ep.close()
 
     def stop(self):
+        """Stop accepting and shut down every connection being served."""
         self._stop.set()
         try:
             self._sock.close()
         except OSError:
             pass
+        with self._conns_lock:
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
         self._thread.join(timeout=2.0)

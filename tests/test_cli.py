@@ -108,9 +108,10 @@ def test_arbitrate_replay(tmp_path, capsys, params64):
     case = build_type_d_case(cat, session)
     from blindpay.dispute import resolve_type_d_method1
     resolve_type_d_method1(case, agent)  # records the proofs
-    path = tmp_path / "case.txt"
+    path, catp = tmp_path / "case.txt", tmp_path / "cat.txt"
     path.write_text(write_case(case))
-    assert run_cli("arbitrate", "--case", str(path)) == 0
+    catp.write_text(serialize_catalog(cat))
+    assert run_cli("arbitrate", "--case", str(path), "--catalog", str(catp)) == 0
     out = capsys.readouterr().out
     assert "D-method1: seller-at-fault" in out
 
@@ -120,9 +121,10 @@ def test_arbitrate_type_c_record(tmp_path, capsys, params64):
     from test_dispute import corrupt_signature_case
     keys, cat, case = corrupt_signature_case(params64, seed=81)
     live = resolve_type_c(case, SellerDisputeAgent(keys, cat, random.Random(2)))
-    path = tmp_path / "case-c.txt"
+    path, catp = tmp_path / "case-c.txt", tmp_path / "cat.txt"
     path.write_text(write_case(case))
-    assert run_cli("arbitrate", "--case", str(path)) == 0
+    catp.write_text(serialize_catalog(cat))
+    assert run_cli("arbitrate", "--case", str(path), "--catalog", str(catp)) == 0
     out = capsys.readouterr().out
     assert f"C: {live.outcome}" in out
 
@@ -163,7 +165,8 @@ def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, e
     assert not any(line.startswith("s_revealed:")
                    for line in answered.read_text().splitlines())
     capsys.readouterr()
-    assert run_cli("arbitrate", "--case", str(answered)) == 0
+    assert run_cli("arbitrate", "--case", str(answered),
+                   "--catalog", str(tmp_path / "cat.txt")) == 0
     assert capsys.readouterr().out == "".join(
         f"{label}: {v.outcome} (steps checked: {v.checked_steps})\n  {v.rationale}\n"
         for label, v in live)
@@ -185,7 +188,8 @@ def test_seller_answer_signs_only_its_own_values(tmp_path, capsys, params64):
     assert record.seller_resign is None or not verify_payload(
         cat.verify_pk, step_payload(m, forged_out), record.seller_resign)
     capsys.readouterr()
-    assert run_cli("arbitrate", "--case", str(answered)) == 0
+    assert run_cli("arbitrate", "--case", str(answered),
+                   "--catalog", str(tmp_path / "cat.txt")) == 0
     assert f"C: {BUYER_CLAIM_REJECTED}" in capsys.readouterr().out
 
 
@@ -207,7 +211,8 @@ def test_seller_answer_ignores_seller_material_in_the_record(tmp_path, capsys, p
     record = parse_case(answered.read_text())
     assert record.audit_x == cat.entry(record.audit_license_id).x
     capsys.readouterr()
-    assert run_cli("arbitrate", "--case", str(answered)) == 0
+    assert run_cli("arbitrate", "--case", str(answered),
+                   "--catalog", str(tmp_path / "cat.txt")) == 0
     out = capsys.readouterr().out
     assert f"D-method1: {BUYER_CLAIM_REJECTED}" in out
     assert f"D-method2: {BUYER_CLAIM_REJECTED}" in out
@@ -349,6 +354,17 @@ def test_buyer_purchase_refresh_cannot_be_turned_off():
     with pytest.raises(SystemExit) as exc:
         run_cli("buyer", "purchase", "--license", "lic-a", "--cards", "cards.txt",
                 "--connect", "127.0.0.1:9", "--no-refresh")
+    assert exc.value.code == 2
+
+
+def test_arbitrate_requires_the_catalog(tmp_path, params64):
+    # without it the record's own group, verify_pk and K table, which the
+    # buyer wrote, would be the commitments it is judged against
+    keys, cat, new_case = type_d_evidence(params64, None)
+    path = tmp_path / "case.txt"
+    path.write_text(write_case(new_case()))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("arbitrate", "--case", str(path))
     assert exc.value.code == 2
 
 

@@ -26,7 +26,12 @@ from blindpay.dispute import (
     verify_k_table,
     write_case,
 )
-from blindpay.catalog import with_published_terms
+from blindpay.catalog import (
+    k_table_payload,
+    sign_payload,
+    verify_catalog,
+    with_published_terms,
+)
 from blindpay.errors import (
     AuthenticationFailure,
     BadStepSignature,
@@ -495,3 +500,32 @@ def test_k_table_consistency_proofs(params64):
     assert verify_k_table(cat, proofs)
     cat.k_table[4] = mul_mod(cat.k_table[4], params64.g, params64)
     assert not verify_k_table(cat, proofs)
+
+
+def test_k_table_on_a_wrong_exponent_passes_methods_1_and_3(params64):
+    # The seller publishes a self-consistent K table built on e = 7s + 3,
+    # not on the s its licenses are encrypted under, and answers steps and
+    # proofs with e.  The catalog verifies, and so do the K table's
+    # consistency proofs, yet the buyer's key is dead.
+    p = params64
+    keys, cat = make_catalog(p, prices=(2, 3), seed=90)
+    liar = replace(keys, s=(7 * keys.s + 3) % p.q)
+    k_table = {t: pow_mod(p.g, pow(liar.s, t, p.q), p) for t in cat.k_table}
+    cat = replace(cat, k_table=k_table,
+                  k_table_signature=sign_payload(keys.sign_sk, k_table_payload(p, k_table)))
+    assert verify_catalog(cat) == []
+    assert verify_k_table(cat, prove_k_table(liar, cat, random.Random(91)))
+    bank = CardLedger(rng=random.Random(92))
+    session = buyer_begin(cat, "lic-3", fund(bank, [1, 1, 1]), refresh_blinding=False,
+                          rng=random.Random(93))
+    with pytest.raises(AuthenticationFailure):
+        run_purchase(session, SellerStepHandler(liar, p, bank, "seller-1").handle)
+    verdicts = dict(resolve_case(build_type_d_case(cat, session), catalog=cat,
+                                 seller=SellerDisputeAgent(liar, cat, random.Random(94)),
+                                 rng=random.Random(95)))
+    assert verdicts["D-method2"].outcome == SELLER_AT_FAULT
+    assert verdicts["D-method2"].rationale == "revealed key does not decrypt the audited license"
+    # ROADMAP 4a's open hole: both methods find the seller honest.  Its fix
+    # must flip these two to SELLER_AT_FAULT.
+    assert verdicts["D-method1"].outcome == BUYER_CLAIM_REJECTED
+    assert verdicts["D-method3"].outcome == BUYER_CLAIM_REJECTED

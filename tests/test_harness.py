@@ -1,6 +1,8 @@
 import random
 import socket
 import threading
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +23,9 @@ from blindpay.dispute import (
     resolve_type_d_method2,
     write_case,
 )
-from blindpay.errors import ScenarioInvalid
+from blindpay.errors import AlreadySpent, ConnectionClosed, ScenarioInvalid
 from blindpay.harness import (
+    FAULTS,
     Metrics,
     RemoteBank,
     Scenario,
@@ -222,6 +225,19 @@ def test_socket_scenario_matches_memory():
     assert mem.metrics.records() == sock.metrics.records()
 
 
+def test_memory_and_socket_reports_agree():
+    # both transports answer steps through the one make_seller_handler
+    for mode in ("basic", "enhanced"):
+        for fault in FAULTS:
+            for refresh in (False, True):
+                step = 2 if fault in ("corrupt-signature", "wrong-s", "double-spend") else 0
+                sc = Scenario(mode=mode, price=5, refresh=refresh, seed=0, fault=fault,
+                              fault_step=step)
+                mem = run_scenario(sc).render()
+                sock = run_scenario(replace(sc, transport="socket")).render()
+                assert sock == mem.replace("transport=memory", "transport=socket"), sc
+
+
 def test_run_sweep_tables_all_pass():
     table = report_tables(run_sweep(prices=(1, 2, 4, 8, 16, 31), seed=7))
     assert "FAIL" not in table
@@ -237,34 +253,39 @@ def test_report_tables_flags_failures():
 
 # --- remote bank and seller over the wire --------------------------------------------------
 
-def test_remote_bank_over_memory_pair(params64):
+def test_remote_bank_over_a_bank_server():
     ledger = CardLedger(rng=random.Random(11))
     cards = ledger.issue_cards(2, 1)
     ledger.distribute([c.card_id for c in cards], "store-1")
-    a, b = wire.MemoryEndpoint.pair()
-    handle = make_bank_handler(ledger)
-
-    import threading
-
-    def bank_side():
-        for _ in range(3):
-            try:
-                b.send(handle(b.recv(timeout=1.0)))
-            except Exception:
-                return
-
-    t = threading.Thread(target=bank_side)
-    t.start()
-    remote = RemoteBank(a)
-    receipts = remote.spend_atomic([cards[0].card_id], "seller-1")
-    assert receipts[0].value == 1
-    from blindpay.errors import AlreadySpent
-    with pytest.raises(AlreadySpent) as exc:
-        remote.spend_atomic([cards[0].card_id], "seller-1")
-    assert exc.value.prior_seq == receipts[0].seq
-    a.close()
-    t.join(timeout=2)
+    srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    remote = RemoteBank(wire.connect(*srv.address))
+    try:
+        receipts = remote.spend_atomic([cards[0].card_id], "seller-1")
+        assert receipts[0].value == 1
+        with pytest.raises(AlreadySpent) as exc:
+            remote.spend_atomic([cards[0].card_id], "seller-1")
+        assert exc.value.prior_seq == receipts[0].seq
+    finally:
+        remote.close()
+        srv.stop()
     assert ledger.balance("seller-1") == 1
+
+
+def test_stopped_bank_server_closes_its_connections():
+    ledger = CardLedger(rng=random.Random(15))
+    cards = ledger.issue_cards(2, 1)
+    ledger.distribute([c.card_id for c in cards], "store-1")
+    srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    remote = RemoteBank(wire.connect(*srv.address))
+    try:
+        remote.spend_atomic([cards[0].card_id], "seller-1")
+        time.sleep(0.1)  # the connection's thread is back in its receive
+        srv.stop()
+        with pytest.raises(ConnectionClosed):
+            remote.spend_atomic([cards[1].card_id], "seller-1")
+    finally:
+        remote.close()
+    assert ledger.cards[cards[1].card_id].status is CardStatus.DISTRIBUTED
 
 
 class FirstReplyHeldBack:
@@ -289,7 +310,7 @@ class FirstReplyHeldBack:
         if first:
             self.first_waiting.set()
             self.replied.wait(timeout=0.5)
-        reply = self.inner.recv(timeout=2.0)
+        reply = self.inner.recv()
         self.replied.set()
         return reply
 
@@ -298,18 +319,8 @@ def test_shared_remote_bank_keeps_replies_apart():
     ledger = CardLedger(rng=random.Random(12))
     cards = ledger.issue_cards(2, 1)
     ledger.distribute([c.card_id for c in cards], "store-1")
-    a, b = wire.MemoryEndpoint.pair()
-    handle = make_bank_handler(ledger)
-
-    def bank_side():
-        while True:
-            try:
-                b.send(handle(b.recv(timeout=2.0)))
-            except Exception:
-                return
-
-    threading.Thread(target=bank_side, daemon=True).start()
-    endpoint = FirstReplyHeldBack(a)
+    srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    endpoint = FirstReplyHeldBack(wire.connect(*srv.address))
     remote = RemoteBank(endpoint)
     got = {}
 
@@ -324,7 +335,8 @@ def test_shared_remote_bank_keeps_replies_apart():
     second.start()
     first.join(timeout=5)
     second.join(timeout=5)
-    a.close()
+    endpoint.inner.close()
+    srv.stop()
     assert got == {c.card_id: [c.card_id] for c in cards}
 
 
@@ -348,7 +360,8 @@ def test_bank_rejects_bad_request_and_keeps_the_connection():
 
 def test_bank_listener_neither_issues_nor_distributes():
     # tags 1 and 2 once minted cards and sold them to a store for any
-    # client; they are reserved now and get an error reply
+    # client; they are reserved now and, like any tag the bank cannot
+    # decode, get the bank's own error reply
     ledger = CardLedger(rng=random.Random(14))
     sold, unsold = ledger.issue_cards(2, 1)
     ledger.distribute([sold.card_id], "store-1")
@@ -359,10 +372,11 @@ def test_bank_listener_neither_issues_nor_distributes():
     try:
         for raw in (bytes([1]) + enc_u32(1) + enc_u32(1),
                     bytes([2]) + enc_u32(1) + enc_bytes(bytes.fromhex(unsold.card_id))
-                    + enc_str("store-1")):
+                    + enc_str("store-1"),
+                    bytes([99])):
             sock.sendall(wire.frame(raw))
             reply = ep.recv()
-            assert isinstance(reply, wire.StepErr) and reply.code == "malformed", reply
+            assert isinstance(reply, wire.SpendErr) and reply.code == "malformed", reply
         assert (ledger._seq, len(ledger.cards)) == (seq, 2)
         assert ledger.cards[unsold.card_id].status is CardStatus.GENERATED
         ep.send(wire.CardSpend(card_ids=(sold.card_id,), account="seller-1"))
@@ -377,9 +391,13 @@ def test_seller_refuses_bad_query_and_keeps_the_connection(params64):
     ledger = CardLedger(rng=random.Random(19))
     handler = SellerStepHandler(keys, params64, ledger, "seller-1")
     srv = wire.Server("127.0.0.1", 0, make_seller_handler(handler, cat)).start()
-    ep = wire.connect(*srv.address)
+    sock = socket.create_connection(srv.address)
+    ep = wire.SocketEndpoint(sock)
     m = blindpay.purchase.pow_mod(params64.g, 777, params64)
     try:
+        sock.sendall(wire.frame(bytes([99])))
+        reply = ep.recv()
+        assert isinstance(reply, wire.StepErr) and reply.code == "malformed"
         ep.send(wire.StepReq(card_ids=("00" * 16,), m=m))
         reply = ep.recv()
         assert isinstance(reply, wire.StepErr) and reply.code == "unknown-card"
