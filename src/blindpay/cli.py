@@ -34,7 +34,7 @@ from .dispute import (
     write_case,
 )
 from .errors import BadStepSignature, BlindpayError, ScenarioInvalid, StepRejected
-from .group import gen_params
+from .group import NAMED_GROUPS, gen_params, named_group
 from .purchase import SellerStepHandler, buyer_begin, run_purchase
 
 EXIT_OK = 0
@@ -48,6 +48,17 @@ def _addr(text: str) -> tuple[str, int]:
     if not sep:
         raise argparse.ArgumentTypeError(f"address {text!r} is not HOST:PORT")
     return host or "127.0.0.1", int(port)
+
+
+def _group_bits(text: str) -> int | str:
+    """A bit length for a generated group, or the name of an RFC 7919 group."""
+    if text in NAMED_GROUPS:
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is neither a bit length nor one of {', '.join(NAMED_GROUPS)}") from None
 
 
 def _read_secrets(path: str) -> SellerKeys:
@@ -130,7 +141,8 @@ def cmd_bank_issue(args) -> int:
 
 def cmd_seller_init(args) -> int:
     rng = random.Random(args.seed)
-    params = gen_params(args.group_bits, seed=rng.randrange(2**63))
+    params = (named_group(args.group_bits) if isinstance(args.group_bits, str)
+              else gen_params(args.group_bits, seed=rng.randrange(2**63)))
     specs = []
     for text in args.license:
         try:
@@ -309,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     init = seller_sub.add_parser("init", help="run setup and publish a catalog")
     init.add_argument("--catalog", required=True)
     init.add_argument("--secrets", required=True)
-    init.add_argument("--group-bits", type=int, default=64)
+    init.add_argument("--group-bits", type=_group_bits, default=64,
+                      help="bits of a generated group, or ffdhe2048 or ffdhe3072")
     init.add_argument("--seed", type=int, default=0)
     init.add_argument("--x-label", default=None,
                       help="shared encryption factor label (enables upgrades)")

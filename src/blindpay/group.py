@@ -24,6 +24,12 @@ Membership is decided by the Jacobi symbol, which equals the Legendre
 symbol for a prime n and so, by Euler's criterion, marks exactly the
 quadratic residues.  That holds only when n = 2q + 1 is a safe prime: every
 function here assumes its GroupParams have passed validate().
+
+validate() proves n and q prime by Miller-Rabin, 77 rounds each at 2048
+bits (about 6 s), except for the RFC 7919 groups of named_group().  Their n
+is recognised by equality with a prime derived at import and pinned by its
+SHA-256, so the safe-prime precondition of is_member holds for them too;
+every other check (n = 2q + 1, bits, the generator) runs for every group.
 """
 
 from __future__ import annotations
@@ -93,7 +99,8 @@ class GroupParams:
     def validate(self):
         if self.n != 2 * self.q + 1:
             raise ValueError("n != 2q + 1")
-        if not is_probable_prime(self.n) or not is_probable_prime(self.q):
+        if self.n not in _NAMED_PRIMES and not (
+                is_probable_prime(self.n) and is_probable_prime(self.q)):
             raise ValueError("n and q must both be prime")
         if self.bits != self.n.bit_length():
             raise ValueError("bits field disagrees with n")
@@ -127,6 +134,56 @@ def gen_params(bits: int, seed: int | None = None) -> GroupParams:
         if g != 1:
             break
     return GroupParams(n=n, q=q, g=g, bits=bits)
+
+
+# --- RFC 7919 named groups ------------------------------------------------------
+#
+#     p = 2^b - 2^(b-64) + (floor(2^(b-130) * e) + X) * 2^64 - 1
+#
+# Each p is a safe prime with p = 7 (mod 8), so 2 is a quadratic residue and
+# g = 2 generates the order-q subgroup.  The digest pins the derivation to
+# the published prime: a wrong one fails at import, not as another group.
+
+# name: (b, X, SHA-256 of p big-endian)
+_FFDHE = {
+    "ffdhe2048": (2048, 560316,
+                  "9cd3b7f336872f46c09428d1bbc19877a4d440512cda8d1c1cf0cd6e33698966"),
+    "ffdhe3072": (3072, 2625351,
+                  "0eaf67db3a839156d5013494a5318a772b5697d270d721f37f092efc69ea5a17"),
+}
+
+
+def _e_fixed(bits: int) -> int:
+    """floor(e * 2^bits) from the series sum(1/k!), with 64 guard bits."""
+    one = 1 << (bits + 64)
+    total, term, k = 0, one, 0
+    while term:
+        total += term
+        k += 1
+        term //= k
+    return total >> 64
+
+
+def _ffdhe(name: str, bits: int, x: int, sha256: str) -> GroupParams:
+    n = 2**bits - 2**(bits - 64) + (_e_fixed(bits - 130) + x) * 2**64 - 1
+    digest = hashlib.sha256(n.to_bytes(bits // 8, "big")).hexdigest()
+    if digest != sha256:
+        raise ValueError(f"{name} derivation has digest {digest}, want {sha256}")
+    return GroupParams(n=n, q=n // 2, g=2, bits=bits)
+
+
+NAMED_GROUPS = {name: _ffdhe(name, *spec) for name, spec in _FFDHE.items()}
+# validate() takes these as prime by equality instead of by Miller-Rabin
+_NAMED_PRIMES = frozenset(p.n for p in NAMED_GROUPS.values())
+
+
+def named_group(name: str) -> GroupParams:
+    """The RFC 7919 group called `name` ("ffdhe2048" or "ffdhe3072")."""
+    try:
+        return NAMED_GROUPS[name]
+    except KeyError:
+        raise ValueError(f"unknown group {name!r}, want one of "
+                         f"{', '.join(NAMED_GROUPS)}") from None
 
 
 def _jacobi(a: int, m: int) -> int:

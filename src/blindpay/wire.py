@@ -273,27 +273,22 @@ class Server:
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(32)
+        # kept, so the address stays readable once stop() closes the socket
+        self.address: tuple[str, int] = self._sock.getsockname()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._conns: set[socket.socket] = set()
         self._conns_lock = threading.Lock()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._sock.getsockname()
 
     def start(self) -> "Server":
         self._thread.start()
         return self
 
     def _accept_loop(self):
-        self._sock.settimeout(0.2)
         while not self._stop.is_set():
             try:
                 conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # stop() shut the listening socket down
                 break
             threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
 
@@ -323,13 +318,17 @@ class Server:
         """Stop accepting and shut down every connection being served."""
         self._stop.set()
         try:
-            self._sock.close()
+            # wakes a blocked accept(), which close() alone does not
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
         with self._conns_lock:
             for conn in self._conns:
                 try:
                     conn.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
-        self._thread.join(timeout=2.0)
+        # a thread not yet started (stop() raced start()) exits on the flag
+        if self._thread.is_alive():
+            self._thread.join(timeout=2.0)

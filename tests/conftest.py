@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from blindpay import group
 from blindpay.catalog import LicensePlaintext, LicenseSpec, setup
 from blindpay.group import GroupParams, gen_params
 
@@ -28,6 +29,20 @@ def params32():
 @pytest.fixture(scope="session")
 def params64():
     return gen_params(64, seed=103).validate()
+
+
+@pytest.fixture
+def prime_tests(monkeypatch):
+    """The numbers put through group.is_probable_prime, in call order."""
+    calls = []
+    is_probable_prime = group.is_probable_prime
+
+    def counting(m):
+        calls.append(m)
+        return is_probable_prime(m)
+
+    monkeypatch.setattr(group, "is_probable_prime", counting)
+    return calls
 
 
 def make_catalog(params, prices=(1, 2, 3, 5), seed=7, shared_x=None, terms="read-only"):

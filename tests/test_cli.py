@@ -22,7 +22,7 @@ from blindpay.dispute import (
 )
 from blindpay.encoding import enc_int, enc_u32
 from blindpay.errors import BlindpayError
-from blindpay.group import DlEqProof, pow_mod
+from blindpay.group import DlEqProof, named_group, pow_mod
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler
 from blindpay.purchase import SellerStepHandler, step_payload
 
@@ -48,6 +48,25 @@ def test_seller_init_and_verify_catalog(tmp_path, capsys):
     assert run_cli("verify-catalog", cat) == 0
     out = capsys.readouterr().out
     assert "catalog ok" in out
+
+
+def test_seller_init_with_a_named_group(tmp_path, capsys):
+    cat = str(tmp_path / "cat.txt")
+    sec = str(tmp_path / "sec.txt")
+    assert run_cli("seller", "init", "--catalog", cat, "--secrets", sec,
+                   "--group-bits", "ffdhe2048", "--license", "a:2:t") == 0
+    assert run_cli("verify-catalog", cat) == 0
+    assert "catalog ok" in capsys.readouterr().out
+    assert parse_catalog((tmp_path / "cat.txt").read_text()).params == named_group("ffdhe2048")
+
+
+@pytest.mark.parametrize("value", ["ffdhe1024", "2048bits", ""])
+def test_seller_init_refuses_an_unknown_group(tmp_path, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("seller", "init", "--catalog", str(tmp_path / "cat.txt"),
+                "--secrets", str(tmp_path / "sec.txt"), "--group-bits", value,
+                "--license", "a:2:t")
+    assert exc.value.code == 2
 
 
 def test_verify_catalog_flags_tampering(tmp_path, capsys):

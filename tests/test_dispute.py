@@ -39,7 +39,7 @@ from blindpay.errors import (
     MalformedEvidence,
     MissingKPower,
 )
-from blindpay.group import dleq_verify, mul_mod, pow_mod
+from blindpay.group import dleq_verify, mul_mod, named_group, pow_mod
 from blindpay.purchase import (
     MODE_ENHANCED,
     SellerStepHandler,
@@ -176,6 +176,12 @@ def corrupt_signature_case(params, seed=50):
     with pytest.raises(BadStepSignature) as exc:
         buyer_process_response(session, corrupt)
     return keys, cat, build_type_c_case(cat, exc.value)
+
+
+def test_parse_case_of_a_named_group_runs_no_miller_rabin(prime_tests):
+    _, _, case = corrupt_signature_case(named_group("ffdhe2048"))
+    assert parse_case(write_case(case)).params == named_group("ffdhe2048")
+    assert prime_tests == []
 
 
 def test_type_c_seller_agrees_must_resign(params64):

@@ -1,4 +1,7 @@
+import hashlib
+import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from blindpay.group import (
     is_member,
     is_probable_prime,
     mul_mod,
+    named_group,
     pow_fixed,
     pow_mod,
 )
@@ -97,6 +101,69 @@ def test_validate_rejects_bad_params():
         GroupParams(n=23, q=11, g=5, bits=5).validate()  # 5 is not a QR mod 23
     with pytest.raises(ValueError):
         GroupParams(n=23, q=11, g=1, bits=5).validate()
+
+
+# --- RFC 7919 named groups ---------------------------------------------------------
+
+FFDHE_SHA256 = {
+    "ffdhe2048": "9cd3b7f336872f46c09428d1bbc19877a4d440512cda8d1c1cf0cd6e33698966",
+    "ffdhe3072": "0eaf67db3a839156d5013494a5318a772b5697d270d721f37f092efc69ea5a17",
+}
+
+
+@pytest.mark.parametrize("name,bits", [("ffdhe2048", 2048), ("ffdhe3072", 3072)])
+def test_named_groups_are_the_pinned_primes(name, bits):
+    p = named_group(name)
+    assert hashlib.sha256(p.n.to_bytes(bits // 8, "big")).hexdigest() == FFDHE_SHA256[name]
+    assert p.bits == bits == p.n.bit_length()
+    assert p.g == 2 and p.n % 8 == 7
+    assert p.n == 2 * p.q + 1
+
+
+def test_unknown_group_name_is_refused():
+    with pytest.raises(ValueError):
+        named_group("ffdhe1024")
+
+
+def test_ffdhe2048_equals_the_benchmark_copy(monkeypatch):
+    # perfbench/ derives the same group for itself; it is imported, never edited
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    import ffdhe
+
+    assert ffdhe.ffdhe2048(GroupParams) == named_group("ffdhe2048")
+
+
+def test_named_groups_validate_without_miller_rabin(prime_tests):
+    for name in FFDHE_SHA256:
+        assert named_group(name).validate() == named_group(name)
+    assert prime_tests == []
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: {"q": p.q + 1},       # n != 2q + 1
+    lambda p: {"q": p.q - 1},
+    lambda p: {"bits": p.bits + 1},
+    lambda p: {"g": 1},
+    lambda p: {"g": p.n - 1},       # -1 is a non-residue mod a p = 7 (mod 8)
+    lambda p: {"g": 0},
+    lambda p: {"g": p.n},
+])
+@pytest.mark.parametrize("name", list(FFDHE_SHA256))
+def test_named_groups_keep_every_cheap_check(name, edit, prime_tests):
+    p = named_group(name)
+    with pytest.raises(ValueError):
+        replace(p, **edit(p)).validate()
+    assert prime_tests == []
+
+
+def test_an_unnamed_2048_bit_modulus_still_runs_miller_rabin(prime_tests):
+    rng = random.Random(2048)
+    q = rng.getrandbits(2047) | 1 << 2046 | 1
+    n = 2 * q + 1
+    with pytest.raises(ValueError, match="prime"):
+        GroupParams(n=n, q=q, g=4, bits=2048).validate()
+    assert prime_tests and prime_tests[0] == n
 
 
 def test_gen_params_8bit_subgroup_closure():

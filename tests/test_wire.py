@@ -258,3 +258,31 @@ def test_socket_concurrent_connections():
         t.join()
     srv.stop()
     assert errors == []
+
+
+def test_stop_wakes_an_idle_accept_at_once():
+    import socket as socketlib
+    import time
+
+    srv = wire.Server("127.0.0.1", 0, lambda msg: msg).start()
+    address = srv.address
+    time.sleep(0.05)  # let the accept loop block in accept()
+    t0 = time.perf_counter()
+    srv.stop()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.1, f"stop() took {elapsed:.3f} s"
+    assert not srv._thread.is_alive()
+    with pytest.raises(OSError):
+        socketlib.create_connection(address, timeout=1).close()
+
+
+def test_stop_may_come_before_start():
+    # a serve command's start() can still be under way when another thread
+    # stops its server
+    srv = wire.Server("127.0.0.1", 0, lambda msg: msg)
+    address = srv.address
+    srv.stop()
+    srv.start()
+    srv._thread.join(timeout=2)
+    assert not srv._thread.is_alive()
+    assert srv.address == address
