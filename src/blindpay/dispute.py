@@ -10,9 +10,13 @@ Three resolvable dispute kinds:
 arise: without completing the steps the buyer holds only blinded values.)
 
 Type D has three proof methods, all anchored in the seller's public
-commitments: per-step equality proofs against the K table, an audited
-key chain for a randomly chosen license, or outright disclosure of the
-generation factor.
+commitments: equality proofs against the K table, an audited key chain
+for a randomly chosen license, or outright disclosure of the generation
+factor.  Methods 1 and 2 batch their proofs: every step of value t uses
+the exponent s^t, so one proof over a composite of those steps
+(group.dleq_composite) covers them all.  A batch that fails falls back to
+one proof per step, which names the first bad step; a record without
+batch proofs still replays to the same verdicts.
 
 Resolvers work from a DisputeCase.  When a seller agent is supplied (a
 live seller agent, or answer_case behind ``blindpay seller answer``), its
@@ -48,6 +52,7 @@ from .errors import (
 from .group import (
     DlEqProof,
     GroupParams,
+    dleq_composite,
     dleq_prove,
     dleq_verify,
     ensure_member,
@@ -107,6 +112,8 @@ class DisputeCase:
     chain: list[int] | None = None
     link_proofs: list[DlEqProof] | None = None
     segment_proofs: list[DlEqProof] | None = None
+    # one proof per ("step" | "segment", t) or ("link", 1); see _batch_holds
+    batch_proofs: dict[tuple[str, int], DlEqProof] = field(default_factory=dict)
     s_revealed: int | None = None
     # verdict trail (not evidence, not serialized)
     stages: list[Verdict] = field(default_factory=list)
@@ -321,22 +328,30 @@ def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) 
 
 def resolve_type_d_method1(case: DisputeCase,
                            seller: SellerDisputeAgent | None = None) -> Verdict:
-    """Per-step equality proofs against the public K table.
+    """Equality proofs against the public K table.
 
-    For step k of value t the seller proves that the response is the
-    request raised to the very exponent committed in K_t.  Nothing private
-    leaves the seller.
+    For the steps of value t the seller proves that each response is the
+    request raised to the very exponent committed in K_t: one batched proof
+    for all of them, or one proof per step where the batch fails.  Nothing
+    private leaves the seller.
     """
     _require_d(case)
     if case.step_proofs is None:
         case.step_proofs = [None] * len(case.steps)
     if len(case.step_proofs) != len(case.steps):
         raise MalformedEvidence("one proof per step required")
+    g = case.params.g
+    signed = [_step_signed(case, st) for st in case.steps]
+    proven = _proven_in_batches(
+        case, "step", signed, seller,
+        lambda t: (g, case.k_table[t]) if t in case.k_table else None)
     for i, st in enumerate(case.steps):
-        _check_step_signature(case, i, st)
+        _check_step_signature(i, signed[i])
         k = case.k_table.get(st.t)
         if k is None:
             raise MissingKPower(st.t)
+        if i in proven:
+            continue
         if case.step_proofs[i] is None and seller is not None:
             case.step_proofs[i] = seller.prove(st.m, st.m_out, case.params.g, k, st.t)
         if not _safe_verify(case.step_proofs[i], st.m, st.m_out,
@@ -356,7 +371,9 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
     The seller reveals the full tower x, x^s, ..., up to the audited
     license's key, proves every link uses one exponent, proves each
     disputed step used that same exponent (per step value), and the
-    revealed key must actually open the audited license.
+    revealed key must actually open the audited license.  The links share
+    one batched proof, and so do the steps of each value; a batch that
+    fails falls back to one proof per link or step.
     """
     _require_d(case)
     if not case.audit_license_id:
@@ -387,21 +404,29 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
 
     if case.link_proofs is None:
         case.link_proofs = [None] * max(0, len(chain) - 2)
-    for j in range(2, len(chain)):
-        if case.link_proofs[j - 2] is None and seller is not None:
-            case.link_proofs[j - 2] = seller.prove(chain[j - 1], chain[j],
-                                                   chain[0], chain[1], 1)
-        if not _safe_verify(case.link_proofs[j - 2], chain[j - 1], chain[j],
-                            chain[0], chain[1], case.params):
-            return Verdict(SELLER_AT_FAULT, f"chain link {j} not proven", 0)
+    links = [(chain[j - 1], chain[j]) for j in range(2, len(chain))]
+    if not _batch_holds(case, ("link", 1), links, chain[0], chain[1], seller):
+        for j in range(2, len(chain)):
+            if case.link_proofs[j - 2] is None and seller is not None:
+                case.link_proofs[j - 2] = seller.prove(chain[j - 1], chain[j],
+                                                       chain[0], chain[1], 1)
+            if not _safe_verify(case.link_proofs[j - 2], chain[j - 1], chain[j],
+                                chain[0], chain[1], case.params):
+                return Verdict(SELLER_AT_FAULT, f"chain link {j} not proven", 0)
 
     if case.segment_proofs is None:
         case.segment_proofs = [None] * len(case.steps)
+    signed = [_step_signed(case, st) for st in case.steps]
+    proven = _proven_in_batches(
+        case, "segment", signed, seller,
+        lambda t: (chain[0], chain[t]) if 1 <= t <= case.audit_price else None)
     for i, st in enumerate(case.steps):
-        _check_step_signature(case, i, st)
+        _check_step_signature(i, signed[i])
         if st.t > case.audit_price:
             raise ChainLengthMismatch(
                 f"step value {st.t} exceeds audited chain length {case.audit_price}")
+        if i in proven:
+            continue
         if case.segment_proofs[i] is None and seller is not None:
             case.segment_proofs[i] = seller.prove(st.m, st.m_out,
                                                   chain[0], chain[st.t], st.t)
@@ -437,7 +462,7 @@ def resolve_type_d_method3(case: DisputeCase, s_revealed: int | None = None) -> 
         return Verdict(SELLER_AT_FAULT,
                        "revealed factor does not match the public commitment", 0)
     for i, st in enumerate(case.steps):
-        _check_step_signature(case, i, st)
+        _check_step_signature(i, _step_signed(case, st))
         if pow(st.m, pow(s, st.t, p.q), p.n) != st.m_out:
             return Verdict(SELLER_AT_FAULT,
                            f"step {i + 1}: recomputed response differs", i + 1)
@@ -452,9 +477,54 @@ def _require_d(case: DisputeCase):
         raise MalformedEvidence("no transcript steps in evidence")
 
 
-def _check_step_signature(case: DisputeCase, i: int, st: EvidenceStep):
-    if not verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature):
+def _step_signed(case: DisputeCase, st: EvidenceStep) -> bool:
+    return verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature)
+
+
+def _check_step_signature(i: int, signed: bool):
+    if not signed:
         raise MalformedEvidence(f"step {i + 1}: step signature invalid")
+
+
+def _batch_holds(case: DisputeCase, key: tuple[str, int], pairs: list[tuple[int, int]],
+                 base: int, y: int, seller: SellerDisputeAgent | None) -> bool:
+    """Whether one proof covers log_base(y) = log_m(m_out) for every pair
+    (m, m_out), through their composite.  The proof is the one recorded
+    under key, or else asked of the seller with exponent s^t, t = key[1].
+    A batch needs two or more pairs and every value a subgroup member
+    (an order-2 component survives half the composite's weights); False
+    sends the caller to one proof per pair."""
+    p = case.params
+    if len(pairs) < 2 or (key not in case.batch_proofs and seller is None):
+        return False
+    if not all(is_member(e, p) for pair in [(base, y), *pairs] for e in pair):
+        return False
+    big_m, big_z = dleq_composite(pairs, base, y, p)
+    if key not in case.batch_proofs:
+        proof = seller.prove(big_m, big_z, base, y, key[1])
+        if proof is None:
+            return False
+        case.batch_proofs[key] = proof
+    return _safe_verify(case.batch_proofs[key], big_m, big_z, base, y, p)
+
+
+def _proven_in_batches(case: DisputeCase, kind: str, signed: list[bool],
+                       seller: SellerDisputeAgent | None, statement) -> set[int]:
+    """Indices of the steps that a batched proof covers: per step value t,
+    the signed steps of value t against statement(t) = (base, y), or none
+    where statement(t) is None.  Unsigned steps stay out of every batch,
+    so the seller computes nothing on a pair it never signed."""
+    by_value: dict[int, list[int]] = {}
+    for i, st in enumerate(case.steps):
+        if signed[i]:
+            by_value.setdefault(st.t, []).append(i)
+    proven: set[int] = set()
+    for t, idx in by_value.items():
+        target = statement(t)
+        pairs = [(case.steps[i].m, case.steps[i].m_out) for i in idx]
+        if target is not None and _batch_holds(case, (kind, t), pairs, *target, seller):
+            proven.update(idx)
+    return proven
 
 
 # --- K-table doubling consistency -----------------------------------------------
@@ -487,6 +557,7 @@ def verify_k_table(catalog: Catalog, proofs: dict[tuple[int, int], DlEqProof]) -
 # --- case record files ------------------------------------------------------------
 
 _CASE_HEADER = "blindpay-case: v1"
+_BATCH_KINDS = ("step", "segment", "link")
 
 
 def _proof_str(pr: DlEqProof) -> str:
@@ -541,6 +612,8 @@ def write_case(case: DisputeCase) -> str:
         lines.append(f"link_proof: {_proof_str(pr)}" if pr else "link_proof: -")
     for pr in case.segment_proofs or []:
         lines.append(f"segment_proof: {_proof_str(pr)}" if pr else "segment_proof: -")
+    for (kind, t), pr in sorted(case.batch_proofs.items()):
+        lines.append(f"batch_proof: {kind} {t} {_proof_str(pr)}")
     if case.s_revealed is not None:
         lines.append(f"s_revealed: {case.s_revealed}")
     return "\n".join(lines) + "\n"
@@ -556,6 +629,7 @@ def parse_case(text: str) -> DisputeCase:
     step_proofs: list[DlEqProof | None] = []
     link_proofs: list[DlEqProof | None] = []
     segment_proofs: list[DlEqProof | None] = []
+    batch_proofs: dict[tuple[str, int], DlEqProof] = {}
     try:
         for line in lines[1:]:
             key, sep, value = line.partition(": ")
@@ -576,6 +650,11 @@ def parse_case(text: str) -> DisputeCase:
                 link_proofs.append(None if value == "-" else _proof_parse(value))
             elif key == "segment_proof":
                 segment_proofs.append(None if value == "-" else _proof_parse(value))
+            elif key == "batch_proof":
+                kind, t_s, proof = value.split(" ", 2)
+                if kind not in _BATCH_KINDS:
+                    raise MalformedEvidence(f"unknown batch proof kind {kind!r}")
+                batch_proofs[(kind, int(t_s))] = _proof_parse(proof)
             else:
                 fields[key] = value
         # Membership checks on the evidence mean "in the order-q subgroup"
@@ -585,7 +664,7 @@ def parse_case(text: str) -> DisputeCase:
         case = DisputeCase(
             kind=fields["kind"], params=params,
             verify_pk=bytes.fromhex(fields["verify_pk"]),
-            k_table=k_table, steps=steps,
+            k_table=k_table, steps=steps, batch_proofs=batch_proofs,
         )
         if case.kind == "B":
             case.license_id = fields["license"]
@@ -669,7 +748,7 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     answered = replace(case, seller_values=None, seller_resign=None, seller_proof=None,
                        step_proofs=None, audit_license_id="", audit_x=0, audit_price=0,
                        audit_blob=b"", chain=None, link_proofs=None, segment_proofs=None,
-                       s_revealed=None, stages=[])
+                       batch_proofs={}, s_revealed=None, stages=[])
     resolve_case(answered, catalog=catalog, seller=seller, rng=seller.rng)
     answered.s_revealed = None
     return answered

@@ -12,13 +12,18 @@ div_mod) accept an optional counter object and increment it; validation
 helpers (is_member, ensure_member, validate) stay off the books.
 
 pow_fixed serves the buyer, whose bases are public and recur: g and the K
-table.  It is a Lim-Lee comb (CRYPTO '94; HAC 14.6.3) with 8 rows and 2
-tables of 256 entries each, 512 group elements per base: about 0.15 MB and
-a build of about 0.04 s at 2048 bits, after which one exponentiation costs
-about a fifth of pow's.  Tables are built on first use and kept in a
-bounded LRU cache of 16 bases.  The secret exponent (the buyer's blinding
-alpha) selects the table entries, so the comb leaks it through cache and
-timing side channels, as CPython's own pow does through its windows.
+table.  It also computes every power of g inside dleq_prove and
+dleq_verify.  It is a Lim-Lee comb (CRYPTO '94; HAC 14.6.3) with 8 rows
+and 2 tables of 256 entries each, 512 group elements per base: about
+0.15 MB and a build of about 0.04 s at 2048 bits, after which one
+exponentiation costs about a fifth of pow's.  Tables are built on first use
+and kept in a bounded LRU cache of 16 bases.  The secret exponent selects
+the table entries (the buyer's blinding alpha; in dleq_prove, the seller's
+s^t and the proof nonce), so the comb leaks it through cache and timing
+side channels, as CPython's own pow does through its windows.
+
+dleq_composite folds many DLEQ statements that share one exponent into one,
+so a single proof covers them all (batched proofs, RFC 9497 section 2.2).
 
 Membership is decided by the Jacobi symbol, which equals the Legendre
 symbol for a prime n and so, by Euler's criterion, marks exactly the
@@ -281,11 +286,6 @@ def mul_mod(a: int, b: int, params: GroupParams) -> int:
     return (a * b) % params.n
 
 
-def inv_mod(e: int, params: GroupParams) -> int:
-    """Multiplicative inverse mod n."""
-    return pow(e, -1, params.n)
-
-
 def div_mod(a: int, b: int, params: GroupParams, ops=None) -> int:
     """a / b mod n; the unblinding operation of the purchase protocol."""
     if ops is not None:
@@ -341,6 +341,13 @@ def _dleq_challenge(params: GroupParams, base1: int, y1: int, base2: int,
     return int.from_bytes(h.digest(), "big") % params.q
 
 
+def _dleq_pow(base: int, e: int, params: GroupParams) -> int:
+    """base^e mod n, by the comb when the base is the generator."""
+    if base == params.g:
+        return pow_fixed(base, e, params)
+    return pow(base, e, params.n)
+
+
 def dleq_prove(secret: int, base1: int, base2: int, params: GroupParams,
                rng: random.Random | None = None,
                claim: tuple[int, int] | None = None) -> DlEqProof | None:
@@ -352,14 +359,14 @@ def dleq_prove(secret: int, base1: int, base2: int, params: GroupParams,
     the result is None.
     """
     secret %= params.q
-    y1 = pow(base1, secret, params.n)
-    y2 = pow(base2, secret, params.n)
+    y1 = _dleq_pow(base1, secret, params)
+    y2 = _dleq_pow(base2, secret, params)
     if claim is not None and claim != (y1, y2):
         return None
     w = (rng.randrange(params.q) if rng is not None
          else secrets.randbelow(params.q))
-    a1 = pow(base1, w, params.n)
-    a2 = pow(base2, w, params.n)
+    a1 = _dleq_pow(base1, w, params)
+    a2 = _dleq_pow(base2, w, params)
     c = _dleq_challenge(params, base1, y1, base2, y2, a1, a2)
     z = (w + c * secret) % params.q
     return DlEqProof(commitment_a=a1, commitment_b=a2, challenge=c, response=z)
@@ -372,12 +379,12 @@ def dleq_equations_hold(challenge: int, response: int, base1: int, y1: int,
     binding.  Exposed so soundness can be measured by enumerating
     (challenge, response) pairs directly."""
     n = params.n
-    lhs1 = pow(base1, response, n)
-    rhs1 = (a1 * pow(y1, challenge, n)) % n
+    lhs1 = _dleq_pow(base1, response, params)
+    rhs1 = (a1 * _dleq_pow(y1, challenge, params)) % n
     if lhs1 != rhs1:
         return False
-    lhs2 = pow(base2, response, n)
-    rhs2 = (a2 * pow(y2, challenge, n)) % n
+    lhs2 = _dleq_pow(base2, response, params)
+    rhs2 = (a2 * _dleq_pow(y2, challenge, params)) % n
     return lhs2 == rhs2
 
 
@@ -400,3 +407,36 @@ def dleq_verify(proof: DlEqProof, base1: int, y1: int, base2: int, y2: int,
     return dleq_equations_hold(proof.challenge, proof.response, base1, y1,
                                base2, y2, proof.commitment_a,
                                proof.commitment_b, params)
+
+
+def dleq_composite(pairs: list[tuple[int, int]], base: int, y: int,
+                   params: GroupParams) -> tuple[int, int]:
+    """Fold the statements log_base(y) = log_{m_i}(m_out_i), one per pair
+    (m_i, m_out_i), into one statement log_base(y) = log_M(Z), with
+    M = prod m_i^(d_i) and Z = prod m_out_i^(d_i) (ComputeComposites,
+    RFC 9497 section 2.2).
+
+    The 128-bit weights d_i are hashed from the group, the statement and
+    every pair, so a false pair survives the fold with probability about
+    2^-128 (the small-exponents test of Bellare-Garay-Rabin).  That bound
+    needs every input to be a subgroup member: an order-2 component
+    vanishes under every even weight, so callers check membership first.
+    A single pair is its own composite.
+    """
+    if len(pairs) == 1:
+        return pairs[0]
+    h = hashlib.sha256(b"dleq-composite-v1")
+    for v in (params.n, params.g, base, y, len(pairs)):
+        h.update(enc_int(v))
+    for m, m_out in pairs:
+        h.update(enc_int(m))
+        h.update(enc_int(m_out))
+    seed = h.digest()
+    n = params.n
+    big_m = big_z = 1
+    for i, (m, m_out) in enumerate(pairs):
+        digest = hashlib.sha256(seed + i.to_bytes(4, "big")).digest()
+        d = int.from_bytes(digest[:16], "big")
+        big_m = big_m * pow(m, d, n) % n
+        big_z = big_z * pow(m_out, d, n) % n
+    return big_m, big_z

@@ -131,13 +131,6 @@ class Scenario:
                 f"seed={self.seed} fault={self.fault} fault_step={self.fault_step}")
 
 
-def scenario_text(sc: Scenario) -> str:
-    return (f"mode: {sc.mode}\nprice: {sc.price}\n"
-            f"refresh: {'on' if sc.refresh else 'off'}\n"
-            f"group_bits: {sc.group_bits}\ntransport: {sc.transport}\n"
-            f"seed: {sc.seed}\nfault: {sc.fault}\nfault_step: {sc.fault_step}\n")
-
-
 def parse_scenario(text: str) -> Scenario:
     kv = {}
     for lineno, line in enumerate(text.splitlines(), 1):

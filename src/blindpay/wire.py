@@ -159,12 +159,6 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
 }
 
 
-def message_field_names() -> dict[str, tuple[str, ...]]:
-    """Field vocabulary of every message type, for schema audits."""
-    return {cls.__name__: tuple(f.name for f in fields(cls))
-            for cls in MESSAGE_TYPES.values()}
-
-
 def encode(msg: Message) -> bytes:
     cls = type(msg)
     return enc_u8(cls.TYPE) + b"".join(

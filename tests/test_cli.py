@@ -225,10 +225,14 @@ def test_seller_answer_ignores_seller_material_in_the_record(tmp_path, capsys, p
     case.chain = [params64.g] * (entry.price + 1)
     case.link_proofs = [bogus] * (entry.price - 1)
     case.segment_proofs = [bogus] * len(case.steps)
+    case.batch_proofs = {("step", 1): bogus, ("segment", 1): bogus, ("link", 1): bogus}
     code, answered = seller_answer(tmp_path, keys, cat, case)
     assert code == 0
     record = parse_case(answered.read_text())
     assert record.audit_x == cat.entry(record.audit_license_id).x
+    # the batch proofs in the answer are the seller's own, none the buyer's
+    assert set(record.batch_proofs) == {("step", 1), ("segment", 1), ("link", 1)}
+    assert bogus not in record.batch_proofs.values()
     capsys.readouterr()
     assert run_cli("arbitrate", "--case", str(answered),
                    "--catalog", str(tmp_path / "cat.txt")) == 0

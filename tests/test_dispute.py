@@ -1,16 +1,21 @@
+import pathlib
 import random
 import re
 from dataclasses import replace
 
 import pytest
 
+from blindpay import dispute
 from blindpay.cards import CardLedger
 from blindpay.dispute import (
     BUYER_CLAIM_REJECTED,
     ESCALATED_TO_D,
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
+    DisputeCase,
+    EvidenceStep,
     SellerDisputeAgent,
+    Verdict,
     answer_case,
     build_type_b_case,
     build_type_c_case,
@@ -27,6 +32,7 @@ from blindpay.dispute import (
     write_case,
 )
 from blindpay.catalog import (
+    decrypt_license,
     k_table_payload,
     sign_payload,
     verify_catalog,
@@ -39,7 +45,7 @@ from blindpay.errors import (
     MalformedEvidence,
     MissingKPower,
 )
-from blindpay.group import dleq_verify, mul_mod, named_group, pow_mod
+from blindpay.group import dleq_composite, dleq_verify, mul_mod, named_group, pow_mod
 from blindpay.purchase import (
     MODE_ENHANCED,
     SellerStepHandler,
@@ -49,6 +55,7 @@ from blindpay.purchase import (
     buyer_process_response,
     buyer_step_request,
     run_purchase,
+    step_payload,
 )
 
 from conftest import make_catalog
@@ -273,7 +280,9 @@ def test_method1_honest_seller_rejected(params64):
     verdict = resolve_type_d_method1(case, SellerDisputeAgent(keys, cat, random.Random(4)))
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert verdict.checked_steps == 4
-    assert all(p is not None for p in case.step_proofs)
+    # the four 1-unit steps share one batched proof and need no step proof
+    assert list(case.batch_proofs) == [("step", 1)]
+    assert case.step_proofs == [None] * 4
 
 
 @pytest.mark.parametrize("bad_step", [1, 2, 3, 4])
@@ -381,6 +390,189 @@ def test_method2_wrong_s_step_at_fault(params64):
                                      random.Random(10))
     assert verdict.outcome == SELLER_AT_FAULT
     assert "step 2" in verdict.rationale
+
+
+@pytest.mark.parametrize("bad_step", [1, 2, 3, 4])
+def test_method2_wrong_s_step_named_at_every_position(params64, bad_step):
+    # the failed segment batch falls back to one proof per step, which
+    # names the bad step wherever it sits
+    keys, cat, bank, session = completed_session(params64, price=4, seed=64,
+                                                 wrong_s_at=bad_step)
+    case = build_type_d_case(cat, session)
+    verdict = resolve_type_d_method2(case, cat, SellerDisputeAgent(keys, cat),
+                                     random.Random(10))
+    assert verdict == Verdict(SELLER_AT_FAULT,
+                              f"step {bad_step}: response not proven consistent with "
+                              f"the audited chain", bad_step)
+    assert ("segment", 1) not in case.batch_proofs
+
+
+# --- batched proofs ---------------------------------------------------------------------------
+
+def signed_d_case(keys, cat, steps, rng):
+    """A type D case whose steps (m, m_out, t) the seller signed as given;
+    m=None draws a fresh request and answers it honestly."""
+    p = cat.params
+    evidence = []
+    for m, m_out, t in steps:
+        if m is None:
+            m = pow_mod(p.g, rng.randrange(1, p.q), p)
+            m_out = pow(m, pow(keys.s, t, p.q), p.n)
+        evidence.append(EvidenceStep(m=m, m_out=m_out, t=t, signature=sign_payload(
+            keys.sign_sk, step_payload(m, m_out))))
+    return DisputeCase(kind="D", params=p, verify_pk=cat.verify_pk,
+                       k_table=dict(cat.k_table), steps=evidence)
+
+
+@pytest.fixture()
+def dleq_calls(monkeypatch):
+    """Calls of dispute.dleq_prove and dispute.dleq_verify, by name."""
+    calls = {"prove": 0, "verify": 0}
+    for name in calls:
+        original = getattr(dispute, f"dleq_{name}")
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dispute, f"dleq_{name}", counting)
+    return calls
+
+
+def test_method1_proves_eight_steps_with_one_proof(params64, dleq_calls):
+    keys, cat, bank, session = completed_session(params64, price=8, seed=72)
+    case = build_type_d_case(cat, session)
+    verdict = resolve_type_d_method1(case, SellerDisputeAgent(keys, cat, random.Random(4)))
+    assert verdict == Verdict(BUYER_CLAIM_REJECTED, "all steps proven correct; seller is honest", 8)
+    assert dleq_calls == {"prove": 1, "verify": 1}
+
+
+def test_method2_proves_links_and_segments_with_one_proof_each(params64, dleq_calls):
+    keys, cat, bank, session = completed_session(params64, price=4, seed=73, prices=(4,))
+    case = build_type_d_case(cat, session)
+    verdict = resolve_type_d_method2(case, cat, SellerDisputeAgent(keys, cat, random.Random(4)),
+                                     random.Random(5))
+    assert verdict.outcome == BUYER_CLAIM_REJECTED
+    assert case.audit_price == 4  # three links, four 1-unit steps
+    assert set(case.batch_proofs) == {("link", 1), ("segment", 1)}
+    assert dleq_calls == {"prove": 2, "verify": 2}
+
+
+def test_method1_enhanced_batches_each_step_value(params64):
+    keys, cat = make_catalog(params64, prices=(8,), seed=74)
+    case = signed_d_case(keys, cat, [(None, None, 4), (None, None, 2), (None, None, 2)],
+                         random.Random(75))
+    verdict = resolve_type_d_method1(case, SellerDisputeAgent(keys, cat, random.Random(76)))
+    assert verdict.outcome == BUYER_CLAIM_REJECTED
+    assert list(case.batch_proofs) == [("step", 2)]
+    assert [pr is not None for pr in case.step_proofs] == [True, False, False]
+
+
+def test_batch_refuses_an_order_two_component(params64):
+    # A seller signs -m_out, an m_out carrying an order-2 component, at one
+    # step.  The composite hides that component whenever the step's weight
+    # is even, so only the membership check keeps the batch from passing.
+    keys, cat = make_catalog(params64, prices=(8,), seed=77)
+    p = params64
+    honest = signed_d_case(keys, cat, [(None, None, 1)] * 8, random.Random(78))
+    hidden = 0
+    for i, st in enumerate(honest.steps):
+        steps = [(s.m, s.m_out, s.t) for s in honest.steps]
+        steps[i] = (st.m, p.n - st.m_out, 1)
+        case = signed_d_case(keys, cat, steps, None)
+        big_m, big_z = dleq_composite([(m, m_out) for m, m_out, _ in steps],
+                                      p.g, cat.k_table[1], p)
+        if big_z == pow(big_m, keys.s, p.n):  # a true statement the seller would prove
+            hidden += 1
+        verdict = resolve_type_d_method1(case, SellerDisputeAgent(keys, cat, random.Random(i)))
+        assert verdict == Verdict(SELLER_AT_FAULT,
+                                  f"step {i + 1}: response not proven consistent with K_1",
+                                  i + 1)
+        assert case.batch_proofs == {}
+    assert hidden > 0  # some weight was even, and the verdict still named the step
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_answer_case_opens_no_license_through_a_batch(params64, signed):
+    # A forged record puts a license factor x beside a genuine step of the
+    # same value.  Unsigned, it gets no answer; even signed (the strongest
+    # forger), no proof in the answer covers x and no value opens the license.
+    keys, cat = make_catalog(params64, prices=(2, 3), seed=79)
+    p, entry = params64, cat.entry("lic-2")
+    key = pow(entry.x, pow(keys.s, 2, p.q), p.n)
+    junk = pow_mod(p.g, 4321, p)
+    case = signed_d_case(keys, cat, [(entry.x, junk, 2), (None, None, 2)], random.Random(80))
+    if not signed:
+        case.steps[0] = replace(case.steps[0], signature=bytes(64))
+        asked = []
+
+        class Recording(SellerDisputeAgent):
+            def prove(self, *statement):
+                asked.append(statement)
+                return super().prove(*statement)
+
+        with pytest.raises(MalformedEvidence):
+            answer_case(case, cat, Recording(keys, cat, random.Random(81)))
+        assert asked == []  # the unsigned pair never reached the prover
+        return
+    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(81)))
+    # method 2 opens the license it audits by design; this draw audits the other one
+    assert answered.audit_license_id == "lic-3"
+    assert ("step", 2) not in answered.batch_proofs
+    proofs = [pr for pr in (answered.step_proofs + answered.segment_proofs
+                            + list(answered.batch_proofs.values())) if pr is not None]
+    for pr in proofs:
+        for y in (key, junk):
+            assert not dleq_verify(pr, entry.x, y, p.g, cat.k_table[2], p)
+    text = write_case(answered)
+    assert str(key) not in _tokens(text)
+    for token in _tokens(text):
+        if token.isdigit():
+            with pytest.raises(AuthenticationFailure):
+                decrypt_license(int(token), entry.encrypted_license)
+
+
+def test_batch_proofs_round_trip_the_record(params64):
+    keys, cat, bank, session = completed_session(params64, price=4, seed=82, prices=(3, 4))
+    answered = answer_case(build_type_d_case(cat, session), cat,
+                           SellerDisputeAgent(keys, cat, random.Random(83)))
+    text = write_case(answered)
+    assert "batch_proof: step 1 " in text
+    replayed = parse_case(text)
+    assert replayed.batch_proofs == answered.batch_proofs
+    assert write_case(replayed) == text
+    assert [v.outcome for _, v in resolve_case(replayed)] == [BUYER_CLAIM_REJECTED] * 2
+    with pytest.raises(MalformedEvidence):
+        parse_case(text.replace("batch_proof: step 1 ", "batch_proof: chain 1 "))
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# Verdicts of the records in tests/fixtures/case_d_answered_*.txt: answered
+# type D records (64-bit group, basic mode, three steps) written before
+# batched proofs existed, with one proof per step, link and segment.
+PINNED_REPLAYS = {
+    "honest": [
+        ("D-method1", BUYER_CLAIM_REJECTED, "all steps proven correct; seller is honest", 3),
+        ("D-method2", BUYER_CLAIM_REJECTED,
+         "audited chain valid and all steps proven; seller is honest", 3),
+    ],
+    "wrong_s": [
+        ("D-method1", SELLER_AT_FAULT, "step 2: response not proven consistent with K_1", 2),
+        ("D-method2", SELLER_AT_FAULT,
+         "step 2: response not proven consistent with the audited chain", 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPLAYS))
+def test_record_without_batch_proofs_replays(name):
+    text = (FIXTURES / f"case_d_answered_{name}.txt").read_text()
+    assert "batch_proof" not in text and "step_proof: " in text
+    case = parse_case(text)
+    assert write_case(case) == text
+    got = [(label, v.outcome, v.rationale, v.checked_steps) for label, v in resolve_case(case)]
+    assert got == PINNED_REPLAYS[name]
 
 
 # --- type D method 3 ----------------------------------------------------------------------

@@ -13,12 +13,13 @@ from blindpay.group import (
     _comb_table,
     _jacobi,
     GroupParams,
+    dleq_composite,
     dleq_equations_hold,
     dleq_prove,
     dleq_verify,
     gen_params,
+    div_mod,
     hash_to_group,
-    inv_mod,
     is_member,
     is_probable_prime,
     mul_mod,
@@ -252,19 +253,14 @@ def test_pow_fixed_bills_one_exponentiation_per_call(params64):
     assert (ops.divisions, ops.signings) == (0, 0)
 
 
-def test_inv_mod_trivial_and_hand_value(params23):
-    assert inv_mod(1, params23) == 1
+def test_div_mod_property(params64):
     assert egcd_inverse(4, 23) == 6
-    assert inv_mod(4, params23) == 6
-    assert (4 * 6) % 23 == 1
-
-
-def test_inv_mod_property(params64):
     rng = random.Random(5)
     for _ in range(100):
         e = pow_mod(params64.g, rng.randrange(1, params64.q), params64)
-        assert mul_mod(e, inv_mod(e, params64), params64) == 1
-        assert inv_mod(e, params64) == egcd_inverse(e, params64.n)
+        a = pow_mod(params64.g, rng.randrange(1, params64.q), params64)
+        assert div_mod(mul_mod(a, e, params64), e, params64) == a
+        assert div_mod(1, e, params64) == egcd_inverse(e, params64.n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -283,7 +279,7 @@ def test_subgroup_closure_after_public_ops(params32):
     for _ in range(50):
         x = pow_mod(params32.g, rng.randrange(params32.q), params32)
         y = pow_mod(params32.g, rng.randrange(params32.q), params32)
-        for e in (x, y, mul_mod(x, y, params32), inv_mod(x, params32),
+        for e in (x, y, mul_mod(x, y, params32), pow(x, -1, params32.n),
                   pow_mod(x, rng.randrange(10**6), params32)):
             assert pow(e, params32.q, params32.n) == 1
 
@@ -463,3 +459,60 @@ def test_dleq_soundness_exhaustive_q11(params23):
     # across all commitments: one challenge in q works, never more
     assert total_accepting <= len(subgroup) ** 2
     assert total_accepting / (len(subgroup) ** 2 * q * q) <= 1 / q
+
+
+def test_dleq_prove_equals_plain_pow_with_the_comb_on_g(params64):
+    # every power of g inside the proof comes from the comb; the proof is
+    # the one plain pow gives for the same nonce
+    p = params64
+    s, w = 987654321, random.Random(41).randrange(p.q)
+    base1 = pow(p.g, 1234, p.n)
+    proof = dleq_prove(s, base1, p.g, p, random.Random(41))
+    assert (proof.commitment_a, proof.commitment_b) == (pow(base1, w, p.n), pow(p.g, w, p.n))
+    assert proof.response == (w + proof.challenge * s) % p.q
+    assert dleq_verify(proof, base1, pow(base1, s, p.n), p.g, pow(p.g, s, p.n), p)
+
+
+def _pairs(params, e, count, seed):
+    rng = random.Random(seed)
+    ms = [pow(params.g, rng.randrange(1, params.q), params.n) for _ in range(count)]
+    return [(m, pow(m, e, params.n)) for m in ms]
+
+
+def test_dleq_composite_single_pair_is_itself(params64):
+    pair = _pairs(params64, 5, 1, 42)
+    assert dleq_composite(pair, params64.g, pow(params64.g, 5, params64.n), params64) == pair[0]
+
+
+def test_dleq_composite_keeps_true_statements_and_breaks_false_ones(params64):
+    p = params64
+    e = 31337
+    y = pow(p.g, e, p.n)
+    pairs = _pairs(p, e, 5, 43)
+    big_m, big_z = dleq_composite(pairs, p.g, y, p)
+    assert is_member(big_m, p) and big_z == pow(big_m, e, p.n)
+    # the weights hash every input: reordering the pairs changes the composite
+    assert dleq_composite(pairs[::-1], p.g, y, p) != (big_m, big_z)
+    for i in range(len(pairs)):
+        bad = list(pairs)
+        bad[i] = (bad[i][0], mul_mod(bad[i][1], p.g, p))
+        big_m, big_z = dleq_composite(bad, p.g, y, p)
+        assert big_z != pow(big_m, e, p.n)
+    # errors that cancel in a plain product do not cancel under the weights
+    bad = list(pairs)
+    bad[0] = (bad[0][0], mul_mod(bad[0][1], p.g, p))
+    bad[1] = (bad[1][0], mul_mod(bad[1][1], pow(p.g, -1, p.n), p))
+    big_m, big_z = dleq_composite(bad, p.g, y, p)
+    assert big_z != pow(big_m, e, p.n)
+
+
+def test_batched_proof_verifies_for_the_composite(params64):
+    p = params64
+    e = 2718281
+    y = pow(p.g, e, p.n)
+    pairs = _pairs(p, e, 4, 44)
+    big_m, big_z = dleq_composite(pairs, p.g, y, p)
+    proof = dleq_prove(e, big_m, p.g, p, random.Random(45), claim=(big_z, y))
+    assert dleq_verify(proof, big_m, big_z, p.g, y, p)
+    # a claim the secret does not yield gets no proof
+    assert dleq_prove(e + 1, big_m, p.g, p, random.Random(45), claim=(big_z, y)) is None

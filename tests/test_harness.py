@@ -35,7 +35,6 @@ from blindpay.harness import (
     report_tables,
     run_scenario,
     run_sweep,
-    scenario_text,
 )
 from blindpay.purchase import SellerStepHandler
 
@@ -45,12 +44,6 @@ from test_purchase import fund
 
 
 # --- scenario plumbing ------------------------------------------------------------
-
-def test_scenario_text_roundtrip():
-    sc = Scenario(mode="enhanced", price=12, refresh=True, group_bits=32,
-                  transport="memory", seed=9, fault="wrong-s", fault_step=2)
-    assert parse_scenario(scenario_text(sc)) == sc
-
 
 def test_scenario_parse_defaults_and_comments():
     sc = parse_scenario("# demo\nprice: 3\nseed: 5\n")
