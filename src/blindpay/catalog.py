@@ -189,8 +189,7 @@ def k_powers_for(max_price: int) -> set[int]:
 
 
 def setup(params: GroupParams, specs: list[LicenseSpec],
-          rng: random.Random | None = None,
-          extra_powers: tuple[int, ...] = ()) -> tuple[SellerKeys, Catalog]:
+          rng: random.Random | None = None) -> tuple[SellerKeys, Catalog]:
     """Run the whole seller setup and return (private keys, public catalog)."""
     if not specs:
         raise ValueError("at least one license required")
@@ -223,7 +222,7 @@ def setup(params: GroupParams, specs: list[LicenseSpec],
             terms_signature=sign_terms(keys, sp.terms, blob),
         ))
 
-    powers = k_powers_for(max(sp.price for sp in specs)) | set(extra_powers)
+    powers = k_powers_for(max(sp.price for sp in specs))
     k_table = {t: pow_mod(params.g, pow(s, t, params.q), params) for t in sorted(powers)}
     cat = Catalog(params=params, verify_pk=verify_pk, licenses=licenses, k_table=k_table)
     cat.k_table_signature = sign_payload(sign_sk, k_table_payload(params, k_table))

@@ -69,10 +69,13 @@ def _read_secrets(path: str) -> SellerKeys:
             kv[key] = value
     if kv.get("blindpay-secrets") != "v1":
         raise BlindpayError(f"{path} is not a seller secrets file")
-    sk = bytes.fromhex(kv["sign_sk"])
     from cryptography.hazmat.primitives.asymmetric import ed25519
-    pk = ed25519.Ed25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
-    return SellerKeys(s=int(kv["s"]), sign_sk=sk, verify_pk=pk)
+    try:
+        sk = bytes.fromhex(kv["sign_sk"])
+        pk = ed25519.Ed25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
+        return SellerKeys(s=int(kv["s"]), sign_sk=sk, verify_pk=pk)
+    except (KeyError, ValueError) as exc:
+        raise BlindpayError(f"{path}: s or sign_sk missing or malformed ({exc})") from None
 
 
 def _write_secrets(path: str, keys: SellerKeys):

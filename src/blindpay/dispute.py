@@ -112,7 +112,7 @@ class DisputeCase:
     chain: list[int] | None = None
     link_proofs: list[DlEqProof] | None = None
     segment_proofs: list[DlEqProof] | None = None
-    # one proof per ("step" | "segment", t) or ("link", 1); see _batch_holds
+    # one proof per ("step" | "segment", t) or ("link", 1); see _first_unproven
     batch_proofs: dict[tuple[str, int], DlEqProof] = field(default_factory=dict)
     s_revealed: int | None = None
     # verdict trail (not evidence, not serialized)
@@ -336,29 +336,18 @@ def resolve_type_d_method1(case: DisputeCase,
     private leaves the seller.
     """
     _require_d(case)
-    if case.step_proofs is None:
-        case.step_proofs = [None] * len(case.steps)
-    if len(case.step_proofs) != len(case.steps):
-        raise MalformedEvidence("one proof per step required")
     g = case.params.g
-    signed = [_step_signed(case, st) for st in case.steps]
-    proven = _proven_in_batches(
-        case, "step", signed, seller,
-        lambda t: (g, case.k_table[t]) if t in case.k_table else None)
-    for i, st in enumerate(case.steps):
-        _check_step_signature(i, signed[i])
-        k = case.k_table.get(st.t)
-        if k is None:
-            raise MissingKPower(st.t)
-        if i in proven:
-            continue
-        if case.step_proofs[i] is None and seller is not None:
-            case.step_proofs[i] = seller.prove(st.m, st.m_out, case.params.g, k, st.t)
-        if not _safe_verify(case.step_proofs[i], st.m, st.m_out,
-                            case.params.g, k, case.params):
-            return Verdict(SELLER_AT_FAULT,
-                           f"step {i + 1}: response not proven consistent with K_{st.t}",
-                           i + 1)
+
+    def k_power(t: int) -> tuple[int, int]:
+        if t not in case.k_table:
+            raise MissingKPower(t)
+        return g, case.k_table[t]
+
+    i = _first_unproven(case, "step", _step_pairs(case), k_power, seller)
+    if i is not None:
+        return Verdict(SELLER_AT_FAULT,
+                       f"step {i + 1}: response not proven consistent with "
+                       f"K_{case.steps[i].t}", i + 1)
     return Verdict(BUYER_CLAIM_REJECTED, "all steps proven correct; seller is honest",
                    len(case.steps))
 
@@ -371,9 +360,10 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
     The seller reveals the full tower x, x^s, ..., up to the audited
     license's key, proves every link uses one exponent, proves each
     disputed step used that same exponent (per step value), and the
-    revealed key must actually open the audited license.  The links share
-    one batched proof, and so do the steps of each value; a batch that
-    fails falls back to one proof per link or step.
+    revealed key must actually open the audited license.  Given a catalog,
+    the audited license must be one of its entries, exactly as published.
+    The links share one batched proof, and so do the steps of each value;
+    a batch that fails falls back to one proof per link or step.
     """
     _require_d(case)
     if not case.audit_license_id:
@@ -385,6 +375,10 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
         case.audit_x = entry.x
         case.audit_price = entry.price
         case.audit_blob = entry.encrypted_license
+    audited = (case.audit_license_id, case.audit_x, case.audit_price, case.audit_blob)
+    if catalog is not None and audited not in [
+            (e.license_id, e.x, e.price, e.encrypted_license) for e in catalog.licenses]:
+        return Verdict(SELLER_AT_FAULT, "audited license is not the catalog's", 0)
     if case.chain is None and seller is not None:
         case.chain = seller.reveal_chain(case.audit_license_id)
     if case.chain is None:
@@ -402,39 +396,22 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
         return Verdict(SELLER_AT_FAULT,
                        "revealed key does not decrypt the audited license", 0)
 
-    if case.link_proofs is None:
-        case.link_proofs = [None] * max(0, len(chain) - 2)
-    links = [(chain[j - 1], chain[j]) for j in range(2, len(chain))]
-    if not _batch_holds(case, ("link", 1), links, chain[0], chain[1], seller):
-        for j in range(2, len(chain)):
-            if case.link_proofs[j - 2] is None and seller is not None:
-                case.link_proofs[j - 2] = seller.prove(chain[j - 1], chain[j],
-                                                       chain[0], chain[1], 1)
-            if not _safe_verify(case.link_proofs[j - 2], chain[j - 1], chain[j],
-                                chain[0], chain[1], case.params):
-                return Verdict(SELLER_AT_FAULT, f"chain link {j} not proven", 0)
+    links = [(chain[j - 1], chain[j], 1, True) for j in range(2, len(chain))]
+    j = _first_unproven(case, "link", links, lambda t: (chain[0], chain[1]), seller)
+    if j is not None:
+        return Verdict(SELLER_AT_FAULT, f"chain link {j + 2} not proven", 0)
 
-    if case.segment_proofs is None:
-        case.segment_proofs = [None] * len(case.steps)
-    signed = [_step_signed(case, st) for st in case.steps]
-    proven = _proven_in_batches(
-        case, "segment", signed, seller,
-        lambda t: (chain[0], chain[t]) if 1 <= t <= case.audit_price else None)
-    for i, st in enumerate(case.steps):
-        _check_step_signature(i, signed[i])
-        if st.t > case.audit_price:
+    def segment(t: int) -> tuple[int, int]:
+        if t > case.audit_price:
             raise ChainLengthMismatch(
-                f"step value {st.t} exceeds audited chain length {case.audit_price}")
-        if i in proven:
-            continue
-        if case.segment_proofs[i] is None and seller is not None:
-            case.segment_proofs[i] = seller.prove(st.m, st.m_out,
-                                                  chain[0], chain[st.t], st.t)
-        if not _safe_verify(case.segment_proofs[i], st.m, st.m_out,
-                            chain[0], chain[st.t], case.params):
-            return Verdict(SELLER_AT_FAULT,
-                           f"step {i + 1}: response not proven consistent with the "
-                           f"audited chain", i + 1)
+                f"step value {t} exceeds audited chain length {case.audit_price}")
+        return chain[0], chain[t]
+
+    i = _first_unproven(case, "segment", _step_pairs(case), segment, seller)
+    if i is not None:
+        return Verdict(SELLER_AT_FAULT,
+                       f"step {i + 1}: response not proven consistent with the "
+                       f"audited chain", i + 1)
     return Verdict(BUYER_CLAIM_REJECTED,
                    "audited chain valid and all steps proven; seller is honest",
                    len(case.steps))
@@ -462,7 +439,8 @@ def resolve_type_d_method3(case: DisputeCase, s_revealed: int | None = None) -> 
         return Verdict(SELLER_AT_FAULT,
                        "revealed factor does not match the public commitment", 0)
     for i, st in enumerate(case.steps):
-        _check_step_signature(i, _step_signed(case, st))
+        if not _step_signed(case, st):
+            raise MalformedEvidence(f"step {i + 1}: step signature invalid")
         if pow(st.m, pow(s, st.t, p.q), p.n) != st.m_out:
             return Verdict(SELLER_AT_FAULT,
                            f"step {i + 1}: recomputed response differs", i + 1)
@@ -481,50 +459,68 @@ def _step_signed(case: DisputeCase, st: EvidenceStep) -> bool:
     return verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature)
 
 
-def _check_step_signature(i: int, signed: bool):
-    if not signed:
-        raise MalformedEvidence(f"step {i + 1}: step signature invalid")
+def _step_pairs(case: DisputeCase) -> list[tuple[int, int, int, bool]]:
+    return [(st.m, st.m_out, st.t, _step_signed(case, st)) for st in case.steps]
 
 
-def _batch_holds(case: DisputeCase, key: tuple[str, int], pairs: list[tuple[int, int]],
-                 base: int, y: int, seller: SellerDisputeAgent | None) -> bool:
-    """Whether one proof covers log_base(y) = log_m(m_out) for every pair
-    (m, m_out), through their composite.  The proof is the one recorded
-    under key, or else asked of the seller with exponent s^t, t = key[1].
-    A batch needs two or more pairs and every value a subgroup member
-    (an order-2 component survives half the composite's weights); False
-    sends the caller to one proof per pair."""
+def _first_unproven(case: DisputeCase, family: str,
+                    pairs: list[tuple[int, int, int, bool]], statement,
+                    seller: SellerDisputeAgent | None) -> int | None:
+    """Index of the first pair (m, m_out, t, signed) not proven to satisfy
+    log_m(m_out) = log_base(y), (base, y) = statement(t); None when all are.
+
+    The record must hold one <family>_proofs entry per pair.  Per value
+    t >= 1, the signed pairs share one proof over their composite, recorded
+    in batch_proofs under (family, t) or asked of the seller.  A batch needs
+    two or more pairs and every value a subgroup member (an order-2
+    component survives half the composite's weights); unsigned pairs stay
+    out, so the seller computes nothing on a pair it never signed.  Any
+    other pair gets one proof, recorded or asked.  Pairs are judged in
+    order: an unsigned one raises MalformedEvidence, as statement(t) raises
+    where no statement exists, once every earlier pair is proven."""
     p = case.params
-    if len(pairs) < 2 or (key not in case.batch_proofs and seller is None):
-        return False
-    if not all(is_member(e, p) for pair in [(base, y), *pairs] for e in pair):
-        return False
-    big_m, big_z = dleq_composite(pairs, base, y, p)
-    if key not in case.batch_proofs:
-        proof = seller.prove(big_m, big_z, base, y, key[1])
-        if proof is None:
-            return False
-        case.batch_proofs[key] = proof
-    return _safe_verify(case.batch_proofs[key], big_m, big_z, base, y, p)
-
-
-def _proven_in_batches(case: DisputeCase, kind: str, signed: list[bool],
-                       seller: SellerDisputeAgent | None, statement) -> set[int]:
-    """Indices of the steps that a batched proof covers: per step value t,
-    the signed steps of value t against statement(t) = (base, y), or none
-    where statement(t) is None.  Unsigned steps stay out of every batch,
-    so the seller computes nothing on a pair it never signed."""
+    proofs = getattr(case, f"{family}_proofs")
+    if proofs is None:
+        proofs = [None] * len(pairs)
+        setattr(case, f"{family}_proofs", proofs)
+    if len(proofs) != len(pairs):
+        raise MalformedEvidence(f"{len(proofs)} {family}_proof lines for "
+                                f"{len(pairs)} {family}s")
     by_value: dict[int, list[int]] = {}
-    for i, st in enumerate(case.steps):
-        if signed[i]:
-            by_value.setdefault(st.t, []).append(i)
+    for i, (_, _, t, signed) in enumerate(pairs):
+        if signed and t >= 1:
+            by_value.setdefault(t, []).append(i)
     proven: set[int] = set()
     for t, idx in by_value.items():
-        target = statement(t)
-        pairs = [(case.steps[i].m, case.steps[i].m_out) for i in idx]
-        if target is not None and _batch_holds(case, (kind, t), pairs, *target, seller):
+        key = (family, t)
+        if len(idx) < 2 or (key not in case.batch_proofs and seller is None):
+            continue
+        try:
+            base, y = statement(t)
+        except (MissingKPower, ChainLengthMismatch):
+            continue
+        batch = [pairs[i][:2] for i in idx]
+        if not all(is_member(e, p) for pair in [(base, y), *batch] for e in pair):
+            continue
+        big_m, big_z = dleq_composite(batch, base, y, p)
+        if key not in case.batch_proofs:
+            proof = seller.prove(big_m, big_z, base, y, t)
+            if proof is None:
+                continue
+            case.batch_proofs[key] = proof
+        if _safe_verify(case.batch_proofs[key], big_m, big_z, base, y, p):
             proven.update(idx)
-    return proven
+    for i, (m, m_out, t, signed) in enumerate(pairs):
+        if not signed:
+            raise MalformedEvidence(f"step {i + 1}: step signature invalid")
+        base, y = statement(t)
+        if i in proven:
+            continue
+        if proofs[i] is None and seller is not None:
+            proofs[i] = seller.prove(m, m_out, base, y, t)
+        if not _safe_verify(proofs[i], m, m_out, base, y, p):
+            return i
+    return None
 
 
 # --- K-table doubling consistency -----------------------------------------------
@@ -557,10 +553,12 @@ def verify_k_table(catalog: Catalog, proofs: dict[tuple[int, int], DlEqProof]) -
 # --- case record files ------------------------------------------------------------
 
 _CASE_HEADER = "blindpay-case: v1"
-_BATCH_KINDS = ("step", "segment", "link")
+_PROOF_FAMILIES = ("step", "segment", "link")
 
 
-def _proof_str(pr: DlEqProof) -> str:
+def _proof_str(pr: DlEqProof | None) -> str:
+    if pr is None:
+        return "-"
     return f"{pr.commitment_a} {pr.commitment_b} {pr.challenge} {pr.response}"
 
 
@@ -597,8 +595,7 @@ def write_case(case: DisputeCase) -> str:
         lines.append(f"seller_resign: {case.seller_resign.hex()}")
     if case.seller_proof is not None:
         lines.append(f"seller_proof: {_proof_str(case.seller_proof)}")
-    for pr in case.step_proofs or []:
-        lines.append(f"step_proof: {_proof_str(pr)}" if pr else "step_proof: -")
+    lines += [f"step_proof: {_proof_str(pr)}" for pr in case.step_proofs or []]
     if case.audit_license_id:
         lines += [
             f"audit_license: {case.audit_license_id}",
@@ -608,10 +605,8 @@ def write_case(case: DisputeCase) -> str:
         ]
     if case.chain is not None:
         lines.append("chain: " + " ".join(str(c) for c in case.chain))
-    for pr in case.link_proofs or []:
-        lines.append(f"link_proof: {_proof_str(pr)}" if pr else "link_proof: -")
-    for pr in case.segment_proofs or []:
-        lines.append(f"segment_proof: {_proof_str(pr)}" if pr else "segment_proof: -")
+    lines += [f"link_proof: {_proof_str(pr)}" for pr in case.link_proofs or []]
+    lines += [f"segment_proof: {_proof_str(pr)}" for pr in case.segment_proofs or []]
     for (kind, t), pr in sorted(case.batch_proofs.items()):
         lines.append(f"batch_proof: {kind} {t} {_proof_str(pr)}")
     if case.s_revealed is not None:
@@ -626,9 +621,7 @@ def parse_case(text: str) -> DisputeCase:
     fields: dict[str, str] = {}
     k_table: dict[int, int] = {}
     steps: list[EvidenceStep] = []
-    step_proofs: list[DlEqProof | None] = []
-    link_proofs: list[DlEqProof | None] = []
-    segment_proofs: list[DlEqProof | None] = []
+    per_pair: dict[str, list[DlEqProof | None]] = {f"{f}_proof": [] for f in _PROOF_FAMILIES}
     batch_proofs: dict[tuple[str, int], DlEqProof] = {}
     try:
         for line in lines[1:]:
@@ -644,15 +637,11 @@ def parse_case(text: str) -> DisputeCase:
                     m=int(m), m_out=int(m_out), t=int(t),
                     signature=bytes.fromhex(sig),
                     alpha=None if alpha == "-" else int(alpha)))
-            elif key == "step_proof":
-                step_proofs.append(None if value == "-" else _proof_parse(value))
-            elif key == "link_proof":
-                link_proofs.append(None if value == "-" else _proof_parse(value))
-            elif key == "segment_proof":
-                segment_proofs.append(None if value == "-" else _proof_parse(value))
+            elif key in per_pair:
+                per_pair[key].append(None if value == "-" else _proof_parse(value))
             elif key == "batch_proof":
                 kind, t_s, proof = value.split(" ", 2)
-                if kind not in _BATCH_KINDS:
+                if kind not in _PROOF_FAMILIES:
                     raise MalformedEvidence(f"unknown batch proof kind {kind!r}")
                 batch_proofs[(kind, int(t_s))] = _proof_parse(proof)
             else:
@@ -680,8 +669,9 @@ def parse_case(text: str) -> DisputeCase:
             case.seller_resign = bytes.fromhex(fields["seller_resign"])
         if "seller_proof" in fields:
             case.seller_proof = _proof_parse(fields["seller_proof"])
-        if step_proofs:
-            case.step_proofs = step_proofs
+        for key, proofs in per_pair.items():
+            if proofs:
+                setattr(case, f"{key}s", proofs)
         if "audit_license" in fields:
             case.audit_license_id = fields["audit_license"]
             case.audit_x = int(fields["audit_x"])
@@ -689,10 +679,6 @@ def parse_case(text: str) -> DisputeCase:
             case.audit_blob = base64.b64decode(fields["audit_blob"], validate=True)
         if "chain" in fields:
             case.chain = [int(c) for c in fields["chain"].split()]
-        if link_proofs:
-            case.link_proofs = link_proofs
-        if segment_proofs:
-            case.segment_proofs = segment_proofs
         if "s_revealed" in fields:
             case.s_revealed = int(fields["s_revealed"])
         return case

@@ -59,7 +59,7 @@ from .purchase import (
     run_purchase,
 )
 
-BETA_DEFAULT = 128  # card identifier bits
+BETA = 128  # card identifier bits
 
 
 # --- counters -----------------------------------------------------------------
@@ -91,9 +91,6 @@ class Metrics:
             self.actors[name] = OpCounter()
         return self.actors[name]
 
-    def reset(self):
-        self.actors.clear()
-
     def records(self) -> list[tuple[str, str, int]]:
         out = []
         for name in sorted(self.actors):
@@ -122,7 +119,6 @@ class Scenario:
     seed: int = 0
     fault: str = "none"
     fault_step: int = 0
-    beta: int = BETA_DEFAULT
 
     def line(self) -> str:
         return (f"mode={self.mode} price={self.price} "
@@ -151,7 +147,6 @@ def parse_scenario(text: str) -> Scenario:
             seed=int(kv.get("seed", "0")),
             fault=kv.get("fault", "none"),
             fault_step=int(kv.get("fault_step", "0")),
-            beta=int(kv.get("beta", str(BETA_DEFAULT))),
         )
     except ValueError as exc:
         raise ScenarioInvalid(str(exc))
@@ -360,8 +355,8 @@ class ScenarioReport:
         return "\n".join(lines) + "\n"
 
 
-def _payload_bits_request(req: StepRequest, gamma: int, beta: int) -> int:
-    return beta * len(req.card_ids) + gamma
+def _payload_bits_request(req: StepRequest, gamma: int) -> int:
+    return BETA * len(req.card_ids) + gamma
 
 
 def _payload_bits_response(gamma: int) -> int:
@@ -378,7 +373,7 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
     _validate(sc)
     rng = random.Random(sc.seed)
     params = gen_params(sc.group_bits, seed=rng.randrange(2**63))
-    gamma, beta = params.bits, sc.beta
+    gamma = params.bits
 
     plaintext = LicensePlaintext(license_id="lic-main", terms="standard",
                                  content_key=rng.randbytes(16), permissions=("play",))
@@ -424,7 +419,7 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
 
     def step_fn(req: StepRequest) -> StepResponse:
         buyer_ops.messages_sent += 1
-        buyer_ops.payload_bits += _payload_bits_request(req, gamma, beta)
+        buyer_ops.payload_bits += _payload_bits_request(req, gamma)
         buyer_ops.wire_bytes += _wire_len(
             wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
         resp = raw_step(req)
@@ -493,14 +488,14 @@ def _ceil_log2(p: int) -> int:
     return (p - 1).bit_length()
 
 
-def report_tables(sweep: dict[str, list[ScenarioReport]], beta: int = BETA_DEFAULT) -> str:
+def report_tables(sweep: dict[str, list[ScenarioReport]]) -> str:
     """Measured counters against the closed-form columns, PASS/FAIL per cell.
 
     Operation counts: buyer p+2 and seller 2p in basic mode (exact); in
     enhanced mode the buyer is bounded by 1+2*ceil(log2 p) and the message
     count equals the population count of p.  A price of 1 degenerates to
     the basic scheme, so the basic bound of 3 operations applies there.
-    Payload bits: p*(beta+gamma) / 2*p*gamma in basic mode and the same
+    Payload bits: p*(BETA+gamma) / 2*p*gamma in basic mode and the same
     shapes scaled by the message count in enhanced mode.
     """
     lines = []
@@ -517,7 +512,7 @@ def report_tables(sweep: dict[str, list[ScenarioReport]], beta: int = BETA_DEFAU
                 str(p), str(b), str(p + 2), _pf(b == p + 2),
                 str(s), str(2 * p), _pf(s == 2 * p)]))
         lines.append("")
-        lines += _payload_lines(MODE_BASIC, basic, beta)
+        lines += _payload_lines(MODE_BASIC, basic)
     enhanced = sweep.get(MODE_ENHANCED, [])
     if enhanced:
         gamma = enhanced[0].scenario.group_bits
@@ -534,11 +529,11 @@ def report_tables(sweep: dict[str, list[ScenarioReport]], beta: int = BETA_DEFAU
                 str(msgs), str(pc), _pf(msgs == pc),
                 str(_ceil_log2(p) + 1), _pf(msgs <= _ceil_log2(p) + 1)]))
         lines.append("")
-        lines += _payload_lines(MODE_ENHANCED, enhanced, beta)
+        lines += _payload_lines(MODE_ENHANCED, enhanced)
     return "\n".join(lines)
 
 
-def _payload_lines(mode: str, reports: list[ScenarioReport], beta: int) -> list[str]:
+def _payload_lines(mode: str, reports: list[ScenarioReport]) -> list[str]:
     gamma = reports[0].scenario.group_bits
     lines = [f"payload bits, {mode} mode (framing excluded)",
              "p\tbuyer_bits\texpect\tok\tseller_bits\texpect\tok"]
@@ -548,7 +543,7 @@ def _payload_lines(mode: str, reports: list[ScenarioReport], beta: int) -> list[
         bb = rep.metrics.actor("buyer").payload_bits
         sb = rep.metrics.actor("seller").payload_bits
         lines.append("\t".join([
-            str(p), str(bb), str(k * (beta + gamma)), _pf(bb == k * (beta + gamma)),
+            str(p), str(bb), str(k * (BETA + gamma)), _pf(bb == k * (BETA + gamma)),
             str(sb), str(2 * k * gamma), _pf(sb == 2 * k * gamma)]))
     lines.append("")
     return lines

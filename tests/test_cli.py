@@ -9,24 +9,34 @@ import pytest
 
 from blindpay import cli, wire
 from blindpay.cards import CardLedger
-from blindpay.catalog import parse_catalog, serialize_catalog, verify_payload
+from blindpay.catalog import (
+    LicensePlaintext,
+    derive_license_key,
+    encrypt_license,
+    parse_catalog,
+    serialize_catalog,
+    verify_payload,
+)
 from blindpay.dispute import (
     BUYER_CLAIM_REJECTED,
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
+    DisputeCase,
     SellerDisputeAgent,
     build_type_d_case,
     parse_case,
     resolve_case,
+    resolve_type_d_method2,
     write_case,
 )
 from blindpay.encoding import enc_int, enc_u32
-from blindpay.errors import BlindpayError
-from blindpay.group import DlEqProof, named_group, pow_mod
+from blindpay.errors import AuthenticationFailure, BlindpayError
+from blindpay.group import DlEqProof, hash_to_group, named_group, pow_mod
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler
-from blindpay.purchase import SellerStepHandler, step_payload
+from blindpay.purchase import SellerStepHandler, run_purchase, step_payload
 
 from test_dispute import completed_session, type_c_evidence, type_d_evidence
+from test_purchase import rig
 
 
 def run_cli(*argv):
@@ -406,6 +416,112 @@ def test_arbitrate_refuses_a_record_not_of_the_catalog(tmp_path, capsys, params6
     captured = capsys.readouterr()
     assert "differs from the seller's catalog" in captured.err
     assert "seller-at-fault" not in captured.out
+
+
+def test_arbitrate_refuses_an_audit_of_a_license_not_in_the_catalog(tmp_path, capsys,
+                                                                    params64):
+    # A seller answers every step with s + 1, so the buyer's key is dead.  It
+    # then audits a license of its own making, consistent with s + 1 (x, blob,
+    # chain, link and segment proofs), and offers no step proofs.
+    keys, cat, bank, _, session = rig(params64, price=3, seed=84, prices=(2, 3))
+    liar = replace(keys, s=(keys.s + 1) % params64.q)
+    with pytest.raises(AuthenticationFailure):
+        run_purchase(session, SellerStepHandler(liar, params64, bank, "seller-1").handle)
+    x = hash_to_group(b"not-for-sale", params64)
+    plain = LicensePlaintext(license_id="lic-3", terms="read-only", content_key=bytes(16),
+                             permissions=("read",))
+    blob = encrypt_license(derive_license_key(x, 3, liar.s, params64), plain)
+    own = replace(cat, licenses=[replace(cat.entry("lic-3"), license_id="lic-x", x=x,
+                                         encrypted_license=blob)])
+    case = build_type_d_case(cat, session)
+    assert resolve_type_d_method2(case, own, SellerDisputeAgent(liar, own, random.Random(1)),
+                                  random.Random(2)).outcome == BUYER_CLAIM_REJECTED
+    path, catp = tmp_path / "case.txt", tmp_path / "cat.txt"
+    catp.write_text(serialize_catalog(cat))
+    for audited in ("lic-x", "lic-3"):  # an unknown id, then a catalog id
+        case.audit_license_id = audited
+        path.write_text(write_case(case))
+        capsys.readouterr()
+        assert run_cli("arbitrate", "--case", str(path), "--catalog", str(catp)) == 0
+        assert capsys.readouterr().out == (f"D-method2: {SELLER_AT_FAULT} (steps checked: 0)\n"
+                                           "  audited license is not the catalog's\n")
+
+
+def per_pair_record(params64):
+    """An answered method-2 record that proves each link and each step on
+    its own, with no batch proofs, and the catalog it was answered from."""
+    keys, cat, new_case = type_d_evidence(params64, None)
+    agent = SellerDisputeAgent(keys, cat, random.Random(18))
+    case = new_case()
+    resolve_type_d_method2(case, cat, agent, random.Random(19))
+    chain = case.chain
+    case.link_proofs = [agent.prove(chain[j - 1], chain[j], chain[0], chain[1], 1)
+                        for j in range(2, len(chain))]
+    case.segment_proofs = [agent.prove(st.m, st.m_out, chain[0], chain[st.t], st.t)
+                           for st in case.steps]
+    case.batch_proofs = {}
+    assert len(case.link_proofs) >= 2 and len(case.steps) >= 2
+    return case, cat
+
+
+@pytest.mark.parametrize("family", ["link", "segment"])
+def test_arbitrate_refuses_a_record_short_of_proof_lines(tmp_path, capsys, params64,
+                                                         family):
+    case, cat = per_pair_record(params64)
+    path, catp = tmp_path / "case.txt", tmp_path / "cat.txt"
+    catp.write_text(serialize_catalog(cat))
+    path.write_text(write_case(case))
+    assert run_cli("arbitrate", "--case", str(path), "--catalog", str(catp)) == 0
+    assert f"D-method2: {BUYER_CLAIM_REJECTED}" in capsys.readouterr().out
+    proofs = getattr(case, f"{family}_proofs")
+    setattr(case, f"{family}_proofs", proofs[:-1])
+    path.write_text(write_case(case))
+    assert run_cli("arbitrate", "--case", str(path), "--catalog", str(catp)) == 1
+    assert f"{len(proofs) - 1} {family}_proof lines" in capsys.readouterr().err
+
+
+def test_an_edited_step_value_convicts_an_honest_seller(tmp_path, capsys, params64):
+    """ROADMAP item 14's open hole: step_payload signs (m, m_out) but not t.
+    A buyer who changes a step's t in an honest record gets the seller
+    convicted by both methods.  Its fix, signing t, must flip this test:
+    the edited step's signature no longer verifies, so the record is
+    refused instead."""
+    keys, cat, bank, session = completed_session(params64, price=3, seed=85)
+    assert [tr.t for tr in session.transcripts] == [1, 1, 1] and 2 in cat.k_table
+    case = build_type_d_case(cat, session)
+    case.steps[0] = replace(case.steps[0], t=2)
+    code, answered = seller_answer(tmp_path, keys, cat, case)
+    assert code == 0
+    capsys.readouterr()
+    assert run_cli("arbitrate", "--case", str(answered),
+                   "--catalog", str(tmp_path / "cat.txt")) == 0
+    out = capsys.readouterr().out
+    assert f"D-method1: {SELLER_AT_FAULT} (steps checked: 1)" in out
+    assert f"D-method2: {SELLER_AT_FAULT} (steps checked: 1)" in out
+
+
+@pytest.mark.parametrize("command", ["serve", "answer"])
+@pytest.mark.parametrize("key, value", [
+    ("sign_sk", "00"), ("sign_sk", None), ("s", "x"), ("s", None),
+], ids=["short-sign_sk", "no-sign_sk", "bad-s", "no-s"])
+def test_a_bad_secrets_file_exits_1_naming_it(tmp_path, capsys, command, key, value):
+    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
+    sec = tmp_path / "sec.txt"
+    lines = [line for line in sec.read_text().splitlines()
+             if not line.startswith(f"{key}: ")]
+    if value is not None:
+        lines.append(f"{key}: {value}")
+    sec.write_text("\n".join(lines) + "\n")
+    cat = parse_catalog((tmp_path / "cat.txt").read_text())
+    case, out = tmp_path / "case.txt", tmp_path / "answered.txt"
+    case.write_text(write_case(DisputeCase(kind="D", params=cat.params, verify_pk=cat.verify_pk,
+                                           k_table=cat.k_table, steps=[])))
+    more = (["--ledger", str(tmp_path / "ledger.tsv")] if command == "serve"
+            else ["--case", str(case), "--out", str(out)])
+    capsys.readouterr()
+    assert run_cli("seller", command, "--catalog", catp, "--secrets", secp, *more) == 1
+    assert secp in capsys.readouterr().err
+    assert not out.exists()
 
 
 @contextlib.contextmanager

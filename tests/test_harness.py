@@ -70,8 +70,6 @@ def test_metrics_records_and_tsv():
     tsv = metrics.render_tsv()
     assert "buyer\texponentiations\t2\n" in tsv
     assert "seller\tsignings\t4\n" in tsv
-    metrics.reset()
-    assert metrics.records() == []
 
 
 # --- operation counts (the complexity tables) ------------------------------------------------

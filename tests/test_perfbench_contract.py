@@ -1,10 +1,13 @@
 """The benchmark in perfbench/ times the program's layers by wrapping the
 module and class attributes its tracer names (``catalog.pow_mod``,
-``purchase.div_mod`` and so on).  A change to src/ that drops one of those
-imports breaks the traced benchmark run; this test makes it fail here too.
-perfbench/ is imported, never edited."""
+``purchase.div_mod`` and so on), and drives the program through public
+calls whose names, arguments and verdicts its workloads rely on.  A change
+to src/ that breaks either breaks the benchmark run; these tests make it
+fail here too.  perfbench/ is imported, never edited."""
 
 import pathlib
+
+import pytest
 
 import blindpay
 
@@ -29,3 +32,26 @@ def test_tracer_patches_and_restores_every_layer(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner.__name__, attr)
+
+
+@pytest.mark.parametrize("name", ["purchase", "seller_steps", "arbitrate"])
+def test_one_round_of_each_workload_runs_clean(monkeypatch, tmp_path, params64, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    tmp = str(tmp_path)
+    wl = {
+        "purchase": lambda: workloads.PurchaseWorkload(params64, 1, tmp, 1),
+        # 0.1 s of steps at the provisioned rate is less than one round
+        "seller_steps": lambda: workloads.SellerStepsWorkload(params64, 1, tmp, 1, 0.1, 1),
+        "arbitrate": lambda: workloads.ArbitrateWorkload(params64, 1, tmp),
+    }[name]()
+    env = wl.setup()
+    try:
+        # a window of 0 s holds exactly one round; seller_steps ends with its pool
+        run = wl.run(env, 60.0 if name == "seller_steps" else 0.0, None)
+        problems = wl.check(env, [run])
+    finally:
+        wl.close(env)
+    assert run.ops and [op for op in run.ops if not op.ok] == []
+    assert problems == []
