@@ -42,7 +42,7 @@ def test_one_round_of_each_workload_runs_clean(monkeypatch, tmp_path, params64, 
     tmp = str(tmp_path)
     wl = {
         "purchase": lambda: workloads.PurchaseWorkload(params64, 1, tmp, 1),
-        # 0.1 s of steps at the provisioned rate is less than one round
+        # a pool for 0.1 s at the provisioned rate is one round of 20 steps
         "seller_steps": lambda: workloads.SellerStepsWorkload(params64, 1, tmp, 1, 0.1, 1),
         "arbitrate": lambda: workloads.ArbitrateWorkload(params64, 1, tmp),
     }[name]()
