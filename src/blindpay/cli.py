@@ -86,13 +86,22 @@ def _write_secrets(path: str, keys: SellerKeys):
 
 
 def _read_cards(path: str) -> list[tuple[str, int]]:
+    """One card a line: a hex card id and a value >= 1, which defaults to 1."""
     cards = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
-            cards.append((parts[0], int(parts[1]) if len(parts) > 1 else 1))
+            try:
+                bytes.fromhex(parts[0])
+                value = int(parts[1]) if len(parts) > 1 else 1
+            except ValueError:
+                value = 0  # refused below, as any value < 1 is
+            if value < 1 or len(parts) > 2:
+                raise BlindpayError(f"{path} line {lineno}: want a hex card id and a "
+                                    f"value >= 1, got {line.strip()!r}")
+            cards.append((parts[0], value))
     return cards
 
 

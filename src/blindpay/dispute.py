@@ -32,6 +32,7 @@ anything naming the buyer.
 from __future__ import annotations
 
 import base64
+import hashlib
 import random
 from dataclasses import dataclass, field, replace
 
@@ -59,7 +60,7 @@ from .group import (
     is_member,
     pow_fixed,
 )
-from .purchase import step_payload
+from .purchase import StepTranscript, step_payload
 
 SELLER_AT_FAULT = "seller-at-fault"
 BUYER_CLAIM_REJECTED = "buyer-claim-rejected"
@@ -74,25 +75,13 @@ class Verdict:
     checked_steps: int = 0
 
 
-@dataclass(frozen=True)
-class EvidenceStep:
-    """One transcript step as evidence: the wire values plus, for type B
-    only, the blinding exponent the buyer discloses."""
-
-    m: int
-    m_out: int
-    t: int
-    signature: bytes
-    alpha: int | None = None
-
-
 @dataclass
 class DisputeCase:
     kind: str
     params: GroupParams
     verify_pk: bytes
     k_table: dict[int, int]
-    steps: list[EvidenceStep]
+    steps: list[StepTranscript]  # alpha set for type B only
     # type B: the buyer gives up the license to prove the claim
     license_id: str = ""
     x: int = 0
@@ -121,21 +110,13 @@ class DisputeCase:
 
 # --- case builders ------------------------------------------------------------
 
-def _strip(transcripts) -> list[EvidenceStep]:
-    return [EvidenceStep(m=tr.m, m_out=tr.m_out, t=tr.t, signature=tr.step_signature)
-            for tr in transcripts]
-
-
 def build_type_b_case(catalog: Catalog, session) -> DisputeCase:
     """Terms-mismatch claim.  Reveals the license and the per-step blinding
     exponents; that loss of privacy is the price of a type B claim."""
     entry = session.entry
-    steps = [EvidenceStep(m=tr.m, m_out=tr.m_out, t=tr.t,
-                          signature=tr.step_signature, alpha=tr.alpha)
-             for tr in session.transcripts]
     return DisputeCase(
         kind="B", params=catalog.params, verify_pk=catalog.verify_pk,
-        k_table=dict(catalog.k_table), steps=steps,
+        k_table=dict(catalog.k_table), steps=list(session.transcripts),
         license_id=entry.license_id, x=entry.x, published_terms=entry.terms,
         encrypted_license=entry.encrypted_license,
         terms_signature=entry.terms_signature, buyer_key=session.acc,
@@ -144,16 +125,16 @@ def build_type_b_case(catalog: Catalog, session) -> DisputeCase:
 
 def build_type_c_case(catalog: Catalog, bad) -> DisputeCase:
     """Corrupt-signature claim from a BadStepSignature error."""
-    step = EvidenceStep(m=bad.m, m_out=bad.m_out, t=bad.t, signature=bad.signature)
     return DisputeCase(kind="C", params=catalog.params, verify_pk=catalog.verify_pk,
-                       k_table=dict(catalog.k_table), steps=[step])
+                       k_table=dict(catalog.k_table), steps=[bad.step])
 
 
 def build_type_d_case(catalog: Catalog, session) -> DisputeCase:
     """Dead-key claim.  Only blinded pairs and signatures: the disputed
     license stays private."""
     return DisputeCase(kind="D", params=catalog.params, verify_pk=catalog.verify_pk,
-                       k_table=dict(catalog.k_table), steps=_strip(session.transcripts))
+                       k_table=dict(catalog.k_table),
+                       steps=[replace(tr, alpha=None) for tr in session.transcripts])
 
 
 # --- seller-side arbitration agent ---------------------------------------------
@@ -455,7 +436,7 @@ def _require_d(case: DisputeCase):
         raise MalformedEvidence("no transcript steps in evidence")
 
 
-def _step_signed(case: DisputeCase, st: EvidenceStep) -> bool:
+def _step_signed(case: DisputeCase, st: StepTranscript) -> bool:
     return verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature)
 
 
@@ -577,9 +558,7 @@ def write_case(case: DisputeCase) -> str:
     ]
     for t in sorted(case.k_table):
         lines.append(f"ktable: {t} {case.k_table[t]}")
-    for st in case.steps:
-        alpha = "-" if st.alpha is None else str(st.alpha)
-        lines.append(f"step: {st.m} {st.m_out} {st.t} {alpha} {st.signature.hex()}")
+    lines += [f"step: {st.line()}" for st in case.steps]
     if case.kind == "B":
         lines += [
             f"license: {case.license_id}",
@@ -620,7 +599,7 @@ def parse_case(text: str) -> DisputeCase:
         raise MalformedEvidence("not a case record")
     fields: dict[str, str] = {}
     k_table: dict[int, int] = {}
-    steps: list[EvidenceStep] = []
+    steps: list[StepTranscript] = []
     per_pair: dict[str, list[DlEqProof | None]] = {f"{f}_proof": [] for f in _PROOF_FAMILIES}
     batch_proofs: dict[tuple[str, int], DlEqProof] = {}
     try:
@@ -632,11 +611,7 @@ def parse_case(text: str) -> DisputeCase:
                 t_s, k_s = value.split(" ", 1)
                 k_table[int(t_s)] = int(k_s)
             elif key == "step":
-                m, m_out, t, alpha, sig = value.split(" ")
-                steps.append(EvidenceStep(
-                    m=int(m), m_out=int(m_out), t=int(t),
-                    signature=bytes.fromhex(sig),
-                    alpha=None if alpha == "-" else int(alpha)))
+                steps.append(StepTranscript.parse(value))
             elif key in per_pair:
                 per_pair[key].append(None if value == "-" else _proof_parse(value))
             elif key == "batch_proof":
@@ -729,12 +704,20 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     Any seller-side material the record already carries is dropped, so
     every value, signature, proof and chain in the answer is the seller's
     own computation, and the seller picks the audited license itself.  The
-    generation factor is left out, so method 3 is never offered."""
+    generation factor is left out, so method 3 is never offered.
+
+    Method 2 reveals the key chain of the license it audits.  The draw is
+    seeded by the least SHA-256 of step_payload over the record's validly
+    signed steps, so answering one record again, or with its steps
+    reordered, reveals the same chain.  A buyer who drops steps may draw
+    again, so it opens at most one license per signed step it holds."""
     check_commitments(case, catalog)
     answered = replace(case, seller_values=None, seller_resign=None, seller_proof=None,
                        step_proofs=None, audit_license_id="", audit_x=0, audit_price=0,
                        audit_blob=b"", chain=None, link_proofs=None, segment_proofs=None,
                        batch_proofs={}, s_revealed=None, stages=[])
-    resolve_case(answered, catalog=catalog, seller=seller, rng=seller.rng)
+    seed = min((hashlib.sha256(step_payload(st.m, st.m_out)).digest()
+                for st in case.steps if _step_signed(case, st)), default=b"")
+    resolve_case(answered, catalog=catalog, seller=seller, rng=random.Random(seed))
     answered.s_revealed = None
     return answered

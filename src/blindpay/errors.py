@@ -82,15 +82,13 @@ class SessionStateError(BlindpayError):
 
 
 class BadStepSignature(BlindpayError):
-    """A step response carried an invalid signature.  The offending values
-    are kept as evidence for arbitration."""
+    """A step response carried an invalid signature.  The offending step, a
+    purchase.StepTranscript without its blinding exponent, is kept as
+    evidence for arbitration."""
 
-    def __init__(self, m: int, m_out: int, signature: bytes, t: int):
+    def __init__(self, step):
         super().__init__("invalid signature on step response")
-        self.m = m
-        self.m_out = m_out
-        self.signature = signature
-        self.t = t
+        self.step = step
 
 
 class MismatchedFactor(BlindpayError):

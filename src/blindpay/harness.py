@@ -52,7 +52,6 @@ from .purchase import (
     MODE_BASIC,
     MODE_ENHANCED,
     SellerStepHandler,
-    StepRequest,
     StepResponse,
     buyer_begin,
     plan_steps,
@@ -181,7 +180,7 @@ class FaultingSeller:
         self.fault_step = fault_step
         self.calls = 0
 
-    def handle(self, req: StepRequest) -> StepResponse:
+    def handle(self, req: wire.StepReq) -> StepResponse:
         self.calls += 1
         if self.fault == "wrong-s" and self.calls == self.fault_step:
             keys = self.handler.keys
@@ -201,6 +200,7 @@ class FaultingSeller:
 
 # --- wire glue ------------------------------------------------------------------------
 
+# read both ways: by card_error_code on the bank, by _spend_error on its client
 _CARD_ERR_CODES = {
     UnknownCard: "unknown-card",
     AlreadySpent: "already-spent",
@@ -238,13 +238,10 @@ class RemoteBank:
 
 
 def _spend_error(err: wire.SpendErr) -> CardError:
-    if err.code == "already-spent":
-        return AlreadySpent(err.detail, err.prior_seq)
-    if err.code == "unknown-card":
-        return UnknownCard(err.detail)
-    if err.code == "not-distributed":
-        return NotDistributed(err.detail)
-    return CardError(err.detail, f"{err.code}: {err.detail}")
+    cls = next((c for c, code in _CARD_ERR_CODES.items() if code == err.code), None)
+    if cls is None:
+        return CardError(err.detail, f"{err.code}: {err.detail}")
+    return cls(err.detail, err.prior_seq) if cls is AlreadySpent else cls(err.detail)
 
 
 def make_bank_handler(ledger: CardLedger):
@@ -285,7 +282,7 @@ def make_seller_handler(step_handler, catalog: Catalog):
         if isinstance(msg, MalformedMessage):
             return wire.StepErr(code="malformed", detail=str(msg))
         if isinstance(msg, wire.StepReq):
-            resp = step_handler.handle(StepRequest(card_ids=list(msg.card_ids), m=msg.m))
+            resp = step_handler.handle(msg)
             return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
         if isinstance(msg, wire.CatalogGet):
             return wire.CatalogDoc(text=catalog_text)
@@ -314,13 +311,13 @@ def step_reply(reply: wire.Message) -> StepResponse:
     raise StepRejected("protocol", f"unexpected reply {type(reply).__name__}")
 
 
-def remote_step(address: tuple[str, int], req: StepRequest) -> StepResponse:
+def remote_step(address: tuple[str, int], req: wire.StepReq) -> StepResponse:
     """Send one step to a seller server and return its response.  Each step
     gets a connection of its own, closed after the reply: steps that shared
     a connection would be linkable by the seller."""
     ep = wire.connect(*address)
     try:
-        ep.send(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
+        ep.send(req)
         return step_reply(ep.recv())
     finally:
         ep.close()
@@ -355,7 +352,7 @@ class ScenarioReport:
         return "\n".join(lines) + "\n"
 
 
-def _payload_bits_request(req: StepRequest, gamma: int) -> int:
+def _payload_bits_request(req: wire.StepReq, gamma: int) -> int:
     return BETA * len(req.card_ids) + gamma
 
 
@@ -414,14 +411,13 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
         closers = [bank_ep.close, bank_srv.stop, seller_srv.stop]
         raw_step = functools.partial(remote_step, seller_srv.address)
     else:
-        def raw_step(req: StepRequest) -> StepResponse:
-            return step_reply(seller(wire.StepReq(card_ids=tuple(req.card_ids), m=req.m)))
+        def raw_step(req: wire.StepReq) -> StepResponse:
+            return step_reply(seller(req))
 
-    def step_fn(req: StepRequest) -> StepResponse:
+    def step_fn(req: wire.StepReq) -> StepResponse:
         buyer_ops.messages_sent += 1
         buyer_ops.payload_bits += _payload_bits_request(req, gamma)
-        buyer_ops.wire_bytes += _wire_len(
-            wire.StepReq(card_ids=tuple(req.card_ids), m=req.m))
+        buyer_ops.wire_bytes += _wire_len(req)
         resp = raw_step(req)
         seller_ops.messages_sent += 1
         seller_ops.payload_bits += _payload_bits_response(gamma)

@@ -14,7 +14,6 @@ be linked into a purchase.
 
 from __future__ import annotations
 
-import base64
 import random
 import secrets
 from dataclasses import dataclass, field
@@ -39,15 +38,10 @@ from .errors import (
     SessionStateError,
 )
 from .group import GroupParams, div_mod, ensure_member, mul_mod, pow_fixed, pow_mod
+from .wire import StepReq
 
 MODE_BASIC = "basic"
 MODE_ENHANCED = "enhanced"
-
-
-@dataclass(frozen=True)
-class StepRequest:
-    card_ids: list[str]
-    m: int
 
 
 @dataclass(frozen=True)
@@ -58,16 +52,27 @@ class StepResponse:
 
 @dataclass(frozen=True)
 class StepTranscript:
-    """One step as transmitted, kept verbatim as dispute evidence.  The
-    blinding exponent used for the step is the buyer's own annotation; it
-    never travels."""
+    """One step as transmitted, kept verbatim as dispute evidence.  It holds
+    no card identifier.  The blinding exponent is the buyer's own
+    annotation: it never travels, and only a type B claim discloses it."""
 
     m: int
     m_out: int
     t: int
-    step_signature: bytes
-    card_ids: tuple[str, ...]
-    alpha: int
+    signature: bytes
+    alpha: int | None = None
+
+    def line(self) -> str:
+        """The step as one line of a case record or session checkpoint."""
+        alpha = "-" if self.alpha is None else str(self.alpha)
+        return f"{self.m} {self.m_out} {self.t} {alpha} {self.signature.hex()}"
+
+    @classmethod
+    def parse(cls, line: str) -> StepTranscript:
+        """Inverse of line(); a malformed line raises ValueError."""
+        m, m_out, t, alpha, sig = line.split(" ")
+        return cls(m=int(m), m_out=int(m_out), t=int(t), signature=bytes.fromhex(sig),
+                   alpha=None if alpha == "-" else int(alpha))
 
 
 def step_payload(m: int, m_out: int) -> bytes:
@@ -156,7 +161,7 @@ class PurchaseSession:
     step_cards: list[list[str]]
     transcripts: list[StepTranscript] = field(default_factory=list)
     _idx: int = 0
-    _pending: tuple[int, int, tuple[str, ...]] | None = None
+    _pending: tuple[int, int] | None = None
     _rng: random.Random | None = None
     _ops: object | None = None
 
@@ -250,7 +255,7 @@ def begin_upgrade(catalog: Catalog, owned_license_id: str, owned_key: int,
                   refresh_blinding, rng, ops)
 
 
-def buyer_step_request(session: PurchaseSession) -> StepRequest:
+def buyer_step_request(session: PurchaseSession) -> StepReq:
     if session.remaining == 0:
         raise SessionComplete("all units already paid")
     if session._pending is not None:
@@ -261,9 +266,8 @@ def buyer_step_request(session: PurchaseSession) -> StepRequest:
     else:
         _ensure_unblinder(session, t)
     m = mul_mod(session.r, session.acc, session.params)
-    cards = tuple(session.step_cards[session._idx])
-    session._pending = (t, m, cards)
-    return StepRequest(card_ids=list(cards), m=m)
+    session._pending = (t, m)
+    return StepReq(card_ids=tuple(session.step_cards[session._idx]), m=m)
 
 
 def buyer_process_response(session: PurchaseSession, resp: StepResponse) -> PurchaseSession:
@@ -274,21 +278,19 @@ def buyer_process_response(session: PurchaseSession, resp: StepResponse) -> Purc
     """
     if session._pending is None:
         raise SessionStateError("no request outstanding")
-    t, m, cards = session._pending
+    t, m = session._pending
     if session._ops is not None:
         session._ops.verifications += 1
     if not verify_payload(session.catalog.verify_pk, step_payload(m, resp.m_out),
                           resp.step_signature):
-        raise BadStepSignature(m=m, m_out=resp.m_out,
-                               signature=resp.step_signature, t=t)
+        raise BadStepSignature(StepTranscript(m=m, m_out=resp.m_out, t=t,
+                                              signature=resp.step_signature))
     ensure_member(resp.m_out, session.params)
     session.acc = div_mod(resp.m_out, session.unblinders[t], session.params, session._ops)
     session.remaining -= t
     session._idx += 1
     session.transcripts.append(StepTranscript(
-        m=m, m_out=resp.m_out, t=t, step_signature=resp.step_signature,
-        card_ids=cards, alpha=session.alpha,
-    ))
+        m=m, m_out=resp.m_out, t=t, signature=resp.step_signature, alpha=session.alpha))
     session._pending = None
     return session
 
@@ -306,7 +308,7 @@ def buyer_finish(session: PurchaseSession) -> LicensePlaintext:
 
 # --- seller side ---------------------------------------------------------------
 
-def seller_handle_step(req: StepRequest, keys: SellerKeys, bank,
+def seller_handle_step(req: StepReq, keys: SellerKeys, bank,
                        params: GroupParams, account: str, ops=None) -> StepResponse:
     """Handle one step: validate, spend the cards, exponentiate, sign.
 
@@ -338,7 +340,7 @@ class SellerStepHandler:
         self.account = account
         self.ops = ops
 
-    def handle(self, req: StepRequest) -> StepResponse:
+    def handle(self, req: StepReq) -> StepResponse:
         return seller_handle_step(req, self.keys, self.bank, self.params,
                                   self.account, self.ops)
 
@@ -346,7 +348,7 @@ class SellerStepHandler:
 # --- drivers --------------------------------------------------------------------
 
 def run_purchase(session: PurchaseSession, step_fn) -> LicensePlaintext:
-    """Drive a session to completion.  step_fn maps a StepRequest to a
+    """Drive a session to completion.  step_fn maps a StepReq to a
     StepResponse over whatever channel the caller set up."""
     while session.remaining > 0:
         req = buyer_step_request(session)
@@ -385,9 +387,7 @@ def save_session(session: PurchaseSession, path: str):
     ]
     for cards in session.step_cards:
         lines.append(f"cards: {' '.join(cards) if cards else '-'}")
-    for tr in session.transcripts:
-        enc = base64.b64encode(tr.step_signature).decode()
-        lines.append(f"transcript: {tr.m} {tr.m_out} {tr.t} {tr.alpha} {enc}")
+    lines += [f"transcript: {tr.line()}" for tr in session.transcripts]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -416,13 +416,9 @@ def load_session(path: str, catalog: Catalog, rng: random.Random | None = None,
         acc=int(fields["acc"]), remaining=int(fields["remaining"]),
         plan=[int(t) for t in fields["plan"].split()],
         step_cards=[[] if v == "-" else v.split() for v in card_lines],
+        transcripts=[StepTranscript.parse(v) for v in transcript_lines],
         _idx=int(fields["idx"]), _rng=rng, _ops=ops,
     )
-    for v in transcript_lines:
-        m, m_out, t, alpha, sig = v.split(" ", 4)
-        session.transcripts.append(StepTranscript(
-            m=int(m), m_out=int(m_out), t=int(t),
-            step_signature=base64.b64decode(sig), card_ids=(), alpha=int(alpha)))
     # Recompute without billing: the cost model bills r and the unblinders
     # once, when they were first computed before the checkpoint.  With
     # refresh on, a resumed step past the first draws fresh ones anyway.

@@ -84,8 +84,8 @@ def test_verify_catalog_flags_tampering(tmp_path, capsys):
     sec = str(tmp_path / "sec.txt")
     run_cli("seller", "init", "--catalog", cat, "--secrets", sec, "--seed", "3",
             "--group-bits", "32", "--license", "lic-a:3:read-only")
-    text = open(cat).read().replace("terms: read-only", "terms: read-write")
-    open(cat, "w").write(text)
+    path = tmp_path / "cat.txt"
+    path.write_text(path.read_text().replace("terms: read-only", "terms: read-write"))
     assert run_cli("verify-catalog", cat) == 1
     assert "signature" in capsys.readouterr().out
 
@@ -592,6 +592,20 @@ def test_buyer_purchase_insufficient_cards(tmp_path, capsys):
     with cli_market(tmp_path, capsys) as (argv, ledger):
         (tmp_path / "cards.txt").write_text("")  # no cards at all
         assert run_cli(*argv) == 1
+
+
+@pytest.mark.parametrize("bad_line", [
+    "{cid} one", "{cid} 0", "{cid} -1", "zz{cid} 1", "{cid} 1 extra",
+], ids=["non-integer-value", "zero-value", "negative-value", "non-hex-id", "three-fields"])
+def test_buyer_purchase_with_a_malformed_cards_file_exits_1(tmp_path, capsys, bad_line):
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        cards = tmp_path / "cards.txt"
+        lines = cards.read_text().splitlines()
+        lines[1] = bad_line.format(cid=lines[1].split()[0])
+        cards.write_text("\n".join(lines) + "\n")
+        assert run_cli(*argv) == 1
+        assert f"{cards} line 2" in capsys.readouterr().err
+        assert ledger.balance("seller-1") == 0
 
 
 def test_buyer_purchase_against_closed_port_exits_1(tmp_path, capsys):

@@ -13,7 +13,6 @@ from blindpay.dispute import (
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
     DisputeCase,
-    EvidenceStep,
     SellerDisputeAgent,
     Verdict,
     answer_case,
@@ -50,6 +49,7 @@ from blindpay.purchase import (
     MODE_ENHANCED,
     SellerStepHandler,
     StepResponse,
+    StepTranscript,
     buyer_begin,
     buyer_finish,
     buyer_process_response,
@@ -172,7 +172,7 @@ def type_c_evidence(params, t):
     with pytest.raises(BadStepSignature) as exc:
         buyer_process_response(session, StepResponse(m_out=resp.m_out,
                                                      step_signature=bytes(64)))
-    assert exc.value.t == t
+    assert exc.value.step.t == t
     return keys, cat, lambda: build_type_c_case(cat, exc.value)
 
 
@@ -203,7 +203,7 @@ def test_type_c_valid_signature_rejected(params64):
     resp = handler.handle(buyer_step_request(session))
     buyer_process_response(session, resp)
     tr = session.transcripts[0]
-    fake = BadStepSignature(m=tr.m, m_out=tr.m_out, signature=tr.step_signature, t=tr.t)
+    fake = BadStepSignature(replace(tr, alpha=None))
     verdict = resolve_type_c(build_type_c_case(cat, fake),
                              SellerDisputeAgent(keys, cat))
     assert verdict.outcome == BUYER_CLAIM_REJECTED
@@ -270,6 +270,24 @@ def test_answer_case_picks_the_audit_license_itself(params64):
         picks.add(answered.audit_license_id)
         assert answered.s_revealed is None
     assert len(picks) == 1
+
+
+def test_answer_case_audits_one_license_per_record(params64):
+    # the draw is a function of the record's signed steps, so resubmitting a
+    # genuine record, or reordering its steps, reveals no further key chain
+    keys, cat, bank, session = completed_session(params64, price=3, seed=84,
+                                                 prices=(1, 2, 3, 4, 5))
+    case = build_type_d_case(cat, session)
+    reordered = replace(case, steps=case.steps[::-1])
+    picks = {answer_case(record, cat, SellerDisputeAgent(keys, cat)).audit_license_id
+             for record in [case] * 5 + [reordered]}
+    assert len(picks) == 1
+
+
+def test_answer_case_without_steps_is_malformed(params64):
+    keys, cat, new_case = type_d_evidence(params64, None)
+    with pytest.raises(MalformedEvidence):
+        answer_case(replace(new_case(), steps=[]), cat, SellerDisputeAgent(keys, cat))
 
 
 # --- type D method 1 -------------------------------------------------------------------
@@ -418,7 +436,7 @@ def signed_d_case(keys, cat, steps, rng):
         if m is None:
             m = pow_mod(p.g, rng.randrange(1, p.q), p)
             m_out = pow(m, pow(keys.s, t, p.q), p.n)
-        evidence.append(EvidenceStep(m=m, m_out=m_out, t=t, signature=sign_payload(
+        evidence.append(StepTranscript(m=m, m_out=m_out, t=t, signature=sign_payload(
             keys.sign_sk, step_payload(m, m_out))))
     return DisputeCase(kind="D", params=p, verify_pk=cat.verify_pk,
                        k_table=dict(cat.k_table), steps=evidence)
@@ -622,7 +640,7 @@ def _tokens(text):
 
 def test_case_records_for_c_and_d_hide_buyer_data(params64):
     keys, cat, bank, session = completed_session(params64, price=3, seed=66)
-    spent_cards = [cid for tr in session.transcripts for cid in tr.card_ids]
+    spent_cards = [cid for cards in session.step_cards for cid in cards]
     x = session.entry.x
 
     d_text = write_case(build_type_d_case(cat, session))
@@ -643,8 +661,8 @@ def test_type_b_record_reveals_license_but_never_cards(params64):
     keys, cat, bank, session = completed_session(params64, price=3, seed=68)
     text = write_case(build_type_b_case(cat, session))
     assert "lic-3" in text  # type B inherently reveals the license
-    for tr in session.transcripts:
-        for cid in tr.card_ids:
+    for cards in session.step_cards:
+        for cid in cards:
             assert cid not in text
 
 

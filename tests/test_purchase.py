@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from blindpay import wire
 from blindpay.cards import CardLedger
 from blindpay.catalog import derive_license_key
 from blindpay.errors import (
@@ -21,7 +22,6 @@ from blindpay.purchase import (
     MODE_BASIC,
     MODE_ENHANCED,
     SellerStepHandler,
-    StepRequest,
     StepResponse,
     begin_upgrade,
     buyer_begin,
@@ -177,7 +177,7 @@ def test_seller_spends_before_exponentiation(params64):
     bank.verify_and_spend(cards[0][0], "seller-0")
     ops = OpCounter()
     handler = SellerStepHandler(keys, params64, bank, "seller-1", ops=ops)
-    req = StepRequest(card_ids=[cards[0][0]], m=cat.entry("lic-2").x)
+    req = wire.StepReq(card_ids=[cards[0][0]], m=cat.entry("lic-2").x)
     with pytest.raises(AlreadySpent):
         handler.handle(req)
     assert ops.exponentiations == 0
@@ -190,7 +190,7 @@ def test_seller_rejects_nonmember_before_spending(params64):
     bank = CardLedger(rng=random.Random(8))
     cards = fund(bank, [1])
     handler = SellerStepHandler(keys, params64, bank, "seller-1")
-    bad = StepRequest(card_ids=[cards[0][0]], m=params64.n - 1)  # not a QR
+    bad = wire.StepReq(card_ids=[cards[0][0]], m=params64.n - 1)  # not a QR
     with pytest.raises(MalformedElement):
         handler.handle(bad)
     # the card survived the malformed request
@@ -202,7 +202,7 @@ def test_seller_rejects_unknown_card(params64):
     bank = CardLedger(rng=random.Random(9))
     handler = SellerStepHandler(keys, params64, bank, "seller-1")
     with pytest.raises(UnknownCard):
-        handler.handle(StepRequest(card_ids=["00" * 16], m=cat.entry("lic-1").x))
+        handler.handle(wire.StepReq(card_ids=["00" * 16], m=cat.entry("lic-1").x))
 
 
 def test_seller_multicard_step_uses_combined_exponent(params64):
@@ -211,7 +211,7 @@ def test_seller_multicard_step_uses_combined_exponent(params64):
     cards = fund(bank, [1, 1])
     handler = SellerStepHandler(keys, params64, bank, "seller-1")
     m = cat.entry("lic-2").x
-    resp = seller_handle_step(StepRequest(card_ids=[c for c, _ in cards], m=m),
+    resp = seller_handle_step(wire.StepReq(card_ids=[c for c, _ in cards], m=m),
                               keys, bank, params64, "seller-1")
     assert resp.m_out == pow_mod(m, pow(keys.s, 2, params64.q), params64)
     assert resp.m_out == resp.m_out % params64.n
@@ -232,7 +232,7 @@ def test_seller_handles_concurrent_requests(params64):
 
     def one_step(card_id):
         try:
-            results.append(handler.handle(StepRequest(card_ids=[card_id], m=x)))
+            results.append(handler.handle(wire.StepReq(card_ids=[card_id], m=x)))
         except Exception as exc:  # noqa: BLE001 - collected for the assert
             errors.append(exc)
 
@@ -256,7 +256,7 @@ def test_seller_is_stateless(params64):
         bank = CardLedger(rng=random.Random(11))
         cards = fund(bank, [1])
         handler = SellerStepHandler(keys, params64, bank, "seller-1")
-        return handler.handle(StepRequest(card_ids=[cards[0][0]], m=m))
+        return handler.handle(wire.StepReq(card_ids=[cards[0][0]], m=m))
 
     first, second = fresh_response(), fresh_response()
     assert first.m_out == second.m_out
@@ -274,8 +274,8 @@ def test_bad_signature_aborts_with_evidence(params64):
     with pytest.raises(BadStepSignature) as exc:
         buyer_process_response(session, corrupt)
     assert session.acc == acc_before
-    assert exc.value.m_out == resp.m_out
-    assert exc.value.t == 1
+    assert exc.value.step.m_out == resp.m_out
+    assert exc.value.step.t == 1
 
 
 def test_tampered_m_out_fails_signature(params64):
