@@ -10,7 +10,6 @@ unblinding keys K_t = g^(s^t).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import random
 import secrets
@@ -20,7 +19,17 @@ from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric import ed25519
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .encoding import Reader, enc_bytes, enc_int, enc_str, enc_u32
+from .encoding import (
+    Reader,
+    RecordFormat,
+    b64,
+    enc_bytes,
+    enc_int,
+    enc_str,
+    enc_u32,
+    int_pair,
+    unb64,
+)
 from .errors import AuthenticationFailure, CatalogFormatError, MalformedMessage
 from .group import GroupParams, hash_to_group, is_member, pow_mod
 
@@ -247,91 +256,50 @@ def with_published_terms(catalog: Catalog, keys: SellerKeys, license_id: str,
 
 # --- catalog document ---------------------------------------------------------
 
-_HEADER = "blindpay-catalog: v1"
+GROUP_KEYS = {"n": int, "q": int, "g": int, "bits": int, "verify_pk": bytes.fromhex}
+# in LicenseEntry's field order
+_LICENSE_KEYS = {"license": str, "content": str, "price": int, "x": int, "terms": str,
+                 "blob": unb64, "signature": bytes.fromhex}
+CATALOG = RecordFormat("catalog", once={**GROUP_KEYS, "ktable_signature": bytes.fromhex},
+                       many={"ktable": int_pair, **_LICENSE_KEYS}, error=CatalogFormatError)
+
+
+def group_fields(params: GroupParams, verify_pk: bytes,
+                 k_table: dict[int, int]) -> list[tuple[str, object]]:
+    """The lines a catalog and a case record share: the group, the
+    verification key and the K table (GROUP_KEYS and many ``ktable``)."""
+    return [("n", params.n), ("q", params.q), ("g", params.g), ("bits", params.bits),
+            ("verify_pk", verify_pk.hex())] + [
+                ("ktable", f"{t} {k_table[t]}") for t in sorted(k_table)]
+
+
+def read_group(rec: dict) -> tuple[GroupParams, bytes, dict[int, int]]:
+    """Inverse of group_fields.  The group is not validated."""
+    params = GroupParams(n=rec["n"], q=rec["q"], g=rec["g"], bits=rec["bits"])
+    return params, rec["verify_pk"], dict(rec["ktable"])
 
 
 def serialize_catalog(cat: Catalog) -> str:
-    lines = [
-        _HEADER,
-        f"n: {cat.params.n}",
-        f"q: {cat.params.q}",
-        f"g: {cat.params.g}",
-        f"bits: {cat.params.bits}",
-        f"verify_pk: {cat.verify_pk.hex()}",
-    ]
-    for t in sorted(cat.k_table):
-        lines.append(f"ktable: {t} {cat.k_table[t]}")
-    lines.append(f"ktable_signature: {cat.k_table_signature.hex()}")
+    fields = group_fields(cat.params, cat.verify_pk, cat.k_table)
+    fields.append(("ktable_signature", cat.k_table_signature.hex()))
     for e in cat.licenses:
-        lines += [
-            f"license: {e.license_id}",
-            f"content: {e.content_id}",
-            f"price: {e.price}",
-            f"x: {e.x}",
-            f"terms: {e.terms}",
-            f"blob: {base64.b64encode(e.encrypted_license).decode()}",
-            f"signature: {e.terms_signature.hex()}",
-        ]
-    return "\n".join(lines) + "\n"
-
-
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def peek_key(self) -> str | None:
-        if self.pos >= len(self.lines):
-            return None
-        return self.lines[self.pos].split(": ", 1)[0]
-
-    def take(self, key: str) -> str:
-        if self.pos >= len(self.lines):
-            raise CatalogFormatError(f"line {self.pos + 1}: expected {key!r}, got end of file")
-        line = self.lines[self.pos]
-        prefix = key + ": "
-        if not line.startswith(prefix):
-            raise CatalogFormatError(f"line {self.pos + 1}: expected {key!r}, got {line!r}")
-        self.pos += 1
-        return line[len(prefix):]
+        fields += zip(_LICENSE_KEYS, (e.license_id, e.content_id, e.price, e.x, e.terms,
+                                      b64(e.encrypted_license), e.terms_signature.hex()))
+    return CATALOG.write(fields)
 
 
 def parse_catalog(text: str) -> Catalog:
-    r = _LineReader(text)
-    if r.pos >= len(r.lines) or r.lines[0] != _HEADER:
-        raise CatalogFormatError("missing catalog header")
-    r.pos = 1
-    try:
-        n = int(r.take("n"))
-        q = int(r.take("q"))
-        g = int(r.take("g"))
-        bits = int(r.take("bits"))
-        verify_pk = bytes.fromhex(r.take("verify_pk"))
-        k_table = {}
-        while r.peek_key() == "ktable":
-            t_s, k_s = r.take("ktable").split(" ", 1)
-            k_table[int(t_s)] = int(k_s)
-        k_sig = bytes.fromhex(r.take("ktable_signature"))
-        licenses = []
-        while r.peek_key() == "license":
-            licenses.append(LicenseEntry(
-                license_id=r.take("license"),
-                content_id=r.take("content"),
-                price=int(r.take("price")),
-                x=int(r.take("x")),
-                terms=r.take("terms"),
-                encrypted_license=base64.b64decode(r.take("blob"), validate=True),
-                terms_signature=bytes.fromhex(r.take("signature")),
-            ))
-    except (ValueError, CatalogFormatError) as exc:
-        if isinstance(exc, CatalogFormatError):
-            raise
-        raise CatalogFormatError(f"line {r.pos + 1}: {exc}")
-    if r.pos != len(r.lines):
-        raise CatalogFormatError(f"line {r.pos + 1}: trailing content")
-    params = GroupParams(n=n, q=q, g=g, bits=bits)
-    return Catalog(params=params, verify_pk=verify_pk, licenses=licenses,
-                   k_table=k_table, k_table_signature=k_sig)
+    """Inverse of serialize_catalog, whose line order it requires."""
+    rec = CATALOG.read(text)
+    order = [*GROUP_KEYS, *["ktable"] * len(rec["ktable"]), "ktable_signature",
+             *list(_LICENSE_KEYS) * len(rec["license"]), "end of file"]
+    for lineno, (key, want) in enumerate(zip(rec.order + ["end of file"], order), 2):
+        if key != want:
+            raise CatalogFormatError(f"line {lineno}: expected {want!r}, got {key!r}")
+    params, verify_pk, k_table = read_group(rec)
+    licenses = [LicenseEntry(*values) for values in zip(*(rec[k] for k in _LICENSE_KEYS))]
+    return Catalog(params=params, verify_pk=verify_pk, licenses=licenses, k_table=k_table,
+                   k_table_signature=rec["ktable_signature"])
 
 
 def verify_catalog(cat: Catalog) -> list[str]:

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import os
 import random
+import secrets
 import sys
 
 from . import harness, wire
@@ -33,6 +34,7 @@ from .dispute import (
     resolve_case,
     write_case,
 )
+from .encoding import RecordFormat
 from .errors import BadStepSignature, BlindpayError, ScenarioInvalid, StepRejected
 from .group import NAMED_GROUPS, gen_params, named_group
 from .purchase import SellerStepHandler, buyer_begin, run_purchase
@@ -61,28 +63,25 @@ def _group_bits(text: str) -> int | str:
             f"{text!r} is neither a bit length nor one of {', '.join(NAMED_GROUPS)}") from None
 
 
+SECRETS = RecordFormat("secrets", once={"s": int, "sign_sk": bytes.fromhex}, many={},
+                       error=BlindpayError)
+
+
 def _read_secrets(path: str) -> SellerKeys:
-    kv = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition(": ")
-            kv[key] = value
-    if kv.get("blindpay-secrets") != "v1":
-        raise BlindpayError(f"{path} is not a seller secrets file")
     from cryptography.hazmat.primitives.asymmetric import ed25519
     try:
-        sk = bytes.fromhex(kv["sign_sk"])
-        pk = ed25519.Ed25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
-        return SellerKeys(s=int(kv["s"]), sign_sk=sk, verify_pk=pk)
-    except (KeyError, ValueError) as exc:
-        raise BlindpayError(f"{path}: s or sign_sk missing or malformed ({exc})") from None
+        with open(path, encoding="utf-8") as fh:
+            rec = SECRETS.read(fh.read())
+        sk = ed25519.Ed25519PrivateKey.from_private_bytes(rec["sign_sk"])
+        return SellerKeys(s=rec["s"], sign_sk=rec["sign_sk"],
+                          verify_pk=sk.public_key().public_bytes_raw())
+    except (BlindpayError, ValueError) as exc:
+        raise BlindpayError(f"{path}: not a usable seller secrets file: {exc}") from None
 
 
 def _write_secrets(path: str, keys: SellerKeys):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("blindpay-secrets: v1\n")
-        fh.write(f"s: {keys.s}\n")
-        fh.write(f"sign_sk: {keys.sign_sk.hex()}\n")
+        fh.write(SECRETS.write([("s", keys.s), ("sign_sk", keys.sign_sk.hex())]))
 
 
 def _read_cards(path: str) -> list[tuple[str, int]]:
@@ -152,9 +151,9 @@ def cmd_bank_issue(args) -> int:
 
 
 def cmd_seller_init(args) -> int:
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed) if args.seed is not None else None
     params = (named_group(args.group_bits) if isinstance(args.group_bits, str)
-              else gen_params(args.group_bits, seed=rng.randrange(2**63)))
+              else gen_params(args.group_bits, seed=rng.randrange(2**63) if rng else None))
     specs = []
     for text in args.license:
         try:
@@ -163,8 +162,9 @@ def cmd_seller_init(args) -> int:
         except ValueError:
             print(f"bad --license value {text!r}, want ID:PRICE:TERMS", file=sys.stderr)
             return EXIT_USAGE
+        content_key = rng.randbytes(16) if rng is not None else secrets.token_bytes(16)
         plain = LicensePlaintext(license_id=license_id, terms=terms,
-                                 content_key=rng.randbytes(16), permissions=("play",))
+                                 content_key=content_key, permissions=("play",))
         specs.append(LicenseSpec(license_id=license_id,
                                  content_id=f"content-{license_id}",
                                  price=price, terms=terms, plaintext=plain,
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     init.add_argument("--secrets", required=True)
     init.add_argument("--group-bits", type=_group_bits, default=64,
                       help="bits of a generated group, or ffdhe2048 or ffdhe3072")
-    init.add_argument("--seed", type=int, default=0)
+    init.add_argument("--seed", type=int, help="reproducible keys, for a demo only")
     init.add_argument("--x-label", default=None,
                       help="shared encryption factor label (enables upgrades)")
     init.add_argument("--license", action="append", required=True,

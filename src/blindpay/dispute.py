@@ -31,18 +31,21 @@ anything naming the buyer.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
 
 from .catalog import (
+    GROUP_KEYS,
     Catalog,
     decrypt_license,
+    group_fields,
+    read_group,
     sign_payload,
-    terms_payload,
     verify_payload,
+    verify_terms,
 )
+from .encoding import RecordFormat, b64, int_pair, ints, unb64
 from .errors import (
     AuthenticationFailure,
     ChainLengthMismatch,
@@ -219,15 +222,14 @@ def resolve_type_b(case: DisputeCase) -> Verdict:
     if not case.steps:
         raise MalformedEvidence("no transcript steps in evidence")
     p = case.params
-    if not verify_payload(case.verify_pk,
-                          terms_payload(case.published_terms, case.encrypted_license),
-                          case.terms_signature):
+    if not verify_terms(case.verify_pk, case.published_terms, case.encrypted_license,
+                        case.terms_signature):
         return Verdict(BUYER_CLAIM_REJECTED, "terms signature invalid", 0)
     acc = case.x
     for i, st in enumerate(case.steps, 1):
         if st.alpha is None:
             raise MalformedEvidence(f"step {i}: blinding exponent missing")
-        if not verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature):
+        if not _step_signed(case, st):
             return Verdict(BUYER_CLAIM_REJECTED, f"step {i}: step signature invalid", i)
         expected_m = (pow_fixed(p.g, st.alpha, p) * acc) % p.n
         if st.m != expected_m:
@@ -272,7 +274,7 @@ def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) 
     if len(case.steps) != 1:
         raise MalformedEvidence("type C evidence is exactly one step")
     st = case.steps[0]
-    if verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature):
+    if _step_signed(case, st):
         return Verdict(BUYER_CLAIM_REJECTED, "presented signature is valid", 1)
     if not is_member(st.m, case.params):
         return Verdict(BUYER_CLAIM_REJECTED, "request is not a subgroup member", 1)
@@ -289,8 +291,8 @@ def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) 
     if (q_val, n_val) == (st.m, st.m_out):
         if case.seller_resign is None and seller is not None:
             case.seller_resign = seller.sign_values(st.m, st.m_out)
-        if case.seller_resign is None or not verify_payload(
-                case.verify_pk, step_payload(st.m, st.m_out), case.seller_resign):
+        if case.seller_resign is None or not _step_signed(
+                case, replace(st, signature=case.seller_resign)):
             return Verdict(SELLER_AT_FAULT,
                            "seller failed to produce a valid signature on agreed values", 1)
         return Verdict(SELLER_MUST_RESIGN,
@@ -533,8 +535,34 @@ def verify_k_table(catalog: Catalog, proofs: dict[tuple[int, int], DlEqProof]) -
 
 # --- case record files ------------------------------------------------------------
 
-_CASE_HEADER = "blindpay-case: v1"
 _PROOF_FAMILIES = ("step", "segment", "link")
+
+
+def _proof_parse(v: str) -> DlEqProof | None:
+    if v == "-":
+        return None
+    a1, a2, c, z = ints(v)
+    return DlEqProof(commitment_a=a1, commitment_b=a2, challenge=c, response=z)
+
+
+def _batch_parse(v: str) -> tuple[tuple[str, int], DlEqProof | None]:
+    family, t, proof = v.split(" ", 2)
+    if family not in _PROOF_FAMILIES:
+        raise ValueError(f"unknown batch proof kind {family!r}")
+    return (family, int(t)), _proof_parse(proof)
+
+
+_TYPE_B_KEYS = {"license": str, "x": int, "published_terms": str, "blob": unb64,
+                "terms_signature": bytes.fromhex, "buyer_key": int}
+_AUDIT_KEYS = {"audit_license": str, "audit_x": int, "audit_price": int, "audit_blob": unb64}
+CASE = RecordFormat(
+    "case",
+    once={"kind": str, **GROUP_KEYS, **_TYPE_B_KEYS, "seller_values": int_pair,
+          "seller_resign": bytes.fromhex, "seller_proof": _proof_parse, **_AUDIT_KEYS,
+          "chain": ints, "s_revealed": int},
+    many={"ktable": int_pair, "step": StepTranscript.parse, "batch_proof": _batch_parse,
+          **{f"{f}_proof": _proof_parse for f in _PROOF_FAMILIES}},
+    error=MalformedEvidence)
 
 
 def _proof_str(pr: DlEqProof | None) -> str:
@@ -543,122 +571,58 @@ def _proof_str(pr: DlEqProof | None) -> str:
     return f"{pr.commitment_a} {pr.commitment_b} {pr.challenge} {pr.response}"
 
 
-def _proof_parse(v: str) -> DlEqProof:
-    a1, a2, c, z = (int(x) for x in v.split())
-    return DlEqProof(commitment_a=a1, commitment_b=a2, challenge=c, response=z)
-
-
 def write_case(case: DisputeCase) -> str:
-    p = case.params
-    lines = [
-        _CASE_HEADER,
-        f"kind: {case.kind}",
-        f"n: {p.n}", f"q: {p.q}", f"g: {p.g}", f"bits: {p.bits}",
-        f"verify_pk: {case.verify_pk.hex()}",
-    ]
-    for t in sorted(case.k_table):
-        lines.append(f"ktable: {t} {case.k_table[t]}")
-    lines += [f"step: {st.line()}" for st in case.steps]
+    fields = [("kind", case.kind), *group_fields(case.params, case.verify_pk, case.k_table)]
+    fields += [("step", st.line()) for st in case.steps]
     if case.kind == "B":
-        lines += [
-            f"license: {case.license_id}",
-            f"x: {case.x}",
-            f"published_terms: {case.published_terms}",
-            f"blob: {base64.b64encode(case.encrypted_license).decode()}",
-            f"terms_signature: {case.terms_signature.hex()}",
-            f"buyer_key: {case.buyer_key}",
-        ]
+        fields += zip(_TYPE_B_KEYS, (case.license_id, case.x, case.published_terms,
+                                     b64(case.encrypted_license), case.terms_signature.hex(),
+                                     case.buyer_key))
     if case.seller_values is not None:
-        lines.append(f"seller_values: {case.seller_values[0]} {case.seller_values[1]}")
+        fields.append(("seller_values", f"{case.seller_values[0]} {case.seller_values[1]}"))
     if case.seller_resign is not None:
-        lines.append(f"seller_resign: {case.seller_resign.hex()}")
+        fields.append(("seller_resign", case.seller_resign.hex()))
     if case.seller_proof is not None:
-        lines.append(f"seller_proof: {_proof_str(case.seller_proof)}")
-    lines += [f"step_proof: {_proof_str(pr)}" for pr in case.step_proofs or []]
+        fields.append(("seller_proof", _proof_str(case.seller_proof)))
+    fields += [("step_proof", _proof_str(pr)) for pr in case.step_proofs or []]
     if case.audit_license_id:
-        lines += [
-            f"audit_license: {case.audit_license_id}",
-            f"audit_x: {case.audit_x}",
-            f"audit_price: {case.audit_price}",
-            f"audit_blob: {base64.b64encode(case.audit_blob).decode()}",
-        ]
+        fields += zip(_AUDIT_KEYS, (case.audit_license_id, case.audit_x, case.audit_price,
+                                    b64(case.audit_blob)))
     if case.chain is not None:
-        lines.append("chain: " + " ".join(str(c) for c in case.chain))
-    lines += [f"link_proof: {_proof_str(pr)}" for pr in case.link_proofs or []]
-    lines += [f"segment_proof: {_proof_str(pr)}" for pr in case.segment_proofs or []]
-    for (kind, t), pr in sorted(case.batch_proofs.items()):
-        lines.append(f"batch_proof: {kind} {t} {_proof_str(pr)}")
+        fields.append(("chain", " ".join(str(c) for c in case.chain)))
+    fields += [("link_proof", _proof_str(pr)) for pr in case.link_proofs or []]
+    fields += [("segment_proof", _proof_str(pr)) for pr in case.segment_proofs or []]
+    fields += [("batch_proof", f"{kind} {t} {_proof_str(pr)}")
+               for (kind, t), pr in sorted(case.batch_proofs.items())]
     if case.s_revealed is not None:
-        lines.append(f"s_revealed: {case.s_revealed}")
-    return "\n".join(lines) + "\n"
+        fields.append(("s_revealed", case.s_revealed))
+    return CASE.write(fields)
 
 
 def parse_case(text: str) -> DisputeCase:
-    lines = text.splitlines()
-    if not lines or lines[0] != _CASE_HEADER:
-        raise MalformedEvidence("not a case record")
-    fields: dict[str, str] = {}
-    k_table: dict[int, int] = {}
-    steps: list[StepTranscript] = []
-    per_pair: dict[str, list[DlEqProof | None]] = {f"{f}_proof": [] for f in _PROOF_FAMILIES}
-    batch_proofs: dict[tuple[str, int], DlEqProof] = {}
+    rec = CASE.read(text)
+    params, verify_pk, k_table = read_group(rec)
+    # Membership checks on the evidence mean "in the order-q subgroup"
+    # only for a safe-prime group, so a record's group is checked first.
     try:
-        for line in lines[1:]:
-            key, sep, value = line.partition(": ")
-            if not sep:
-                raise MalformedEvidence(f"bad case line {line!r}")
-            if key == "ktable":
-                t_s, k_s = value.split(" ", 1)
-                k_table[int(t_s)] = int(k_s)
-            elif key == "step":
-                steps.append(StepTranscript.parse(value))
-            elif key in per_pair:
-                per_pair[key].append(None if value == "-" else _proof_parse(value))
-            elif key == "batch_proof":
-                kind, t_s, proof = value.split(" ", 2)
-                if kind not in _PROOF_FAMILIES:
-                    raise MalformedEvidence(f"unknown batch proof kind {kind!r}")
-                batch_proofs[(kind, int(t_s))] = _proof_parse(proof)
-            else:
-                fields[key] = value
-        # Membership checks on the evidence mean "in the order-q subgroup"
-        # only for a safe-prime group, so a record's group is checked first.
-        params = GroupParams(n=int(fields["n"]), q=int(fields["q"]),
-                             g=int(fields["g"]), bits=int(fields["bits"])).validate()
-        case = DisputeCase(
-            kind=fields["kind"], params=params,
-            verify_pk=bytes.fromhex(fields["verify_pk"]),
-            k_table=k_table, steps=steps, batch_proofs=batch_proofs,
-        )
-        if case.kind == "B":
-            case.license_id = fields["license"]
-            case.x = int(fields["x"])
-            case.published_terms = fields["published_terms"]
-            case.encrypted_license = base64.b64decode(fields["blob"], validate=True)
-            case.terms_signature = bytes.fromhex(fields["terms_signature"])
-            case.buyer_key = int(fields["buyer_key"])
-        if "seller_values" in fields:
-            a, b = fields["seller_values"].split(" ")
-            case.seller_values = (int(a), int(b))
-        if "seller_resign" in fields:
-            case.seller_resign = bytes.fromhex(fields["seller_resign"])
-        if "seller_proof" in fields:
-            case.seller_proof = _proof_parse(fields["seller_proof"])
-        for key, proofs in per_pair.items():
-            if proofs:
-                setattr(case, f"{key}s", proofs)
-        if "audit_license" in fields:
-            case.audit_license_id = fields["audit_license"]
-            case.audit_x = int(fields["audit_x"])
-            case.audit_price = int(fields["audit_price"])
-            case.audit_blob = base64.b64decode(fields["audit_blob"], validate=True)
-        if "chain" in fields:
-            case.chain = [int(c) for c in fields["chain"].split()]
-        if "s_revealed" in fields:
-            case.s_revealed = int(fields["s_revealed"])
-        return case
-    except (KeyError, ValueError) as exc:
-        raise MalformedEvidence(f"case record incomplete or corrupt: {exc}")
+        params.validate()
+    except ValueError as exc:
+        raise MalformedEvidence(f"case record group invalid: {exc}") from None
+    case = DisputeCase(
+        kind=rec["kind"], params=params, verify_pk=verify_pk, k_table=k_table,
+        steps=rec["step"], batch_proofs=dict(rec["batch_proof"]),
+        seller_values=rec.get("seller_values"), seller_resign=rec.get("seller_resign"),
+        seller_proof=rec.get("seller_proof"), chain=rec.get("chain"),
+        s_revealed=rec.get("s_revealed"))
+    if case.kind == "B":
+        (case.license_id, case.x, case.published_terms, case.encrypted_license,
+         case.terms_signature, case.buyer_key) = (rec[k] for k in _TYPE_B_KEYS)
+    for family in _PROOF_FAMILIES:
+        setattr(case, f"{family}_proofs", rec[f"{family}_proof"] or None)
+    if "audit_license" in rec:
+        (case.audit_license_id, case.audit_x, case.audit_price,
+         case.audit_blob) = (rec[k] for k in _AUDIT_KEYS)
+    return case
 
 
 def resolve_case(case: DisputeCase, catalog: Catalog | None = None,

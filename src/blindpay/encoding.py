@@ -8,6 +8,9 @@ bytes a signature covers are exactly the bytes that travel on the wire.
 
 from __future__ import annotations
 
+import base64
+from dataclasses import dataclass
+
 from .errors import MalformedMessage
 
 # Hard cap on any single length-prefixed field; matches the frame limit.
@@ -88,3 +91,85 @@ class Reader:
     def expect_end(self):
         if self.pos != len(self.data):
             self.fail(f"{self.remaining()} trailing bytes")
+
+
+# --- text records ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RecordFormat:
+    """A kind of text record: a ``blindpay-<kind>: v1`` header, then one
+    ``key: value`` line per field.  Each key maps to the function that
+    parses its value; keys in ``many`` may repeat, keys in ``once`` may
+    not, and no other key may appear.  The reader raises ``error`` naming
+    the line, also where a value's parser raises ValueError."""
+
+    kind: str
+    once: dict
+    many: dict
+    error: type[Exception]
+
+    def write(self, fields) -> str:
+        """The record of (key, value) pairs, in order."""
+        return "".join(f"{k}: {v}\n" for k, v in [(f"blindpay-{self.kind}", "v1"), *fields])
+
+    def read(self, text: str) -> Record:
+        lines = text.splitlines()
+        if lines[:1] != [f"blindpay-{self.kind}: v1"]:
+            raise self.error(f"line 1: not a blindpay-{self.kind} record")
+        rec = Record(self.error, {key: [] for key in self.many})
+        for lineno, line in enumerate(lines[1:], 2):
+            key, sep, value = line.partition(": ")
+            if not sep:
+                raise self.error(f"line {lineno}: want 'key: value', got {line!r}")
+            parse = self.once.get(key) or self.many.get(key)
+            if parse is None:
+                raise self.error(f"line {lineno}: unknown key {key!r}")
+            if key in rec and key in self.once:
+                raise self.error(f"line {lineno}: repeated key {key!r}")
+            try:
+                value = parse(value)
+            except ValueError as exc:
+                raise self.error(f"line {lineno}: bad {key!r} value: {exc}") from None
+            if key in self.many:
+                rec[key].append(value)
+            else:
+                rec[key] = value
+            rec.order.append(key)
+        return rec
+
+
+class Record(dict):
+    """A record as read: each once key's parsed value, each many key's list
+    of them, and the keys in line order.  A missing once key raises the
+    format's error."""
+
+    def __init__(self, error: type[Exception], lists: dict):
+        super().__init__(lists)
+        self.error = error
+        self.order: list[str] = []
+
+    def __missing__(self, key: str):
+        raise self.error(f"no {key!r} line")
+
+
+def on_off(value: str) -> bool:
+    if value not in ("on", "off"):
+        raise ValueError(f"want on or off, got {value!r}")
+    return value == "on"
+
+
+def ints(value: str) -> list[int]:
+    return [int(v) for v in value.split()]
+
+
+def int_pair(value: str) -> tuple[int, int]:
+    a, b = ints(value)
+    return a, b
+
+
+def b64(data: bytes) -> str:
+    return base64.b64encode(data).decode()
+
+
+def unb64(value: str) -> bytes:
+    return base64.b64decode(value, validate=True)

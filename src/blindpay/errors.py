@@ -78,7 +78,7 @@ class IncompleteSession(BlindpayError):
 
 
 class SessionStateError(BlindpayError):
-    """Request/response calls arrived out of order on a session."""
+    """Session calls arrived out of order, or a checkpoint file is malformed."""
 
 
 class BadStepSignature(BlindpayError):

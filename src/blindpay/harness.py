@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import random
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import wire
 from .cards import CardLedger, SpendReceipt
@@ -35,6 +35,7 @@ from .dispute import (
     build_type_d_case,
     resolve_case,
 )
+from .encoding import on_off
 from .errors import (
     AlreadySpent,
     AuthenticationFailure,
@@ -135,12 +136,15 @@ def parse_scenario(text: str) -> Scenario:
         key, sep, value = line.partition(":")
         if not sep:
             raise ScenarioInvalid(f"line {lineno}: expected 'key: value'")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in {f.name for f in fields(Scenario)}:
+            raise ScenarioInvalid(f"line {lineno}: unknown key {key!r}")
+        kv[key] = value.strip()
     try:
         sc = Scenario(
             mode=kv.get("mode", MODE_BASIC),
             price=int(kv.get("price", "1")),
-            refresh=kv.get("refresh", "off") == "on",
+            refresh=on_off(kv.get("refresh", "off")),
             group_bits=int(kv.get("group_bits", "64")),
             transport=kv.get("transport", "memory"),
             seed=int(kv.get("seed", "0")),

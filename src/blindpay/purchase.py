@@ -27,7 +27,7 @@ from .catalog import (
     sign_payload,
     verify_payload,
 )
-from .encoding import enc_int
+from .encoding import RecordFormat, enc_int, ints, on_off
 from .errors import (
     BadStepSignature,
     IncompleteSession,
@@ -357,67 +357,45 @@ def run_purchase(session: PurchaseSession, step_fn) -> LicensePlaintext:
     return buyer_finish(session)
 
 
-def upgrade(catalog: Catalog, owned_license_id: str, owned_key: int,
-            target_license_id: str, cards: list[tuple[str, int]], step_fn,
-            mode: str = MODE_BASIC, refresh_blinding: bool = True,
-            rng: random.Random | None = None, ops=None) -> LicensePlaintext:
-    """Upgrade an owned license key to a dearer license sharing its factor."""
-    session = begin_upgrade(catalog, owned_license_id, owned_key,
-                            target_license_id, cards, mode, refresh_blinding,
-                            rng, ops)
-    return run_purchase(session, step_fn)
-
-
 # --- session checkpointing -------------------------------------------------------
+
+SESSION = RecordFormat(
+    "session", once={"license": str, "mode": str, "refresh": on_off, "alpha": int, "acc": int,
+                     "remaining": int, "plan": ints, "idx": int},
+    many={"cards": lambda v: [] if v == "-" else v.split(), "transcript": StepTranscript.parse},
+    error=SessionStateError)
+
 
 def save_session(session: PurchaseSession, path: str):
     """Checkpoint a session between steps so a purchase survives a crash."""
     if session._pending is not None:
         raise SessionStateError("cannot checkpoint with a request outstanding")
-    lines = [
-        "blindpay-session: v1",
-        f"license: {session.entry.license_id}",
-        f"mode: {session.mode}",
-        f"refresh: {'on' if session.refresh_blinding else 'off'}",
-        f"alpha: {session.alpha}",
-        f"acc: {session.acc}",
-        f"remaining: {session.remaining}",
-        f"plan: {' '.join(str(t) for t in session.plan)}",
-        f"idx: {session._idx}",
+    fields = [
+        ("license", session.entry.license_id),
+        ("mode", session.mode),
+        ("refresh", "on" if session.refresh_blinding else "off"),
+        ("alpha", session.alpha),
+        ("acc", session.acc),
+        ("remaining", session.remaining),
+        ("plan", " ".join(str(t) for t in session.plan)),
+        ("idx", session._idx),
     ]
-    for cards in session.step_cards:
-        lines.append(f"cards: {' '.join(cards) if cards else '-'}")
-    lines += [f"transcript: {tr.line()}" for tr in session.transcripts]
+    fields += [("cards", " ".join(cards) if cards else "-") for cards in session.step_cards]
+    fields += [("transcript", tr.line()) for tr in session.transcripts]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(SESSION.write(fields))
 
 
 def load_session(path: str, catalog: Catalog, rng: random.Random | None = None,
                  ops=None) -> PurchaseSession:
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "blindpay-session: v1":
-        raise SessionStateError("not a session checkpoint file")
-    fields: dict[str, str] = {}
-    card_lines, transcript_lines = [], []
-    for line in lines[1:]:
-        key, _, value = line.partition(": ")
-        if key == "cards":
-            card_lines.append(value)
-        elif key == "transcript":
-            transcript_lines.append(value)
-        else:
-            fields[key] = value
-    entry = catalog.entry(fields["license"])
+        rec = SESSION.read(fh.read())
     session = PurchaseSession(
-        catalog=catalog, entry=entry, mode=fields["mode"],
-        refresh_blinding=fields["refresh"] == "on",
-        alpha=int(fields["alpha"]), r=1, unblinders={},
-        acc=int(fields["acc"]), remaining=int(fields["remaining"]),
-        plan=[int(t) for t in fields["plan"].split()],
-        step_cards=[[] if v == "-" else v.split() for v in card_lines],
-        transcripts=[StepTranscript.parse(v) for v in transcript_lines],
-        _idx=int(fields["idx"]), _rng=rng, _ops=ops,
+        catalog=catalog, entry=catalog.entry(rec["license"]), mode=rec["mode"],
+        refresh_blinding=rec["refresh"], alpha=rec["alpha"], r=1, unblinders={},
+        acc=rec["acc"], remaining=rec["remaining"], plan=rec["plan"],
+        step_cards=rec["cards"], transcripts=rec["transcript"],
+        _idx=rec["idx"], _rng=rng, _ops=ops,
     )
     # Recompute without billing: the cost model bills r and the unblinders
     # once, when they were first computed before the checkpoint.  With

@@ -1,6 +1,9 @@
 import contextlib
+import itertools
+import pathlib
 import random
 import re
+import shlex
 import socket
 import threading
 from dataclasses import replace
@@ -68,6 +71,39 @@ def test_seller_init_with_a_named_group(tmp_path, capsys):
     assert run_cli("verify-catalog", cat) == 0
     assert "catalog ok" in capsys.readouterr().out
     assert parse_catalog((tmp_path / "cat.txt").read_text()).params == named_group("ffdhe2048")
+
+
+def test_seller_init_draws_fresh_keys_unless_seeded(tmp_path, capsys):
+    def init(name, *seed):
+        catp, secp = str(tmp_path / f"cat-{name}.txt"), str(tmp_path / f"sec-{name}.txt")
+        assert run_cli("seller", "init", "--catalog", catp, "--secrets", secp, *seed,
+                       "--group-bits", "ffdhe2048", "--license", "a:2:t") == 0
+        return cli._read_secrets(secp), (tmp_path / f"cat-{name}.txt").read_text()
+
+    (keys_a, _), (keys_b, _) = init("a"), init("b")
+    assert keys_a.s != keys_b.s and keys_a.sign_sk != keys_b.sign_sk
+    assert init("c", "--seed", "3") == init("d", "--seed", "3")
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every `blindpay ...` command line in the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("blindpay ")]
+
+
+def test_the_readme_shows_its_commands():
+    assert len(readme_commands()) >= 11
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line):
+    argv = shlex.split(line, comments=True)[1:]
+    argv = list(itertools.takewhile(lambda arg: arg not in (">", "&"), argv))
+    cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("value", ["ffdhe1024", "2048bits", ""])

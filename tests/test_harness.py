@@ -57,6 +57,8 @@ def test_scenario_parse_defaults_and_comments():
     "fault: gremlins\n",
     "fault: wrong-s\n",  # needs fault_step
     "price: x\n",
+    "prcie: 5\n",  # an unknown key, which would leave the price at 1
+    "refresh: yes\n",  # neither on nor off
 ])
 def test_scenario_parse_rejects(text):
     with pytest.raises(ScenarioInvalid):

@@ -33,7 +33,6 @@ from blindpay.purchase import (
     run_purchase,
     save_session,
     seller_handle_step,
-    upgrade,
 )
 
 from conftest import make_catalog
@@ -401,8 +400,8 @@ def test_upgrade_equals_direct_purchase(params64):
     key_p2 = session.acc
 
     up_cards = fund(bank, [1] * 3)
-    plain = upgrade(cat, "lic-2", key_p2, "lic-5", up_cards, handler.handle,
-                    rng=random.Random(2))
+    plain = run_purchase(begin_upgrade(cat, "lic-2", key_p2, "lic-5", up_cards,
+                                       rng=random.Random(2)), handler.handle)
     assert plain.license_id == "lic-5"
     assert bank.balance("seller-1") == 5  # both phases together
 
