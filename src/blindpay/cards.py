@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import fcntl
 import random
-import secrets
 import threading
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .errors import (
     NotDistributed,
     UnknownCard,
 )
+from .group import SYSTEM_RANDOM
 
 
 class CardStatus(enum.Enum):
@@ -68,7 +68,7 @@ class CardLedger:
     loaded, and the writer truncates it before appending.
     """
 
-    def __init__(self, path: str | None = None, rng: random.Random | None = None):
+    def __init__(self, path: str | None = None, rng: random.Random = SYSTEM_RANDOM):
         self.cards: dict[str, PrepaidCard] = {}
         self.accounts: dict[str, int] = {}
         self._seq = 0
@@ -90,11 +90,6 @@ class CardLedger:
             self._fh = fh
 
     # -- internals ------------------------------------------------------------
-
-    def _new_id(self) -> str:
-        if self._rng is not None:
-            return self._rng.getrandbits(128).to_bytes(16, "big").hex()
-        return secrets.token_bytes(16).hex()
 
     def _apply(self, op: str, card_id: str, value: int, account: str) -> int:
         """Append one checked record to the file, if there is one, then apply
@@ -127,9 +122,9 @@ class CardLedger:
         out = []
         with self._lock:
             for _ in range(count):
-                cid = self._new_id()
+                cid = f"{self._rng.getrandbits(128):032x}"
                 while cid in self.cards:  # 128-bit ids; loop is theory only
-                    cid = self._new_id()
+                    cid = f"{self._rng.getrandbits(128):032x}"
                 self._apply("ISSUE", cid, value, "-")
                 out.append(self.cards[cid])
         return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import secrets
 from dataclasses import dataclass, field, replace
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -30,8 +29,8 @@ from .encoding import (
     int_pair,
     unb64,
 )
-from .errors import AuthenticationFailure, CatalogFormatError, MalformedMessage
-from .group import GroupParams, hash_to_group, is_member, pow_mod
+from .errors import AuthenticationFailure, CatalogFormatError, MalformedMessage, UnknownLicense
+from .group import SYSTEM_RANDOM, GroupParams, hash_to_group, is_member, pow_mod
 
 
 @dataclass
@@ -89,11 +88,11 @@ class Catalog:
     k_table: dict[int, int] = field(default_factory=dict)
     k_table_signature: bytes = b""
 
-    def entry(self, license_id: str) -> LicenseEntry:
+    def entry(self, license_id: str, error: type[Exception] = UnknownLicense) -> LicenseEntry:
         for e in self.licenses:
             if e.license_id == license_id:
                 return e
-        raise KeyError(f"no license {license_id!r} in catalog")
+        raise error(f"no license {license_id!r} in the catalog")
 
 
 @dataclass
@@ -124,8 +123,8 @@ def kdf(key_element: int) -> bytes:
 
 
 def encrypt_license(key_element: int, plaintext: LicensePlaintext,
-                    rng: random.Random | None = None) -> bytes:
-    nonce = rng.randbytes(12) if rng is not None else secrets.token_bytes(12)
+                    rng: random.Random = SYSTEM_RANDOM) -> bytes:
+    nonce = rng.randbytes(12)
     return nonce + AESGCM(kdf(key_element)).encrypt(nonce, plaintext.encode(), b"")
 
 
@@ -146,8 +145,8 @@ def decrypt_license(key_element: int, blob: bytes) -> LicensePlaintext:
 
 # --- signatures ----------------------------------------------------------------
 
-def gen_signing_keys(rng: random.Random | None = None) -> tuple[bytes, bytes]:
-    raw = rng.randbytes(32) if rng is not None else secrets.token_bytes(32)
+def gen_signing_keys(rng: random.Random = SYSTEM_RANDOM) -> tuple[bytes, bytes]:
+    raw = rng.randbytes(32)
     sk = ed25519.Ed25519PrivateKey.from_private_bytes(raw)
     return raw, sk.public_key().public_bytes_raw()
 
@@ -198,7 +197,7 @@ def k_powers_for(max_price: int) -> set[int]:
 
 
 def setup(params: GroupParams, specs: list[LicenseSpec],
-          rng: random.Random | None = None) -> tuple[SellerKeys, Catalog]:
+          rng: random.Random = SYSTEM_RANDOM) -> tuple[SellerKeys, Catalog]:
     """Run the whole seller setup and return (private keys, public catalog)."""
     if not specs:
         raise ValueError("at least one license required")
@@ -211,8 +210,7 @@ def setup(params: GroupParams, specs: list[LicenseSpec],
         if "\n" in sp.terms:
             raise ValueError("terms must be a single line")
 
-    s = (rng.randrange(2, params.q) if rng is not None
-         else 2 + secrets.randbelow(params.q - 2))
+    s = rng.randrange(2, params.q)
     sign_sk, verify_pk = gen_signing_keys(rng)
     keys = SellerKeys(s=s, sign_sk=sign_sk, verify_pk=verify_pk)
 
@@ -245,13 +243,10 @@ def with_published_terms(catalog: Catalog, keys: SellerKeys, license_id: str,
     This is how a misbehaving seller is modeled: the encrypted license still
     embeds the original terms while the catalog claims something else.
     """
-    out = replace(catalog, licenses=list(catalog.licenses))
-    for i, e in enumerate(out.licenses):
-        if e.license_id == license_id:
-            sig = sign_terms(keys, published_terms, e.encrypted_license)
-            out.licenses[i] = replace(e, terms=published_terms, terms_signature=sig)
-            return out
-    raise KeyError(f"no license {license_id!r} in catalog")
+    old = catalog.entry(license_id)
+    new = replace(old, terms=published_terms,
+                  terms_signature=sign_terms(keys, published_terms, old.encrypted_license))
+    return replace(catalog, licenses=[new if e is old else e for e in catalog.licenses])
 
 
 # --- catalog document ---------------------------------------------------------

@@ -11,7 +11,6 @@ import dataclasses
 import functools
 import os
 import random
-import secrets
 import sys
 
 from . import harness, wire
@@ -36,7 +35,7 @@ from .dispute import (
 )
 from .encoding import RecordFormat
 from .errors import BadStepSignature, BlindpayError, ScenarioInvalid, StepRejected
-from .group import NAMED_GROUPS, gen_params, named_group
+from .group import NAMED_GROUPS, SYSTEM_RANDOM, gen_params, named_group
 from .purchase import SellerStepHandler, buyer_begin, run_purchase
 
 EXIT_OK = 0
@@ -50,6 +49,11 @@ def _addr(text: str) -> tuple[str, int]:
     if not sep:
         raise argparse.ArgumentTypeError(f"address {text!r} is not HOST:PORT")
     return host or "127.0.0.1", int(port)
+
+
+def _rng(seed: int | None) -> random.Random:
+    """A --seed makes a reproducible demo; without one, the OS generator."""
+    return random.Random(seed) if seed is not None else SYSTEM_RANDOM
 
 
 def _group_bits(text: str) -> int | str:
@@ -137,8 +141,7 @@ def cmd_bank_serve(args) -> int:
 
 
 def cmd_bank_issue(args) -> int:
-    rng = random.Random(args.seed) if args.seed is not None else None
-    ledger = CardLedger(path=args.ledger, rng=rng)
+    ledger = CardLedger(path=args.ledger, rng=_rng(args.seed))
     try:
         cards = ledger.issue_cards(args.count, args.value)
         if args.store:
@@ -151,9 +154,9 @@ def cmd_bank_issue(args) -> int:
 
 
 def cmd_seller_init(args) -> int:
-    rng = random.Random(args.seed) if args.seed is not None else None
+    rng = _rng(args.seed)
     params = (named_group(args.group_bits) if isinstance(args.group_bits, str)
-              else gen_params(args.group_bits, seed=rng.randrange(2**63) if rng else None))
+              else gen_params(args.group_bits, seed=rng.randrange(2**63)))
     specs = []
     for text in args.license:
         try:
@@ -162,9 +165,8 @@ def cmd_seller_init(args) -> int:
         except ValueError:
             print(f"bad --license value {text!r}, want ID:PRICE:TERMS", file=sys.stderr)
             return EXIT_USAGE
-        content_key = rng.randbytes(16) if rng is not None else secrets.token_bytes(16)
         plain = LicensePlaintext(license_id=license_id, terms=terms,
-                                 content_key=content_key, permissions=("play",))
+                                 content_key=rng.randbytes(16), permissions=("play",))
         specs.append(LicenseSpec(license_id=license_id,
                                  content_id=f"content-{license_id}",
                                  price=price, terms=terms, plaintext=plain,
@@ -227,8 +229,7 @@ def cmd_buyer_purchase(args) -> int:
             print(f"catalog rejected: {p}", file=sys.stderr)
         return EXIT_PROTOCOL
     cards = _read_cards(args.cards)
-    rng = random.Random(args.seed) if args.seed is not None else None
-    session = buyer_begin(cat, args.license, cards, mode=args.mode, rng=rng)
+    session = buyer_begin(cat, args.license, cards, mode=args.mode, rng=_rng(args.seed))
     try:
         plain = run_purchase(session, functools.partial(harness.remote_step, args.connect))
     except BadStepSignature as bad:
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     issue.add_argument("--count", type=int, default=1)
     issue.add_argument("--value", type=int, default=1)
     issue.add_argument("--store", default="")
-    issue.add_argument("--seed", type=int)
+    issue.add_argument("--seed", type=int, help="reproducible card ids, for a demo only")
     issue.set_defaults(fn=cmd_bank_issue)
 
     seller = sub.add_parser("seller", help="content provider")
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     purchase.add_argument("--cards", required=True)
     purchase.add_argument("--connect", type=_addr, required=True)
     purchase.add_argument("--catalog")
-    purchase.add_argument("--seed", type=int)
+    purchase.add_argument("--seed", type=int,
+                          help="reproducible blinding, for a demo only")
     purchase.add_argument("--out")
     purchase.add_argument("--case-out", default="case-c.txt")
     purchase.set_defaults(fn=cmd_buyer_purchase)

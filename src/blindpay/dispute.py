@@ -22,8 +22,9 @@ Resolvers work from a DisputeCase.  When a seller agent is supplied (a
 live seller agent, or answer_case behind ``blindpay seller answer``), its
 answers (values, proofs, chains) are recorded into the case, so the same
 resolver replayed on the stored record reaches the same verdict with no
-seller present.  The case record file is the only channel between seller
-and arbitrator; a record nobody answered is judged by the timeout rule.
+seller present and draws nothing.  The case record file is the only
+channel between seller and arbitrator; a record nobody answered is judged
+by the timeout rule.
 Evidence for kinds C and D carries only blinded request/response pairs:
 the arbitrator never sees card identifiers, the license factor, or
 anything naming the buyer.
@@ -54,6 +55,7 @@ from .errors import (
     MissingKPower,
 )
 from .group import (
+    SYSTEM_RANDOM,
     DlEqProof,
     GroupParams,
     dleq_composite,
@@ -148,7 +150,7 @@ class SellerDisputeAgent:
     its true secrets; a seller who misbehaved during the purchase is
     exposed precisely because honest proofs fail on dishonest values."""
 
-    def __init__(self, keys, catalog: Catalog, rng: random.Random | None = None):
+    def __init__(self, keys, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM):
         self.keys = keys
         self.catalog = catalog
         self.rng = rng
@@ -337,7 +339,7 @@ def resolve_type_d_method1(case: DisputeCase,
 
 def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
                            seller: SellerDisputeAgent | None = None,
-                           rng: random.Random | None = None) -> Verdict:
+                           rng: random.Random = SYSTEM_RANDOM) -> Verdict:
     """Audit a random license's key chain and tie the disputed steps to it.
 
     The seller reveals the full tower x, x^s, ..., up to the audited
@@ -346,27 +348,27 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
     revealed key must actually open the audited license.  Given a catalog,
     the audited license must be one of its entries, exactly as published.
     The links share one batched proof, and so do the steps of each value;
-    a batch that fails falls back to one proof per link or step.
+    a batch that fails falls back to one proof per link or step.  Only a
+    live seller is asked to audit a license drawn from rng; a replay draws
+    nothing.
     """
     _require_d(case)
-    if not case.audit_license_id:
+    if not case.audit_license_id and case.chain is not None:
+        raise MalformedEvidence("chain recorded without its audited license")
+    if not case.audit_license_id and seller is not None:
         if catalog is None:
             raise MalformedEvidence("no audit license recorded and no catalog given")
-        pick = (rng or random).randrange(len(catalog.licenses))
-        entry = catalog.licenses[pick]
-        case.audit_license_id = entry.license_id
-        case.audit_x = entry.x
-        case.audit_price = entry.price
-        case.audit_blob = entry.encrypted_license
+        e = rng.choice(catalog.licenses)
+        (case.audit_license_id, case.audit_x, case.audit_price,
+         case.audit_blob) = (e.license_id, e.x, e.price, e.encrypted_license)
     audited = (case.audit_license_id, case.audit_x, case.audit_price, case.audit_blob)
-    if catalog is not None and audited not in [
+    if case.audit_license_id and catalog is not None and audited not in [
             (e.license_id, e.x, e.price, e.encrypted_license) for e in catalog.licenses]:
         return Verdict(SELLER_AT_FAULT, "audited license is not the catalog's", 0)
     if case.chain is None and seller is not None:
         case.chain = seller.reveal_chain(case.audit_license_id)
     if case.chain is None:
-        return Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline",
-                       0)
+        return Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline", 0)
     chain = case.chain
     if len(chain) != case.audit_price + 1:
         raise ChainLengthMismatch(
@@ -509,7 +511,7 @@ def _first_unproven(case: DisputeCase, family: str,
 # --- K-table doubling consistency -----------------------------------------------
 
 def prove_k_table(keys, catalog: Catalog,
-                  rng: random.Random | None = None) -> dict[tuple[int, int], DlEqProof]:
+                  rng: random.Random = SYSTEM_RANDOM) -> dict[tuple[int, int], DlEqProof]:
     """Proofs that each published K_2t really is K_t raised to the committed
     exponent tower, i.e. log_Kt(K_2t) = log_g(K_t)."""
     proofs = {}
@@ -627,7 +629,7 @@ def parse_case(text: str) -> DisputeCase:
 
 def resolve_case(case: DisputeCase, catalog: Catalog | None = None,
                  seller: SellerDisputeAgent | None = None,
-                 rng: random.Random | None = None) -> list[tuple[str, Verdict]]:
+                 rng: random.Random = SYSTEM_RANDOM) -> list[tuple[str, Verdict]]:
     """Dispatch a case to every applicable resolver.  For kind D this runs
     whichever methods the recorded (or live) material supports."""
     if case.kind == "B":
@@ -667,8 +669,8 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     The record must carry this seller's commitments (check_commitments).
     Any seller-side material the record already carries is dropped, so
     every value, signature, proof and chain in the answer is the seller's
-    own computation, and the seller picks the audited license itself.  The
-    generation factor is left out, so method 3 is never offered.
+    own computation, and the seller picks the audited license itself.
+    Method 3, which would disclose the generation factor, never runs.
 
     Method 2 reveals the key chain of the license it audits.  The draw is
     seeded by the least SHA-256 of step_payload over the record's validly
@@ -682,6 +684,9 @@ def answer_case(case: DisputeCase, catalog: Catalog,
                        batch_proofs={}, s_revealed=None, stages=[])
     seed = min((hashlib.sha256(step_payload(st.m, st.m_out)).digest()
                 for st in case.steps if _step_signed(case, st)), default=b"")
-    resolve_case(answered, catalog=catalog, seller=seller, rng=random.Random(seed))
-    answered.s_revealed = None
+    if answered.kind == "D":
+        resolve_type_d_method1(answered, seller)
+        resolve_type_d_method2(answered, catalog, seller, random.Random(seed))
+    else:
+        resolve_case(answered, seller=seller)
     return answered

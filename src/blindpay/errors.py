@@ -57,6 +57,10 @@ class CatalogFormatError(BlindpayError):
     """A catalog document could not be parsed."""
 
 
+class UnknownLicense(BlindpayError):
+    """A license id that the catalog does not list."""
+
+
 # --- purchase errors ----------------------------------------------------------
 
 class InsufficientFunds(BlindpayError):

@@ -42,11 +42,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-import secrets
 from dataclasses import dataclass
 
 from .encoding import enc_int
 from .errors import MalformedElement
+
+# Every secret draw defaults to the OS generator that `secrets` reads; a seeded
+# random.Random makes the draws reproducible, for tests, scenarios and demos only.
+SYSTEM_RANDOM = random.SystemRandom()
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -125,7 +128,7 @@ def gen_params(bits: int, seed: int | None = None) -> GroupParams:
     """
     if bits < 8:
         raise ValueError("bits must be >= 8")
-    rng: random.Random = random.Random(seed) if seed is not None else random.SystemRandom()
+    rng = random.Random(seed) if seed is not None else SYSTEM_RANDOM
     while True:
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
         n = 2 * q + 1
@@ -349,7 +352,7 @@ def _dleq_pow(base: int, e: int, params: GroupParams) -> int:
 
 
 def dleq_prove(secret: int, base1: int, base2: int, params: GroupParams,
-               rng: random.Random | None = None,
+               rng: random.Random = SYSTEM_RANDOM,
                claim: tuple[int, int] | None = None) -> DlEqProof | None:
     """Prove knowledge of `secret` with base1^secret and base2^secret linked.
 
@@ -363,8 +366,7 @@ def dleq_prove(secret: int, base1: int, base2: int, params: GroupParams,
     y2 = _dleq_pow(base2, secret, params)
     if claim is not None and claim != (y1, y2):
         return None
-    w = (rng.randrange(params.q) if rng is not None
-         else secrets.randbelow(params.q))
+    w = rng.randrange(params.q)
     a1 = _dleq_pow(base1, w, params)
     a2 = _dleq_pow(base2, w, params)
     c = _dleq_challenge(params, base1, y1, base2, y2, a1, a2)

@@ -41,12 +41,14 @@ from .errors import (
     AuthenticationFailure,
     BadStepSignature,
     CardError,
+    ConnectionClosed,
     MalformedElement,
     MalformedMessage,
     NotDistributed,
     ScenarioInvalid,
     StepRejected,
     UnknownCard,
+    WireTimeout,
 )
 from .group import gen_params
 from .purchase import (
@@ -275,31 +277,30 @@ def make_bank_handler(ledger: CardLedger):
 
 def make_seller_handler(step_handler, catalog: Catalog):
     """Wire handler for a seller: purchase steps and catalog fetches.  A
-    request it cannot serve, or a frame that does not decode, gets a StepErr
-    reply; the connection stays up.  This is the one place a refused step
-    gets its code, over sockets and in memory alike.  Dispute evidence
-    never comes through here: the seller answers a case record file
-    (``blindpay seller answer``)."""
+    request it cannot serve (a failed bank link too) or a frame that does
+    not decode gets a StepErr reply; the connection stays up.  This is the
+    one place a refused step gets its code, over sockets and in memory
+    alike.  Dispute evidence never comes through here: the seller answers
+    a case record file (``blindpay seller answer``)."""
     catalog_text = serialize_catalog(catalog)
-
-    def answer(msg: wire.Message | MalformedMessage) -> wire.Message:
-        if isinstance(msg, MalformedMessage):
-            return wire.StepErr(code="malformed", detail=str(msg))
-        if isinstance(msg, wire.StepReq):
-            resp = step_handler.handle(msg)
-            return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
-        if isinstance(msg, wire.CatalogGet):
-            return wire.CatalogDoc(text=catalog_text)
-        return wire.StepErr(code="unsupported", detail=type(msg).__name__)
 
     def handle(msg: wire.Message | MalformedMessage) -> wire.Message:
         try:
-            return answer(msg)
+            if isinstance(msg, MalformedMessage):
+                return wire.StepErr(code="malformed", detail=str(msg))
+            if isinstance(msg, wire.StepReq):
+                resp = step_handler.handle(msg)
+                return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
+            if isinstance(msg, wire.CatalogGet):
+                return wire.CatalogDoc(text=catalog_text)
+            return wire.StepErr(code="unsupported", detail=type(msg).__name__)
         except CardError as exc:
             return wire.StepErr(code=card_error_code(exc), detail=exc.card_id)
         except MalformedElement as exc:
             return wire.StepErr(code="malformed-element", detail=str(exc))
-        except (ValueError, KeyError) as exc:
+        except (ConnectionClosed, WireTimeout):  # their text may name the bank's address
+            return wire.StepErr(code="bank-unavailable", detail="the bank did not answer")
+        except ValueError as exc:
             return wire.StepErr(code="bad-request", detail=str(exc))
 
     return handle

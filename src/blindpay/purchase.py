@@ -15,7 +15,6 @@ be linked into a purchase.
 from __future__ import annotations
 
 import random
-import secrets
 from dataclasses import dataclass, field
 
 from .catalog import (
@@ -37,7 +36,7 @@ from .errors import (
     SessionComplete,
     SessionStateError,
 )
-from .group import GroupParams, div_mod, ensure_member, mul_mod, pow_fixed, pow_mod
+from .group import SYSTEM_RANDOM, GroupParams, div_mod, ensure_member, mul_mod, pow_fixed, pow_mod
 from .wire import StepReq
 
 MODE_BASIC = "basic"
@@ -162,17 +161,12 @@ class PurchaseSession:
     transcripts: list[StepTranscript] = field(default_factory=list)
     _idx: int = 0
     _pending: tuple[int, int] | None = None
-    _rng: random.Random | None = None
+    _rng: random.Random = SYSTEM_RANDOM
     _ops: object | None = None
 
     @property
     def params(self) -> GroupParams:
         return self.catalog.params
-
-    def _randrange(self, stop: int) -> int:
-        if self._rng is not None:
-            return self._rng.randrange(stop)
-        return secrets.randbelow(stop)
 
 
 def _ensure_unblinder(session: PurchaseSession, t: int):
@@ -186,7 +180,7 @@ def _ensure_unblinder(session: PurchaseSession, t: int):
 
 def _fresh_blinding(session: PurchaseSession, powers: set[int]):
     params = session.params
-    session.alpha = session._randrange(params.q)
+    session.alpha = session._rng.randrange(params.q)
     session.r = pow_fixed(params.g, session.alpha, params, session._ops)
     session.unblinders = {}
     for t in sorted(powers):
@@ -195,7 +189,7 @@ def _fresh_blinding(session: PurchaseSession, powers: set[int]):
 
 def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
            cards: list[tuple[str, int]], mode: str, refresh_blinding: bool,
-           rng: random.Random | None, ops) -> PurchaseSession:
+           rng: random.Random, ops) -> PurchaseSession:
     if mode not in (MODE_BASIC, MODE_ENHANCED):
         raise ValueError(f"unknown mode {mode!r}")
     total = sum(v for _, v in cards)
@@ -220,7 +214,7 @@ def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
 
 def buyer_begin(catalog: Catalog, license_id: str, cards: list[tuple[str, int]],
                 mode: str = MODE_BASIC, refresh_blinding: bool = True,
-                rng: random.Random | None = None, ops=None) -> PurchaseSession:
+                rng: random.Random = SYSTEM_RANDOM, ops=None) -> PurchaseSession:
     """Open a purchase session: pick alpha, compute r = g^alpha and the
     unblinding powers, plan the steps, and park the cards against them.
 
@@ -235,7 +229,7 @@ def buyer_begin(catalog: Catalog, license_id: str, cards: list[tuple[str, int]],
 def begin_upgrade(catalog: Catalog, owned_license_id: str, owned_key: int,
                   target_license_id: str, cards: list[tuple[str, int]],
                   mode: str = MODE_BASIC, refresh_blinding: bool = True,
-                  rng: random.Random | None = None, ops=None) -> PurchaseSession:
+                  rng: random.Random = SYSTEM_RANDOM, ops=None) -> PurchaseSession:
     """Resume the exponent tower from an already-bought key.
 
     Works only when both licenses share the same encryption factor; the
@@ -386,12 +380,12 @@ def save_session(session: PurchaseSession, path: str):
         fh.write(SESSION.write(fields))
 
 
-def load_session(path: str, catalog: Catalog, rng: random.Random | None = None,
+def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM,
                  ops=None) -> PurchaseSession:
     with open(path, encoding="utf-8") as fh:
         rec = SESSION.read(fh.read())
     session = PurchaseSession(
-        catalog=catalog, entry=catalog.entry(rec["license"]), mode=rec["mode"],
+        catalog=catalog, entry=catalog.entry(rec["license"], SessionStateError), mode=rec["mode"],
         refresh_blinding=rec["refresh"], alpha=rec["alpha"], r=1, unblinders={},
         acc=rec["acc"], remaining=rec["remaining"], plan=rec["plan"],
         step_cards=rec["cards"], transcripts=rec["transcript"],

@@ -232,6 +232,7 @@ class SocketEndpoint:
             try:
                 chunk = self._sock.recv(65536)
             except socket.timeout:
+                self.close()  # a late reply would answer the next request
                 raise WireTimeout("receive timed out")
             except OSError as exc:
                 raise ConnectionClosed(str(exc))

@@ -18,7 +18,7 @@ from blindpay.catalog import (
     with_published_terms,
 )
 from blindpay.encoding import enc_int
-from blindpay.errors import AuthenticationFailure, CatalogFormatError
+from blindpay.errors import AuthenticationFailure, BlindpayError, CatalogFormatError
 from blindpay.group import mul_mod, pow_mod
 
 from conftest import make_catalog
@@ -230,3 +230,11 @@ def test_with_published_terms_republishes(params64):
     assert verify_catalog(crooked) == []  # signature matches the new claim
     # the original catalog object is untouched
     assert cat.entry("lic-2").terms == "read-only"
+
+
+def test_an_unknown_license_id_raises_a_package_error(params64):
+    keys, cat = make_catalog(params64)
+    with pytest.raises(BlindpayError, match="'nope'"):
+        cat.entry("nope")
+    with pytest.raises(BlindpayError, match="'nope'"):
+        with_published_terms(cat, keys, "nope", "read-print")

@@ -644,6 +644,14 @@ def test_buyer_purchase_with_a_malformed_cards_file_exits_1(tmp_path, capsys, ba
         assert ledger.balance("seller-1") == 0
 
 
+def test_buyer_purchase_of_an_unknown_license_exits_1(tmp_path, capsys):
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        argv[argv.index("lic-a")] = "nope"
+        assert run_cli(*argv, "--catalog", str(tmp_path / "cat.txt")) == 1
+        assert capsys.readouterr().err == "no license 'nope' in the catalog\n"
+        assert ledger.balance("seller-1") == 0
+
+
 def test_buyer_purchase_against_closed_port_exits_1(tmp_path, capsys):
     catp = str(tmp_path / "cat.txt")
     run_cli("seller", "init", "--catalog", catp, "--secrets", str(tmp_path / "sec.txt"),

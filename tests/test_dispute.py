@@ -284,6 +284,53 @@ def test_answer_case_audits_one_license_per_record(params64):
     assert len(picks) == 1
 
 
+def test_answer_case_never_reveals_s(params64):
+    # method 3 would put s into the answer; answering runs methods 1 and 2 only
+    keys, cat, new_case = type_d_evidence(params64, None)
+
+    class KeepsS(SellerDisputeAgent):
+        def reveal_s(self):
+            raise AssertionError("answer_case asked for the generation factor")
+
+    answered = answer_case(new_case(), cat, KeepsS(keys, cat, random.Random(6)))
+    assert answered.s_revealed is None
+    assert answered.step_proofs is not None and answered.chain is not None
+
+
+class NoDraws(random.Random):
+    """A generator that fails the test on any draw."""
+
+    def random(self):
+        raise AssertionError("drew a random value")
+
+    def getrandbits(self, k):
+        raise AssertionError("drew a random value")
+
+
+def test_replay_draws_nothing(params64):
+    keys, cat, new_case = type_d_evidence(params64, None)
+    answered = write_case(answer_case(new_case(), cat, SellerDisputeAgent(keys, cat)))
+    verdicts = resolve_case(parse_case(answered), catalog=cat, rng=NoDraws())
+    assert [label for label, _ in verdicts] == ["D-method1", "D-method2"]
+    # an unanswered record, asked of no seller, is judged by the timeout rule
+    assert resolve_type_d_method2(new_case(), cat, rng=NoDraws()) == Verdict(
+        SELLER_AT_FAULT, "seller unresponsive within the deadline", 0)
+
+
+def test_a_replayed_chain_without_its_audited_license_is_malformed(params64):
+    # the arbitrator may not pick the audited license itself: over two
+    # catalog licenses, a pick would convict or acquit by chance
+    keys, cat, new_case = type_d_evidence(params64, None)
+    assert len(cat.licenses) == 2
+    answered = write_case(answer_case(new_case(), cat, SellerDisputeAgent(keys, cat)))
+    stripped = "".join(line for line in answered.splitlines(keepends=True)
+                       if not line.startswith("audit_"))
+    assert "chain: " in stripped and stripped != answered
+    for _ in range(20):
+        with pytest.raises(MalformedEvidence, match="audited license"):
+            resolve_case(parse_case(stripped), catalog=cat)
+
+
 def test_answer_case_without_steps_is_malformed(params64):
     keys, cat, new_case = type_d_evidence(params64, None)
     with pytest.raises(MalformedEvidence):
@@ -373,8 +420,8 @@ def test_method2_forged_middle_link_at_fault(params64):
                                                  prices=(2, 4))
 
     class ForgedLinkAgent(SellerDisputeAgent):
-        def __init__(self, keys, cat, bad_index, rng=None):
-            super().__init__(keys, cat, rng)
+        def __init__(self, keys, cat, bad_index):
+            super().__init__(keys, cat)
             self.bad_index = bad_index
 
         def reveal_chain(self, license_id):

@@ -404,6 +404,36 @@ def test_seller_refuses_bad_query_and_keeps_the_connection(params64):
         srv.stop()
 
 
+def test_seller_refuses_a_step_its_bank_cannot_take_and_keeps_the_connection(params64):
+    keys, cat = make_catalog(params64)
+    ledger = CardLedger(rng=random.Random(20))
+    paid, card = ledger.issue_cards(2, 1)
+    ledger.distribute([paid.card_id, card.card_id], "store-1")
+    bank_srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    bank = RemoteBank(wire.connect(*bank_srv.address))
+    handler = SellerStepHandler(keys, params64, bank, "seller-1")
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(handler, cat)).start()
+    ep = wire.connect(*srv.address)
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
+    try:
+        ep.send(wire.StepReq(card_ids=(paid.card_id,), m=m))
+        assert isinstance(ep.recv(), wire.StepResp)
+        time.sleep(0.1)  # the bank's connection thread is back in its receive
+        bank_srv.stop()
+        ep.send(wire.StepReq(card_ids=(card.card_id,), m=m))
+        reply = ep.recv()
+        assert isinstance(reply, wire.StepErr) and reply.code == "bank-unavailable"
+        host, port = bank_srv.address
+        assert host not in reply.detail and str(port) not in reply.detail
+        ep.send(wire.CatalogGet())
+        assert isinstance(ep.recv(), wire.CatalogDoc)
+    finally:
+        ep.close()
+        srv.stop()
+        bank.close()
+    assert ledger.cards[card.card_id].status is CardStatus.DISTRIBUTED
+
+
 # --- remote prover: the seller answers the case record apart from the arbitrator -----------
 
 def _answer_apart(case, cat, agent):

@@ -87,6 +87,15 @@ def test_session_checkpoint_round_trips_byte_exact(tmp_path, params64):
     assert second.read_text() == text
 
 
+def test_a_checkpoint_of_a_license_not_in_the_catalog_is_refused(tmp_path, params64):
+    _, cat, _, _, session = rig(params64, price=3)
+    path = tmp_path / "session.txt"
+    save_session(session, str(path))
+    path.write_text(path.read_text().replace("license: lic-3\n", "license: lic-9\n"))
+    with pytest.raises(SessionStateError, match="'lic-9'"):
+        load_session(str(path), cat)
+
+
 def test_secrets_file_round_trips_byte_exact(tmp_path, params64):
     keys, _ = make_catalog(params64)
     first, second = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from blindpay import wire
 from blindpay.errors import (
+    ConnectionClosed,
     MalformedMessage,
     OversizeFrame,
     UnknownMessageType,
+    WireTimeout,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -280,6 +282,27 @@ def test_stop_wakes_an_idle_accept_at_once():
     assert not srv._thread.is_alive()
     with pytest.raises(OSError):
         socketlib.create_connection(address, timeout=1).close()
+
+
+def test_a_receive_timeout_closes_the_endpoint():
+    # a reply that arrives after the timeout must not answer the next request
+    import socket as socketlib
+
+    listener = socketlib.create_server(("127.0.0.1", 0))
+    ep = wire.connect(*listener.getsockname(), timeout=0.2)
+    peer, _ = listener.accept()
+    try:
+        ep.send(wire.CatalogGet())
+        with pytest.raises(WireTimeout):
+            ep.recv()
+        peer.sendall(wire.frame(wire.encode(wire.CatalogDoc(text="late"))))
+        with pytest.raises(ConnectionClosed):
+            ep.send(wire.CatalogGet())
+            ep.recv()
+    finally:
+        ep.close()
+        peer.close()
+        listener.close()
 
 
 def test_stop_may_come_before_start():
