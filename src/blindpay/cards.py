@@ -15,6 +15,7 @@ import fcntl
 import random
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import (
     AlreadyDistributed,
@@ -44,13 +45,15 @@ class PrepaidCard:
 @dataclass(frozen=True)
 class SpendReceipt:
     """Record of one accepted spend.  Field set is deliberately minimal:
-    card, credited account, value, ledger sequence number.  No buyer data
-    exists to record."""
+    ledger sequence number, card, value, credited account.  No buyer data
+    exists to record.  It travels in ``wire.SpendOk`` as itself, laid out
+    by WIRE (see ``wire.FIELD_KINDS``)."""
 
-    card_id: str
-    seller_account: str
-    value: int
+    WIRE: ClassVar[tuple[str, ...]] = ("int", "id", "u32", "str")
     seq: int
+    card_id: str
+    value: int
+    seller_account: str
 
 
 class CardLedger:

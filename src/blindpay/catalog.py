@@ -13,22 +13,14 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric import ed25519
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .encoding import (
-    Reader,
-    RecordFormat,
-    b64,
-    enc_bytes,
-    enc_int,
-    enc_str,
-    enc_u32,
-    int_pair,
-    unb64,
-)
+from . import wire
+from .encoding import Reader, RecordFormat, b64, enc_bytes, enc_int, enc_str, int_pair, unb64
 from .errors import AuthenticationFailure, CatalogFormatError, MalformedMessage, UnknownLicense
 from .group import SYSTEM_RANDOM, GroupParams, hash_to_group, is_member, pow_mod
 
@@ -44,29 +36,24 @@ class SellerKeys:
 
 @dataclass(frozen=True)
 class LicensePlaintext:
+    """What an encrypted license opens to, laid out by WIRE (see
+    ``wire.FIELD_KINDS``)."""
+
+    WIRE: ClassVar[tuple[str, ...]] = ("str", "str", "bytes", "strs")
     license_id: str
     terms: str
     content_key: bytes
     permissions: tuple[str, ...] = ()
 
     def encode(self) -> bytes:
-        out = enc_str(self.license_id) + enc_str(self.terms) + enc_bytes(self.content_key)
-        out += enc_u32(len(self.permissions))
-        for p in self.permissions:
-            out += enc_str(p)
-        return out
+        return wire.pack(self)
 
     @classmethod
     def decode(cls, data: bytes) -> "LicensePlaintext":
         r = Reader(data)
-        license_id = r.lp_str()
-        terms = r.lp_str()
-        content_key = r.lp_bytes()
-        count = r.u32()
-        perms = tuple(r.lp_str() for _ in range(count))
+        plain = wire.unpack(cls, r)
         r.expect_end()
-        return cls(license_id=license_id, terms=terms, content_key=content_key,
-                   permissions=perms)
+        return plain
 
 
 @dataclass
@@ -202,11 +189,12 @@ def setup(params: GroupParams, specs: list[LicenseSpec],
     if not specs:
         raise ValueError("at least one license required")
     ids = [sp.license_id for sp in specs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("license ids must be unique")
+    for lid in ids:
+        if ids.count(lid) > 1:
+            raise ValueError(f"license id {lid!r} is given more than once")
     for sp in specs:
         if sp.price < 1:
-            raise ValueError(f"license {sp.license_id!r} has price < 1")
+            raise ValueError(f"license {sp.license_id!r} has price {sp.price}, below 1")
         if "\n" in sp.terms:
             raise ValueError("terms must be a single line")
 

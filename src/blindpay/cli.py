@@ -56,6 +56,16 @@ def _rng(seed: int | None) -> random.Random:
     return random.Random(seed) if seed is not None else SYSTEM_RANDOM
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid integer value: ..."
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is below {low}")
+        return value
+    return integer
+
+
 def _group_bits(text: str) -> int | str:
     """A bit length for a generated group, or the name of an RFC 7919 group."""
     if text in NAMED_GROUPS:
@@ -153,25 +163,28 @@ def cmd_bank_issue(args) -> int:
     return EXIT_OK
 
 
+def _license_spec(text: str, x_label: str | None, rng: random.Random) -> LicenseSpec:
+    try:
+        license_id, price_s, terms = text.split(":", 2)
+        price = int(price_s)
+    except ValueError:
+        raise ValueError(f"bad --license value {text!r}, want ID:PRICE:TERMS") from None
+    plain = LicensePlaintext(license_id=license_id, terms=terms,
+                             content_key=rng.randbytes(16), permissions=("play",))
+    return LicenseSpec(license_id=license_id, content_id=f"content-{license_id}",
+                       price=price, terms=terms, plaintext=plain, x_label=x_label)
+
+
 def cmd_seller_init(args) -> int:
     rng = _rng(args.seed)
-    params = (named_group(args.group_bits) if isinstance(args.group_bits, str)
-              else gen_params(args.group_bits, seed=rng.randrange(2**63)))
-    specs = []
-    for text in args.license:
-        try:
-            license_id, price_s, terms = text.split(":", 2)
-            price = int(price_s)
-        except ValueError:
-            print(f"bad --license value {text!r}, want ID:PRICE:TERMS", file=sys.stderr)
-            return EXIT_USAGE
-        plain = LicensePlaintext(license_id=license_id, terms=terms,
-                                 content_key=rng.randbytes(16), permissions=("play",))
-        specs.append(LicenseSpec(license_id=license_id,
-                                 content_id=f"content-{license_id}",
-                                 price=price, terms=terms, plaintext=plain,
-                                 x_label=args.x_label))
-    keys, cat = setup(params, specs, rng=rng)
+    try:  # every value is checked here, before a file is written
+        params = (named_group(args.group_bits) if isinstance(args.group_bits, str)
+                  else gen_params(args.group_bits, seed=rng.randrange(2**63)))
+        specs = [_license_spec(text, args.x_label, rng) for text in args.license]
+        keys, cat = setup(params, specs, rng=rng)
+    except ValueError as exc:
+        print(f"seller init: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     with open(args.catalog, "w", encoding="utf-8") as fh:
         fh.write(serialize_catalog(cat))
     _write_secrets(args.secrets, keys)
@@ -323,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(fn=cmd_bank_serve)
     issue = bank_sub.add_parser("issue", help="issue (and optionally distribute) cards")
     issue.add_argument("--ledger", required=True)
-    issue.add_argument("--count", type=int, default=1)
-    issue.add_argument("--value", type=int, default=1)
+    issue.add_argument("--count", type=_at_least(0), default=1)
+    issue.add_argument("--value", type=_at_least(1), default=1)
     issue.add_argument("--store", default="")
     issue.add_argument("--seed", type=int, help="reproducible card ids, for a demo only")
     issue.set_defaults(fn=cmd_bank_issue)

@@ -127,7 +127,7 @@ def gen_params(bits: int, seed: int | None = None) -> GroupParams:
     reproducible.
     """
     if bits < 8:
-        raise ValueError("bits must be >= 8")
+        raise ValueError(f"{bits} bits is below the least group size, 8")
     rng = random.Random(seed) if seed is not None else SYSTEM_RANDOM
     while True:
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1

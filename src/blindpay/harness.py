@@ -40,6 +40,7 @@ from .errors import (
     AlreadySpent,
     AuthenticationFailure,
     BadStepSignature,
+    BlindpayError,
     CardError,
     ConnectionClosed,
     MalformedElement,
@@ -222,22 +223,32 @@ class RemoteBank:
     """Seller-side client for a bank server; satisfies the same contract as
     CardLedger.spend_atomic.  Safe to share between the connection threads
     of a seller server: one spend holds the endpoint from request to reply,
-    so no thread reads another's receipts."""
+    so no thread reads another's receipts.  A failed exchange drops the
+    endpoint and raises; the next spend dials the endpoint's address
+    again.  Nothing is resent."""
 
     def __init__(self, endpoint):
         self.endpoint = endpoint
+        self._address = getattr(endpoint, "address", None)  # a stand-in may have none
         self._lock = threading.Lock()
 
     def close(self):
-        self.endpoint.close()
+        if self.endpoint is not None:
+            self.endpoint.close()
 
     def spend_atomic(self, card_ids: list[str], account: str) -> list[SpendReceipt]:
         with self._lock:
-            self.endpoint.send(wire.CardSpend(card_ids=tuple(card_ids), account=account))
-            reply = self.endpoint.recv()
+            if self.endpoint is None:
+                self.endpoint = wire.connect(*self._address)
+            try:
+                self.endpoint.send(wire.CardSpend(card_ids=tuple(card_ids), account=account))
+                reply = self.endpoint.recv()
+            except BlindpayError:  # the link's state is unknown: a late reply could follow
+                self.endpoint.close()
+                self.endpoint = None
+                raise
         if isinstance(reply, wire.SpendOk):
-            return [SpendReceipt(card_id=cid, seller_account=acct, value=value, seq=seq)
-                    for seq, cid, value, acct in reply.receipts]
+            return list(reply.receipts)
         if isinstance(reply, wire.SpendErr):
             raise _spend_error(reply)
         raise StepRejected("bank-protocol", f"unexpected reply {type(reply).__name__}")
@@ -262,9 +273,8 @@ def make_bank_handler(ledger: CardLedger):
         if not isinstance(msg, wire.CardSpend):
             return wire.SpendErr(code="unsupported", detail=type(msg).__name__, prior_seq=0)
         try:
-            receipts = ledger.spend_atomic(list(msg.card_ids), msg.account)
-            return wire.SpendOk(receipts=tuple(
-                (r.seq, r.card_id, r.value, r.seller_account) for r in receipts))
+            return wire.SpendOk(receipts=tuple(ledger.spend_atomic(list(msg.card_ids),
+                                                                  msg.account)))
         except CardError as exc:
             prior = exc.prior_seq if isinstance(exc, AlreadySpent) else 0
             return wire.SpendErr(code=card_error_code(exc), detail=exc.card_id,

@@ -2,13 +2,15 @@
 
 One byte of type tag, then the type's fields in the canonical encoding.
 Each message type states its layout once, in ``WIRE``: one field kind per
-dataclass field, in declaration order.  ``encode`` and ``decode`` walk that
-layout against the fields, so a layout that drifts from them fails at once.
+dataclass field, in declaration order.  ``pack`` and ``unpack`` walk that
+layout against the fields, so a layout that drifts from them fails at once;
+they are the one binary codec of every class that declares ``WIRE``, the
+messages here, ``cards.SpendReceipt`` and ``catalog.LicensePlaintext``.
 ``FIELD_KINDS`` maps each kind to its encoder and reader.  The scalar kinds
 are ``u32`` (4 bytes), ``int``, ``str``, ``bytes`` and ``id`` (a hex card
 id sent as raw bytes), all but ``u32`` length-prefixed.  The sequence kinds
-``ids`` and ``receipts`` are a u32 count followed by the items; a receipt
-is laid out by ``RECEIPT_WIRE``.
+``ids``, ``strs`` and ``receipts`` are a u32 count followed by the items; a
+receipt is a ``SpendReceipt`` in its own ``WIRE`` layout.
 
 Frames are a 4-byte big-endian length followed by the payload, capped at
 1 MiB.  Deliberately absent from every message: buyer identifiers, session
@@ -22,11 +24,13 @@ production deployment wraps it accordingly.
 
 from __future__ import annotations
 
+import functools
 import socket
 import threading
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
+from .cards import SpendReceipt
 from .encoding import Reader, enc_bytes, enc_int, enc_str, enc_u8, enc_u32
 from .errors import (
     ConnectionClosed,
@@ -38,10 +42,6 @@ from .errors import (
 
 MAX_FRAME = 1 << 20
 
-# receipt record on the wire: (seq, card_id, value, account)
-ReceiptRec = tuple[int, str, int, str]
-RECEIPT_WIRE = ("int", "id", "u32", "str")
-
 
 def _enc_card_id(cid: str) -> bytes:
     try:
@@ -50,12 +50,17 @@ def _enc_card_id(cid: str) -> bytes:
         raise ValueError(f"card id {cid!r} is not hex")
 
 
-def _enc_receipt(rec: ReceiptRec) -> bytes:
-    return b"".join(FIELD_KINDS[kind][0](v) for kind, v in zip(RECEIPT_WIRE, rec, strict=True))
+def pack(obj) -> bytes:
+    """The fields of obj, laid out as its class's ``WIRE`` declares."""
+    cls = type(obj)
+    return b"".join(FIELD_KINDS[kind][0](getattr(obj, f.name))
+                    for kind, f in zip(cls.WIRE, fields(cls), strict=True))
 
 
-def _dec_receipt(r: Reader) -> ReceiptRec:
-    return tuple(FIELD_KINDS[kind][1](r) for kind in RECEIPT_WIRE)
+def unpack(cls, r: Reader):
+    """Read one cls from r, field by field as its ``WIRE`` declares."""
+    return cls(**{f.name: FIELD_KINDS[kind][1](r)
+                  for kind, f in zip(cls.WIRE, fields(cls), strict=True)})
 
 
 def _sequence(enc_item, dec_item):
@@ -74,7 +79,8 @@ FIELD_KINDS = {
 }
 FIELD_KINDS.update(
     ids=_sequence(*FIELD_KINDS["id"]),
-    receipts=_sequence(_enc_receipt, _dec_receipt),
+    strs=_sequence(*FIELD_KINDS["str"]),
+    receipts=_sequence(pack, functools.partial(unpack, SpendReceipt)),
 )
 
 
@@ -95,7 +101,7 @@ class CardSpend(Message):
 class SpendOk(Message):
     TYPE: ClassVar[int] = 4
     WIRE: ClassVar[tuple[str, ...]] = ("receipts",)
-    receipts: tuple[ReceiptRec, ...]
+    receipts: tuple[SpendReceipt, ...]
 
 
 @dataclass(frozen=True)
@@ -160,10 +166,7 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
 
 
 def encode(msg: Message) -> bytes:
-    cls = type(msg)
-    return enc_u8(cls.TYPE) + b"".join(
-        FIELD_KINDS[kind][0](getattr(msg, f.name))
-        for kind, f in zip(cls.WIRE, fields(cls), strict=True))
+    return enc_u8(msg.TYPE) + pack(msg)
 
 
 def decode(data: bytes) -> Message:
@@ -176,8 +179,7 @@ def decode(data: bytes) -> Message:
     cls = MESSAGE_TYPES.get(tag)
     if cls is None:
         raise UnknownMessageType(0, tag)
-    msg = cls(**{f.name: FIELD_KINDS[kind][1](r)
-                 for kind, f in zip(cls.WIRE, fields(cls), strict=True)})
+    msg = unpack(cls, r)
     r.expect_end()
     return msg
 
@@ -213,9 +215,12 @@ class FrameDecoder:
 # --- TCP transport -------------------------------------------------------------------
 
 class SocketEndpoint:
-    """One TCP connection carrying framed messages."""
+    """One TCP connection carrying framed messages.  ``address`` is the
+    one it was dialled at (see ``connect``), None for an accepted one."""
 
-    def __init__(self, sock: socket.socket, timeout: float = 5.0):
+    def __init__(self, sock: socket.socket, timeout: float = 5.0,
+                 address: tuple[str, int] | None = None):
+        self.address = address
         self._sock = sock
         self._sock.settimeout(timeout)
         self._decoder = FrameDecoder()
@@ -253,7 +258,7 @@ def connect(host: str, port: int, timeout: float = 5.0) -> SocketEndpoint:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise ConnectionClosed(f"cannot connect to {host}:{port}: {exc}")
-    return SocketEndpoint(sock, timeout=timeout)
+    return SocketEndpoint(sock, timeout=timeout, address=(host, port))
 
 
 class Server:

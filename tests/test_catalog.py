@@ -102,6 +102,27 @@ def test_plaintext_encoding_roundtrip(plain):
     assert LicensePlaintext.decode(empty_perms.encode()) == empty_perms
 
 
+# Bytes of the plaintext inside every catalog blob, pinned so that a change
+# to its codec cannot open old catalogs to something else.
+PLAINTEXT_VECTORS = [
+    (LicensePlaintext(license_id="lic-1", terms="read-only", content_key=bytes(range(16))),
+     "000000056c69632d3100000009726561642d6f6e6c7900000010000102030405060708090a0b0c0d0e0f"
+     "00000000"),
+    (LicensePlaintext(license_id="lic-été", terms="lecture seule — 30 jours",
+                      content_key=bytes.fromhex("00ff" * 8),
+                      permissions=("play", "print", "copie-privée")),
+     "000000096c69632dc3a974c3a90000001a6c656374757265207365756c6520e28094203330206a6f7572"
+     "730000001000ff00ff00ff00ff00ff00ff00ff00ff0000000300000004706c6179000000057072696e74"
+     "0000000d636f7069652d70726976c3a965"),
+]
+
+
+@pytest.mark.parametrize("plain, hexdata", PLAINTEXT_VECTORS)
+def test_plaintext_golden_bytes(plain, hexdata):
+    assert plain.encode().hex() == hexdata
+    assert LicensePlaintext.decode(bytes.fromhex(hexdata)) == plain
+
+
 # --- signatures -------------------------------------------------------------------
 
 def test_sign_verify_terms(params64, small_catalog):

@@ -136,6 +136,27 @@ def test_bank_issue_writes_ledger(tmp_path, capsys):
     assert len(replayed.cards) == 3
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("seller", "init", "--license", "a:0:t"), "0"),
+    (("seller", "init", "--license", "a:1:t", "--license", "a:2:t"), "'a'"),
+    (("seller", "init", "--license", "a:1:t", "--group-bits", "4"), "4"),
+    (("bank", "issue", "--count", "-1"), "-1"),
+    (("bank", "issue", "--value", "0"), "0"),
+])
+def test_a_bad_value_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, argv, value):
+    files = {"seller": ("--catalog", tmp_path / "cat.txt", "--secrets", tmp_path / "sec.txt"),
+             "bank": ("--ledger", tmp_path / "ledger.tsv")}[argv[0]]
+    try:
+        code = run_cli(*argv[:2], *map(str, files), *argv[2:])
+    except SystemExit as exc:  # refused by the argument parser
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert value in err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scenario_run_and_metrics(tmp_path, capsys):
     spec = tmp_path / "scenario.txt"
     spec.write_text("mode: basic\nprice: 4\nseed: 5\n")

@@ -434,6 +434,35 @@ def test_seller_refuses_a_step_its_bank_cannot_take_and_keeps_the_connection(par
     assert ledger.cards[card.card_id].status is CardStatus.DISTRIBUTED
 
 
+def test_seller_redials_a_bank_that_is_back_on_its_address(params64):
+    keys, cat = make_catalog(params64)
+    ledger = CardLedger(rng=random.Random(21))
+    paid, refused, later = ledger.issue_cards(3, 1)
+    ledger.distribute([c.card_id for c in (paid, refused, later)], "store-1")
+    bank_srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    bank = RemoteBank(wire.connect(*bank_srv.address))
+    handler = make_seller_handler(SellerStepHandler(keys, params64, bank, "seller-1"), cat)
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
+
+    def step(card):
+        return handler(wire.StepReq(card_ids=(card.card_id,), m=m))
+
+    try:
+        assert isinstance(step(paid), wire.StepResp)
+        time.sleep(0.1)  # the bank's connection thread is back in its receive
+        bank_srv.stop()
+        reply = step(refused)
+        assert isinstance(reply, wire.StepErr) and reply.code == "bank-unavailable"
+        bank_srv = wire.Server(*bank_srv.address, make_bank_handler(ledger)).start()
+        assert isinstance(step(later), wire.StepResp)
+    finally:
+        bank_srv.stop()
+        bank.close()
+    assert ledger.cards[refused.card_id].status is CardStatus.DISTRIBUTED
+    assert ledger.cards[later.card_id].spent_by == "seller-1"
+    assert ledger.balance("seller-1") == 2
+
+
 # --- remote prover: the seller answers the case record apart from the arbitrator -----------
 
 def _answer_apart(case, cat, agent):
