@@ -77,9 +77,6 @@ class OpCounter:
     payload_bits: int = 0
     wire_bytes: int = 0
 
-    FIELDS = ("exponentiations", "divisions", "signings", "verifications",
-              "messages_sent", "payload_bits", "wire_bytes")
-
     def table_total(self) -> int:
         """The classical total: exponentiations + divisions + signings."""
         return self.exponentiations + self.divisions + self.signings
@@ -98,8 +95,8 @@ class Metrics:
         out = []
         for name in sorted(self.actors):
             c = self.actors[name]
-            for f in OpCounter.FIELDS:
-                out.append((name, f, getattr(c, f)))
+            for f in fields(OpCounter):
+                out.append((name, f.name, getattr(c, f.name)))
         return out
 
     def render_tsv(self) -> str:
@@ -143,17 +140,10 @@ def parse_scenario(text: str) -> Scenario:
         if key not in {f.name for f in fields(Scenario)}:
             raise ScenarioInvalid(f"line {lineno}: unknown key {key!r}")
         kv[key] = value.strip()
+    convert = {"int": int, "bool": on_off, "str": str}
     try:
-        sc = Scenario(
-            mode=kv.get("mode", MODE_BASIC),
-            price=int(kv.get("price", "1")),
-            refresh=on_off(kv.get("refresh", "off")),
-            group_bits=int(kv.get("group_bits", "64")),
-            transport=kv.get("transport", "memory"),
-            seed=int(kv.get("seed", "0")),
-            fault=kv.get("fault", "none"),
-            fault_step=int(kv.get("fault_step", "0")),
-        )
+        sc = Scenario(**{f.name: convert[f.type](kv[f.name])
+                         for f in fields(Scenario) if f.name in kv})
     except ValueError as exc:
         raise ScenarioInvalid(str(exc))
     _validate(sc)

@@ -169,22 +169,22 @@ class PurchaseSession:
         return self.catalog.params
 
 
-def _ensure_unblinder(session: PurchaseSession, t: int):
-    if t in session.unblinders:
-        return
-    k = session.catalog.k_table.get(t)
-    if k is None:
-        raise MissingKPower(t)
-    session.unblinders[t] = pow_fixed(k, session.alpha, session.params, session._ops)
+def _blind(session: PurchaseSession, alpha: int, ops):
+    """Blind the steps from the next one on with alpha: set alpha,
+    r = g^alpha, and K_t^alpha for exactly the step values alpha serves.
 
-
-def _fresh_blinding(session: PurchaseSession, powers: set[int]):
+    This is the buyer's one blinding rule.  With refresh on, alpha serves
+    the next step's value only, and every step draws its own, so no two
+    requests m = r * acc can be linked.  With it off, one alpha serves
+    every remaining value: the paper's cost model (buyer p + 2), whose
+    steps are linkable.  ops bills the exponentiations; None leaves them
+    unbilled."""
     params = session.params
-    session.alpha = session._rng.randrange(params.q)
-    session.r = pow_fixed(params.g, session.alpha, params, session._ops)
-    session.unblinders = {}
-    for t in sorted(powers):
-        _ensure_unblinder(session, t)
+    rest = session.plan[session._idx:]
+    session.alpha = alpha
+    session.r = pow_fixed(params.g, alpha, params, ops)
+    session.unblinders = {t: pow_fixed(session.catalog.k_table[t], alpha, params, ops)
+                          for t in sorted({rest[0]} if session.refresh_blinding else set(rest))}
 
 
 def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
@@ -208,18 +208,16 @@ def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
         alpha=0, r=1, unblinders={}, acc=start_acc, remaining=units, plan=plan,
         step_cards=step_cards, _rng=rng, _ops=ops,
     )
-    _fresh_blinding(session, {plan[0]} if refresh_blinding else set(plan))
+    _blind(session, rng.randrange(catalog.params.q), ops)
     return session
 
 
 def buyer_begin(catalog: Catalog, license_id: str, cards: list[tuple[str, int]],
                 mode: str = MODE_BASIC, refresh_blinding: bool = True,
                 rng: random.Random = SYSTEM_RANDOM, ops=None) -> PurchaseSession:
-    """Open a purchase session: pick alpha, compute r = g^alpha and the
-    unblinding powers, plan the steps, and park the cards against them.
-
-    refresh_blinding=False keeps one alpha for the whole purchase: it only
-    reproduces the paper's cost model, and makes the steps linkable."""
+    """Open a purchase session: plan the steps, park the cards against
+    them, and blind the first step.  refresh_blinding picks how many steps
+    one alpha blinds; _blind states the rule."""
     entry = catalog.entry(license_id)
     ensure_member(entry.x, catalog.params)
     return _begin(catalog, entry, entry.x, entry.price, cards, mode,
@@ -256,9 +254,7 @@ def buyer_step_request(session: PurchaseSession) -> StepReq:
         raise SessionStateError("previous step still awaiting its response")
     t = session.plan[session._idx]
     if session.refresh_blinding and session._idx > 0:
-        _fresh_blinding(session, {t})
-    else:
-        _ensure_unblinder(session, t)
+        _blind(session, session._rng.randrange(session.params.q), session._ops)
     m = mul_mod(session.r, session.acc, session.params)
     session._pending = (t, m)
     return StepReq(card_ids=tuple(session.step_cards[session._idx]), m=m)
@@ -382,22 +378,34 @@ def save_session(session: PurchaseSession, path: str):
 
 def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM,
                  ops=None) -> PurchaseSession:
+    """Resume a checkpoint.  A checkpoint that disagrees with itself or with
+    the catalog raises SessionStateError before any step is sent."""
     with open(path, encoding="utf-8") as fh:
         rec = SESSION.read(fh.read())
+    plan, idx, paid = rec["plan"], rec["idx"], [tr.t for tr in rec["transcript"]]
+    for bad, what in [
+        (rec["mode"] not in (MODE_BASIC, MODE_ENHANCED), f"unknown mode {rec['mode']!r}"),
+        (len(rec["cards"]) != len(plan),
+         f"{len(rec['cards'])} cards lines for a plan of {len(plan)} steps"),
+        (idx != len(paid), f"idx {idx} after {len(paid)} transcripts"),
+        (paid != plan[:idx], f"transcript step values {paid} are not the plan's first {idx}"),
+        (rec["remaining"] != sum(plan[idx:]),
+         f"remaining {rec['remaining']}, but the rest of the plan sums to {sum(plan[idx:])}"),
+        (not set(plan) <= set(catalog.k_table),
+         f"plan values {sorted(set(plan) - set(catalog.k_table))} have no K_t in the catalog"),
+    ]:
+        if bad:
+            raise SessionStateError(f"checkpoint disagrees: {what}")
     session = PurchaseSession(
         catalog=catalog, entry=catalog.entry(rec["license"], SessionStateError), mode=rec["mode"],
         refresh_blinding=rec["refresh"], alpha=rec["alpha"], r=1, unblinders={},
-        acc=rec["acc"], remaining=rec["remaining"], plan=rec["plan"],
+        acc=rec["acc"], remaining=rec["remaining"], plan=plan,
         step_cards=rec["cards"], transcripts=rec["transcript"],
-        _idx=rec["idx"], _rng=rng, _ops=ops,
+        _idx=idx, _rng=rng, _ops=ops,
     )
-    # Recompute without billing: the cost model bills r and the unblinders
-    # once, when they were first computed before the checkpoint.  With
-    # refresh on, a resumed step past the first draws fresh ones anyway.
+    # Unbilled: the cost model bills r and the unblinders once, when they
+    # were first computed before the checkpoint.  With refresh on, a
+    # resumed step past the first draws a fresh alpha anyway.
     if session.remaining > 0 and not (session.refresh_blinding and session._idx > 0):
-        params = session.params
-        session.r = pow_fixed(params.g, session.alpha, params)
-        rest = session.plan[session._idx:]
-        for t in sorted({rest[0]} if session.refresh_blinding else set(rest)):
-            session.unblinders[t] = pow_fixed(catalog.k_table[t], session.alpha, params)
+        _blind(session, session.alpha, None)
     return session

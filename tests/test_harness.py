@@ -48,6 +48,7 @@ from test_purchase import fund
 def test_scenario_parse_defaults_and_comments():
     sc = parse_scenario("# demo\nprice: 3\nseed: 5\n")
     assert sc.mode == "basic" and sc.price == 3 and sc.seed == 5
+    assert parse_scenario("# only\n\n# comments\n") == Scenario()
 
 
 @pytest.mark.parametrize("text", [

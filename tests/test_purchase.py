@@ -1,9 +1,11 @@
+import ast
+import pathlib
 import random
 from dataclasses import replace
 
 import pytest
 
-from blindpay import wire
+from blindpay import purchase, wire
 from blindpay.cards import CardLedger
 from blindpay.catalog import derive_license_key
 from blindpay.errors import (
@@ -430,28 +432,46 @@ def test_upgrade_rejects_mismatched_factor(params64):
 
 @pytest.mark.parametrize("refresh", [False, True])
 def test_checkpoint_resume(tmp_path, params64, refresh):
-    straight_ops = OpCounter()
-    *_, straight_handler, straight = rig(params64, price=3, refresh=refresh,
-                                         ops=straight_ops)
-    run_purchase(straight, straight_handler.handle)
+    for mode, price, plan in [(MODE_BASIC, 3, [1, 1, 1]), (MODE_ENHANCED, 7, [4, 2, 1])]:
+        straight_ops = OpCounter()
+        *_, straight_handler, straight = rig(params64, price=price, mode=mode,
+                                             refresh=refresh, ops=straight_ops)
+        assert straight.plan == plan
+        run_purchase(straight, straight_handler.handle)
 
-    # The cost model bills the purchase, not its checkpoints: resumed after
-    # any step, a purchase bills exactly what the uninterrupted one does.
-    for done in (0, 1):
-        ops = OpCounter()
-        keys, cat, bank, handler, session = rig(params64, price=3, refresh=refresh,
-                                                ops=ops)
-        for _ in range(done):
-            buyer_process_response(session, handler.handle(buyer_step_request(session)))
-        path = str(tmp_path / f"session-{done}.txt")
-        save_session(session, path)
+        # The cost model bills the purchase, not its checkpoints: resumed
+        # after any step, a purchase bills exactly what the uninterrupted
+        # one does.
+        for done in range(len(plan)):
+            ops = OpCounter()
+            keys, cat, _, handler, session = rig(params64, price=price, mode=mode,
+                                                 refresh=refresh, ops=ops)
+            for _ in range(done):
+                buyer_process_response(session, handler.handle(buyer_step_request(session)))
+            path = str(tmp_path / f"session-{mode}-{done}.txt")
+            save_session(session, path)
 
-        resumed = load_session(path, cat, rng=random.Random(99), ops=ops)
-        assert resumed.remaining == 3 - done
-        assert resumed.acc == session.acc
-        plain = run_purchase(resumed, handler.handle)
-        assert plain.license_id == "lic-3"
-        expected = derive_license_key(cat.entry("lic-3").x, 3, keys.s, params64)
-        assert resumed.acc == expected
-        assert (ops.exponentiations, ops.divisions) == \
-            (straight_ops.exponentiations, straight_ops.divisions)
+            resumed = load_session(path, cat, rng=random.Random(99), ops=ops)
+            assert resumed.remaining == sum(plan[done:])
+            assert resumed.acc == session.acc
+            plain = run_purchase(resumed, handler.handle)
+            assert plain.license_id == f"lic-{price}"
+            expected = derive_license_key(cat.entry(f"lic-{price}").x, price, keys.s, params64)
+            assert resumed.acc == expected
+            assert ops == straight_ops
+
+
+def test_only_blind_computes_blinding_powers():
+    """r = g^alpha and the unblinders K_t^alpha come from _blind alone, so
+    begin, each refreshed step and a resumed checkpoint share one rule."""
+    path = pathlib.Path(purchase.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_blind":
+            inside = {id(node) for node in ast.walk(fn)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "pow_fixed"]
+    assert uses, "pow_fixed is no longer called"
+    outside = [node.lineno for node in uses if id(node) not in inside]
+    assert not outside, f"pow_fixed used outside _blind at lines {outside}"

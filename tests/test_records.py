@@ -96,6 +96,41 @@ def test_a_checkpoint_of_a_license_not_in_the_catalog_is_refused(tmp_path, param
         load_session(str(path), cat)
 
 
+# Each case edits lines of a basic, price-3 checkpoint saved after one step
+# (plan 1 1 1, idx 1, remaining 2); a value of None drops the key's last line.
+DISAGREEING = [
+    ({"mode": "bogus"}, "unknown mode 'bogus'"),
+    ({"cards": None}, "2 cards lines for a plan of 3 steps"),
+    ({"plan": "1 1 1 1"}, "3 cards lines for a plan of 4 steps"),
+    ({"idx": "7"}, "idx 7 after 1 transcripts"),
+    ({"idx": "0"}, "idx 0 after 1 transcripts"),
+    ({"plan": "2 1 1"}, r"transcript step values \[1\] are not the plan's first 1"),
+    ({"remaining": "5"}, "remaining 5, but the rest of the plan sums to 2"),
+    ({"remaining": "1"}, "remaining 1, but the rest of the plan sums to 2"),
+    ({"plan": "1 5 1"}, "remaining 2, but the rest of the plan sums to 6"),
+    ({"plan": "1 9 1", "remaining": "10"}, r"plan values \[9\] have no K_t"),
+]
+
+
+@pytest.mark.parametrize("edits, names", DISAGREEING, ids=[
+    " ".join(f"{k}={v}" for k, v in edits.items()) for edits, _ in DISAGREEING])
+def test_a_checkpoint_that_disagrees_with_itself_is_refused(tmp_path, params64, edits, names):
+    _, cat, _, handler, session = rig(params64, price=3)
+    buyer_process_response(session, handler.handle(buyer_step_request(session)))
+    path = tmp_path / "session.txt"
+    save_session(session, str(path))
+    lines = path.read_text().splitlines()
+    for key, value in edits.items():
+        at = max(i for i, line in enumerate(lines) if line.startswith(f"{key}: "))
+        if value is None:
+            del lines[at]
+        else:
+            lines[at] = f"{key}: {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SessionStateError, match=f"checkpoint disagrees: {names}"):
+        load_session(str(path), cat)
+
+
 def test_secrets_file_round_trips_byte_exact(tmp_path, params64):
     keys, _ = make_catalog(params64)
     first, second = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
