@@ -7,7 +7,6 @@ raised (and arbitrated where possible).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import random
@@ -279,10 +278,6 @@ def cmd_arbitrate(args) -> int:
 def cmd_scenario_run(args) -> int:
     with open(args.spec, encoding="utf-8") as fh:
         sc = harness.parse_scenario(fh.read())
-    if args.transport:
-        sc = dataclasses.replace(sc, transport=args.transport)
-    if args.seed is not None:
-        sc = dataclasses.replace(sc, seed=args.seed)
     report = harness.run_scenario(sc)
     print(report.render(), end="")
     if args.metrics_out:
@@ -296,8 +291,7 @@ def cmd_scenario_run(args) -> int:
 
 
 def cmd_scenario_sweep(args) -> int:
-    sweep = harness.run_sweep(group_bits=args.group_bits, seed=args.seed,
-                              transport=args.transport)
+    sweep = harness.run_sweep(group_bits=args.group_bits, seed=args.seed)
     table = harness.report_tables(sweep)
     print(table, end="")
     if args.metrics_out:
@@ -393,14 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     scen_sub = scenario.add_subparsers(dest="scenario_cmd", required=True)
     run = scen_sub.add_parser("run", help="run one scenario spec file")
     run.add_argument("--spec", required=True)
-    run.add_argument("--transport", choices=("memory", "socket"))
-    run.add_argument("--seed", type=int)
     run.add_argument("--metrics-out")
     run.set_defaults(fn=cmd_scenario_run)
     sweep = scen_sub.add_parser("sweep", help="price sweep with table comparison")
     sweep.add_argument("--group-bits", type=int, default=64)
     sweep.add_argument("--seed", type=int, default=7)
-    sweep.add_argument("--transport", choices=("memory", "socket"), default="memory")
     sweep.add_argument("--metrics-out")
     sweep.set_defaults(fn=cmd_scenario_sweep)
 

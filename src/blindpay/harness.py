@@ -472,83 +472,73 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
 SWEEP_PRICES = (1, 2, 4, 8, 16, 31)
 
 
-def run_sweep(prices=SWEEP_PRICES, group_bits: int = 64, seed: int = 7,
-              transport: str = "memory") -> dict[str, list[ScenarioReport]]:
-    """The standard complexity sweep: both modes, blinding not refreshed
-    (the cost model assumes one blinding factor per purchase)."""
-    out: dict[str, list[ScenarioReport]] = {MODE_BASIC: [], MODE_ENHANCED: []}
-    for mode in (MODE_BASIC, MODE_ENHANCED):
-        for p in prices:
-            sc = Scenario(mode=mode, price=p, refresh=False, group_bits=group_bits,
-                          transport=transport, seed=seed)
-            out[mode].append(run_scenario(sc))
-    return out
+def run_sweep(prices=SWEEP_PRICES, group_bits: int = 64,
+              seed: int = 7) -> dict[str, list[ScenarioReport]]:
+    """The standard complexity sweep: both modes, in memory, blinding not
+    refreshed (the cost model assumes one blinding factor per purchase)."""
+    return {mode: [run_scenario(Scenario(mode=mode, price=p, group_bits=group_bits, seed=seed))
+                   for p in prices]
+            for mode in (MODE_BASIC, MODE_ENHANCED)}
 
 
-def _ceil_log2(p: int) -> int:
-    return (p - 1).bit_length()
+def _exact(measured: int, expected: int) -> tuple[int, int, bool]:
+    return measured, expected, measured == expected
+
+
+def _op_checks(rep: ScenarioReport) -> list[tuple[int | None, int, bool]]:
+    """Operation counts.  Basic mode, exact: buyer p+2, seller 2p.
+    Enhanced mode: buyer at most 1+2*ceil(log2 p), but 3 at p = 1, where
+    the scheme degenerates to the basic one; messages exactly popcount(p)
+    and at most ceil(log2 p)+1 (that cell shows only its bound)."""
+    p = rep.scenario.price
+    buyer, seller = rep.metrics.actor("buyer"), rep.metrics.actor("seller")
+    b, msgs = buyer.table_total(), buyer.messages_sent
+    if rep.scenario.mode == MODE_BASIC:
+        return [_exact(b, p + 2), _exact(seller.table_total(), 2 * p)]
+    log2p = (p - 1).bit_length()  # ceil(log2 p)
+    bound = max(3, 1 + 2 * log2p)
+    return [(b, bound, b <= bound), _exact(msgs, bin(p).count("1")),
+            (None, log2p + 1, msgs <= log2p + 1)]
+
+
+def _payload_checks(rep: ScenarioReport) -> list[tuple[int, int, bool]]:
+    """Payload bits, framing excluded, over k messages (k = p in basic
+    mode, popcount(p) in enhanced): buyer k*(BETA+gamma), seller
+    2*k*gamma."""
+    p, gamma = rep.scenario.price, rep.scenario.group_bits
+    k = p if rep.scenario.mode == MODE_BASIC else bin(p).count("1")
+    return [_exact(rep.metrics.actor("buyer").payload_bits, k * (BETA + gamma)),
+            _exact(rep.metrics.actor("seller").payload_bits, 2 * k * gamma)]
+
+
+# each table: its title, its columns after p, by mode, and its check
+_TABLES = [
+    ("operation counts, {mode} mode (gamma={gamma})",
+     {MODE_BASIC: "buyer_total expect ok seller_total expect ok",
+      MODE_ENHANCED: "buyer_total bound ok messages popcount ok msg_bound ok"},
+     _op_checks),
+    ("payload bits, {mode} mode (framing excluded)",
+     dict.fromkeys((MODE_BASIC, MODE_ENHANCED), "buyer_bits expect ok seller_bits expect ok"),
+     _payload_checks),
+]
 
 
 def report_tables(sweep: dict[str, list[ScenarioReport]]) -> str:
-    """Measured counters against the closed-form columns, PASS/FAIL per cell.
-
-    Operation counts: buyer p+2 and seller 2p in basic mode (exact); in
-    enhanced mode the buyer is bounded by 1+2*ceil(log2 p) and the message
-    count equals the population count of p.  A price of 1 degenerates to
-    the basic scheme, so the basic bound of 3 operations applies there.
-    Payload bits: p*(BETA+gamma) / 2*p*gamma in basic mode and the same
-    shapes scaled by the message count in enhanced mode.
-    """
+    """Measured counters against the closed forms that _op_checks and
+    _payload_checks state, one row per price, PASS/FAIL per check."""
     lines = []
-    basic = sweep.get(MODE_BASIC, [])
-    if basic:
-        gamma = basic[0].scenario.group_bits
-        lines.append(f"operation counts, basic mode (gamma={gamma})")
-        lines.append("p\tbuyer_total\texpect\tok\tseller_total\texpect\tok")
-        for rep in basic:
-            p = rep.scenario.price
-            b = rep.metrics.actor("buyer").table_total()
-            s = rep.metrics.actor("seller").table_total()
-            lines.append("\t".join([
-                str(p), str(b), str(p + 2), _pf(b == p + 2),
-                str(s), str(2 * p), _pf(s == 2 * p)]))
-        lines.append("")
-        lines += _payload_lines(MODE_BASIC, basic)
-    enhanced = sweep.get(MODE_ENHANCED, [])
-    if enhanced:
-        gamma = enhanced[0].scenario.group_bits
-        lines.append(f"operation counts, enhanced mode (gamma={gamma})")
-        lines.append("p\tbuyer_total\tbound\tok\tmessages\tpopcount\tok\tmsg_bound\tok")
-        for rep in enhanced:
-            p = rep.scenario.price
-            b = rep.metrics.actor("buyer").table_total()
-            msgs = rep.metrics.actor("buyer").messages_sent
-            bound = 3 if p == 1 else 1 + 2 * _ceil_log2(p)
-            pc = bin(p).count("1")
-            lines.append("\t".join([
-                str(p), str(b), str(bound), _pf(b <= bound),
-                str(msgs), str(pc), _pf(msgs == pc),
-                str(_ceil_log2(p) + 1), _pf(msgs <= _ceil_log2(p) + 1)]))
-        lines.append("")
-        lines += _payload_lines(MODE_ENHANCED, enhanced)
+    for mode in (MODE_BASIC, MODE_ENHANCED):
+        reports = sweep.get(mode)
+        if not reports:
+            continue
+        for title, columns, checks in _TABLES:
+            lines += [title.format(mode=mode, gamma=reports[0].scenario.group_bits),
+                      "\t".join(["p", *columns[mode].split()])]
+            for rep in reports:
+                cells = [rep.scenario.price]
+                for measured, expected, ok in checks(rep):
+                    cells += [v for v in (measured, expected) if v is not None]
+                    cells.append("PASS" if ok else "FAIL")
+                lines.append("\t".join(map(str, cells)))
+            lines.append("")
     return "\n".join(lines)
-
-
-def _payload_lines(mode: str, reports: list[ScenarioReport]) -> list[str]:
-    gamma = reports[0].scenario.group_bits
-    lines = [f"payload bits, {mode} mode (framing excluded)",
-             "p\tbuyer_bits\texpect\tok\tseller_bits\texpect\tok"]
-    for rep in reports:
-        p = rep.scenario.price
-        k = p if mode == MODE_BASIC else bin(p).count("1")  # messages sent
-        bb = rep.metrics.actor("buyer").payload_bits
-        sb = rep.metrics.actor("seller").payload_bits
-        lines.append("\t".join([
-            str(p), str(bb), str(k * (BETA + gamma)), _pf(bb == k * (BETA + gamma)),
-            str(sb), str(2 * k * gamma), _pf(sb == 2 * k * gamma)]))
-    lines.append("")
-    return lines
-
-
-def _pf(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"

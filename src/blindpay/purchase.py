@@ -199,9 +199,6 @@ def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
     if 1 not in catalog.k_table:
         raise MissingKPower(1)
     plan = plan_steps(units, powers)
-    for t in plan:
-        if t not in catalog.k_table:
-            raise MissingKPower(t)
     step_cards = _allocate_cards(cards, plan)
     session = PurchaseSession(
         catalog=catalog, entry=entry, mode=mode, refresh_blinding=refresh_blinding,
@@ -379,9 +376,15 @@ def save_session(session: PurchaseSession, path: str):
 def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM,
                  ops=None) -> PurchaseSession:
     """Resume a checkpoint.  A checkpoint that disagrees with itself or with
-    the catalog raises SessionStateError before any step is sent."""
+    the catalog raises SessionStateError before any step is sent.
+
+    acc must be the last transcript's m_out / K_t^alpha (one unbilled
+    exponentiation) or, before the first step of a purchase, the license's
+    x.  An upgrade's checkpoint before its first step starts from the owned
+    key, which the checkpoint does not record, so its acc goes unchecked."""
     with open(path, encoding="utf-8") as fh:
         rec = SESSION.read(fh.read())
+    entry = catalog.entry(rec["license"], SessionStateError)
     plan, idx, paid = rec["plan"], rec["idx"], [tr.t for tr in rec["transcript"]]
     for bad, what in [
         (rec["mode"] not in (MODE_BASIC, MODE_ENHANCED), f"unknown mode {rec['mode']!r}"),
@@ -396,8 +399,19 @@ def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM
     ]:
         if bad:
             raise SessionStateError(f"checkpoint disagrees: {what}")
+    if idx == 0:
+        if sum(plan) == entry.price and rec["acc"] != entry.x:
+            raise SessionStateError("checkpoint disagrees: acc is not the license's x")
+    else:
+        last = rec["transcript"][-1]
+        if last.alpha is None:
+            raise SessionStateError("checkpoint disagrees: the last transcript has no alpha")
+        unblinder = pow_mod(catalog.k_table[last.t], last.alpha, catalog.params)  # unbilled
+        if rec["acc"] != div_mod(last.m_out, unblinder, catalog.params):
+            raise SessionStateError(
+                "checkpoint disagrees: acc is not the last transcript's m_out / K_t^alpha")
     session = PurchaseSession(
-        catalog=catalog, entry=catalog.entry(rec["license"], SessionStateError), mode=rec["mode"],
+        catalog=catalog, entry=entry, mode=rec["mode"],
         refresh_blinding=rec["refresh"], alpha=rec["alpha"], r=1, unblinders={},
         acc=rec["acc"], remaining=rec["remaining"], plan=plan,
         step_cards=rec["cards"], transcripts=rec["transcript"],

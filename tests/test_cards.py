@@ -278,8 +278,20 @@ def test_closed_ledger_refuses_changes(tmp_path):
     assert CardLedger.replay(str(path))._seq == 2
 
 
-def test_ledger_line_not_utf8_is_corrupt(tmp_path):
+ISSUE_AB = b"1\tISSUE\tab\t1\t-\n"
+UNAPPLIABLE = {
+    "not-utf8": (b"1\tISSUE\t\xff\t1\t-\n", "not five UTF-8 fields"),
+    "unknown-op": (ISSUE_AB + b"2\tBURN\tab\t1\t-\n", "unknown op 'BURN'"),
+    "unknown-card": (ISSUE_AB + b"2\tDIST\tcd\t1\tstore-1\n", "DIST of unknown card"),
+    "second-spend": (ISSUE_AB + b"2\tDIST\tab\t1\tstore-1\n3\tSPEND\tab\t1\tseller-1\n"
+                     b"4\tSPEND\tab\t1\tseller-1\n", "second SPEND of ab"),
+}
+
+
+@pytest.mark.parametrize("lines", UNAPPLIABLE)
+def test_a_ledger_line_the_replay_cannot_apply_is_corrupt(tmp_path, lines):
+    text, problem = UNAPPLIABLE[lines]
     path = tmp_path / "ledger.tsv"
-    path.write_bytes(b"1\tISSUE\t\xff\t1\t-\n")
-    with pytest.raises(LedgerCorrupt):
+    path.write_bytes(text)
+    with pytest.raises(LedgerCorrupt, match=problem):
         CardLedger.replay(str(path))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -226,6 +227,40 @@ def test_catalog_verify_flags_tampered_terms(params64):
     cat.licenses[0].terms = "read-write"
     problems = verify_catalog(cat)
     assert any("terms signature" in p for p in problems)
+
+
+def _non_member(cat, e):
+    return cat.params.n - e  # -1 is a non-residue mod a safe prime n > 7
+
+
+# Each edit of a good catalog and the problem verify_catalog must name.
+CATALOG_EDITS = {
+    "bad-group": (lambda cat: setattr(cat, "params", replace(cat.params, g=1)),
+                  "params: generator out of range"),
+    "no-K_1": (lambda cat: cat.k_table.pop(1),
+               "k_table: unblinding key for step value 1 missing"),
+    "step-value-0": (lambda cat: cat.k_table.update({0: cat.k_table[1]}),
+                     "k_table: bad step value 0"),
+    "non-member-K_t": (lambda cat: cat.k_table.update({2: _non_member(cat, cat.k_table[2])}),
+                       "k_table[2]: not a subgroup member"),
+    "bad-k-table-signature": (lambda cat: setattr(cat, "k_table_signature", bytes(64)),
+                              "k_table: signature invalid"),
+    "duplicate-id": (lambda cat: cat.licenses.append(cat.licenses[0]),
+                     "lic-1: duplicate license id"),
+    "price-0": (lambda cat: setattr(cat.licenses[0], "price", 0), "lic-1: price < 1"),
+    "non-member-x": (lambda cat: setattr(cat.licenses[0], "x",
+                                         _non_member(cat, cat.licenses[0].x)),
+                     "lic-1: x not a subgroup member"),
+}
+
+
+@pytest.mark.parametrize("edit", CATALOG_EDITS)
+def test_catalog_verify_names_each_problem(params64, edit):
+    _, cat = make_catalog(params64)
+    assert verify_catalog(cat) == []
+    change, problem = CATALOG_EDITS[edit]
+    change(cat)
+    assert problem in verify_catalog(cat)
 
 
 def test_catalog_parse_rejects_garbage():

@@ -35,7 +35,7 @@ from blindpay.dispute import (
 from blindpay.encoding import enc_int, enc_u32
 from blindpay.errors import AuthenticationFailure, BlindpayError
 from blindpay.group import DlEqProof, hash_to_group, named_group, pow_mod
-from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler
+from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler, run_sweep
 from blindpay.purchase import SellerStepHandler, run_purchase, step_payload
 
 from test_dispute import completed_session, type_c_evidence, type_d_evidence
@@ -86,6 +86,7 @@ def test_seller_init_draws_fresh_keys_unless_seeded(tmp_path, capsys):
 
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def readme_commands() -> list[str]:
@@ -181,10 +182,33 @@ def test_scenario_run_invalid_spec(tmp_path, capsys):
     assert run_cli("scenario", "run", "--spec", str(spec)) == 2
 
 
-def test_scenario_sweep(capsys):
+def test_scenario_sweep(tmp_path, capsys):
     assert run_cli("scenario", "sweep", "--group-bits", "32", "--seed", "7") == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    # at its defaults it prints the pinned tables, and --metrics-out writes
+    # one line per mode, price, actor and counter
+    metrics = tmp_path / "metrics.tsv"
+    assert run_cli("scenario", "sweep", "--metrics-out", str(metrics)) == 0
+    assert capsys.readouterr().out == (FIXTURES / "sweep_report.txt").read_text()
+    assert metrics.read_text() == "".join(
+        f"{mode}\tp={rep.scenario.price}\t{a}\t{k}\t{v}\n"
+        for mode, reports in run_sweep().items() for rep in reports
+        for a, k, v in rep.metrics.records())
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--spec", "scenario.txt", "--transport", "socket"),
+    ("run", "--spec", "scenario.txt", "--seed", "3"),
+    ("sweep", "--transport", "memory"),
+], ids=["run-transport", "run-seed", "sweep-transport"])
+def test_the_spec_file_is_the_one_place_for_transport_and_seed(tmp_path, capsys, argv):
+    (tmp_path / "scenario.txt").write_text("price: 2\n")
+    argv = [str(tmp_path / arg) if arg == "scenario.txt" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("scenario", *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_arbitrate_replay(tmp_path, capsys, params64):
@@ -622,6 +646,11 @@ def test_buyer_purchase_over_sockets(tmp_path, capsys):
         assert code == 0
         assert "license: lic-a" in out_file.read_text()
         assert ledger.balance("seller-1") == 3
+        # the same cards again: the seller refuses the first step
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("purchase aborted: already-spent ")
+        assert ledger.balance("seller-1") == 3
 
 
 def test_buyer_purchase_sends_each_step_on_its_own_connection(tmp_path, capsys):
@@ -643,6 +672,43 @@ def test_buyer_purchase_sends_each_step_on_its_own_connection(tmp_path, capsys):
     with cli_market(tmp_path, capsys, wrap=recording) as (argv, ledger):
         assert run_cli(*argv, "--out", str(tmp_path / "license.txt")) == 0
     assert [len(steps) for steps in per_connection] == [1, 1, 1]
+
+
+def test_buyer_purchase_refuses_a_catalog_that_fails_verification(tmp_path, capsys):
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        catp = tmp_path / "cat.txt"
+        catp.write_text(catp.read_text().replace("terms: read-only", "terms: read-write"))
+        assert run_cli(*argv, "--catalog", str(catp)) == 1
+        assert "catalog rejected: lic-a: terms signature invalid" in capsys.readouterr().err
+        assert ledger.balance("seller-1") == 0
+
+
+def test_buyer_purchase_files_a_type_c_record_the_seller_answers(tmp_path, capsys):
+    # README's type C flow: a corrupt step signature, then answer and arbitrate
+    def corrupt_second_step(handle):
+        steps = []
+
+        def handle_and_corrupt(msg):
+            reply = handle(msg)
+            if isinstance(msg, wire.StepReq):
+                steps.append(msg)
+                if len(steps) == 2:
+                    sig = bytes([reply.signature[0] ^ 0xFF]) + reply.signature[1:]
+                    return replace(reply, signature=sig)
+            return reply
+        return handle_and_corrupt
+
+    case, answered = tmp_path / "case-c.txt", tmp_path / "case-c-answered.txt"
+    catp, secp = str(tmp_path / "cat.txt"), str(tmp_path / "sec.txt")
+    with cli_market(tmp_path, capsys, wrap=corrupt_second_step) as (argv, ledger):
+        assert run_cli(*argv, "--case-out", str(case)) == 3
+    assert f"type C case written to {case}" in capsys.readouterr().err
+    assert parse_case(case.read_text()).kind == "C"
+    assert run_cli("seller", "answer", "--case", str(case), "--catalog", catp,
+                   "--secrets", secp, "--out", str(answered)) == 0
+    capsys.readouterr()
+    assert run_cli("arbitrate", "--case", str(answered), "--catalog", catp) == 0
+    assert capsys.readouterr().out.startswith(f"C: {SELLER_MUST_RESIGN} ")
 
 
 def test_buyer_purchase_insufficient_cards(tmp_path, capsys):

@@ -133,6 +133,9 @@ def test_type_b_wrong_terms_seller_at_fault(params64):
     verdict = resolve_type_b(build_type_b_case(crooked_cat, session))
     assert verdict.outcome == SELLER_AT_FAULT
     assert verdict.checked_steps == 3
+    # written, parsed and resolved, the record gives the live verdict
+    record = parse_case(write_case(build_type_b_case(crooked_cat, session)))
+    assert resolve_case(record, rng=NoDraws()) == [("B", verdict)]
 
 
 def test_type_b_matching_terms_rejected(params64):
@@ -313,8 +316,10 @@ def test_replay_draws_nothing(params64):
     verdicts = resolve_case(parse_case(answered), catalog=cat, rng=NoDraws())
     assert [label for label, _ in verdicts] == ["D-method1", "D-method2"]
     # an unanswered record, asked of no seller, is judged by the timeout rule
-    assert resolve_type_d_method2(new_case(), cat, rng=NoDraws()) == Verdict(
-        SELLER_AT_FAULT, "seller unresponsive within the deadline", 0)
+    timeout = Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline", 0)
+    assert resolve_type_d_method2(new_case(), cat, rng=NoDraws()) == timeout
+    unanswered = parse_case(write_case(new_case()))
+    assert resolve_case(unanswered, catalog=cat, rng=NoDraws()) == [("D", timeout)]
 
 
 def test_a_replayed_chain_without_its_audited_license_is_malformed(params64):

@@ -239,10 +239,45 @@ def test_run_sweep_tables_all_pass():
     assert "payload bits, enhanced mode" in table
 
 
-def test_report_tables_flags_failures():
+def _cells(table: str) -> dict[tuple[str, int], str]:
+    """Each body cell of the tables, keyed by its table's title and column."""
+    cells = {}
+    for block in table.strip("\n").split("\n\n"):
+        title, _, *rows = block.splitlines()
+        for row in rows:
+            cells.update(((title, col), cell) for col, cell in enumerate(row.split("\t")))
+    return cells
+
+
+# At p = 2, one check or (where marked) two: the mode and counter bumped,
+# by how much, the table, and the columns that change (the counter's cell,
+# then its ok cells).
+FLAGGED = [
+    ("basic", "buyer", "exponentiations", 1, "operation counts", [1, 3]),
+    ("basic", "seller", "signings", 1, "operation counts", [4, 6]),
+    ("basic", "buyer", "payload_bits", 1, "payload bits", [1, 3]),
+    ("basic", "seller", "payload_bits", 1, "payload bits", [4, 6]),
+    ("enhanced", "buyer", "divisions", 1, "operation counts", [1, 3]),
+    ("enhanced", "buyer", "messages_sent", 1, "operation counts", [4, 6]),
+    ("enhanced", "buyer", "messages_sent", 2, "operation counts", [4, 6, 8]),  # two checks
+    ("enhanced", "buyer", "payload_bits", 1, "payload bits", [1, 3]),
+    ("enhanced", "seller", "payload_bits", 1, "payload bits", [4, 6]),
+]
+
+
+@pytest.mark.parametrize("mode, actor, counter, bump, table, columns", FLAGGED,
+                         ids=[f"{m}-{a}-{c}+{b}" for m, a, c, b, _, _ in FLAGGED])
+def test_report_tables_flags_failures(mode, actor, counter, bump, table, columns):
     sweep = run_sweep(prices=(2,), seed=7)
-    sweep["basic"][0].metrics.actor("buyer").exponentiations += 1
-    assert "FAIL" in report_tables(sweep)
+    before = _cells(report_tables(sweep))
+    c = sweep[mode][0].metrics.actor(actor)
+    setattr(c, counter, getattr(c, counter) + bump)
+    after = _cells(report_tables(sweep))
+    title = next(title for title, _ in after if title.startswith(f"{table}, {mode} mode"))
+    assert {key for key in after if after[key] != before[key]} == {
+        (title, col) for col in columns}
+    assert {key for key, cell in after.items() if cell == "FAIL"} == {
+        (title, col) for col in columns[1:]}
 
 
 # --- remote bank and seller over the wire --------------------------------------------------

@@ -16,14 +16,17 @@ from blindpay.errors import (
     SessionStateError,
 )
 from blindpay.purchase import (
+    begin_upgrade,
+    buyer_begin,
     buyer_process_response,
     buyer_step_request,
     load_session,
+    run_purchase,
     save_session,
 )
 
 from conftest import make_catalog
-from test_purchase import rig
+from test_purchase import fund, rig, upgrade_fixture
 
 
 def _documents(tmp_path, params):
@@ -96,39 +99,78 @@ def test_a_checkpoint_of_a_license_not_in_the_catalog_is_refused(tmp_path, param
         load_session(str(path), cat)
 
 
-# Each case edits lines of a basic, price-3 checkpoint saved after one step
-# (plan 1 1 1, idx 1, remaining 2); a value of None drops the key's last line.
+def times_4(value, n):
+    """acc times 4 mod n, still a subgroup member (4 is a square)."""
+    return str(int(value) * 4 % n)
+
+
+def no_alpha(line, n):
+    """A transcript line whose blinding exponent is dropped."""
+    m, m_out, t, _, sig = line.split(" ")
+    return f"{m} {m_out} {t} - {sig}"
+
+
+# Each case edits lines of a basic, price-3 checkpoint saved after the
+# given number of steps; after one: plan 1 1 1, idx 1, remaining 2.  A
+# value of None drops the key's last line, and a function maps that line's
+# value and the group's n to the new value.
 DISAGREEING = [
-    ({"mode": "bogus"}, "unknown mode 'bogus'"),
-    ({"cards": None}, "2 cards lines for a plan of 3 steps"),
-    ({"plan": "1 1 1 1"}, "3 cards lines for a plan of 4 steps"),
-    ({"idx": "7"}, "idx 7 after 1 transcripts"),
-    ({"idx": "0"}, "idx 0 after 1 transcripts"),
-    ({"plan": "2 1 1"}, r"transcript step values \[1\] are not the plan's first 1"),
-    ({"remaining": "5"}, "remaining 5, but the rest of the plan sums to 2"),
-    ({"remaining": "1"}, "remaining 1, but the rest of the plan sums to 2"),
-    ({"plan": "1 5 1"}, "remaining 2, but the rest of the plan sums to 6"),
-    ({"plan": "1 9 1", "remaining": "10"}, r"plan values \[9\] have no K_t"),
+    (1, {"mode": "bogus"}, "unknown mode 'bogus'"),
+    (1, {"cards": None}, "2 cards lines for a plan of 3 steps"),
+    (1, {"plan": "1 1 1 1"}, "3 cards lines for a plan of 4 steps"),
+    (1, {"idx": "7"}, "idx 7 after 1 transcripts"),
+    (1, {"idx": "0"}, "idx 0 after 1 transcripts"),
+    (1, {"plan": "2 1 1"}, r"transcript step values \[1\] are not the plan's first 1"),
+    (1, {"remaining": "5"}, "remaining 5, but the rest of the plan sums to 2"),
+    (1, {"remaining": "1"}, "remaining 1, but the rest of the plan sums to 2"),
+    (1, {"plan": "1 5 1"}, "remaining 2, but the rest of the plan sums to 6"),
+    (1, {"plan": "1 9 1", "remaining": "10"}, r"plan values \[9\] have no K_t"),
+    (0, {"acc": times_4}, "acc is not the license's x"),
+    (1, {"acc": times_4}, r"acc is not the last transcript's m_out / K_t\^alpha"),
+    (2, {"acc": times_4}, r"acc is not the last transcript's m_out / K_t\^alpha"),
+    (1, {"transcript": no_alpha}, "the last transcript has no alpha"),
 ]
 
 
-@pytest.mark.parametrize("edits, names", DISAGREEING, ids=[
-    " ".join(f"{k}={v}" for k, v in edits.items()) for edits, _ in DISAGREEING])
-def test_a_checkpoint_that_disagrees_with_itself_is_refused(tmp_path, params64, edits, names):
+def _case_id(steps, edits):
+    words = [f"{k}={getattr(v, '__name__', v)}" for k, v in edits.items()]
+    return " ".join(([] if steps == 1 else [f"after {steps} steps"]) + words)
+
+
+@pytest.mark.parametrize("steps, edits, names", DISAGREEING,
+                         ids=[_case_id(steps, edits) for steps, edits, _ in DISAGREEING])
+def test_a_checkpoint_that_disagrees_with_itself_is_refused(tmp_path, params64, steps, edits,
+                                                            names):
     _, cat, _, handler, session = rig(params64, price=3)
-    buyer_process_response(session, handler.handle(buyer_step_request(session)))
+    for _ in range(steps):
+        buyer_process_response(session, handler.handle(buyer_step_request(session)))
     path = tmp_path / "session.txt"
     save_session(session, str(path))
+    load_session(str(path), cat)  # unedited, the checkpoint loads
     lines = path.read_text().splitlines()
     for key, value in edits.items():
         at = max(i for i, line in enumerate(lines) if line.startswith(f"{key}: "))
         if value is None:
             del lines[at]
         else:
+            if callable(value):
+                value = value(lines[at].split(": ", 1)[1], cat.params.n)
             lines[at] = f"{key}: {value}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SessionStateError, match=f"checkpoint disagrees: {names}"):
         load_session(str(path), cat)
+
+
+def test_an_upgrade_checkpoint_before_its_first_step_resumes(tmp_path, params64):
+    # its acc is the owned key, which the checkpoint does not record
+    _, cat, bank, handler = upgrade_fixture(params64)
+    owned = buyer_begin(cat, "lic-2", fund(bank, [1, 1]), rng=random.Random(1))
+    run_purchase(owned, handler.handle)
+    session = begin_upgrade(cat, "lic-2", owned.acc, "lic-5", fund(bank, [1, 1, 1]),
+                            rng=random.Random(2))
+    path = tmp_path / "session.txt"
+    save_session(session, str(path))
+    assert run_purchase(load_session(str(path), cat), handler.handle).license_id == "lic-5"
 
 
 def test_secrets_file_round_trips_byte_exact(tmp_path, params64):
