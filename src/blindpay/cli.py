@@ -26,16 +26,16 @@ from .catalog import (
 from .dispute import (
     SellerDisputeAgent,
     answer_case,
-    build_type_c_case,
     check_commitments,
     parse_case,
     resolve_case,
+    settle_purchase,
     write_case,
 )
 from .encoding import RecordFormat
-from .errors import BadStepSignature, BlindpayError, ScenarioInvalid, StepRejected
+from .errors import BlindpayError, ScenarioInvalid, StepRejected
 from .group import NAMED_GROUPS, SYSTEM_RANDOM, gen_params, named_group
-from .purchase import SellerStepHandler, buyer_begin, run_purchase
+from .purchase import SellerStepHandler, buyer_begin
 
 EXIT_OK = 0
 EXIT_PROTOCOL = 1
@@ -243,24 +243,21 @@ def cmd_buyer_purchase(args) -> int:
     cards = _read_cards(args.cards)
     session = buyer_begin(cat, args.license, cards, mode=args.mode, rng=_rng(args.seed))
     try:
-        plain = run_purchase(session, functools.partial(harness.remote_step, args.connect))
-    except BadStepSignature as bad:
-        case = build_type_c_case(cat, bad)
-        with open(args.case_out, "w", encoding="utf-8") as fh:
-            fh.write(write_case(case))
-        print(f"corrupt step signature; type C case written to {args.case_out}",
-              file=sys.stderr)
-        return EXIT_DISPUTE
+        outcome, plain, case = settle_purchase(
+            session, functools.partial(harness.remote_step, args.connect))
     except StepRejected as rej:
         print(f"purchase aborted: {rej.code} {rej.detail}", file=sys.stderr)
         return EXIT_PROTOCOL
-    text = _plaintext_text(plain)
-    if args.out:
+    if plain is not None and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return EXIT_OK
+            fh.write(_plaintext_text(plain))
+    elif plain is not None:
+        print(_plaintext_text(plain), end="")
+    if case is not None:
+        with open(args.case_out, "w", encoding="utf-8") as fh:
+            fh.write(write_case(case))
+        print(f"{outcome}; type {case.kind} case written to {args.case_out}", file=sys.stderr)
+    return EXIT_OK if case is None else EXIT_DISPUTE
 
 
 def cmd_arbitrate(args) -> int:
@@ -375,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     purchase.add_argument("--seed", type=int,
                           help="reproducible blinding, for a demo only")
     purchase.add_argument("--out")
-    purchase.add_argument("--case-out", default="case-c.txt")
+    purchase.add_argument("--case-out", default="case.txt")
     purchase.set_defaults(fn=cmd_buyer_purchase)
 
     arb = sub.add_parser("arbitrate", help="replay a dispute case record")

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 from .catalog import (
     GROUP_KEYS,
     Catalog,
+    LicensePlaintext,
     decrypt_license,
     group_fields,
     read_group,
@@ -49,6 +50,7 @@ from .catalog import (
 from .encoding import RecordFormat, b64, int_pair, ints, unb64
 from .errors import (
     AuthenticationFailure,
+    BadStepSignature,
     ChainLengthMismatch,
     MalformedElement,
     MalformedEvidence,
@@ -65,7 +67,7 @@ from .group import (
     is_member,
     pow_fixed,
 )
-from .purchase import StepTranscript, step_payload
+from .purchase import StepTranscript, run_purchase, step_payload
 
 SELLER_AT_FAULT = "seller-at-fault"
 BUYER_CLAIM_REJECTED = "buyer-claim-rejected"
@@ -140,6 +142,21 @@ def build_type_d_case(catalog: Catalog, session) -> DisputeCase:
     return DisputeCase(kind="D", params=catalog.params, verify_pk=catalog.verify_pk,
                        k_table=dict(catalog.k_table),
                        steps=[replace(tr, alpha=None) for tr in session.transcripts])
+
+
+def settle_purchase(session, step_fn) -> tuple[str, LicensePlaintext | None, DisputeCase | None]:
+    """Run the purchase; return (outcome, the license if it opened, the case
+    filed or None).  The buyer's one rule: a bad step signature files C, a dead
+    key D, terms other than the catalog's B; a StepRejected propagates."""
+    cat = session.catalog
+    try:
+        plain = run_purchase(session, step_fn)
+    except BadStepSignature as bad:
+        return "aborted:bad-step-signature", None, build_type_c_case(cat, bad)
+    except AuthenticationFailure:
+        return "key-unusable", None, build_type_d_case(cat, session)
+    case = build_type_b_case(cat, session) if plain.terms != session.entry.terms else None
+    return "completed", plain, case
 
 
 # --- seller-side arbitration agent ---------------------------------------------

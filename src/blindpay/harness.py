@@ -30,16 +30,13 @@ from .catalog import (
 from .dispute import (
     SellerDisputeAgent,
     Verdict,
-    build_type_b_case,
-    build_type_c_case,
     build_type_d_case,
     resolve_case,
+    settle_purchase,
 )
 from .encoding import on_off
 from .errors import (
     AlreadySpent,
-    AuthenticationFailure,
-    BadStepSignature,
     BlindpayError,
     CardError,
     ConnectionClosed,
@@ -59,7 +56,6 @@ from .purchase import (
     StepResponse,
     buyer_begin,
     plan_steps,
-    run_purchase,
 )
 
 BETA = 128  # card identifier bits
@@ -430,32 +426,21 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
             wire.StepResp(m_out=resp.m_out, signature=resp.step_signature))
         return resp
 
-    outcome, key_ok, terms_match = "completed", "-", "-"
-    plain = None
-    case = None
+    plain = case = None
     try:
         session = buyer_begin(cat, "lic-main", buyer_cards, mode=sc.mode,
                               refresh_blinding=sc.refresh, rng=rng, ops=buyer_ops)
-        plain = run_purchase(session, step_fn)
-        key_ok = "yes"
-        terms_match = "yes" if plain.terms == session.entry.terms else "no"
-    except AuthenticationFailure:
-        key_ok = "no"
-        outcome = "key-unusable"
-        case = build_type_d_case(cat, session)
-    except BadStepSignature as bad:
-        outcome = "aborted:bad-step-signature"
-        case = build_type_c_case(cat, bad)
+        outcome, plain, case = settle_purchase(session, step_fn)
     except StepRejected as rej:
         outcome = f"aborted:{rej.code}"
     finally:
         for close in closers:
             close()
 
-    if terms_match == "no":
-        case = build_type_b_case(cat, session)
-    elif outcome == "completed" and sc.fault == "false-claim":
-        case = build_type_d_case(cat, session)
+    key_ok = {"completed": "yes", "key-unusable": "no"}.get(outcome, "-")
+    terms_match = "-" if plain is None else "no" if case is not None else "yes"
+    if plain is not None and case is None and sc.fault == "false-claim":
+        case = build_type_d_case(cat, session)  # the scenario's buyer lies
     verdicts: list[tuple[str, Verdict]] = []
     if case is not None:
         agent = SellerDisputeAgent(keys, cat, rng=rng)

@@ -18,7 +18,9 @@ from blindpay.catalog import (
     encrypt_license,
     parse_catalog,
     serialize_catalog,
+    sign_payload,
     verify_payload,
+    with_published_terms,
 )
 from blindpay.dispute import (
     BUYER_CLAIM_REJECTED,
@@ -174,6 +176,15 @@ def test_scenario_run_dispute_exit_code(tmp_path, capsys):
     spec.write_text("mode: basic\nprice: 4\nseed: 5\nfault: wrong-s\nfault_step: 2\n")
     assert run_cli("scenario", "run", "--spec", str(spec)) == 3
     assert "seller-at-fault" in capsys.readouterr().out
+
+
+def test_scenario_run_refused_step_exit_code(tmp_path, capsys):
+    # a refused step ends the purchase with no dispute to raise
+    spec = tmp_path / "scenario.txt"
+    spec.write_text("mode: basic\nprice: 3\nseed: 5\nfault: double-spend\nfault_step: 2\n")
+    assert run_cli("scenario", "run", "--spec", str(spec)) == 1
+    out = capsys.readouterr().out
+    assert "outcome: aborted:already-spent" in out and "verdicts: 0" in out
 
 
 def test_scenario_run_invalid_spec(tmp_path, capsys):
@@ -463,6 +474,13 @@ def test_seller_serve_missing_ledger_exits_2(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_seller_serve_without_a_bank_exits_2(tmp_path, capsys):
+    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
+    capsys.readouterr()
+    assert run_cli("seller", "serve", "--catalog", catp, "--secrets", secp) == 2
+    assert capsys.readouterr().err == "seller serve needs --bank or --ledger\n"
+
+
 def test_buyer_purchase_refresh_cannot_be_turned_off():
     # one blinding factor for a whole purchase would let the seller link its steps
     with pytest.raises(SystemExit) as exc:
@@ -709,6 +727,80 @@ def test_buyer_purchase_files_a_type_c_record_the_seller_answers(tmp_path, capsy
     capsys.readouterr()
     assert run_cli("arbitrate", "--case", str(answered), "--catalog", catp) == 0
     assert capsys.readouterr().out.startswith(f"C: {SELLER_MUST_RESIGN} ")
+
+
+def answer_and_arbitrate(tmp_path, capsys, case):
+    """``seller answer`` the record at case, then ``arbitrate`` it; return
+    what arbitrate printed."""
+    catp, answered = str(tmp_path / "cat.txt"), tmp_path / "answered.txt"
+    assert run_cli("seller", "answer", "--case", str(case), "--catalog", catp,
+                   "--secrets", str(tmp_path / "sec.txt"), "--out", str(answered)) == 0
+    capsys.readouterr()
+    assert run_cli("arbitrate", "--case", str(answered), "--catalog", catp) == 0
+    return capsys.readouterr().out
+
+
+def test_buyer_purchase_files_a_type_d_record_for_a_dead_key(tmp_path, capsys, monkeypatch):
+    # every step is signed, but the second is answered with s + 1: the key
+    # opens nothing, and the buyer keeps its signed steps as type D evidence
+    def wrong_s_at_second_step(handle):
+        keys = cli._read_secrets(str(tmp_path / "sec.txt"))
+        p = parse_catalog((tmp_path / "cat.txt").read_text()).params
+        steps = []
+
+        def handle_and_lie(msg):
+            reply = handle(msg)
+            if isinstance(msg, wire.StepReq):
+                steps.append(msg)
+                if len(steps) == 2:
+                    m_out = pow(msg.m, (keys.s + 1) % p.q, p.n)
+                    return wire.StepResp(m_out=m_out, signature=sign_payload(
+                        keys.sign_sk, step_payload(msg.m, m_out)))
+            return reply
+        return handle_and_lie
+
+    monkeypatch.chdir(tmp_path)  # the record goes to --case-out's default, case.txt
+    with cli_market(tmp_path, capsys, wrap=wrong_s_at_second_step) as (argv, ledger):
+        assert run_cli(*argv, "--out", "license.txt") == 3
+        assert ledger.balance("seller-1") == 3
+    assert "key-unusable; type D case written to case.txt" in capsys.readouterr().err
+    assert not (tmp_path / "license.txt").exists()
+    assert parse_case((tmp_path / "case.txt").read_text()).kind == "D"
+    out = answer_and_arbitrate(tmp_path, capsys, tmp_path / "case.txt")
+    assert f"D-method1: {SELLER_AT_FAULT}" in out
+    assert f"D-method2: {SELLER_AT_FAULT}" in out
+
+
+def test_buyer_purchase_files_a_type_b_record_for_other_terms(tmp_path, capsys):
+    # the catalog the buyer checks publishes lic-a as read-print, signed by
+    # the seller, while the license itself says read-only
+    case, license_file = tmp_path / "case-b.txt", tmp_path / "license.txt"
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        cat = parse_catalog((tmp_path / "cat.txt").read_text())
+        keys = cli._read_secrets(str(tmp_path / "sec.txt"))
+        published = tmp_path / "cat-read-print.txt"
+        published.write_text(serialize_catalog(
+            with_published_terms(cat, keys, "lic-a", "read-print")))
+        assert run_cli(*argv, "--catalog", str(published), "--out", str(license_file),
+                       "--case-out", str(case)) == 3
+    assert f"completed; type B case written to {case}" in capsys.readouterr().err
+    assert "terms: read-only" in license_file.read_text()
+    assert parse_case(case.read_text()).kind == "B"
+    assert answer_and_arbitrate(tmp_path, capsys, case).startswith(f"B: {SELLER_AT_FAULT} ")
+
+
+def test_buyer_purchase_exits_1_when_the_seller_sends_no_catalog(tmp_path, capsys):
+    def refuse_catalog(handle):
+        def handle_or_refuse(msg):
+            if isinstance(msg, wire.CatalogGet):
+                return wire.StepErr(code="unsupported", detail="CatalogGet")
+            return handle(msg)
+        return handle_or_refuse
+
+    with cli_market(tmp_path, capsys, wrap=refuse_catalog) as (argv, ledger):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "seller did not return a catalog\n"
+        assert ledger.balance("seller-1") == 0
 
 
 def test_buyer_purchase_insufficient_cards(tmp_path, capsys):

@@ -40,11 +40,14 @@ from blindpay.catalog import (
 from blindpay.errors import (
     AuthenticationFailure,
     BadStepSignature,
+    ChainLengthMismatch,
     MalformedElement,
     MalformedEvidence,
     MissingKPower,
+    StepRejected,
 )
 from blindpay.group import dleq_composite, dleq_verify, mul_mod, named_group, pow_mod
+from blindpay.harness import FaultingSeller, make_seller_handler, step_reply
 from blindpay.purchase import (
     MODE_ENHANCED,
     SellerStepHandler,
@@ -83,6 +86,33 @@ def type_d_evidence(params, wrong_s_at):
     keys, cat, bank, session = completed_session(params, price=4, seed=71,
                                                  prices=(3, 4), wrong_s_at=wrong_s_at)
     return keys, cat, lambda: build_type_d_case(cat, session)
+
+
+# --- the buyer's rule from a purchase's end to a case ------------------------------------
+
+@pytest.mark.parametrize("fault, outcome, kind", [
+    ("none", "completed", None),
+    ("corrupt-signature", "aborted:bad-step-signature", "C"),
+    ("wrong-s", "key-unusable", "D"),
+    ("wrong-terms", "completed", "B"),
+])
+def test_settle_purchase_files_the_case_the_end_calls_for(params64, fault, outcome, kind):
+    keys, cat, bank, handler, session = rig(params64, price=3, seed=40)
+    if fault == "wrong-terms":
+        crooked = with_published_terms(cat, keys, "lic-3", "read-print")
+        session = buyer_begin(crooked, "lic-3", fund(bank, [1, 1, 1]), rng=random.Random(2))
+    got, plain, case = dispute.settle_purchase(session, FaultingSeller(handler, fault, 2).handle)
+    assert got == outcome
+    assert (plain is not None) == (outcome == "completed")
+    assert (case.kind if case else None) == kind
+
+
+def test_settle_purchase_files_nothing_for_a_refused_step(params64):
+    keys, cat, bank, handler, session = rig(params64, price=3, seed=40)
+    bank.spend_atomic(session.step_cards[1], "seller-1")  # spent elsewhere first
+    seller = make_seller_handler(handler, cat)
+    with pytest.raises(StepRejected, match="already-spent"):
+        dispute.settle_purchase(session, lambda req: step_reply(seller(req)))
 
 
 # --- the seller's prover ------------------------------------------------------------
@@ -165,6 +195,46 @@ def test_type_b_claimed_key_must_follow_from_transcript(params64):
     assert "does not follow" in verdict.rationale
 
 
+def edit_step_2(case, **change):
+    case.steps[1] = replace(case.steps[1], **change)
+
+
+@pytest.mark.parametrize("edit, rationale", [
+    (lambda case: setattr(case, "terms_signature", bytes(64)), "terms signature invalid"),
+    (lambda case: edit_step_2(case, alpha=case.steps[1].alpha + 1),
+     "step 2: request inconsistent with blinding exponent"),
+], ids=["terms-signature", "alpha+1"])
+def test_type_b_edited_record_rejected(params64, edit, rationale):
+    keys, cat, bank, session = completed_session(params64, price=3)
+    case = build_type_b_case(cat, session)
+    edit(case)
+    verdict = resolve_type_b(case)
+    assert (verdict.outcome, verdict.rationale) == (BUYER_CLAIM_REJECTED, rationale)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda case: edit_step_2(case, alpha=None), "step 2: blinding exponent missing"),
+    (lambda case: edit_step_2(case, t=3), "step 2: no unblinding key for value 3"),
+    (lambda case: setattr(case, "kind", "C"), "type B resolver got kind 'C'"),
+    (lambda case: setattr(case, "steps", []), "no transcript steps in evidence"),
+], ids=["no-alpha", "t=3", "kind-C", "no-steps"])
+def test_type_b_malformed_record_raises(params64, edit, error):
+    keys, cat, bank, session = completed_session(params64, price=3)
+    case = build_type_b_case(cat, session)
+    assert 3 not in case.k_table
+    edit(case)
+    with pytest.raises(MalformedEvidence, match=re.escape(error)):
+        resolve_type_b(case)
+
+
+def test_type_b_claim_on_a_dead_key_is_rejected(params64):
+    # a dead key is a type D claim, which is why settle_purchase files D for it
+    keys, cat, bank, session = completed_session(params64, price=3, wrong_s_at=2)
+    verdict = resolve_type_b(build_type_b_case(cat, session))
+    assert verdict == Verdict(BUYER_CLAIM_REJECTED,
+                              "key does not decrypt the license (raise type D instead)", 3)
+
+
 # --- type C --------------------------------------------------------------------------
 
 def type_c_evidence(params, t):
@@ -235,6 +305,18 @@ def test_type_c_conflicting_values_seller_proof_fails(params64):
     verdict = resolve_type_c(case, LyingAgent(keys, cat, random.Random(3)))
     assert verdict.outcome == SELLER_MUST_RESIGN
     assert case.stages[0].outcome == ESCALATED_TO_D
+
+
+class ZeroSignatureAgent(SellerDisputeAgent):
+    def sign_values(self, m, m_out):
+        return bytes(64)
+
+
+def test_type_c_seller_that_will_not_resign_is_at_fault(params64):
+    keys, cat, case = corrupt_signature_case(params64)
+    verdict = resolve_type_c(case, ZeroSignatureAgent(keys, cat, random.Random(3)))
+    assert verdict == Verdict(SELLER_AT_FAULT,
+                              "seller failed to produce a valid signature on agreed values", 1)
 
 
 def test_type_c_unresponsive_seller_at_fault(params64):
@@ -479,6 +561,25 @@ def test_method2_wrong_s_step_named_at_every_position(params64, bad_step):
 
 # --- batched proofs ---------------------------------------------------------------------------
 
+def answered_d_record(params64):
+    keys, cat, new_case = type_d_evidence(params64, None)
+    return answer_case(new_case(), cat, SellerDisputeAgent(keys, cat)), cat
+
+
+def test_method2_replay_of_a_chain_one_entry_short_raises(params64):
+    case, cat = answered_d_record(params64)
+    case.chain = case.chain[:-1]
+    with pytest.raises(ChainLengthMismatch):
+        resolve_type_d_method2(parse_case(write_case(case)), cat)
+
+
+def test_method2_replay_of_a_chain_not_at_the_audited_factor_convicts(params64):
+    case, cat = answered_d_record(params64)
+    case.chain[0] = mul_mod(case.chain[0], params64.g, params64)
+    verdict = resolve_type_d_method2(parse_case(write_case(case)), cat)
+    assert verdict == Verdict(SELLER_AT_FAULT, "chain does not start at the audited factor", 0)
+
+
 def signed_d_case(keys, cat, steps, rng):
     """A type D case whose steps (m, m_out, t) the seller signed as given;
     m=None draws a fresh request and answers it honestly."""
@@ -666,6 +767,28 @@ def test_method3_commitment_mismatch(params64):
     verdict = resolve_type_d_method3(build_type_d_case(cat, session), keys.s + 1)
     assert verdict.outcome == SELLER_AT_FAULT
     assert "commitment" in verdict.rationale
+
+
+def test_method3_without_a_generation_factor_raises(params64):
+    keys, cat, bank, session = completed_session(params64, price=2, seed=64)
+    with pytest.raises(MalformedEvidence, match="no generation factor"):
+        resolve_type_d_method3(build_type_d_case(cat, session))
+
+
+def test_method3_without_k1_raises(params64):
+    keys, cat, bank, session = completed_session(params64, price=2, seed=64)
+    case = build_type_d_case(cat, session)
+    del case.k_table[1]
+    with pytest.raises(MissingKPower):
+        resolve_type_d_method3(case, keys.s)
+
+
+def test_method3_refuses_an_unsigned_step(params64):
+    keys, cat, bank, session = completed_session(params64, price=2, seed=64)
+    case = build_type_d_case(cat, session)
+    case.steps[0] = replace(case.steps[0], signature=bytes(64))
+    with pytest.raises(MalformedEvidence, match="step 1: step signature invalid"):
+        resolve_type_d_method3(case, keys.s)
 
 
 # --- type A cannot happen ------------------------------------------------------------------

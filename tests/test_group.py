@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from blindpay.errors import MalformedElement
 from blindpay.group import (
+    _MR_BASES,
+    _MR_DETERMINISTIC_BOUND,
     DlEqProof,
     _comb_table,
     _jacobi,
@@ -86,6 +88,28 @@ def test_gen_params_shape_and_determinism():
     assert is_probable_prime(p1.n) and is_probable_prime(p1.q)
     assert pow(p1.g, p1.q, p1.n) == 1 and p1.g != 1
     assert gen_params(16, seed=8) != p1
+
+
+# psi_13, the least strong pseudoprime to the 13 smallest prime bases
+# (Sorenson and Webster, 2017)
+PSI13 = 1287836182261 * 2575672364521
+
+
+def strong_liar(a, m):
+    """a does not witness that odd m is composite (one Miller-Rabin round)."""
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, m)
+    return x in (1, m - 1) or any(pow(x, 2**i, m) == m - 1 for i in range(1, r))
+
+
+def test_miller_rabin_runs_extra_rounds_from_the_deterministic_bound():
+    # psi_13 is the bound itself, so only the hashed extra bases can refuse it
+    assert PSI13 == _MR_DETERMINISTIC_BOUND == 3317044064679887385961981
+    assert all(strong_liar(a, PSI13) for a in _MR_BASES)
+    assert not is_probable_prime(PSI13)
+    assert is_probable_prime(2**127 - 1) and is_probable_prime(2**521 - 1)
 
 
 def test_known_small_group_is_valid():
