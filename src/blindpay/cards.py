@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import fcntl
 import random
+import re
 import threading
 from dataclasses import dataclass
 from typing import ClassVar
@@ -26,6 +27,18 @@ from .errors import (
     UnknownCard,
 )
 from .group import SYSTEM_RANDOM
+
+
+_TOKEN = re.compile(r"[A-Za-z0-9._-]{1,64}")
+
+
+def plain_token(name: str) -> str:
+    """name, if it is an account or store name a ledger record can carry:
+    1 to 64 of A-Z, a-z, 0-9, '.', '_' and '-'.  Any other name, one that
+    could end its record and forge the next, raises ValueError."""
+    if not _TOKEN.fullmatch(name):
+        raise ValueError(f"{name!r} is not 1 to 64 of A-Z, a-z, 0-9, '.', '_' and '-'")
+    return name
 
 
 class CardStatus(enum.Enum):
@@ -63,7 +76,9 @@ class CardLedger:
     before reading it, so a second writer (even in this process) is refused
     with an error naming the file, then loads the records already there and
     appends one tab-separated record (seq, op, card_id, value, account) per
-    mutation.  `replay` loads a file read-only.
+    mutation.  A store or account name that is not a plain_token is refused
+    before anything is written; records already on file load as they are.
+    `replay` loads a file read-only.
 
     Durability: every record is flushed but not fsynced, so a machine crash
     can lose the last records; an fsync per spend would sit on every seller
@@ -134,6 +149,7 @@ class CardLedger:
 
     def distribute(self, card_ids: list[str], store_id: str) -> int:
         """Mark cards as sold to a store.  Returns the number distributed."""
+        plain_token(store_id)
         with self._lock:
             for cid in card_ids:
                 card = self.cards.get(cid)
@@ -163,6 +179,7 @@ class CardLedger:
         """
         if not card_ids:
             raise ValueError("card_ids must be nonempty")
+        plain_token(seller_account)
         with self._lock:
             seen: set[str] = set()
             for cid in card_ids:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import ClassVar
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -20,7 +20,7 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import wire
-from .encoding import Reader, RecordFormat, b64, enc_bytes, enc_int, enc_str, int_pair, unb64
+from .encoding import B64, HEX, INT, PAIR, STR, Reader, RecordFormat, enc_bytes, enc_int, enc_str
 from .errors import AuthenticationFailure, CatalogFormatError, MalformedMessage, UnknownLicense
 from .group import SYSTEM_RANDOM, GroupParams, hash_to_group, is_member, pow_mod
 
@@ -239,12 +239,12 @@ def with_published_terms(catalog: Catalog, keys: SellerKeys, license_id: str,
 
 # --- catalog document ---------------------------------------------------------
 
-GROUP_KEYS = {"n": int, "q": int, "g": int, "bits": int, "verify_pk": bytes.fromhex}
+GROUP_KEYS = {"n": INT, "q": INT, "g": INT, "bits": INT, "verify_pk": HEX}
 # in LicenseEntry's field order
-_LICENSE_KEYS = {"license": str, "content": str, "price": int, "x": int, "terms": str,
-                 "blob": unb64, "signature": bytes.fromhex}
-CATALOG = RecordFormat("catalog", once={**GROUP_KEYS, "ktable_signature": bytes.fromhex},
-                       many={"ktable": int_pair, **_LICENSE_KEYS}, error=CatalogFormatError)
+_LICENSE_KEYS = {"license": STR, "content": STR, "price": INT, "x": INT, "terms": STR,
+                 "blob": B64, "signature": HEX}
+CATALOG = RecordFormat("catalog", once={**GROUP_KEYS, "ktable_signature": HEX},
+                       many={"ktable": PAIR, **_LICENSE_KEYS}, error=CatalogFormatError)
 
 
 def group_fields(params: GroupParams, verify_pk: bytes,
@@ -252,8 +252,7 @@ def group_fields(params: GroupParams, verify_pk: bytes,
     """The lines a catalog and a case record share: the group, the
     verification key and the K table (GROUP_KEYS and many ``ktable``)."""
     return [("n", params.n), ("q", params.q), ("g", params.g), ("bits", params.bits),
-            ("verify_pk", verify_pk.hex())] + [
-                ("ktable", f"{t} {k_table[t]}") for t in sorted(k_table)]
+            ("verify_pk", verify_pk)] + [("ktable", tk) for tk in sorted(k_table.items())]
 
 
 def read_group(rec: dict) -> tuple[GroupParams, bytes, dict[int, int]]:
@@ -264,10 +263,9 @@ def read_group(rec: dict) -> tuple[GroupParams, bytes, dict[int, int]]:
 
 def serialize_catalog(cat: Catalog) -> str:
     fields = group_fields(cat.params, cat.verify_pk, cat.k_table)
-    fields.append(("ktable_signature", cat.k_table_signature.hex()))
+    fields.append(("ktable_signature", cat.k_table_signature))
     for e in cat.licenses:
-        fields += zip(_LICENSE_KEYS, (e.license_id, e.content_id, e.price, e.x, e.terms,
-                                      b64(e.encrypted_license), e.terms_signature.hex()))
+        fields += zip(_LICENSE_KEYS, astuple(e))
     return CATALOG.write(fields)
 
 

@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import harness, wire
-from .cards import CardLedger
+from .cards import CardLedger, plain_token
 from .catalog import (
     LicensePlaintext,
     LicenseSpec,
@@ -32,7 +32,7 @@ from .dispute import (
     settle_purchase,
     write_case,
 )
-from .encoding import RecordFormat
+from .encoding import HEX, INT, RecordFormat
 from .errors import BlindpayError, ScenarioInvalid, StepRejected
 from .group import NAMED_GROUPS, SYSTEM_RANDOM, gen_params, named_group
 from .purchase import SellerStepHandler, buyer_begin
@@ -65,6 +65,14 @@ def _at_least(low: int):
     return integer
 
 
+def _token(text: str) -> str:
+    """An account or store name the ledger can record (cards.plain_token)."""
+    try:
+        return plain_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _group_bits(text: str) -> int | str:
     """A bit length for a generated group, or the name of an RFC 7919 group."""
     if text in NAMED_GROUPS:
@@ -76,7 +84,7 @@ def _group_bits(text: str) -> int | str:
             f"{text!r} is neither a bit length nor one of {', '.join(NAMED_GROUPS)}") from None
 
 
-SECRETS = RecordFormat("secrets", once={"s": int, "sign_sk": bytes.fromhex}, many={},
+SECRETS = RecordFormat("secrets", once={"s": INT, "sign_sk": HEX}, many={},
                        error=BlindpayError)
 
 
@@ -93,8 +101,9 @@ def _read_secrets(path: str) -> SellerKeys:
 
 
 def _write_secrets(path: str, keys: SellerKeys):
+    text = SECRETS.write([("s", keys.s), ("sign_sk", keys.sign_sk)])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SECRETS.write([("s", keys.s), ("sign_sk", keys.sign_sk.hex())]))
+        fh.write(text)
 
 
 def _read_cards(path: str) -> list[tuple[str, int]]:
@@ -181,12 +190,13 @@ def cmd_seller_init(args) -> int:
                   else gen_params(args.group_bits, seed=rng.randrange(2**63)))
         specs = [_license_spec(text, args.x_label, rng) for text in args.license]
         keys, cat = setup(params, specs, rng=rng)
+        catalog_text = serialize_catalog(cat)  # refuses a value that is not one line
     except ValueError as exc:
         print(f"seller init: {exc}", file=sys.stderr)
         return EXIT_USAGE
     with open(args.catalog, "w", encoding="utf-8") as fh:
-        fh.write(serialize_catalog(cat))
-    _write_secrets(args.secrets, keys)
+        fh.write(catalog_text)
+    _write_secrets(args.secrets, keys)  # an int and a hex key: one line each
     print(f"catalog written to {args.catalog}, secrets to {args.secrets}")
     return EXIT_OK
 
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     issue.add_argument("--ledger", required=True)
     issue.add_argument("--count", type=_at_least(0), default=1)
     issue.add_argument("--value", type=_at_least(1), default=1)
-    issue.add_argument("--store", default="")
+    issue.add_argument("--store", type=_token)
     issue.add_argument("--seed", type=int, help="reproducible card ids, for a demo only")
     issue.set_defaults(fn=cmd_bank_issue)
 
@@ -352,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sserve.add_argument("--listen", type=_addr, default=("127.0.0.1", 0))
     sserve.add_argument("--bank", type=_addr)
     sserve.add_argument("--ledger")
-    sserve.add_argument("--account", default="seller-1")
+    sserve.add_argument("--account", type=_token, default="seller-1")
     sserve.set_defaults(fn=cmd_seller_serve)
     answer = seller_sub.add_parser("answer", help="answer a dispute case record")
     answer.add_argument("--case", required=True)

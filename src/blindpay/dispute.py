@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 from .catalog import (
     GROUP_KEYS,
@@ -47,7 +47,7 @@ from .catalog import (
     verify_payload,
     verify_terms,
 )
-from .encoding import RecordFormat, b64, int_pair, ints, unb64
+from .encoding import B64, HEX, INT, INTS, PAIR, STR, Codec, RecordFormat
 from .errors import (
     AuthenticationFailure,
     BadStepSignature,
@@ -67,7 +67,7 @@ from .group import (
     is_member,
     pow_fixed,
 )
-from .purchase import StepTranscript, run_purchase, step_payload
+from .purchase import STEP, StepTranscript, run_purchase, step_payload
 
 SELLER_AT_FAULT = "seller-at-fault"
 BUYER_CLAIM_REJECTED = "buyer-claim-rejected"
@@ -557,62 +557,58 @@ def verify_k_table(catalog: Catalog, proofs: dict[tuple[int, int], DlEqProof]) -
 _PROOF_FAMILIES = ("step", "segment", "link")
 
 
-def _proof_parse(v: str) -> DlEqProof | None:
-    if v == "-":
+def _read_proof(text: str) -> DlEqProof | None:
+    if text == "-":
         return None
-    a1, a2, c, z = ints(v)
+    a1, a2, c, z = INTS.read(text)
     return DlEqProof(commitment_a=a1, commitment_b=a2, challenge=c, response=z)
 
 
-def _batch_parse(v: str) -> tuple[tuple[str, int], DlEqProof | None]:
-    family, t, proof = v.split(" ", 2)
+def _read_batch(text: str) -> tuple[tuple[str, int], DlEqProof | None]:
+    family, t, proof = text.split(" ", 2)
     if family not in _PROOF_FAMILIES:
         raise ValueError(f"unknown batch proof kind {family!r}")
-    return (family, int(t)), _proof_parse(proof)
+    return (family, int(t)), _PROOF.read(proof)
 
 
-_TYPE_B_KEYS = {"license": str, "x": int, "published_terms": str, "blob": unb64,
-                "terms_signature": bytes.fromhex, "buyer_key": int}
-_AUDIT_KEYS = {"audit_license": str, "audit_x": int, "audit_price": int, "audit_blob": unb64}
+# A proof withheld or not given is "-"; a batch proof is ((family, t), proof).
+_PROOF = Codec(lambda pr: "-" if pr is None else INTS.write(astuple(pr)), _read_proof)
+_BATCH = Codec(lambda b: f"{b[0][0]} {b[0][1]} {_PROOF.write(b[1])}", _read_batch)
+_TYPE_B_KEYS = {"license": STR, "x": INT, "published_terms": STR, "blob": B64,
+                "terms_signature": HEX, "buyer_key": INT}
+_AUDIT_KEYS = {"audit_license": STR, "audit_x": INT, "audit_price": INT, "audit_blob": B64}
 CASE = RecordFormat(
     "case",
-    once={"kind": str, **GROUP_KEYS, **_TYPE_B_KEYS, "seller_values": int_pair,
-          "seller_resign": bytes.fromhex, "seller_proof": _proof_parse, **_AUDIT_KEYS,
-          "chain": ints, "s_revealed": int},
-    many={"ktable": int_pair, "step": StepTranscript.parse, "batch_proof": _batch_parse,
-          **{f"{f}_proof": _proof_parse for f in _PROOF_FAMILIES}},
+    once={"kind": STR, **GROUP_KEYS, **_TYPE_B_KEYS, "seller_values": PAIR,
+          "seller_resign": HEX, "seller_proof": _PROOF, **_AUDIT_KEYS,
+          "chain": INTS, "s_revealed": INT},
+    many={"ktable": PAIR, "step": STEP, "batch_proof": _BATCH,
+          **{f"{f}_proof": _PROOF for f in _PROOF_FAMILIES}},
     error=MalformedEvidence)
-
-
-def _proof_str(pr: DlEqProof | None) -> str:
-    if pr is None:
-        return "-"
-    return f"{pr.commitment_a} {pr.commitment_b} {pr.challenge} {pr.response}"
 
 
 def write_case(case: DisputeCase) -> str:
     fields = [("kind", case.kind), *group_fields(case.params, case.verify_pk, case.k_table)]
-    fields += [("step", st.line()) for st in case.steps]
+    fields += [("step", st) for st in case.steps]
     if case.kind == "B":
         fields += zip(_TYPE_B_KEYS, (case.license_id, case.x, case.published_terms,
-                                     b64(case.encrypted_license), case.terms_signature.hex(),
+                                     case.encrypted_license, case.terms_signature,
                                      case.buyer_key))
     if case.seller_values is not None:
-        fields.append(("seller_values", f"{case.seller_values[0]} {case.seller_values[1]}"))
+        fields.append(("seller_values", case.seller_values))
     if case.seller_resign is not None:
-        fields.append(("seller_resign", case.seller_resign.hex()))
+        fields.append(("seller_resign", case.seller_resign))
     if case.seller_proof is not None:
-        fields.append(("seller_proof", _proof_str(case.seller_proof)))
-    fields += [("step_proof", _proof_str(pr)) for pr in case.step_proofs or []]
+        fields.append(("seller_proof", case.seller_proof))
+    fields += [("step_proof", pr) for pr in case.step_proofs or []]
     if case.audit_license_id:
         fields += zip(_AUDIT_KEYS, (case.audit_license_id, case.audit_x, case.audit_price,
-                                    b64(case.audit_blob)))
+                                    case.audit_blob))
     if case.chain is not None:
-        fields.append(("chain", " ".join(str(c) for c in case.chain)))
-    fields += [("link_proof", _proof_str(pr)) for pr in case.link_proofs or []]
-    fields += [("segment_proof", _proof_str(pr)) for pr in case.segment_proofs or []]
-    fields += [("batch_proof", f"{kind} {t} {_proof_str(pr)}")
-               for (kind, t), pr in sorted(case.batch_proofs.items())]
+        fields.append(("chain", case.chain))
+    fields += [("link_proof", pr) for pr in case.link_proofs or []]
+    fields += [("segment_proof", pr) for pr in case.segment_proofs or []]
+    fields += [("batch_proof", b) for b in sorted(case.batch_proofs.items())]
     if case.s_revealed is not None:
         fields.append(("s_revealed", case.s_revealed))
     return CASE.write(fields)

@@ -9,6 +9,7 @@ bytes a signature covers are exactly the bytes that travel on the wire.
 from __future__ import annotations
 
 import base64
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import MalformedMessage
@@ -95,13 +96,38 @@ class Reader:
 
 # --- text records ----------------------------------------------------------------
 
+# One record value's text form: write gives the text of a value, and read
+# the value of a text, raising ValueError on text it refuses.
+Codec = namedtuple("Codec", "write read")
+
+
+def _pair(text: str) -> tuple[int, int]:
+    a, b = INTS.read(text)
+    return a, b
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError(f"want on or off, got {text!r}")
+    return text == "on"
+
+
+STR = Codec(str, str)
+INT = Codec(str, int)
+HEX = Codec(bytes.hex, bytes.fromhex)
+B64 = Codec(lambda b: base64.b64encode(b).decode(), lambda t: base64.b64decode(t, validate=True))
+INTS = Codec(lambda vs: " ".join(map(str, vs)), lambda t: [int(v) for v in t.split()])
+PAIR = Codec(INTS.write, _pair)
+ON_OFF = Codec(lambda on: "on" if on else "off", _on_off)
+
+
 @dataclass(frozen=True)
 class RecordFormat:
     """A kind of text record: a ``blindpay-<kind>: v1`` header, then one
-    ``key: value`` line per field.  Each key maps to the function that
-    parses its value; keys in ``many`` may repeat, keys in ``once`` may
-    not, and no other key may appear.  The reader raises ``error`` naming
-    the line, also where a value's parser raises ValueError."""
+    ``key: value`` line per field.  Each key maps to its value's Codec;
+    keys in ``many`` may repeat, keys in ``once`` may not, and no other key
+    may appear.  The reader raises ``error`` naming the line, also where a
+    value's reader raises ValueError."""
 
     kind: str
     once: dict
@@ -109,8 +135,16 @@ class RecordFormat:
     error: type[Exception]
 
     def write(self, fields) -> str:
-        """The record of (key, value) pairs, in order."""
-        return "".join(f"{k}: {v}\n" for k, v in [(f"blindpay-{self.kind}", "v1"), *fields])
+        """The record of (key, value) pairs, in order, each value written by
+        its key's codec.  A value whose line read() would not take as one
+        line raises ValueError naming the key."""
+        lines = [f"blindpay-{self.kind}: v1"]
+        for key, value in fields:
+            line = f"{key}: {(self.once.get(key) or self.many[key]).write(value)}"
+            if line.splitlines() != [line]:
+                raise ValueError(f"{key} value {value!r} is not a single line")
+            lines.append(line)
+        return "\n".join(lines) + "\n"
 
     def read(self, text: str) -> Record:
         lines = text.splitlines()
@@ -121,13 +155,13 @@ class RecordFormat:
             key, sep, value = line.partition(": ")
             if not sep:
                 raise self.error(f"line {lineno}: want 'key: value', got {line!r}")
-            parse = self.once.get(key) or self.many.get(key)
-            if parse is None:
+            codec = self.once.get(key) or self.many.get(key)
+            if codec is None:
                 raise self.error(f"line {lineno}: unknown key {key!r}")
             if key in rec and key in self.once:
                 raise self.error(f"line {lineno}: repeated key {key!r}")
             try:
-                value = parse(value)
+                value = codec.read(value)
             except ValueError as exc:
                 raise self.error(f"line {lineno}: bad {key!r} value: {exc}") from None
             if key in self.many:
@@ -150,26 +184,3 @@ class Record(dict):
 
     def __missing__(self, key: str):
         raise self.error(f"no {key!r} line")
-
-
-def on_off(value: str) -> bool:
-    if value not in ("on", "off"):
-        raise ValueError(f"want on or off, got {value!r}")
-    return value == "on"
-
-
-def ints(value: str) -> list[int]:
-    return [int(v) for v in value.split()]
-
-
-def int_pair(value: str) -> tuple[int, int]:
-    a, b = ints(value)
-    return a, b
-
-
-def b64(data: bytes) -> str:
-    return base64.b64encode(data).decode()
-
-
-def unb64(value: str) -> bytes:
-    return base64.b64decode(value, validate=True)

@@ -34,7 +34,7 @@ from .dispute import (
     resolve_case,
     settle_purchase,
 )
-from .encoding import on_off
+from .encoding import ON_OFF
 from .errors import (
     AlreadySpent,
     BlindpayError,
@@ -118,7 +118,7 @@ class Scenario:
 
     def line(self) -> str:
         return (f"mode={self.mode} price={self.price} "
-                f"refresh={'on' if self.refresh else 'off'} "
+                f"refresh={ON_OFF.write(self.refresh)} "
                 f"group_bits={self.group_bits} transport={self.transport} "
                 f"seed={self.seed} fault={self.fault} fault_step={self.fault_step}")
 
@@ -136,7 +136,7 @@ def parse_scenario(text: str) -> Scenario:
         if key not in {f.name for f in fields(Scenario)}:
             raise ScenarioInvalid(f"line {lineno}: unknown key {key!r}")
         kv[key] = value.strip()
-    convert = {"int": int, "bool": on_off, "str": str}
+    convert = {"int": int, "bool": ON_OFF.read, "str": str}
     try:
         sc = Scenario(**{f.name: convert[f.type](kv[f.name])
                          for f in fields(Scenario) if f.name in kv})

@@ -26,7 +26,7 @@ from .catalog import (
     sign_payload,
     verify_payload,
 )
-from .encoding import RecordFormat, enc_int, ints, on_off
+from .encoding import INT, INTS, ON_OFF, STR, Codec, RecordFormat, enc_int
 from .errors import (
     BadStepSignature,
     IncompleteSession,
@@ -72,6 +72,9 @@ class StepTranscript:
         m, m_out, t, alpha, sig = line.split(" ")
         return cls(m=int(m), m_out=int(m_out), t=int(t), signature=bytes.fromhex(sig),
                    alpha=None if alpha == "-" else int(alpha))
+
+
+STEP = Codec(StepTranscript.line, StepTranscript.parse)
 
 
 def step_payload(m: int, m_out: int) -> bytes:
@@ -347,9 +350,11 @@ def run_purchase(session: PurchaseSession, step_fn) -> LicensePlaintext:
 # --- session checkpointing -------------------------------------------------------
 
 SESSION = RecordFormat(
-    "session", once={"license": str, "mode": str, "refresh": on_off, "alpha": int, "acc": int,
-                     "remaining": int, "plan": ints, "idx": int},
-    many={"cards": lambda v: [] if v == "-" else v.split(), "transcript": StepTranscript.parse},
+    "session", once={"license": STR, "mode": STR, "refresh": ON_OFF, "alpha": INT, "acc": INT,
+                     "remaining": INT, "plan": INTS, "idx": INT},
+    many={"cards": Codec(lambda cards: " ".join(cards) or "-",
+                         lambda text: [] if text == "-" else text.split()),
+          "transcript": STEP},
     error=SessionStateError)
 
 
@@ -360,17 +365,18 @@ def save_session(session: PurchaseSession, path: str):
     fields = [
         ("license", session.entry.license_id),
         ("mode", session.mode),
-        ("refresh", "on" if session.refresh_blinding else "off"),
+        ("refresh", session.refresh_blinding),
         ("alpha", session.alpha),
         ("acc", session.acc),
         ("remaining", session.remaining),
-        ("plan", " ".join(str(t) for t in session.plan)),
+        ("plan", session.plan),
         ("idx", session._idx),
     ]
-    fields += [("cards", " ".join(cards) if cards else "-") for cards in session.step_cards]
-    fields += [("transcript", tr.line()) for tr in session.transcripts]
+    fields += [("cards", cards) for cards in session.step_cards]
+    fields += [("transcript", tr) for tr in session.transcripts]
+    text = SESSION.write(fields)  # before the open: a refused value keeps the old file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SESSION.write(fields))
+        fh.write(text)
 
 
 def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM,

@@ -278,6 +278,34 @@ def test_closed_ledger_refuses_changes(tmp_path):
     assert CardLedger.replay(str(path))._seq == 2
 
 
+def test_a_name_that_is_not_a_plain_token_is_refused_before_any_change(tmp_path):
+    path = tmp_path / "ledger.tsv"
+    ledger = CardLedger(path=str(path), rng=random.Random(3))
+    (card,) = ledger.issue_cards(1, 1)
+    before = path.read_bytes()
+    for name in ("", "seller 1", "a\tb", "a\nb", "é", "x" * 65):
+        with pytest.raises(ValueError, match="is not 1 to 64 of"):
+            ledger.distribute([card.card_id], name)
+    ledger.distribute([card.card_id], "Store_1.b-" + "x" * 54)
+    for name in ("seller 1", "a\rb", "a\x85b", "seller-1\n3\tISSUE\tcd\t9\t-"):
+        with pytest.raises(ValueError, match="is not 1 to 64 of"):
+            ledger.verify_and_spend(card.card_id, name)
+    assert (ledger._seq, card.status, ledger.accounts) == (2, CardStatus.DISTRIBUTED, {})
+    ledger.close()
+    assert path.read_bytes().startswith(before) and CardLedger.replay(str(path))._seq == 2
+
+
+def test_a_name_already_on_file_still_loads(tmp_path):
+    # the rule holds for what the writer writes; records on file load as they are
+    path = tmp_path / "ledger.tsv"
+    path.write_bytes(b"1\tISSUE\tab\t2\t-\n2\tDIST\tab\t2\tstore 1\n"
+                     b"3\tSPEND\tab\t2\tseller 1\n")
+    assert CardLedger.replay(str(path)).accounts == {"seller 1": 2}
+    ledger = CardLedger(path=str(path))
+    assert (ledger._seq, ledger.balance("seller 1")) == (3, 2)
+    ledger.close()
+
+
 ISSUE_AB = b"1\tISSUE\tab\t1\t-\n"
 UNAPPLIABLE = {
     "not-utf8": (b"1\tISSUE\t\xff\t1\t-\n", "not five UTF-8 fields"),

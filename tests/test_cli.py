@@ -489,6 +489,42 @@ def test_buyer_purchase_refresh_cannot_be_turned_off():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("license_text", ["lic\nb:2:t", "a:2:x\ry", "a:2:x\x0cy",
+                                          "a:2:x\x85y", "a:2:x\u2028y"])
+def test_seller_init_refuses_a_value_its_catalog_could_not_hold(tmp_path, capsys, license_text):
+    # before, it wrote a catalog that no command could read back
+    code = run_cli("seller", "init", "--catalog", str(tmp_path / "cat.txt"),
+                   "--secrets", str(tmp_path / "sec.txt"), "--seed", "3",
+                   "--license", license_text)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(r"seller init: (license|terms) value .* is not a single line\n", err,
+                        re.DOTALL), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("bank", "issue", "--ledger", "L", "--store", "store 1"),
+    ("bank", "issue", "--ledger", "L", "--store", ""),
+    ("seller", "serve", "--catalog", "C", "--secrets", "S", "--ledger", "L",
+     "--account", "seller-1\n3\tISSUE\tcd\t9\t-"),
+])
+def test_a_name_the_ledger_cannot_record_exits_2(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a in ("L", "C", "S") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "is not 1 to 64 of" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bank_issue_without_a_store_distributes_nothing(tmp_path, capsys):
+    ledger = str(tmp_path / "ledger.tsv")
+    assert run_cli("bank", "issue", "--ledger", ledger, "--count", "2", "--seed", "4") == 0
+    assert [c.status.value for c in CardLedger.replay(ledger).cards.values()] == [
+        "generated", "generated"]
+
+
 def test_arbitrate_requires_the_catalog(tmp_path, params64):
     # without it the record's own group, verify_pk and K table, which the
     # buyer wrote, would be the commitments it is judged against

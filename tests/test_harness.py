@@ -1,10 +1,14 @@
 import random
 import socket
+import tempfile
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blindpay.purchase
 from blindpay import wire
@@ -382,6 +386,102 @@ def test_bank_rejects_bad_request_and_keeps_the_connection():
         ep.send(wire.CardSpend(card_ids=(card.card_id,), account="seller-1"))
         reply = ep.recv()
         assert isinstance(reply, wire.SpendOk) and len(reply.receipts) == 1
+    finally:
+        ep.close()
+        srv.stop()
+
+
+def _filed_bank(path, values, seed):
+    """A bank on a ledger file holding distributed cards of the given values."""
+    ledger = CardLedger(path=str(path), rng=random.Random(seed))
+    cards = [ledger.issue_cards(1, value)[0] for value in values]
+    ledger.distribute([c.card_id for c in cards], "store-1")
+    return ledger, make_bank_handler(ledger), cards
+
+
+def test_an_account_that_ends_its_record_is_refused_and_the_bank_restarts(tmp_path):
+    # before, the forged record took the next seq, the next spend took it
+    # again, and the reopened ledger refused its file with a sequence gap
+    path = tmp_path / "ledger.tsv"
+    ledger, handle, (card, other) = _filed_bank(path, [1, 1], 23)
+    forged = f"seller-1\n{ledger._seq + 2}\tISSUE\t{'ab' * 16}\t1\t-"
+    reply = handle(wire.CardSpend(card_ids=(card.card_id,), account=forged))
+    assert isinstance(reply, wire.SpendErr) and reply.code == "bad-request", reply
+    assert isinstance(handle(wire.CardSpend(card_ids=(other.card_id,), account="seller-1")),
+                      wire.SpendOk)
+    ledger.close()
+    reopened = CardLedger(path=str(path))
+    assert (reopened._seq, reopened.accounts) == (ledger._seq, {"seller-1": 1})
+    assert reopened.cards[card.card_id].status is CardStatus.DISTRIBUTED
+    reopened.close()
+
+
+def test_an_account_cannot_mint_a_card_through_the_ledger_file(tmp_path):
+    # before, the holder of one 1-unit card had a 1000-unit card issued and
+    # distributed by its account text, spent it after the bank reopened its
+    # ledger, and check_conservation passed
+    path = tmp_path / "ledger.tsv"
+    ledger, handle, (card,) = _filed_bank(path, [1], 24)
+    minted, seq = "cd" * 16, ledger._seq + 1
+    account = (f"seller-1\n{seq + 1}\tISSUE\t{minted}\t1000\t-\n"
+               f"{seq + 2}\tDIST\t{minted}\t1000\tstore-1")
+    reply = handle(wire.CardSpend(card_ids=(card.card_id,), account=account))
+    assert isinstance(reply, wire.SpendErr) and reply.code == "bad-request", reply
+    ledger.close()
+    reopened = CardLedger(path=str(path))
+    reply = make_bank_handler(reopened)(wire.CardSpend(card_ids=(minted,), account="seller-1"))
+    reopened.check_conservation()
+    reopened.close()
+    assert isinstance(reply, wire.SpendErr) and reply.code == "unknown-card", reply
+    assert sum(c.value for c in reopened.cards.values()) == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=70), st.text(alphabet="a1._-\t\n\r \x85\u2028")))
+def test_any_account_is_refused_or_replays_as_it_was_spent(account):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.tsv"
+        ledger, handle, (card,) = _filed_bank(path, [3], 25)
+        reply = handle(wire.CardSpend(card_ids=(card.card_id,), account=account))
+        ledger.close()
+        if isinstance(reply, wire.SpendErr):
+            assert reply.code == "bad-request"
+            assert ledger.cards[card.card_id].status is CardStatus.DISTRIBUTED
+        replayed = CardLedger.replay(str(path))
+        assert (replayed.cards, replayed.accounts, replayed._seq) == (
+            ledger.cards, ledger.accounts, ledger._seq)
+
+
+def test_bank_answers_a_request_it_does_not_serve_and_keeps_the_connection():
+    ledger = CardLedger(rng=random.Random(26))
+    (card,) = ledger.issue_cards(1, 1)
+    ledger.distribute([card.card_id], "store-1")
+    srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    ep = wire.connect(*srv.address)
+    try:
+        ep.send(wire.CatalogGet())
+        assert ep.recv() == wire.SpendErr(code="unsupported", detail="CatalogGet", prior_seq=0)
+        ep.send(wire.CardSpend(card_ids=(card.card_id,), account="seller-1"))
+        assert isinstance(ep.recv(), wire.SpendOk)
+    finally:
+        ep.close()
+        srv.stop()
+
+
+def test_seller_answers_a_request_it_does_not_serve_and_keeps_the_connection(params64):
+    keys, cat = make_catalog(params64)
+    ledger = CardLedger(rng=random.Random(27))
+    (card,) = ledger.issue_cards(1, 1)
+    ledger.distribute([card.card_id], "store-1")
+    handler = SellerStepHandler(keys, params64, ledger, "seller-1")
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(handler, cat)).start()
+    ep = wire.connect(*srv.address)
+    try:
+        ep.send(wire.CardSpend(card_ids=(card.card_id,), account="seller-1"))
+        assert ep.recv() == wire.StepErr(code="unsupported", detail="CardSpend")
+        assert ledger.cards[card.card_id].status is CardStatus.DISTRIBUTED
+        ep.send(wire.CatalogGet())
+        assert isinstance(ep.recv(), wire.CatalogDoc)
     finally:
         ep.close()
         srv.stop()
