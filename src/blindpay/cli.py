@@ -32,7 +32,7 @@ from .dispute import (
     settle_purchase,
     write_case,
 )
-from .encoding import HEX, INT, RecordFormat
+from .encoding import HEX, INT, STR, Codec, RecordFormat
 from .errors import BlindpayError, ScenarioInvalid, StepRejected
 from .group import NAMED_GROUPS, SYSTEM_RANDOM, gen_params, named_group
 from .purchase import SellerStepHandler, buyer_begin
@@ -126,14 +126,18 @@ def _read_cards(path: str) -> list[tuple[str, int]]:
     return cards
 
 
+# The seller picks every value sealed in a license, so the printout is a
+# record whose writer refuses a value that would print as more than one line.
+LICENSE = RecordFormat("license", once={"license": STR, "terms": STR, "content_key": HEX,
+                                        "permissions": Codec(" ".join, str.split)},
+                       many={}, error=BlindpayError)
+
+
 def _plaintext_text(plain: LicensePlaintext) -> str:
-    lines = [
-        f"license: {plain.license_id}",
-        f"terms: {plain.terms}",
-        f"content_key: {plain.content_key.hex()}",
-        f"permissions: {' '.join(plain.permissions)}",
-    ]
-    return "\n".join(lines) + "\n"
+    """The license as printed; ValueError names a value that is not one line."""
+    return LICENSE.write([("license", plain.license_id), ("terms", plain.terms),
+                          ("content_key", plain.content_key),
+                          ("permissions", plain.permissions)])
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -258,16 +262,23 @@ def cmd_buyer_purchase(args) -> int:
     except StepRejected as rej:
         print(f"purchase aborted: {rej.code} {rej.detail}", file=sys.stderr)
         return EXIT_PROTOCOL
-    if plain is not None and args.out:
+    text = None
+    if plain is not None:
+        try:
+            text = _plaintext_text(plain)
+        except ValueError as exc:
+            print(f"license not written: {exc}", file=sys.stderr)
+    if text is not None and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_plaintext_text(plain))
-    elif plain is not None:
-        print(_plaintext_text(plain), end="")
+            fh.write(text)
+    elif text is not None:
+        print(text, end="")
     if case is not None:
         with open(args.case_out, "w", encoding="utf-8") as fh:
             fh.write(write_case(case))
         print(f"{outcome}; type {case.kind} case written to {args.case_out}", file=sys.stderr)
-    return EXIT_OK if case is None else EXIT_DISPUTE
+        return EXIT_DISPUTE
+    return EXIT_OK if text is not None else EXIT_PROTOCOL
 
 
 def cmd_arbitrate(args) -> int:

@@ -72,7 +72,6 @@ from .purchase import STEP, StepTranscript, run_purchase, step_payload
 SELLER_AT_FAULT = "seller-at-fault"
 BUYER_CLAIM_REJECTED = "buyer-claim-rejected"
 SELLER_MUST_RESIGN = "seller-must-resign"
-ESCALATED_TO_D = "escalated-to-D"
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,6 @@ class DisputeCase:
     # one proof per ("step" | "segment", t) or ("link", 1); see _first_unproven
     batch_proofs: dict[tuple[str, int], DlEqProof] = field(default_factory=dict)
     s_revealed: int | None = None
-    # verdict trail (not evidence, not serialized)
-    stages: list[Verdict] = field(default_factory=list)
 
 
 # --- case builders ------------------------------------------------------------
@@ -317,8 +314,6 @@ def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) 
         return Verdict(SELLER_MUST_RESIGN,
                        "seller acknowledged the values; valid signature reissued", 1)
 
-    case.stages.append(Verdict(
-        ESCALATED_TO_D, "seller's original values conflict with the buyer's", 1))
     if case.seller_proof is None and seller is not None:
         case.seller_proof = seller.prove(q_val, n_val, case.params.g, k, st.t)
     if _safe_verify(case.seller_proof, q_val, n_val, case.params.g, k, case.params):
@@ -694,7 +689,7 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     answered = replace(case, seller_values=None, seller_resign=None, seller_proof=None,
                        step_proofs=None, audit_license_id="", audit_x=0, audit_price=0,
                        audit_blob=b"", chain=None, link_proofs=None, segment_proofs=None,
-                       batch_proofs={}, s_revealed=None, stages=[])
+                       batch_proofs={}, s_revealed=None)
     seed = min((hashlib.sha256(step_payload(st.m, st.m_out)).digest()
                 for st in case.steps if _step_signed(case, st)), default=b"")
     if answered.kind == "D":

@@ -7,10 +7,6 @@ Staying inside the subgroup is what makes the multiplicative blinding
 perfect: g generates every residue, so a blinded value is uniform over the
 subgroup whatever it hides.
 
-Functions that the complexity accounting cares about (pow_mod, pow_fixed,
-div_mod) accept an optional counter object and increment it; validation
-helpers (is_member, ensure_member, validate) stay off the books.
-
 pow_fixed serves the buyer, whose bases are public and recur: g and the K
 table.  It also computes every power of g inside dleq_prove and
 dleq_verify.  It is a Lim-Lee comb (CRYPTO '94; HAC 14.6.3) with 8 rows
@@ -211,7 +207,7 @@ def _jacobi(a: int, m: int) -> int:
 
 
 def is_member(e: int, params: GroupParams) -> bool:
-    """Subgroup membership test (not billed to any operation counter).
+    """Subgroup membership test.
 
     Precondition: params have passed validate(), so n is a safe prime and
     the order-q subgroup is exactly the set of quadratic residues, the
@@ -229,10 +225,8 @@ def ensure_member(e: int, params: GroupParams) -> int:
     return e
 
 
-def pow_mod(base: int, e: int, params: GroupParams, ops=None) -> int:
+def pow_mod(base: int, e: int, params: GroupParams) -> int:
     """base^e mod n.  Exponents are reduced mod q, the subgroup order."""
-    if ops is not None:
-        ops.exponentiations += 1
     return pow(base, e % params.q, params.n)
 
 
@@ -264,11 +258,9 @@ def _comb_table(base: int, params: GroupParams) -> tuple[tuple[tuple[int, ...], 
     return tuple(tables), cols
 
 
-def pow_fixed(base: int, e: int, params: GroupParams, ops=None) -> int:
+def pow_fixed(base: int, e: int, params: GroupParams) -> int:
     """base^e mod n for a base that recurs (g, the K table), by a Lim-Lee
-    comb.  Billed and reduced mod q exactly as pow_mod, and equal to it."""
-    if ops is not None:
-        ops.exponentiations += 1
+    comb.  Reduced mod q exactly as pow_mod, and equal to it."""
     n = params.n
     tables, cols = _comb_table(base, params)
     width = _COMB_TABLES * cols
@@ -289,10 +281,8 @@ def mul_mod(a: int, b: int, params: GroupParams) -> int:
     return (a * b) % params.n
 
 
-def div_mod(a: int, b: int, params: GroupParams, ops=None) -> int:
+def div_mod(a: int, b: int, params: GroupParams) -> int:
     """a / b mod n; the unblinding operation of the purchase protocol."""
-    if ops is not None:
-        ops.divisions += 1
     return (a * pow(b, -1, params.n)) % params.n
 
 

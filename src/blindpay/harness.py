@@ -334,7 +334,6 @@ class ScenarioReport:
     terms_match: str
     verdicts: list[tuple[str, Verdict]]
     metrics: Metrics
-    plaintext: LicensePlaintext | None = None
 
     def render(self) -> str:
         lines = [
@@ -449,7 +448,7 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
     bank.check_conservation()
     return ScenarioReport(scenario=sc, outcome=outcome, key_ok=key_ok,
                           terms_match=terms_match, verdicts=verdicts,
-                          metrics=metrics, plaintext=plain)
+                          metrics=metrics)
 
 
 # --- table reporting --------------------------------------------------------------------

@@ -152,18 +152,16 @@ class PurchaseSession:
 
     catalog: Catalog
     entry: LicenseEntry
-    mode: str
     refresh_blinding: bool
     alpha: int
     r: int
     unblinders: dict[int, int]
     acc: int
-    remaining: int
     plan: list[int]
     step_cards: list[list[str]]
+    # one per step paid, so the next step is plan[len(transcripts)]
     transcripts: list[StepTranscript] = field(default_factory=list)
-    _idx: int = 0
-    _pending: tuple[int, int] | None = None
+    _pending: int | None = None  # the request m awaiting its response
     _rng: random.Random = SYSTEM_RANDOM
     _ops: object | None = None
 
@@ -171,8 +169,13 @@ class PurchaseSession:
     def params(self) -> GroupParams:
         return self.catalog.params
 
+    @property
+    def remaining(self) -> int:
+        """Units still unpaid: the sum of the plan past the steps paid."""
+        return sum(self.plan[len(self.transcripts):])
 
-def _blind(session: PurchaseSession, alpha: int, ops):
+
+def _blind(session: PurchaseSession, alpha: int):
     """Blind the steps from the next one on with alpha: set alpha,
     r = g^alpha, and K_t^alpha for exactly the step values alpha serves.
 
@@ -180,14 +183,16 @@ def _blind(session: PurchaseSession, alpha: int, ops):
     the next step's value only, and every step draws its own, so no two
     requests m = r * acc can be linked.  With it off, one alpha serves
     every remaining value: the paper's cost model (buyer p + 2), whose
-    steps are linkable.  ops bills the exponentiations; None leaves them
-    unbilled."""
+    steps are linkable.  The session's counter, if any, is billed for the
+    exponentiations."""
     params = session.params
-    rest = session.plan[session._idx:]
+    rest = session.plan[len(session.transcripts):]
     session.alpha = alpha
-    session.r = pow_fixed(params.g, alpha, params, ops)
-    session.unblinders = {t: pow_fixed(session.catalog.k_table[t], alpha, params, ops)
+    session.r = pow_fixed(params.g, alpha, params)
+    session.unblinders = {t: pow_fixed(session.catalog.k_table[t], alpha, params)
                           for t in sorted({rest[0]} if session.refresh_blinding else set(rest))}
+    if session._ops is not None:
+        session._ops.exponentiations += 1 + len(session.unblinders)
 
 
 def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
@@ -204,11 +209,11 @@ def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
     plan = plan_steps(units, powers)
     step_cards = _allocate_cards(cards, plan)
     session = PurchaseSession(
-        catalog=catalog, entry=entry, mode=mode, refresh_blinding=refresh_blinding,
-        alpha=0, r=1, unblinders={}, acc=start_acc, remaining=units, plan=plan,
+        catalog=catalog, entry=entry, refresh_blinding=refresh_blinding,
+        alpha=0, r=1, unblinders={}, acc=start_acc, plan=plan,
         step_cards=step_cards, _rng=rng, _ops=ops,
     )
-    _blind(session, rng.randrange(catalog.params.q), ops)
+    _blind(session, rng.randrange(catalog.params.q))
     return session
 
 
@@ -252,12 +257,11 @@ def buyer_step_request(session: PurchaseSession) -> StepReq:
         raise SessionComplete("all units already paid")
     if session._pending is not None:
         raise SessionStateError("previous step still awaiting its response")
-    t = session.plan[session._idx]
-    if session.refresh_blinding and session._idx > 0:
-        _blind(session, session._rng.randrange(session.params.q), session._ops)
+    if session.refresh_blinding and session.transcripts:
+        _blind(session, session._rng.randrange(session.params.q))
     m = mul_mod(session.r, session.acc, session.params)
-    session._pending = (t, m)
-    return StepReq(card_ids=tuple(session.step_cards[session._idx]), m=m)
+    session._pending = m
+    return StepReq(card_ids=tuple(session.step_cards[len(session.transcripts)]), m=m)
 
 
 def buyer_process_response(session: PurchaseSession, resp: StepResponse) -> PurchaseSession:
@@ -266,9 +270,10 @@ def buyer_process_response(session: PurchaseSession, resp: StepResponse) -> Purc
     An invalid signature aborts with BadStepSignature carrying the evidence
     for arbitration; the session itself is left untouched.
     """
-    if session._pending is None:
+    m = session._pending
+    if m is None:
         raise SessionStateError("no request outstanding")
-    t, m = session._pending
+    t = session.plan[len(session.transcripts)]
     if session._ops is not None:
         session._ops.verifications += 1
     if not verify_payload(session.catalog.verify_pk, step_payload(m, resp.m_out),
@@ -276,9 +281,9 @@ def buyer_process_response(session: PurchaseSession, resp: StepResponse) -> Purc
         raise BadStepSignature(StepTranscript(m=m, m_out=resp.m_out, t=t,
                                               signature=resp.step_signature))
     ensure_member(resp.m_out, session.params)
-    session.acc = div_mod(resp.m_out, session.unblinders[t], session.params, session._ops)
-    session.remaining -= t
-    session._idx += 1
+    session.acc = div_mod(resp.m_out, session.unblinders[t], session.params)
+    if session._ops is not None:
+        session._ops.divisions += 1
     session.transcripts.append(StepTranscript(
         m=m, m_out=resp.m_out, t=t, signature=resp.step_signature, alpha=session.alpha))
     session._pending = None
@@ -311,8 +316,9 @@ def seller_handle_step(req: StepReq, keys: SellerKeys, bank,
     ensure_member(req.m, params)
     receipts = bank.spend_atomic(list(req.card_ids), account)
     t = sum(r.value for r in receipts)
-    m_out = pow_mod(req.m, pow(keys.s, t, params.q), params, ops)
+    m_out = pow_mod(req.m, pow(keys.s, t, params.q), params)
     if ops is not None:
+        ops.exponentiations += 1
         ops.signings += 1
     signature = sign_payload(keys.sign_sk, step_payload(req.m, m_out))
     return StepResponse(m_out=m_out, step_signature=signature)
@@ -350,8 +356,7 @@ def run_purchase(session: PurchaseSession, step_fn) -> LicensePlaintext:
 # --- session checkpointing -------------------------------------------------------
 
 SESSION = RecordFormat(
-    "session", once={"license": STR, "mode": STR, "refresh": ON_OFF, "alpha": INT, "acc": INT,
-                     "remaining": INT, "plan": INTS, "idx": INT},
+    "session", once={"license": STR, "refresh": ON_OFF, "alpha": INT, "acc": INT, "plan": INTS},
     many={"cards": Codec(lambda cards: " ".join(cards) or "-",
                          lambda text: [] if text == "-" else text.split()),
           "transcript": STEP},
@@ -364,13 +369,10 @@ def save_session(session: PurchaseSession, path: str):
         raise SessionStateError("cannot checkpoint with a request outstanding")
     fields = [
         ("license", session.entry.license_id),
-        ("mode", session.mode),
         ("refresh", session.refresh_blinding),
         ("alpha", session.alpha),
         ("acc", session.acc),
-        ("remaining", session.remaining),
         ("plan", session.plan),
-        ("idx", session._idx),
     ]
     fields += [("cards", cards) for cards in session.step_cards]
     fields += [("transcript", tr) for tr in session.transcripts]
@@ -391,21 +393,18 @@ def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM
     with open(path, encoding="utf-8") as fh:
         rec = SESSION.read(fh.read())
     entry = catalog.entry(rec["license"], SessionStateError)
-    plan, idx, paid = rec["plan"], rec["idx"], [tr.t for tr in rec["transcript"]]
+    plan, paid = rec["plan"], [tr.t for tr in rec["transcript"]]
     for bad, what in [
-        (rec["mode"] not in (MODE_BASIC, MODE_ENHANCED), f"unknown mode {rec['mode']!r}"),
         (len(rec["cards"]) != len(plan),
          f"{len(rec['cards'])} cards lines for a plan of {len(plan)} steps"),
-        (idx != len(paid), f"idx {idx} after {len(paid)} transcripts"),
-        (paid != plan[:idx], f"transcript step values {paid} are not the plan's first {idx}"),
-        (rec["remaining"] != sum(plan[idx:]),
-         f"remaining {rec['remaining']}, but the rest of the plan sums to {sum(plan[idx:])}"),
+        (paid != plan[:len(paid)],
+         f"transcript step values {paid} are not the plan's first {len(paid)}"),
         (not set(plan) <= set(catalog.k_table),
          f"plan values {sorted(set(plan) - set(catalog.k_table))} have no K_t in the catalog"),
     ]:
         if bad:
             raise SessionStateError(f"checkpoint disagrees: {what}")
-    if idx == 0:
+    if not paid:
         if sum(plan) == entry.price and rec["acc"] != entry.x:
             raise SessionStateError("checkpoint disagrees: acc is not the license's x")
     else:
@@ -417,15 +416,14 @@ def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM
             raise SessionStateError(
                 "checkpoint disagrees: acc is not the last transcript's m_out / K_t^alpha")
     session = PurchaseSession(
-        catalog=catalog, entry=entry, mode=rec["mode"],
-        refresh_blinding=rec["refresh"], alpha=rec["alpha"], r=1, unblinders={},
-        acc=rec["acc"], remaining=rec["remaining"], plan=plan,
-        step_cards=rec["cards"], transcripts=rec["transcript"],
-        _idx=idx, _rng=rng, _ops=ops,
+        catalog=catalog, entry=entry, refresh_blinding=rec["refresh"], alpha=rec["alpha"],
+        r=1, unblinders={}, acc=rec["acc"], plan=plan, step_cards=rec["cards"],
+        transcripts=rec["transcript"], _rng=rng,
     )
-    # Unbilled: the cost model bills r and the unblinders once, when they
-    # were first computed before the checkpoint.  With refresh on, a
+    # Unbilled, as the counter is attached after it: the cost model bills r
+    # and the unblinders once, when first computed.  With refresh on, a
     # resumed step past the first draws a fresh alpha anyway.
-    if session.remaining > 0 and not (session.refresh_blinding and session._idx > 0):
-        _blind(session, session.alpha, None)
+    if session.remaining > 0 and not (session.refresh_blinding and paid):
+        _blind(session, session.alpha)
+    session._ops = ops
     return session

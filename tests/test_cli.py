@@ -19,6 +19,7 @@ from blindpay.catalog import (
     parse_catalog,
     serialize_catalog,
     sign_payload,
+    sign_terms,
     verify_payload,
     with_published_terms,
 )
@@ -823,6 +824,59 @@ def test_buyer_purchase_files_a_type_b_record_for_other_terms(tmp_path, capsys):
     assert "terms: read-only" in license_file.read_text()
     assert parse_case(case.read_text()).kind == "B"
     assert answer_and_arbitrate(tmp_path, capsys, case).startswith(f"B: {SELLER_AT_FAULT} ")
+
+
+def resealed_catalog(tmp_path, **sealed):
+    """cli_market's catalog with lic-a sealed anew: the plaintext fields
+    given replace those of an honest license, and the terms signature is
+    renewed, so the catalog still verifies."""
+    cat = parse_catalog((tmp_path / "cat.txt").read_text())
+    keys = cli._read_secrets(str(tmp_path / "sec.txt"))
+    entry = cat.entry("lic-a")
+    plain = LicensePlaintext(**{"license_id": "lic-a", "terms": entry.terms,
+                                "content_key": bytes(16), "permissions": ("play",), **sealed})
+    blob = encrypt_license(derive_license_key(entry.x, entry.price, keys.s, cat.params), plain)
+    resealed = replace(entry, encrypted_license=blob,
+                       terms_signature=sign_terms(keys, entry.terms, blob))
+    path = tmp_path / "cat-resealed.txt"
+    path.write_text(serialize_catalog(replace(cat, licenses=[resealed])))
+    return path
+
+
+def test_sealed_terms_cannot_forge_a_license_line(tmp_path, capsys):
+    # the terms differ from the catalog's, so the buyer files type B; the
+    # license, whose terms would print a second permissions line, is not written
+    case, license_file = tmp_path / "case.txt", tmp_path / "license.txt"
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        resealed = resealed_catalog(tmp_path, terms="read-only\npermissions: copy print")
+        assert run_cli(*argv, "--catalog", str(resealed), "--out", str(license_file),
+                       "--case-out", str(case)) == 3
+    err = capsys.readouterr().err
+    assert "license not written: terms value " in err
+    assert f"completed; type B case written to {case}" in err
+    assert not license_file.exists()
+    assert parse_case(case.read_text()).kind == "B"
+
+
+def test_sealed_permissions_cannot_forge_a_license_line(tmp_path, capsys):
+    # the terms match the catalog's, so no case is filed: the purchase fails
+    case = tmp_path / "case.txt"
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        resealed = resealed_catalog(tmp_path, permissions=("play\ncontent_key: 00",))
+        assert run_cli(*argv, "--catalog", str(resealed), "--case-out", str(case)) == 1
+        assert ledger.balance("seller-1") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("license not written: permissions value ")
+    assert not case.exists()
+
+
+def test_buyer_purchase_prints_the_license_as_a_record(tmp_path, capsys):
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert cli.LICENSE.read(out)["license"] == "lic-a"
+    assert out.startswith("blindpay-license: v1\nlicense: lic-a\nterms: read-only\n")
 
 
 def test_buyer_purchase_exits_1_when_the_seller_sends_no_catalog(tmp_path, capsys):

@@ -9,7 +9,6 @@ from blindpay import dispute
 from blindpay.cards import CardLedger
 from blindpay.dispute import (
     BUYER_CLAIM_REJECTED,
-    ESCALATED_TO_D,
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
     DisputeCase,
@@ -288,8 +287,8 @@ def test_type_c_conflicting_values_seller_proof_accepted(params64):
     case.steps[0] = replace(case.steps[0],
                             m_out=mul_mod(case.steps[0].m_out, params64.g, params64))
     verdict = resolve_type_c(case, SellerDisputeAgent(keys, cat, random.Random(2)))
-    assert verdict.outcome == BUYER_CLAIM_REJECTED
-    assert case.stages[0].outcome == ESCALATED_TO_D
+    assert verdict == Verdict(BUYER_CLAIM_REJECTED,
+                              "seller proved its values correct; proven response forwarded", 1)
     assert case.seller_values is not None
     assert case.seller_values[1] != case.steps[0].m_out
 
@@ -303,8 +302,8 @@ class LyingAgent(SellerDisputeAgent):
 def test_type_c_conflicting_values_seller_proof_fails(params64):
     keys, cat, case = corrupt_signature_case(params64)
     verdict = resolve_type_c(case, LyingAgent(keys, cat, random.Random(3)))
-    assert verdict.outcome == SELLER_MUST_RESIGN
-    assert case.stages[0].outcome == ESCALATED_TO_D
+    assert verdict == Verdict(SELLER_MUST_RESIGN,
+                              "seller could not prove its values; must sign the buyer's values", 1)
 
 
 class ZeroSignatureAgent(SellerDisputeAgent):
@@ -338,7 +337,7 @@ def test_type_c_claim_no_step_carries_is_rejected(params64, with_agent, bad, che
     verdict = resolve_type_c(case, agent)
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert check in verdict.rationale
-    assert case.seller_values is None and case.stages == []
+    assert case.seller_values is None
 
 
 def test_answer_case_picks_the_audit_license_itself(params64):

@@ -142,9 +142,9 @@ def test_counter_soundness_against_call_counting(monkeypatch, params64):
     calls = {"n": 0}
 
     def counting(real):
-        def wrapper(base, e, params, ops=None):
+        def wrapper(*args):
             calls["n"] += 1
-            return real(base, e, params, ops)
+            return real(*args)
         return wrapper
 
     for name in ("pow_mod", "pow_fixed"):

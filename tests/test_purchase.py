@@ -475,3 +475,29 @@ def test_only_blind_computes_blinding_powers():
     assert uses, "pow_fixed is no longer called"
     outside = [node.lineno for node in uses if id(node) not in inside]
     assert not outside, f"pow_fixed used outside _blind at lines {outside}"
+
+
+BILLED = {"exponentiations", "divisions", "signings", "verifications"}
+
+
+def test_only_purchase_bills_the_cost_model():
+    """The protocol bills each operation where it performs it, so the group
+    arithmetic takes no counter and any algorithm may compute a power."""
+    package = pathlib.Path(purchase.__file__).parent
+    billing = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "purchase.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            targets = ([node.target] if isinstance(node, ast.AugAssign)
+                       else node.targets if isinstance(node, ast.Assign) else [])
+            billing += [f"{path.name}:{node.lineno}" for target in targets
+                        if isinstance(target, ast.Attribute) and target.attr in BILLED]
+    assert not billing, f"billed outside purchase.py at {billing}"
+
+    group = pathlib.Path(package, "group.py")
+    counted = [fn.name for fn in ast.walk(ast.parse(group.read_text(), str(group)))
+               if isinstance(fn, ast.FunctionDef)
+               and "ops" in {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}]
+    assert not counted, f"group functions take a counter: {counted}"

@@ -53,7 +53,7 @@ def _documents(tmp_path, params):
         "case": (write_case(case), parse_case, MalformedEvidence, "kind: B"),
         "session": (session_path.read_text(),
                     read_file(session_path, lambda p: load_session(p, cat)),
-                    SessionStateError, "mode: enhanced"),
+                    SessionStateError, "refresh: on"),
         "secrets": (secrets_path.read_text(), read_file(secrets_path, cli._read_secrets),
                     BlindpayError, "s: 5"),
     }
@@ -113,20 +113,16 @@ def no_alpha(line, n):
 
 
 # Each case edits lines of a basic, price-3 checkpoint saved after the
-# given number of steps; after one: plan 1 1 1, idx 1, remaining 2.  A
+# given number of steps; after one: plan 1 1 1 and one transcript.  A
 # value of None drops the key's last line, and a function maps that line's
-# value and the group's n to the new value.
+# value and the group's n to the new value.  The catalog publishes K_1
+# and K_2 only.
 DISAGREEING = [
-    (1, {"mode": "bogus"}, "unknown mode 'bogus'"),
     (1, {"cards": None}, "2 cards lines for a plan of 3 steps"),
     (1, {"plan": "1 1 1 1"}, "3 cards lines for a plan of 4 steps"),
-    (1, {"idx": "7"}, "idx 7 after 1 transcripts"),
-    (1, {"idx": "0"}, "idx 0 after 1 transcripts"),
     (1, {"plan": "2 1 1"}, r"transcript step values \[1\] are not the plan's first 1"),
-    (1, {"remaining": "5"}, "remaining 5, but the rest of the plan sums to 2"),
-    (1, {"remaining": "1"}, "remaining 1, but the rest of the plan sums to 2"),
-    (1, {"plan": "1 5 1"}, "remaining 2, but the rest of the plan sums to 6"),
-    (1, {"plan": "1 9 1", "remaining": "10"}, r"plan values \[9\] have no K_t"),
+    (1, {"plan": "1 5 1"}, r"plan values \[5\] have no K_t"),
+    (1, {"plan": "1 9 1"}, r"plan values \[9\] have no K_t"),
     (0, {"acc": times_4}, "acc is not the license's x"),
     (1, {"acc": times_4}, r"acc is not the last transcript's m_out / K_t\^alpha"),
     (2, {"acc": times_4}, r"acc is not the last transcript's m_out / K_t\^alpha"),
@@ -160,6 +156,30 @@ def test_a_checkpoint_that_disagrees_with_itself_is_refused(tmp_path, params64, 
             lines[at] = f"{key}: {value}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SessionStateError, match=f"checkpoint disagrees: {names}"):
+        load_session(str(path), cat)
+
+
+def test_a_checkpoint_holds_each_purchase_fact_once(tmp_path, params64):
+    # the mode, the step index and the units unpaid follow from the plan
+    # and the transcripts, so the checkpoint does not write them
+    _, cat, _, handler, session = rig(params64, price=3)
+    buyer_process_response(session, handler.handle(buyer_step_request(session)))
+    path = tmp_path / "session.txt"
+    save_session(session, str(path))
+    keys = {line.split(": ", 1)[0] for line in path.read_text().splitlines()[1:]}
+    assert keys == {"license", "refresh", "alpha", "acc", "plan", "cards", "transcript"}
+    assert load_session(str(path), cat).remaining == 2
+
+
+def test_a_checkpoint_with_an_idx_line_is_refused_naming_it(tmp_path, params64):
+    _, cat, _, handler, session = rig(params64, price=3)
+    buyer_process_response(session, handler.handle(buyer_step_request(session)))
+    path = tmp_path / "session.txt"
+    save_session(session, str(path))
+    lines = path.read_text().splitlines()
+    lines.insert(2, "idx: 1")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SessionStateError, match="line 3: unknown key 'idx'"):
         load_session(str(path), cat)
 
 
