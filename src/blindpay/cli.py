@@ -26,7 +26,6 @@ from .catalog import (
 from .dispute import (
     SellerDisputeAgent,
     answer_case,
-    check_commitments,
     parse_case,
     resolve_case,
     settle_purchase,
@@ -126,10 +125,19 @@ def _read_cards(path: str) -> list[tuple[str, int]]:
     return cards
 
 
+def _permissions_text(permissions: tuple[str, ...]) -> str:
+    """The permissions, space separated.  One that is empty or holds
+    whitespace raises ValueError: str.split would read another list back."""
+    if any(p.split() != [p] for p in permissions):
+        raise ValueError(f"permissions value {permissions!r} holds a permission that is "
+                         f"empty or not one word")
+    return " ".join(permissions)
+
+
 # The seller picks every value sealed in a license, so the printout is a
 # record whose writer refuses a value that would print as more than one line.
 LICENSE = RecordFormat("license", once={"license": STR, "terms": STR, "content_key": HEX,
-                                        "permissions": Codec(" ".join, str.split)},
+                                        "permissions": Codec(_permissions_text, str.split)},
                        many={}, error=BlindpayError)
 
 
@@ -166,8 +174,7 @@ def cmd_bank_issue(args) -> int:
     ledger = CardLedger(path=args.ledger, rng=_rng(args.seed))
     try:
         cards = ledger.issue_cards(args.count, args.value)
-        if args.store:
-            ledger.distribute([c.card_id for c in cards], args.store)
+        ledger.distribute([c.card_id for c in cards], args.store)
     finally:
         ledger.close()
     for c in cards:
@@ -286,7 +293,6 @@ def cmd_arbitrate(args) -> int:
         case = parse_case(fh.read())
     with open(args.catalog, encoding="utf-8") as fh:
         cat = parse_catalog(fh.read())
-    check_commitments(case, cat)
     for label, verdict in resolve_case(case, catalog=cat):
         print(f"{label}: {verdict.outcome} (steps checked: {verdict.checked_steps})")
         print(f"  {verdict.rationale}")
@@ -346,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--listen", type=_addr, default=("127.0.0.1", 0))
     serve.add_argument("--ledger", required=True)
     serve.set_defaults(fn=cmd_bank_serve)
-    issue = bank_sub.add_parser("issue", help="issue (and optionally distribute) cards")
+    issue = bank_sub.add_parser("issue", help="issue cards and distribute them to a store")
     issue.add_argument("--ledger", required=True)
     issue.add_argument("--count", type=_at_least(0), default=1)
     issue.add_argument("--value", type=_at_least(1), default=1)
-    issue.add_argument("--store", type=_token)
+    issue.add_argument("--store", type=_token, required=True)
     issue.add_argument("--seed", type=int, help="reproducible card ids, for a demo only")
     issue.set_defaults(fn=cmd_bank_issue)
 

@@ -18,13 +18,11 @@ the exponent s^t, so one proof over a composite of those steps
 one proof per step, which names the first bad step; a record without
 batch proofs still replays to the same verdicts.
 
-Resolvers work from a DisputeCase.  When a seller agent is supplied (a
-live seller agent, or answer_case behind ``blindpay seller answer``), its
-answers (values, proofs, chains) are recorded into the case, so the same
-resolver replayed on the stored record reaches the same verdict with no
-seller present and draws nothing.  The case record file is the only
-channel between seller and arbitrator; a record nobody answered is judged
-by the timeout rule.
+Only answer_case (``blindpay seller answer``) hands the resolvers a
+seller agent, whose answers go into the record; resolve_case judges a
+record alone, for ``blindpay arbitrate`` and the scenario runner.  The
+record file is the only channel between seller and arbitrator; a record
+nobody answered is judged by the timeout rule.
 Evidence for kinds C and D carries only blinded request/response pairs:
 the arbitrator never sees card identifiers, the license factor, or
 anything naming the buyer.
@@ -95,7 +93,7 @@ class DisputeCase:
     encrypted_license: bytes = b""
     terms_signature: bytes = b""
     buyer_key: int = 0
-    # recorded seller material (filled during live arbitration)
+    # recorded seller material (filled in by answer_case)
     seller_values: tuple[int, int] | None = None
     seller_resign: bytes | None = None
     seller_proof: DlEqProof | None = None
@@ -635,28 +633,26 @@ def parse_case(text: str) -> DisputeCase:
     return case
 
 
-def resolve_case(case: DisputeCase, catalog: Catalog | None = None,
-                 seller: SellerDisputeAgent | None = None,
-                 rng: random.Random = SYSTEM_RANDOM) -> list[tuple[str, Verdict]]:
-    """Dispatch a case to every applicable resolver.  For kind D this runs
-    whichever methods the recorded (or live) material supports."""
+def resolve_case(case: DisputeCase,
+                 catalog: Catalog | None = None) -> list[tuple[str, Verdict]]:
+    """Judge a case record from what it holds, its commitments checked first
+    given a catalog.  Kind D runs each method whose material it holds."""
+    if catalog is not None:
+        check_commitments(case, catalog)
     if case.kind == "B":
         return [("B", resolve_type_b(case))]
     if case.kind == "C":
-        return [("C", resolve_type_c(case, seller))]
+        return [("C", resolve_type_c(case))]
     if case.kind == "D":
         out = []
-        if seller is not None or case.step_proofs is not None:
-            out.append(("D-method1", resolve_type_d_method1(case, seller)))
-        if seller is not None or case.chain is not None:
-            out.append(("D-method2", resolve_type_d_method2(case, catalog, seller, rng)))
-        if seller is not None or case.s_revealed is not None:
-            s = seller.reveal_s() if seller is not None and case.s_revealed is None else None
-            out.append(("D-method3", resolve_type_d_method3(case, s)))
-        if not out:
-            out.append(("D", Verdict(SELLER_AT_FAULT,
-                                     "seller unresponsive within the deadline", 0)))
-        return out
+        if case.step_proofs is not None:
+            out.append(("D-method1", resolve_type_d_method1(case)))
+        if case.chain is not None:
+            out.append(("D-method2", resolve_type_d_method2(case, catalog)))
+        if case.s_revealed is not None:
+            out.append(("D-method3", resolve_type_d_method3(case)))
+        return out or [("D", Verdict(SELLER_AT_FAULT,
+                                     "seller unresponsive within the deadline", 0))]
     raise MalformedEvidence(f"unknown dispute kind {case.kind!r}")
 
 
@@ -695,6 +691,6 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     if answered.kind == "D":
         resolve_type_d_method1(answered, seller)
         resolve_type_d_method2(answered, catalog, seller, random.Random(seed))
-    else:
-        resolve_case(answered, seller=seller)
+    elif answered.kind == "C":  # a type B claim needs no answer
+        resolve_type_c(answered, seller)
     return answered

@@ -30,9 +30,12 @@ from .catalog import (
 from .dispute import (
     SellerDisputeAgent,
     Verdict,
+    answer_case,
     build_type_d_case,
+    parse_case,
     resolve_case,
     settle_purchase,
+    write_case,
 )
 from .encoding import ON_OFF
 from .errors import (
@@ -365,8 +368,8 @@ def _wire_len(msg: wire.Message) -> int:
 
 
 def run_scenario(sc: Scenario) -> ScenarioReport:
-    """Execute card distribution, a purchase, and any dispute the configured
-    fault provokes.  Fully deterministic for a given scenario."""
+    """Run card distribution, a purchase and any dispute its fault provokes,
+    answered and judged as `seller answer` then `arbitrate` do.  Deterministic."""
     _validate(sc)
     rng = random.Random(sc.seed)
     params = gen_params(sc.group_bits, seed=rng.randrange(2**63))
@@ -443,7 +446,10 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
     verdicts: list[tuple[str, Verdict]] = []
     if case is not None:
         agent = SellerDisputeAgent(keys, cat, rng=rng)
-        verdicts = resolve_case(case, catalog=cat, seller=agent, rng=rng)
+        answered = answer_case(case, cat, agent)
+        if answered.kind == "D":
+            answered.s_revealed = agent.reveal_s()  # this seller discloses s: method 3
+        verdicts = resolve_case(parse_case(write_case(answered)), catalog=cat)
 
     bank.check_conservation()
     return ScenarioReport(scenario=sc, outcome=outcome, key_ok=key_ok,

@@ -28,6 +28,7 @@ from .catalog import (
 )
 from .encoding import INT, INTS, ON_OFF, STR, Codec, RecordFormat, enc_int
 from .errors import (
+    AuthenticationFailure,
     BadStepSignature,
     IncompleteSession,
     InsufficientFunds,
@@ -381,19 +382,31 @@ def save_session(session: PurchaseSession, path: str):
         fh.write(text)
 
 
+def _opens(key: int, blob: bytes) -> bool:
+    try:
+        decrypt_license(key, blob)
+    except (AuthenticationFailure, ValueError):  # ValueError: a key enc_int refuses
+        return False
+    return True
+
+
 def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM,
                  ops=None) -> PurchaseSession:
     """Resume a checkpoint.  A checkpoint that disagrees with itself or with
     the catalog raises SessionStateError before any step is sent.
 
-    acc must be the last transcript's m_out / K_t^alpha (one unbilled
-    exponentiation) or, before the first step of a purchase, the license's
-    x.  An upgrade's checkpoint before its first step starts from the owned
-    key, which the checkpoint does not record, so its acc goes unchecked."""
+    acc must be the last transcript's m_out / K_t^alpha or, before the
+    first step, the starting key; after it, the starting key is the first
+    transcript's m / g^alpha (each one unbilled exponentiation).  A plan
+    summing to the license's price starts from its x.  Any other plan is an
+    upgrade: it sums to the price less that of a catalog license with the
+    same x, and the starting key must open that license."""
     with open(path, encoding="utf-8") as fh:
         rec = SESSION.read(fh.read())
     entry = catalog.entry(rec["license"], SessionStateError)
     plan, paid = rec["plan"], [tr.t for tr in rec["transcript"]]
+    owned = [e.encrypted_license for e in catalog.licenses
+             if e.x == entry.x and e.price + sum(plan) == entry.price]
     for bad, what in [
         (len(rec["cards"]) != len(plan),
          f"{len(rec['cards'])} cards lines for a plan of {len(plan)} steps"),
@@ -401,20 +414,32 @@ def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM
          f"transcript step values {paid} are not the plan's first {len(paid)}"),
         (not set(plan) <= set(catalog.k_table),
          f"plan values {sorted(set(plan) - set(catalog.k_table))} have no K_t in the catalog"),
+        (sum(plan) != entry.price and not owned,
+         f"plan {plan} sums to {sum(plan)}, not the price {entry.price} of "
+         f"{entry.license_id!r} less that of a license with its x"),
     ]:
         if bad:
             raise SessionStateError(f"checkpoint disagrees: {what}")
+    params = catalog.params
     if not paid:
-        if sum(plan) == entry.price and rec["acc"] != entry.x:
-            raise SessionStateError("checkpoint disagrees: acc is not the license's x")
+        start, starts = rec["acc"], "acc"
     else:
-        last = rec["transcript"][-1]
+        last, first = rec["transcript"][-1], rec["transcript"][0]
         if last.alpha is None:
             raise SessionStateError("checkpoint disagrees: the last transcript has no alpha")
-        unblinder = pow_mod(catalog.k_table[last.t], last.alpha, catalog.params)  # unbilled
-        if rec["acc"] != div_mod(last.m_out, unblinder, catalog.params):
+        unblinder = pow_mod(catalog.k_table[last.t], last.alpha, params)  # unbilled
+        if rec["acc"] != div_mod(last.m_out, unblinder, params):
             raise SessionStateError(
                 "checkpoint disagrees: acc is not the last transcript's m_out / K_t^alpha")
+        if first.alpha is None:
+            raise SessionStateError("checkpoint disagrees: the first transcript has no alpha")
+        start = div_mod(first.m, pow_mod(params.g, first.alpha, params), params)  # unbilled
+        starts = "the first transcript's m / g^alpha"
+    if sum(plan) == entry.price and start != entry.x:
+        raise SessionStateError(f"checkpoint disagrees: {starts} is not the license's x")
+    if sum(plan) != entry.price and not any(_opens(start, blob) for blob in owned):
+        raise SessionStateError(
+            f"checkpoint disagrees: {starts} opens no license the plan upgrades from")
     session = PurchaseSession(
         catalog=catalog, entry=entry, refresh_blinding=rec["refresh"], alpha=rec["alpha"],
         r=1, unblinders={}, acc=rec["acc"], plan=plan, step_cards=rec["cards"],

@@ -31,7 +31,8 @@ from blindpay.dispute import (
     SellerDisputeAgent,
     build_type_d_case,
     parse_case,
-    resolve_case,
+    resolve_type_c,
+    resolve_type_d_method1,
     resolve_type_d_method2,
     write_case,
 )
@@ -276,10 +277,15 @@ def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, e
     else:
         keys, cat, new_case = type_d_evidence(params64,
                                                2 if evidence == "D-wrong-s" else None)
-    live = resolve_case(new_case(), catalog=cat, rng=random.Random(16),
-                        seller=SellerDisputeAgent(keys, cat, random.Random(17)))
-    # method 3 discloses the generation factor, which the file channel never carries
-    live = [(label, v) for label, v in live if label != "D-method3"]
+    # live: the resolvers asking the seller's agent; method 3 would disclose
+    # the generation factor, which the file channel never carries
+    agent = SellerDisputeAgent(keys, cat, random.Random(17))
+    if evidence.startswith("C"):
+        live = [("C", resolve_type_c(new_case(), agent))]
+    else:
+        live = [("D-method1", resolve_type_d_method1(new_case(), agent)),
+                ("D-method2", resolve_type_d_method2(new_case(), cat, agent,
+                                                     random.Random(16)))]
     assert [v.outcome for _, v in live] == [EXPECTED_VERDICT[evidence]] * len(live)
 
     code, answered = seller_answer(tmp_path, keys, cat, new_case())
@@ -409,7 +415,8 @@ def test_seller_serve_answers_no_dispute_query(tmp_path, capsys, started):
     # x^(s^price) to any client, with no card spent.
     catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
     ledger = str(tmp_path / "ledger.tsv")
-    run_cli("bank", "issue", "--ledger", ledger, "--count", "1", "--seed", "4")
+    run_cli("bank", "issue", "--ledger", ledger, "--count", "1", "--store", "store-1",
+            "--seed", "4")
     cat = parse_catalog((tmp_path / "cat.txt").read_text())
     entry, g = cat.entry("lic-a"), cat.params.g
     assert entry.price in cat.k_table
@@ -443,7 +450,8 @@ def test_readme_tour(tmp_path, capsys, started):
     with serving(started, "bank", "serve", "--listen", "127.0.0.1:0",
                  "--ledger", ledger) as bank:
         # the serving bank is the ledger's one writer: issuing waits for it to stop
-        assert run_cli("bank", "issue", "--ledger", ledger, "--count", "1") == 1
+        assert run_cli("bank", "issue", "--ledger", ledger, "--count", "1",
+                       "--store", "store-1") == 1
         assert ledger in capsys.readouterr().err
         with serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
                      "--listen", "127.0.0.1:0",
@@ -459,7 +467,7 @@ def test_readme_tour(tmp_path, capsys, started):
 def test_seller_serve_holds_its_ledger_until_it_stops(tmp_path, capsys, started):
     catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
     ledger = str(tmp_path / "ledger.tsv")
-    run_cli("bank", "issue", "--ledger", ledger, "--count", "1")
+    run_cli("bank", "issue", "--ledger", ledger, "--count", "1", "--store", "store-1")
     with serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
                  "--ledger", ledger):
         with pytest.raises(BlindpayError, match=re.escape(ledger)):
@@ -519,11 +527,14 @@ def test_a_name_the_ledger_cannot_record_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bank_issue_without_a_store_distributes_nothing(tmp_path, capsys):
-    ledger = str(tmp_path / "ledger.tsv")
-    assert run_cli("bank", "issue", "--ledger", ledger, "--count", "2", "--seed", "4") == 0
-    assert [c.status.value for c in CardLedger.replay(ledger).cards.values()] == [
-        "generated", "generated"]
+def test_bank_issue_requires_a_store(tmp_path, capsys):
+    # cards no store holds could never be spent
+    ledger = tmp_path / "ledger.tsv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bank", "issue", "--ledger", str(ledger), "--count", "2")
+    assert exc.value.code == 2
+    assert "--store" in capsys.readouterr().err
+    assert not ledger.exists()
 
 
 def test_arbitrate_requires_the_catalog(tmp_path, params64):
@@ -869,6 +880,31 @@ def test_sealed_permissions_cannot_forge_a_license_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("license not written: permissions value ")
     assert not case.exists()
+
+
+PRINT_ALIKE = [(("play copy",), ("play", "copy")), (("",), ())]
+
+
+@pytest.mark.parametrize("refused, kept", PRINT_ALIKE, ids=["whitespace", "empty"])
+def test_a_permission_that_would_print_as_another_list_is_refused(refused, kept):
+    plain = LicensePlaintext(license_id="lic-a", terms="read-only", content_key=bytes(16),
+                             permissions=kept)
+    assert cli.LICENSE.read(cli._plaintext_text(plain))["permissions"] == list(kept)
+    with pytest.raises(ValueError, match=r"^permissions value "):
+        cli._plaintext_text(replace(plain, permissions=refused))
+
+
+@pytest.mark.parametrize("refused", [refused for refused, _ in PRINT_ALIKE],
+                         ids=["whitespace", "empty"])
+def test_buyer_purchase_writes_no_license_whose_permissions_print_alike(tmp_path, capsys,
+                                                                        refused):
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        resealed = resealed_catalog(tmp_path, permissions=refused)
+        assert run_cli(*argv, "--catalog", str(resealed), "--out",
+                       str(tmp_path / "license.txt")) == 1
+        assert ledger.balance("seller-1") == 3
+    assert capsys.readouterr().err.startswith("license not written: permissions value ")
+    assert not (tmp_path / "license.txt").exists()
 
 
 def test_buyer_purchase_prints_the_license_as_a_record(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import random
 import re
@@ -164,7 +165,7 @@ def test_type_b_wrong_terms_seller_at_fault(params64):
     assert verdict.checked_steps == 3
     # written, parsed and resolved, the record gives the live verdict
     record = parse_case(write_case(build_type_b_case(crooked_cat, session)))
-    assert resolve_case(record, rng=NoDraws()) == [("B", verdict)]
+    assert resolve_case(record) == [("B", verdict)]
 
 
 def test_type_b_matching_terms_rejected(params64):
@@ -394,13 +395,13 @@ class NoDraws(random.Random):
 def test_replay_draws_nothing(params64):
     keys, cat, new_case = type_d_evidence(params64, None)
     answered = write_case(answer_case(new_case(), cat, SellerDisputeAgent(keys, cat)))
-    verdicts = resolve_case(parse_case(answered), catalog=cat, rng=NoDraws())
+    verdicts = resolve_case(parse_case(answered), catalog=cat)
     assert [label for label, _ in verdicts] == ["D-method1", "D-method2"]
     # an unanswered record, asked of no seller, is judged by the timeout rule
     timeout = Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline", 0)
     assert resolve_type_d_method2(new_case(), cat, rng=NoDraws()) == timeout
     unanswered = parse_case(write_case(new_case()))
-    assert resolve_case(unanswered, catalog=cat, rng=NoDraws()) == [("D", timeout)]
+    assert resolve_case(unanswered, catalog=cat) == [("D", timeout)]
 
 
 def test_a_replayed_chain_without_its_audited_license_is_malformed(params64):
@@ -875,10 +876,46 @@ def test_case_record_with_composite_modulus_refused(params64):
 def test_resolve_case_dispatch(params64):
     keys, cat, bank, session = completed_session(params64, price=2, seed=69)
     agent = SellerDisputeAgent(keys, cat, random.Random(13))
-    case = build_type_d_case(cat, session)
-    results = resolve_case(case, catalog=cat, seller=agent, rng=random.Random(14))
+    answered = answer_case(build_type_d_case(cat, session), cat, agent)
+    answered.s_revealed = agent.reveal_s()
+    results = resolve_case(answered, catalog=cat)
     assert [label for label, _ in results] == ["D-method1", "D-method2", "D-method3"]
     assert all(v.outcome == BUYER_CLAIM_REJECTED for _, v in results)
+
+
+# the position of the seller among each resolver's parameters, where it had one
+TAKES_A_SELLER = {"resolve_case": 2, "resolve_type_c": 1, "resolve_type_d_method1": 1,
+                  "resolve_type_d_method2": 2}
+
+
+def test_only_answer_case_hands_a_seller_to_the_resolvers():
+    """A seller answers a case record once, in answer_case; every judgement,
+    the scenario runner's as much as arbitrate's, is of a record alone."""
+    package = pathlib.Path(dispute.__file__).parent
+    handed, takes = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and path.name == "dispute.py":
+                if fn.name == "answer_case":
+                    allowed = {id(node) for node in ast.walk(fn)}
+                if fn.name == "resolve_case":
+                    takes = sorted({a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+                                   & {"seller", "rng"})
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or id(call) in allowed:
+                continue
+            at = TAKES_A_SELLER.get(getattr(call.func, "id", getattr(call.func, "attr", None)))
+            if at is None:
+                continue
+            given = call.args[at:at + 1] + [kw.value for kw in call.keywords
+                                            if kw.arg == "seller"]
+            if any(not (isinstance(v, ast.Constant) and v.value is None) for v in given):
+                handed.append(f"{path.name}:{call.lineno}")
+    assert not handed and not takes, (
+        f"a seller handed to a resolver outside answer_case at {handed}; "
+        f"resolve_case takes {takes}")
 
 
 # --- K-table doubling consistency ---------------------------------------------------------------
@@ -910,9 +947,10 @@ def test_k_table_on_a_wrong_exponent_passes_methods_1_and_3(params64):
                           rng=random.Random(93))
     with pytest.raises(AuthenticationFailure):
         run_purchase(session, SellerStepHandler(liar, p, bank, "seller-1").handle)
-    verdicts = dict(resolve_case(build_type_d_case(cat, session), catalog=cat,
-                                 seller=SellerDisputeAgent(liar, cat, random.Random(94)),
-                                 rng=random.Random(95)))
+    agent = SellerDisputeAgent(liar, cat, random.Random(94))
+    answered = answer_case(build_type_d_case(cat, session), cat, agent)
+    answered.s_revealed = agent.reveal_s()
+    verdicts = dict(resolve_case(answered, catalog=cat))
     assert verdicts["D-method2"].outcome == SELLER_AT_FAULT
     assert verdicts["D-method2"].rationale == "revealed key does not decrypt the audited license"
     # ROADMAP 4a's open hole: both methods find the seller honest.  Its fix

@@ -5,6 +5,8 @@ calls whose names, arguments and verdicts its workloads rely on.  A change
 to src/ that breaks either breaks the benchmark run; these tests make it
 fail here too.  perfbench/ is imported, never edited."""
 
+import ast
+import importlib
 import pathlib
 
 import pytest
@@ -105,3 +107,86 @@ def test_a_traced_round_passes_through_the_layers_its_metrics_read(monkeypatch, 
         wl.close(env)
     recorded = {s.name for s in tracer.spans if s.phase == "window"}
     assert LAYERS_READ[name] - recorded == set()
+
+
+# The program names perfbench/workloads.py takes from blindpay: attributes
+# of the six modules it imports, and its blindpay.errors imports.
+WORKLOAD_NAMES = {
+    "cards.CardLedger", "cards.CardStatus",
+    "catalog.LicensePlaintext", "catalog.LicenseSpec", "catalog.parse_catalog",
+    "catalog.setup", "catalog.verify_catalog", "catalog.verify_payload",
+    "dispute.BUYER_CLAIM_REJECTED", "dispute.SELLER_AT_FAULT", "dispute.SellerDisputeAgent",
+    "dispute.build_type_d_case", "dispute.resolve_type_d_method1",
+    "dispute.resolve_type_d_method2", "dispute.resolve_type_d_method3",
+    "harness.FaultingSeller", "harness.OpCounter", "harness.RemoteBank",
+    "harness.make_bank_handler", "harness.make_seller_handler",
+    "purchase.MODE_BASIC", "purchase.MODE_ENHANCED", "purchase.SellerStepHandler",
+    "purchase.StepRequest", "purchase.StepResponse", "purchase.buyer_begin",
+    "purchase.plan_steps", "purchase.run_purchase", "purchase.step_payload",
+    "wire.CatalogDoc", "wire.CatalogGet", "wire.Server", "wire.StepErr", "wire.StepReq",
+    "wire.StepResp", "wire.connect",
+    "errors.AuthenticationFailure", "errors.BlindpayError", "errors.LedgerCorrupt",
+    "errors.StepRejected",
+}
+# An annotation of a nested function, never evaluated, so the benchmark runs
+# without it; src/ no longer defines it.
+UNEVALUATED = {"purchase.StepRequest"}
+
+# (owner, attribute) for every wrap point the tracer installs.
+TRACED = {
+    ("blindpay.cards.CardLedger", "issue_cards"), ("blindpay.cards.CardLedger", "spend_atomic"),
+    *(("blindpay.catalog", a) for a in (
+        "decrypt_license", "hash_to_group", "is_member", "parse_catalog", "pow_mod", "setup",
+        "sign_payload", "verify_catalog", "verify_payload")),
+    ("blindpay.dispute.SellerDisputeAgent", "prove"),
+    ("blindpay.dispute.SellerDisputeAgent", "reveal_chain"),
+    *(("blindpay.dispute", a) for a in (
+        "decrypt_license", "dleq_prove", "dleq_verify", "resolve_type_d_method1",
+        "resolve_type_d_method2", "resolve_type_d_method3", "sign_payload", "verify_payload")),
+    ("blindpay.group.GroupParams", "validate"),
+    *(("blindpay.group", a) for a in (
+        "div_mod", "dleq_prove", "dleq_verify", "hash_to_group", "is_member", "pow_mod")),
+    ("blindpay.harness.RemoteBank", "spend_atomic"),
+    *(("blindpay.purchase", a) for a in (
+        "buyer_begin", "buyer_finish", "buyer_process_response", "buyer_step_request",
+        "decrypt_license", "div_mod", "pow_mod", "seller_handle_step", "sign_payload",
+        "verify_payload")),
+    *(("blindpay.wire", a) for a in ("connect", "decode", "encode")),
+}
+
+
+def _owner(obj) -> str:
+    return f"{obj.__module__}.{obj.__qualname__}" if isinstance(obj, type) else obj.__name__
+
+
+def test_the_benchmark_uses_the_names_pinned_here(monkeypatch):
+    # A name added to or gone from either set is a change to the program's
+    # surface that the benchmark sees: the pins move only with perfbench/.
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "blindpay" for alias in node.names}
+    used = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    used |= {f"errors.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "blindpay.errors"
+             for alias in node.names}
+    assert len(WORKLOAD_NAMES) == 40
+    assert used == WORKLOAD_NAMES, (f"added {sorted(used - WORKLOAD_NAMES)}, "
+                                    f"gone {sorted(WORKLOAD_NAMES - used)}")
+    unresolved = {name for name in WORKLOAD_NAMES if not hasattr(
+        importlib.import_module(f"blindpay.{name.split('.')[0]}"), name.split(".")[1])}
+    assert unresolved == UNEVALUATED
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads  # noqa: F401
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install(blindpay)
+        traced = {(_owner(owner), attr) for owner, attr, _ in tracer._saved}
+    finally:
+        tracer.uninstall()
+    assert traced == TRACED, (f"added {sorted(traced - TRACED)}, "
+                              f"gone {sorted(TRACED - traced)}")

@@ -112,6 +112,12 @@ def no_alpha(line, n):
     return f"{m} {m_out} {t} - {sig}"
 
 
+def m_times_4(line, n):
+    """A transcript line whose request m is multiplied by 4."""
+    m, rest = line.split(" ", 1)
+    return f"{times_4(m, n)} {rest}"
+
+
 # Each case edits lines of a basic, price-3 checkpoint saved after the
 # given number of steps; after one: plan 1 1 1 and one transcript.  A
 # value of None drops the key's last line, and a function maps that line's
@@ -127,6 +133,9 @@ DISAGREEING = [
     (1, {"acc": times_4}, r"acc is not the last transcript's m_out / K_t\^alpha"),
     (2, {"acc": times_4}, r"acc is not the last transcript's m_out / K_t\^alpha"),
     (1, {"transcript": no_alpha}, "the last transcript has no alpha"),
+    (1, {"transcript": m_times_4}, r"the first transcript's m / g\^alpha is not the license's x"),
+    # a plan short of the price: the key it builds would open nothing
+    (0, {"plan": "1 1", "cards": None}, r"plan \[1, 1\] sums to 2, not the price 3"),
 ]
 
 
@@ -183,6 +192,21 @@ def test_a_checkpoint_with_an_idx_line_is_refused_naming_it(tmp_path, params64):
         load_session(str(path), cat)
 
 
+def _upgrade_checkpoint(tmp_path, params, steps):
+    """A checkpoint of the upgrade from lic-2 to lic-5, saved after the given
+    number of steps, with the catalog and the seller's step handler."""
+    _, cat, bank, handler = upgrade_fixture(params)
+    owned = buyer_begin(cat, "lic-2", fund(bank, [1, 1]), rng=random.Random(1))
+    run_purchase(owned, handler.handle)
+    session = begin_upgrade(cat, "lic-2", owned.acc, "lic-5", fund(bank, [1, 1, 1]),
+                            rng=random.Random(2))
+    for _ in range(steps):
+        buyer_process_response(session, handler.handle(buyer_step_request(session)))
+    path = tmp_path / "session.txt"
+    save_session(session, str(path))
+    return path, cat, handler
+
+
 def test_an_upgrade_checkpoint_before_its_first_step_resumes(tmp_path, params64):
     # its acc is the owned key, which the checkpoint does not record
     _, cat, bank, handler = upgrade_fixture(params64)
@@ -193,6 +217,25 @@ def test_an_upgrade_checkpoint_before_its_first_step_resumes(tmp_path, params64)
     path = tmp_path / "session.txt"
     save_session(session, str(path))
     assert run_purchase(load_session(str(path), cat), handler.handle).license_id == "lic-5"
+
+
+def test_an_upgrade_checkpoint_after_its_first_step_resumes(tmp_path, params64):
+    # its starting key, the first transcript's m / g^alpha, opens lic-2
+    path, cat, handler = _upgrade_checkpoint(tmp_path, params64, 1)
+    assert run_purchase(load_session(str(path), cat), handler.handle).license_id == "lic-5"
+
+
+@pytest.mark.parametrize("edit", [times_4, lambda value, n: "-1"], ids=["times_4", "negative"])
+def test_an_upgrade_checkpoint_whose_acc_opens_no_owned_license_is_refused(tmp_path,
+                                                                          params64, edit):
+    path, cat, _ = _upgrade_checkpoint(tmp_path, params64, 0)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("acc: "))
+    lines[at] = f"acc: {edit(lines[at][5:], cat.params.n)}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SessionStateError,
+                       match="checkpoint disagrees: acc opens no license the plan upgrades from"):
+        load_session(str(path), cat)
 
 
 def test_secrets_file_round_trips_byte_exact(tmp_path, params64):
