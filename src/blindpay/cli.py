@@ -246,12 +246,7 @@ def cmd_buyer_purchase(args) -> int:
         with open(args.catalog, encoding="utf-8") as fh:
             cat = parse_catalog(fh.read())
     else:
-        ep = wire.connect(*args.connect)
-        try:
-            ep.send(wire.CatalogGet())
-            doc = ep.recv()
-        finally:
-            ep.close()
+        doc = wire.exchange(args.connect, wire.CatalogGet())
         if not isinstance(doc, wire.CatalogDoc):
             print("seller did not return a catalog", file=sys.stderr)
             return EXIT_PROTOCOL

@@ -564,6 +564,12 @@ def _read_batch(text: str) -> tuple[tuple[str, int], DlEqProof | None]:
     return (family, int(t)), _PROOF.read(proof)
 
 
+def _read_kind(text: str) -> str:
+    if text not in ("B", "C", "D"):
+        raise ValueError(f"want B, C or D, got {text!r}")
+    return text
+
+
 # A proof withheld or not given is "-"; a batch proof is ((family, t), proof).
 _PROOF = Codec(lambda pr: "-" if pr is None else INTS.write(astuple(pr)), _read_proof)
 _BATCH = Codec(lambda b: f"{b[0][0]} {b[0][1]} {_PROOF.write(b[1])}", _read_batch)
@@ -572,9 +578,9 @@ _TYPE_B_KEYS = {"license": STR, "x": INT, "published_terms": STR, "blob": B64,
 _AUDIT_KEYS = {"audit_license": STR, "audit_x": INT, "audit_price": INT, "audit_blob": B64}
 CASE = RecordFormat(
     "case",
-    once={"kind": STR, **GROUP_KEYS, **_TYPE_B_KEYS, "seller_values": PAIR,
-          "seller_resign": HEX, "seller_proof": _PROOF, **_AUDIT_KEYS,
-          "chain": INTS, "s_revealed": INT},
+    once={"kind": Codec(str, _read_kind), **GROUP_KEYS, **_TYPE_B_KEYS,
+          "seller_values": PAIR, "seller_resign": HEX, "seller_proof": _PROOF,
+          **_AUDIT_KEYS, "chain": INTS, "s_revealed": INT},
     many={"ktable": PAIR, "step": STEP, "batch_proof": _BATCH,
           **{f"{f}_proof": _PROOF for f in _PROOF_FAMILIES}},
     error=MalformedEvidence)

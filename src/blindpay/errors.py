@@ -148,6 +148,10 @@ class WireTimeout(BlindpayError):
     pass
 
 
+class ServerBusy(BlindpayError):
+    """A server holds as many connections as it may; one more is refused."""
+
+
 # --- harness errors -----------------------------------------------------------
 
 class ScenarioInvalid(BlindpayError):

@@ -47,6 +47,7 @@ from .errors import (
     MalformedMessage,
     NotDistributed,
     ScenarioInvalid,
+    ServerBusy,
     StepRejected,
     UnknownCard,
     WireTimeout,
@@ -210,11 +211,13 @@ def card_error_code(exc: CardError) -> str:
 
 class RemoteBank:
     """Seller-side client for a bank server; satisfies the same contract as
-    CardLedger.spend_atomic.  Safe to share between the connection threads
-    of a seller server: one spend holds the endpoint from request to reply,
-    so no thread reads another's receipts.  A failed exchange drops the
-    endpoint and raises; the next spend dials the endpoint's address
-    again.  Nothing is resent."""
+    CardLedger.spend_atomic.  A seller server calls it from its one
+    thread, but callers may share it between threads: one spend holds the
+    endpoint from request to reply, so no thread reads another's receipts.
+    A link the bank has closed, as it closes an idle one, is dialled again
+    before the request goes out.  A failed exchange drops the endpoint and
+    raises; the next spend dials the endpoint's address again.  Nothing is
+    resent."""
 
     def __init__(self, endpoint):
         self.endpoint = endpoint
@@ -227,6 +230,11 @@ class RemoteBank:
 
     def spend_atomic(self, card_ids: list[str], account: str) -> list[SpendReceipt]:
         with self._lock:
+            # a link the bank has closed (an idle one, say) carried nothing of
+            # this spend, so dial again
+            if self.endpoint is not None and self.endpoint.peer_closed():
+                self.close()
+                self.endpoint = None
             if self.endpoint is None:
                 self.endpoint = wire.connect(*self._address)
             try:
@@ -256,9 +264,11 @@ def make_bank_handler(ledger: CardLedger):
     the ledger refuses, or a frame that does not decode, gets a SpendErr
     reply; the connection stays up."""
 
-    def handle(msg: wire.Message | MalformedMessage) -> wire.Message:
+    def handle(msg: wire.Message | MalformedMessage | ServerBusy) -> wire.Message:
         if isinstance(msg, MalformedMessage):
             return wire.SpendErr(code="malformed", detail=str(msg), prior_seq=0)
+        if isinstance(msg, ServerBusy):
+            return wire.SpendErr(code="busy", detail=str(msg), prior_seq=0)
         if not isinstance(msg, wire.CardSpend):
             return wire.SpendErr(code="unsupported", detail=type(msg).__name__, prior_seq=0)
         try:
@@ -283,10 +293,12 @@ def make_seller_handler(step_handler, catalog: Catalog):
     a case record file (``blindpay seller answer``)."""
     catalog_text = serialize_catalog(catalog)
 
-    def handle(msg: wire.Message | MalformedMessage) -> wire.Message:
+    def handle(msg: wire.Message | MalformedMessage | ServerBusy) -> wire.Message:
         try:
             if isinstance(msg, MalformedMessage):
                 return wire.StepErr(code="malformed", detail=str(msg))
+            if isinstance(msg, ServerBusy):
+                return wire.StepErr(code="busy", detail=str(msg))
             if isinstance(msg, wire.StepReq):
                 resp = step_handler.handle(msg)
                 return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
@@ -319,12 +331,7 @@ def remote_step(address: tuple[str, int], req: wire.StepReq) -> StepResponse:
     """Send one step to a seller server and return its response.  Each step
     gets a connection of its own, closed after the reply: steps that shared
     a connection would be linkable by the seller."""
-    ep = wire.connect(*address)
-    try:
-        ep.send(req)
-        return step_reply(ep.recv())
-    finally:
-        ep.close()
+    return step_reply(wire.exchange(address, req))
 
 
 # --- the runner -----------------------------------------------------------------------

@@ -24,9 +24,13 @@ production deployment wraps it accordingly.
 
 from __future__ import annotations
 
+import collections
 import functools
+import selectors
 import socket
 import threading
+import time
+import traceback
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -36,11 +40,14 @@ from .errors import (
     ConnectionClosed,
     MalformedMessage,
     OversizeFrame,
+    ServerBusy,
     UnknownMessageType,
     WireTimeout,
 )
 
 MAX_FRAME = 1 << 20
+IDLE_SECONDS = 30.0  # a served connection that completes no frame this long is closed
+MAX_CONNS = 64  # connections a Server holds at once, so at most 64 half-frames buffered
 
 
 def _enc_card_id(cid: str) -> bytes:
@@ -216,7 +223,7 @@ class FrameDecoder:
 
 class SocketEndpoint:
     """One TCP connection carrying framed messages.  ``address`` is the
-    one it was dialled at (see ``connect``), None for an accepted one."""
+    one it was dialled at (see ``connect``), or None if not given."""
 
     def __init__(self, sock: socket.socket, timeout: float = 5.0,
                  address: tuple[str, int] | None = None):
@@ -246,6 +253,19 @@ class SocketEndpoint:
             self._ready.extend(self._decoder.feed(chunk))
         return decode(self._ready.pop(0))
 
+    def peer_closed(self) -> bool:
+        """Whether the peer has closed the connection, found without waiting."""
+        timeout = self._sock.gettimeout()
+        self._sock.settimeout(0)
+        try:
+            return not self._sock.recv(1, socket.MSG_PEEK)
+        except BlockingIOError:  # open, with nothing to read
+            return False
+        except OSError:  # reset by the peer
+            return True
+        finally:
+            self._sock.settimeout(timeout)
+
     def close(self):
         try:
             self._sock.close()
@@ -261,74 +281,138 @@ def connect(host: str, port: int, timeout: float = 5.0) -> SocketEndpoint:
     return SocketEndpoint(sock, timeout=timeout, address=(host, port))
 
 
+def exchange(address: tuple[str, int], msg: Message) -> Message:
+    """Send msg on a connection of its own and return the reply; the
+    connection is closed after it."""
+    ep = connect(*address)
+    try:
+        ep.send(msg)
+        return ep.recv()
+    finally:
+        ep.close()
+
+
+class _Served:
+    """A served connection's buffers: frames read but not yet answered, and
+    reply bytes not yet sent."""
+
+    def __init__(self):
+        self.decoder = FrameDecoder()
+        self.pending: collections.deque[bytes] = collections.deque()
+        self.out = b""
+        self.deadline = time.monotonic() + IDLE_SECONDS
+
+
 class Server:
-    """Threaded request/response server: one handler call per message, one
-    connection per dialogue, no state shared between connections.  A frame
-    that does not decode is handed to the handler as its MalformedMessage,
-    so each listener answers it in its own reply type."""
+    """One thread serves every connection: a selectors loop accepts, reads,
+    reassembles frames and calls the handler for each, never two at once.
+    A frame that does not decode reaches the handler as its MalformedMessage,
+    and a connection over MAX_CONNS as a ServerBusy before it is closed.  A
+    connection that completes no frame for IDLE_SECONDS is closed.  Replies
+    are buffered per connection and sent as the peer reads them; a
+    connection is read again only once its reply is sent, and each turn of
+    the loop answers at most one frame per connection, so a peer that reads
+    nothing, or pipelines, holds up no other."""
 
     def __init__(self, host: str, port: int, handle):
         self._handle = handle
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(32)
-        # kept, so the address stays readable once stop() closes the socket
+        self._sock = socket.create_server((host, port), backlog=32)
+        self._sock.setblocking(False)
+        # kept, so the address stays readable once the socket is closed
         self.address: tuple[str, int] = self._sock.getsockname()
         self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
 
     def start(self) -> "Server":
         self._thread.start()
         return self
 
-    def _accept_loop(self):
-        while not self._stop.is_set():
+    def _loop(self):
+        if self._stop.is_set():  # stop() came first
+            return self._sock.close()
+        with selectors.DefaultSelector() as sel:
+            sel.register(self._sock, selectors.EVENT_READ)
             try:
-                conn, _ = self._sock.accept()
-            except OSError:  # stop() shut the listening socket down
-                break
-            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
+                while not self._stop.is_set():
+                    due = min((k.data.deadline for k in sel.get_map().values() if k.data),
+                              default=None)
+                    for key, events in sel.select(None if due is None else due - time.monotonic()):
+                        if key.data is None:
+                            self._accept(sel)
+                        else:
+                            self._serve(sel, key, events)
+                    now = time.monotonic()
+                    for key in list(sel.get_map().values()):
+                        if key.data and key.data.deadline <= now:
+                            _drop(sel, key.fileobj)
+            finally:  # stopped: close the listener and every connection
+                for key in list(sel.get_map().values()):
+                    key.fileobj.close()
 
-    def _serve_conn(self, conn: socket.socket):
-        # registered before the stop flag is read, so stop() either sees
-        # this connection or this loop sees the flag
-        with self._conns_lock:
-            self._conns.add(conn)
-        ep = SocketEndpoint(conn, timeout=30.0)
+    def _accept(self, sel):
         try:
-            while not self._stop.is_set():
+            conn, _ = self._sock.accept()
+        except OSError:  # stop() shut the listener down, or the peer left
+            return
+        conn.setblocking(False)
+        if len(sel.get_map()) > MAX_CONNS:  # the listener and MAX_CONNS connections
+            try:  # a short reply fits a new socket's empty send buffer
+                conn.send(self._answer(ServerBusy(f"already serving {MAX_CONNS} connections"))
+                          or b"")
+            except OSError:
+                pass
+            return conn.close()
+        sel.register(conn, selectors.EVENT_READ, _Served())
+
+    def _serve(self, sel, key, events):
+        conn, state = key.fileobj, key.data
+        try:
+            if events & selectors.EVENT_READ:
+                chunk = conn.recv(65536)
+                if not chunk:  # the peer closed; it is read only with nothing unanswered
+                    return _drop(sel, conn)
+                state.pending.extend(state.decoder.feed(chunk))
+            if not state.out and state.pending:
                 try:
-                    msg = ep.recv()
-                except (ConnectionClosed, WireTimeout, OversizeFrame):
-                    break
+                    msg = decode(state.pending.popleft())
                 except MalformedMessage as exc:
                     msg = exc
-                ep.send(self._handle(msg))
-        except ConnectionClosed:
+                state.out = self._answer(msg)
+                if state.out is None:
+                    return _drop(sel, conn)
+                state.deadline = time.monotonic() + IDLE_SECONDS
+            if state.out:
+                state.out = state.out[conn.send(state.out):]
+        except BlockingIOError:  # no room to send, or a spurious wake-up
             pass
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-            ep.close()
+        except (OSError, OversizeFrame):  # the peer left; an oversize header gets no reply
+            return _drop(sel, conn)
+        want = selectors.EVENT_WRITE if state.out or state.pending else selectors.EVENT_READ
+        if key.events != want:
+            sel.modify(conn, want, state)
+
+    def _answer(self, msg) -> bytes | None:
+        """The framed reply to msg, or None if the handler failed."""
+        try:
+            return frame(encode(self._handle(msg)))
+        except Exception:  # a handler's fault drops its connection, not the server
+            traceback.print_exc()
+            return None
 
     def stop(self):
-        """Stop accepting and shut down every connection being served."""
+        """Stop accepting and close every connection being served.  A loop
+        inside a handler call closes them when that call returns."""
         self._stop.set()
         try:
-            # wakes a blocked accept(), which close() alone does not
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes select(): a shut listener reads ready
         except OSError:
             pass
-        self._sock.close()
-        with self._conns_lock:
-            for conn in self._conns:
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-        # a thread not yet started (stop() raced start()) exits on the flag
-        if self._thread.is_alive():
+        if self._thread.is_alive():  # one not yet started exits on the flag
             self._thread.join(timeout=2.0)
+        if self._thread.ident is None or self._thread.is_alive():
+            self._sock.close()  # the loop never ran, or is still in a handler
+
+
+def _drop(sel, conn: socket.socket):
+    sel.unregister(conn)
+    conn.close()

@@ -548,6 +548,25 @@ def test_arbitrate_requires_the_catalog(tmp_path, params64):
     assert exc.value.code == 2
 
 
+def test_seller_answer_refuses_a_record_of_an_unknown_kind(tmp_path, capsys, params64):
+    keys, cat, new_case = type_d_evidence(params64, None)
+    code, answered = seller_answer(tmp_path, keys, cat, replace(new_case(), kind="X"))
+    assert code == 1
+    assert "line 2: bad 'kind' value" in capsys.readouterr().err
+    assert not answered.exists()
+
+
+def test_arbitrate_refuses_a_record_of_an_unknown_kind(tmp_path, capsys, params64):
+    keys, cat, new_case = type_d_evidence(params64, None)
+    path, catp = tmp_path / "case.txt", tmp_path / "cat.txt"
+    path.write_text(write_case(replace(new_case(), kind="X")))
+    catp.write_text(serialize_catalog(cat))
+    assert run_cli("arbitrate", "--case", str(path), "--catalog", str(catp)) == 1
+    captured = capsys.readouterr()
+    assert "line 2: bad 'kind' value" in captured.err
+    assert captured.out == ""
+
+
 def test_arbitrate_refuses_a_record_not_of_the_catalog(tmp_path, capsys, params64):
     # a buyer who edits K_1 in an answered record must not get a verdict
     keys, cat, new_case = type_d_evidence(params64, None)
@@ -719,25 +738,27 @@ def test_buyer_purchase_over_sockets(tmp_path, capsys):
         assert ledger.balance("seller-1") == 3
 
 
-def test_buyer_purchase_sends_each_step_on_its_own_connection(tmp_path, capsys):
-    # the server runs one thread per connection, so a thread-local record
-    # holds the step requests that arrived on one connection
-    conn = threading.local()
+def test_buyer_purchase_sends_each_step_on_its_own_connection(tmp_path, capsys, monkeypatch):
+    # each endpoint the buyer dials records the step requests sent on it
     per_connection = []
+    dial = wire.connect
 
-    def recording(handle):
-        def handle_and_record(msg):
+    def recording_connect(*address, **kwargs):
+        ep, steps = dial(*address, **kwargs), []
+        per_connection.append(steps)
+        send = ep.send
+
+        def send_and_record(msg):
             if isinstance(msg, wire.StepReq):
-                if not hasattr(conn, "steps"):
-                    conn.steps = []
-                    per_connection.append(conn.steps)
-                conn.steps.append(msg)
-            return handle(msg)
-        return handle_and_record
+                steps.append(msg)
+            send(msg)
+        ep.send = send_and_record
+        return ep
 
-    with cli_market(tmp_path, capsys, wrap=recording) as (argv, ledger):
+    monkeypatch.setattr(wire, "connect", recording_connect)
+    with cli_market(tmp_path, capsys) as (argv, ledger):
         assert run_cli(*argv, "--out", str(tmp_path / "license.txt")) == 0
-    assert [len(steps) for steps in per_connection] == [1, 1, 1]
+    assert [len(steps) for steps in per_connection if steps] == [1, 1, 1]
 
 
 def test_buyer_purchase_refuses_a_catalog_that_fails_verification(tmp_path, capsys):

@@ -312,7 +312,7 @@ def test_stopped_bank_server_closes_its_connections():
     remote = RemoteBank(wire.connect(*srv.address))
     try:
         remote.spend_atomic([cards[0].card_id], "seller-1")
-        time.sleep(0.1)  # the connection's thread is back in its receive
+        time.sleep(0.1)  # the bank has sent its reply and waits for the next frame
         srv.stop()
         with pytest.raises(ConnectionClosed):
             remote.spend_atomic([cards[1].card_id], "seller-1")
@@ -335,6 +335,9 @@ class FirstReplyHeldBack:
 
     def send(self, msg):
         self.inner.send(msg)
+
+    def peer_closed(self):
+        return self.inner.peer_closed()
 
     def recv(self):
         with self._count_lock:
@@ -554,7 +557,7 @@ def test_seller_refuses_a_step_its_bank_cannot_take_and_keeps_the_connection(par
     try:
         ep.send(wire.StepReq(card_ids=(paid.card_id,), m=m))
         assert isinstance(ep.recv(), wire.StepResp)
-        time.sleep(0.1)  # the bank's connection thread is back in its receive
+        time.sleep(0.1)  # the bank has sent its reply and waits for the next frame
         bank_srv.stop()
         ep.send(wire.StepReq(card_ids=(card.card_id,), m=m))
         reply = ep.recv()
@@ -585,7 +588,7 @@ def test_seller_redials_a_bank_that_is_back_on_its_address(params64):
 
     try:
         assert isinstance(step(paid), wire.StepResp)
-        time.sleep(0.1)  # the bank's connection thread is back in its receive
+        time.sleep(0.1)  # the bank has sent its reply and waits for the next frame
         bank_srv.stop()
         reply = step(refused)
         assert isinstance(reply, wire.StepErr) and reply.code == "bank-unavailable"
@@ -596,6 +599,31 @@ def test_seller_redials_a_bank_that_is_back_on_its_address(params64):
         bank.close()
     assert ledger.cards[refused.card_id].status is CardStatus.DISTRIBUTED
     assert ledger.cards[later.card_id].spent_by == "seller-1"
+    assert ledger.balance("seller-1") == 2
+
+
+def test_seller_redials_a_bank_link_closed_while_idle(params64, monkeypatch):
+    # the bank closes a link idle past IDLE_SECONDS; the next step must not
+    # be refused for it, and must be credited once
+    monkeypatch.setattr(wire, "IDLE_SECONDS", 0.2)
+    keys, cat = make_catalog(params64)
+    ledger = CardLedger(rng=random.Random(22))
+    first, second = ledger.issue_cards(2, 1)
+    ledger.distribute([first.card_id, second.card_id], "store-1")
+    bank_srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    bank = RemoteBank(wire.connect(*bank_srv.address))
+    handler = make_seller_handler(SellerStepHandler(keys, params64, bank, "seller-1"), cat)
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
+    try:
+        assert isinstance(handler(wire.StepReq(card_ids=(first.card_id,), m=m)), wire.StepResp)
+        link = bank.endpoint
+        time.sleep(0.6)  # the bank closes the idle link
+        assert isinstance(handler(wire.StepReq(card_ids=(second.card_id,), m=m)), wire.StepResp)
+        assert bank.endpoint is not link
+    finally:
+        bank.close()
+        bank_srv.stop()
+    assert ledger.cards[second.card_id].spent_by == "seller-1"
     assert ledger.balance("seller-1") == 2
 
 

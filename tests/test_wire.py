@@ -3,9 +3,11 @@ import os
 import pathlib
 import pkgutil
 import random
+import socket
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import fields
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import blindpay
 from blindpay import wire
-from blindpay.cards import SpendReceipt
+from blindpay.cards import CardLedger, SpendReceipt
 from blindpay.catalog import LicensePlaintext
 from blindpay.errors import (
     ConnectionClosed,
@@ -23,6 +25,10 @@ from blindpay.errors import (
     UnknownMessageType,
     WireTimeout,
 )
+from blindpay.harness import make_bank_handler, make_seller_handler
+from blindpay.purchase import SellerStepHandler
+
+from conftest import make_catalog
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -333,3 +339,243 @@ def test_stop_may_come_before_start():
     srv._thread.join(timeout=2)
     assert not srv._thread.is_alive()
     assert srv.address == address
+
+
+# --- the server loop: one thread, bounded connections, idle close ---------------------------
+
+def _echo(msg):
+    return wire.StepResp(m_out=msg.m, signature=b"ok")
+
+
+def _step(m):
+    return wire.frame(wire.encode(wire.StepReq(card_ids=(CARD_A,), m=m)))
+
+
+def _reply(sock):
+    """The next message the server sends on a raw socket."""
+    dec, frames = wire.FrameDecoder(), []
+    while not frames:
+        chunk = sock.recv(4096)
+        assert chunk, "the server closed the connection"
+        frames = dec.feed(chunk)
+    return wire.decode(frames[0])
+
+
+def _closed_by_server(sock) -> bool:
+    try:
+        return sock.recv(16) == b""
+    except ConnectionResetError:  # a byte sent after the close drew a reset
+        return True
+
+
+def _bank_listener(params):
+    """A listener's handler, its error reply type and a request it serves."""
+    request = wire.CardSpend(card_ids=(CARD_A,), account="seller-1")
+    return make_bank_handler(CardLedger(rng=random.Random(1))), wire.SpendErr, request
+
+
+def _seller_listener(params):
+    keys, cat = make_catalog(params, prices=(1,))
+    step_handler = SellerStepHandler(keys, params, CardLedger(), "seller-1")
+    return make_seller_handler(step_handler, cat), wire.StepErr, wire.CatalogGet()
+
+
+@pytest.mark.parametrize("listener", [_bank_listener, _seller_listener],
+                         ids=["bank", "seller"])
+def test_a_connection_over_the_bound_gets_busy_in_the_listeners_type(
+        monkeypatch, params64, listener):
+    monkeypatch.setattr(wire, "MAX_CONNS", 4)
+    handle, err_type, request = listener(params64)
+
+    def busy(reply):
+        return isinstance(reply, err_type) and reply.code == "busy"
+
+    srv = wire.Server("127.0.0.1", 0, handle).start()
+    socks = []
+    try:
+        for _ in range(4):
+            socks.append(socket.create_connection(srv.address, timeout=2))
+            socks[-1].sendall(wire.frame(wire.encode(request)))
+            assert not busy(_reply(socks[-1]))
+        for _ in range(2):
+            socks.append(socket.create_connection(srv.address, timeout=2))
+            assert busy(_reply(socks[-1]))
+            assert _closed_by_server(socks[-1])
+        for held in socks[:4]:  # the four held connections are still served
+            held.sendall(wire.frame(wire.encode(request)))
+            assert not busy(_reply(held))
+        socks[0].close()
+        time.sleep(0.2)  # the loop reads the close and frees the slot
+        socks.append(socket.create_connection(srv.address, timeout=2))
+        socks[-1].sendall(wire.frame(wire.encode(request)))
+        assert not busy(_reply(socks[-1]))
+    finally:
+        for sock in socks:
+            sock.close()
+        srv.stop()
+
+
+def test_a_half_frame_does_not_hold_up_another_clients_step():
+    handler_s = 0.2
+
+    def slow_echo(msg):
+        time.sleep(handler_s)
+        return _echo(msg)
+
+    srv = wire.Server("127.0.0.1", 0, slow_echo).start()
+    half = socket.create_connection(srv.address, timeout=2)
+    ep = wire.connect(*srv.address)
+    try:
+        whole = _step(1)
+        half.sendall(whole[:len(whole) // 2])
+        time.sleep(0.05)  # the loop has read the half frame
+        t0 = time.perf_counter()
+        ep.send(wire.StepReq(card_ids=(CARD_A,), m=2))
+        assert ep.recv().m_out == 2
+        elapsed = time.perf_counter() - t0
+        # its own handler call, and at most one more
+        assert elapsed < 2 * handler_s, f"the step took {elapsed:.3f} s"
+        half.sendall(whole[len(whole) // 2:])
+        assert _reply(half).m_out == 1
+    finally:
+        half.close()
+        ep.close()
+        srv.stop()
+
+
+def test_a_connection_that_completes_no_frame_is_closed_when_idle(monkeypatch):
+    monkeypatch.setattr(wire, "IDLE_SECONDS", 0.3)
+    srv = wire.Server("127.0.0.1", 0, _echo).start()
+    silent = socket.create_connection(srv.address, timeout=2)
+    trickle = socket.create_connection(srv.address, timeout=2)
+    busy = wire.connect(*srv.address)
+    try:
+        frame = _step(7)
+        for i in range(6):  # 0.6 s: a byte, or a whole step, every 0.1 s
+            try:
+                trickle.sendall(frame[i:i + 1])
+            except OSError:  # closed already
+                pass
+            busy.send(wire.StepReq(card_ids=(CARD_A,), m=i))
+            assert busy.recv().m_out == i
+            time.sleep(0.1)
+        assert _closed_by_server(silent)
+        assert _closed_by_server(trickle)  # bytes without a whole frame keep no slot
+        busy.send(wire.StepReq(card_ids=(CARD_A,), m=9))  # a frame restarts the deadline
+        assert busy.recv().m_out == 9
+    finally:
+        for sock in (silent, trickle):
+            sock.close()
+        busy.close()
+        srv.stop()
+
+
+def test_stop_closes_every_served_connection():
+    srv = wire.Server("127.0.0.1", 0, _echo).start()
+    socks = [socket.create_connection(srv.address, timeout=2) for _ in range(3)]
+    try:
+        for i, sock in enumerate(socks):
+            sock.sendall(_step(i))
+            assert _reply(sock).m_out == i
+        srv.stop()
+        assert not srv._thread.is_alive()
+        assert all(sock.recv(16) == b"" for sock in socks)
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+def test_open_connections_start_no_thread():
+    srv = wire.Server("127.0.0.1", 0, _echo).start()
+    before = threading.active_count()
+    eps = []
+    try:
+        for i in range(8):
+            eps.append(wire.connect(*srv.address))
+            eps[-1].send(wire.StepReq(card_ids=(CARD_A,), m=i))
+            assert eps[-1].recv().m_out == i
+        assert threading.active_count() == before
+    finally:
+        for ep in eps:
+            ep.close()
+        srv.stop()
+
+
+def test_a_peer_that_reads_no_reply_holds_up_no_other():
+    doc = wire.CatalogDoc(text="x" * 4000)
+    srv = wire.Server("127.0.0.1", 0, lambda msg: doc).start()
+    hog = socket.socket()
+    hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    hog.connect(srv.address)
+    ep = None
+    try:
+        # 100 kB of requests whose 80 MB of replies are never read
+        hog.sendall(wire.frame(wire.encode(wire.CatalogGet())) * 20000)
+        time.sleep(0.3)  # the server has filled the hog's buffers
+        t0 = time.perf_counter()
+        ep = wire.connect(*srv.address)
+        ep.send(wire.CatalogGet())
+        assert ep.recv() == doc
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.5, f"the fetch took {elapsed:.3f} s"
+    finally:
+        hog.close()
+        if ep is not None:
+            ep.close()
+        srv.stop()
+
+
+def test_a_pipelining_peer_takes_turns_with_the_others():
+    handler_s = 0.05
+
+    def slow_echo(msg):
+        time.sleep(handler_s)
+        return _echo(msg)
+
+    srv = wire.Server("127.0.0.1", 0, slow_echo).start()
+    piper = wire.connect(*srv.address)
+    ep = wire.connect(*srv.address)
+    try:
+        for i in range(20):  # sent before any reply is read
+            piper.send(wire.StepReq(card_ids=(CARD_A,), m=i))
+        time.sleep(handler_s / 2)  # the loop is in the pipeliner's first call
+        t0 = time.perf_counter()
+        ep.send(wire.StepReq(card_ids=(CARD_A,), m=99))
+        assert ep.recv().m_out == 99
+        elapsed = time.perf_counter() - t0
+        # the pipeliner's call under way, at most one more, then its own
+        assert elapsed < 4 * handler_s, f"the step took {elapsed:.3f} s"
+        assert [piper.recv().m_out for _ in range(20)] == list(range(20))
+    finally:
+        piper.close()
+        ep.close()
+        srv.stop()
+
+
+def test_a_handler_fault_prints_its_traceback_and_drops_only_its_connection(capfd):
+    def handle(msg):
+        if msg.m == 1:
+            raise OSError("the ledger file could not be written")
+        return _echo(msg)
+
+    srv = wire.Server("127.0.0.1", 0, handle).start()
+    faulty = socket.create_connection(srv.address, timeout=2)
+    ep = wire.connect(*srv.address)
+    try:
+        faulty.sendall(_step(1))
+        assert _closed_by_server(faulty)
+        assert "OSError: the ledger file could not be written" in capfd.readouterr().err
+        ep.send(wire.StepReq(card_ids=(CARD_A,), m=2))
+        assert ep.recv().m_out == 2
+    finally:
+        faulty.close()
+        ep.close()
+        srv.stop()
+
+
+def test_stop_before_start_closes_the_listener():
+    srv = wire.Server("127.0.0.1", 0, _echo)
+    srv.stop()
+    assert srv._sock.fileno() == -1  # closed, not only shut down
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(srv.address, timeout=2).close()
