@@ -58,12 +58,13 @@ from .group import (
     SYSTEM_RANDOM,
     DlEqProof,
     GroupParams,
+    div_mod,
     dleq_composite,
     dleq_prove,
     dleq_verify,
     ensure_member,
     is_member,
-    pow_fixed,
+    pow_fast,
 )
 from .purchase import STEP, StepTranscript, run_purchase, step_payload
 
@@ -179,7 +180,7 @@ class SellerDisputeAgent:
         ensure_member(m, p)
         if t not in self.catalog.k_table:
             raise ValueError(f"no step value {t} in the K table")
-        return m, pow(m, pow(self.keys.s, t, p.q), p.n)
+        return m, pow_fast(m, pow(self.keys.s, t, p.q), p)
 
     def sign_values(self, m: int, m_out: int) -> bytes:
         return sign_payload(self.keys.sign_sk, step_payload(m, m_out))
@@ -204,7 +205,7 @@ class SellerDisputeAgent:
         p = self.params
         chain = [entry.x]
         for _ in range(entry.price):
-            chain.append(pow(chain[-1], self.keys.s % p.q, p.n))
+            chain.append(pow_fast(chain[-1], self.keys.s, p))
         return chain
 
     def reveal_s(self) -> int:
@@ -245,15 +246,15 @@ def resolve_type_b(case: DisputeCase) -> Verdict:
             raise MalformedEvidence(f"step {i}: blinding exponent missing")
         if not _step_signed(case, st):
             return Verdict(BUYER_CLAIM_REJECTED, f"step {i}: step signature invalid", i)
-        expected_m = (pow_fixed(p.g, st.alpha, p) * acc) % p.n
+        expected_m = (pow_fast(p.g, st.alpha, p) * acc) % p.n
         if st.m != expected_m:
             return Verdict(BUYER_CLAIM_REJECTED,
                            f"step {i}: request inconsistent with blinding exponent", i)
         k = case.k_table.get(st.t)
         if k is None:
             raise MalformedEvidence(f"step {i}: no unblinding key for value {st.t}")
-        unblinder = pow_fixed(k, st.alpha, p)
-        acc = (st.m_out * pow(unblinder, -1, p.n)) % p.n
+        unblinder = pow_fast(k, st.alpha, p)
+        acc = div_mod(st.m_out, unblinder, p)
     if acc != case.buyer_key:
         return Verdict(BUYER_CLAIM_REJECTED,
                        "claimed key does not follow from the transcript", len(case.steps))
@@ -430,13 +431,13 @@ def resolve_type_d_method3(case: DisputeCase, s_revealed: int | None = None) -> 
     if k1 is None:
         raise MissingKPower(1)
     s = case.s_revealed % p.q
-    if pow(p.g, s, p.n) != k1:
+    if pow_fast(p.g, s, p) != k1:
         return Verdict(SELLER_AT_FAULT,
                        "revealed factor does not match the public commitment", 0)
     for i, st in enumerate(case.steps):
         if not _step_signed(case, st):
             raise MalformedEvidence(f"step {i + 1}: step signature invalid")
-        if pow(st.m, pow(s, st.t, p.q), p.n) != st.m_out:
+        if pow_fast(st.m, pow(s, st.t, p.q), p) != st.m_out:
             return Verdict(SELLER_AT_FAULT,
                            f"step {i + 1}: recomputed response differs", i + 1)
     return Verdict(BUYER_CLAIM_REJECTED, "all responses recompute exactly; seller is honest",

@@ -7,16 +7,18 @@ Staying inside the subgroup is what makes the multiplicative blinding
 perfect: g generates every residue, so a blinded value is uniform over the
 subgroup whatever it hides.
 
-pow_fixed serves the buyer, whose bases are public and recur: g and the K
-table.  It also computes every power of g inside dleq_prove and
-dleq_verify.  It is a Lim-Lee comb (CRYPTO '94; HAC 14.6.3) with 8 rows
-and 2 tables of 256 entries each, 512 group elements per base: about
-0.15 MB and a build of about 0.04 s at 2048 bits, after which one
-exponentiation costs about a fifth of pow's.  Tables are built on first use
-and kept in a bounded LRU cache of 16 bases.  The secret exponent selects
-the table entries (the buyer's blinding alpha; in dleq_prove, the seller's
-s^t and the proof nonce), so the comb leaks it through cache and timing
-side channels, as CPython's own pow does through its windows.
+pow_fast computes the buyer's blinding, the seller's dispute answers, the
+arbitrator's checks and every power inside the DLEQ proofs.  On the RFC 7919
+groups it is an OpenSSL DH derivation through `cryptography`, which catalog
+already uses for Ed25519 and AES-GCM.  At ffdhe2048 one costs about 2.2-2.8
+ms for an exponent of q's size and 0.2-0.5 ms for one of 128-256 bits,
+against 25-31 ms and 1.7-3.3 ms for builtin pow.  Every other group takes
+builtin pow: desk-scale groups lie below OpenSSL's 512-bit floor, and for
+any other modulus OpenSSL re-checks the parameters on every key (about 43 ms
+at 1024 bits).  pow_mod, the seller's step and the catalog set-up, stays on
+builtin pow until the seller_steps benchmark sizes its request pool by time
+rather than by rate: a seller faster than the pool's rate exhausts it in
+the first pass (ROADMAP item 1).
 
 dleq_composite folds many DLEQ statements that share one exponent into one,
 so a single proof covers them all (batched proofs, RFC 9497 section 2.2).
@@ -35,10 +37,11 @@ every other check (n = 2q + 1, bits, the generator) runs for every group.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 from dataclasses import dataclass
+
+from cryptography.hazmat.primitives.asymmetric import dh
 
 from .encoding import enc_int
 from .errors import MalformedElement
@@ -230,51 +233,30 @@ def pow_mod(base: int, e: int, params: GroupParams) -> int:
     return pow(base, e % params.q, params.n)
 
 
-# Comb shape: the reduced exponent is read as _COMB_ROWS rows, each of
-# _COMB_TABLES blocks of cols bits.  Entry i of table j is the product, over
-# the bits k set in i, of base^(2^(bit 0 of block j in row k)), so one
-# column of bits costs one squaring and one multiplication per table.
-_COMB_ROWS = 8
-_COMB_TABLES = 2
+# OpenSSL knows the RFC 7919 primes and skips its parameter check for them;
+# for any other modulus it re-runs that check on every key.
+_DH_NUMBERS = {n: dh.DHParameterNumbers(n, 2) for n in _NAMED_PRIMES}
 
 
-@functools.lru_cache(maxsize=16)
-def _comb_table(base: int, params: GroupParams) -> tuple[tuple[tuple[int, ...], ...], int]:
+def pow_fast(base: int, e: int, params: GroupParams) -> int:
+    """base^e mod n, reduced mod q exactly as pow_mod, and equal to it.
+
+    On the named groups it is an OpenSSL DH derivation: private value e,
+    peer value base.  The key's own public value is never read, so a
+    placeholder stands in for it.  OpenSSL refuses a peer value outside
+    (1, n - 1) and a zero private value; those inputs, and every other
+    group, take builtin pow.  No other input yields the secrets 1 and
+    n - 1 that OpenSSL also refuses: an element of order q or 2q raised to
+    an exponent in (0, q) gives neither."""
     n = params.n
-    cols = -(-params.q.bit_length() // (_COMB_ROWS * _COMB_TABLES))
-    # gens[k * _COMB_TABLES + j] = base^(2^((k * _COMB_TABLES + j) * cols))
-    gens, x = [], base % n
-    for _ in range(_COMB_ROWS * _COMB_TABLES):
-        gens.append(x)
-        for _ in range(cols):
-            x = x * x % n
-    tables = []
-    for j in range(_COMB_TABLES):
-        table = [1]
-        for k in range(_COMB_ROWS):
-            g_kj = gens[k * _COMB_TABLES + j]
-            table += [t * g_kj % n for t in table]
-        tables.append(tuple(table))
-    return tuple(tables), cols
-
-
-def pow_fixed(base: int, e: int, params: GroupParams) -> int:
-    """base^e mod n for a base that recurs (g, the K table), by a Lim-Lee
-    comb.  Reduced mod q exactly as pow_mod, and equal to it."""
-    n = params.n
-    tables, cols = _comb_table(base, params)
-    width = _COMB_TABLES * cols
+    base %= n
     e %= params.q
-    rows = [format(e >> (k * width) & ((1 << width) - 1), f"0{width}b")
-            for k in reversed(range(_COMB_ROWS))]
-    # digits[i]: bit i of every row, row k at bit k, as an index into a table
-    digits = [int("".join(bits), 2) for bits in zip(*rows)][::-1]
-    acc = 1
-    for col in reversed(range(cols)):
-        acc = acc * acc % n
-        for j, table in enumerate(tables):
-            acc = acc * table[digits[j * cols + col]] % n
-    return acc
+    numbers = _DH_NUMBERS.get(n)
+    if numbers is None or not 1 < base < n - 1 or e == 0:
+        return pow(base, e, n)
+    key = dh.DHPrivateNumbers(e, dh.DHPublicNumbers(2, numbers)).private_key()
+    shared = key.exchange(dh.DHPublicNumbers(base, numbers).public_key())
+    return int.from_bytes(shared, "big")
 
 
 def mul_mod(a: int, b: int, params: GroupParams) -> int:
@@ -334,13 +316,6 @@ def _dleq_challenge(params: GroupParams, base1: int, y1: int, base2: int,
     return int.from_bytes(h.digest(), "big") % params.q
 
 
-def _dleq_pow(base: int, e: int, params: GroupParams) -> int:
-    """base^e mod n, by the comb when the base is the generator."""
-    if base == params.g:
-        return pow_fixed(base, e, params)
-    return pow(base, e, params.n)
-
-
 def dleq_prove(secret: int, base1: int, base2: int, params: GroupParams,
                rng: random.Random = SYSTEM_RANDOM,
                claim: tuple[int, int] | None = None) -> DlEqProof | None:
@@ -352,13 +327,13 @@ def dleq_prove(secret: int, base1: int, base2: int, params: GroupParams,
     the result is None.
     """
     secret %= params.q
-    y1 = _dleq_pow(base1, secret, params)
-    y2 = _dleq_pow(base2, secret, params)
+    y1 = pow_fast(base1, secret, params)
+    y2 = pow_fast(base2, secret, params)
     if claim is not None and claim != (y1, y2):
         return None
     w = rng.randrange(params.q)
-    a1 = _dleq_pow(base1, w, params)
-    a2 = _dleq_pow(base2, w, params)
+    a1 = pow_fast(base1, w, params)
+    a2 = pow_fast(base2, w, params)
     c = _dleq_challenge(params, base1, y1, base2, y2, a1, a2)
     z = (w + c * secret) % params.q
     return DlEqProof(commitment_a=a1, commitment_b=a2, challenge=c, response=z)
@@ -371,12 +346,12 @@ def dleq_equations_hold(challenge: int, response: int, base1: int, y1: int,
     binding.  Exposed so soundness can be measured by enumerating
     (challenge, response) pairs directly."""
     n = params.n
-    lhs1 = _dleq_pow(base1, response, params)
-    rhs1 = (a1 * _dleq_pow(y1, challenge, params)) % n
+    lhs1 = pow_fast(base1, response, params)
+    rhs1 = (a1 * pow_fast(y1, challenge, params)) % n
     if lhs1 != rhs1:
         return False
-    lhs2 = _dleq_pow(base2, response, params)
-    rhs2 = (a2 * _dleq_pow(y2, challenge, params)) % n
+    lhs2 = pow_fast(base2, response, params)
+    rhs2 = (a2 * pow_fast(y2, challenge, params)) % n
     return lhs2 == rhs2
 
 
@@ -429,6 +404,6 @@ def dleq_composite(pairs: list[tuple[int, int]], base: int, y: int,
     for i, (m, m_out) in enumerate(pairs):
         digest = hashlib.sha256(seed + i.to_bytes(4, "big")).digest()
         d = int.from_bytes(digest[:16], "big")
-        big_m = big_m * pow(m, d, n) % n
-        big_z = big_z * pow(m_out, d, n) % n
+        big_m = big_m * pow_fast(m, d, params) % n
+        big_z = big_z * pow_fast(m_out, d, params) % n
     return big_m, big_z

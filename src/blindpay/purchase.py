@@ -37,7 +37,7 @@ from .errors import (
     SessionComplete,
     SessionStateError,
 )
-from .group import SYSTEM_RANDOM, GroupParams, div_mod, ensure_member, mul_mod, pow_fixed, pow_mod
+from .group import SYSTEM_RANDOM, GroupParams, div_mod, ensure_member, mul_mod, pow_fast, pow_mod
 from .wire import StepReq
 
 MODE_BASIC = "basic"
@@ -189,8 +189,8 @@ def _blind(session: PurchaseSession, alpha: int):
     params = session.params
     rest = session.plan[len(session.transcripts):]
     session.alpha = alpha
-    session.r = pow_fixed(params.g, alpha, params)
-    session.unblinders = {t: pow_fixed(session.catalog.k_table[t], alpha, params)
+    session.r = pow_fast(params.g, alpha, params)
+    session.unblinders = {t: pow_fast(session.catalog.k_table[t], alpha, params)
                           for t in sorted({rest[0]} if session.refresh_blinding else set(rest))}
     if session._ops is not None:
         session._ops.exponentiations += 1 + len(session.unblinders)

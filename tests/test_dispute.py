@@ -424,6 +424,24 @@ def test_answer_case_without_steps_is_malformed(params64):
         answer_case(replace(new_case(), steps=[]), cat, SellerDisputeAgent(keys, cat))
 
 
+@pytest.mark.parametrize("fault, outcome", [("wrong-s", SELLER_AT_FAULT),
+                                            ("none", BUYER_CLAIM_REJECTED)])
+def test_type_d_arbitration_on_a_named_group(fault, outcome):
+    # every method on ffdhe2048, where pow_fast runs in OpenSSL: a seller
+    # that used a wrong s at step 2 is convicted, an honest one acquitted
+    # of the buyer's false claim
+    params = named_group("ffdhe2048")
+    keys, cat, bank, handler, session = rig(params, price=3, seed=40)
+    _, _, case = dispute.settle_purchase(session, FaultingSeller(handler, fault, 2).handle)
+    if fault == "none":
+        case = build_type_d_case(cat, session)
+    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(9)))
+    answered.s_revealed = keys.s
+    verdicts = resolve_case(parse_case(write_case(answered)), catalog=cat)
+    assert [label for label, _ in verdicts] == ["D-method1", "D-method2", "D-method3"]
+    assert [v.outcome for _, v in verdicts] == [outcome] * 3
+
+
 # --- type D method 1 -------------------------------------------------------------------
 
 def test_method1_honest_seller_rejected(params64):

@@ -1,18 +1,19 @@
+import ast
 import hashlib
 import pathlib
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from blindpay import group
 from blindpay.errors import MalformedElement
 from blindpay.group import (
     _MR_BASES,
     _MR_DETERMINISTIC_BOUND,
     DlEqProof,
-    _comb_table,
     _jacobi,
     GroupParams,
     dleq_composite,
@@ -26,7 +27,7 @@ from blindpay.group import (
     is_probable_prime,
     mul_mod,
     named_group,
-    pow_fixed,
+    pow_fast,
     pow_mod,
 )
 
@@ -229,46 +230,89 @@ def test_pow_mod_matches_naive_oracle(params23):
             assert pow_mod(base, e, params23) == naive_pow(base, e % 11, 23)
 
 
-def comb_edge_exponents(q):
+def edge_exponents(q):
     return (0, 1, q - 1, q, q + 1, -1, 2 * q + 3)
 
 
+@pytest.fixture
+def no_openssl(monkeypatch):
+    """Fail the test on any call into OpenSSL's DH, so pow_fast is seen to
+    take builtin pow."""
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"pow_fast called OpenSSL (dh.{name})")
+
+    monkeypatch.setattr(group, "dh", Refused())
+    with pytest.raises(AssertionError, match="OpenSSL"):
+        pow_fast(2, 5, named_group("ffdhe2048"))
+
+
 @pytest.mark.parametrize("name", ["params23", "params16", "params64"])
-def test_pow_fixed_matches_pow_at_edge_exponents(name, request):
+def test_pow_fast_matches_pow_at_edge_exponents(name, request, no_openssl):
     params = request.getfixturevalue(name)
-    for base in (params.g, hash_to_group(b"comb-base", params)):
-        for e in comb_edge_exponents(params.q):
-            assert pow_fixed(base, e, params) == pow(base, e % params.q, params.n), e
+    for base in (params.g, hash_to_group(b"pow-base", params)):
+        for e in edge_exponents(params.q):
+            assert pow_fast(base, e, params) == pow(base, e % params.q, params.n), e
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["params23", "params16", "params64"]),
        st.integers(min_value=-2**80, max_value=2**80), st.booleans())
-def test_pow_fixed_matches_pow(request, name, e, use_g):
+def test_pow_fast_matches_pow(request, no_openssl, name, e, use_g):
     params = request.getfixturevalue(name)
-    base = params.g if use_g else hash_to_group(b"comb-base", params)
-    assert pow_fixed(base, e, params) == pow(base, e % params.q, params.n)
+    base = params.g if use_g else hash_to_group(b"pow-base", params)
+    assert pow_fast(base, e, params) == pow(base, e % params.q, params.n)
 
 
-def test_pow_fixed_matches_pow_at_2048_bits():
-    # the comb identity holds for any modulus, so an unvalidated group of
-    # full size checks it at the size the buyer runs
+def test_pow_fast_matches_pow_at_2048_bits(no_openssl):
+    # a modulus of full size that is no named group takes builtin pow
     rng = random.Random(41)
     n = rng.getrandbits(2048) | (1 << 2047) | 1
     params = GroupParams(n=n, q=(n - 1) // 2, g=2, bits=2048)
     base = rng.randrange(2, n)
-    exponents = list(comb_edge_exponents(params.q)) + [rng.randrange(params.q)
-                                                       for _ in range(3)]
+    exponents = list(edge_exponents(params.q)) + [rng.randrange(params.q)
+                                                  for _ in range(3)]
     for e in exponents:
-        assert pow_fixed(base, e, params) == pow(base, e % params.q, n)
+        assert pow_fast(base, e, params) == pow(base, e % params.q, n)
 
 
-def test_pow_fixed_builds_one_comb_table_per_base(params64):
-    base = hash_to_group(b"comb-billing", params64)
-    _comb_table.cache_clear()
-    for calls in (1, 2, 3):  # the first call builds the table, the rest reuse it
-        pow_fixed(base, 12345 + calls, params64)
-        assert _comb_table.cache_info()[:2] == (calls - 1, 1)  # (hits, misses)
+def kernel_bases(p):
+    member, non_member = hash_to_group(b"kernel-base", p), p.n - p.g
+    assert is_member(member, p) and not is_member(non_member, p)
+    return (p.g, member, non_member, 0, 1, p.n - 1, p.n + 1, -5)
+
+
+def test_pow_fast_matches_pow_on_ffdhe2048():
+    p = named_group("ffdhe2048")
+    exponents = [*edge_exponents(p.q), random.Random(43).randrange(p.q)]
+    for base in kernel_bases(p):
+        for e in exponents:
+            assert pow_fast(base, e, p) == pow(base, e % p.q, p.n), (base, e)
+
+
+def test_pow_fast_matches_pow_on_ffdhe3072():
+    p = named_group("ffdhe3072")
+    e = random.Random(44).randrange(p.q)
+    for base in kernel_bases(p)[:3]:
+        assert pow_fast(base, e, p) == pow(base, e, p.n), base
+        assert pow_fast(base, -1, p) == pow(base, p.q - 1, p.n), base
+
+
+def test_group_arithmetic_stays_in_group():
+    """Every power and inverse mod n is taken in group.py, so a faster
+    kernel reaches every caller; exponent arithmetic mod q stays anywhere."""
+    found = []
+    for path in pathlib.Path(group.__file__).parent.glob("*.py"):
+        if path.name == "group.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "pow" and len(node.args) == 3
+                    and isinstance(node.args[2], ast.Attribute)
+                    and node.args[2].attr == "n"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"pow mod n outside group.py at {found}"
 
 
 def test_div_mod_property(params64):
@@ -480,8 +524,7 @@ def test_dleq_soundness_exhaustive_q11(params23):
 
 
 def test_dleq_prove_equals_plain_pow_with_the_comb_on_g(params64):
-    # every power of g inside the proof comes from the comb; the proof is
-    # the one plain pow gives for the same nonce
+    # the proof is the one plain pow gives for the same nonce
     p = params64
     s, w = 987654321, random.Random(41).randrange(p.q)
     base1 = pow(p.g, 1234, p.n)

@@ -147,7 +147,7 @@ def test_counter_soundness_against_call_counting(monkeypatch, params64):
             return real(*args)
         return wrapper
 
-    for name in ("pow_mod", "pow_fixed"):
+    for name in ("pow_mod", "pow_fast"):
         monkeypatch.setattr(blindpay.purchase, name,
                             counting(getattr(blindpay.purchase, name)))
 

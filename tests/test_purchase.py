@@ -471,10 +471,10 @@ def test_only_blind_computes_blinding_powers():
         if isinstance(fn, ast.FunctionDef) and fn.name == "_blind":
             inside = {id(node) for node in ast.walk(fn)}
     uses = [node for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "pow_fixed"]
-    assert uses, "pow_fixed is no longer called"
+            if isinstance(node, ast.Name) and node.id == "pow_fast"]
+    assert uses, "pow_fast is no longer called"
     outside = [node.lineno for node in uses if id(node) not in inside]
-    assert not outside, f"pow_fixed used outside _blind at lines {outside}"
+    assert not outside, f"pow_fast used outside _blind at lines {outside}"
 
 
 BILLED = {"exponentiations", "divisions", "signings", "verifications"}
