@@ -57,17 +57,22 @@ def _enc_card_id(cid: str) -> bytes:
         raise ValueError(f"card id {cid!r} is not hex")
 
 
+@functools.cache
+def _layout(cls) -> tuple[tuple[str, object, object], ...]:
+    """(field name, encoder, reader) per field of cls, as its ``WIRE``
+    declares; built once per class."""
+    return tuple((f.name, *FIELD_KINDS[kind])
+                 for kind, f in zip(cls.WIRE, fields(cls), strict=True))
+
+
 def pack(obj) -> bytes:
     """The fields of obj, laid out as its class's ``WIRE`` declares."""
-    cls = type(obj)
-    return b"".join(FIELD_KINDS[kind][0](getattr(obj, f.name))
-                    for kind, f in zip(cls.WIRE, fields(cls), strict=True))
+    return b"".join(enc(getattr(obj, name)) for name, enc, _ in _layout(type(obj)))
 
 
 def unpack(cls, r: Reader):
     """Read one cls from r, field by field as its ``WIRE`` declares."""
-    return cls(**{f.name: FIELD_KINDS[kind][1](r)
-                  for kind, f in zip(cls.WIRE, fields(cls), strict=True)})
+    return cls(*[read(r) for _, _, read in _layout(cls)])
 
 
 def _sequence(enc_item, dec_item):

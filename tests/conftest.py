@@ -4,7 +4,7 @@ import pytest
 
 from blindpay import group
 from blindpay.catalog import LicensePlaintext, LicenseSpec, setup
-from blindpay.group import GroupParams, gen_params
+from blindpay.group import GroupParams, gen_params, named_group, pow_fast
 
 # Tiny hand-checkable group: 23 = 2*11 + 1, and 4 generates the 11 quadratic
 # residues mod 23.
@@ -43,6 +43,19 @@ def prime_tests(monkeypatch):
 
     monkeypatch.setattr(group, "is_probable_prime", counting)
     return calls
+
+
+@pytest.fixture
+def no_openssl(monkeypatch):
+    """Fail the test on any call into OpenSSL's DH, so pow_fast is seen to
+    take builtin pow."""
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"pow_fast called OpenSSL (dh.{name})")
+
+    monkeypatch.setattr(group, "dh", Refused())
+    with pytest.raises(AssertionError, match="OpenSSL"):
+        pow_fast(2, 5, named_group("ffdhe2048"))
 
 
 def make_catalog(params, prices=(1, 2, 3, 5), seed=7, shared_x=None, terms="read-only"):

@@ -20,7 +20,7 @@ from blindpay.catalog import (
 )
 from blindpay.encoding import enc_int
 from blindpay.errors import AuthenticationFailure, BlindpayError, CatalogFormatError
-from blindpay.group import mul_mod, pow_mod
+from blindpay.group import mul_mod, named_group, pow_mod
 
 from conftest import make_catalog
 from test_group import naive_pow
@@ -206,6 +206,29 @@ def test_setup_deterministic_with_rng(params64):
     k2, c2 = make_catalog(params64, seed=5)
     assert k1.s == k2.s
     assert serialize_catalog(c1) == serialize_catalog(c2)
+
+
+def test_setup_on_ffdhe2048_equals_builtin_pow():
+    p = named_group("ffdhe2048")
+    rng = random.Random(12)
+    specs = [LicenseSpec(lid, "film", price, "view", LicensePlaintext(lid, "view", bytes(16)),
+                         x_label=label)
+             for lid, price, label in (("rent", 1, None), ("view", 3, "film"),
+                                       ("own", 5, "film"))]
+    keys, cat = setup(p, specs, rng=rng)
+    assert cat.licenses[1].x == cat.licenses[2].x != cat.licenses[0].x
+    assert sorted(cat.k_table) == [1, 2, 4]
+    for t, k in cat.k_table.items():
+        assert k == pow(p.g, pow(keys.s, t, p.q), p.n), t
+    for e, sp in zip(cat.licenses, specs):
+        key = pow(e.x, pow(keys.s, e.price, p.q), p.n)
+        assert decrypt_license(key, e.encrypted_license) == sp.plaintext
+
+
+def test_setup_below_openssl_takes_builtin_pow(params64, no_openssl, monkeypatch):
+    keys, cat = make_catalog(params64, prices=(1, 3, 5), seed=13, shared_x="film")
+    monkeypatch.undo()
+    assert make_catalog(params64, prices=(1, 3, 5), seed=13, shared_x="film") == (keys, cat)
 
 
 # --- catalog document ------------------------------------------------------------------

