@@ -182,6 +182,12 @@ def cmd_bank_issue(args) -> int:
     return EXIT_OK
 
 
+def cmd_bank_balance(args) -> int:
+    # replay reads without the writer's lock, so this works beside `bank serve`
+    print(CardLedger.replay(args.ledger).balance(args.account))
+    return EXIT_OK
+
+
 def _license_spec(text: str, x_label: str | None, rng: random.Random) -> LicenseSpec:
     try:
         license_id, price_s, terms = text.split(":", 2)
@@ -354,6 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     issue.add_argument("--store", type=_token, required=True)
     issue.add_argument("--seed", type=int, help="reproducible card ids, for a demo only")
     issue.set_defaults(fn=cmd_bank_issue)
+    balance = bank_sub.add_parser("balance", help="print a seller account's balance")
+    balance.add_argument("--ledger", required=True)
+    balance.add_argument("--account", type=_token, required=True)
+    balance.set_defaults(fn=cmd_bank_balance)
 
     seller = sub.add_parser("seller", help="content provider")
     seller_sub = seller.add_subparsers(dest="seller_cmd", required=True)

@@ -58,6 +58,12 @@ def no_openssl(monkeypatch):
         pow_fast(2, 5, named_group("ffdhe2048"))
 
 
+@pytest.fixture
+def no_gmp(monkeypatch):
+    """is_member as on a machine where libgmp.so.10 did not load."""
+    monkeypatch.setattr(group, "_GMP", None)
+
+
 def make_catalog(params, prices=(1, 2, 3, 5), seed=7, shared_x=None, terms="read-only"):
     rng = random.Random(seed)
     specs = []

@@ -141,6 +141,24 @@ def test_bank_issue_writes_ledger(tmp_path, capsys):
     assert len(replayed.cards) == 3
 
 
+def test_bank_balance_reads_a_ledger_another_writer_holds(tmp_path, capsys):
+    ledger = str(tmp_path / "ledger.tsv")
+    run_cli("bank", "issue", "--ledger", ledger, "--count", "3", "--value", "2",
+            "--store", "store-1", "--seed", "4")
+    writer = CardLedger(path=ledger)
+    try:
+        writer.spend_atomic(list(writer.cards)[:2], "seller-1")
+        assert run_cli("bank", "issue", "--ledger", ledger, "--store", "store-1") == 1
+        capsys.readouterr()
+        for account in ("seller-1", "seller-2"):
+            assert run_cli("bank", "balance", "--ledger", ledger, "--account", account) == 0
+    finally:
+        writer.close()
+    assert capsys.readouterr().out.split() == ["4", "0"]
+    assert run_cli("bank", "balance", "--ledger", str(tmp_path / "none.tsv"),
+                   "--account", "seller-1") == 2
+
+
 @pytest.mark.parametrize("argv, value", [
     (("seller", "init", "--license", "a:0:t"), "0"),
     (("seller", "init", "--license", "a:1:t", "--license", "a:2:t"), "'a'"),
@@ -458,7 +476,9 @@ def test_readme_tour(tmp_path, capsys, started):
                      "--bank", f"127.0.0.1:{bank.address[1]}") as seller:
             assert run_cli("buyer", "purchase", "--license", "basic", "--cards", str(cards),
                            "--connect", f"127.0.0.1:{seller.address[1]}") == 0
-    assert "license: basic" in capsys.readouterr().out
+        assert "license: basic" in capsys.readouterr().out
+        assert run_cli("bank", "balance", "--ledger", ledger, "--account", "seller-1") == 0
+        assert capsys.readouterr().out == "2\n"
     replayed = CardLedger.replay(ledger)
     assert (len(replayed.cards), replayed.balance("seller-1")) == (2, 2)
     replayed.check_conservation()

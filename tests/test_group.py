@@ -2,6 +2,8 @@ import ast
 import hashlib
 import pathlib
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -411,6 +413,115 @@ def test_is_member_edges(params16, params64):
         assert not is_member(n, params)
         for e in (0, 1, n - 1, n):
             assert is_member(e, params) == euler_member(e, params)
+
+
+# --- membership through GMP on the named groups ----------------------------------
+
+needs_gmp = pytest.mark.skipif(group._GMP is None,
+                               reason="libgmp.so.10 did not load: is_member has no GMP path")
+NAMED = ("ffdhe2048", "ffdhe3072")
+
+
+def square_or_not(v, square, params):
+    """v^2 mod n, a residue, or -(v^2) mod n, a non-residue (-1 is one, q
+    being odd) unless v^2 = 0 mod n."""
+    e = pow(v, 2, params.n)
+    return e if square else (params.n - e) % params.n
+
+
+@needs_gmp
+@pytest.mark.parametrize("name", NAMED)
+@settings(max_examples=25, deadline=None)
+@given(v=st.integers(min_value=0, max_value=2**3072), square=st.booleans())
+def test_is_member_on_named_groups_matches_jacobi_and_euler(name, v, square):
+    params = named_group(name)
+    e = square_or_not(v, square, params)
+    assert is_member(e, params) == (square and e != 0)
+    assert is_member(e, params) == (_jacobi(e, params.n) == 1) == euler_member(e, params)
+
+
+@needs_gmp
+@pytest.mark.parametrize("name", NAMED)
+def test_is_member_on_named_groups_at_the_edges(name):
+    params = named_group(name)
+    n = params.n
+    for e in (1, 2, params.g, n - 2, n - 1, n, n + 1, 0):
+        want = euler_member(e, params)
+        assert is_member(e, params) == want, e
+        assert want == (0 < e < n and _jacobi(e, n) == 1), e
+
+
+def test_is_member_without_gmp_takes_the_python_loop(no_gmp, monkeypatch):
+    params = named_group("ffdhe2048")
+    calls = []
+    jacobi = group._jacobi
+    monkeypatch.setattr(group, "_jacobi", lambda a, m: calls.append(a) or jacobi(a, m))
+    rng = random.Random(17)
+    for square in (True, False) * 4:
+        e = square_or_not(rng.randrange(1, params.n), square, params)
+        assert is_member(e, params) == square
+    assert is_member(params.g, params) and not is_member(params.n - 1, params)
+    assert len(calls) == 10
+
+
+def test_is_member_below_the_named_groups_never_calls_gmp(monkeypatch, params16, params64):
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"is_member called GMP ({name})")
+
+    monkeypatch.setattr(group, "_GMP", Refused())
+    with pytest.raises(AssertionError, match="GMP"):
+        is_member(2, named_group("ffdhe2048"))
+    for params in (params16, params64):
+        rng = random.Random(params.bits)
+        for e in [0, 1, params.g, params.n - 1, params.n] + [
+                rng.randrange(params.n) for _ in range(200)]:
+            assert is_member(e, params) == euler_member(e, params), e
+
+
+@needs_gmp
+def test_is_member_agrees_in_two_threads_at_once():
+    params = named_group("ffdhe2048")
+    rng = random.Random(23)
+    work = [[square_or_not(rng.randrange(params.n), rng.random() < 0.5, params)
+             if k % 3 else rng.randrange(params.n) for k in range(200)] for _ in range(2)]
+    got = [None, None]
+    barrier = threading.Barrier(2)
+
+    def check(i):
+        barrier.wait()
+        got[i] = [is_member(e, params) for e in work[i]]
+
+    threads = [threading.Thread(target=check, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        assert got[i] == [0 < e and _jacobi(e, params.n) == 1 for e in work[i]]
+
+
+def test_only_group_loads_native_code():
+    """ctypes is imported in group.py alone, so the one native library the
+    package loads is loaded, typed and fallen back from in one place."""
+    importers = set()
+    for path in pathlib.Path(group.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "ctypes" for m in modules):
+                importers.add(path.stem)
+    assert importers == {"group"}, f"ctypes imported by {sorted(importers)}"
 
 
 # --- hash-to-group ----------------------------------------------------------------------
