@@ -12,11 +12,12 @@ arise: without completing the steps the buyer holds only blinded values.)
 Type D has three proof methods, all anchored in the seller's public
 commitments: equality proofs against the K table, an audited key chain
 for a randomly chosen license, or outright disclosure of the generation
-factor.  Methods 1 and 2 batch their proofs: every step of value t uses
-the exponent s^t, so one proof over a composite of those steps
-(group.dleq_composite) covers them all.  A batch that fails falls back to
-one proof per step, which names the first bad step; a record without
-batch proofs still replays to the same verdicts.
+factor.  All three batch: every step of value t uses the exponent s^t,
+so one check over a composite of those steps (group.dleq_composite)
+covers them all, a proof for methods 1 and 2 and one power for method 3.
+A false step survives the fold with probability about 2^-128.  A batch
+that fails falls back to one check per step, which names the first bad
+step; a record without batch proofs still replays to the same verdicts.
 
 Only answer_case (``blindpay seller answer``) hands the resolvers a
 seller agent, whose answers go into the record; resolve_case judges a
@@ -419,7 +420,10 @@ def resolve_type_d_method3(case: DisputeCase, s_revealed: int | None = None) -> 
     The revealed value is first bound to the public commitment K_1 = g^s;
     in a prime-order group there is exactly one exponent per element, so a
     matching commitment pins the true factor.  Then every response is
-    recomputed outright.
+    checked against m^(s^t): one power per step value over a composite,
+    one per step only to name a failure.  The binding joins the steps of
+    value 1 as the pair (g, K_1), and the composite's weights hash the
+    exponent too, so a factor chosen to fit the record draws fresh weights.
     """
     _require_d(case)
     if s_revealed is not None:
@@ -431,15 +435,23 @@ def resolve_type_d_method3(case: DisputeCase, s_revealed: int | None = None) -> 
     if k1 is None:
         raise MissingKPower(1)
     s = case.s_revealed % p.q
-    if pow_fast(p.g, s, p) != k1:
-        return Verdict(SELLER_AT_FAULT,
-                       "revealed factor does not match the public commitment", 0)
-    for i, st in enumerate(case.steps):
-        if not _step_signed(case, st):
-            raise MalformedEvidence(f"step {i + 1}: step signature invalid")
-        if pow_fast(st.m, pow(s, st.t, p.q), p) != st.m_out:
+    pairs = [(p.g, k1, 1, True), *_step_pairs(case)]  # pair i >= 1 is step i
+    proven: set[int] = set()
+    for t, idx in _composite_groups(pairs, p).items():
+        e = pow(s, t, p.q)
+        # (t, e) stand where methods 1 and 2 put their statement (base, y)
+        big_m, big_z = dleq_composite([pairs[i][:2] for i in idx], t, e, p)
+        if pow_fast(big_m, e, p) == big_z:
+            proven.update(idx)
+    for i, (m, m_out, t, signed) in enumerate(pairs):
+        if not signed:
+            raise MalformedEvidence(f"step {i}: step signature invalid")
+        if i in proven or pow_fast(m, pow(s, t, p.q), p) == m_out:
+            continue
+        if i == 0:
             return Verdict(SELLER_AT_FAULT,
-                           f"step {i + 1}: recomputed response differs", i + 1)
+                           "revealed factor does not match the public commitment", 0)
+        return Verdict(SELLER_AT_FAULT, f"step {i}: recomputed response differs", i)
     return Verdict(BUYER_CLAIM_REJECTED, "all responses recompute exactly; seller is honest",
                    len(case.steps))
 
@@ -459,18 +471,31 @@ def _step_pairs(case: DisputeCase) -> list[tuple[int, int, int, bool]]:
     return [(st.m, st.m_out, st.t, _step_signed(case, st)) for st in case.steps]
 
 
+def _composite_groups(pairs: list[tuple[int, int, int, bool]],
+                      params: GroupParams) -> dict[int, list[int]]:
+    """The indices of the pairs (m, m_out, t, signed) that may share one
+    composite, by value t: the signed pairs of a value t >= 1, when there
+    are two or more and every m and m_out is a subgroup member (an order-2
+    component survives half the composite's weights).  Unsigned pairs stay
+    out, so the seller computes nothing on a pair it never signed."""
+    by_value: dict[int, list[int]] = {}
+    for i, (_, _, t, signed) in enumerate(pairs):
+        if signed and t >= 1:
+            by_value.setdefault(t, []).append(i)
+    return {t: idx for t, idx in by_value.items()
+            if len(idx) >= 2 and all(is_member(e, params) for i in idx for e in pairs[i][:2])}
+
+
 def _first_unproven(case: DisputeCase, family: str,
                     pairs: list[tuple[int, int, int, bool]], statement,
                     seller: SellerDisputeAgent | None) -> int | None:
     """Index of the first pair (m, m_out, t, signed) not proven to satisfy
     log_m(m_out) = log_base(y), (base, y) = statement(t); None when all are.
 
-    The record must hold one <family>_proofs entry per pair.  Per value
-    t >= 1, the signed pairs share one proof over their composite, recorded
-    in batch_proofs under (family, t) or asked of the seller.  A batch needs
-    two or more pairs and every value a subgroup member (an order-2
-    component survives half the composite's weights); unsigned pairs stay
-    out, so the seller computes nothing on a pair it never signed.  Any
+    The record must hold one <family>_proofs entry per pair.  The pairs of
+    each value that _composite_groups admits share one proof over their
+    composite, recorded in batch_proofs under (family, t) or asked of the
+    seller, when the statement's two values are subgroup members too.  Any
     other pair gets one proof, recorded or asked.  Pairs are judged in
     order: an unsigned one raises MalformedEvidence, as statement(t) raises
     where no statement exists, once every earlier pair is proven."""
@@ -482,22 +507,18 @@ def _first_unproven(case: DisputeCase, family: str,
     if len(proofs) != len(pairs):
         raise MalformedEvidence(f"{len(proofs)} {family}_proof lines for "
                                 f"{len(pairs)} {family}s")
-    by_value: dict[int, list[int]] = {}
-    for i, (_, _, t, signed) in enumerate(pairs):
-        if signed and t >= 1:
-            by_value.setdefault(t, []).append(i)
     proven: set[int] = set()
-    for t, idx in by_value.items():
+    for t, idx in _composite_groups(pairs, p).items():
         key = (family, t)
-        if len(idx) < 2 or (key not in case.batch_proofs and seller is None):
+        if key not in case.batch_proofs and seller is None:
             continue
         try:
             base, y = statement(t)
         except (MissingKPower, ChainLengthMismatch):
             continue
-        batch = [pairs[i][:2] for i in idx]
-        if not all(is_member(e, p) for pair in [(base, y), *batch] for e in pair):
+        if not (is_member(base, p) and is_member(y, p)):
             continue
+        batch = [pairs[i][:2] for i in idx]
         big_m, big_z = dleq_composite(batch, base, y, p)
         if key not in case.batch_proofs:
             proof = seller.prove(big_m, big_z, base, y, t)

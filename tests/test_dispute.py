@@ -2,9 +2,11 @@ import ast
 import pathlib
 import random
 import re
-from dataclasses import replace
+from copy import deepcopy
+from dataclasses import astuple, replace
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from blindpay import dispute
 from blindpay.cards import CardLedger
@@ -35,11 +37,13 @@ from blindpay.catalog import (
     k_table_payload,
     sign_payload,
     verify_catalog,
+    verify_payload,
     with_published_terms,
 )
 from blindpay.errors import (
     AuthenticationFailure,
     BadStepSignature,
+    BlindpayError,
     ChainLengthMismatch,
     MalformedElement,
     MalformedEvidence,
@@ -773,18 +777,166 @@ def test_method3_honest_seller_rejected(params64):
     assert verdict.checked_steps == 4
 
 
+@pytest.fixture()
+def pow_fast_calls(monkeypatch):
+    """Calls of dispute.pow_fast, the full-size powers the resolvers make
+    themselves (a composite's 128-bit weights are group.pow_fast calls)."""
+    calls = []
+    original = dispute.pow_fast
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dispute, "pow_fast", counting)
+    return calls
+
+
+@pytest.fixture()
+def composites(monkeypatch):
+    """The pair lists dispute.dleq_composite folded, in call order."""
+    folded = []
+    original = dispute.dleq_composite
+
+    def recording(pairs, *rest):
+        folded.append(list(pairs))
+        return original(pairs, *rest)
+
+    monkeypatch.setattr(dispute, "dleq_composite", recording)
+    return folded
+
+
+def test_method3_checks_eight_steps_and_the_binding_with_one_power(params64, pow_fast_calls,
+                                                                   composites):
+    keys, cat, bank, session = completed_session(params64, price=8, seed=72)
+    case = build_type_d_case(cat, session)
+    verdict = resolve_type_d_method3(case, keys.s)
+    assert verdict == Verdict(BUYER_CLAIM_REJECTED,
+                              "all responses recompute exactly; seller is honest", 8)
+    assert len(pow_fast_calls) == 1
+    assert composites == [[(params64.g, cat.k_table[1]),
+                           *((st.m, st.m_out) for st in case.steps)]]
+
+
 def test_method3_wrong_s_step_at_fault(params64):
-    keys, cat, bank, session = completed_session(params64, price=4, wrong_s_at=3)
-    verdict = resolve_type_d_method3(build_type_d_case(cat, session), keys.s)
-    assert verdict.outcome == SELLER_AT_FAULT
-    assert "step 3" in verdict.rationale
+    for bad_step in range(1, 5):
+        keys, cat, bank, handler, session = rig(params64, price=4, seed=66)
+        outcome, _, case = dispute.settle_purchase(
+            session, FaultingSeller(handler, "wrong-s", bad_step).handle)
+        assert outcome == "key-unusable"
+        verdict = resolve_type_d_method3(case, keys.s)
+        assert verdict == Verdict(SELLER_AT_FAULT,
+                                  f"step {bad_step}: recomputed response differs", bad_step)
 
 
-def test_method3_commitment_mismatch(params64):
+def test_method3_commitment_mismatch(params64, pow_fast_calls):
     keys, cat, bank, session = completed_session(params64, price=2, seed=64)
     verdict = resolve_type_d_method3(build_type_d_case(cat, session), keys.s + 1)
-    assert verdict.outcome == SELLER_AT_FAULT
-    assert "commitment" in verdict.rationale
+    assert verdict == Verdict(SELLER_AT_FAULT,
+                              "revealed factor does not match the public commitment", 0)
+    # the failed composite, then the binding alone
+    assert len(pow_fast_calls) == 2
+
+
+@pytest.mark.parametrize("values, bad_step, folded", [
+    ((1, 1, 1, 1), 3, []),   # the bad pair keeps its whole value out of the fold
+    ((1, 1, 2, 2), 4, [3]),  # value 1 still folds, with the binding
+])
+def test_method3_keeps_a_non_member_out_of_the_fold(params64, composites, values, bad_step,
+                                                    folded):
+    keys, cat = make_catalog(params64, prices=(8,), seed=82)
+    honest = signed_d_case(keys, cat, [(None, None, t) for t in values], random.Random(83))
+    steps = [(st.m, st.m_out, st.t) for st in honest.steps]
+    m, m_out, t = steps[bad_step - 1]
+    steps[bad_step - 1] = (m, params64.n - m_out, t)  # re-signed with an order-2 component
+    verdict = resolve_type_d_method3(signed_d_case(keys, cat, steps, None), keys.s)
+    assert verdict == Verdict(SELLER_AT_FAULT, f"step {bad_step}: recomputed response differs",
+                              bad_step)
+    assert [len(pairs) for pairs in composites] == folded
+    assert all((m, params64.n - m_out) not in pairs for pairs in composites)
+
+
+def _method3_per_step(case: DisputeCase, s_revealed: int) -> Verdict:
+    """Method 3 without the fold: the binding, then each step in order, one
+    power each.  The reference the folded resolver must agree with."""
+    p = case.params
+    if 1 not in case.k_table:
+        raise MissingKPower(1)
+    s = s_revealed % p.q
+    if pow_mod(p.g, s, p) != case.k_table[1]:
+        return Verdict(SELLER_AT_FAULT, "revealed factor does not match the public commitment", 0)
+    for i, st in enumerate(case.steps, 1):
+        if not verify_payload(case.verify_pk, step_payload(st.m, st.m_out), st.signature):
+            raise MalformedEvidence(f"step {i}: step signature invalid")
+        if pow_mod(st.m, pow(s, st.t, p.q), p) != st.m_out:
+            return Verdict(SELLER_AT_FAULT, f"step {i}: recomputed response differs", i)
+    return Verdict(BUYER_CLAIM_REJECTED, "all responses recompute exactly; seller is honest",
+                   len(case.steps))
+
+
+@pytest.fixture(scope="module")
+def fold_catalog(params64):
+    return make_catalog(params64, prices=(8,), seed=84)
+
+
+_CORRUPTIONS = ("none", "edit-one", "edit-two", "zero-before", "zero-after", "s-plus-one",
+                "edit-k1", "non-member-k1", "non-member")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=strategies.data())
+def test_method3_fold_matches_the_per_step_check(params64, fold_catalog, data):
+    keys, cat = fold_catalog
+    p = params64
+    if data.draw(strategies.booleans(), label="enhanced"):
+        values = data.draw(strategies.lists(strategies.sampled_from((1, 2, 4)),
+                                            min_size=1, max_size=8))
+    else:
+        values = [1] * data.draw(strategies.integers(1, 8), label="price")
+    case = signed_d_case(keys, cat, [(None, None, t) for t in values],
+                         random.Random(data.draw(strategies.integers(0, 2**32), label="seed")))
+    corruption = data.draw(strategies.sampled_from(_CORRUPTIONS), label="corruption")
+    steps = len(values)
+    position = strategies.integers(0, steps - 1)
+
+    def resign(i, m_out):
+        step = case.steps[i]
+        case.steps[i] = replace(step, m_out=m_out, signature=sign_payload(
+            keys.sign_sk, step_payload(step.m, m_out)))
+
+    def edit(i):
+        resign(i, mul_mod(case.steps[i].m_out, p.g, p))
+
+    s_revealed = keys.s
+    if corruption in ("edit-one", "edit-two"):
+        edited = data.draw(strategies.lists(position, min_size=1, unique=True,
+                                            max_size=1 if corruption == "edit-one" else 2))
+        for i in edited:
+            edit(i)
+    elif corruption in ("zero-before", "zero-after") and steps >= 2:
+        bad, zeroed = data.draw(strategies.lists(position, min_size=2, max_size=2,
+                                                 unique=True))
+        if (zeroed < bad) != (corruption == "zero-before"):
+            bad, zeroed = zeroed, bad
+        edit(bad)
+        case.steps[zeroed] = replace(case.steps[zeroed], signature=bytes(64))
+    elif corruption == "s-plus-one":
+        s_revealed = keys.s + 1
+    elif corruption == "edit-k1":
+        case.k_table[1] = mul_mod(case.k_table[1], p.g, p)
+    elif corruption == "non-member-k1":
+        case.k_table[1] = p.n - case.k_table[1]
+    elif corruption == "non-member":
+        i = data.draw(position)
+        resign(i, p.n - case.steps[i].m_out)
+
+    def outcome(resolve):
+        try:
+            return astuple(resolve(deepcopy(case), s_revealed))
+        except BlindpayError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(resolve_type_d_method3) == outcome(_method3_per_step)
 
 
 def test_method3_without_a_generation_factor_raises(params64):
