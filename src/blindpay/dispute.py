@@ -162,16 +162,40 @@ class SellerDisputeAgent:
     """The seller's prover.  Answers value queries, produces equality
     proofs, reveals chains or the generation factor.  Always answers from
     its true secrets; a seller who misbehaved during the purchase is
-    exposed precisely because honest proofs fail on dishonest values."""
+    exposed precisely because honest proofs fail on dishonest values.
+
+    It keeps the powers it derives from its own s, each computed once:
+    g^(s^t) for each t in the catalog's K table, and x^(s^j) for
+    0 <= j <= price for each license factor x.  The store is bounded by the
+    catalog, and a base the asker chose is never stored.  prove checks a
+    claimed g or factor power against the store, never against the
+    catalog's K table (ROADMAP item 4a), and reveal_chain reads it."""
 
     def __init__(self, keys, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM):
         self.keys = keys
         self.catalog = catalog
         self.rng = rng
+        self._prices: dict[int, int] = {}  # license factor x -> its highest price
+        for e in catalog.licenses:
+            self._prices[e.x] = max(e.price, self._prices.get(e.x, 0))
+        self._powers: dict[tuple[int, int], int] = {}
 
     @property
     def params(self) -> GroupParams:
         return self.catalog.params
+
+    def _own_power(self, base: int, t: int) -> int | None:
+        """base^(s^t) from the store, for g with t in the K table or a
+        license factor with 0 <= t <= its price; None for any other base."""
+        p = self.params
+        if not (base == p.g and t in self.catalog.k_table
+                or 0 <= t <= self._prices.get(base, -1)):
+            return None
+        if t == 0:
+            return base
+        if (base, t) not in self._powers:
+            self._powers[base, t] = pow_fast(base, pow(self.keys.s, t, p.q), p)
+        return self._powers[base, t]
 
     def original_values(self, m: int, t: int) -> tuple[int, int]:
         """Recompute what this seller would have responded to request m.
@@ -198,16 +222,16 @@ class SellerDisputeAgent:
         # when the bases are members and the claim below holds.
         if not (is_member(base1, p) and is_member(base2, p)):
             return None
+        own = self._own_power(base2, t)
+        if own is not None and own != y2:
+            return None
         secret = pow(self.keys.s, t, p.q)
-        return dleq_prove(secret, base1, base2, p, self.rng, claim=(y1, y2))
+        return dleq_prove(secret, base1, base2, p, self.rng, claim=(y1, y2), y2=own)
 
     def reveal_chain(self, license_id: str) -> list[int]:
+        """x, x^s, ..., x^(s^price) for the license's factor x."""
         entry = self.catalog.entry(license_id)
-        p = self.params
-        chain = [entry.x]
-        for _ in range(entry.price):
-            chain.append(pow_fast(chain[-1], self.keys.s, p))
-        return chain
+        return [self._own_power(entry.x, j) for j in range(entry.price + 1)]
 
     def reveal_s(self) -> int:
         return self.keys.s

@@ -23,6 +23,12 @@ item 1).
 
 dleq_composite folds many DLEQ statements that share one exponent into one,
 so a single proof covers them all (batched proofs, RFC 9497 section 2.2).
+dleq_verify folds the other way: a proof's two Chaum-Pedersen equations
+become one under a hashed 128-bit weight, so a check costs one power of q's
+size, not two.  Both folds are the small-exponents test of
+Bellare-Garay-Rabin; a false statement or proof survives with probability
+about 2^-128 above q = 2^128, and of order 1/q on desk groups, like the
+proof's challenge.
 
 Membership is decided by the Jacobi symbol, which equals the Legendre
 symbol for a prime n and so, by Euler's criterion, marks exactly the
@@ -386,17 +392,20 @@ def _dleq_challenge(params: GroupParams, base1: int, y1: int, base2: int,
 
 def dleq_prove(secret: int, base1: int, base2: int, params: GroupParams,
                rng: random.Random = SYSTEM_RANDOM,
-               claim: tuple[int, int] | None = None) -> DlEqProof | None:
+               claim: tuple[int, int] | None = None,
+               y2: int | None = None) -> DlEqProof | None:
     """Prove knowledge of `secret` with base1^secret and base2^secret linked.
 
     The challenge is a hash over the canonical transcript, so the proof is
     non-interactive and verifiable offline.  With a claim (y1, y2), the
     proof is made only if the secret yields exactly those values; otherwise
-    the result is None.
+    the result is None.  A caller that already holds y2 = base2^secret
+    passes it, and it is not computed again.
     """
     secret %= params.q
     y1 = pow_fast(base1, secret, params)
-    y2 = pow_fast(base2, secret, params)
+    if y2 is None:
+        y2 = pow_fast(base2, secret, params)
     if claim is not None and claim != (y1, y2):
         return None
     w = rng.randrange(params.q)
@@ -411,8 +420,10 @@ def dleq_equations_hold(challenge: int, response: int, base1: int, y1: int,
                         base2: int, y2: int, a1: int, a2: int,
                         params: GroupParams) -> bool:
     """The bare sigma-protocol acceptance predicate, without the hash
-    binding.  Exposed so soundness can be measured by enumerating
-    (challenge, response) pairs directly."""
+    binding: base1^z = a1 * y1^c and base2^z = a2 * y2^c, checked one by
+    one.  dleq_verify checks the two as one; this is the exact reference it
+    is tested against, and soundness is measured by enumerating
+    (challenge, response) pairs through it directly."""
     n = params.n
     lhs1 = pow_fast(base1, response, params)
     rhs1 = (a1 * pow_fast(y1, challenge, params)) % n
@@ -423,6 +434,15 @@ def dleq_equations_hold(challenge: int, response: int, base1: int, y1: int,
     return lhs2 == rhs2
 
 
+def _dleq_weight(params: GroupParams, base1: int, y1: int, base2: int, y2: int,
+                 a1: int, a2: int, c: int, z: int) -> int:
+    h = hashlib.sha256()
+    h.update(b"dleq-verify-v1")
+    for v in (params.n, base1, y1, base2, y2, a1, a2, c, z):
+        h.update(enc_int(v))
+    return int.from_bytes(h.digest()[:16], "big")
+
+
 def dleq_verify(proof: DlEqProof, base1: int, y1: int, base2: int, y2: int,
                 params: GroupParams) -> bool:
     """Check a proof against the statement (base1, y1, base2, y2).
@@ -430,18 +450,31 @@ def dleq_verify(proof: DlEqProof, base1: int, y1: int, base2: int, y2: int,
     Raises MalformedElement if any input is outside the subgroup; returns
     False for any proof that fails the recomputed challenge or the
     verification equations.
+
+    The two equations of dleq_equations_hold are checked as one,
+    (base1 * base2^r)^z = (a1 * a2^r) * (y1 * y2^r)^c, with a 128-bit
+    weight r hashed from n, the statement, both commitments, c and z (the
+    small-exponents test of Bellare-Garay-Rabin): one power of q's size
+    instead of two.  When both equations hold, so does this one.  When
+    either fails, each side's quotient is a subgroup member, so at most
+    one r mod q satisfies it: a false proof passes with probability about
+    2^-128 above q = 2^128, and of order 1/q on desk groups, like the
+    challenge itself.
     """
-    for e in (base1, y1, base2, y2, proof.commitment_a, proof.commitment_b):
+    a1, a2 = proof.commitment_a, proof.commitment_b
+    for e in (base1, y1, base2, y2, a1, a2):
         ensure_member(e, params)
-    if not (0 <= proof.challenge < params.q and 0 <= proof.response < params.q):
+    c, z = proof.challenge, proof.response
+    if not (0 <= c < params.q and 0 <= z < params.q):
         return False
-    c = _dleq_challenge(params, base1, y1, base2, y2,
-                        proof.commitment_a, proof.commitment_b)
-    if c != proof.challenge:
+    if c != _dleq_challenge(params, base1, y1, base2, y2, a1, a2):
         return False
-    return dleq_equations_hold(proof.challenge, proof.response, base1, y1,
-                               base2, y2, proof.commitment_a,
-                               proof.commitment_b, params)
+    r = _dleq_weight(params, base1, y1, base2, y2, a1, a2, c, z)
+    n = params.n
+    lhs = pow_fast(base1 * pow_fast(base2, r, params) % n, z, params)
+    rhs = (a1 * pow_fast(a2, r, params) % n
+           * pow_fast(y1 * pow_fast(y2, r, params) % n, c, params) % n)
+    return lhs == rhs
 
 
 def dleq_composite(pairs: list[tuple[int, int]], base: int, y: int,

@@ -69,10 +69,19 @@ class StepTranscript:
 
     @classmethod
     def parse(cls, line: str) -> StepTranscript:
-        """Inverse of line(); a malformed line raises ValueError."""
+        """Inverse of line(); a malformed line, a signed number in it
+        included, raises ValueError."""
         m, m_out, t, alpha, sig = line.split(" ")
-        return cls(m=int(m), m_out=int(m_out), t=int(t), signature=bytes.fromhex(sig),
-                   alpha=None if alpha == "-" else int(alpha))
+        return cls(m=_digits(m), m_out=_digits(m_out), t=_digits(t),
+                   signature=bytes.fromhex(sig),
+                   alpha=None if alpha == "-" else _digits(alpha))
+
+
+def _digits(text: str) -> int:
+    """A number as line() writes it: decimal digits, no sign."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"want decimal digits, got {text!r}")
+    return int(text)
 
 
 STEP = Codec(StepTranscript.line, StepTranscript.parse)

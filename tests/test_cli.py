@@ -42,6 +42,7 @@ from blindpay.group import DlEqProof, hash_to_group, named_group, pow_mod
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler, run_sweep
 from blindpay.purchase import SellerStepHandler, run_purchase, step_payload
 
+from conftest import make_catalog
 from test_dispute import completed_session, type_c_evidence, type_d_evidence
 from test_purchase import rig
 
@@ -585,6 +586,32 @@ def test_arbitrate_refuses_a_record_of_an_unknown_kind(tmp_path, capsys, params6
     captured = capsys.readouterr()
     assert "line 2: bad 'kind' value" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["seller answer", "arbitrate"])
+def test_a_signed_step_number_exits_1(tmp_path, capsys, params64, command):
+    # a minus sign on step 1's m once passed the record reader and crashed
+    # the step-signature check with a ValueError
+    text = (FIXTURES / "case_d_answered_honest.txt").read_text()
+    record = parse_case(text)
+    assert record.params == params64
+    keys, cat = make_catalog(params64, prices=(2, 3))
+    cat = replace(cat, verify_pk=record.verify_pk, k_table=record.k_table)
+    m = str(record.steps[0].m)
+    path, catp, secrets, out = (tmp_path / name for name in ("case.txt", "cat.txt",
+                                                              "sec.txt", "out.txt"))
+    path.write_text(text.replace(f"step: {m} ", f"step: -{m} ", 1))
+    catp.write_text(serialize_catalog(cat))
+    cli._write_secrets(str(secrets), keys)
+    if command == "arbitrate":
+        code = run_cli("arbitrate", "--case", str(path), "--catalog", str(catp))
+    else:
+        code = run_cli("seller", "answer", "--case", str(path), "--catalog", str(catp),
+                       "--secrets", str(secrets), "--out", str(out))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "bad 'step' value" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_arbitrate_refuses_a_record_not_of_the_catalog(tmp_path, capsys, params64):

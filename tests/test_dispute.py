@@ -8,7 +8,7 @@ from dataclasses import astuple, replace
 import pytest
 from hypothesis import given, settings, strategies
 
-from blindpay import dispute
+from blindpay import dispute, group
 from blindpay.cards import CardLedger
 from blindpay.dispute import (
     BUYER_CLAIM_REJECTED,
@@ -136,6 +136,57 @@ def test_agent_proves_only_true_statements(params64):
         bad = list(true)
         bad[i] = p.n - 1
         assert agent.prove(*bad, 2) is None
+
+
+def test_agent_checks_a_k_power_against_its_own_s_not_the_catalog(params64):
+    # ROADMAP 4a's table: K_t = g^(e^t) for an e other than the agent's s.
+    # A claim that matches the table gets no proof, because the agent
+    # checks y2 against g^(s^t), which it derives itself.
+    p = params64
+    keys, cat = make_catalog(p, prices=(2, 3), seed=90)
+    e = (7 * keys.s + 3) % p.q
+    wrong = replace(cat, k_table={t: pow(p.g, pow(e, t, p.q), p.n) for t in cat.k_table})
+    agent = SellerDisputeAgent(keys, wrong, random.Random(8))
+    m = pow_mod(p.g, 4242, p)
+    for t in (1, 2):
+        assert agent.prove(m, pow(m, pow(e, t, p.q), p.n), p.g, wrong.k_table[t], t) is None
+        assert agent.prove(m, pow(m, pow(keys.s, t, p.q), p.n), p.g, wrong.k_table[t], t) is None
+        true = (m, pow(m, pow(keys.s, t, p.q), p.n), p.g, cat.k_table[t])
+        assert dleq_verify(agent.prove(*true, t), *true, p)
+    assert agent._powers == {(p.g, t): cat.k_table[t] for t in (1, 2)}
+
+
+def test_agent_stores_no_base_the_asker_chose(params64):
+    # The record puts a license factor x and a value of the asker's choosing
+    # where requests go; the store ends holding powers of g and of catalog
+    # factors only, each at an exponent the catalog bounds.
+    keys, cat = make_catalog(params64, prices=(2, 3), seed=79)
+    p, entry = params64, cat.entry("lic-2")
+    junk = pow_mod(p.g, 4321, p)
+    case = signed_d_case(keys, cat, [(entry.x, junk, 2), (None, None, 2), (junk, junk, 1),
+                                     (None, None, 1)], random.Random(80))
+    agent = SellerDisputeAgent(keys, cat, random.Random(81))
+    answered = answer_case(case, cat, agent)
+    assert answered.chain is not None
+    prices = {e.x: e.price for e in cat.licenses}
+    assert agent._powers
+    for (base, t), value in agent._powers.items():
+        assert base == p.g and t in cat.k_table or 1 <= t <= prices[base]
+        assert value == pow(base, pow(keys.s, t, p.q), p.n)
+
+
+def test_reveal_chain_is_the_iterated_powers_and_reads_the_store(params64, pow_fast_calls):
+    keys, cat = make_catalog(params64, prices=(1, 3, 5), seed=91)
+    agent = SellerDisputeAgent(keys, cat)
+    for entry in cat.licenses:
+        chain = [entry.x]
+        for _ in range(entry.price):
+            chain.append(pow(chain[-1], keys.s, params64.n))
+        assert agent.reveal_chain(entry.license_id) == chain
+    assert len(pow_fast_calls) == 1 + 3 + 5
+    for entry in cat.licenses:
+        agent.reveal_chain(entry.license_id)
+    assert len(pow_fast_calls) == 1 + 3 + 5
 
 
 def test_agent_original_values_refuses_what_no_step_carries(params64):
@@ -790,6 +841,44 @@ def pow_fast_calls(monkeypatch):
 
     monkeypatch.setattr(dispute, "pow_fast", counting)
     return calls
+
+
+@pytest.fixture()
+def full_size_powers(monkeypatch):
+    """The number of pow_fast calls, the DLEQ proofs' own included, whose
+    exponent is larger than 256 bits once reduced mod q."""
+    count = [0]
+    original = group.pow_fast
+
+    def counting(base, e, params):
+        count[0] += (e % params.q).bit_length() > 256
+        return original(base, e, params)
+
+    monkeypatch.setattr(group, "pow_fast", counting)
+    monkeypatch.setattr(dispute, "pow_fast", counting)
+    return count
+
+
+def test_an_honest_answer_and_its_check_make_16_and_3_full_size_powers(full_size_powers):
+    # Two steps of value 1 and a price-3 audit at ffdhe2048.  The answer:
+    # method 1 derives g^s once and proves the batch with three powers;
+    # method 2 reveals three chain entries and proves the links and the
+    # steps with three each, x^s read from the store.  Each of the three
+    # batch proofs then costs the arbitrator one power.
+    params = named_group("ffdhe2048")
+    keys, cat, bank, handler, session = rig(params, price=2, seed=40, prices=(2, 3))
+    run_purchase(session, handler.handle)
+    case = build_type_d_case(cat, session)
+    full_size_powers[0] = 0
+    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(9)))
+    assert (answered.audit_price, sorted(answered.batch_proofs)) == (
+        3, [("link", 1), ("segment", 1), ("step", 1)])
+    assert full_size_powers[0] == 16
+    record = parse_case(write_case(answered))
+    full_size_powers[0] = 0
+    verdicts = resolve_case(record, catalog=cat)
+    assert [v.outcome for _, v in verdicts] == [BUYER_CLAIM_REJECTED] * 2
+    assert full_size_powers[0] == 3
 
 
 @pytest.fixture()

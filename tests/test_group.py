@@ -4,7 +4,7 @@ import pathlib
 import random
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -697,3 +697,89 @@ def test_batched_proof_verifies_for_the_composite(params64):
     assert dleq_verify(proof, big_m, big_z, p.g, y, p)
     # a claim the secret does not yield gets no proof
     assert dleq_prove(e + 1, big_m, p.g, p, random.Random(45), claim=(big_z, y)) is None
+
+
+def test_dleq_prove_takes_a_y2_the_caller_holds(params64):
+    # the proof is the one it computes y2 for, one power fewer
+    p = params64
+    base1, s = pow(p.g, 4321, p.n), 271828
+    y2 = pow(p.g, s, p.n)
+    held = dleq_prove(s, base1, p.g, p, random.Random(46), y2=y2)
+    assert held == dleq_prove(s, base1, p.g, p, random.Random(46))
+    assert dleq_verify(held, base1, pow(base1, s, p.n), p.g, y2, p)
+
+
+# --- dleq_verify against the one-equation-at-a-time reference ------------------------------
+
+def _reference_verify(proof, base1, y1, base2, y2, params):
+    """The proof checked as the Chaum-Pedersen definition reads: scalars in
+    range, the recomputed challenge, then dleq_equations_hold."""
+    a1, a2, c, z = astuple(proof)
+    return (0 <= c < params.q and 0 <= z < params.q
+            and c == group._dleq_challenge(params, base1, y1, base2, y2, a1, a2)
+            and dleq_equations_hold(c, z, base1, y1, base2, y2, a1, a2, params))
+
+
+def _proof_and_tampers(params, s, base1, base2, lie, rng):
+    """A proof of log_{base1}(y1) = log_{base2}(y2) made with secret s, where
+    y2 = base2^(s + lie): for lie != 0 only the second equation fails.  Then
+    every copy with one field changed: an element times g, a scalar plus 1."""
+    n, q = params.n, params.q
+    y2 = pow(base2, (s + lie) % q, n)
+    proof = dleq_prove(s, base1, base2, params, rng, y2=y2)
+    fields = [*astuple(proof), base1, pow(base1, s % q, n), base2, y2]
+    out = [fields]
+    for i, v in enumerate(fields):
+        bad = list(fields)
+        bad[i] = (v + 1) % q if i in (2, 3) else v * params.g % n
+        out.append(bad)
+    return [(DlEqProof(*f[:4]), *f[4:]) for f in out]
+
+
+def _assert_verify_is_the_reference(params, s, base1, base2, lie, rng):
+    cases = _proof_and_tampers(params, s, base1, base2, lie, rng)
+    got = [dleq_verify(proof, *stmt, params) for proof, *stmt in cases]
+    assert got == [_reference_verify(proof, *stmt, params) for proof, *stmt in cases]
+    assert got[0] == (lie % params.q == 0)
+    assert not any(got[1:])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_dleq_verify_equals_the_reference_on_64_bits(params64, data):
+    p = params64
+    draw = lambda: data.draw(st.integers(min_value=1, max_value=p.q - 1))  # noqa: E731
+    base1 = pow(p.g, draw(), p.n)
+    base2 = p.g if data.draw(st.booleans()) else pow(p.g, draw(), p.n)
+    lie = data.draw(st.sampled_from([0, 0, 1, draw()]))
+    _assert_verify_is_the_reference(p, draw(), base1, base2, lie,
+                                    random.Random(data.draw(st.integers(0, 2**32))))
+
+
+@pytest.mark.parametrize("lie", [0, 1, 12345])
+def test_dleq_verify_equals_the_reference_at_ffdhe2048(lie):
+    p = named_group("ffdhe2048")
+    rng = random.Random(47 + lie)
+    base1 = hash_to_group(b"verify-base1", p)
+    base2 = hash_to_group(b"verify-base2", p)
+    _assert_verify_is_the_reference(p, rng.randrange(1, p.q), base1, base2, lie, rng)
+    _assert_verify_is_the_reference(p, rng.randrange(1, p.q), base1, p.g, lie, rng)
+
+
+def test_dleq_verify_makes_one_power_of_q_size(monkeypatch):
+    p = named_group("ffdhe2048")
+    rng = random.Random(48)
+    s, base1 = rng.randrange(1, p.q), hash_to_group(b"verify-base1", p)
+    proof = dleq_prove(s, base1, p.g, p, rng)
+    sizes = []
+    original = group.pow_fast
+
+    def counting(base, e, params):
+        sizes.append((e % params.q).bit_length())
+        return original(base, e, params)
+
+    monkeypatch.setattr(group, "pow_fast", counting)
+    assert dleq_verify(proof, base1, pow_fast(base1, s, p), p.g, pow_fast(p.g, s, p), p)
+    # z on the folded base; c, and the weight r three times, are 256 bits or less
+    assert len(sizes) == 5 and sum(b > 256 for b in sizes) == 1
