@@ -73,7 +73,7 @@ def _token(text: str) -> str:
 
 
 def _group_bits(text: str) -> int | str:
-    """A bit length for a generated group, or the name of an RFC 7919 group."""
+    """A bit length for a generated desk group, or the name of an RFC 7919 group."""
     if text in NAMED_GROUPS:
         return text
     try:
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     init.add_argument("--catalog", required=True)
     init.add_argument("--secrets", required=True)
     init.add_argument("--group-bits", type=_group_bits, default=64,
-                      help="bits of a generated group, or ffdhe2048 or ffdhe3072")
+                      help="bits of a generated desk group (8-64), or ffdhe2048 or ffdhe3072")
     init.add_argument("--seed", type=int, help="reproducible keys, for a demo only")
     init.add_argument("--x-label", default=None,
                       help="shared encryption factor label (enables upgrades)")

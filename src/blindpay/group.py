@@ -7,16 +7,20 @@ Staying inside the subgroup is what makes the multiplicative blinding
 perfect: g generates every residue, so a blinded value is uniform over the
 subgroup whatever it hides.
 
+There are two kinds of group.  The RFC 7919 groups of named_group(), for
+real use, are recognised by n alone, equal to a prime derived at import and
+pinned by its SHA-256.  Desk groups, for tests, scenarios and demos, have at
+most DESK_BITS = 64 bits, where Miller-Rabin on n and q is exact.
+validate() refuses any other n on its size, before any Miller-Rabin round.
+
 pow_fast computes the catalog set-up (license keys and the K table), the
 buyer's blinding, the seller's dispute answers, the arbitrator's checks and
 every power inside the DLEQ proofs.  On the RFC 7919 groups it is an OpenSSL
 DH derivation through `cryptography`, which catalog already uses for Ed25519
 and AES-GCM.  At ffdhe2048 one costs about 2.2-2.8 ms for an exponent of q's
 size and 0.2-0.5 ms for one of 128-256 bits, against 25-31 ms and 1.7-3.3 ms
-for builtin pow.  Every other group takes builtin pow: desk-scale groups lie
-below OpenSSL's 512-bit floor, and for any other modulus OpenSSL re-checks
-the parameters on every key (about 43 ms at 1024 bits).  pow_mod, the
-seller's step and load_session's checks, stays on builtin pow until the
+for builtin pow.  Desk groups lie below OpenSSL's 512-bit floor.  pow_mod,
+the seller's step and load_session's checks, stays on builtin pow until the
 seller_steps benchmark sizes its request pool by time rather than by rate: a
 seller faster than the pool's rate exhausts it in the first pass (ROADMAP
 item 1).
@@ -37,15 +41,9 @@ function here assumes its GroupParams have passed validate().  On the RFC
 7919 groups the symbol comes from GMP's mpz_jacobi, loaded from
 libgmp.so.10 through ctypes: about 0.03 ms at ffdhe2048 and 0.045 ms at
 ffdhe3072, against 0.4-0.65 ms and 0.7-0.75 ms for _jacobi, the
-pure-Python binary algorithm.  Every other group, and every group when
-libgmp.so.10 cannot be loaded, takes _jacobi.  Both are variable-time,
+pure-Python binary algorithm.  Desk groups, and every group when
+libgmp.so.10 cannot be loaded, take _jacobi.  Both are variable-time,
 which is safe because only public elements are ever checked.
-
-validate() proves n and q prime by Miller-Rabin, 77 rounds each at 2048
-bits (about 6 s), except for the RFC 7919 groups of named_group().  Their n
-is recognised by equality with a prime derived at import and pinned by its
-SHA-256, so the safe-prime precondition of is_member holds for them too;
-every other check (n = 2q + 1, bits, the generator) runs for every group.
 """
 
 from __future__ import annotations
@@ -72,12 +70,14 @@ _SMALL_PRIMES = (
 # Deterministic Miller-Rabin bases, valid for everything below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+DESK_BITS = 64  # the largest unnamed group, far inside that bound
 
 
 def is_probable_prime(m: int) -> bool:
-    """Miller-Rabin.  Deterministic below 3.3e24; above that, 64 extra
-    rounds with bases derived from m itself (so the answer never varies
-    between runs)."""
+    """Miller-Rabin on the bases of _MR_BASES, exact below 3.3e24.  At or
+    above that bound it raises ValueError rather than answer less surely."""
+    if m >= _MR_DETERMINISTIC_BOUND:
+        raise ValueError(f"{m} is beyond deterministic Miller-Rabin")
     if m < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -99,12 +99,16 @@ def is_probable_prime(m: int) -> bool:
                 return False
         return True
 
-    bases = list(_MR_BASES)
-    if m >= _MR_DETERMINISTIC_BOUND:
-        h = hashlib.sha256(m.to_bytes((m.bit_length() + 7) // 8, "big"))
-        extra = random.Random(int.from_bytes(h.digest(), "big"))
-        bases += [extra.randrange(2, m - 1) for _ in range(64)]
-    return not any(witness(a) for a in bases)
+    return not any(witness(a) for a in _MR_BASES)
+
+
+def check_desk_bits(bits: int, least: int = 8):
+    """Refuse a bit length below `least` or above DESK_BITS."""
+    if bits < least:
+        raise ValueError(f"{bits} bits is below the least group size, {least}")
+    if bits > DESK_BITS:
+        raise ValueError(f"an unnamed group of {bits} bits is above the {DESK_BITS}-bit "
+                         f"desk groups; use {' or '.join(NAMED_GROUPS)}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,10 @@ class GroupParams:
     def validate(self):
         if self.n != 2 * self.q + 1:
             raise ValueError("n != 2q + 1")
-        if self.n not in _NAMED_PRIMES and not (
-                is_probable_prime(self.n) and is_probable_prime(self.q)):
-            raise ValueError("n and q must both be prime")
+        if self.n not in _NAMED_PRIMES:  # by n itself: the bits field is checked below
+            check_desk_bits(self.n.bit_length(), least=0)
+            if not (is_probable_prime(self.n) and is_probable_prime(self.q)):
+                raise ValueError("n and q must both be prime")
         if self.bits != self.n.bit_length():
             raise ValueError("bits field disagrees with n")
         if not (2 <= self.g <= self.n - 1) or self.g == 1:
@@ -133,20 +138,13 @@ class GroupParams:
 
 
 def gen_params(bits: int, seed: int | None = None) -> GroupParams:
-    """Generate group parameters with an n of exactly `bits` bits.
-
-    bits >= 8 is accepted for desk-scale work; anything meant to resist an
-    adversary should be 2048 or more.  With a seed the search is fully
-    reproducible.
-    """
-    if bits < 8:
-        raise ValueError(f"{bits} bits is below the least group size, 8")
+    """A desk group with an n of exactly `bits` bits, 8 to DESK_BITS, for
+    tests, scenarios and demos.  With a seed the search is reproducible."""
+    check_desk_bits(bits)
     rng = random.Random(seed) if seed is not None else SYSTEM_RANDOM
     while True:
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-        n = 2 * q + 1
-        if n.bit_length() != bits:
-            continue
+        n = 2 * q + 1  # exactly `bits` bits, since q's top bit is set
         if is_probable_prime(q) and is_probable_prime(n):
             break
     while True:
@@ -278,15 +276,13 @@ def is_member(e: int, params: GroupParams) -> bool:
     the order-q subgroup is exactly the set of quadratic residues, the
     elements of Jacobi symbol 1.  For a composite n the answer means
     nothing.  On the RFC 7919 groups the symbol is GMP's mpz_jacobi when
-    libgmp.so.10 loaded (about 0.03 ms at ffdhe2048 and 0.045 ms at
-    ffdhe3072, against 0.4-0.65 and 0.7-0.75 ms for _jacobi).  Every other
-    group takes _jacobi, as every group does without GMP: at 64 bits the
-    loop costs about what the ctypes call does, and GMP leaves the symbol
-    undefined for an even modulus, which only validate() rules out.  Both
-    paths give the same answer, in time that depends on e, as CPython's pow
-    does; every element checked here is public (blinded requests and
-    responses, catalog entries, proof commitments), so no secret leaks
-    through it.
+    libgmp.so.10 loaded.  Desk groups take _jacobi, as every group does
+    without GMP: at 64 bits the loop costs about what the ctypes call does,
+    and GMP leaves the symbol undefined for an even modulus, which only
+    validate() rules out.  Both paths give the same answer, in time that
+    depends on e, as CPython's pow does; every element checked here is
+    public (blinded requests and responses, catalog entries, proof
+    commitments), so no secret leaks through it.
     """
     n = params.n
     if not 0 < e < n:
@@ -307,8 +303,7 @@ def pow_mod(base: int, e: int, params: GroupParams) -> int:
     return pow(base, e % params.q, params.n)
 
 
-# OpenSSL knows the RFC 7919 primes and skips its parameter check for them;
-# for any other modulus it re-runs that check on every key.
+# OpenSSL knows the RFC 7919 primes and skips its parameter check for them.
 _DH_NUMBERS = {n: dh.DHParameterNumbers(n, 2) for n in _NAMED_PRIMES}
 
 
@@ -318,8 +313,8 @@ def pow_fast(base: int, e: int, params: GroupParams) -> int:
     On the named groups it is an OpenSSL DH derivation: private value e,
     peer value base.  The key's own public value is never read, so a
     placeholder stands in for it.  OpenSSL refuses a peer value outside
-    (1, n - 1) and a zero private value; those inputs, and every other
-    group, take builtin pow.  No other input yields the secrets 1 and
+    (1, n - 1) and a zero private value; those inputs, and desk groups,
+    take builtin pow.  No other input yields the secrets 1 and
     n - 1 that OpenSSL also refuses: an element of order q or 2q raised to
     an exponent in (0, q) gives neither."""
     n = params.n

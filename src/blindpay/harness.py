@@ -52,7 +52,7 @@ from .errors import (
     UnknownCard,
     WireTimeout,
 )
-from .group import gen_params
+from .group import check_desk_bits, gen_params
 from .purchase import (
     MODE_BASIC,
     MODE_ENHANCED,
@@ -107,6 +107,7 @@ class Metrics:
 
 FAULTS = ("none", "corrupt-signature", "wrong-terms", "wrong-s", "double-spend",
           "false-claim")
+STEP_FAULTS = ("corrupt-signature", "wrong-s", "double-spend")  # strike at fault_step
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,12 @@ def _validate(sc: Scenario):
         raise ScenarioInvalid(f"unknown transport {sc.transport!r}")
     if sc.fault not in FAULTS:
         raise ScenarioInvalid(f"unknown fault {sc.fault!r}")
-    if sc.fault in ("corrupt-signature", "wrong-s", "double-spend") and sc.fault_step < 1:
+    if sc.fault in STEP_FAULTS and sc.fault_step < 1:
         raise ScenarioInvalid(f"fault {sc.fault!r} needs fault_step >= 1")
-    if sc.group_bits < 8:
-        raise ScenarioInvalid("group_bits must be >= 8")
+    try:
+        check_desk_bits(sc.group_bits)
+    except ValueError as exc:
+        raise ScenarioInvalid(f"group_bits: {exc}") from None
 
 
 # --- fault injection ----------------------------------------------------------------
@@ -393,14 +396,14 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
     bank = CardLedger(rng=rng)
     powers = set(cat.k_table) if sc.mode == MODE_ENHANCED else {1}
     plan = plan_steps(sc.price, powers)
+    if sc.fault in STEP_FAULTS and sc.fault_step > len(plan):
+        raise ScenarioInvalid(f"{sc.fault} fault_step beyond the plan's {len(plan)} steps")
     issued = []
     for t in plan:
         issued += bank.issue_cards(1, t)
     bank.distribute([c.card_id for c in issued], "store-1")
     buyer_cards = [(c.card_id, c.value) for c in issued]
     if sc.fault == "double-spend":
-        if not (1 <= sc.fault_step <= len(plan)):
-            raise ScenarioInvalid("double-spend fault_step beyond the plan")
         # burn the card meant for the faulty step in a separate prior purchase
         victim = issued[sc.fault_step - 1]
         bank.verify_and_spend(victim.card_id, "seller-1")

@@ -10,6 +10,12 @@ from blindpay.group import GroupParams, gen_params, named_group, pow_fast
 # residues mod 23.
 PARAMS23 = GroupParams(n=23, q=11, g=4, bits=5)
 
+# Unnamed safe primes just above the desk groups' 64 bits (4 generates the
+# order-q subgroup of each); validate() must refuse them on their size alone.
+UNNAMED65 = GroupParams(n=31281344415194828567, q=15640672207597414283, g=4, bits=65)
+UNNAMED128 = GroupParams(n=247882374964466167615874452021369419059,
+                         q=123941187482233083807937226010684709529, g=4, bits=128)
+
 
 @pytest.fixture(scope="session")
 def params23():

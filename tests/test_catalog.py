@@ -22,7 +22,7 @@ from blindpay.encoding import enc_int
 from blindpay.errors import AuthenticationFailure, BlindpayError, CatalogFormatError
 from blindpay.group import mul_mod, named_group, pow_mod
 
-from conftest import make_catalog
+from conftest import UNNAMED128, make_catalog
 from test_group import naive_pow
 
 
@@ -243,6 +243,18 @@ def test_catalog_verify_clean(params64):
     keys, cat = make_catalog(params64)
     assert verify_catalog(cat) == []
     assert verify_catalog(parse_catalog(serialize_catalog(cat))) == []
+
+
+@pytest.mark.parametrize("params", [UNNAMED128, replace(UNNAMED128, bits=64)],
+                         ids=["128", "128-says-64"])
+def test_catalog_verify_refuses_an_unnamed_group_above_64_bits(params64, params,
+                                                               prime_tests):
+    keys, cat = make_catalog(params64)
+    text = serialize_catalog(replace(cat, params=params))
+    problems = verify_catalog(parse_catalog(text))
+    assert len(problems) == 1 and problems[0].startswith("params:")
+    assert "ffdhe2048 or ffdhe3072" in problems[0]
+    assert prime_tests == []
 
 
 def test_catalog_verify_flags_tampered_terms(params64):

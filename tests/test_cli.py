@@ -166,6 +166,7 @@ def test_bank_balance_reads_a_ledger_another_writer_holds(tmp_path, capsys):
     (("seller", "init", "--license", "a:1:t", "--group-bits", "4"), "4"),
     (("bank", "issue", "--count", "-1"), "-1"),
     (("bank", "issue", "--value", "0"), "0"),
+    (("seller", "init", "--license", "a:1:t", "--group-bits", "128"), "128"),
 ])
 def test_a_bad_value_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, argv, value):
     files = {"seller": ("--catalog", tmp_path / "cat.txt", "--secrets", tmp_path / "sec.txt"),
@@ -206,6 +207,16 @@ def test_scenario_run_refused_step_exit_code(tmp_path, capsys):
     assert run_cli("scenario", "run", "--spec", str(spec)) == 1
     out = capsys.readouterr().out
     assert "outcome: aborted:already-spent" in out and "verdicts: 0" in out
+
+
+@pytest.mark.parametrize("fault", ["corrupt-signature", "wrong-s", "double-spend"])
+def test_scenario_run_refuses_a_step_fault_beyond_the_plan(tmp_path, capsys, fault):
+    # a fault that would never strike must not pass for a clean purchase
+    spec = tmp_path / "scenario.txt"
+    spec.write_text(f"mode: basic\nprice: 3\nseed: 5\nfault: {fault}\nfault_step: 9\n")
+    assert run_cli("scenario", "run", "--spec", str(spec)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "beyond the plan" in err
 
 
 def test_scenario_run_invalid_spec(tmp_path, capsys):

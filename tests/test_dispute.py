@@ -65,7 +65,7 @@ from blindpay.purchase import (
     step_payload,
 )
 
-from conftest import make_catalog
+from conftest import UNNAMED128, make_catalog
 from test_purchase import fund, rig
 
 
@@ -316,6 +316,16 @@ def corrupt_signature_case(params, seed=50):
 def test_parse_case_of_a_named_group_runs_no_miller_rabin(prime_tests):
     _, _, case = corrupt_signature_case(named_group("ffdhe2048"))
     assert parse_case(write_case(case)).params == named_group("ffdhe2048")
+    assert prime_tests == []
+
+
+@pytest.mark.parametrize("params", [UNNAMED128, replace(UNNAMED128, bits=64)],
+                         ids=["128", "128-says-64"])
+def test_parse_case_refuses_an_unnamed_group_above_64_bits(params64, params, prime_tests):
+    _, _, case = corrupt_signature_case(params64)
+    case.params = params
+    with pytest.raises(MalformedEvidence, match="ffdhe2048 or ffdhe3072"):
+        parse_case(write_case(case))
     assert prime_tests == []
 
 

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import pathlib
 import random
+import re
 import sys
 import threading
 from dataclasses import astuple, replace
@@ -33,7 +34,7 @@ from blindpay.group import (
     pow_mod,
 )
 
-from conftest import PARAMS23
+from conftest import PARAMS23, UNNAMED65, UNNAMED128
 
 
 # --- independent oracles ---------------------------------------------------------
@@ -106,12 +107,17 @@ def strong_liar(a, m):
     return x in (1, m - 1) or any(pow(x, 2**i, m) == m - 1 for i in range(1, r))
 
 
-def test_miller_rabin_runs_extra_rounds_from_the_deterministic_bound():
-    # psi_13 is the bound itself, so only the hashed extra bases can refuse it
+def test_miller_rabin_refuses_from_the_deterministic_bound():
+    # psi_13 is the bound itself: every base is a strong liar for it, so no
+    # answer at or above the bound would be exact, and none is given
     assert PSI13 == _MR_DETERMINISTIC_BOUND == 3317044064679887385961981
     assert all(strong_liar(a, PSI13) for a in _MR_BASES)
-    assert not is_probable_prime(PSI13)
-    assert is_probable_prime(2**127 - 1) and is_probable_prime(2**521 - 1)
+    with pytest.raises(ValueError, match="deterministic"):
+        is_probable_prime(PSI13)
+    with pytest.raises(ValueError, match="deterministic"):
+        is_probable_prime(2**127 - 1)
+    assert is_probable_prime(2**61 - 1) and is_probable_prime(2**64 - 59)
+    assert not is_probable_prime(3215031751)  # strong pseudoprime to 2, 3, 5, 7
 
 
 def test_known_small_group_is_valid():
@@ -184,13 +190,27 @@ def test_named_groups_keep_every_cheap_check(name, edit, prime_tests):
     assert prime_tests == []
 
 
-def test_an_unnamed_2048_bit_modulus_still_runs_miller_rabin(prime_tests):
+def test_an_unnamed_2048_bit_modulus_is_refused_without_miller_rabin(prime_tests):
     rng = random.Random(2048)
     q = rng.getrandbits(2047) | 1 << 2046 | 1
     n = 2 * q + 1
-    with pytest.raises(ValueError, match="prime"):
+    with pytest.raises(ValueError, match="ffdhe2048 or ffdhe3072"):
         GroupParams(n=n, q=q, g=4, bits=2048).validate()
-    assert prime_tests and prime_tests[0] == n
+    assert prime_tests == []
+
+
+@pytest.mark.parametrize("params", [
+    UNNAMED65,
+    UNNAMED128,
+    replace(UNNAMED128, bits=64),  # the kind is read from n, not from bits
+    replace(UNNAMED128, bits=5),
+], ids=["65", "128", "128-says-64", "128-says-5"])
+def test_validate_refuses_every_unnamed_group_above_64_bits(params, prime_tests):
+    # each n is a safe prime of 4's subgroup, so its size is all that is wrong
+    assert pow(params.g, params.q, params.n) == 1
+    with pytest.raises(ValueError, match="ffdhe2048 or ffdhe3072"):
+        params.validate()
+    assert prime_tests == []
 
 
 def test_gen_params_8bit_subgroup_closure():
@@ -208,9 +228,14 @@ def test_gen_params_8bit_subgroup_closure():
             assert (a * b) % p.n in subgroup
 
 
-def test_gen_params_rejects_tiny():
+def test_gen_params_rejects_tiny(prime_tests):
     with pytest.raises(ValueError):
         gen_params(4)
+    # and above the desk groups: only the named groups serve there
+    with pytest.raises(ValueError, match="ffdhe2048 or ffdhe3072"):
+        gen_params(65)
+    assert prime_tests == []
+    assert gen_params(64, seed=1).validate().bits == 64
 
 
 # --- modular arithmetic ---------------------------------------------------------------
@@ -522,6 +547,14 @@ def test_only_group_loads_native_code():
             if any(m.split(".")[0] == "ctypes" for m in modules):
                 importers.add(path.stem)
     assert importers == {"group"}, f"ctypes imported by {sorted(importers)}"
+
+
+def test_only_group_decides_the_group_kind():
+    """The named primes and the primality test appear in group.py alone, so
+    whether a group is named, desk-sized or refused is decided in one place."""
+    users = {path.stem for path in pathlib.Path(group.__file__).parent.glob("*.py")
+             if re.search(r"\b(_NAMED_PRIMES|is_probable_prime)\b", path.read_text())}
+    assert users == {"group"}, f"group kind decided in {sorted(users)}"
 
 
 # --- hash-to-group ----------------------------------------------------------------------

@@ -64,6 +64,7 @@ def test_scenario_parse_defaults_and_comments():
     "price: x\n",
     "prcie: 5\n",  # an unknown key, which would leave the price at 1
     "refresh: yes\n",  # neither on nor off
+    "group_bits: 65\n",  # above the desk groups
 ])
 def test_scenario_parse_rejects(text):
     with pytest.raises(ScenarioInvalid):
