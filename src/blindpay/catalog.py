@@ -79,11 +79,11 @@ class Catalog:
     k_table: dict[int, int] = field(default_factory=dict)
     k_table_signature: bytes = b""
 
-    def entry(self, license_id: str, error: type[Exception] = UnknownLicense) -> LicenseEntry:
+    def entry(self, license_id: str) -> LicenseEntry:
         for e in self.licenses:
             if e.license_id == license_id:
                 return e
-        raise error(f"no license {license_id!r} in the catalog")
+        raise UnknownLicense(f"no license {license_id!r} in the catalog")
 
 
 @dataclass

@@ -607,7 +607,7 @@ def _read_batch(text: str) -> tuple[tuple[str, int], DlEqProof | None]:
     family, t, proof = text.split(" ", 2)
     if family not in _PROOF_FAMILIES:
         raise ValueError(f"unknown batch proof kind {family!r}")
-    return (family, int(t)), _PROOF.read(proof)
+    return (family, INT.read(t)), _PROOF.read(proof)
 
 
 def _read_kind(text: str) -> str:

@@ -101,6 +101,13 @@ class Reader:
 Codec = namedtuple("Codec", "write read")
 
 
+def _digits(text: str) -> int:
+    """A record integer: unsigned ASCII decimal digits, as str() writes it."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"want decimal digits, got {text!r}")
+    return int(text)
+
+
 def _pair(text: str) -> tuple[int, int]:
     a, b = INTS.read(text)
     return a, b
@@ -113,10 +120,10 @@ def _on_off(text: str) -> bool:
 
 
 STR = Codec(str, str)
-INT = Codec(str, int)
+INT = Codec(str, _digits)
 HEX = Codec(bytes.hex, bytes.fromhex)
 B64 = Codec(lambda b: base64.b64encode(b).decode(), lambda t: base64.b64decode(t, validate=True))
-INTS = Codec(lambda vs: " ".join(map(str, vs)), lambda t: [int(v) for v in t.split()])
+INTS = Codec(lambda vs: " ".join(map(str, vs)), lambda t: [_digits(v) for v in t.split()])
 PAIR = Codec(INTS.write, _pair)
 ON_OFF = Codec(lambda on: "on" if on else "off", _on_off)
 

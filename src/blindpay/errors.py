@@ -82,7 +82,7 @@ class IncompleteSession(BlindpayError):
 
 
 class SessionStateError(BlindpayError):
-    """Session calls arrived out of order, or a checkpoint file is malformed."""
+    """Session calls arrived out of order."""
 
 
 class BadStepSignature(BlindpayError):

@@ -20,10 +20,9 @@ DH derivation through `cryptography`, which catalog already uses for Ed25519
 and AES-GCM.  At ffdhe2048 one costs about 2.2-2.8 ms for an exponent of q's
 size and 0.2-0.5 ms for one of 128-256 bits, against 25-31 ms and 1.7-3.3 ms
 for builtin pow.  Desk groups lie below OpenSSL's 512-bit floor.  pow_mod,
-the seller's step and load_session's checks, stays on builtin pow until the
-seller_steps benchmark sizes its request pool by time rather than by rate: a
-seller faster than the pool's rate exhausts it in the first pass (ROADMAP
-item 1).
+the seller's step alone, stays on builtin pow until the seller_steps
+benchmark sizes its request pool by time rather than by rate: a seller
+faster than the pool's rate exhausts it in the first pass (ROADMAP item 1).
 
 dleq_composite folds many DLEQ statements that share one exponent into one,
 so a single proof covers them all (batched proofs, RFC 9497 section 2.2).

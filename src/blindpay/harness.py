@@ -140,6 +140,8 @@ def parse_scenario(text: str) -> Scenario:
         key = key.strip()
         if key not in {f.name for f in fields(Scenario)}:
             raise ScenarioInvalid(f"line {lineno}: unknown key {key!r}")
+        if key in kv:
+            raise ScenarioInvalid(f"line {lineno}: repeated key {key!r}")
         kv[key] = value.strip()
     convert = {"int": int, "bool": ON_OFF.read, "str": str}
     try:

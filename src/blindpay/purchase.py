@@ -26,9 +26,8 @@ from .catalog import (
     sign_payload,
     verify_payload,
 )
-from .encoding import INT, INTS, ON_OFF, STR, Codec, RecordFormat, enc_int
+from .encoding import INT, Codec, enc_int
 from .errors import (
-    AuthenticationFailure,
     BadStepSignature,
     IncompleteSession,
     InsufficientFunds,
@@ -63,7 +62,7 @@ class StepTranscript:
     alpha: int | None = None
 
     def line(self) -> str:
-        """The step as one line of a case record or session checkpoint."""
+        """The step as one line of a case record."""
         alpha = "-" if self.alpha is None else str(self.alpha)
         return f"{self.m} {self.m_out} {self.t} {alpha} {self.signature.hex()}"
 
@@ -72,16 +71,9 @@ class StepTranscript:
         """Inverse of line(); a malformed line, a signed number in it
         included, raises ValueError."""
         m, m_out, t, alpha, sig = line.split(" ")
-        return cls(m=_digits(m), m_out=_digits(m_out), t=_digits(t),
+        return cls(m=INT.read(m), m_out=INT.read(m_out), t=INT.read(t),
                    signature=bytes.fromhex(sig),
-                   alpha=None if alpha == "-" else _digits(alpha))
-
-
-def _digits(text: str) -> int:
-    """A number as line() writes it: decimal digits, no sign."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"want decimal digits, got {text!r}")
-    return int(text)
+                   alpha=None if alpha == "-" else INT.read(alpha))
 
 
 STEP = Codec(StepTranscript.line, StepTranscript.parse)
@@ -361,103 +353,3 @@ def run_purchase(session: PurchaseSession, step_fn) -> LicensePlaintext:
         resp = step_fn(req)
         buyer_process_response(session, resp)
     return buyer_finish(session)
-
-
-# --- session checkpointing -------------------------------------------------------
-
-SESSION = RecordFormat(
-    "session", once={"license": STR, "refresh": ON_OFF, "alpha": INT, "acc": INT, "plan": INTS},
-    many={"cards": Codec(lambda cards: " ".join(cards) or "-",
-                         lambda text: [] if text == "-" else text.split()),
-          "transcript": STEP},
-    error=SessionStateError)
-
-
-def save_session(session: PurchaseSession, path: str):
-    """Checkpoint a session between steps so a purchase survives a crash."""
-    if session._pending is not None:
-        raise SessionStateError("cannot checkpoint with a request outstanding")
-    fields = [
-        ("license", session.entry.license_id),
-        ("refresh", session.refresh_blinding),
-        ("alpha", session.alpha),
-        ("acc", session.acc),
-        ("plan", session.plan),
-    ]
-    fields += [("cards", cards) for cards in session.step_cards]
-    fields += [("transcript", tr) for tr in session.transcripts]
-    text = SESSION.write(fields)  # before the open: a refused value keeps the old file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _opens(key: int, blob: bytes) -> bool:
-    try:
-        decrypt_license(key, blob)
-    except (AuthenticationFailure, ValueError):  # ValueError: a key enc_int refuses
-        return False
-    return True
-
-
-def load_session(path: str, catalog: Catalog, rng: random.Random = SYSTEM_RANDOM,
-                 ops=None) -> PurchaseSession:
-    """Resume a checkpoint.  A checkpoint that disagrees with itself or with
-    the catalog raises SessionStateError before any step is sent.
-
-    acc must be the last transcript's m_out / K_t^alpha or, before the
-    first step, the starting key; after it, the starting key is the first
-    transcript's m / g^alpha (each one unbilled exponentiation).  A plan
-    summing to the license's price starts from its x.  Any other plan is an
-    upgrade: it sums to the price less that of a catalog license with the
-    same x, and the starting key must open that license."""
-    with open(path, encoding="utf-8") as fh:
-        rec = SESSION.read(fh.read())
-    entry = catalog.entry(rec["license"], SessionStateError)
-    plan, paid = rec["plan"], [tr.t for tr in rec["transcript"]]
-    owned = [e.encrypted_license for e in catalog.licenses
-             if e.x == entry.x and e.price + sum(plan) == entry.price]
-    for bad, what in [
-        (len(rec["cards"]) != len(plan),
-         f"{len(rec['cards'])} cards lines for a plan of {len(plan)} steps"),
-        (paid != plan[:len(paid)],
-         f"transcript step values {paid} are not the plan's first {len(paid)}"),
-        (not set(plan) <= set(catalog.k_table),
-         f"plan values {sorted(set(plan) - set(catalog.k_table))} have no K_t in the catalog"),
-        (sum(plan) != entry.price and not owned,
-         f"plan {plan} sums to {sum(plan)}, not the price {entry.price} of "
-         f"{entry.license_id!r} less that of a license with its x"),
-    ]:
-        if bad:
-            raise SessionStateError(f"checkpoint disagrees: {what}")
-    params = catalog.params
-    if not paid:
-        start, starts = rec["acc"], "acc"
-    else:
-        last, first = rec["transcript"][-1], rec["transcript"][0]
-        if last.alpha is None:
-            raise SessionStateError("checkpoint disagrees: the last transcript has no alpha")
-        unblinder = pow_mod(catalog.k_table[last.t], last.alpha, params)  # unbilled
-        if rec["acc"] != div_mod(last.m_out, unblinder, params):
-            raise SessionStateError(
-                "checkpoint disagrees: acc is not the last transcript's m_out / K_t^alpha")
-        if first.alpha is None:
-            raise SessionStateError("checkpoint disagrees: the first transcript has no alpha")
-        start = div_mod(first.m, pow_mod(params.g, first.alpha, params), params)  # unbilled
-        starts = "the first transcript's m / g^alpha"
-    if sum(plan) == entry.price and start != entry.x:
-        raise SessionStateError(f"checkpoint disagrees: {starts} is not the license's x")
-    if sum(plan) != entry.price and not any(_opens(start, blob) for blob in owned):
-        raise SessionStateError(
-            f"checkpoint disagrees: {starts} opens no license the plan upgrades from")
-    session = PurchaseSession(
-        catalog=catalog, entry=entry, refresh_blinding=rec["refresh"], alpha=rec["alpha"],
-        r=1, unblinders={}, acc=rec["acc"], plan=plan, step_cards=rec["cards"],
-        transcripts=rec["transcript"], _rng=rng,
-    )
-    # Unbilled, as the counter is attached after it: the cost model bills r
-    # and the unblinders once, when first computed.  With refresh on, a
-    # resumed step past the first draws a fresh alpha anyway.
-    if session.remaining > 0 and not (session.refresh_blinding and paid):
-        _blind(session, session.alpha)
-    session._ops = ops
-    return session

@@ -625,6 +625,25 @@ def test_a_signed_step_number_exits_1(tmp_path, capsys, params64, command):
     assert captured.out == "" and not out.exists()
 
 
+def test_a_signed_chain_number_exits_1(tmp_path, capsys, params64):
+    # a minus sign on the last chain entry once passed the record reader and
+    # crashed method 2's license decryption with a ValueError
+    keys, cat, new_case = type_d_evidence(params64, None)
+    code, answered = seller_answer(tmp_path, keys, cat, new_case())
+    assert code == 0
+    record = parse_case(answered.read_text())
+    record.chain[-1] = -record.chain[-1]
+    text = write_case(record)
+    answered.write_text(text)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith("chain: "))
+    capsys.readouterr()
+    code = run_cli("arbitrate", "--case", str(answered), "--catalog", str(tmp_path / "cat.txt"))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"line {lineno}: bad 'chain' value" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_arbitrate_refuses_a_record_not_of_the_catalog(tmp_path, capsys, params64):
     # a buyer who edits K_1 in an answered record must not get a verdict
     keys, cat, new_case = type_d_evidence(params64, None)

@@ -329,14 +329,13 @@ def test_group_arithmetic_stays_in_group():
     assert not found, f"pow mod n outside group.py at {found}"
 
 
-POW_MOD_CALLERS = {"purchase.seller_handle_step", "purchase.load_session"}
+POW_MOD_CALLERS = {"purchase.seller_handle_step"}
 
 
 def test_pow_mod_is_called_only_where_it_must_stay():
     """Every other power takes pow_fast.  The seller's step stays on pow_mod
     because a seller faster than the seller_steps benchmark's request pool
-    empties its traced pass; load_session's unbilled checks stay because
-    pow_fast is purchase._blind's alone."""
+    empties its traced pass."""
     found = set()
     for path in pathlib.Path(group.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(), str(path))

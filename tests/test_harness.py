@@ -65,6 +65,7 @@ def test_scenario_parse_defaults_and_comments():
     "prcie: 5\n",  # an unknown key, which would leave the price at 1
     "refresh: yes\n",  # neither on nor off
     "group_bits: 65\n",  # above the desk groups
+    "price: 3\nprice: 5\n",  # a repeated key, which would run at the last price
 ])
 def test_scenario_parse_rejects(text):
     with pytest.raises(ScenarioInvalid):

@@ -30,10 +30,8 @@ from blindpay.purchase import (
     buyer_finish,
     buyer_process_response,
     buyer_step_request,
-    load_session,
     plan_steps,
     run_purchase,
-    save_session,
     seller_handle_step,
 )
 
@@ -428,42 +426,9 @@ def test_upgrade_rejects_mismatched_factor(params64):
         begin_upgrade(cat, "lic-2", 4, "lic-5", [("00" * 16, 1)] * 3)
 
 
-# --- checkpoint / resume -------------------------------------------------------------------
-
-@pytest.mark.parametrize("refresh", [False, True])
-def test_checkpoint_resume(tmp_path, params64, refresh):
-    for mode, price, plan in [(MODE_BASIC, 3, [1, 1, 1]), (MODE_ENHANCED, 7, [4, 2, 1])]:
-        straight_ops = OpCounter()
-        *_, straight_handler, straight = rig(params64, price=price, mode=mode,
-                                             refresh=refresh, ops=straight_ops)
-        assert straight.plan == plan
-        run_purchase(straight, straight_handler.handle)
-
-        # The cost model bills the purchase, not its checkpoints: resumed
-        # after any step, a purchase bills exactly what the uninterrupted
-        # one does.
-        for done in range(len(plan)):
-            ops = OpCounter()
-            keys, cat, _, handler, session = rig(params64, price=price, mode=mode,
-                                                 refresh=refresh, ops=ops)
-            for _ in range(done):
-                buyer_process_response(session, handler.handle(buyer_step_request(session)))
-            path = str(tmp_path / f"session-{mode}-{done}.txt")
-            save_session(session, path)
-
-            resumed = load_session(path, cat, rng=random.Random(99), ops=ops)
-            assert resumed.remaining == sum(plan[done:])
-            assert resumed.acc == session.acc
-            plain = run_purchase(resumed, handler.handle)
-            assert plain.license_id == f"lic-{price}"
-            expected = derive_license_key(cat.entry(f"lic-{price}").x, price, keys.s, params64)
-            assert resumed.acc == expected
-            assert ops == straight_ops
-
-
 def test_only_blind_computes_blinding_powers():
     """r = g^alpha and the unblinders K_t^alpha come from _blind alone, so
-    begin, each refreshed step and a resumed checkpoint share one rule."""
+    begin and each refreshed step share one rule."""
     path = pathlib.Path(purchase.__file__)
     tree = ast.parse(path.read_text(), str(path))
     inside = set()
