@@ -12,16 +12,19 @@ from __future__ import annotations
 
 import enum
 import fcntl
+import os
 import random
 import re
 import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
+from .encoding import INT
 from .errors import (
     AlreadyDistributed,
     AlreadySpent,
     BlindpayError,
+    CardError,
     LedgerCorrupt,
     NotDistributed,
     UnknownCard,
@@ -47,12 +50,22 @@ class CardStatus(enum.Enum):
     SPENT = "spent"
 
 
+# The one life cycle: each op takes a card from one status (None: no card
+# yet) to the next.  _REFUSAL says why a card in another status is refused.
+LIFE_CYCLE = {"ISSUE": (None, CardStatus.GENERATED),
+              "DIST": (CardStatus.GENERATED, CardStatus.DISTRIBUTED),
+              "SPEND": (CardStatus.DISTRIBUTED, CardStatus.SPENT)}
+_REFUSAL = {None: UnknownCard, CardStatus.GENERATED: NotDistributed,
+            CardStatus.DISTRIBUTED: AlreadyDistributed}
+
+
 @dataclass
 class PrepaidCard:
     card_id: str
     value: int
-    status: CardStatus
+    status: CardStatus = CardStatus.GENERATED
     spent_by: str | None = None
+    spend_seq: int = 0  # the ledger seq of its SPEND; 0 while unspent
 
 
 @dataclass(frozen=True)
@@ -72,13 +85,14 @@ class SpendReceipt:
 class CardLedger:
     """All card state plus seller account balances, one lock around both.
 
-    With a path, the ledger is that file's only writer: it locks the file
-    before reading it, so a second writer (even in this process) is refused
-    with an error naming the file, then loads the records already there and
-    appends one tab-separated record (seq, op, card_id, value, account) per
-    mutation.  A store or account name that is not a plain_token is refused
-    before anything is written; records already on file load as they are.
-    `replay` loads a file read-only.
+    With a path, the ledger is that file's only writer: it creates it 0600
+    and locks it before reading it, so a second writer (even in this
+    process) is refused with an error naming the file, then loads the
+    records already there and appends one tab-separated record (seq, op,
+    card_id, value, account) per mutation.  A store or account name that is
+    not a plain_token is refused before anything is written; records
+    already on file load as they are.  `replay` loads a file read-only.
+    Each change, live or loaded, passes the one LIFE_CYCLE check first.
 
     Durability: every record is flushed but not fsynced, so a machine crash
     can lose the last records; an fsync per spend would sit on every seller
@@ -90,12 +104,11 @@ class CardLedger:
         self.cards: dict[str, PrepaidCard] = {}
         self.accounts: dict[str, int] = {}
         self._seq = 0
-        self._spend_seqs: dict[str, int] = {}
         self._rng = rng
         self._lock = threading.Lock()
         self._fh = None
         if path:
-            fh = open(path, "a+b")
+            fh = os.fdopen(os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o600), "a+b")
             try:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
                 fh.truncate(self._load(fh, path))
@@ -109,25 +122,41 @@ class CardLedger:
 
     # -- internals ------------------------------------------------------------
 
-    def _apply(self, op: str, card_id: str, value: int, account: str) -> int:
+    def _check(self, op: str, card_ids: list[str], value: int | None = None):
+        """Raise the CardError of the first card not in the status op takes it
+        from, or named twice.  A value, which replay gives, must be the
+        card's own, or at least 1 for an ISSUE."""
+        before, after = LIFE_CYCLE[op]
+        seen = set()
+        for cid in card_ids:
+            card = self.cards.get(cid)
+            status = after if cid in seen else card and card.status
+            seen.add(cid)
+            if status is not before:
+                if before is None:
+                    raise CardError(cid, f"card {cid!r} already issued")
+                if status is CardStatus.SPENT:
+                    raise AlreadySpent(cid, card.spend_seq)
+                raise _REFUSAL[status](cid)
+            if value is not None and (value < 1 if card is None else value != card.value):
+                raise CardError(cid, f"card {cid!r} with the wrong value {value}")
+
+    def _apply(self, op: str, card_id: str, value: int, account: str) -> PrepaidCard:
         """Append one checked record to the file, if there is one, then apply
-        it to the state.  Returns its sequence number.  A closed file refuses
-        the write (ValueError) before any state changes."""
+        it to the state.  Returns the card.  A closed file refuses the write
+        (ValueError) before any state changes."""
         if self._fh is not None:
             self._fh.write(f"{self._seq + 1}\t{op}\t{card_id}\t{value}\t{account}\n".encode())
             self._fh.flush()
         self._seq += 1
         if op == "ISSUE":
-            self.cards[card_id] = PrepaidCard(card_id=card_id, value=value,
-                                              status=CardStatus.GENERATED)
-        elif op == "DIST":
-            self.cards[card_id].status = CardStatus.DISTRIBUTED
-        else:
-            card = self.cards[card_id]
-            card.status, card.spent_by = CardStatus.SPENT, account
-            self._spend_seqs[card_id] = self._seq
+            self.cards[card_id] = PrepaidCard(card_id=card_id, value=value)
+        card = self.cards[card_id]
+        card.status = LIFE_CYCLE[op][1]
+        if op == "SPEND":
+            card.spent_by, card.spend_seq = account, self._seq
             self.accounts[account] = self.accounts.get(account, 0) + value
-        return self._seq
+        return card
 
     # -- operations -------------------------------------------------------------
 
@@ -143,22 +172,14 @@ class CardLedger:
                 cid = f"{self._rng.getrandbits(128):032x}"
                 while cid in self.cards:  # 128-bit ids; loop is theory only
                     cid = f"{self._rng.getrandbits(128):032x}"
-                self._apply("ISSUE", cid, value, "-")
-                out.append(self.cards[cid])
+                out.append(self._apply("ISSUE", cid, value, "-"))
         return out
 
     def distribute(self, card_ids: list[str], store_id: str) -> int:
         """Mark cards as sold to a store.  Returns the number distributed."""
         plain_token(store_id)
         with self._lock:
-            for cid in card_ids:
-                card = self.cards.get(cid)
-                if card is None:
-                    raise UnknownCard(cid)
-                if card.status is CardStatus.DISTRIBUTED:
-                    raise AlreadyDistributed(cid)
-                if card.status is CardStatus.SPENT:
-                    raise AlreadySpent(cid, self._spend_seqs.get(cid, 0))
+            self._check("DIST", card_ids)
             for cid in card_ids:
                 self._apply("DIST", cid, self.cards[cid].value, store_id)
         return len(card_ids)
@@ -181,20 +202,10 @@ class CardLedger:
             raise ValueError("card_ids must be nonempty")
         plain_token(seller_account)
         with self._lock:
-            seen: set[str] = set()
-            for cid in card_ids:
-                card = self.cards.get(cid)
-                if card is None:
-                    raise UnknownCard(cid)
-                if card.status is CardStatus.SPENT or cid in seen:
-                    raise AlreadySpent(cid, self._spend_seqs.get(cid, self._seq))
-                if card.status is CardStatus.GENERATED:
-                    raise NotDistributed(cid)
-                seen.add(cid)
-            values = [self.cards[cid].value for cid in card_ids]
-            return [SpendReceipt(card_id=cid, seller_account=seller_account, value=value,
-                                 seq=self._apply("SPEND", cid, value, seller_account))
-                    for cid, value in zip(card_ids, values)]
+            self._check("SPEND", card_ids)
+            spent = [self._apply("SPEND", cid, self.cards[cid].value, seller_account)
+                     for cid in card_ids]
+        return [SpendReceipt(c.spend_seq, c.card_id, c.value, seller_account) for c in spent]
 
     def balance(self, seller_account: str) -> int:
         with self._lock:
@@ -238,18 +249,17 @@ class CardLedger:
             where = f"{path}:{lineno}"
             try:
                 seq_s, op, cid, value_s, account = raw[:-1].decode("utf-8").split("\t")
-                seq, value = int(seq_s), int(value_s)
+                seq, value = INT.read(seq_s), INT.read(value_s)
             except ValueError:  # also a wrong field count or bytes that are not UTF-8
-                raise LedgerCorrupt(f"{where}: not five UTF-8 fields with integer seq "
-                                    "and value") from None
+                raise LedgerCorrupt(f"{where}: not five UTF-8 fields with unsigned "
+                                    "integer seq and value") from None
             if seq != self._seq + 1:
                 raise LedgerCorrupt(f"{where}: sequence gap ({seq} after {self._seq})")
-            if op not in ("ISSUE", "DIST", "SPEND"):
+            if op not in LIFE_CYCLE:
                 raise LedgerCorrupt(f"{where}: unknown op {op!r}")
-            card = self.cards.get(cid)
-            if op != "ISSUE" and card is None:
-                raise LedgerCorrupt(f"{where}: {op} of unknown card")
-            if op == "SPEND" and card.status is CardStatus.SPENT:
-                raise LedgerCorrupt(f"{where}: second SPEND of {cid}")
+            try:
+                self._check(op, [cid], value)
+            except CardError as exc:
+                raise LedgerCorrupt(f"{where}: {op} of {exc}") from None
             self._apply(op, cid, value, account)
         return complete

@@ -44,9 +44,22 @@ EXIT_DISPUTE = 3
 
 def _addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"address {text!r} is not HOST:PORT")
+    if not (sep and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"address {text!r} is not HOST:PORT, PORT 0-65535")
     return host or "127.0.0.1", int(port)
+
+
+def _read_file(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_file(path: str, text: str):
+    """Every file a command writes: owner-only (0600), also one already there."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        os.fchmod(fd, 0o600)
+        fh.write(text)
 
 
 def _rng(seed: int | None) -> random.Random:
@@ -90,8 +103,7 @@ SECRETS = RecordFormat("secrets", once={"s": INT, "sign_sk": HEX}, many={},
 def _read_secrets(path: str) -> SellerKeys:
     from cryptography.hazmat.primitives.asymmetric import ed25519
     try:
-        with open(path, encoding="utf-8") as fh:
-            rec = SECRETS.read(fh.read())
+        rec = SECRETS.read(_read_file(path))
         sk = ed25519.Ed25519PrivateKey.from_private_bytes(rec["sign_sk"])
         return SellerKeys(s=rec["s"], sign_sk=rec["sign_sk"],
                           verify_pk=sk.public_key().public_bytes_raw())
@@ -100,9 +112,7 @@ def _read_secrets(path: str) -> SellerKeys:
 
 
 def _write_secrets(path: str, keys: SellerKeys):
-    text = SECRETS.write([("s", keys.s), ("sign_sk", keys.sign_sk)])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_file(path, SECRETS.write([("s", keys.s), ("sign_sk", keys.sign_sk)]))
 
 
 def _read_cards(path: str) -> list[tuple[str, int]]:
@@ -211,46 +221,33 @@ def cmd_seller_init(args) -> int:
     except ValueError as exc:
         print(f"seller init: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with open(args.catalog, "w", encoding="utf-8") as fh:
-        fh.write(catalog_text)
+    _write_file(args.catalog, catalog_text)
     _write_secrets(args.secrets, keys)  # an int and a hex key: one line each
     print(f"catalog written to {args.catalog}, secrets to {args.secrets}")
     return EXIT_OK
 
 
 def cmd_seller_serve(args) -> int:
-    with open(args.catalog, encoding="utf-8") as fh:
-        cat = parse_catalog(fh.read())
+    cat = parse_catalog(_read_file(args.catalog))
     keys = _read_secrets(args.secrets)
-    if args.bank is not None:
-        bank = harness.RemoteBank(wire.connect(*args.bank))
-    elif args.ledger is not None:
-        os.stat(args.ledger)  # a seller opens the bank's ledger, never creates one
-        bank = CardLedger(path=args.ledger)
-    else:
-        print("seller serve needs --bank or --ledger", file=sys.stderr)
-        return EXIT_USAGE
+    bank = harness.RemoteBank(wire.connect(*args.bank))
     handler = SellerStepHandler(keys, cat.params, bank, args.account)
     return _serve("seller", args.listen, harness.make_seller_handler(handler, cat), bank)
 
 
 def cmd_seller_answer(args) -> int:
     """Answer a case record as the seller (see dispute.answer_case)."""
-    with open(args.case, encoding="utf-8") as fh:
-        case = parse_case(fh.read())
-    with open(args.catalog, encoding="utf-8") as fh:
-        cat = parse_catalog(fh.read())
+    case = parse_case(_read_file(args.case))
+    cat = parse_catalog(_read_file(args.catalog))
     answered = answer_case(case, cat, SellerDisputeAgent(_read_secrets(args.secrets), cat))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(write_case(answered))
+    _write_file(args.out, write_case(answered))
     print(f"answered case written to {args.out}")
     return EXIT_OK
 
 
 def cmd_buyer_purchase(args) -> int:
     if args.catalog:
-        with open(args.catalog, encoding="utf-8") as fh:
-            cat = parse_catalog(fh.read())
+        cat = parse_catalog(_read_file(args.catalog))
     else:
         doc = wire.exchange(args.connect, wire.CatalogGet())
         if not isinstance(doc, wire.CatalogDoc):
@@ -277,23 +274,19 @@ def cmd_buyer_purchase(args) -> int:
         except ValueError as exc:
             print(f"license not written: {exc}", file=sys.stderr)
     if text is not None and args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     elif text is not None:
         print(text, end="")
     if case is not None:
-        with open(args.case_out, "w", encoding="utf-8") as fh:
-            fh.write(write_case(case))
+        _write_file(args.case_out, write_case(case))
         print(f"{outcome}; type {case.kind} case written to {args.case_out}", file=sys.stderr)
         return EXIT_DISPUTE
     return EXIT_OK if text is not None else EXIT_PROTOCOL
 
 
 def cmd_arbitrate(args) -> int:
-    with open(args.case, encoding="utf-8") as fh:
-        case = parse_case(fh.read())
-    with open(args.catalog, encoding="utf-8") as fh:
-        cat = parse_catalog(fh.read())
+    case = parse_case(_read_file(args.case))
+    cat = parse_catalog(_read_file(args.catalog))
     for label, verdict in resolve_case(case, catalog=cat):
         print(f"{label}: {verdict.outcome} (steps checked: {verdict.checked_steps})")
         print(f"  {verdict.rationale}")
@@ -301,13 +294,11 @@ def cmd_arbitrate(args) -> int:
 
 
 def cmd_scenario_run(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        sc = harness.parse_scenario(fh.read())
+    sc = harness.parse_scenario(_read_file(args.spec))
     report = harness.run_scenario(sc)
     print(report.render(), end="")
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(report.metrics.render_tsv())
+        _write_file(args.metrics_out, report.metrics.render_tsv())
     if report.verdicts:
         return EXIT_DISPUTE
     if report.outcome != "completed":
@@ -320,17 +311,15 @@ def cmd_scenario_sweep(args) -> int:
     table = harness.report_tables(sweep)
     print(table, end="")
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            for mode, reports in sweep.items():
-                for rep in reports:
-                    for a, k, v in rep.metrics.records():
-                        fh.write(f"{mode}\tp={rep.scenario.price}\t{a}\t{k}\t{v}\n")
+        _write_file(args.metrics_out, "".join(
+            f"{mode}\tp={rep.scenario.price}\t{a}\t{k}\t{v}\n"
+            for mode, reports in sweep.items() for rep in reports
+            for a, k, v in rep.metrics.records()))
     return EXIT_PROTOCOL if "FAIL" in table else EXIT_OK
 
 
 def cmd_verify_catalog(args) -> int:
-    with open(args.catalog, encoding="utf-8") as fh:
-        cat = parse_catalog(fh.read())
+    cat = parse_catalog(_read_file(args.catalog))
     problems = verify_catalog(cat)
     if problems:
         for p in problems:
@@ -382,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sserve.add_argument("--catalog", required=True)
     sserve.add_argument("--secrets", required=True)
     sserve.add_argument("--listen", type=_addr, default=("127.0.0.1", 0))
-    sserve.add_argument("--bank", type=_addr)
-    sserve.add_argument("--ledger")
+    sserve.add_argument("--bank", type=_addr, required=True)
     sserve.add_argument("--account", type=_token, default="seller-1")
     sserve.set_defaults(fn=cmd_seller_serve)
     answer = seller_sub.add_parser("answer", help="answer a dispute case record")

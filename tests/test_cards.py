@@ -1,15 +1,20 @@
 import dataclasses
+import pathlib
 import random
 import re
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindpay.cards import CardLedger, CardStatus, SpendReceipt
 from blindpay.errors import (
     AlreadyDistributed,
     AlreadySpent,
     BlindpayError,
+    CardError,
     LedgerCorrupt,
     NotDistributed,
     UnknownCard,
@@ -131,6 +136,25 @@ def test_spend_atomic_rejects_duplicate_in_one_request(ledger):
     with pytest.raises(AlreadySpent):
         ledger.spend_atomic([card.card_id, card.card_id], "seller-1")
     assert card.status is CardStatus.DISTRIBUTED
+
+
+def test_a_card_named_twice_in_one_change_is_refused_before_any_write(tmp_path):
+    # before, distribute wrote two DIST records for it, and spend_atomic
+    # named the card's DIST record as its earlier spend
+    path = tmp_path / "ledger.tsv"
+    ledger = CardLedger(path=str(path), rng=random.Random(3))
+    (card,) = ledger.issue_cards(1, 1)
+    before = path.read_bytes()
+    with pytest.raises(AlreadyDistributed):
+        ledger.distribute([card.card_id, card.card_id], "store-1")
+    assert (path.read_bytes(), ledger._seq, card.status) == (before, 1, CardStatus.GENERATED)
+    ledger.distribute([card.card_id], "store-1")
+    before = path.read_bytes()
+    with pytest.raises(AlreadySpent) as exc:
+        ledger.spend_atomic([card.card_id, card.card_id], "seller-1")
+    assert exc.value.prior_seq == 0
+    assert (path.read_bytes(), ledger._seq, ledger.accounts) == (before, 2, {})
+    ledger.close()
 
 
 def test_receipt_sequence_strictly_increases(ledger):
@@ -307,12 +331,30 @@ def test_a_name_already_on_file_still_loads(tmp_path):
 
 
 ISSUE_AB = b"1\tISSUE\tab\t1\t-\n"
+SPENT_AB = ISSUE_AB + b"2\tDIST\tab\t1\tstore-1\n3\tSPEND\tab\t1\tseller-1\n"
 UNAPPLIABLE = {
     "not-utf8": (b"1\tISSUE\t\xff\t1\t-\n", "not five UTF-8 fields"),
     "unknown-op": (ISSUE_AB + b"2\tBURN\tab\t1\t-\n", "unknown op 'BURN'"),
     "unknown-card": (ISSUE_AB + b"2\tDIST\tcd\t1\tstore-1\n", "DIST of unknown card"),
-    "second-spend": (ISSUE_AB + b"2\tDIST\tab\t1\tstore-1\n3\tSPEND\tab\t1\tseller-1\n"
-                     b"4\tSPEND\tab\t1\tseller-1\n", "second SPEND of ab"),
+    "second-spend": (SPENT_AB + b"4\tSPEND\tab\t1\tseller-1\n",
+                     "ledger.tsv:4: SPEND of card 'ab' already spent"),
+    # each of these loaded before replay checked the one life cycle
+    "dist-after-spend": (SPENT_AB + b"4\tDIST\tab\t1\tstore-1\n",
+                         "ledger.tsv:4: DIST of card 'ab' already spent"),
+    "second-dist": (ISSUE_AB + b"2\tDIST\tab\t1\tstore-1\n3\tDIST\tab\t1\tstore-1\n",
+                    "ledger.tsv:3: DIST of card 'ab' already distributed"),
+    "spend-unsold": (ISSUE_AB + b"2\tSPEND\tab\t1\tseller-1\n",
+                     "ledger.tsv:2: SPEND of card 'ab' was never sold to a store"),
+    "reissue-spent": (SPENT_AB + b"4\tISSUE\tab\t1\t-\n",
+                      "ledger.tsv:4: ISSUE of card 'ab' already issued"),
+    "spend-wrong-value": (ISSUE_AB + b"2\tDIST\tab\t1\tstore-1\n3\tSPEND\tab\t9\tseller-1\n",
+                          "ledger.tsv:3: SPEND of card 'ab' with the wrong value 9"),
+    "dist-wrong-value": (ISSUE_AB + b"2\tDIST\tab\t2\tstore-1\n",
+                         "ledger.tsv:2: DIST of card 'ab' with the wrong value 2"),
+    "issue-zero": (b"1\tISSUE\tab\t0\t-\n", "ledger.tsv:1: ISSUE of card 'ab' with the wrong value 0"),
+    "issue-negative": (b"1\tISSUE\tab\t-3\t-\n", "ledger.tsv:1: not five UTF-8 fields"),
+    "signed-seq": (SPENT_AB + b"+4\tDIST\tab\t1\tstore-1\n", "ledger.tsv:4: not five UTF-8 fields"),
+    "non-ascii-digit": ("1\tISSUE\tab\t\u0665\t-\n".encode(), "ledger.tsv:1: not five UTF-8 fields"),
 }
 
 
@@ -323,3 +365,52 @@ def test_a_ledger_line_the_replay_cannot_apply_is_corrupt(tmp_path, lines):
     path.write_bytes(text)
     with pytest.raises(LedgerCorrupt, match=problem):
         CardLedger.replay(str(path))
+    with pytest.raises(LedgerCorrupt, match=problem):  # the writer loads by the same rule
+        CardLedger(path=str(path))
+    assert path.read_bytes() == text
+
+
+def _state(ledger):
+    return ({cid: dataclasses.astuple(c) for cid, c in ledger.cards.items()},
+            dict(ledger.accounts), ledger._seq)
+
+
+UNKNOWN_ID = "00" * 16
+CALLS = st.lists(st.one_of(
+    st.tuples(st.just("issue"), st.integers(0, 4), st.integers(1, 3)),
+    st.tuples(st.just("dist"), st.lists(st.integers(0, 4), max_size=2),
+              st.sampled_from(["store-1", "store-2"])),
+    st.tuples(st.just("spend"), st.lists(st.integers(0, 4), min_size=1, max_size=2),
+              st.sampled_from(["seller-1", "seller-2"])),
+), max_size=30)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(calls=CALLS)
+def test_live_changes_and_their_replay_agree(calls):
+    # indices pick from the issued ids, newest first, and one unknown id,
+    # so repeats, unknown, undistributed and spent cards all come up
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "ledger.tsv")
+        ledger = CardLedger(path=str(path), rng=random.Random(5))
+        ids = []
+        for op, arg, extra in calls:
+            before = (_state(ledger), path.read_bytes())
+            try:
+                if op == "issue":
+                    ids += [c.card_id for c in ledger.issue_cards(arg, extra)]
+                else:
+                    picked = [(ids[::-1] + [UNKNOWN_ID])[i % (len(ids) + 1)] for i in arg]
+                    if op == "dist":
+                        ledger.distribute(picked, extra)
+                    else:
+                        ledger.spend_atomic(picked, extra)
+            except CardError:
+                assert (_state(ledger), path.read_bytes()) == before
+        ledger.close()
+        # each record moves one card one status along its life cycle
+        moves = {CardStatus.GENERATED: 1, CardStatus.DISTRIBUTED: 2, CardStatus.SPENT: 3}
+        assert ledger._seq == sum(moves[c.status] for c in ledger.cards.values())
+        replayed = CardLedger.replay(str(path))
+        assert _state(replayed) == _state(ledger)
+        replayed.check_conservation()

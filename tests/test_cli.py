@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import os
 import pathlib
 import random
 import re
@@ -37,7 +38,7 @@ from blindpay.dispute import (
     write_case,
 )
 from blindpay.encoding import enc_int, enc_u32
-from blindpay.errors import AuthenticationFailure, BlindpayError
+from blindpay.errors import AuthenticationFailure
 from blindpay.group import DlEqProof, hash_to_group, named_group, pow_mod
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler, run_sweep
 from blindpay.purchase import SellerStepHandler, run_purchase, step_payload
@@ -455,8 +456,9 @@ def test_seller_serve_answers_no_dispute_query(tmp_path, capsys, started):
         bytes([20]) + enc_int(entry.x) + enc_int(g) + enc_int(g)
         + enc_int(cat.k_table[entry.price]) + enc_u32(entry.price),
     ]
-    with serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
-                 "--ledger", ledger) as srv:
+    with serving(started, "bank", "serve", "--ledger", ledger) as bank, \
+            serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
+                    "--bank", f"127.0.0.1:{bank.address[1]}") as srv:
         sock = socket.create_connection(srv.address)
         ep = wire.SocketEndpoint(sock)
         try:
@@ -496,30 +498,17 @@ def test_readme_tour(tmp_path, capsys, started):
     replayed.check_conservation()
 
 
-def test_seller_serve_holds_its_ledger_until_it_stops(tmp_path, capsys, started):
-    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
-    ledger = str(tmp_path / "ledger.tsv")
-    run_cli("bank", "issue", "--ledger", ledger, "--count", "1", "--store", "store-1")
-    with serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
-                 "--ledger", ledger):
-        with pytest.raises(BlindpayError, match=re.escape(ledger)):
-            CardLedger(path=ledger)
-    CardLedger(path=ledger).close()
-
-
-def test_seller_serve_missing_ledger_exits_2(tmp_path, capsys):
-    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
-    missing = tmp_path / "ledger.tsv"
-    assert run_cli("seller", "serve", "--catalog", catp, "--secrets", secp,
-                   "--ledger", str(missing)) == 2
-    assert not missing.exists()
-
-
 def test_seller_serve_without_a_bank_exits_2(tmp_path, capsys):
+    # the bank's ledger has one writer, the bank: a seller reaches it only
+    # through --bank
     catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
     capsys.readouterr()
-    assert run_cli("seller", "serve", "--catalog", catp, "--secrets", secp) == 2
-    assert capsys.readouterr().err == "seller serve needs --bank or --ledger\n"
+    for more in ([], ["--ledger", str(tmp_path / "ledger.tsv")]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("seller", "serve", "--catalog", catp, "--secrets", secp, *more)
+        assert exc.value.code == 2
+        assert "--bank" in capsys.readouterr().err
+    assert not (tmp_path / "ledger.tsv").exists()
 
 
 def test_buyer_purchase_refresh_cannot_be_turned_off():
@@ -547,7 +536,7 @@ def test_seller_init_refuses_a_value_its_catalog_could_not_hold(tmp_path, capsys
 @pytest.mark.parametrize("argv", [
     ("bank", "issue", "--ledger", "L", "--store", "store 1"),
     ("bank", "issue", "--ledger", "L", "--store", ""),
-    ("seller", "serve", "--catalog", "C", "--secrets", "S", "--ledger", "L",
+    ("seller", "serve", "--catalog", "C", "--secrets", "S", "--bank", "127.0.0.1:9",
      "--account", "seller-1\n3\tISSUE\tcd\t9\t-"),
 ])
 def test_a_name_the_ledger_cannot_record_exits_2(tmp_path, capsys, argv):
@@ -556,6 +545,27 @@ def test_a_name_the_ledger_cannot_record_exits_2(tmp_path, capsys, argv):
         run_cli(*argv)
     assert exc.value.code == 2
     assert "is not 1 to 64 of" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("port", ["65536", "70000"])
+@pytest.mark.parametrize("argv", [
+    ("bank", "serve", "--ledger", "L", "--listen", "{addr}"),
+    ("seller", "serve", "--catalog", "C", "--secrets", "S", "--bank", "127.0.0.1:9",
+     "--listen", "{addr}"),
+    ("seller", "serve", "--catalog", "C", "--secrets", "S", "--bank", "{addr}"),
+    ("buyer", "purchase", "--license", "a", "--cards", "K", "--connect", "{addr}"),
+], ids=["bank-listen", "seller-listen", "seller-bank", "buyer-connect"])
+def test_a_port_out_of_range_exits_2_before_any_file_is_opened(tmp_path, capsys, argv, port):
+    # before, a port of 70000 dialled port 4464, and bank serve created its
+    # ledger, then died of an OverflowError
+    addr = f"127.0.0.1:{port}"
+    argv = [str(tmp_path / a) if a in ("L", "C", "S", "K") else a.format(addr=addr)
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"{addr!r} is not HOST:PORT, PORT 0-65535" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -759,7 +769,7 @@ def test_a_bad_secrets_file_exits_1_naming_it(tmp_path, capsys, command, key, va
     case, out = tmp_path / "case.txt", tmp_path / "answered.txt"
     case.write_text(write_case(DisputeCase(kind="D", params=cat.params, verify_pk=cat.verify_pk,
                                            k_table=cat.k_table, steps=[])))
-    more = (["--ledger", str(tmp_path / "ledger.tsv")] if command == "serve"
+    more = (["--bank", "127.0.0.1:9"] if command == "serve"
             else ["--case", str(case), "--out", str(out)])
     capsys.readouterr()
     assert run_cli("seller", command, "--catalog", catp, "--secrets", secp, *more) == 1
@@ -933,6 +943,34 @@ def test_buyer_purchase_files_a_type_b_record_for_other_terms(tmp_path, capsys):
     assert "terms: read-only" in license_file.read_text()
     assert parse_case(case.read_text()).kind == "B"
     assert answer_and_arbitrate(tmp_path, capsys, case).startswith(f"B: {SELLER_AT_FAULT} ")
+
+
+def test_every_file_a_command_writes_is_owner_only(tmp_path, capsys):
+    # before, under the usual umask each of these files was 0644: the seller's
+    # s and signing key, card ids, and the license's content key among them
+    case, answered = tmp_path / "case-b.txt", tmp_path / "answered.txt"
+    license_file, ledger = tmp_path / "license.txt", tmp_path / "ledger.tsv"
+    license_file.write_text("")
+    license_file.chmod(0o644)  # a file already at the path ends up owner-only too
+    umask = os.umask(0o022)
+    try:
+        with cli_market(tmp_path, capsys) as (argv, _):  # seller init writes cat and sec
+            cat = parse_catalog((tmp_path / "cat.txt").read_text())
+            keys = cli._read_secrets(str(tmp_path / "sec.txt"))
+            published = tmp_path / "cat-read-print.txt"
+            published.write_text(serialize_catalog(
+                with_published_terms(cat, keys, "lic-a", "read-print")))
+            assert run_cli(*argv, "--catalog", str(published), "--out", str(license_file),
+                           "--case-out", str(case)) == 3
+        assert run_cli("seller", "answer", "--case", str(case), "--catalog",
+                       str(tmp_path / "cat.txt"), "--secrets", str(tmp_path / "sec.txt"),
+                       "--out", str(answered)) == 0
+        assert run_cli("bank", "issue", "--ledger", str(ledger), "--store", "store-1") == 0
+    finally:
+        os.umask(umask)
+    written = [tmp_path / "cat.txt", tmp_path / "sec.txt", license_file, case, answered, ledger]
+    assert {p.name: oct(p.stat().st_mode & 0o777) for p in written} == \
+        {p.name: "0o600" for p in written}
 
 
 def resealed_catalog(tmp_path, **sealed):
