@@ -20,15 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .encoding import INT
-from .errors import (
-    AlreadyDistributed,
-    AlreadySpent,
-    BlindpayError,
-    CardError,
-    LedgerCorrupt,
-    NotDistributed,
-    UnknownCard,
-)
+from .errors import BlindpayError, CardError, LedgerCorrupt
 from .group import SYSTEM_RANDOM
 
 
@@ -51,12 +43,17 @@ class CardStatus(enum.Enum):
 
 
 # The one life cycle: each op takes a card from one status (None: no card
-# yet) to the next.  _REFUSAL says why a card in another status is refused.
+# yet) to the next.  REFUSALS gives the code and message of the CardError
+# that refuses a card in another status (an ISSUE refuses any card there
+# is); the codes are the ones a bank's SpendErr carries.
 LIFE_CYCLE = {"ISSUE": (None, CardStatus.GENERATED),
               "DIST": (CardStatus.GENERATED, CardStatus.DISTRIBUTED),
               "SPEND": (CardStatus.DISTRIBUTED, CardStatus.SPENT)}
-_REFUSAL = {None: UnknownCard, CardStatus.GENERATED: NotDistributed,
-            CardStatus.DISTRIBUTED: AlreadyDistributed}
+REFUSALS = {None: ("unknown-card", "unknown card {!r}"),
+            CardStatus.GENERATED: ("not-distributed", "card {!r} was never sold to a store"),
+            CardStatus.DISTRIBUTED: ("already-distributed", "card {!r} already distributed"),
+            CardStatus.SPENT: ("already-spent", "card {!r} already spent (ledger seq {})")}
+REFUSAL_MESSAGES = dict(REFUSALS.values())  # the same, by code
 
 
 @dataclass
@@ -92,7 +89,9 @@ class CardLedger:
     card_id, value, account) per mutation.  A store or account name that is
     not a plain_token is refused before anything is written; records
     already on file load as they are.  `replay` loads a file read-only.
-    Each change, live or loaded, passes the one LIFE_CYCLE check first.
+    Each change, live or loaded, passes the one LIFE_CYCLE check first.  A
+    card it refuses raises a CardError whose code REFUSALS names; only a
+    replayed record draws the two codes `_check` names itself.
 
     Durability: every record is flushed but not fsynced, so a machine crash
     can lose the last records; an fsync per spend would sit on every seller
@@ -124,8 +123,9 @@ class CardLedger:
 
     def _check(self, op: str, card_ids: list[str], value: int | None = None):
         """Raise the CardError of the first card not in the status op takes it
-        from, or named twice.  A value, which replay gives, must be the
-        card's own, or at least 1 for an ISSUE."""
+        from, or named twice: coded by REFUSALS, or already-issued for an
+        ISSUE.  A value, which replay gives, must be the card's own, or at
+        least 1 for an ISSUE (else wrong-value)."""
         before, after = LIFE_CYCLE[op]
         seen = set()
         for cid in card_ids:
@@ -133,13 +133,12 @@ class CardLedger:
             status = after if cid in seen else card and card.status
             seen.add(cid)
             if status is not before:
-                if before is None:
-                    raise CardError(cid, f"card {cid!r} already issued")
-                if status is CardStatus.SPENT:
-                    raise AlreadySpent(cid, card.spend_seq)
-                raise _REFUSAL[status](cid)
+                code, message = (("already-issued", "card {!r} already issued")
+                                 if before is None else REFUSALS[status])
+                prior = card.spend_seq if card else 0
+                raise CardError(cid, code, message.format(cid, prior), prior)
             if value is not None and (value < 1 if card is None else value != card.value):
-                raise CardError(cid, f"card {cid!r} with the wrong value {value}")
+                raise CardError(cid, "wrong-value", f"card {cid!r} with the wrong value {value}")
 
     def _apply(self, op: str, card_id: str, value: int, account: str) -> PrepaidCard:
         """Append one checked record to the file, if there is one, then apply
@@ -188,7 +187,7 @@ class CardLedger:
         """Atomically check a card and mark it spent, crediting the seller.
 
         Exactly one of any set of concurrent calls for the same card can
-        succeed; everyone else sees AlreadySpent.
+        succeed; everyone else gets a CardError coded already-spent.
         """
         return self.spend_atomic([card_id], seller_account)[0]
 

@@ -101,7 +101,14 @@ SECRETS = RecordFormat("secrets", once={"s": INT, "sign_sk": HEX}, many={},
 
 
 def _read_secrets(path: str) -> SellerKeys:
+    """The seller's keys.  As ssh refuses a private key others can read, a
+    file whose mode has any group or other bit is refused: whoever reads s
+    can open every license, and sign_sk signs as the seller."""
     from cryptography.hazmat.primitives.asymmetric import ed25519
+    mode = os.stat(path).st_mode & 0o777
+    if mode & 0o077:
+        raise BlindpayError(f"{path}: mode {mode:04o} opens the seller's secrets to "
+                            "others than its owner; chmod 600 it")
     try:
         rec = SECRETS.read(_read_file(path))
         sk = ed25519.Ed25519PrivateKey.from_private_bytes(rec["sign_sk"])
@@ -116,7 +123,8 @@ def _write_secrets(path: str, keys: SellerKeys):
 
 
 def _read_cards(path: str) -> list[tuple[str, int]]:
-    """One card a line: a hex card id and a value >= 1, which defaults to 1."""
+    """One card a line: a hex card id and a value >= 1 in ASCII digits, which
+    defaults to 1."""
     cards = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -125,7 +133,7 @@ def _read_cards(path: str) -> list[tuple[str, int]]:
                 continue
             try:
                 bytes.fromhex(parts[0])
-                value = int(parts[1]) if len(parts) > 1 else 1
+                value = INT.read(parts[1]) if len(parts) > 1 else 1
             except ValueError:
                 value = 0  # refused below, as any value < 1 is
             if value < 1 or len(parts) > 2:

@@ -14,32 +14,16 @@ class MalformedElement(BlindpayError):
 # --- card ledger errors -----------------------------------------------------
 
 class CardError(BlindpayError):
-    def __init__(self, card_id: str, message: str):
+    """A card the ledger refuses.  code names the refusal, the same on the
+    wire: cards.REFUSALS names each code and message, by the status the
+    card is in, and CardLedger._check the two that only a replayed record
+    draws.  prior_seq is the ledger seq of an already spent card's spend,
+    else 0; the account that spend credited is deliberately not carried."""
+
+    def __init__(self, card_id: str, code: str, message: str, prior_seq: int = 0):
         super().__init__(message)
         self.card_id = card_id
-
-
-class UnknownCard(CardError):
-    def __init__(self, card_id: str):
-        super().__init__(card_id, f"unknown card {card_id!r}")
-
-
-class NotDistributed(CardError):
-    def __init__(self, card_id: str):
-        super().__init__(card_id, f"card {card_id!r} was never sold to a store")
-
-
-class AlreadyDistributed(CardError):
-    def __init__(self, card_id: str):
-        super().__init__(card_id, f"card {card_id!r} already distributed")
-
-
-class AlreadySpent(CardError):
-    """Double spend.  Carries the sequence number of the first spend but
-    deliberately not the account it was credited to."""
-
-    def __init__(self, card_id: str, prior_seq: int):
-        super().__init__(card_id, f"card {card_id!r} already spent (ledger seq {prior_seq})")
+        self.code = code
         self.prior_seq = prior_seq
 
 

@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, fields, replace
 
 from . import wire
-from .cards import CardLedger, SpendReceipt
+from .cards import REFUSAL_MESSAGES, CardLedger, SpendReceipt
 from .catalog import (
     Catalog,
     LicensePlaintext,
@@ -39,18 +39,14 @@ from .dispute import (
 )
 from .encoding import ON_OFF
 from .errors import (
-    AlreadySpent,
     BlindpayError,
     CardError,
     ConnectionClosed,
     MalformedElement,
     MalformedMessage,
-    NotDistributed,
     ScenarioInvalid,
     ServerBusy,
     StepRejected,
-    UnknownCard,
-    WireTimeout,
 )
 from .group import check_desk_bits, gen_params
 from .purchase import (
@@ -202,27 +198,17 @@ class FaultingSeller:
 
 # --- wire glue ------------------------------------------------------------------------
 
-# read both ways: by card_error_code on the bank, by _spend_error on its client
-_CARD_ERR_CODES = {
-    UnknownCard: "unknown-card",
-    AlreadySpent: "already-spent",
-    NotDistributed: "not-distributed",
-}
-
-
-def card_error_code(exc: CardError) -> str:
-    return _CARD_ERR_CODES.get(type(exc), "card-error")
-
-
 class RemoteBank:
     """Seller-side client for a bank server; satisfies the same contract as
-    CardLedger.spend_atomic.  A seller server calls it from its one
-    thread, but callers may share it between threads: one spend holds the
-    endpoint from request to reply, so no thread reads another's receipts.
-    A link the bank has closed, as it closes an idle one, is dialled again
-    before the request goes out.  A failed exchange drops the endpoint and
-    raises; the next spend dials the endpoint's address again.  Nothing is
-    resent."""
+    CardLedger.spend_atomic: receipts, or the CardError of a card the
+    ledger refuses, rebuilt from the bank's SpendErr.  Any other outcome (a
+    failed or timed-out link, a reply that does not decode or serves no
+    spend) drops the endpoint and raises ConnectionClosed; the next spend
+    dials the endpoint's address again.  Nothing is resent.  A link the
+    bank has closed, as it closes an idle one, is dialled again before the
+    request goes out.  A seller server calls it from its one thread, but
+    callers may share it between threads: one spend holds the endpoint from
+    request to reply, so no thread reads another's receipts."""
 
     def __init__(self, endpoint):
         self.endpoint = endpoint
@@ -233,34 +219,53 @@ class RemoteBank:
         if self.endpoint is not None:
             self.endpoint.close()
 
+    def _drop(self):
+        self.close()
+        self.endpoint = None
+
     def spend_atomic(self, card_ids: list[str], account: str) -> list[SpendReceipt]:
         with self._lock:
             # a link the bank has closed (an idle one, say) carried nothing of
             # this spend, so dial again
             if self.endpoint is not None and self.endpoint.peer_closed():
-                self.close()
-                self.endpoint = None
+                self._drop()
             if self.endpoint is None:
                 self.endpoint = wire.connect(*self._address)
             try:
                 self.endpoint.send(wire.CardSpend(card_ids=tuple(card_ids), account=account))
                 reply = self.endpoint.recv()
-            except BlindpayError:  # the link's state is unknown: a late reply could follow
-                self.endpoint.close()
-                self.endpoint = None
-                raise
-        if isinstance(reply, wire.SpendOk):
-            return list(reply.receipts)
-        if isinstance(reply, wire.SpendErr):
-            raise _spend_error(reply)
-        raise StepRejected("bank-protocol", f"unexpected reply {type(reply).__name__}")
+            except BlindpayError as exc:  # the link's state is unknown: a late reply could follow
+                self._drop()
+                raise ConnectionClosed(str(exc)) from exc
+            if isinstance(reply, wire.SpendOk):
+                return list(reply.receipts)
+            if isinstance(reply, wire.SpendErr) and reply.code in REFUSAL_MESSAGES:
+                message = REFUSAL_MESSAGES[reply.code].format(reply.detail, reply.prior_seq)
+                raise CardError(reply.detail, reply.code, message, reply.prior_seq)
+            self._drop()
+        raise ConnectionClosed(f"the bank's reply {type(reply).__name__} serves no spend")
 
 
-def _spend_error(err: wire.SpendErr) -> CardError:
-    cls = next((c for c, code in _CARD_ERR_CODES.items() if code == err.code), None)
-    if cls is None:
-        return CardError(err.detail, f"{err.code}: {err.detail}")
-    return cls(err.detail, err.prior_seq) if cls is AlreadySpent else cls(err.detail)
+def refusal(why) -> tuple[str, str]:
+    """The code and detail of the error reply to a request a server did not
+    serve: why is the exception raised serving it, or the request itself
+    when the server serves none such (a frame that did not decode, a
+    ServerBusy, a message of another type).  Both handlers reply through
+    it, so a card refusal keeps the ledger's code from the bank to the
+    buyer."""
+    if isinstance(why, CardError):
+        return why.code, why.card_id
+    if isinstance(why, ConnectionClosed):  # its text may name the bank's address
+        return "bank-unavailable", "the bank did not answer"
+    if isinstance(why, MalformedElement):
+        return "malformed-element", str(why)
+    if isinstance(why, MalformedMessage):
+        return "malformed", str(why)
+    if isinstance(why, ServerBusy):
+        return "busy", str(why)
+    if isinstance(why, ValueError):
+        return "bad-request", str(why)
+    return "unsupported", type(why).__name__
 
 
 def make_bank_handler(ledger: CardLedger):
@@ -270,54 +275,41 @@ def make_bank_handler(ledger: CardLedger):
     reply; the connection stays up."""
 
     def handle(msg: wire.Message | MalformedMessage | ServerBusy) -> wire.Message:
-        if isinstance(msg, MalformedMessage):
-            return wire.SpendErr(code="malformed", detail=str(msg), prior_seq=0)
-        if isinstance(msg, ServerBusy):
-            return wire.SpendErr(code="busy", detail=str(msg), prior_seq=0)
-        if not isinstance(msg, wire.CardSpend):
-            return wire.SpendErr(code="unsupported", detail=type(msg).__name__, prior_seq=0)
+        why = msg
         try:
-            return wire.SpendOk(receipts=tuple(ledger.spend_atomic(list(msg.card_ids),
-                                                                  msg.account)))
-        except CardError as exc:
-            prior = exc.prior_seq if isinstance(exc, AlreadySpent) else 0
-            return wire.SpendErr(code=card_error_code(exc), detail=exc.card_id,
-                                 prior_seq=prior)
-        except ValueError as exc:
-            return wire.SpendErr(code="bad-request", detail=str(exc), prior_seq=0)
+            if isinstance(msg, wire.CardSpend):
+                return wire.SpendOk(receipts=tuple(ledger.spend_atomic(list(msg.card_ids),
+                                                                      msg.account)))
+        except (CardError, ValueError) as exc:
+            why = exc
+        code, detail = refusal(why)
+        return wire.SpendErr(code=code, detail=detail,
+                             prior_seq=why.prior_seq if isinstance(why, CardError) else 0)
 
     return handle
 
 
 def make_seller_handler(step_handler, catalog: Catalog):
     """Wire handler for a seller: purchase steps and catalog fetches.  A
-    request it cannot serve (a failed bank link too) or a frame that does
-    not decode gets a StepErr reply; the connection stays up.  This is the
-    one place a refused step gets its code, over sockets and in memory
-    alike.  Dispute evidence never comes through here: the seller answers
-    a case record file (``blindpay seller answer``)."""
+    request it cannot serve (one its bank did not serve too) or a frame
+    that does not decode gets a StepErr reply; the connection stays up.
+    This is the one place a refused step gets its code, over sockets and
+    in memory alike.  Dispute evidence never comes through here: the
+    seller answers a case record file (``blindpay seller answer``)."""
     catalog_text = serialize_catalog(catalog)
 
     def handle(msg: wire.Message | MalformedMessage | ServerBusy) -> wire.Message:
+        why = msg
         try:
-            if isinstance(msg, MalformedMessage):
-                return wire.StepErr(code="malformed", detail=str(msg))
-            if isinstance(msg, ServerBusy):
-                return wire.StepErr(code="busy", detail=str(msg))
             if isinstance(msg, wire.StepReq):
                 resp = step_handler.handle(msg)
                 return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
             if isinstance(msg, wire.CatalogGet):
                 return wire.CatalogDoc(text=catalog_text)
-            return wire.StepErr(code="unsupported", detail=type(msg).__name__)
-        except CardError as exc:
-            return wire.StepErr(code=card_error_code(exc), detail=exc.card_id)
-        except MalformedElement as exc:
-            return wire.StepErr(code="malformed-element", detail=str(exc))
-        except (ConnectionClosed, WireTimeout):  # their text may name the bank's address
-            return wire.StepErr(code="bank-unavailable", detail="the bank did not answer")
-        except ValueError as exc:
-            return wire.StepErr(code="bad-request", detail=str(exc))
+        except (CardError, ConnectionClosed, MalformedElement, ValueError) as exc:
+            why = exc
+        code, detail = refusal(why)
+        return wire.StepErr(code=code, detail=detail)
 
     return handle
 

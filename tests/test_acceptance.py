@@ -21,7 +21,7 @@ from blindpay.dispute import (
     SELLER_AT_FAULT,
     SELLER_MUST_RESIGN,
 )
-from blindpay.errors import AlreadySpent, MalformedMessage
+from blindpay.errors import CardError, MalformedMessage
 from blindpay.group import dleq_equations_hold, gen_params
 from blindpay.harness import Scenario, run_scenario
 from blindpay.purchase import (
@@ -131,8 +131,8 @@ def test_criterion_5_double_spend_safety():
             try:
                 ledger.verify_and_spend(card.card_id, "seller-1")
                 outcomes.append("ok")
-            except AlreadySpent:
-                outcomes.append("spent")
+            except CardError as exc:
+                outcomes.append(exc.code)
 
         threads = [threading.Thread(target=attempt) for _ in range(64)]
         for t in threads:
@@ -140,7 +140,7 @@ def test_criterion_5_double_spend_safety():
         for t in threads:
             t.join()
         assert outcomes.count("ok") == 1
-        assert outcomes.count("spent") == 63
+        assert outcomes.count("already-spent") == 63
         assert ledger.balance("seller-1") == 1
         ledger.check_conservation()
 

@@ -1,11 +1,13 @@
 """Every function, class and method in the package has a caller in the
 package (ROADMAP item 13): a definition that only tests reach is moved into
-the tests or deleted, unless an open item names its product caller."""
+the tests or deleted, unless an open item names its product caller.  And
+each ledger refusal code is spelled in cards.py alone."""
 
 import ast
 import pathlib
 
 import blindpay
+from blindpay.cards import REFUSALS
 
 SRC = pathlib.Path(blindpay.__file__).parent
 
@@ -45,3 +47,14 @@ def test_every_definition_has_a_caller_in_the_package():
         "delete them or move them into the tests")
     assert set(NO_CALLER_YET) - unused == set(), (
         f"{sorted(set(NO_CALLER_YET) - unused)} now have a caller: drop them from NO_CALLER_YET")
+
+
+def test_only_cards_spells_a_ledger_refusal_code():
+    # every other module reads the codes from cards.REFUSALS, so a code
+    # renamed there is renamed from the ledger to the buyer
+    codes = {code for code, _ in REFUSALS.values()}
+    spelled = {(path.name, code) for path in SRC.glob("*.py") if path.name != "cards.py"
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               for code in codes if code in node.value}
+    assert spelled == set()

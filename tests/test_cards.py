@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import pathlib
 import random
@@ -10,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindpay.cards import CardLedger, CardStatus, SpendReceipt
-from blindpay.errors import (
-    AlreadyDistributed,
-    AlreadySpent,
-    BlindpayError,
-    CardError,
-    LedgerCorrupt,
-    NotDistributed,
-    UnknownCard,
-)
+from blindpay.errors import BlindpayError, CardError, LedgerCorrupt
+
+
+@contextlib.contextmanager
+def refused(code):
+    """Expect a CardError with this code; yields pytest's ExceptionInfo."""
+    with pytest.raises(CardError) as exc:
+        yield exc
+    assert exc.value.code == code
 
 
 @pytest.fixture()
@@ -61,9 +62,9 @@ def test_distribute_lifecycle(ledger):
     (card,) = ledger.issue_cards(1, 1)
     ledger.distribute([card.card_id], "store-1")
     assert card.status is CardStatus.DISTRIBUTED
-    with pytest.raises(AlreadyDistributed):
+    with refused("already-distributed"):
         ledger.distribute([card.card_id], "store-2")
-    with pytest.raises(UnknownCard):
+    with refused("unknown-card"):
         ledger.distribute(["deadbeef"], "store-1")
 
 
@@ -84,17 +85,17 @@ def test_spend_happy_path(ledger):
 def test_double_spend_detected(ledger):
     (card,) = issue_and_distribute(ledger, 1)
     first = ledger.verify_and_spend(card.card_id, "seller-1")
-    with pytest.raises(AlreadySpent) as exc:
+    with refused("already-spent") as exc:
         ledger.verify_and_spend(card.card_id, "seller-2")
     assert exc.value.prior_seq == first.seq
     assert ledger.balance("seller-2") == 0
 
 
 def test_spend_unknown_and_undistributed(ledger):
-    with pytest.raises(UnknownCard):
+    with refused("unknown-card"):
         ledger.verify_and_spend("not-a-card", "seller-1")
     (card,) = ledger.issue_cards(1, 1)
-    with pytest.raises(NotDistributed):
+    with refused("not-distributed"):
         ledger.verify_and_spend(card.card_id, "seller-1")
 
 
@@ -121,7 +122,7 @@ def test_spend_atomic_all_or_nothing(ledger):
     good = issue_and_distribute(ledger, 2)
     (burned,) = issue_and_distribute(ledger, 1)
     ledger.verify_and_spend(burned.card_id, "seller-0")
-    with pytest.raises(AlreadySpent):
+    with refused("already-spent"):
         ledger.spend_atomic([good[0].card_id, burned.card_id], "seller-1")
     # nothing was charged: both good cards still spendable
     assert good[0].status is CardStatus.DISTRIBUTED
@@ -133,7 +134,7 @@ def test_spend_atomic_all_or_nothing(ledger):
 
 def test_spend_atomic_rejects_duplicate_in_one_request(ledger):
     (card,) = issue_and_distribute(ledger, 1)
-    with pytest.raises(AlreadySpent):
+    with refused("already-spent"):
         ledger.spend_atomic([card.card_id, card.card_id], "seller-1")
     assert card.status is CardStatus.DISTRIBUTED
 
@@ -145,12 +146,12 @@ def test_a_card_named_twice_in_one_change_is_refused_before_any_write(tmp_path):
     ledger = CardLedger(path=str(path), rng=random.Random(3))
     (card,) = ledger.issue_cards(1, 1)
     before = path.read_bytes()
-    with pytest.raises(AlreadyDistributed):
+    with refused("already-distributed"):
         ledger.distribute([card.card_id, card.card_id], "store-1")
     assert (path.read_bytes(), ledger._seq, card.status) == (before, 1, CardStatus.GENERATED)
     ledger.distribute([card.card_id], "store-1")
     before = path.read_bytes()
-    with pytest.raises(AlreadySpent) as exc:
+    with refused("already-spent") as exc:
         ledger.spend_atomic([card.card_id, card.card_id], "seller-1")
     assert exc.value.prior_seq == 0
     assert (path.read_bytes(), ledger._seq, ledger.accounts) == (before, 2, {})
@@ -173,8 +174,8 @@ def test_concurrent_spend_exactly_once(ledger):
         barrier.wait()
         try:
             results.append(("ok", ledger.verify_and_spend(card.card_id, "seller-1")))
-        except AlreadySpent as exc:
-            results.append(("spent", exc.prior_seq))
+        except CardError as exc:
+            results.append((exc.code, exc.prior_seq))
 
     threads = [threading.Thread(target=attempt) for _ in range(64)]
     for t in threads:
@@ -184,6 +185,7 @@ def test_concurrent_spend_exactly_once(ledger):
     wins = [r for r in results if r[0] == "ok"]
     assert len(wins) == 1
     assert len(results) == 64
+    assert {r[0] for r in results} == {"ok", "already-spent"}
     assert ledger.balance("seller-1") == 1
     ledger.check_conservation()
 
@@ -205,8 +207,9 @@ def test_receipt_and_errors_carry_no_buyer_fields(ledger):
     ledger.verify_and_spend(card.card_id, "seller-1")
     try:
         ledger.verify_and_spend(card.card_id, "seller-2")
-    except AlreadySpent as exc:
+    except CardError as exc:
         # prior seq yes, prior seller no
+        assert exc.code == "already-spent"
         assert "seller-1" not in str(exc)
         assert exc.prior_seq > 0
         assert not hasattr(exc, "account")
@@ -226,7 +229,7 @@ def test_ledger_file_replay(tmp_path):
     assert replayed.accounts == ledger.accounts
     assert replayed._seq == ledger._seq
     replayed.check_conservation()
-    with pytest.raises(AlreadySpent):
+    with refused("already-spent"):
         replayed.verify_and_spend(cards[0].card_id, "seller-9")
 
 

@@ -777,6 +777,38 @@ def test_a_bad_secrets_file_exits_1_naming_it(tmp_path, capsys, command, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["serve", "answer"])
+def test_a_secrets_file_others_can_read_exits_1_naming_it(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # as ssh refuses a private key others can read, before any server starts
+    # or any file is written
+    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
+    os.chmod(secp, 0o644)
+    cat = parse_catalog((tmp_path / "cat.txt").read_text())
+    case, out = tmp_path / "case.txt", tmp_path / "answered.txt"
+    case.write_text(write_case(DisputeCase(kind="D", params=cat.params, verify_pk=cat.verify_pk,
+                                           k_table=cat.k_table, steps=[])))
+    served = []
+
+    def serve(who, address, handle, resource):
+        resource.close()
+        served.append(who)
+        return 0
+
+    monkeypatch.setattr(cli, "_serve", serve)
+    bank = socket.create_server(("127.0.0.1", 0))  # a bank the seller can dial
+    more = (["--bank", f"127.0.0.1:{bank.getsockname()[1]}"] if command == "serve"
+            else ["--case", str(case), "--out", str(out)])
+    capsys.readouterr()
+    try:
+        assert run_cli("seller", command, "--catalog", catp, "--secrets", secp, *more) == 1
+    finally:
+        bank.close()
+    err = capsys.readouterr().err
+    assert secp in err and "0644" in err
+    assert (served, out.exists()) == ([], False)
+
+
 @contextlib.contextmanager
 def cli_market(tmp_path, capsys, wrap=lambda handle: handle):
     """A seller (catalog price 3) and its bank served in-process, plus a
@@ -1072,8 +1104,10 @@ def test_buyer_purchase_insufficient_cards(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad_line", [
-    "{cid} one", "{cid} 0", "{cid} -1", "zz{cid} 1", "{cid} 1 extra",
-], ids=["non-integer-value", "zero-value", "negative-value", "non-hex-id", "three-fields"])
+    "{cid} one", "{cid} 0", "{cid} -1", "zz{cid} 1", "{cid} 1 extra", "{cid} +2",
+    "{cid} \u0662",
+], ids=["non-integer-value", "zero-value", "negative-value", "non-hex-id", "three-fields",
+        "signed-value", "non-ascii-digit"])
 def test_buyer_purchase_with_a_malformed_cards_file_exits_1(tmp_path, capsys, bad_line):
     with cli_market(tmp_path, capsys) as (argv, ledger):
         cards = tmp_path / "cards.txt"

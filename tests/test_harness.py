@@ -3,8 +3,9 @@ import socket
 import tempfile
 import threading
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from blindpay.dispute import (
     resolve_type_d_method2,
     write_case,
 )
-from blindpay.errors import AlreadySpent, ConnectionClosed, ScenarioInvalid
+from blindpay.errors import CardError, ConnectionClosed, ScenarioInvalid, StepRejected
 from blindpay.harness import (
     FAULTS,
     Metrics,
@@ -36,6 +37,7 @@ from blindpay.harness import (
     make_bank_handler,
     make_seller_handler,
     parse_scenario,
+    remote_step,
     report_tables,
     run_scenario,
     run_sweep,
@@ -297,9 +299,9 @@ def test_remote_bank_over_a_bank_server():
     try:
         receipts = remote.spend_atomic([cards[0].card_id], "seller-1")
         assert receipts[0].value == 1
-        with pytest.raises(AlreadySpent) as exc:
+        with pytest.raises(CardError) as exc:
             remote.spend_atomic([cards[0].card_id], "seller-1")
-        assert exc.value.prior_seq == receipts[0].seq
+        assert (exc.value.code, exc.value.prior_seq) == ("already-spent", receipts[0].seq)
     finally:
         remote.close()
         srv.stop()
@@ -627,6 +629,91 @@ def test_seller_redials_a_bank_link_closed_while_idle(params64, monkeypatch):
         bank_srv.stop()
     assert ledger.cards[second.card_id].spent_by == "seller-1"
     assert ledger.balance("seller-1") == 2
+
+
+class CardErrorsSeen:
+    """A seller's bank link that keeps each CardError it raises."""
+
+    def __init__(self, bank):
+        self.bank, self.raised = bank, []
+
+    def spend_atomic(self, card_ids, account):
+        try:
+            return self.bank.spend_atomic(card_ids, account)
+        except CardError as exc:
+            self.raised.append(exc)
+            raise
+
+
+def test_each_ledger_refusal_reaches_the_buyer_with_its_code(params64):
+    # ledger -> bank handler -> RemoteBank -> seller handler -> remote_step
+    keys, cat = make_catalog(params64)
+    ledger = CardLedger(rng=random.Random(29))
+    spent, unsold = ledger.issue_cards(2, 1)
+    ledger.distribute([spent.card_id], "store-1")
+    (first,) = ledger.spend_atomic([spent.card_id], "seller-0")
+    bank_srv = wire.Server("127.0.0.1", 0, make_bank_handler(ledger)).start()
+    bank = RemoteBank(wire.connect(*bank_srv.address))
+    seen = CardErrorsSeen(bank)
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(
+        SellerStepHandler(keys, params64, seen, "seller-1"), cat)).start()
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
+    cases = [("00" * 16, "unknown-card", 0), (unsold.card_id, "not-distributed", 0),
+             (spent.card_id, "already-spent", first.seq)]
+    try:
+        for card_id, code, prior_seq in cases:
+            with pytest.raises(StepRejected) as rej:
+                remote_step(srv.address, wire.StepReq(card_ids=(card_id,), m=m))
+            assert (rej.value.code, rej.value.detail) == (code, card_id)
+            exc = seen.raised[-1]
+            assert (exc.card_id, exc.code, exc.prior_seq) == (card_id, code, prior_seq)
+            with pytest.raises(CardError) as at_the_bank:
+                ledger.spend_atomic([card_id], "seller-1")
+            assert str(exc) == str(at_the_bank.value)
+    finally:
+        srv.stop()
+        bank.close()
+        bank_srv.stop()
+    assert len(seen.raised) == 3 and ledger.balance("seller-1") == 0
+
+
+@dataclass(frozen=True)
+class Reserved(wire.Message):
+    """A reply under a reserved tag: a frame no reader decodes."""
+    TYPE: ClassVar[int] = 99
+    WIRE: ClassVar[tuple[str, ...]] = ()
+
+
+@pytest.mark.parametrize("reply", [
+    wire.StepErr(code="unsupported", detail="CardSpend"),  # what a seller answers a spend
+    Reserved(),
+    *(wire.SpendErr(code=code, detail="not a card", prior_seq=0)
+      for code in ("busy", "malformed", "unsupported", "bad-request")),
+], ids=["a-seller", "undecodable", "busy", "malformed", "unsupported", "bad-request"])
+def test_a_spend_the_bank_did_not_serve_is_refused_bank_unavailable(params64, reply):
+    # before, a reply of another type or one that did not decode dropped the
+    # buyer's connection, and a SpendErr that refuses no card reached the
+    # buyer as card-error
+    keys, cat = make_catalog(params64)
+    bank_srv = wire.Server("127.0.0.1", 0, lambda msg: reply).start()
+    bank = RemoteBank(wire.connect(*bank_srv.address))
+    srv = wire.Server("127.0.0.1", 0, make_seller_handler(
+        SellerStepHandler(keys, params64, bank, "seller-1"), cat)).start()
+    ep = wire.connect(*srv.address)
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
+    try:
+        for _ in range(2):  # the next step dials the bank again
+            ep.send(wire.StepReq(card_ids=("ab" * 16,), m=m))
+            refused = ep.recv()
+            assert refused == wire.StepErr(code="bank-unavailable",
+                                           detail="the bank did not answer"), refused
+        ep.send(wire.CatalogGet())
+        assert isinstance(ep.recv(), wire.CatalogDoc)
+    finally:
+        ep.close()
+        srv.stop()
+        bank.close()
+        bank_srv.stop()
 
 
 # --- remote prover: the seller answers the case record apart from the arbitrator -----------

@@ -9,14 +9,13 @@ from blindpay import purchase, wire
 from blindpay.cards import CardLedger
 from blindpay.catalog import derive_license_key
 from blindpay.errors import (
-    AlreadySpent,
     BadStepSignature,
+    CardError,
     IncompleteSession,
     InsufficientFunds,
     MalformedElement,
     MismatchedFactor,
     SessionComplete,
-    UnknownCard,
 )
 from blindpay.group import mul_mod, pow_mod
 from blindpay.harness import OpCounter
@@ -160,8 +159,9 @@ def test_payment_completeness_on_failure(params64):
     bank.verify_and_spend(cards[2][0], "seller-0")  # pre-burn card 3
     handler = SellerStepHandler(keys, params64, bank, "seller-1")
     session = buyer_begin(cat, "lic-4", cards, rng=random.Random(1))
-    with pytest.raises(AlreadySpent):
+    with pytest.raises(CardError) as exc:
         run_purchase(session, handler.handle)
+    assert exc.value.code == "already-spent"
     assert bank.balance("seller-1") == 2
     assert session.remaining == 2
     bank.check_conservation()
@@ -177,8 +177,9 @@ def test_seller_spends_before_exponentiation(params64):
     ops = OpCounter()
     handler = SellerStepHandler(keys, params64, bank, "seller-1", ops=ops)
     req = wire.StepReq(card_ids=[cards[0][0]], m=cat.entry("lic-2").x)
-    with pytest.raises(AlreadySpent):
+    with pytest.raises(CardError) as exc:
         handler.handle(req)
+    assert exc.value.code == "already-spent"
     assert ops.exponentiations == 0
     assert ops.signings == 0
     assert bank.balance("seller-1") == 0
@@ -200,8 +201,9 @@ def test_seller_rejects_unknown_card(params64):
     keys, cat = make_catalog(params64, prices=(1,))
     bank = CardLedger(rng=random.Random(9))
     handler = SellerStepHandler(keys, params64, bank, "seller-1")
-    with pytest.raises(UnknownCard):
+    with pytest.raises(CardError) as exc:
         handler.handle(wire.StepReq(card_ids=["00" * 16], m=cat.entry("lic-1").x))
+    assert exc.value.code == "unknown-card"
 
 
 def test_seller_multicard_step_uses_combined_exponent(params64):
