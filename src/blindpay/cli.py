@@ -43,15 +43,23 @@ EXIT_DISPUTE = 3
 
 
 def _addr(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not (sep and port.isascii() and port.isdigit() and int(port) <= 65535):
-        raise argparse.ArgumentTypeError(f"address {text!r} is not HOST:PORT, PORT 0-65535")
-    return host or "127.0.0.1", int(port)
+    host, sep, port_text = text.rpartition(":")
+    try:
+        if not sep or (port := INT.read(port_text)) > 65535:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"address {text!r} is not HOST:PORT, PORT 0-65535") from None
+    return host or "127.0.0.1", port
 
 
 def _read_file(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """Every file a command reads: UTF-8 text, else a BlindpayError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise BlindpayError(f"{path}: not UTF-8 text") from None
 
 
 def _write_file(path: str, text: str):
@@ -70,7 +78,7 @@ def _rng(seed: int | None) -> random.Random:
 def _at_least(low: int):
     """An argparse type: an integer no smaller than low."""
     def integer(text: str) -> int:
-        value = int(text)  # a ValueError reads "invalid integer value: ..."
+        value = INT.read(text)  # a ValueError reads "invalid integer value: ..."
         if value < low:
             raise argparse.ArgumentTypeError(f"{text!r} is below {low}")
         return value
@@ -90,7 +98,7 @@ def _group_bits(text: str) -> int | str:
     if text in NAMED_GROUPS:
         return text
     try:
-        return int(text)
+        return INT.read(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is neither a bit length nor one of {', '.join(NAMED_GROUPS)}") from None
@@ -109,8 +117,9 @@ def _read_secrets(path: str) -> SellerKeys:
     if mode & 0o077:
         raise BlindpayError(f"{path}: mode {mode:04o} opens the seller's secrets to "
                             "others than its owner; chmod 600 it")
+    text = _read_file(path)
     try:
-        rec = SECRETS.read(_read_file(path))
+        rec = SECRETS.read(text)
         sk = ed25519.Ed25519PrivateKey.from_private_bytes(rec["sign_sk"])
         return SellerKeys(s=rec["s"], sign_sk=rec["sign_sk"],
                           verify_pk=sk.public_key().public_bytes_raw())
@@ -126,20 +135,19 @@ def _read_cards(path: str) -> list[tuple[str, int]]:
     """One card a line: a hex card id and a value >= 1 in ASCII digits, which
     defaults to 1."""
     cards = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                bytes.fromhex(parts[0])
-                value = INT.read(parts[1]) if len(parts) > 1 else 1
-            except ValueError:
-                value = 0  # refused below, as any value < 1 is
-            if value < 1 or len(parts) > 2:
-                raise BlindpayError(f"{path} line {lineno}: want a hex card id and a "
-                                    f"value >= 1, got {line.strip()!r}")
-            cards.append((parts[0], value))
+    for lineno, line in enumerate(_read_file(path).split("\n"), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            bytes.fromhex(parts[0])
+            value = INT.read(parts[1]) if len(parts) > 1 else 1
+        except ValueError:
+            value = 0  # refused below, as any value < 1 is
+        if value < 1 or len(parts) > 2:
+            raise BlindpayError(f"{path} line {lineno}: want a hex card id and a "
+                                f"value >= 1, got {line.strip()!r}")
+        cards.append((parts[0], value))
     return cards
 
 
@@ -209,7 +217,7 @@ def cmd_bank_balance(args) -> int:
 def _license_spec(text: str, x_label: str | None, rng: random.Random) -> LicenseSpec:
     try:
         license_id, price_s, terms = text.split(":", 2)
-        price = int(price_s)
+        price = INT.read(price_s)
     except ValueError:
         raise ValueError(f"bad --license value {text!r}, want ID:PRICE:TERMS") from None
     plain = LicensePlaintext(license_id=license_id, terms=terms,
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     issue.add_argument("--count", type=_at_least(0), default=1)
     issue.add_argument("--value", type=_at_least(1), default=1)
     issue.add_argument("--store", type=_token, required=True)
-    issue.add_argument("--seed", type=int, help="reproducible card ids, for a demo only")
+    issue.add_argument("--seed", type=_at_least(0), help="reproducible card ids, for a demo only")
     issue.set_defaults(fn=cmd_bank_issue)
     balance = bank_sub.add_parser("balance", help="print a seller account's balance")
     balance.add_argument("--ledger", required=True)
@@ -369,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     init.add_argument("--secrets", required=True)
     init.add_argument("--group-bits", type=_group_bits, default=64,
                       help="bits of a generated desk group (8-64), or ffdhe2048 or ffdhe3072")
-    init.add_argument("--seed", type=int, help="reproducible keys, for a demo only")
+    init.add_argument("--seed", type=_at_least(0), help="reproducible keys, for a demo only")
     init.add_argument("--x-label", default=None,
                       help="shared encryption factor label (enables upgrades)")
     init.add_argument("--license", action="append", required=True,
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     purchase.add_argument("--cards", required=True)
     purchase.add_argument("--connect", type=_addr, required=True)
     purchase.add_argument("--catalog")
-    purchase.add_argument("--seed", type=int,
+    purchase.add_argument("--seed", type=_at_least(0),
                           help="reproducible blinding, for a demo only")
     purchase.add_argument("--out")
     purchase.add_argument("--case-out", default="case.txt")
@@ -415,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics-out")
     run.set_defaults(fn=cmd_scenario_run)
     sweep = scen_sub.add_parser("sweep", help="price sweep with table comparison")
-    sweep.add_argument("--group-bits", type=int, default=64)
-    sweep.add_argument("--seed", type=int, default=7)
+    sweep.add_argument("--group-bits", type=_at_least(0), default=64)
+    sweep.add_argument("--seed", type=_at_least(0), default=7)
     sweep.add_argument("--metrics-out")
     sweep.set_defaults(fn=cmd_scenario_sweep)
 
@@ -433,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioInvalid as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file or an address the command cannot use
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except BlindpayError as exc:

@@ -50,7 +50,6 @@ from .encoding import B64, HEX, INT, INTS, PAIR, STR, Codec, RecordFormat
 from .errors import (
     AuthenticationFailure,
     BadStepSignature,
-    ChainLengthMismatch,
     MalformedElement,
     MalformedEvidence,
     MissingKPower,
@@ -407,7 +406,7 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
         return Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline", 0)
     chain = case.chain
     if len(chain) != case.audit_price + 1:
-        raise ChainLengthMismatch(
+        raise MalformedEvidence(
             f"chain has {len(chain)} entries for price {case.audit_price}")
     if chain[0] != case.audit_x:
         return Verdict(SELLER_AT_FAULT, "chain does not start at the audited factor", 0)
@@ -424,7 +423,7 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
 
     def segment(t: int) -> tuple[int, int]:
         if t > case.audit_price:
-            raise ChainLengthMismatch(
+            raise MalformedEvidence(
                 f"step value {t} exceeds audited chain length {case.audit_price}")
         return chain[0], chain[t]
 
@@ -538,7 +537,7 @@ def _first_unproven(case: DisputeCase, family: str,
             continue
         try:
             base, y = statement(t)
-        except (MissingKPower, ChainLengthMismatch):
+        except (MissingKPower, MalformedEvidence):
             continue
         if not (is_member(base, p) and is_member(y, p)):
             continue

@@ -57,16 +57,10 @@ class MissingKPower(BlindpayError):
         self.t = t
 
 
-class SessionComplete(BlindpayError):
-    pass
-
-
-class IncompleteSession(BlindpayError):
-    pass
-
-
 class SessionStateError(BlindpayError):
-    """Session calls arrived out of order."""
+    """Session calls arrived out of order: a step requested once every unit
+    is paid or while the last one awaits its response, a response with no
+    request outstanding, or a finish with units still unpaid."""
 
 
 class BadStepSignature(BlindpayError):
@@ -77,10 +71,6 @@ class BadStepSignature(BlindpayError):
     def __init__(self, step):
         super().__init__("invalid signature on step response")
         self.step = step
-
-
-class MismatchedFactor(BlindpayError):
-    """Upgrade target does not share the owned license's encryption factor."""
 
 
 class StepRejected(BlindpayError):
@@ -98,10 +88,6 @@ class MalformedEvidence(BlindpayError):
     pass
 
 
-class ChainLengthMismatch(BlindpayError):
-    pass
-
-
 # --- wire errors --------------------------------------------------------------
 
 class MalformedMessage(BlindpayError):
@@ -109,12 +95,6 @@ class MalformedMessage(BlindpayError):
         super().__init__(f"malformed message at byte {offset}: {reason}")
         self.offset = offset
         self.reason = reason
-
-
-class UnknownMessageType(MalformedMessage):
-    def __init__(self, offset: int, tag: int):
-        MalformedMessage.__init__(self, offset, f"unknown message type {tag}")
-        self.tag = tag
 
 
 class OversizeFrame(BlindpayError):
@@ -125,10 +105,6 @@ class OversizeFrame(BlindpayError):
 
 
 class ConnectionClosed(BlindpayError):
-    pass
-
-
-class WireTimeout(BlindpayError):
     pass
 
 

@@ -37,7 +37,7 @@ from .dispute import (
     settle_purchase,
     write_case,
 )
-from .encoding import ON_OFF
+from .encoding import INT, ON_OFF
 from .errors import (
     BlindpayError,
     CardError,
@@ -139,7 +139,7 @@ def parse_scenario(text: str) -> Scenario:
         if key in kv:
             raise ScenarioInvalid(f"line {lineno}: repeated key {key!r}")
         kv[key] = value.strip()
-    convert = {"int": int, "bool": ON_OFF.read, "str": str}
+    convert = {"int": INT.read, "bool": ON_OFF.read, "str": str}
     try:
         sc = Scenario(**{f.name: convert[f.type](kv[f.name])
                          for f in fields(Scenario) if f.name in kv})

@@ -29,11 +29,8 @@ from .catalog import (
 from .encoding import INT, Codec, enc_int
 from .errors import (
     BadStepSignature,
-    IncompleteSession,
     InsufficientFunds,
-    MismatchedFactor,
     MissingKPower,
-    SessionComplete,
     SessionStateError,
 )
 from .group import SYSTEM_RANDOM, GroupParams, div_mod, ensure_member, mul_mod, pow_fast, pow_mod
@@ -244,7 +241,7 @@ def begin_upgrade(catalog: Catalog, owned_license_id: str, owned_key: int,
     owned = catalog.entry(owned_license_id)
     target = catalog.entry(target_license_id)
     if owned.x != target.x:
-        raise MismatchedFactor(
+        raise ValueError(
             f"{owned_license_id!r} and {target_license_id!r} have different factors")
     delta = target.price - owned.price
     if delta <= 0:
@@ -256,7 +253,7 @@ def begin_upgrade(catalog: Catalog, owned_license_id: str, owned_key: int,
 
 def buyer_step_request(session: PurchaseSession) -> StepReq:
     if session.remaining == 0:
-        raise SessionComplete("all units already paid")
+        raise SessionStateError("all units already paid")
     if session._pending is not None:
         raise SessionStateError("previous step still awaiting its response")
     if session.refresh_blinding and session.transcripts:
@@ -299,7 +296,7 @@ def buyer_finish(session: PurchaseSession) -> LicensePlaintext:
     signature checked out, yet the key does not open the license.
     """
     if session.remaining > 0:
-        raise IncompleteSession(f"{session.remaining} units still unpaid")
+        raise SessionStateError(f"{session.remaining} units still unpaid")
     return decrypt_license(session.acc, session.entry.encrypted_license)
 
 

@@ -41,8 +41,6 @@ from .errors import (
     MalformedMessage,
     OversizeFrame,
     ServerBusy,
-    UnknownMessageType,
-    WireTimeout,
 )
 
 MAX_FRAME = 1 << 20
@@ -163,7 +161,7 @@ class CatalogDoc(Message):
 
 
 # Tags 1, 2 and 16 to 23 are reserved: no message type uses them, so
-# decoding any of them raises UnknownMessageType.  Cards are issued and
+# decoding any of them raises MalformedMessage.  Cards are issued and
 # distributed by the bank ledger's one writer, never over a listener, and
 # dispute evidence travels in case record files, never on a seller's
 # listener.
@@ -182,15 +180,15 @@ def encode(msg: Message) -> bytes:
 
 
 def decode(data: bytes) -> Message:
-    """Parse one message.  Any defect raises MalformedMessage (with the
-    byte offset) or a subclass; arbitrary input never crashes differently."""
+    """Parse one message.  Any defect raises MalformedMessage with the byte
+    offset; arbitrary input never crashes differently."""
     r = Reader(data)
     if not data:
         r.fail("empty message")
     tag = r.u8()
     cls = MESSAGE_TYPES.get(tag)
     if cls is None:
-        raise UnknownMessageType(0, tag)
+        raise MalformedMessage(0, f"unknown message type {tag}")
     msg = unpack(cls, r)
     r.expect_end()
     return msg
@@ -250,7 +248,7 @@ class SocketEndpoint:
                 chunk = self._sock.recv(65536)
             except socket.timeout:
                 self.close()  # a late reply would answer the next request
-                raise WireTimeout("receive timed out")
+                raise ConnectionClosed("receive timed out")
             except OSError as exc:
                 raise ConnectionClosed(str(exc))
             if not chunk:

@@ -1141,3 +1141,98 @@ def test_buyer_purchase_against_closed_port_exits_1(tmp_path, capsys):
     assert run_cli("buyer", "purchase", "--license", "lic-a", "--cards", str(cards_file),
                    "--catalog", catp, "--connect", f"127.0.0.1:{port}") == 1
     assert f"cannot connect to 127.0.0.1:{port}" in capsys.readouterr().err
+
+
+# --- what an operator hands a command ------------------------------------------------
+
+def run_cli_code(*argv) -> int:
+    """run_cli's exit code, also when the argument parser refuses a value."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def one_line_naming(err: str, name: str) -> bool:
+    return "Traceback" not in err and err.count("\n") == 1 and name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-catalog", "{dir}"),
+    ("arbitrate", "--case", "{dir}", "--catalog", "{dir}"),
+    ("scenario", "run", "--spec", "{dir}"),
+    ("bank", "serve", "--ledger", "{dir}"),
+], ids=["verify-catalog", "arbitrate-case", "scenario-spec", "bank-ledger"])
+def test_a_directory_given_for_a_file_exits_2_naming_it(tmp_path, capsys, argv):
+    # before, each died of an IsADirectoryError traceback
+    where = tmp_path / "a-directory"
+    where.mkdir()
+    assert run_cli(*(a.format(dir=where) for a in argv)) == 2
+    assert one_line_naming(capsys.readouterr().err, str(where))
+
+
+def test_bank_serve_on_a_port_already_held_exits_2_naming_it(tmp_path, capsys):
+    # before, it died of an OSError (EADDRINUSE) traceback
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        address = held.getsockname()
+        assert run_cli("bank", "serve", "--ledger", str(tmp_path / "ledger.tsv"),
+                       "--listen", "%s:%d" % address) == 2
+    assert one_line_naming(capsys.readouterr().err, str(address))
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-catalog", "{bad}"),
+    ("arbitrate", "--case", "{bad}", "--catalog", "{cat}"),
+    ("scenario", "run", "--spec", "{bad}"),
+    ("buyer", "purchase", "--license", "lic-a", "--cards", "{bad}", "--catalog", "{cat}",
+     "--connect", "127.0.0.1:9"),
+], ids=["verify-catalog", "arbitrate-case", "scenario-spec", "buyer-cards"])
+def test_a_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, argv):
+    # before, each died of a UnicodeDecodeError traceback
+    catp, _ = seller_files(tmp_path, "lic-a:3:t")
+    bad = tmp_path / "not-utf8.txt"
+    bad.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert run_cli(*(a.format(bad=bad, cat=catp) for a in argv)) == 1
+    assert one_line_naming(capsys.readouterr().err, str(bad))
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("seller", "init", "--license", "a:+3:t"), "+3"),
+    (("seller", "init", "--license", "a:3:t", "--license", "b:\u0663_0:u"), "\u0663_0"),
+    (("seller", "init", "--license", "a:1_0:t"), "1_0"),
+    (("seller", "init", "--license", "a:3:t", "--group-bits", "+32"), "+32"),
+    (("seller", "init", "--license", "a:3:t", "--seed", "-4"), "-4"),
+    (("bank", "issue", "--store", "s", "--count", "+3"), "+3"),
+    (("bank", "issue", "--store", "s", "--value", "\u0663"), "\u0663"),
+    (("bank", "issue", "--store", "s", "--seed", "+4"), "+4"),
+])
+def test_an_integer_that_is_not_unsigned_ascii_digits_exits_2(tmp_path, capsys, argv, value):
+    # before, int() read each of these: a sign, an underscore, another script's digit
+    files = {"seller": ("--catalog", tmp_path / "cat.txt", "--secrets", tmp_path / "sec.txt"),
+             "bank": ("--ledger", tmp_path / "ledger.tsv")}[argv[0]]
+    assert run_cli_code(*argv[:2], *map(str, files), *argv[2:]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and value in err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("scenario", "sweep", "--seed", "-4"), "-4"),
+    (("scenario", "sweep", "--group-bits", "3_2"), "3_2"),
+    (("buyer", "purchase", "--license", "a", "--cards", "K", "--connect", "127.0.0.1:9",
+      "--seed", "+1"), "+1"),
+])
+def test_a_signed_seed_or_bit_length_exits_2(capsys, argv, value):
+    assert run_cli_code(*argv) == 2
+    assert value in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("line", ["price: 1_0", "price: +3", "seed: -4", "seed: \u0663",
+                                  "group_bits: 3_2"])
+def test_a_spec_integer_that_is_not_unsigned_ascii_digits_exits_2(tmp_path, capsys, line):
+    spec = tmp_path / "scenario.txt"
+    spec.write_text(f"mode: basic\n{line}\n")
+    assert run_cli("scenario", "run", "--spec", str(spec)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and one_line_naming(err, line.split(": ")[1])

@@ -11,11 +11,9 @@ from blindpay.catalog import derive_license_key
 from blindpay.errors import (
     BadStepSignature,
     CardError,
-    IncompleteSession,
     InsufficientFunds,
     MalformedElement,
-    MismatchedFactor,
-    SessionComplete,
+    SessionStateError,
 )
 from blindpay.group import mul_mod, pow_mod
 from blindpay.harness import OpCounter
@@ -116,7 +114,7 @@ def test_refresh_uses_distinct_r(params64):
 def test_request_after_completion_rejected(params64):
     keys, cat, bank, handler, session = rig(params64, price=1, prices=(1,))
     buyer_process_response(session, handler.handle(buyer_step_request(session)))
-    with pytest.raises(SessionComplete):
+    with pytest.raises(SessionStateError, match="all units already paid"):
         buyer_step_request(session)
 
 
@@ -291,7 +289,7 @@ def test_tampered_m_out_fails_signature(params64):
 def test_finish_early_rejected(params64):
     keys, cat, bank, handler, session = rig(params64, price=3)
     buyer_process_response(session, handler.handle(buyer_step_request(session)))
-    with pytest.raises(IncompleteSession):
+    with pytest.raises(SessionStateError, match="units still unpaid"):
         buyer_finish(session)
 
 
@@ -424,7 +422,7 @@ def test_upgrade_nothing_to_upgrade(params64):
 
 def test_upgrade_rejects_mismatched_factor(params64):
     keys, cat = make_catalog(params64, prices=(2, 5), seed=21)  # distinct factors
-    with pytest.raises(MismatchedFactor):
+    with pytest.raises(ValueError, match="different factors"):
         begin_upgrade(cat, "lic-2", 4, "lic-5", [("00" * 16, 1)] * 3)
 
 
