@@ -89,14 +89,15 @@ class CardLedger:
     card_id, value, account) per mutation.  A store or account name that is
     not a plain_token is refused before anything is written; records
     already on file load as they are.  `replay` loads a file read-only.
-    Each change, live or loaded, passes the one LIFE_CYCLE check first.  A
-    card it refuses raises a CardError whose code REFUSALS names; only a
-    replayed record draws the two codes `_check` names itself.
+    Each change, live or loaded, goes through `_commit` and its one
+    LIFE_CYCLE check.  A card it refuses raises a CardError whose code
+    REFUSALS names; only a replayed record draws the two `_check` names.
 
-    Durability: every record is flushed but not fsynced, so a machine crash
-    can lose the last records; an fsync per spend would sit on every seller
-    step.  A last line without its newline was torn by a crash: it is not
-    loaded, and the writer truncates it before appending.
+    Durability: a change is one write of all its records, and a failed
+    write changes nothing.  No write is fsynced, so a machine crash can lose
+    the last records or part of one change; an fsync per spend would sit on
+    every seller step.  A last line without its newline was torn by a
+    crash: it is not loaded, and the writer truncates it before appending.
     """
 
     def __init__(self, path: str | None = None, rng: random.Random = SYSTEM_RANDOM):
@@ -121,14 +122,14 @@ class CardLedger:
 
     # -- internals ------------------------------------------------------------
 
-    def _check(self, op: str, card_ids: list[str], value: int | None = None):
+    def _check(self, op: str, card_ids: list[str], values: list[int]):
         """Raise the CardError of the first card not in the status op takes it
         from, or named twice: coded by REFUSALS, or already-issued for an
-        ISSUE.  A value, which replay gives, must be the card's own, or at
-        least 1 for an ISSUE (else wrong-value)."""
+        ISSUE.  Its value must be the card's own, or at least 1 for an ISSUE
+        (else wrong-value)."""
         before, after = LIFE_CYCLE[op]
         seen = set()
-        for cid in card_ids:
+        for cid, value in zip(card_ids, values):
             card = self.cards.get(cid)
             status = after if cid in seen else card and card.status
             seen.add(cid)
@@ -137,25 +138,39 @@ class CardLedger:
                                  if before is None else REFUSALS[status])
                 prior = card.spend_seq if card else 0
                 raise CardError(cid, code, message.format(cid, prior), prior)
-            if value is not None and (value < 1 if card is None else value != card.value):
+            if value < 1 if card is None else value != card.value:
                 raise CardError(cid, "wrong-value", f"card {cid!r} with the wrong value {value}")
 
-    def _apply(self, op: str, card_id: str, value: int, account: str) -> PrepaidCard:
-        """Append one checked record to the file, if there is one, then apply
-        it to the state.  Returns the card.  A closed file refuses the write
-        (ValueError) before any state changes."""
-        if self._fh is not None:
-            self._fh.write(f"{self._seq + 1}\t{op}\t{card_id}\t{value}\t{account}\n".encode())
-            self._fh.flush()
-        self._seq += 1
-        if op == "ISSUE":
-            self.cards[card_id] = PrepaidCard(card_id=card_id, value=value)
-        card = self.cards[card_id]
-        card.status = LIFE_CYCLE[op][1]
-        if op == "SPEND":
-            card.spent_by, card.spend_seq = account, self._seq
-            self.accounts[account] = self.accounts.get(account, 0) + value
-        return card
+    def _commit(self, op: str, card_ids: list[str], account: str,
+                values: list[int] | None = None) -> list[PrepaidCard]:
+        """The one path by which a change reaches the file and the state: check
+        it whole, append all its records in one write, then move the cards,
+        the balances and the seq.  A write that fails or is cut short, or a
+        closed file (ValueError), changes nothing.  Returns the cards."""
+        with self._lock:
+            if values is None:  # a live DIST or SPEND; an unknown card is refused first
+                values = [self.cards[cid].value if cid in self.cards else 0 for cid in card_ids]
+            self._check(op, card_ids, values)
+            if self._fh is not None:
+                data = "".join(f"{self._seq + i}\t{op}\t{cid}\t{value}\t{account}\n"
+                               for i, (cid, value) in enumerate(zip(card_ids, values), 1)).encode()
+                end = os.lseek(self._fh.fileno(), 0, os.SEEK_END)
+                try:
+                    if os.write(self._fh.fileno(), data) != len(data):
+                        raise OSError("ledger write cut short")
+                except BaseException:
+                    os.ftruncate(self._fh.fileno(), end)
+                    raise
+            for cid, value in zip(card_ids, values):
+                self._seq += 1
+                if op == "ISSUE":
+                    self.cards[cid] = PrepaidCard(card_id=cid, value=value)
+                card = self.cards[cid]
+                card.status = LIFE_CYCLE[op][1]
+                if op == "SPEND":
+                    card.spent_by, card.spend_seq = account, self._seq
+                    self.accounts[account] = self.accounts.get(account, 0) + value
+            return [self.cards[cid] for cid in card_ids]
 
     # -- operations -------------------------------------------------------------
 
@@ -165,45 +180,24 @@ class CardLedger:
             raise ValueError("count must be >= 0")
         if value < 1:
             raise ValueError("card value must be >= 1")
-        out = []
-        with self._lock:
-            for _ in range(count):
-                cid = f"{self._rng.getrandbits(128):032x}"
-                while cid in self.cards:  # 128-bit ids; loop is theory only
-                    cid = f"{self._rng.getrandbits(128):032x}"
-                out.append(self._apply("ISSUE", cid, value, "-"))
-        return out
+        ids: dict[str, None] = {}  # a set in draw order
+        while len(ids) < count:
+            cid = f"{self._rng.getrandbits(128):032x}"
+            if cid not in self.cards:  # a reused seed draws the ids on file; _commit rechecks
+                ids[cid] = None
+        return self._commit("ISSUE", list(ids), "-", [value] * count)
 
     def distribute(self, card_ids: list[str], store_id: str) -> int:
         """Mark cards as sold to a store.  Returns the number distributed."""
-        plain_token(store_id)
-        with self._lock:
-            self._check("DIST", card_ids)
-            for cid in card_ids:
-                self._apply("DIST", cid, self.cards[cid].value, store_id)
-        return len(card_ids)
-
-    def verify_and_spend(self, card_id: str, seller_account: str) -> SpendReceipt:
-        """Atomically check a card and mark it spent, crediting the seller.
-
-        Exactly one of any set of concurrent calls for the same card can
-        succeed; everyone else gets a CardError coded already-spent.
-        """
-        return self.spend_atomic([card_id], seller_account)[0]
+        return len(self._commit("DIST", card_ids, plain_token(store_id)))
 
     def spend_atomic(self, card_ids: list[str], seller_account: str) -> list[SpendReceipt]:
-        """Spend several cards as one all-or-nothing transaction.
-
-        Either every card is valid and all get spent, or no card state
-        changes at all; a purchase step is never half-charged.
-        """
+        """Spend the cards as one all-or-nothing change, crediting the seller:
+        a purchase step is never half-charged, and of concurrent spends of
+        one card exactly one succeeds (the rest: CardError already-spent)."""
         if not card_ids:
             raise ValueError("card_ids must be nonempty")
-        plain_token(seller_account)
-        with self._lock:
-            self._check("SPEND", card_ids)
-            spent = [self._apply("SPEND", cid, self.cards[cid].value, seller_account)
-                     for cid in card_ids]
+        spent = self._commit("SPEND", card_ids, plain_token(seller_account))
         return [SpendReceipt(c.spend_seq, c.card_id, c.value, seller_account) for c in spent]
 
     def balance(self, seller_account: str) -> int:
@@ -257,8 +251,7 @@ class CardLedger:
             if op not in LIFE_CYCLE:
                 raise LedgerCorrupt(f"{where}: unknown op {op!r}")
             try:
-                self._check(op, [cid], value)
+                self._commit(op, [cid], account, [value])
             except CardError as exc:
                 raise LedgerCorrupt(f"{where}: {op} of {exc}") from None
-            self._apply(op, cid, value, account)
         return complete

@@ -7,6 +7,7 @@ raised (and arbitrated where possible).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import random
@@ -176,24 +177,29 @@ def _plaintext_text(plain: LicensePlaintext) -> str:
 
 # --- subcommands ---------------------------------------------------------------
 
-def _serve(who: str, address: tuple[str, int], handle, resource) -> int:
-    """Serve until the server stops or the operator interrupts, then close
-    resource (the ledger or bank connection the handler uses)."""
+def _serve(who: str, address: tuple[str, int], open_resource, make_handle) -> int:
+    """Bind address first, so one that cannot be served leaves no file behind;
+    then open the handler's resource (the ledger or bank connection), serve
+    until the server stops or the operator interrupts, and close it."""
+    srv = wire.Server(*address, lambda msg: handle(msg))  # handle is bound before start
+    resource = None
     try:
-        srv = wire.Server(*address, handle).start()
+        resource = open_resource()
+        handle = make_handle(resource)
+        srv.start()
         print(f"{who} listening on {srv.address[0]}:{srv.address[1]}", flush=True)
-        try:
-            srv._thread.join()
-        except KeyboardInterrupt:
-            srv.stop()
+        with contextlib.suppress(KeyboardInterrupt):
+            srv.wait()
     finally:
-        resource.close()
+        srv.stop()
+        if resource is not None:
+            resource.close()
     return EXIT_OK
 
 
 def cmd_bank_serve(args) -> int:
-    ledger = CardLedger(path=args.ledger)
-    return _serve("bank", args.listen, harness.make_bank_handler(ledger), ledger)
+    return _serve("bank", args.listen, lambda: CardLedger(path=args.ledger),
+                  harness.make_bank_handler)
 
 
 def cmd_bank_issue(args) -> int:
@@ -246,9 +252,9 @@ def cmd_seller_init(args) -> int:
 def cmd_seller_serve(args) -> int:
     cat = parse_catalog(_read_file(args.catalog))
     keys = _read_secrets(args.secrets)
-    bank = harness.RemoteBank(wire.connect(*args.bank))
-    handler = SellerStepHandler(keys, cat.params, bank, args.account)
-    return _serve("seller", args.listen, harness.make_seller_handler(handler, cat), bank)
+    return _serve("seller", args.listen, lambda: harness.RemoteBank(wire.connect(*args.bank)),
+                  lambda bank: harness.make_seller_handler(
+                      SellerStepHandler(keys, cat.params, bank, args.account), cat))
 
 
 def cmd_seller_answer(args) -> int:

@@ -125,6 +125,8 @@ class Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
+    convert = {"int": INT.read, "bool": ON_OFF.read, "str": str}
+    codecs = {f.name: convert[f.type] for f in fields(Scenario)}
     kv = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -134,17 +136,15 @@ def parse_scenario(text: str) -> Scenario:
         if not sep:
             raise ScenarioInvalid(f"line {lineno}: expected 'key: value'")
         key = key.strip()
-        if key not in {f.name for f in fields(Scenario)}:
+        if key not in codecs:
             raise ScenarioInvalid(f"line {lineno}: unknown key {key!r}")
         if key in kv:
             raise ScenarioInvalid(f"line {lineno}: repeated key {key!r}")
-        kv[key] = value.strip()
-    convert = {"int": INT.read, "bool": ON_OFF.read, "str": str}
-    try:
-        sc = Scenario(**{f.name: convert[f.type](kv[f.name])
-                         for f in fields(Scenario) if f.name in kv})
-    except ValueError as exc:
-        raise ScenarioInvalid(str(exc))
+        try:
+            kv[key] = codecs[key](value.strip())
+        except ValueError as exc:
+            raise ScenarioInvalid(f"line {lineno}: bad {key!r} value: {exc}") from None
+    sc = Scenario(**kv)
     _validate(sc)
     return sc
 
@@ -400,7 +400,7 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
     if sc.fault == "double-spend":
         # burn the card meant for the faulty step in a separate prior purchase
         victim = issued[sc.fault_step - 1]
-        bank.verify_and_spend(victim.card_id, "seller-1")
+        bank.spend_atomic([victim.card_id], "seller-1")
 
     metrics = Metrics()
     buyer_ops = metrics.actor("buyer")

@@ -15,6 +15,7 @@ be linked into a purchase.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .catalog import (
@@ -29,6 +30,7 @@ from .catalog import (
 from .encoding import INT, Codec, enc_int
 from .errors import (
     BadStepSignature,
+    BlindpayError,
     InsufficientFunds,
     MissingKPower,
     SessionStateError,
@@ -199,6 +201,9 @@ def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
            rng: random.Random, ops) -> PurchaseSession:
     if mode not in (MODE_BASIC, MODE_ENHANCED):
         raise ValueError(f"unknown mode {mode!r}")
+    twice = [cid for cid, n in Counter(cid for cid, _ in cards).items() if n > 1]
+    if twice:  # two steps would pay with one card, and the second be refused
+        raise BlindpayError(f"card {twice[0]!r} is named twice in the cards list")
     total = sum(v for _, v in cards)
     if total < units:
         raise InsufficientFunds(f"cards total {total}, need {units}")

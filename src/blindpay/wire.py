@@ -330,6 +330,9 @@ class Server:
         self._thread.start()
         return self
 
+    def wait(self):
+        self._thread.join()  # returns once the server has stopped
+
     def _loop(self):
         if self._stop.is_set():  # stop() came first
             return self._sock.close()

@@ -129,7 +129,7 @@ def test_criterion_5_double_spend_safety():
         def attempt():
             barrier.wait()
             try:
-                ledger.verify_and_spend(card.card_id, "seller-1")
+                ledger.spend_atomic([card.card_id], "seller-1")
                 outcomes.append("ok")
             except CardError as exc:
                 outcomes.append(exc.code)

@@ -1,8 +1,11 @@
 import contextlib
 import dataclasses
+import errno
+import os
 import pathlib
 import random
 import re
+import resource
 import tempfile
 import threading
 
@@ -76,7 +79,7 @@ def test_distribute_preserves_card_count(ledger):
 
 def test_spend_happy_path(ledger):
     (card,) = issue_and_distribute(ledger, 1)
-    receipt = ledger.verify_and_spend(card.card_id, "seller-1")
+    (receipt,) = ledger.spend_atomic([card.card_id], "seller-1")
     assert receipt.value == 1
     assert ledger.balance("seller-1") == 1
     assert card.status is CardStatus.SPENT
@@ -84,19 +87,19 @@ def test_spend_happy_path(ledger):
 
 def test_double_spend_detected(ledger):
     (card,) = issue_and_distribute(ledger, 1)
-    first = ledger.verify_and_spend(card.card_id, "seller-1")
+    (first,) = ledger.spend_atomic([card.card_id], "seller-1")
     with refused("already-spent") as exc:
-        ledger.verify_and_spend(card.card_id, "seller-2")
+        ledger.spend_atomic([card.card_id], "seller-2")
     assert exc.value.prior_seq == first.seq
     assert ledger.balance("seller-2") == 0
 
 
 def test_spend_unknown_and_undistributed(ledger):
     with refused("unknown-card"):
-        ledger.verify_and_spend("not-a-card", "seller-1")
+        ledger.spend_atomic(["not-a-card"], "seller-1")
     (card,) = ledger.issue_cards(1, 1)
     with refused("not-distributed"):
-        ledger.verify_and_spend(card.card_id, "seller-1")
+        ledger.spend_atomic([card.card_id], "seller-1")
 
 
 def test_balance_defaults_to_zero(ledger):
@@ -107,21 +110,21 @@ def test_balance_accumulates_unit_cards(ledger):
     p = 7
     cards = issue_and_distribute(ledger, p)
     for c in cards:
-        ledger.verify_and_spend(c.card_id, "seller-1")
+        ledger.spend_atomic([c.card_id], "seller-1")
     assert ledger.balance("seller-1") == p
 
 
 def test_balance_multi_value(ledger):
     for value in (1, 2, 4):
         (card,) = issue_and_distribute(ledger, 1, value=value)
-        ledger.verify_and_spend(card.card_id, "seller-1")
+        ledger.spend_atomic([card.card_id], "seller-1")
     assert ledger.balance("seller-1") == 7
 
 
 def test_spend_atomic_all_or_nothing(ledger):
     good = issue_and_distribute(ledger, 2)
     (burned,) = issue_and_distribute(ledger, 1)
-    ledger.verify_and_spend(burned.card_id, "seller-0")
+    ledger.spend_atomic([burned.card_id], "seller-0")
     with refused("already-spent"):
         ledger.spend_atomic([good[0].card_id, burned.card_id], "seller-1")
     # nothing was charged: both good cards still spendable
@@ -160,7 +163,7 @@ def test_a_card_named_twice_in_one_change_is_refused_before_any_write(tmp_path):
 
 def test_receipt_sequence_strictly_increases(ledger):
     cards = issue_and_distribute(ledger, 10)
-    seqs = [ledger.verify_and_spend(c.card_id, "seller-1").seq for c in cards]
+    seqs = [ledger.spend_atomic([c.card_id], "seller-1")[0].seq for c in cards]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
 
@@ -173,7 +176,7 @@ def test_concurrent_spend_exactly_once(ledger):
     def attempt():
         barrier.wait()
         try:
-            results.append(("ok", ledger.verify_and_spend(card.card_id, "seller-1")))
+            results.append(("ok", ledger.spend_atomic([card.card_id], "seller-1")[0]))
         except CardError as exc:
             results.append((exc.code, exc.prior_seq))
 
@@ -193,7 +196,7 @@ def test_concurrent_spend_exactly_once(ledger):
 def test_conservation_invariant(ledger):
     cards = issue_and_distribute(ledger, 5)
     for c in cards[:3]:
-        ledger.verify_and_spend(c.card_id, "seller-1")
+        ledger.spend_atomic([c.card_id], "seller-1")
         ledger.check_conservation()
     ledger.accounts["seller-1"] += 1  # corrupt on purpose
     with pytest.raises(LedgerCorrupt):
@@ -204,9 +207,9 @@ def test_receipt_and_errors_carry_no_buyer_fields(ledger):
     field_names = {f.name for f in dataclasses.fields(SpendReceipt)}
     assert field_names == {"card_id", "seller_account", "value", "seq"}
     (card,) = issue_and_distribute(ledger, 1)
-    ledger.verify_and_spend(card.card_id, "seller-1")
+    ledger.spend_atomic([card.card_id], "seller-1")
     try:
-        ledger.verify_and_spend(card.card_id, "seller-2")
+        ledger.spend_atomic([card.card_id], "seller-2")
     except CardError as exc:
         # prior seq yes, prior seller no
         assert exc.code == "already-spent"
@@ -219,7 +222,7 @@ def test_ledger_file_replay(tmp_path):
     path = str(tmp_path / "ledger.tsv")
     ledger = CardLedger(path=path, rng=random.Random(3))
     cards = issue_and_distribute(ledger, 4)
-    ledger.verify_and_spend(cards[0].card_id, "seller-1")
+    ledger.spend_atomic([cards[0].card_id], "seller-1")
     ledger.spend_atomic([cards[1].card_id, cards[2].card_id], "seller-2")
     ledger.close()
 
@@ -230,7 +233,7 @@ def test_ledger_file_replay(tmp_path):
     assert replayed._seq == ledger._seq
     replayed.check_conservation()
     with refused("already-spent"):
-        replayed.verify_and_spend(cards[0].card_id, "seller-9")
+        replayed.spend_atomic([cards[0].card_id], "seller-9")
 
 
 def test_ledger_replay_attach_continues(tmp_path):
@@ -244,7 +247,7 @@ def test_ledger_replay_attach_continues(tmp_path):
     # the same seed draws the ids already in the file first; they are skipped
     more = resumed.issue_cards(2)
     assert not {c.card_id for c in more} & {c.card_id for c in cards}
-    receipt = resumed.verify_and_spend(cards[0].card_id, "seller-1")
+    (receipt,) = resumed.spend_atomic([cards[0].card_id], "seller-1")
     assert receipt.seq == ledger._seq + 3
     resumed.close()
     again = CardLedger.replay(path)
@@ -287,7 +290,7 @@ def test_ledger_torn_last_line_is_dropped(tmp_path, torn):
     assert (replayed._seq, replayed.accounts) == (2, {})
     resumed = CardLedger(path=str(path))
     assert path.read_text() == intact
-    resumed.verify_and_spend(card.card_id, "seller-1")
+    resumed.spend_atomic([card.card_id], "seller-1")
     resumed.close()
     assert CardLedger.replay(str(path)).accounts == {"seller-1": 1}
 
@@ -300,9 +303,64 @@ def test_closed_ledger_refuses_changes(tmp_path):
     (card,) = issue_and_distribute(ledger, 1)
     ledger.close()
     with pytest.raises(ValueError):
-        ledger.verify_and_spend(card.card_id, "seller-1")
+        ledger.spend_atomic([card.card_id], "seller-1")
     assert (ledger._seq, ledger.cards[card.card_id].status) == (2, CardStatus.DISTRIBUTED)
     assert CardLedger.replay(str(path))._seq == 2
+
+
+@contextlib.contextmanager
+def write_fails(fault, path):
+    """Make the next write to the ledger file at path fail partway: "enospc"
+    lets the first 20 bytes through, then raises ENOSPC; "fsize" caps this
+    process's file size 80 bytes past the file's end, so the kernel takes
+    the first record of a change and cuts the second short."""
+    if fault == "enospc":
+        real_write, ledger_ino = os.write, os.stat(path).st_ino
+
+        def write(fd, data):
+            if os.fstat(fd).st_ino != ledger_ino:
+                return real_write(fd, data)
+            real_write(fd, data[:20])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "write", write)
+            yield
+    else:
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(path) + 80, hard))
+        try:  # Python ignores SIGXFSZ, so the write fails with EFBIG
+            yield
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+
+@pytest.mark.parametrize("fault", ["enospc", "fsize"])
+@pytest.mark.parametrize("op", ["spend", "distribute"])
+def test_a_change_whose_write_fails_changes_nothing(tmp_path, op, fault):
+    # before, each card's record was its own write: card 1 stayed changed,
+    # and a byte of card 2's record could still reach the file at close
+    def run(path, failing):
+        ledger = CardLedger(path=str(path), rng=random.Random(3))
+        issued = ledger.issue_cards(3, 1)
+        ids = [c.card_id for c in issued]
+        if op == "spend":
+            ledger.distribute(ids, "store-1")
+            change = lambda: [r.seq for r in ledger.spend_atomic(ids, "seller-1")]
+        else:
+            change = lambda: ledger.distribute(ids, "store-1")
+        state = lambda: ([c.status for c in issued], dict(ledger.accounts), ledger._seq,
+                         path.read_bytes())
+        before = state()
+        if failing:
+            with pytest.raises(OSError), write_fails(fault, path):
+                change()
+            assert state() == before
+        result = change()  # the retry gets the seqs it would have had
+        ledger.close()
+        replayed = CardLedger.replay(str(path))
+        return result, path.read_bytes(), replayed.accounts, replayed._seq
+
+    assert run(tmp_path / "failed.tsv", True) == run(tmp_path / "clean.tsv", False)
 
 
 def test_a_name_that_is_not_a_plain_token_is_refused_before_any_change(tmp_path):
@@ -316,7 +374,7 @@ def test_a_name_that_is_not_a_plain_token_is_refused_before_any_change(tmp_path)
     ledger.distribute([card.card_id], "Store_1.b-" + "x" * 54)
     for name in ("seller 1", "a\rb", "a\x85b", "seller-1\n3\tISSUE\tcd\t9\t-"):
         with pytest.raises(ValueError, match="is not 1 to 64 of"):
-            ledger.verify_and_spend(card.card_id, name)
+            ledger.spend_atomic([card.card_id], name)
     assert (ledger._seq, card.status, ledger.accounts) == (2, CardStatus.DISTRIBUTED, {})
     ledger.close()
     assert path.read_bytes().startswith(before) and CardLedger.replay(str(path))._seq == 2

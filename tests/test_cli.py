@@ -226,6 +226,18 @@ def test_scenario_run_invalid_spec(tmp_path, capsys):
     assert run_cli("scenario", "run", "--spec", str(spec)) == 2
 
 
+@pytest.mark.parametrize("line, key", [
+    ("seed: -4", "seed"), ("price: x", "price"), ("refresh: yes", "refresh"),
+])
+def test_scenario_run_names_the_line_and_key_of_a_bad_value(tmp_path, capsys, line, key):
+    # before, only the converter's text was printed, naming neither
+    spec = tmp_path / "scenario.txt"
+    spec.write_text(f"mode: basic\n{line}\n")
+    assert run_cli("scenario", "run", "--spec", str(spec)) == 2
+    err = capsys.readouterr().err
+    assert one_line_naming(err, f"invalid scenario: line 2: bad {key!r} value: ")
+
+
 def test_scenario_sweep(tmp_path, capsys):
     assert run_cli("scenario", "sweep", "--group-bits", "32", "--seed", "7") == 0
     out = capsys.readouterr().out
@@ -1119,6 +1131,19 @@ def test_buyer_purchase_with_a_malformed_cards_file_exits_1(tmp_path, capsys, ba
         assert ledger.balance("seller-1") == 0
 
 
+def test_buyer_purchase_with_a_card_named_twice_exits_1_before_any_step(tmp_path, capsys):
+    # before, two steps were given the card: the first paid with it and the
+    # second was refused already-spent, so the seller kept a unit of an
+    # aborted purchase
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        cards = tmp_path / "cards.txt"
+        first, second, _ = cards.read_text().splitlines()
+        cards.write_text(f"{first}\n{first}\n{second}\n")
+        assert run_cli(*argv) == 1
+        assert one_line_naming(capsys.readouterr().err, first.split()[0])
+        assert ledger.balance("seller-1") == 0
+
+
 def test_buyer_purchase_of_an_unknown_license_exits_1(tmp_path, capsys):
     with cli_market(tmp_path, capsys) as (argv, ledger):
         argv[argv.index("lic-a")] = "nope"
@@ -1172,12 +1197,14 @@ def test_a_directory_given_for_a_file_exits_2_naming_it(tmp_path, capsys, argv):
 
 
 def test_bank_serve_on_a_port_already_held_exits_2_naming_it(tmp_path, capsys):
-    # before, it died of an OSError (EADDRINUSE) traceback
+    # before, it died of an OSError (EADDRINUSE) traceback, and later it
+    # exited 2 but left the empty ledger it had opened before binding
     with socket.create_server(("127.0.0.1", 0)) as held:
         address = held.getsockname()
         assert run_cli("bank", "serve", "--ledger", str(tmp_path / "ledger.tsv"),
                        "--listen", "%s:%d" % address) == 2
     assert one_line_naming(capsys.readouterr().err, str(address))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -154,7 +154,7 @@ def test_payment_completeness_on_failure(params64):
     keys, cat = make_catalog(params64, prices=(4,))
     bank = CardLedger(rng=random.Random(6))
     cards = fund(bank, [1, 1, 1, 1])
-    bank.verify_and_spend(cards[2][0], "seller-0")  # pre-burn card 3
+    bank.spend_atomic([cards[2][0]], "seller-0")  # pre-burn card 3
     handler = SellerStepHandler(keys, params64, bank, "seller-1")
     session = buyer_begin(cat, "lic-4", cards, rng=random.Random(1))
     with pytest.raises(CardError) as exc:
@@ -171,7 +171,7 @@ def test_seller_spends_before_exponentiation(params64):
     keys, cat = make_catalog(params64, prices=(2,))
     bank = CardLedger(rng=random.Random(7))
     cards = fund(bank, [1, 1])
-    bank.verify_and_spend(cards[0][0], "seller-0")
+    bank.spend_atomic([cards[0][0]], "seller-0")
     ops = OpCounter()
     handler = SellerStepHandler(keys, params64, bank, "seller-1", ops=ops)
     req = wire.StepReq(card_ids=[cards[0][0]], m=cat.entry("lic-2").x)
