@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .encoding import INT
-from .errors import BlindpayError, CardError, LedgerCorrupt
+from .errors import BlindpayError, CardError, ConnectionClosed, LedgerCorrupt
 from .group import SYSTEM_RANDOM
 
 
@@ -146,12 +146,14 @@ class CardLedger:
         """The one path by which a change reaches the file and the state: check
         it whole, append all its records in one write, then move the cards,
         the balances and the seq.  A write that fails or is cut short, or a
-        closed file (ValueError), changes nothing.  Returns the cards."""
+        closed ledger (ConnectionClosed), changes nothing.  Returns the cards."""
         with self._lock:
             if values is None:  # a live DIST or SPEND; an unknown card is refused first
                 values = [self.cards[cid].value if cid in self.cards else 0 for cid in card_ids]
             self._check(op, card_ids, values)
             if self._fh is not None:
+                if self._fh.closed:  # to a buyer, the bank is unavailable
+                    raise ConnectionClosed("the ledger is closed")
                 data = "".join(f"{self._seq + i}\t{op}\t{cid}\t{value}\t{account}\n"
                                for i, (cid, value) in enumerate(zip(card_ids, values), 1)).encode()
                 end = os.lseek(self._fh.fileno(), 0, os.SEEK_END)

@@ -133,8 +133,8 @@ def _write_secrets(path: str, keys: SellerKeys):
 
 
 def _read_cards(path: str) -> list[tuple[str, int]]:
-    """One card a line: a hex card id and a value >= 1 in ASCII digits, which
-    defaults to 1."""
+    """One card a line: a hex card id, read in lowercase as the wire holds it,
+    and a value >= 1 in ASCII digits, which defaults to 1."""
     cards = []
     for lineno, line in enumerate(_read_file(path).split("\n"), 1):
         parts = line.split()
@@ -148,7 +148,7 @@ def _read_cards(path: str) -> list[tuple[str, int]]:
         if value < 1 or len(parts) > 2:
             raise BlindpayError(f"{path} line {lineno}: want a hex card id and a "
                                 f"value >= 1, got {line.strip()!r}")
-        cards.append((parts[0], value))
+        cards.append((parts[0].lower(), value))
     return cards
 
 

@@ -19,11 +19,12 @@ A false step survives the fold with probability about 2^-128.  A batch
 that fails falls back to one check per step, which names the first bad
 step; a record without batch proofs still replays to the same verdicts.
 
-Only answer_case (``blindpay seller answer``) hands the resolvers a
-seller agent, whose answers go into the record; resolve_case judges a
-record alone, for ``blindpay arbitrate`` and the scenario runner.  The
-record file is the only channel between seller and arbitrator; a record
-nobody answered is judged by the timeout rule.
+The case record is the only channel between the parties.  The buyer
+fills its kind, group and step lines, and for kind B the license lines
+(settle_purchase).  Only answer_case (``blindpay seller answer``) fills
+the seller's lines, and asks the seller agent only where the timeout
+rule would convict it on the unanswered record; resolve_case judges a
+record alone, for ``blindpay arbitrate`` and the scenario runner.
 Evidence for kinds C and D carries only blinded request/response pairs:
 the arbitrator never sees card identifiers, the license factor, or
 anything naming the buyer.
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import astuple, dataclass, field, replace
+from collections import namedtuple
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 from .catalog import (
     GROUP_KEYS,
@@ -80,35 +82,126 @@ class Verdict:
     checked_steps: int = 0
 
 
+def _read_proof(text: str) -> DlEqProof | None:
+    if text == "-":
+        return None
+    a1, a2, c, z = INTS.read(text)
+    return DlEqProof(commitment_a=a1, commitment_b=a2, challenge=c, response=z)
+
+
+def _read_batch(text: str) -> tuple[tuple[str, int], DlEqProof | None]:
+    family, t, proof = text.split(" ", 2)
+    if family not in ("step", "segment", "link"):
+        raise ValueError(f"unknown batch proof kind {family!r}")
+    return (family, INT.read(t)), _PROOF.read(proof)
+
+
+def _read_kind(text: str) -> str:
+    if text not in ("B", "C", "D"):
+        raise ValueError(f"want B, C or D, got {text!r}")
+    return text
+
+
+# A proof withheld or not given is "-"; a batch proof is ((family, t), proof).
+_PROOF = Codec(lambda pr: "-" if pr is None else INTS.write(astuple(pr)), _read_proof)
+_BATCH = Codec(lambda b: f"{b[0][0]} {b[0][1]} {_PROOF.write(b[1])}", _read_batch)
+
+
+_Line = namedtuple("_Line", "key codec many seller part")
+
+
+def _line(key: str, codec: Codec, default=None, *, many=False, seller=False, part=""):
+    """A DisputeCase field and its record line.  default is the value with no
+    line, or a factory the line values go through.  A field that repeats has
+    a line per item (a dict's items in order); a seller's line is filled by
+    answer_case alone; part is a key of _PARTS."""
+    default = {"default_factory" if callable(default) else "default": default}
+    return field(**default, metadata={"line": _Line(key, codec, many, seller, part)})
+
+
+# The parts whose lines are written all or none, each as (a case holds it, a
+# record holds it).  A record holding a part must carry all its lines; a stray
+# line of a part it does not hold is read as absent.
+_PARTS = {"B": (lambda case: case.kind == "B", lambda rec: rec["kind"] == "B"),
+          "audit": (lambda case: bool(case.audit_license_id), lambda rec: "audit_license" in rec)}
+
+
 @dataclass
 class DisputeCase:
+    """A dispute case and the one declaration of its record: the kind and group
+    lines, then each field's line in field order.  None or [] writes no line."""
+
     kind: str
     params: GroupParams
     verify_pk: bytes
     k_table: dict[int, int]
-    steps: list[StepTranscript]  # alpha set for type B only
+    steps: list[StepTranscript] = _line("step", STEP, list, many=True)  # alpha: type B only
     # type B: the buyer gives up the license to prove the claim
-    license_id: str = ""
-    x: int = 0
-    published_terms: str = ""
-    encrypted_license: bytes = b""
-    terms_signature: bytes = b""
-    buyer_key: int = 0
-    # recorded seller material (filled in by answer_case)
-    seller_values: tuple[int, int] | None = None
-    seller_resign: bytes | None = None
-    seller_proof: DlEqProof | None = None
-    step_proofs: list[DlEqProof] | None = None
-    audit_license_id: str = ""
-    audit_x: int = 0
-    audit_price: int = 0
-    audit_blob: bytes = b""
-    chain: list[int] | None = None
-    link_proofs: list[DlEqProof] | None = None
-    segment_proofs: list[DlEqProof] | None = None
+    license_id: str = _line("license", STR, "", part="B")
+    x: int = _line("x", INT, 0, part="B")
+    published_terms: str = _line("published_terms", STR, "", part="B")
+    encrypted_license: bytes = _line("blob", B64, b"", part="B")
+    terms_signature: bytes = _line("terms_signature", HEX, b"", part="B")
+    buyer_key: int = _line("buyer_key", INT, 0, part="B")
+    # the seller's lines: its answer to a type C claim, then to a type D claim
+    seller_values: tuple[int, int] | None = _line("seller_values", PAIR, seller=True)
+    seller_resign: bytes | None = _line("seller_resign", HEX, seller=True)
+    seller_proof: DlEqProof | None = _line("seller_proof", _PROOF, seller=True)
+    step_proofs: list[DlEqProof] | None = _line("step_proof", _PROOF, many=True, seller=True)
+    audit_license_id: str = _line("audit_license", STR, "", seller=True, part="audit")
+    audit_x: int = _line("audit_x", INT, 0, seller=True, part="audit")
+    audit_price: int = _line("audit_price", INT, 0, seller=True, part="audit")
+    audit_blob: bytes = _line("audit_blob", B64, b"", seller=True, part="audit")
+    chain: list[int] | None = _line("chain", INTS, seller=True)
+    link_proofs: list[DlEqProof] | None = _line("link_proof", _PROOF, many=True, seller=True)
+    segment_proofs: list[DlEqProof] | None = _line("segment_proof", _PROOF, many=True,
+                                                   seller=True)
     # one proof per ("step" | "segment", t) or ("link", 1); see _first_unproven
-    batch_proofs: dict[tuple[str, int], DlEqProof] = field(default_factory=dict)
-    s_revealed: int | None = None
+    batch_proofs: dict[tuple[str, int], DlEqProof] = _line("batch_proof", _BATCH, dict,
+                                                           many=True, seller=True)
+    # method 3's disclosed factor: resolve_type_d_method3 takes it, answer_case never
+    s_revealed: int | None = _line("s_revealed", INT, seller=True)
+
+
+_LINES = [(f, f.metadata["line"]) for f in fields(DisputeCase) if "line" in f.metadata]
+_SELLER_FIELDS = {f.name for f, line in _LINES if line.seller}
+CASE = RecordFormat(
+    "case",
+    once={"kind": Codec(str, _read_kind), **GROUP_KEYS,
+          **{line.key: line.codec for _, line in _LINES if not line.many}},
+    many={"ktable": PAIR, **{line.key: line.codec for _, line in _LINES if line.many}},
+    error=MalformedEvidence)
+
+
+def write_case(case: DisputeCase) -> str:
+    out = [("kind", case.kind), *group_fields(case.params, case.verify_pk, case.k_table)]
+    for f, line in _LINES:
+        value = getattr(case, f.name)
+        if line.many:
+            items = sorted(value.items()) if isinstance(value, dict) else value or []
+            out += [(line.key, item) for item in items]
+        elif _PARTS[line.part][0](case) if line.part else value is not None:
+            out.append((line.key, value))
+    return CASE.write(out)
+
+
+def parse_case(text: str) -> DisputeCase:
+    rec = CASE.read(text)
+    params, verify_pk, k_table = read_group(rec)
+    # Membership checks on the evidence mean "in the order-q subgroup"
+    # only for a safe-prime group, so a record's group is checked first.
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise MalformedEvidence(f"case record group invalid: {exc}") from None
+    kind, values = rec["kind"], {}
+    for f, line in _LINES:
+        if line.many:
+            items = rec[line.key]
+            values[f.name] = f.default_factory(items) if f.default is MISSING else items or None
+        elif _PARTS[line.part][1](rec) if line.part else line.key in rec:
+            values[f.name] = rec[line.key]
+    return DisputeCase(kind=kind, params=params, verify_pk=verify_pk, k_table=k_table, **values)
 
 
 # --- case builders ------------------------------------------------------------
@@ -296,13 +389,13 @@ def resolve_type_b(case: DisputeCase) -> Verdict:
                    len(case.steps))
 
 
-def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) -> Verdict:
-    """Corrupt step signature.
+def resolve_type_c(case: DisputeCase) -> Verdict:
+    """Corrupt step signature, judged from the record alone.
 
     Valid signature: claim rejected.  A request no step carries (m outside
     the subgroup, or t outside the K table) is refused by the step handler,
-    so a claim about one is rejected before the seller is asked.  Seller
-    concurs with the values: the remedy is a fresh valid signature.
+    so a claim about one is rejected before the seller's lines are read.
+    Seller concurs with the values: the remedy is a fresh valid signature.
     Seller's values conflict with the buyer's: escalate, the seller must
     prove its own pair correct; success rejects the claim (and the proven
     pair goes to the buyer), failure obliges the seller to sign the buyer's
@@ -320,25 +413,17 @@ def resolve_type_c(case: DisputeCase, seller: SellerDisputeAgent | None = None) 
     k = case.k_table.get(st.t)
     if k is None:
         return Verdict(BUYER_CLAIM_REJECTED, f"no unblinding key for step value {st.t}", 1)
-
-    if case.seller_values is None and seller is not None:
-        case.seller_values = seller.original_values(st.m, st.t)
     if case.seller_values is None:
         return Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline", 1)
 
     q_val, n_val = case.seller_values
     if (q_val, n_val) == (st.m, st.m_out):
-        if case.seller_resign is None and seller is not None:
-            case.seller_resign = seller.sign_values(st.m, st.m_out)
         if case.seller_resign is None or not _step_signed(
                 case, replace(st, signature=case.seller_resign)):
             return Verdict(SELLER_AT_FAULT,
                            "seller failed to produce a valid signature on agreed values", 1)
         return Verdict(SELLER_MUST_RESIGN,
                        "seller acknowledged the values; valid signature reissued", 1)
-
-    if case.seller_proof is None and seller is not None:
-        case.seller_proof = seller.prove(q_val, n_val, case.params.g, k, st.t)
     if _safe_verify(case.seller_proof, q_val, n_val, case.params.g, k, case.params):
         return Verdict(BUYER_CLAIM_REJECTED,
                        "seller proved its values correct; proven response forwarded", 1)
@@ -590,99 +675,7 @@ def verify_k_table(catalog: Catalog, proofs: dict[tuple[int, int], DlEqProof]) -
     return True
 
 
-# --- case record files ------------------------------------------------------------
-
-_PROOF_FAMILIES = ("step", "segment", "link")
-
-
-def _read_proof(text: str) -> DlEqProof | None:
-    if text == "-":
-        return None
-    a1, a2, c, z = INTS.read(text)
-    return DlEqProof(commitment_a=a1, commitment_b=a2, challenge=c, response=z)
-
-
-def _read_batch(text: str) -> tuple[tuple[str, int], DlEqProof | None]:
-    family, t, proof = text.split(" ", 2)
-    if family not in _PROOF_FAMILIES:
-        raise ValueError(f"unknown batch proof kind {family!r}")
-    return (family, INT.read(t)), _PROOF.read(proof)
-
-
-def _read_kind(text: str) -> str:
-    if text not in ("B", "C", "D"):
-        raise ValueError(f"want B, C or D, got {text!r}")
-    return text
-
-
-# A proof withheld or not given is "-"; a batch proof is ((family, t), proof).
-_PROOF = Codec(lambda pr: "-" if pr is None else INTS.write(astuple(pr)), _read_proof)
-_BATCH = Codec(lambda b: f"{b[0][0]} {b[0][1]} {_PROOF.write(b[1])}", _read_batch)
-_TYPE_B_KEYS = {"license": STR, "x": INT, "published_terms": STR, "blob": B64,
-                "terms_signature": HEX, "buyer_key": INT}
-_AUDIT_KEYS = {"audit_license": STR, "audit_x": INT, "audit_price": INT, "audit_blob": B64}
-CASE = RecordFormat(
-    "case",
-    once={"kind": Codec(str, _read_kind), **GROUP_KEYS, **_TYPE_B_KEYS,
-          "seller_values": PAIR, "seller_resign": HEX, "seller_proof": _PROOF,
-          **_AUDIT_KEYS, "chain": INTS, "s_revealed": INT},
-    many={"ktable": PAIR, "step": STEP, "batch_proof": _BATCH,
-          **{f"{f}_proof": _PROOF for f in _PROOF_FAMILIES}},
-    error=MalformedEvidence)
-
-
-def write_case(case: DisputeCase) -> str:
-    fields = [("kind", case.kind), *group_fields(case.params, case.verify_pk, case.k_table)]
-    fields += [("step", st) for st in case.steps]
-    if case.kind == "B":
-        fields += zip(_TYPE_B_KEYS, (case.license_id, case.x, case.published_terms,
-                                     case.encrypted_license, case.terms_signature,
-                                     case.buyer_key))
-    if case.seller_values is not None:
-        fields.append(("seller_values", case.seller_values))
-    if case.seller_resign is not None:
-        fields.append(("seller_resign", case.seller_resign))
-    if case.seller_proof is not None:
-        fields.append(("seller_proof", case.seller_proof))
-    fields += [("step_proof", pr) for pr in case.step_proofs or []]
-    if case.audit_license_id:
-        fields += zip(_AUDIT_KEYS, (case.audit_license_id, case.audit_x, case.audit_price,
-                                    case.audit_blob))
-    if case.chain is not None:
-        fields.append(("chain", case.chain))
-    fields += [("link_proof", pr) for pr in case.link_proofs or []]
-    fields += [("segment_proof", pr) for pr in case.segment_proofs or []]
-    fields += [("batch_proof", b) for b in sorted(case.batch_proofs.items())]
-    if case.s_revealed is not None:
-        fields.append(("s_revealed", case.s_revealed))
-    return CASE.write(fields)
-
-
-def parse_case(text: str) -> DisputeCase:
-    rec = CASE.read(text)
-    params, verify_pk, k_table = read_group(rec)
-    # Membership checks on the evidence mean "in the order-q subgroup"
-    # only for a safe-prime group, so a record's group is checked first.
-    try:
-        params.validate()
-    except ValueError as exc:
-        raise MalformedEvidence(f"case record group invalid: {exc}") from None
-    case = DisputeCase(
-        kind=rec["kind"], params=params, verify_pk=verify_pk, k_table=k_table,
-        steps=rec["step"], batch_proofs=dict(rec["batch_proof"]),
-        seller_values=rec.get("seller_values"), seller_resign=rec.get("seller_resign"),
-        seller_proof=rec.get("seller_proof"), chain=rec.get("chain"),
-        s_revealed=rec.get("s_revealed"))
-    if case.kind == "B":
-        (case.license_id, case.x, case.published_terms, case.encrypted_license,
-         case.terms_signature, case.buyer_key) = (rec[k] for k in _TYPE_B_KEYS)
-    for family in _PROOF_FAMILIES:
-        setattr(case, f"{family}_proofs", rec[f"{family}_proof"] or None)
-    if "audit_license" in rec:
-        (case.audit_license_id, case.audit_x, case.audit_price,
-         case.audit_blob) = (rec[k] for k in _AUDIT_KEYS)
-    return case
-
+# --- judging and answering a case record ------------------------------------------
 
 def resolve_case(case: DisputeCase,
                  catalog: Catalog | None = None) -> list[tuple[str, Verdict]]:
@@ -722,10 +715,12 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     """The seller's answer to a case record, for the arbitrator to replay.
 
     The record must carry this seller's commitments (check_commitments).
-    Any seller-side material the record already carries is dropped, so
-    every value, signature, proof and chain in the answer is the seller's
-    own computation, and the seller picks the audited license itself.
-    Method 3, which would disclose the generation factor, never runs.
+    Every seller's line the record already carries is dropped, so every
+    value, signature, proof and chain in the answer is the seller's own
+    computation, and the seller picks the audited license itself.  Method
+    3, which would disclose the generation factor, never runs.  A type B
+    claim needs no answer, and a type C claim is put to the seller only
+    where resolve_type_c would convict it by the timeout rule unanswered.
 
     Method 2 reveals the key chain of the license it audits.  The draw is
     seeded by the least SHA-256 of step_payload over the record's validly
@@ -733,15 +728,18 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     reordered, reveals the same chain.  A buyer who drops steps may draw
     again, so it opens at most one license per signed step it holds."""
     check_commitments(case, catalog)
-    answered = replace(case, seller_values=None, seller_resign=None, seller_proof=None,
-                       step_proofs=None, audit_license_id="", audit_x=0, audit_price=0,
-                       audit_blob=b"", chain=None, link_proofs=None, segment_proofs=None,
-                       batch_proofs={}, s_revealed=None)
+    answered = DisputeCase(**{f.name: getattr(case, f.name) for f in fields(DisputeCase)
+                              if f.name not in _SELLER_FIELDS})
     seed = min((hashlib.sha256(step_payload(st.m, st.m_out)).digest()
                 for st in case.steps if _step_signed(case, st)), default=b"")
     if answered.kind == "D":
         resolve_type_d_method1(answered, seller)
         resolve_type_d_method2(answered, catalog, seller, random.Random(seed))
-    elif answered.kind == "C":  # a type B claim needs no answer
-        resolve_type_c(answered, seller)
+    elif answered.kind == "C" and resolve_type_c(answered).outcome == SELLER_AT_FAULT:
+        (st,), g = answered.steps, answered.params.g
+        answered.seller_values = values = seller.original_values(st.m, st.t)
+        if values == (st.m, st.m_out):
+            answered.seller_resign = seller.sign_values(*values)
+        else:
+            answered.seller_proof = seller.prove(*values, g, answered.k_table[st.t], st.t)
     return answered

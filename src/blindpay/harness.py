@@ -37,7 +37,7 @@ from .dispute import (
     settle_purchase,
     write_case,
 )
-from .encoding import INT, ON_OFF
+from .encoding import INT, ON_OFF, STR
 from .errors import (
     BlindpayError,
     CardError,
@@ -104,6 +104,7 @@ class Metrics:
 FAULTS = ("none", "corrupt-signature", "wrong-terms", "wrong-s", "double-spend",
           "false-claim")
 STEP_FAULTS = ("corrupt-signature", "wrong-s", "double-spend")  # strike at fault_step
+_CODECS = {"int": INT, "bool": ON_OFF, "str": STR}  # a Scenario field's, by its type
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,12 @@ class Scenario:
     fault_step: int = 0
 
     def line(self) -> str:
-        return (f"mode={self.mode} price={self.price} "
-                f"refresh={ON_OFF.write(self.refresh)} "
-                f"group_bits={self.group_bits} transport={self.transport} "
-                f"seed={self.seed} fault={self.fault} fault_step={self.fault_step}")
+        return " ".join(f"{f.name}={_CODECS[f.type].write(getattr(self, f.name))}"
+                        for f in fields(self))
 
 
 def parse_scenario(text: str) -> Scenario:
-    convert = {"int": INT.read, "bool": ON_OFF.read, "str": str}
-    codecs = {f.name: convert[f.type] for f in fields(Scenario)}
+    codecs = {f.name: _CODECS[f.type].read for f in fields(Scenario)}
     kv = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -280,7 +278,7 @@ def make_bank_handler(ledger: CardLedger):
             if isinstance(msg, wire.CardSpend):
                 return wire.SpendOk(receipts=tuple(ledger.spend_atomic(list(msg.card_ids),
                                                                       msg.account)))
-        except (CardError, ValueError) as exc:
+        except (CardError, ConnectionClosed, ValueError) as exc:
             why = exc
         code, detail = refusal(why)
         return wire.SpendErr(code=code, detail=detail,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindpay.cards import CardLedger, CardStatus, SpendReceipt
-from blindpay.errors import BlindpayError, CardError, LedgerCorrupt
+from blindpay.errors import BlindpayError, CardError, ConnectionClosed, LedgerCorrupt
 
 
 @contextlib.contextmanager
@@ -302,7 +302,7 @@ def test_closed_ledger_refuses_changes(tmp_path):
     ledger = CardLedger(path=str(path), rng=random.Random(3))
     (card,) = issue_and_distribute(ledger, 1)
     ledger.close()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConnectionClosed, match="^the ledger is closed$"):
         ledger.spend_atomic([card.card_id], "seller-1")
     assert (ledger._seq, ledger.cards[card.card_id].status) == (2, CardStatus.DISTRIBUTED)
     assert CardLedger.replay(str(path))._seq == 2

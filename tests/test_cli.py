@@ -30,6 +30,7 @@ from blindpay.dispute import (
     SELLER_MUST_RESIGN,
     DisputeCase,
     SellerDisputeAgent,
+    answer_case,
     build_type_d_case,
     parse_case,
     resolve_type_c,
@@ -283,10 +284,10 @@ def test_arbitrate_replay(tmp_path, capsys, params64):
 
 
 def test_arbitrate_type_c_record(tmp_path, capsys, params64):
-    from blindpay.dispute import resolve_type_c
     from test_dispute import corrupt_signature_case
     keys, cat, case = corrupt_signature_case(params64, seed=81)
-    live = resolve_type_c(case, SellerDisputeAgent(keys, cat, random.Random(2)))
+    case = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(2)))
+    live = resolve_type_c(case)
     path, catp = tmp_path / "case-c.txt", tmp_path / "cat.txt"
     path.write_text(write_case(case))
     catp.write_text(serialize_catalog(cat))
@@ -324,7 +325,7 @@ def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, e
     # the generation factor, which the file channel never carries
     agent = SellerDisputeAgent(keys, cat, random.Random(17))
     if evidence.startswith("C"):
-        live = [("C", resolve_type_c(new_case(), agent))]
+        live = [("C", resolve_type_c(answer_case(new_case(), cat, agent)))]
     else:
         live = [("D-method1", resolve_type_d_method1(new_case(), agent)),
                 ("D-method2", resolve_type_d_method2(new_case(), cat, agent,
@@ -1141,6 +1142,22 @@ def test_buyer_purchase_with_a_card_named_twice_exits_1_before_any_step(tmp_path
         cards.write_text(f"{first}\n{first}\n{second}\n")
         assert run_cli(*argv) == 1
         assert one_line_naming(capsys.readouterr().err, first.split()[0])
+        assert ledger.balance("seller-1") == 0
+
+
+def test_buyer_purchase_with_a_card_named_in_two_cases_exits_1_before_any_step(tmp_path,
+                                                                              capsys):
+    # before, both spellings passed the check and the wire lowercased them:
+    # the first step paid with the card and the second was refused
+    # already-spent, so the seller kept a unit of an aborted purchase
+    with cli_market(tmp_path, capsys) as (argv, ledger):
+        cards = tmp_path / "cards.txt"
+        first, second, _ = cards.read_text().splitlines()
+        card_id, value = first.split()
+        assert card_id.upper() != card_id
+        cards.write_text(f"{first}\n{card_id.upper()} {value}\n{second}\n")
+        assert run_cli(*argv) == 1
+        assert one_line_naming(capsys.readouterr().err, card_id)
         assert ledger.balance("seller-1") == 0
 
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 import random
 import re
@@ -49,7 +50,14 @@ from blindpay.errors import (
     MissingKPower,
     StepRejected,
 )
-from blindpay.group import dleq_composite, dleq_verify, mul_mod, named_group, pow_mod
+from blindpay.group import (
+    DlEqProof,
+    dleq_composite,
+    dleq_verify,
+    mul_mod,
+    named_group,
+    pow_mod,
+)
 from blindpay.harness import FaultingSeller, make_seller_handler, step_reply
 from blindpay.purchase import (
     MODE_ENHANCED,
@@ -330,9 +338,9 @@ def test_parse_case_refuses_an_unnamed_group_above_64_bits(params64, params, pri
 
 def test_type_c_seller_agrees_must_resign(params64):
     keys, cat, case = corrupt_signature_case(params64)
-    verdict = resolve_type_c(case, SellerDisputeAgent(keys, cat, random.Random(1)))
-    assert verdict.outcome == SELLER_MUST_RESIGN
-    assert case.seller_resign is not None
+    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(1)))
+    assert resolve_type_c(answered).outcome == SELLER_MUST_RESIGN
+    assert answered.seller_resign is not None
 
 
 def test_type_c_valid_signature_rejected(params64):
@@ -341,9 +349,9 @@ def test_type_c_valid_signature_rejected(params64):
     buyer_process_response(session, resp)
     tr = session.transcripts[0]
     fake = BadStepSignature(replace(tr, alpha=None))
-    verdict = resolve_type_c(build_type_c_case(cat, fake),
-                             SellerDisputeAgent(keys, cat))
-    assert verdict.outcome == BUYER_CLAIM_REJECTED
+    answered = answer_case(build_type_c_case(cat, fake), cat, SellerDisputeAgent(keys, cat))
+    assert resolve_type_c(answered).outcome == BUYER_CLAIM_REJECTED
+    assert answered.seller_values is None  # nothing to answer
 
 
 def test_type_c_conflicting_values_seller_proof_accepted(params64):
@@ -351,11 +359,12 @@ def test_type_c_conflicting_values_seller_proof_accepted(params64):
     # the buyer's record of the response got mangled in transit
     case.steps[0] = replace(case.steps[0],
                             m_out=mul_mod(case.steps[0].m_out, params64.g, params64))
-    verdict = resolve_type_c(case, SellerDisputeAgent(keys, cat, random.Random(2)))
+    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(2)))
+    verdict = resolve_type_c(answered)
     assert verdict == Verdict(BUYER_CLAIM_REJECTED,
                               "seller proved its values correct; proven response forwarded", 1)
-    assert case.seller_values is not None
-    assert case.seller_values[1] != case.steps[0].m_out
+    assert answered.seller_values is not None
+    assert answered.seller_values[1] != case.steps[0].m_out
 
 
 class LyingAgent(SellerDisputeAgent):
@@ -366,7 +375,7 @@ class LyingAgent(SellerDisputeAgent):
 
 def test_type_c_conflicting_values_seller_proof_fails(params64):
     keys, cat, case = corrupt_signature_case(params64)
-    verdict = resolve_type_c(case, LyingAgent(keys, cat, random.Random(3)))
+    verdict = resolve_type_c(answer_case(case, cat, LyingAgent(keys, cat, random.Random(3))))
     assert verdict == Verdict(SELLER_MUST_RESIGN,
                               "seller could not prove its values; must sign the buyer's values", 1)
 
@@ -378,14 +387,16 @@ class ZeroSignatureAgent(SellerDisputeAgent):
 
 def test_type_c_seller_that_will_not_resign_is_at_fault(params64):
     keys, cat, case = corrupt_signature_case(params64)
-    verdict = resolve_type_c(case, ZeroSignatureAgent(keys, cat, random.Random(3)))
+    verdict = resolve_type_c(answer_case(case, cat,
+                                         ZeroSignatureAgent(keys, cat, random.Random(3))))
     assert verdict == Verdict(SELLER_AT_FAULT,
                               "seller failed to produce a valid signature on agreed values", 1)
 
 
 def test_type_c_unresponsive_seller_at_fault(params64):
     keys, cat, case = corrupt_signature_case(params64)
-    assert resolve_type_c(case, None).outcome == SELLER_AT_FAULT
+    assert resolve_type_c(case) == Verdict(SELLER_AT_FAULT,
+                                           "seller unresponsive within the deadline", 1)
 
 
 @pytest.mark.parametrize("with_agent", [True, False], ids=["agent", "no-agent"])
@@ -398,8 +409,9 @@ def test_type_c_claim_no_step_carries_is_rejected(params64, with_agent, bad, che
     # anything for it; the public check decides before the seller is asked
     keys, cat, case = corrupt_signature_case(params64)
     case.steps[0] = replace(case.steps[0], **bad(params64))
-    agent = SellerDisputeAgent(keys, cat, random.Random(9)) if with_agent else None
-    verdict = resolve_type_c(case, agent)
+    if with_agent:
+        case = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(9)))
+    verdict = resolve_type_c(case)
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert check in verdict.rationale
     assert case.seller_values is None
@@ -799,6 +811,99 @@ def test_batch_proofs_round_trip_the_record(params64):
         parse_case(text.replace("batch_proof: step 1 ", "batch_proof: chain 1 "))
 
 
+_NUM = strategies.integers(0, 2**64)
+_PROOF = strategies.builds(DlEqProof, _NUM, _NUM, _NUM, _NUM)
+_PROOFS = strategies.lists(strategies.none() | _PROOF, min_size=1, max_size=3)
+_TEXT = strategies.text(alphabet="ab -:.", max_size=8)
+# a value for each group of the seller's lines, drawn whole or not at all
+_SELLER_LINES = {
+    "seller_values": strategies.fixed_dictionaries(
+        {"seller_values": strategies.tuples(_NUM, _NUM)}),
+    "seller_resign": strategies.fixed_dictionaries(
+        {"seller_resign": strategies.binary(min_size=64, max_size=64)}),
+    "seller_proof": strategies.fixed_dictionaries({"seller_proof": _PROOF}),
+    "step_proofs": strategies.fixed_dictionaries({"step_proofs": _PROOFS}),
+    "audit": strategies.fixed_dictionaries({
+        "audit_license_id": _TEXT.filter(bool), "audit_x": _NUM,
+        "audit_price": strategies.integers(0, 8), "audit_blob": strategies.binary(max_size=40)}),
+    "chain": strategies.fixed_dictionaries({"chain": strategies.lists(_NUM, max_size=4)}),
+    "link_proofs": strategies.fixed_dictionaries({"link_proofs": _PROOFS}),
+    "segment_proofs": strategies.fixed_dictionaries({"segment_proofs": _PROOFS}),
+    "batch_proofs": strategies.fixed_dictionaries({"batch_proofs": strategies.dictionaries(
+        strategies.tuples(strategies.sampled_from(("step", "segment", "link")),
+                          strategies.integers(0, 9)),
+        strategies.none() | _PROOF, min_size=1, max_size=3)}),
+    "s_revealed": strategies.fixed_dictionaries({"s_revealed": _NUM}),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=strategies.data())
+def test_any_case_record_round_trips(params64, data):
+    kind = data.draw(strategies.sampled_from("BCD"), label="kind")
+    steps = data.draw(strategies.lists(strategies.builds(
+        StepTranscript, _NUM, _NUM, strategies.integers(1, 8),
+        strategies.binary(min_size=64, max_size=64),
+        _NUM if kind == "B" else strategies.none()), max_size=3), label="steps")
+    claim = {} if kind != "B" else data.draw(strategies.fixed_dictionaries({
+        "license_id": _TEXT, "x": _NUM, "published_terms": _TEXT,
+        "encrypted_license": strategies.binary(max_size=40),
+        "terms_signature": strategies.binary(max_size=64), "buyer_key": _NUM}), label="B")
+    answer = {}
+    for group_name in data.draw(strategies.sets(strategies.sampled_from(sorted(_SELLER_LINES))),
+                                label="seller lines"):
+        answer.update(data.draw(_SELLER_LINES[group_name], label=group_name))
+    case = DisputeCase(kind=kind, params=params64, verify_pk=data.draw(strategies.binary(
+        min_size=32, max_size=32)), k_table=data.draw(strategies.dictionaries(
+            strategies.integers(1, 8), _NUM, max_size=3)), steps=steps, **claim, **answer)
+    text = write_case(case)
+    assert parse_case(text) == case
+    assert write_case(parse_case(text)) == text
+
+
+def b_record(params64) -> str:
+    return write_case(DisputeCase(
+        kind="B", params=params64, verify_pk=bytes(32), k_table={1: 5},
+        steps=[StepTranscript(7, 8, 1, bytes(64), alpha=3)], license_id="lic-3", x=11,
+        published_terms="read-only", encrypted_license=b"sealed", terms_signature=bytes(64),
+        buyer_key=13))
+
+
+@pytest.mark.parametrize("key", ["license", "x", "published_terms", "blob",
+                                 "terms_signature", "buyer_key"])
+def test_a_kind_b_record_missing_a_b_line_is_refused(params64, key):
+    text = b_record(params64)
+    parse_case(text)
+    cut = "".join(line for line in text.splitlines(keepends=True)
+                  if not line.startswith(f"{key}: "))
+    with pytest.raises(MalformedEvidence, match=f"^no '{key}' line$"):
+        parse_case(cut)
+
+
+@pytest.mark.parametrize("key", ["audit_x", "audit_price", "audit_blob"])
+def test_an_audit_missing_one_of_its_lines_is_refused(params64, key):
+    keys, cat, bank, session = completed_session(params64, price=2, seed=84)
+    text = write_case(answer_case(build_type_d_case(cat, session), cat,
+                                  SellerDisputeAgent(keys, cat, random.Random(85))))
+    cut = "".join(line for line in text.splitlines(keepends=True)
+                  if not line.startswith(f"{key}: "))
+    assert cut != text
+    with pytest.raises(MalformedEvidence, match=f"^no '{key}' line$"):
+        parse_case(cut)
+
+
+def test_a_stray_b_line_in_a_d_record_is_read_as_absent_and_never_answered(params64):
+    keys, cat, bank, session = completed_session(params64, price=2, seed=86)
+    text = write_case(build_type_d_case(cat, session))
+    stray = text + "license: lic-2\nbuyer_key: 5\n"
+    case = parse_case(stray)
+    assert case == parse_case(text)
+    assert (case.license_id, case.buyer_key) == ("", 0)
+    answered = write_case(answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(87))))
+    assert not re.search(r"^(license|buyer_key): ", answered, re.MULTILINE)
+    assert answered.startswith(text)
+
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 # Verdicts of the records in tests/fixtures/case_d_answered_*.txt: answered
@@ -1152,8 +1257,7 @@ def test_resolve_case_dispatch(params64):
 
 
 # the position of the seller among each resolver's parameters, where it had one
-TAKES_A_SELLER = {"resolve_case": 2, "resolve_type_c": 1, "resolve_type_d_method1": 1,
-                  "resolve_type_d_method2": 2}
+TAKES_A_SELLER = {"resolve_case": 2, "resolve_type_d_method1": 1, "resolve_type_d_method2": 2}
 
 
 def test_only_answer_case_hands_a_seller_to_the_resolvers():
@@ -1184,6 +1288,8 @@ def test_only_answer_case_hands_a_seller_to_the_resolvers():
     assert not handed and not takes, (
         f"a seller handed to a resolver outside answer_case at {handed}; "
         f"resolve_case takes {takes}")
+    # type C's resolver reads the record alone; answer_case asks the seller
+    assert list(inspect.signature(resolve_type_c).parameters) == ["case"]
 
 
 # --- K-table doubling consistency ---------------------------------------------------------------

@@ -443,6 +443,22 @@ def test_an_account_cannot_mint_a_card_through_the_ledger_file(tmp_path):
     assert sum(c.value for c in reopened.cards.values()) == 1
 
 
+def test_a_spend_on_a_closed_ledger_is_refused_bank_unavailable(tmp_path, params64):
+    # before, the closed file's ValueError came back bad-request, blaming the
+    # request for the bank's own shutdown, with the file's error as detail
+    ledger, handle, (card,) = _filed_bank(tmp_path / "ledger.tsv", [1], 26)
+    ledger.close()
+    unavailable = ("bank-unavailable", "the bank did not answer")
+    reply = handle(wire.CardSpend(card_ids=(card.card_id,), account="seller-1"))
+    assert reply == wire.SpendErr(*unavailable), reply
+    # a seller whose bank is that ledger in memory refuses the buyer alike
+    keys, cat = make_catalog(params64)
+    seller = make_seller_handler(SellerStepHandler(keys, params64, ledger, "seller-1"), cat)
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
+    assert seller(wire.StepReq(card_ids=(card.card_id,), m=m)) == wire.StepErr(*unavailable)
+    assert CardLedger.replay(str(tmp_path / "ledger.tsv")).accounts == {}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.one_of(st.text(max_size=70), st.text(alphabet="a1._-\t\n\r \x85\u2028")))
 def test_any_account_is_refused_or_replays_as_it_was_spent(account):
@@ -726,7 +742,9 @@ def _answer_apart(case, cat, agent):
 
 
 RESOLVERS = {
-    "C": lambda case, cat, seller: resolve_type_c(case, seller),
+    # type C's resolver reads a record only: its local answer is answer_case's in memory
+    "C": lambda case, cat, seller: resolve_type_c(answer_case(case, cat, seller) if seller
+                                                  else case),
     "D-method1": lambda case, cat, seller: resolve_type_d_method1(case, seller),
     "D-method2": lambda case, cat, seller: resolve_type_d_method2(case, cat, seller,
                                                                   random.Random(16)),
