@@ -85,19 +85,19 @@ class CardLedger:
     With a path, the ledger is that file's only writer: it creates it 0600
     and locks it before reading it, so a second writer (even in this
     process) is refused with an error naming the file, then loads the
-    records already there and appends one tab-separated record (seq, op,
-    card_id, value, account) per mutation.  A store or account name that is
-    not a plain_token is refused before anything is written; records
-    already on file load as they are.  `replay` loads a file read-only.
-    Each change, live or loaded, goes through `_commit` and its one
-    LIFE_CYCLE check.  A card it refuses raises a CardError whose code
+    records already there and appends one tab-separated record per change:
+    seq, op, card ids, values, account, with ids and values space-separated
+    and seq the first card's (the others take the seqs after it).  A store
+    or account name that is not a plain_token is refused before anything
+    is written; records on file load as they are.  `replay` loads a file
+    read-only.  Each change, live or loaded, goes through `_commit` and its
+    one LIFE_CYCLE check.  A card it refuses raises a CardError whose code
     REFUSALS names; only a replayed record draws the two `_check` names.
 
-    Durability: a change is one write of all its records, and a failed
-    write changes nothing.  No write is fsynced, so a machine crash can lose
-    the last records or part of one change; an fsync per spend would sit on
-    every seller step.  A last line without its newline was torn by a
-    crash: it is not loaded, and the writer truncates it before appending.
+    Durability: a change is one line in one write, and a failed write
+    changes nothing.  Nothing is fsynced (that would sit on every seller
+    step), so a machine crash can lose the last changes; a last line it
+    tore (no newline) is not loaded, and the writer cuts it off first.
     """
 
     def __init__(self, path: str | None = None, rng: random.Random = SYSTEM_RANDOM):
@@ -144,7 +144,7 @@ class CardLedger:
     def _commit(self, op: str, card_ids: list[str], account: str,
                 values: list[int] | None = None) -> list[PrepaidCard]:
         """The one path by which a change reaches the file and the state: check
-        it whole, append all its records in one write, then move the cards,
+        it whole, append its one record in one write, then move the cards,
         the balances and the seq.  A write that fails or is cut short, or a
         closed ledger (ConnectionClosed), changes nothing.  Returns the cards."""
         with self._lock:
@@ -154,8 +154,8 @@ class CardLedger:
             if self._fh is not None:
                 if self._fh.closed:  # to a buyer, the bank is unavailable
                     raise ConnectionClosed("the ledger is closed")
-                data = "".join(f"{self._seq + i}\t{op}\t{cid}\t{value}\t{account}\n"
-                               for i, (cid, value) in enumerate(zip(card_ids, values), 1)).encode()
+                data = (f"{self._seq + 1}\t{op}\t{' '.join(card_ids)}\t{' '.join(map(str, values))}"
+                        f"\t{account}\n".encode() if card_ids else b"")  # no cards, no record
                 end = os.lseek(self._fh.fileno(), 0, os.SEEK_END)
                 try:
                     if os.write(self._fh.fileno(), data) != len(data):
@@ -243,8 +243,11 @@ class CardLedger:
                 continue
             where = f"{path}:{lineno}"
             try:
-                seq_s, op, cid, value_s, account = raw[:-1].decode("utf-8").split("\t")
-                seq, value = INT.read(seq_s), INT.read(value_s)
+                seq_s, op, ids, values_s, account = raw[:-1].decode("utf-8").split("\t")
+                seq, card_ids = INT.read(seq_s), ids.split(" ")
+                values = [INT.read(v) for v in values_s.split(" ")]
+                if len(values) != len(card_ids):
+                    raise ValueError("not one value per card")
             except ValueError:  # also a wrong field count or bytes that are not UTF-8
                 raise LedgerCorrupt(f"{where}: not five UTF-8 fields with unsigned "
                                     "integer seq and value") from None
@@ -253,7 +256,7 @@ class CardLedger:
             if op not in LIFE_CYCLE:
                 raise LedgerCorrupt(f"{where}: unknown op {op!r}")
             try:
-                self._commit(op, [cid], account, [value])
+                self._commit(op, card_ids, account, values)
             except CardError as exc:
                 raise LedgerCorrupt(f"{where}: {op} of {exc}") from None
         return complete

@@ -64,11 +64,25 @@ def _read_file(path: str) -> str:
 
 
 def _write_file(path: str, text: str):
-    """Every file a command writes: owner-only (0600), also one already there."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        os.fchmod(fd, 0o600)
-        fh.write(text)
+    """Every file a command writes: owner-only (0600), whole or not at all.
+    The text goes to a new file beside path, synced, then renamed over it,
+    so a write killed or failed partway leaves the old file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:  # the rename itself survives a crash only once its directory is synced
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _rng(seed: int | None) -> random.Random:
@@ -233,6 +247,9 @@ def _license_spec(text: str, x_label: str | None, rng: random.Random) -> License
 
 
 def cmd_seller_init(args) -> int:
+    if os.path.lexists(args.secrets):  # it may hold an earlier catalog's only s and sign_sk
+        raise BlindpayError(f"{args.secrets}: already there; seller init replaces no "
+                            "secrets (remove the file first)")
     rng = _rng(args.seed)
     try:  # every value is checked here, before a file is written
         params = (named_group(args.group_bits) if isinstance(args.group_bits, str)
@@ -243,8 +260,8 @@ def cmd_seller_init(args) -> int:
     except ValueError as exc:
         print(f"seller init: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_file(args.catalog, catalog_text)
     _write_secrets(args.secrets, keys)  # an int and a hex key: one line each
+    _write_file(args.catalog, catalog_text)  # never a catalog whose secrets are not on file
     print(f"catalog written to {args.catalog}, secrets to {args.secrets}")
     return EXIT_OK
 

@@ -276,8 +276,9 @@ def test_ledger_second_writer_is_refused(tmp_path):
     CardLedger(path=path).close()
 
 
-@pytest.mark.parametrize("torn", ["3\tSPE", "3\tSPEND\t{cid}\t1\tsell"],
-                         ids=["short", "five-fields"])
+@pytest.mark.parametrize("torn", ["3\tSPE", "3\tSPEND\t{cid}\t1\tsell",
+                                  "3\tISSUE\t" + "cd" * 16 + " " + "ef" * 16 + "\t2 2\t-"],
+                         ids=["short", "five-fields", "two-cards"])
 def test_ledger_torn_last_line_is_dropped(tmp_path, torn):
     # a crash cut the third record short: it has no newline
     path = tmp_path / "ledger.tsv"
@@ -391,6 +392,62 @@ def test_a_name_already_on_file_still_loads(tmp_path):
     ledger.close()
 
 
+# Written with one line per card, before a change of several cards became one
+# line: CardLedger(path, rng=random.Random(7)) issued 3 cards of value 1 and 2
+# of value 2, distributed two cards and then two more, spent three as one
+# change, was refused a spend of an unspent and a spent card, and was
+# reopened to spend one more.
+ONE_LINE_PER_CARD = (
+    b"1\tISSUE\t6513270e269e0d37f2a74de452e6b438\t1\t-\n"
+    b"2\tISSUE\td23f0824128b2f330c5c7fd0a6a3a450\t1\t-\n"
+    b"3\tISSUE\t9531985d5d9dc9f81818e811892f902b\t1\t-\n"
+    b"4\tISSUE\t36f675cc81e74ef5e8e25d940ed90475\t2\t-\n"
+    b"5\tISSUE\t6b0d549b6f03675a1600a35a099950d8\t2\t-\n"
+    b"6\tDIST\t6513270e269e0d37f2a74de452e6b438\t1\tstore-1\n"
+    b"7\tDIST\td23f0824128b2f330c5c7fd0a6a3a450\t1\tstore-1\n"
+    b"8\tDIST\t9531985d5d9dc9f81818e811892f902b\t1\tstore-2\n"
+    b"9\tDIST\t36f675cc81e74ef5e8e25d940ed90475\t2\tstore-2\n"
+    b"10\tSPEND\t6513270e269e0d37f2a74de452e6b438\t1\tseller-1\n"
+    b"11\tSPEND\td23f0824128b2f330c5c7fd0a6a3a450\t1\tseller-1\n"
+    b"12\tSPEND\t36f675cc81e74ef5e8e25d940ed90475\t2\tseller-1\n"
+    b"13\tSPEND\t9531985d5d9dc9f81818e811892f902b\t1\tseller-2\n")
+
+
+def test_a_ledger_of_one_line_per_card_replays_and_takes_appends(tmp_path, monkeypatch):
+    live = CardLedger(rng=random.Random(7))  # the same calls, in memory
+    a = [c.card_id for c in live.issue_cards(3, 1)]
+    b = [c.card_id for c in live.issue_cards(2, 2)]
+    live.distribute(a[:2], "store-1")
+    live.distribute([a[2], b[0]], "store-2")
+    assert [r.seq for r in live.spend_atomic([a[0], a[1], b[0]], "seller-1")] == [10, 11, 12]
+    with refused("already-spent"):
+        live.spend_atomic([a[2], a[0]], "seller-2")
+    live.spend_atomic([a[2]], "seller-2")
+
+    path = tmp_path / "ledger.tsv"
+    path.write_bytes(ONE_LINE_PER_CARD)
+    commits = []
+    real_commit = CardLedger._commit
+    monkeypatch.setattr(CardLedger, "_commit",
+                        lambda self, *args: commits.append(args) or real_commit(self, *args))
+    replayed = CardLedger.replay(str(path))
+    assert len(commits) == 13  # one _commit per line
+    assert _state(replayed) == _state(live)
+    assert replayed.accounts == {"seller-1": 4, "seller-2": 1}
+
+    writer = CardLedger(path=str(path), rng=random.Random(7))
+    more = [c.card_id for c in writer.issue_cards(2, 3)]
+    writer.distribute([b[1]] + more, "store-3")
+    assert [r.seq for r in writer.spend_atomic(more, "seller-3")] == [19, 20]
+    writer.close()
+    appended = path.read_bytes()
+    assert appended.startswith(ONE_LINE_PER_CARD)
+    assert appended[len(ONE_LINE_PER_CARD):].count(b"\n") == 3  # one line per change
+    del commits[:]
+    assert _state(CardLedger.replay(str(path))) == _state(writer)
+    assert [len(card_ids) for _, card_ids, _, _ in commits] == [1] * 13 + [2, 3, 2]
+
+
 ISSUE_AB = b"1\tISSUE\tab\t1\t-\n"
 SPENT_AB = ISSUE_AB + b"2\tDIST\tab\t1\tstore-1\n3\tSPEND\tab\t1\tseller-1\n"
 UNAPPLIABLE = {
@@ -416,6 +473,10 @@ UNAPPLIABLE = {
     "issue-negative": (b"1\tISSUE\tab\t-3\t-\n", "ledger.tsv:1: not five UTF-8 fields"),
     "signed-seq": (SPENT_AB + b"+4\tDIST\tab\t1\tstore-1\n", "ledger.tsv:4: not five UTF-8 fields"),
     "non-ascii-digit": ("1\tISSUE\tab\t\u0665\t-\n".encode(), "ledger.tsv:1: not five UTF-8 fields"),
+    # a change of several cards is one line, applied whole
+    "value-count": (b"1\tISSUE\tab cd\t1\t-\n", "ledger.tsv:1: not five UTF-8 fields"),
+    "second-card-unknown": (ISSUE_AB + b"2\tDIST\tab cd\t1 1\tstore-1\n",
+                            "ledger.tsv:2: DIST of unknown card 'cd'"),
 }
 
 
@@ -454,21 +515,27 @@ def test_live_changes_and_their_replay_agree(calls):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp, "ledger.tsv")
         ledger = CardLedger(path=str(path), rng=random.Random(5))
-        ids = []
+        ids, records = [], 0
         for op, arg, extra in calls:
             before = (_state(ledger), path.read_bytes())
             try:
                 if op == "issue":
                     ids += [c.card_id for c in ledger.issue_cards(arg, extra)]
+                    moved = arg
                 else:
                     picked = [(ids[::-1] + [UNKNOWN_ID])[i % (len(ids) + 1)] for i in arg]
                     if op == "dist":
                         ledger.distribute(picked, extra)
                     else:
                         ledger.spend_atomic(picked, extra)
+                    moved = len(picked)
             except CardError:
                 assert (_state(ledger), path.read_bytes()) == before
+            else:
+                records += moved > 0
         ledger.close()
+        # one line per accepted change of at least one card, however many it moved
+        assert path.read_bytes().count(b"\n") == records
         # each record moves one card one status along its life cycle
         moves = {CardStatus.GENERATED: 1, CardStatus.DISTRIBUTED: 2, CardStatus.SPENT: 3}
         assert ledger._seq == sum(moves[c.status] for c in ledger.cards.values())

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import itertools
 import os
 import pathlib
 import random
 import re
+import resource
 import shlex
 import socket
 import threading
@@ -78,6 +80,33 @@ def test_seller_init_with_a_named_group(tmp_path, capsys):
     assert run_cli("verify-catalog", cat) == 0
     assert "catalog ok" in capsys.readouterr().out
     assert parse_catalog((tmp_path / "cat.txt").read_text()).params == named_group("ffdhe2048")
+
+
+def test_a_second_seller_init_exits_1_and_leaves_both_files_as_they_were(tmp_path, capsys):
+    # before, it replaced the secrets and exited 0: the first catalog's s was gone
+    cat, sec = tmp_path / "cat.txt", tmp_path / "sec.txt"
+    init = ("seller", "init", "--catalog", str(cat), "--secrets", str(sec),
+            "--group-bits", "32", "--license", "a:2:t")
+    assert run_cli(*init) == 0
+    before = cat.read_bytes(), sec.read_bytes()
+    capsys.readouterr()
+    assert run_cli(*init) == 1
+    assert one_line_naming(capsys.readouterr().err, str(sec))
+    assert (cat.read_bytes(), sec.read_bytes()) == before
+
+
+@pytest.mark.parametrize("secrets, code", [("a-directory", 1), ("missing/sec.txt", 2)])
+def test_secrets_that_cannot_be_written_leave_the_catalog_untouched(tmp_path, capsys,
+                                                                    secrets, code):
+    # before, seller init wrote the catalog first, then exited 2 on the secrets
+    cat = tmp_path / "cat.txt"
+    cat.write_text("an earlier catalog\n")
+    (tmp_path / "a-directory").mkdir()
+    assert run_cli("seller", "init", "--catalog", str(cat), "--secrets",
+                   str(tmp_path / secrets), "--group-bits", "32", "--license", "a:2:t") == code
+    assert one_line_naming(capsys.readouterr().err, str(tmp_path / secrets))
+    assert cat.read_text() == "an earlier catalog\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "cat.txt"]
 
 
 def test_seller_init_draws_fresh_keys_unless_seeded(tmp_path, capsys):
@@ -1183,6 +1212,41 @@ def test_buyer_purchase_against_closed_port_exits_1(tmp_path, capsys):
     assert run_cli("buyer", "purchase", "--license", "lic-a", "--cards", str(cards_file),
                    "--catalog", catp, "--connect", f"127.0.0.1:{port}") == 1
     assert f"cannot connect to 127.0.0.1:{port}" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def write_fails(fault):
+    """Make the next file write of this process fail: "fsize" caps the size
+    of any file it writes at 10 bytes, so the kernel takes the first 10 and
+    refuses the rest; "fsync" lets every byte through and fails the sync."""
+    if fault == "fsize":
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (10, hard))
+        try:  # Python ignores SIGXFSZ, so the write fails with EFBIG
+            yield
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    else:
+        def fsync(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fsync", fsync)
+            yield
+
+
+@pytest.mark.parametrize("fault", ["fsize", "fsync"])
+def test_a_write_that_fails_leaves_the_old_file_whole(tmp_path, fault):
+    # before, the file was truncated and written in place: a failed or killed
+    # write left it cut short
+    target = tmp_path / "case.txt"
+    target.write_text("the previous record\n")
+    with pytest.raises(OSError), write_fails(fault):
+        cli._write_file(str(target), "a newer record, longer than ten bytes\n" * 4)
+    assert target.read_text() == "the previous record\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["case.txt"]  # no temporary file
+    cli._write_file(str(target), "a newer record\n")
+    assert target.read_text() == "a newer record\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["case.txt"]
 
 
 # --- what an operator hands a command ------------------------------------------------
