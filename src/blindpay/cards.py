@@ -25,6 +25,8 @@ from .group import SYSTEM_RANDOM
 
 
 _TOKEN = re.compile(r"[A-Za-z0-9._-]{1,64}")
+_CARD_ID = re.compile(r"(?:[0-9a-f]{2})+")
+CARD_ID_BITS = 128  # of the ids issue_cards draws
 
 
 def plain_token(name: str) -> str:
@@ -34,6 +36,14 @@ def plain_token(name: str) -> str:
     if not _TOKEN.fullmatch(name):
         raise ValueError(f"{name!r} is not 1 to 64 of A-Z, a-z, 0-9, '.', '_' and '-'")
     return name
+
+
+def checked_card_id(text: str) -> str:
+    """text, if it is a card id: non-empty lowercase hex of whole bytes, the
+    form issue_cards writes and bytes.hex() returns.  Else ValueError."""
+    if not _CARD_ID.fullmatch(text):
+        raise ValueError(f"card id {text!r} is not lowercase hex of whole bytes")
+    return text
 
 
 class CardStatus(enum.Enum):
@@ -125,11 +135,13 @@ class CardLedger:
     def _check(self, op: str, card_ids: list[str], values: list[int]):
         """Raise the CardError of the first card not in the status op takes it
         from, or named twice: coded by REFUSALS, or already-issued for an
-        ISSUE.  Its value must be the card's own, or at least 1 for an ISSUE
-        (else wrong-value)."""
+        ISSUE, whose ids must pass checked_card_id (else ValueError).  Its
+        value must be the card's own, or at least 1 for an ISSUE (else wrong-value)."""
         before, after = LIFE_CYCLE[op]
         seen = set()
         for cid, value in zip(card_ids, values):
+            if before is None:
+                checked_card_id(cid)
             card = self.cards.get(cid)
             status = after if cid in seen else card and card.status
             seen.add(cid)
@@ -184,7 +196,7 @@ class CardLedger:
             raise ValueError("card value must be >= 1")
         ids: dict[str, None] = {}  # a set in draw order
         while len(ids) < count:
-            cid = f"{self._rng.getrandbits(128):032x}"
+            cid = f"{self._rng.getrandbits(CARD_ID_BITS):0{CARD_ID_BITS // 4}x}"
             if cid not in self.cards:  # a reused seed draws the ids on file; _commit rechecks
                 ids[cid] = None
         return self._commit("ISSUE", list(ids), "-", [value] * count)
@@ -257,6 +269,6 @@ class CardLedger:
                 raise LedgerCorrupt(f"{where}: unknown op {op!r}")
             try:
                 self._commit(op, card_ids, account, values)
-            except CardError as exc:
+            except (CardError, ValueError) as exc:  # ValueError: an ISSUE of no card id
                 raise LedgerCorrupt(f"{where}: {op} of {exc}") from None
         return complete

@@ -25,7 +25,7 @@ from .encoding import B64, HEX, INT, PAIR, STR, Reader, RecordFormat, enc_bytes,
 from .errors import AuthenticationFailure, CatalogFormatError, MalformedMessage, UnknownLicense
 from .group import SYSTEM_RANDOM, GroupParams, hash_to_group, is_member, pow_fast
 # Unused here, but perfbench/tracer.py wraps catalog.pow_mod by name; the name
-# goes when ROADMAP item 1 retires pow_mod and the tracer's wrapping with it.
+# goes when ROADMAP item 33 retires pow_mod and item 30 changes the tracer.
 from .group import pow_mod  # noqa: F401
 
 

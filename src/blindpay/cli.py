@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import harness, wire
-from .cards import CardLedger, plain_token
+from .cards import CardLedger, checked_card_id, plain_token
 from .catalog import (
     LicensePlaintext,
     LicenseSpec,
@@ -68,21 +68,33 @@ def _write_file(path: str, text: str):
     The text goes to a new file beside path, synced, then renamed over it,
     so a write killed or failed partway leaves the old file as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:  # the rename itself survives a crash only once its directory is synced
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:  # the rename itself survives a crash only once its directory is synced
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:  # name the file the operator gave, not the temporary one
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _check_writable(path: str):
+    """Raise the OSError, naming path, of a path _write_file cannot write:
+    a directory, or one in a directory that is missing or not writable."""
+    if os.path.isdir(path):
+        raise OSError(f"{path}: is a directory")
+    if not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+        raise OSError(f"{path}: its directory is missing or not writable")
 
 
 def _rng(seed: int | None) -> random.Random:
@@ -147,7 +159,7 @@ def _write_secrets(path: str, keys: SellerKeys):
 
 
 def _read_cards(path: str) -> list[tuple[str, int]]:
-    """One card a line: a hex card id, read in lowercase as the wire holds it,
+    """One card a line: a card id (cards.checked_card_id) once lowercased,
     and a value >= 1 in ASCII digits, which defaults to 1."""
     cards = []
     for lineno, line in enumerate(_read_file(path).split("\n"), 1):
@@ -155,14 +167,14 @@ def _read_cards(path: str) -> list[tuple[str, int]]:
         if not parts:
             continue
         try:
-            bytes.fromhex(parts[0])
+            card_id = checked_card_id(parts[0].lower())
             value = INT.read(parts[1]) if len(parts) > 1 else 1
         except ValueError:
             value = 0  # refused below, as any value < 1 is
         if value < 1 or len(parts) > 2:
             raise BlindpayError(f"{path} line {lineno}: want a hex card id and a "
                                 f"value >= 1, got {line.strip()!r}")
-        cards.append((parts[0].lower(), value))
+        cards.append((card_id, value))
     return cards
 
 
@@ -285,6 +297,8 @@ def cmd_seller_answer(args) -> int:
 
 
 def cmd_buyer_purchase(args) -> int:
+    for path in filter(None, (args.out, args.case_out)):  # before a card is spent
+        _check_writable(path)
     if args.catalog:
         cat = parse_catalog(_read_file(args.catalog))
     else:

@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, fields, replace
 
 from . import wire
-from .cards import REFUSAL_MESSAGES, CardLedger, SpendReceipt
+from .cards import CARD_ID_BITS, REFUSAL_MESSAGES, CardLedger, SpendReceipt
 from .catalog import (
     Catalog,
     LicensePlaintext,
@@ -58,7 +58,7 @@ from .purchase import (
     plan_steps,
 )
 
-BETA = 128  # card identifier bits
+BETA = CARD_ID_BITS  # card identifier bits
 
 
 # --- counters -----------------------------------------------------------------
@@ -158,6 +158,8 @@ def _validate(sc: Scenario):
         raise ScenarioInvalid(f"unknown fault {sc.fault!r}")
     if sc.fault in STEP_FAULTS and sc.fault_step < 1:
         raise ScenarioInvalid(f"fault {sc.fault!r} needs fault_step >= 1")
+    if sc.fault not in STEP_FAULTS and sc.fault_step:
+        raise ScenarioInvalid(f"fault {sc.fault!r} strikes no step, so fault_step must be 0")
     try:
         check_desk_bits(sc.group_bits)
     except ValueError as exc:

@@ -34,7 +34,7 @@ import traceback
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-from .cards import SpendReceipt
+from .cards import SpendReceipt, checked_card_id
 from .encoding import Reader, enc_bytes, enc_int, enc_str, enc_u8, enc_u32
 from .errors import (
     ConnectionClosed,
@@ -46,13 +46,6 @@ from .errors import (
 MAX_FRAME = 1 << 20
 IDLE_SECONDS = 30.0  # a served connection that completes no frame this long is closed
 MAX_CONNS = 64  # connections a Server holds at once, so at most 64 half-frames buffered
-
-
-def _enc_card_id(cid: str) -> bytes:
-    try:
-        return enc_bytes(bytes.fromhex(cid))
-    except ValueError:
-        raise ValueError(f"card id {cid!r} is not hex")
 
 
 @functools.cache
@@ -85,7 +78,8 @@ FIELD_KINDS = {
     "int": (enc_int, Reader.lp_int),
     "str": (enc_str, Reader.lp_str),
     "bytes": (enc_bytes, Reader.lp_bytes),
-    "id": (_enc_card_id, lambda r: r.lp_bytes().hex()),
+    "id": (lambda cid: enc_bytes(bytes.fromhex(checked_card_id(cid))),
+           lambda r: r.lp_bytes().hex()),
 }
 FIELD_KINDS.update(
     ids=_sequence(*FIELD_KINDS["id"]),

@@ -10,10 +10,11 @@ import tempfile
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blindpay.cards import CardLedger, CardStatus, SpendReceipt
+from blindpay import cli, wire
+from blindpay.cards import CardLedger, CardStatus, SpendReceipt, checked_card_id
 from blindpay.errors import BlindpayError, CardError, ConnectionClosed, LedgerCorrupt
 
 
@@ -477,6 +478,12 @@ UNAPPLIABLE = {
     "value-count": (b"1\tISSUE\tab cd\t1\t-\n", "ledger.tsv:1: not five UTF-8 fields"),
     "second-card-unknown": (ISSUE_AB + b"2\tDIST\tab cd\t1 1\tstore-1\n",
                             "ledger.tsv:2: DIST of unknown card 'cd'"),
+    # an ISSUE creates only what cards.checked_card_id passes, as issue_cards does
+    "empty-id": (b"1\tISSUE\t\t1\t-\n", "ledger.tsv:1: ISSUE of card id '' is not"),
+    "upper-id": (b"1\tISSUE\tAB\t1\t-\n", "ledger.tsv:1: ISSUE of card id 'AB' is not"),
+    "odd-id": (b"1\tISSUE\tabc\t1\t-\n", "ledger.tsv:1: ISSUE of card id 'abc' is not"),
+    "doubled-space": (b"1\tISSUE\tab  cd\t1 1 1\t-\n",
+                      "ledger.tsv:1: ISSUE of card id '' is not"),
 }
 
 
@@ -542,3 +549,35 @@ def test_live_changes_and_their_replay_agree(calls):
         replayed = CardLedger.replay(str(path))
         assert _state(replayed) == _state(ledger)
         replayed.check_conservation()
+
+
+def _accepts(read, text: str) -> bool:
+    try:
+        read(text)
+    except (ValueError, BlindpayError):
+        return False
+    return True
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=st.text(alphabet="0123456789abcdefABCDEFg", max_size=6))
+@example(text="")
+@example(text="AB")
+@example(text="abc")
+def test_one_rule_decides_a_card_id_for_the_wire_replay_and_the_cards_file(text):
+    # before, the wire sent "AB" as ab, replay loaded an ISSUE of "" or
+    # "AB", and the cards file ran a hex check of its own
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger, cards = pathlib.Path(tmp, "ledger.tsv"), pathlib.Path(tmp, "cards.txt")
+        ledger.write_text(f"1\tISSUE\t{text}\t1\t-\n")
+        cards.write_text(f"{text}\n")
+        rule = _accepts(checked_card_id, text)
+        assert rule == (text != "" and len(text) % 2 == 0 and set(text) <= set("0123456789abcdef"))
+        assert _accepts(lambda t: wire.encode(wire.StepReq(card_ids=(t,), m=1)), text) == rule
+        assert _accepts(CardLedger.replay, str(ledger)) == rule
+        # the cards file lowercases an id first; an empty line names no card
+        try:
+            read = cli._read_cards(str(cards))
+        except BlindpayError:
+            read = None
+        assert (read == [(text.lower(), 1)]) == _accepts(checked_card_id, text.lower())

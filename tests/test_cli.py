@@ -250,6 +250,17 @@ def test_scenario_run_refuses_a_step_fault_beyond_the_plan(tmp_path, capsys, fau
     assert out == "" and "beyond the plan" in err
 
 
+@pytest.mark.parametrize("fault", ["none", "wrong-terms", "false-claim"])
+def test_scenario_run_refuses_a_fault_step_for_a_fault_that_strikes_no_step(tmp_path, capsys,
+                                                                           fault):
+    # before, the step was ignored, yet the report said fault_step=2
+    spec = tmp_path / "scenario.txt"
+    spec.write_text(f"mode: basic\nprice: 3\nseed: 5\nfault: {fault}\nfault_step: 2\n")
+    assert run_cli("scenario", "run", "--spec", str(spec)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and one_line_naming(err, "fault_step")
+
+
 def test_scenario_run_invalid_spec(tmp_path, capsys):
     spec = tmp_path / "scenario.txt"
     spec.write_text("mode: warp\n")
@@ -538,6 +549,31 @@ def test_readme_tour(tmp_path, capsys, started):
     replayed = CardLedger.replay(ledger)
     assert (len(replayed.cards), replayed.balance("seller-1")) == (2, 2)
     replayed.check_conservation()
+
+
+def test_an_output_path_that_cannot_be_written_exits_2_before_any_step(tmp_path, capsys,
+                                                                      started, monkeypatch):
+    # before, the bank took the payment and then the write lost the license
+    # or the case record; an honest purchase never tried --case-out at all
+    monkeypatch.chdir(tmp_path)  # where --case-out's default, case.txt, goes
+    catp, secp = seller_files(tmp_path, "basic:2:read-only")
+    ledger, cards = str(tmp_path / "ledger.tsv"), tmp_path / "cards.txt"
+    capsys.readouterr()
+    run_cli("bank", "issue", "--ledger", ledger, "--count", "2", "--store", "store-1")
+    cards.write_text(capsys.readouterr().out)
+    (tmp_path / "a-directory").mkdir()
+    with serving(started, "bank", "serve", "--ledger", ledger) as bank, \
+            serving(started, "seller", "serve", "--catalog", catp, "--secrets", secp,
+                    "--bank", f"127.0.0.1:{bank.address[1]}") as seller:
+        for flag in ("--out", "--case-out"):
+            for where in (tmp_path / "missing" / "file.txt", tmp_path / "a-directory"):
+                assert run_cli("buyer", "purchase", "--license", "basic", "--cards", str(cards),
+                               "--connect", f"127.0.0.1:{seller.address[1]}",
+                               flag, str(where)) == 2, (flag, where)
+                assert one_line_naming(capsys.readouterr().err, str(where))
+    assert "\tSPEND\t" not in pathlib.Path(ledger).read_text()
+    assert run_cli("bank", "balance", "--ledger", ledger, "--account", "seller-1") == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_seller_serve_without_a_bank_exits_2(tmp_path, capsys):
@@ -1247,6 +1283,20 @@ def test_a_write_that_fails_leaves_the_old_file_whole(tmp_path, fault):
     cli._write_file(str(target), "a newer record\n")
     assert target.read_text() == "a newer record\n"
     assert [p.name for p in tmp_path.iterdir()] == ["case.txt"]
+
+
+@pytest.mark.parametrize("target", ["missing/m.tsv", "a-directory"])
+def test_a_file_that_cannot_be_written_is_named_as_given(tmp_path, capsys, target):
+    # before, the error named the temporary file beside it, m.tsv.<pid>.tmp
+    spec = tmp_path / "scenario.txt"
+    spec.write_text("price: 2\n")
+    (tmp_path / "a-directory").mkdir()
+    assert run_cli("scenario", "run", "--spec", str(spec),
+                   "--metrics-out", str(tmp_path / target)) == 2
+    err = capsys.readouterr().err
+    assert one_line_naming(err, str(tmp_path / target)) and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "scenario.txt"]
+    assert list((tmp_path / "a-directory").iterdir()) == []
 
 
 # --- what an operator hands a command ------------------------------------------------

@@ -146,6 +146,17 @@ def test_step_req_round_trip_property(raw_ids, m):
     assert wire.decode(wire.encode(msg)) == msg
 
 
+@pytest.mark.parametrize("card_id", ["AB", "ab cd", "", "abc"])
+def test_encode_refuses_a_text_that_is_not_a_card_id(card_id):
+    # before, "AB" went out as ab and "ab cd" as abcd, so the bank was asked
+    # about another id than the one the sender named
+    for msg in (wire.StepReq(card_ids=("ab", card_id), m=1),
+                wire.CardSpend(card_ids=(card_id,), account="seller-1"),
+                wire.SpendOk(receipts=(SpendReceipt(1, card_id, 1, "seller-1"),))):
+        with pytest.raises(ValueError, match="card id"):
+            wire.encode(msg)
+
+
 # --- unlinkability at the format level ------------------------------------------------
 
 def message_field_names() -> dict[str, tuple[str, ...]]:
