@@ -34,7 +34,7 @@ from .dispute import (
 )
 from .encoding import HEX, INT, STR, Codec, RecordFormat
 from .errors import BlindpayError, ScenarioInvalid, StepRejected
-from .group import NAMED_GROUPS, SYSTEM_RANDOM, gen_params, named_group
+from .group import SYSTEM_RANDOM, group_for
 from .purchase import SellerStepHandler, buyer_begin
 
 EXIT_OK = 0
@@ -118,17 +118,6 @@ def _token(text: str) -> str:
         return plain_token(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _group_bits(text: str) -> int | str:
-    """A bit length for a generated desk group, or the name of an RFC 7919 group."""
-    if text in NAMED_GROUPS:
-        return text
-    try:
-        return INT.read(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is neither a bit length nor one of {', '.join(NAMED_GROUPS)}") from None
 
 
 SECRETS = RecordFormat("secrets", once={"s": INT, "sign_sk": HEX}, many={},
@@ -262,10 +251,11 @@ def cmd_seller_init(args) -> int:
     if os.path.lexists(args.secrets):  # it may hold an earlier catalog's only s and sign_sk
         raise BlindpayError(f"{args.secrets}: already there; seller init replaces no "
                             "secrets (remove the file first)")
+    for path in (args.secrets, args.catalog):  # so no secrets are left without a catalog
+        _check_writable(path)
     rng = _rng(args.seed)
     try:  # every value is checked here, before a file is written
-        params = (named_group(args.group_bits) if isinstance(args.group_bits, str)
-                  else gen_params(args.group_bits, seed=rng.randrange(2**63)))
+        params = group_for(args.group_bits, rng)
         specs = [_license_spec(text, args.x_label, rng) for text in args.license]
         keys, cat = setup(params, specs, rng=rng)
         catalog_text = serialize_catalog(cat)  # refuses a value that is not one line
@@ -412,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     init = seller_sub.add_parser("init", help="run setup and publish a catalog")
     init.add_argument("--catalog", required=True)
     init.add_argument("--secrets", required=True)
-    init.add_argument("--group-bits", type=_group_bits, default=64,
+    init.add_argument("--group-bits", default="64",
                       help="bits of a generated desk group (8-64), or ffdhe2048 or ffdhe3072")
     init.add_argument("--seed", type=_at_least(0), help="reproducible keys, for a demo only")
     init.add_argument("--x-label", default=None,
@@ -460,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics-out")
     run.set_defaults(fn=cmd_scenario_run)
     sweep = scen_sub.add_parser("sweep", help="price sweep with table comparison")
-    sweep.add_argument("--group-bits", type=_at_least(0), default=64)
+    sweep.add_argument("--group-bits", default="64", help="as seller init --group-bits")
     sweep.add_argument("--seed", type=_at_least(0), default=7)
     sweep.add_argument("--metrics-out")
     sweep.set_defaults(fn=cmd_scenario_sweep)

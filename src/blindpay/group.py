@@ -7,11 +7,12 @@ Staying inside the subgroup is what makes the multiplicative blinding
 perfect: g generates every residue, so a blinded value is uniform over the
 subgroup whatever it hides.
 
-There are two kinds of group.  The RFC 7919 groups of named_group(), for
-real use, are recognised by n alone, equal to a prime derived at import and
-pinned by its SHA-256.  Desk groups, for tests, scenarios and demos, have at
-most DESK_BITS = 64 bits, where Miller-Rabin on n and q is exact.
-validate() refuses any other n on its size, before any Miller-Rabin round.
+There are two kinds of group, and group_for() reads the text that names
+either.  The RFC 7919 groups of NAMED_GROUPS, for real use, are recognised
+by n alone, equal to a prime derived at import and pinned by its SHA-256.
+Desk groups, for tests, demos and the default scenario, have at most
+DESK_BITS = 64 bits, where Miller-Rabin on n and q is exact.  validate()
+refuses any other n on its size, before any Miller-Rabin round.
 
 pow_fast computes the catalog set-up (license keys and the K table), the
 buyer's blinding, the seller's dispute answers, the arbitrator's checks and
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric import dh
 
-from .encoding import enc_int
+from .encoding import INT, enc_int
 from .errors import MalformedElement
 
 # Every secret draw defaults to the OS generator that `secrets` reads; a seeded
@@ -195,13 +196,18 @@ NAMED_GROUPS = {name: _ffdhe(name, *spec) for name, spec in _FFDHE.items()}
 _NAMED_PRIMES = frozenset(p.n for p in NAMED_GROUPS.values())
 
 
-def named_group(name: str) -> GroupParams:
-    """The RFC 7919 group called `name` ("ffdhe2048" or "ffdhe3072")."""
+def group_for(spec: str, rng: random.Random) -> GroupParams:
+    """The group that spec names: an RFC 7919 group of NAMED_GROUPS, which
+    draws nothing from rng, or a desk group of 8 to DESK_BITS bits in ASCII
+    digits, generated from one rng.randrange(2**63).  Else ValueError."""
+    if spec in NAMED_GROUPS:
+        return NAMED_GROUPS[spec]
     try:
-        return NAMED_GROUPS[name]
-    except KeyError:
-        raise ValueError(f"unknown group {name!r}, want one of "
-                         f"{', '.join(NAMED_GROUPS)}") from None
+        bits = INT.read(spec)
+    except ValueError:
+        raise ValueError(f"group {spec!r} is neither a bit length, 8 to {DESK_BITS}, "
+                         f"nor one of {', '.join(NAMED_GROUPS)}") from None
+    return gen_params(bits, seed=rng.randrange(2**63))
 
 
 def _jacobi(a: int, m: int) -> int:

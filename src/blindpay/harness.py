@@ -48,7 +48,7 @@ from .errors import (
     ServerBusy,
     StepRejected,
 )
-from .group import check_desk_bits, gen_params
+from .group import GroupParams, group_for
 from .purchase import (
     MODE_BASIC,
     MODE_ENHANCED,
@@ -112,7 +112,7 @@ class Scenario:
     mode: str = MODE_BASIC
     price: int = 1
     refresh: bool = False  # off reproduces the paper's cost model; linkable
-    group_bits: int = 64
+    group_bits: str = "64"  # read by group.group_for: 8 to 64, or a named group
     transport: str = "memory"
     seed: int = 0
     fault: str = "none"
@@ -143,11 +143,12 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:
             raise ScenarioInvalid(f"line {lineno}: bad {key!r} value: {exc}") from None
     sc = Scenario(**kv)
-    _validate(sc)
+    _validate(sc, random.Random(sc.seed))
     return sc
 
 
-def _validate(sc: Scenario):
+def _validate(sc: Scenario, rng: random.Random) -> GroupParams:
+    """sc's group, drawn from rng, once every other value has been checked."""
     if sc.mode not in (MODE_BASIC, MODE_ENHANCED):
         raise ScenarioInvalid(f"unknown mode {sc.mode!r}")
     if sc.price < 1:
@@ -161,7 +162,7 @@ def _validate(sc: Scenario):
     if sc.fault not in STEP_FAULTS and sc.fault_step:
         raise ScenarioInvalid(f"fault {sc.fault!r} strikes no step, so fault_step must be 0")
     try:
-        check_desk_bits(sc.group_bits)
+        return group_for(sc.group_bits, rng)
     except ValueError as exc:
         raise ScenarioInvalid(f"group_bits: {exc}") from None
 
@@ -336,6 +337,7 @@ def remote_step(address: tuple[str, int], req: wire.StepReq) -> StepResponse:
 @dataclass
 class ScenarioReport:
     scenario: Scenario
+    gamma: int  # the bits of the scenario's group
     outcome: str
     key_ok: str
     terms_match: str
@@ -374,9 +376,8 @@ def _wire_len(msg: wire.Message) -> int:
 def run_scenario(sc: Scenario) -> ScenarioReport:
     """Run card distribution, a purchase and any dispute its fault provokes,
     answered and judged as `seller answer` then `arbitrate` do.  Deterministic."""
-    _validate(sc)
     rng = random.Random(sc.seed)
-    params = gen_params(sc.group_bits, seed=rng.randrange(2**63))
+    params = _validate(sc, rng)
     gamma = params.bits
 
     plaintext = LicensePlaintext(license_id="lic-main", terms="standard",
@@ -456,9 +457,8 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
         verdicts = resolve_case(parse_case(write_case(answered)), catalog=cat)
 
     bank.check_conservation()
-    return ScenarioReport(scenario=sc, outcome=outcome, key_ok=key_ok,
-                          terms_match=terms_match, verdicts=verdicts,
-                          metrics=metrics)
+    return ScenarioReport(scenario=sc, gamma=gamma, outcome=outcome, key_ok=key_ok,
+                          terms_match=terms_match, verdicts=verdicts, metrics=metrics)
 
 
 # --- table reporting --------------------------------------------------------------------
@@ -466,7 +466,7 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
 SWEEP_PRICES = (1, 2, 4, 8, 16, 31)
 
 
-def run_sweep(prices=SWEEP_PRICES, group_bits: int = 64,
+def run_sweep(prices=SWEEP_PRICES, group_bits: str = "64",
               seed: int = 7) -> dict[str, list[ScenarioReport]]:
     """The standard complexity sweep: both modes, in memory, blinding not
     refreshed (the cost model assumes one blinding factor per purchase)."""
@@ -499,7 +499,7 @@ def _payload_checks(rep: ScenarioReport) -> list[tuple[int, int, bool]]:
     """Payload bits, framing excluded, over k messages (k = p in basic
     mode, popcount(p) in enhanced): buyer k*(BETA+gamma), seller
     2*k*gamma."""
-    p, gamma = rep.scenario.price, rep.scenario.group_bits
+    p, gamma = rep.scenario.price, rep.gamma
     k = p if rep.scenario.mode == MODE_BASIC else bin(p).count("1")
     return [_exact(rep.metrics.actor("buyer").payload_bits, k * (BETA + gamma)),
             _exact(rep.metrics.actor("seller").payload_bits, 2 * k * gamma)]
@@ -526,7 +526,7 @@ def report_tables(sweep: dict[str, list[ScenarioReport]]) -> str:
         if not reports:
             continue
         for title, columns, checks in _TABLES:
-            lines += [title.format(mode=mode, gamma=reports[0].scenario.group_bits),
+            lines += [title.format(mode=mode, gamma=reports[0].gamma),
                       "\t".join(["p", *columns[mode].split()])]
             for rep in reports:
                 cells = [rep.scenario.price]

@@ -79,7 +79,7 @@ FIELD_KINDS = {
     "str": (enc_str, Reader.lp_str),
     "bytes": (enc_bytes, Reader.lp_bytes),
     "id": (lambda cid: enc_bytes(bytes.fromhex(checked_card_id(cid))),
-           lambda r: r.lp_bytes().hex()),
+           lambda r: r.lp_bytes().hex() or r.fail("empty card id")),
 }
 FIELD_KINDS.update(
     ids=_sequence(*FIELD_KINDS["id"]),

@@ -4,7 +4,7 @@ import pytest
 
 from blindpay import group
 from blindpay.catalog import LicensePlaintext, LicenseSpec, setup
-from blindpay.group import GroupParams, gen_params, named_group, pow_fast
+from blindpay.group import NAMED_GROUPS, GroupParams, gen_params, pow_fast
 
 # Tiny hand-checkable group: 23 = 2*11 + 1, and 4 generates the 11 quadratic
 # residues mod 23.
@@ -61,7 +61,7 @@ def no_openssl(monkeypatch):
 
     monkeypatch.setattr(group, "dh", Refused())
     with pytest.raises(AssertionError, match="OpenSSL"):
-        pow_fast(2, 5, named_group("ffdhe2048"))
+        pow_fast(2, 5, NAMED_GROUPS["ffdhe2048"])
 
 
 @pytest.fixture

@@ -106,11 +106,11 @@ def test_criterion_4_payload_bits():
         beta, gamma = 128, 64
         for p in (1, 2, 4, 8, 16, 31):
             basic = run_scenario(Scenario(mode="basic", price=p, refresh=False,
-                                          group_bits=gamma, seed=7))
+                                          group_bits=str(gamma), seed=7))
             assert basic.metrics.actor("buyer").payload_bits == p * (beta + gamma)
             assert basic.metrics.actor("seller").payload_bits == 2 * p * gamma
             enhanced = run_scenario(Scenario(mode="enhanced", price=p, refresh=False,
-                                             group_bits=gamma, seed=7))
+                                             group_bits=str(gamma), seed=7))
             msgs = bin(p).count("1")
             assert enhanced.metrics.actor("buyer").payload_bits == msgs * (beta + gamma)
             assert enhanced.metrics.actor("seller").payload_bits == 2 * msgs * gamma

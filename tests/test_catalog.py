@@ -20,7 +20,7 @@ from blindpay.catalog import (
 )
 from blindpay.encoding import enc_int
 from blindpay.errors import AuthenticationFailure, BlindpayError, CatalogFormatError
-from blindpay.group import mul_mod, named_group, pow_mod
+from blindpay.group import NAMED_GROUPS, mul_mod, pow_mod
 
 from conftest import UNNAMED128, make_catalog
 from test_group import naive_pow
@@ -209,7 +209,7 @@ def test_setup_deterministic_with_rng(params64):
 
 
 def test_setup_on_ffdhe2048_equals_builtin_pow():
-    p = named_group("ffdhe2048")
+    p = NAMED_GROUPS["ffdhe2048"]
     rng = random.Random(12)
     specs = [LicenseSpec(lid, "film", price, "view", LicensePlaintext(lid, "view", bytes(16)),
                          x_label=label)

@@ -42,7 +42,7 @@ from blindpay.dispute import (
 )
 from blindpay.encoding import enc_int, enc_u32
 from blindpay.errors import AuthenticationFailure
-from blindpay.group import DlEqProof, hash_to_group, named_group, pow_mod
+from blindpay.group import NAMED_GROUPS, DlEqProof, hash_to_group, pow_mod
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler, run_sweep
 from blindpay.purchase import SellerStepHandler, run_purchase, step_payload
 
@@ -79,7 +79,7 @@ def test_seller_init_with_a_named_group(tmp_path, capsys):
                    "--group-bits", "ffdhe2048", "--license", "a:2:t") == 0
     assert run_cli("verify-catalog", cat) == 0
     assert "catalog ok" in capsys.readouterr().out
-    assert parse_catalog((tmp_path / "cat.txt").read_text()).params == named_group("ffdhe2048")
+    assert parse_catalog((tmp_path / "cat.txt").read_text()).params == NAMED_GROUPS["ffdhe2048"]
 
 
 def test_a_second_seller_init_exits_1_and_leaves_both_files_as_they_were(tmp_path, capsys):
@@ -93,6 +93,19 @@ def test_a_second_seller_init_exits_1_and_leaves_both_files_as_they_were(tmp_pat
     assert run_cli(*init) == 1
     assert one_line_naming(capsys.readouterr().err, str(sec))
     assert (cat.read_bytes(), sec.read_bytes()) == before
+
+
+@pytest.mark.parametrize("catalog", ["missing/cat.txt", "a-directory"])
+def test_a_catalog_that_cannot_be_written_leaves_no_secrets(tmp_path, capsys, catalog):
+    # before, the secrets were written and the catalog then failed, exit 2;
+    # a retry with a good --catalog was refused: the secrets were already there
+    (tmp_path / "a-directory").mkdir()
+    init = ("seller", "init", "--secrets", str(tmp_path / "sec.txt"), "--group-bits", "32",
+            "--license", "a:2:t", "--catalog")
+    assert run_cli(*init, str(tmp_path / catalog)) == 2
+    assert one_line_naming(capsys.readouterr().err, str(tmp_path / catalog))
+    assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+    assert run_cli(*init, str(tmp_path / "cat.txt")) == 0
 
 
 @pytest.mark.parametrize("secrets, code", [("a-directory", 1), ("missing/sec.txt", 2)])
@@ -143,13 +156,13 @@ def test_readme_command_parses(line):
     cli.build_parser().parse_args(argv)
 
 
-@pytest.mark.parametrize("value", ["ffdhe1024", "2048bits", ""])
-def test_seller_init_refuses_an_unknown_group(tmp_path, value):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("seller", "init", "--catalog", str(tmp_path / "cat.txt"),
-                "--secrets", str(tmp_path / "sec.txt"), "--group-bits", value,
-                "--license", "a:2:t")
-    assert exc.value.code == 2
+@pytest.mark.parametrize("value", ["ffdhe1024", "2048bits", "", "65", "4", "3_2"])
+def test_seller_init_refuses_an_unknown_group(tmp_path, capsys, value):
+    assert run_cli("seller", "init", "--catalog", str(tmp_path / "cat.txt"),
+                   "--secrets", str(tmp_path / "sec.txt"), "--group-bits", value,
+                   "--license", "a:2:t") == 2
+    assert one_line_naming(capsys.readouterr().err, value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_catalog_flags_tampering(tmp_path, capsys):
@@ -292,6 +305,16 @@ def test_scenario_sweep(tmp_path, capsys):
         f"{mode}\tp={rep.scenario.price}\t{a}\t{k}\t{v}\n"
         for mode, reports in run_sweep().items() for rep in reports
         for a, k, v in rep.metrics.records())
+
+
+def test_scenario_sweep_on_ffdhe2048(capsys):
+    # before, the sweep took any unsigned integer and no group name
+    assert run_cli("scenario", "sweep", "--group-bits", "ffdhe2048") == 0
+    out = capsys.readouterr().out
+    pinned = (FIXTURES / "sweep_report.txt").read_text()  # the same cells at 64 bits
+    assert "FAIL" not in out and out.count("PASS") == pinned.count("PASS")
+    titles = [line for line in out.splitlines() if line.startswith("operation counts")]
+    assert len(titles) == 2 and all("(gamma=2048)" in title for title in titles)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1380,6 +1403,9 @@ def test_an_integer_that_is_not_unsigned_ascii_digits_exits_2(tmp_path, capsys, 
     (("scenario", "sweep", "--group-bits", "3_2"), "3_2"),
     (("buyer", "purchase", "--license", "a", "--cards", "K", "--connect", "127.0.0.1:9",
       "--seed", "+1"), "+1"),
+    (("scenario", "sweep", "--group-bits", "ffdhe1024"), "ffdhe1024"),
+    (("scenario", "sweep", "--group-bits", "65"), "65"),
+    (("scenario", "sweep", "--group-bits", "4"), "4"),
 ])
 def test_a_signed_seed_or_bit_length_exits_2(capsys, argv, value):
     assert run_cli_code(*argv) == 2
@@ -1394,3 +1420,14 @@ def test_a_spec_integer_that_is_not_unsigned_ascii_digits_exits_2(tmp_path, caps
     assert run_cli("scenario", "run", "--spec", str(spec)) == 2
     out, err = capsys.readouterr()
     assert out == "" and one_line_naming(err, line.split(": ")[1])
+
+
+@pytest.mark.parametrize("value", ["ffdhe1024", "65", "4"])  # 3_2: the test above
+def test_a_spec_group_that_group_for_refuses_exits_2_naming_it(tmp_path, capsys, value):
+    # seller init, the spec and the sweep read a group by one rule, group.group_for
+    spec = tmp_path / "scenario.txt"
+    spec.write_text(f"mode: basic\ngroup_bits: {value}\n")
+    assert run_cli("scenario", "run", "--spec", str(spec)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and one_line_naming(err, "invalid scenario: group_bits: ")
+    assert value in err

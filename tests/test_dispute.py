@@ -51,11 +51,11 @@ from blindpay.errors import (
     StepRejected,
 )
 from blindpay.group import (
+    NAMED_GROUPS,
     DlEqProof,
     dleq_composite,
     dleq_verify,
     mul_mod,
-    named_group,
     pow_mod,
 )
 from blindpay.harness import FaultingSeller, make_seller_handler, step_reply
@@ -321,8 +321,8 @@ def corrupt_signature_case(params, seed=50):
 
 
 def test_parse_case_of_a_named_group_runs_no_miller_rabin(prime_tests):
-    _, _, case = corrupt_signature_case(named_group("ffdhe2048"))
-    assert parse_case(write_case(case)).params == named_group("ffdhe2048")
+    _, _, case = corrupt_signature_case(NAMED_GROUPS["ffdhe2048"])
+    assert parse_case(write_case(case)).params == NAMED_GROUPS["ffdhe2048"]
     assert prime_tests == []
 
 
@@ -506,7 +506,7 @@ def test_type_d_arbitration_on_a_named_group(fault, outcome):
     # every method on ffdhe2048, where pow_fast runs in OpenSSL: a seller
     # that used a wrong s at step 2 is convicted, an honest one acquitted
     # of the buyer's false claim
-    params = named_group("ffdhe2048")
+    params = NAMED_GROUPS["ffdhe2048"]
     keys, cat, bank, handler, session = rig(params, price=3, seed=40)
     _, _, case = dispute.settle_purchase(session, FaultingSeller(handler, fault, 2).handle)
     if fault == "none":
@@ -979,7 +979,7 @@ def test_an_honest_answer_and_its_check_make_16_and_3_full_size_powers(full_size
     # method 2 reveals three chain entries and proves the links and the
     # steps with three each, x^s read from the store.  Each of the three
     # batch proofs then costs the arbitrator one power.
-    params = named_group("ffdhe2048")
+    params = NAMED_GROUPS["ffdhe2048"]
     keys, cat, bank, handler, session = rig(params, price=2, seed=40, prices=(2, 3))
     run_purchase(session, handler.handle)
     case = build_type_d_case(cat, session)

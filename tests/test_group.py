@@ -17,6 +17,7 @@ from blindpay.group import (
     _MR_BASES,
     _MR_DETERMINISTIC_BOUND,
     DlEqProof,
+    NAMED_GROUPS,
     _jacobi,
     GroupParams,
     dleq_composite,
@@ -24,12 +25,12 @@ from blindpay.group import (
     dleq_prove,
     dleq_verify,
     gen_params,
+    group_for,
     div_mod,
     hash_to_group,
     is_member,
     is_probable_prime,
     mul_mod,
-    named_group,
     pow_fast,
     pow_mod,
 )
@@ -146,7 +147,7 @@ FFDHE_SHA256 = {
 
 @pytest.mark.parametrize("name,bits", [("ffdhe2048", 2048), ("ffdhe3072", 3072)])
 def test_named_groups_are_the_pinned_primes(name, bits):
-    p = named_group(name)
+    p = NAMED_GROUPS[name]
     assert hashlib.sha256(p.n.to_bytes(bits // 8, "big")).hexdigest() == FFDHE_SHA256[name]
     assert p.bits == bits == p.n.bit_length()
     assert p.g == 2 and p.n % 8 == 7
@@ -154,8 +155,22 @@ def test_named_groups_are_the_pinned_primes(name, bits):
 
 
 def test_unknown_group_name_is_refused():
-    with pytest.raises(ValueError):
-        named_group("ffdhe1024")
+    with pytest.raises(ValueError, match="'ffdhe1024' is neither"):
+        group_for("ffdhe1024", random.Random(0))
+
+
+@pytest.mark.parametrize("spec", ["65", "4", "3_2", "+32", " 64", "", "FFDHE2048"])
+def test_group_for_refuses_text_that_names_no_group(spec):
+    with pytest.raises(ValueError, match=re.escape(spec or "''")):
+        group_for(spec, random.Random(0))
+
+
+def test_group_for_draws_one_seed_for_a_desk_group_and_none_for_a_named_one():
+    rng, twin = random.Random(5), random.Random(5)
+    assert group_for("32", rng) == gen_params(32, seed=twin.randrange(2**63))
+    for name, params in NAMED_GROUPS.items():
+        assert group_for(name, rng) is params
+    assert rng.random() == twin.random()
 
 
 def test_ffdhe2048_equals_the_benchmark_copy(monkeypatch):
@@ -164,12 +179,12 @@ def test_ffdhe2048_equals_the_benchmark_copy(monkeypatch):
                                     / "perfbench"))
     import ffdhe
 
-    assert ffdhe.ffdhe2048(GroupParams) == named_group("ffdhe2048")
+    assert ffdhe.ffdhe2048(GroupParams) == NAMED_GROUPS["ffdhe2048"]
 
 
 def test_named_groups_validate_without_miller_rabin(prime_tests):
     for name in FFDHE_SHA256:
-        assert named_group(name).validate() == named_group(name)
+        assert NAMED_GROUPS[name].validate() == NAMED_GROUPS[name]
     assert prime_tests == []
 
 
@@ -184,7 +199,7 @@ def test_named_groups_validate_without_miller_rabin(prime_tests):
 ])
 @pytest.mark.parametrize("name", list(FFDHE_SHA256))
 def test_named_groups_keep_every_cheap_check(name, edit, prime_tests):
-    p = named_group(name)
+    p = NAMED_GROUPS[name]
     with pytest.raises(ValueError):
         replace(p, **edit(p)).validate()
     assert prime_tests == []
@@ -298,7 +313,7 @@ def kernel_bases(p):
 
 
 def test_pow_fast_matches_pow_on_ffdhe2048():
-    p = named_group("ffdhe2048")
+    p = NAMED_GROUPS["ffdhe2048"]
     exponents = [*edge_exponents(p.q), random.Random(43).randrange(p.q)]
     for base in kernel_bases(p):
         for e in exponents:
@@ -306,7 +321,7 @@ def test_pow_fast_matches_pow_on_ffdhe2048():
 
 
 def test_pow_fast_matches_pow_on_ffdhe3072():
-    p = named_group("ffdhe3072")
+    p = NAMED_GROUPS["ffdhe3072"]
     e = random.Random(44).randrange(p.q)
     for base in kernel_bases(p)[:3]:
         assert pow_fast(base, e, p) == pow(base, e, p.n), base
@@ -458,7 +473,7 @@ def square_or_not(v, square, params):
 @settings(max_examples=25, deadline=None)
 @given(v=st.integers(min_value=0, max_value=2**3072), square=st.booleans())
 def test_is_member_on_named_groups_matches_jacobi_and_euler(name, v, square):
-    params = named_group(name)
+    params = NAMED_GROUPS[name]
     e = square_or_not(v, square, params)
     assert is_member(e, params) == (square and e != 0)
     assert is_member(e, params) == (_jacobi(e, params.n) == 1) == euler_member(e, params)
@@ -467,7 +482,7 @@ def test_is_member_on_named_groups_matches_jacobi_and_euler(name, v, square):
 @needs_gmp
 @pytest.mark.parametrize("name", NAMED)
 def test_is_member_on_named_groups_at_the_edges(name):
-    params = named_group(name)
+    params = NAMED_GROUPS[name]
     n = params.n
     for e in (1, 2, params.g, n - 2, n - 1, n, n + 1, 0):
         want = euler_member(e, params)
@@ -476,7 +491,7 @@ def test_is_member_on_named_groups_at_the_edges(name):
 
 
 def test_is_member_without_gmp_takes_the_python_loop(no_gmp, monkeypatch):
-    params = named_group("ffdhe2048")
+    params = NAMED_GROUPS["ffdhe2048"]
     calls = []
     jacobi = group._jacobi
     monkeypatch.setattr(group, "_jacobi", lambda a, m: calls.append(a) or jacobi(a, m))
@@ -495,7 +510,7 @@ def test_is_member_below_the_named_groups_never_calls_gmp(monkeypatch, params16,
 
     monkeypatch.setattr(group, "_GMP", Refused())
     with pytest.raises(AssertionError, match="GMP"):
-        is_member(2, named_group("ffdhe2048"))
+        is_member(2, NAMED_GROUPS["ffdhe2048"])
     for params in (params16, params64):
         rng = random.Random(params.bits)
         for e in [0, 1, params.g, params.n - 1, params.n] + [
@@ -505,7 +520,7 @@ def test_is_member_below_the_named_groups_never_calls_gmp(monkeypatch, params16,
 
 @needs_gmp
 def test_is_member_agrees_in_two_threads_at_once():
-    params = named_group("ffdhe2048")
+    params = NAMED_GROUPS["ffdhe2048"]
     rng = random.Random(23)
     work = [[square_or_not(rng.randrange(params.n), rng.random() < 0.5, params)
              if k % 3 else rng.randrange(params.n) for k in range(200)] for _ in range(2)]
@@ -791,7 +806,7 @@ def test_dleq_verify_equals_the_reference_on_64_bits(params64, data):
 
 @pytest.mark.parametrize("lie", [0, 1, 12345])
 def test_dleq_verify_equals_the_reference_at_ffdhe2048(lie):
-    p = named_group("ffdhe2048")
+    p = NAMED_GROUPS["ffdhe2048"]
     rng = random.Random(47 + lie)
     base1 = hash_to_group(b"verify-base1", p)
     base2 = hash_to_group(b"verify-base2", p)
@@ -800,7 +815,7 @@ def test_dleq_verify_equals_the_reference_at_ffdhe2048(lie):
 
 
 def test_dleq_verify_makes_one_power_of_q_size(monkeypatch):
-    p = named_group("ffdhe2048")
+    p = NAMED_GROUPS["ffdhe2048"]
     rng = random.Random(48)
     s, base1 = rng.randrange(1, p.q), hash_to_group(b"verify-base1", p)
     proof = dleq_prove(s, base1, p.g, p, rng)

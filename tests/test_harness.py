@@ -57,6 +57,11 @@ def test_scenario_parse_defaults_and_comments():
     assert parse_scenario("# only\n\n# comments\n") == Scenario()
 
 
+@pytest.mark.parametrize("group_bits", ["8", "64", "ffdhe2048", "ffdhe3072"])
+def test_scenario_group_bits_takes_what_seller_init_takes(group_bits):
+    assert parse_scenario(f"group_bits: {group_bits}\n").group_bits == group_bits
+
+
 @pytest.mark.parametrize("text", [
     "mode: turbo\n",
     "price: 0\n",
@@ -67,6 +72,9 @@ def test_scenario_parse_defaults_and_comments():
     "prcie: 5\n",  # an unknown key, which would leave the price at 1
     "refresh: yes\n",  # neither on nor off
     "group_bits: 65\n",  # above the desk groups
+    "group_bits: 4\n",  # below them
+    "group_bits: ffdhe1024\n",  # not a named group
+    "group_bits: 3_2\n",  # not ASCII digits
     "price: 3\nprice: 5\n",  # a repeated key, which would run at the last price
 ])
 def test_scenario_parse_rejects(text):
@@ -123,12 +131,12 @@ def test_enhanced_price_one_degenerates_to_basic():
 def test_payload_bits_formulas(p):
     beta = 128
     basic = run_scenario(Scenario(mode="basic", price=p, refresh=False,
-                                  group_bits=64, seed=3))
+                                  group_bits="64", seed=3))
     gamma = 64
     assert basic.metrics.actor("buyer").payload_bits == p * (beta + gamma)
     assert basic.metrics.actor("seller").payload_bits == 2 * p * gamma
     enhanced = run_scenario(Scenario(mode="enhanced", price=p, refresh=False,
-                                     group_bits=64, seed=3))
+                                     group_bits="64", seed=3))
     msgs = bin(p).count("1")
     assert enhanced.metrics.actor("buyer").payload_bits == msgs * (beta + gamma)
     assert enhanced.metrics.actor("seller").payload_bits == 2 * msgs * gamma

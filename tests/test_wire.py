@@ -424,6 +424,29 @@ def test_a_connection_over_the_bound_gets_busy_in_the_listeners_type(
         srv.stop()
 
 
+# a StepReq built by hand: one card id of zero bytes, m = 5
+EMPTY_ID_STEP = (bytes([wire.StepReq.TYPE]) + (1).to_bytes(4, "big") + (0).to_bytes(4, "big")
+                 + (1).to_bytes(4, "big") + b"\x05")
+
+
+def test_decode_refuses_an_empty_card_id():
+    # before, it read the id as '', which encode refuses
+    with pytest.raises(MalformedMessage, match="empty card id"):
+        wire.decode(EMPTY_ID_STEP)
+
+
+def test_a_seller_answers_a_step_with_an_empty_card_id_malformed(params64):
+    handle, _, _ = _seller_listener(params64)
+    srv = wire.Server("127.0.0.1", 0, handle).start()
+    try:
+        with socket.create_connection(srv.address, timeout=2) as sock:
+            sock.sendall(wire.frame(EMPTY_ID_STEP))
+            reply = _reply(sock)
+    finally:
+        srv.stop()
+    assert isinstance(reply, wire.StepErr) and reply.code == "malformed"
+
+
 def test_a_half_frame_does_not_hold_up_another_clients_step():
     handler_s = 0.2
 
