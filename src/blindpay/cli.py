@@ -16,6 +16,7 @@ import sys
 from . import harness, wire
 from .cards import CardLedger, checked_card_id, plain_token
 from .catalog import (
+    Catalog,
     LicensePlaintext,
     LicenseSpec,
     SellerKeys,
@@ -34,7 +35,7 @@ from .dispute import (
 )
 from .encoding import HEX, INT, STR, Codec, RecordFormat
 from .errors import BlindpayError, ScenarioInvalid, StepRejected
-from .group import SYSTEM_RANDOM, group_for
+from .group import SYSTEM_RANDOM, group_for, pow_fast
 from .purchase import SellerStepHandler, buyer_begin
 
 EXIT_OK = 0
@@ -141,6 +142,18 @@ def _read_secrets(path: str) -> SellerKeys:
                           verify_pk=sk.public_key().public_bytes_raw())
     except (BlindpayError, ValueError) as exc:
         raise BlindpayError(f"{path}: not a usable seller secrets file: {exc}") from None
+
+
+def _read_seller(catalog_path: str, secrets_path: str) -> tuple[Catalog, SellerKeys]:
+    """A catalog and the secrets it was made with.  Secrets of another
+    catalog are refused naming both files: they would sign steps the
+    catalog's key does not verify and answer disputes with the wrong s."""
+    cat = parse_catalog(_read_file(catalog_path))
+    keys = _read_secrets(secrets_path)
+    if (keys.verify_pk != cat.verify_pk
+            or pow_fast(cat.params.g, keys.s, cat.params) != cat.k_table.get(1)):
+        raise BlindpayError(f"{secrets_path}: not the secrets of the catalog {catalog_path}")
+    return cat, keys
 
 
 def _write_secrets(path: str, keys: SellerKeys):
@@ -269,8 +282,7 @@ def cmd_seller_init(args) -> int:
 
 
 def cmd_seller_serve(args) -> int:
-    cat = parse_catalog(_read_file(args.catalog))
-    keys = _read_secrets(args.secrets)
+    cat, keys = _read_seller(args.catalog, args.secrets)
     return _serve("seller", args.listen, lambda: harness.RemoteBank(wire.connect(*args.bank)),
                   lambda bank: harness.make_seller_handler(
                       SellerStepHandler(keys, cat.params, bank, args.account), cat))
@@ -279,8 +291,8 @@ def cmd_seller_serve(args) -> int:
 def cmd_seller_answer(args) -> int:
     """Answer a case record as the seller (see dispute.answer_case)."""
     case = parse_case(_read_file(args.case))
-    cat = parse_catalog(_read_file(args.catalog))
-    answered = answer_case(case, cat, SellerDisputeAgent(_read_secrets(args.secrets), cat))
+    cat, keys = _read_seller(args.catalog, args.secrets)
+    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat))
     _write_file(args.out, write_case(answered))
     print(f"answered case written to {args.out}")
     return EXIT_OK
@@ -350,6 +362,11 @@ def cmd_scenario_run(args) -> int:
 
 
 def cmd_scenario_sweep(args) -> int:
+    try:  # refused here, so the message names the flag rather than a scenario key
+        group_for(args.group_bits, random.Random(args.seed))
+    except ValueError as exc:
+        print(f"scenario sweep: --group-bits: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     sweep = harness.run_sweep(group_bits=args.group_bits, seed=args.seed)
     table = harness.report_tables(sweep)
     print(table, end="")

@@ -529,9 +529,19 @@ def resolve_type_d_method3(case: DisputeCase, s_revealed: int | None = None) -> 
     in a prime-order group there is exactly one exponent per element, so a
     matching commitment pins the true factor.  Then every response is
     checked against m^(s^t): one power per step value over a composite,
-    one per step only to name a failure.  The binding joins the steps of
-    value 1 as the pair (g, K_1), and the composite's weights hash the
+    one per step only to name a failure.  The composite's weights hash the
     exponent too, so a factor chosen to fit the record draws fresh weights.
+
+    The binding joins the steps of value 1 at weight one: g is multiplied
+    into their composite M and K_1 into Z, so the check costs no weight
+    powers for it.  Fixing one weight at 1 keeps the small-exponents test
+    sound (Bellare-Garay-Rabin): were K_1 = g^s * u and the steps off by
+    b_i, the check passes only if u * prod b_i^(d_i) = 1.  K_1 is the
+    catalog's commitment, published before any step was answered (and
+    check_commitments holds a record to it), and every d_i is hashed over
+    s^t and every step pair, so a seller meets that product with
+    probability about 2^-128.  A single step is weighted too, or a binding
+    and a step wrong by inverse factors would cancel.
     """
     _require_d(case)
     if s_revealed is not None:
@@ -548,7 +558,9 @@ def resolve_type_d_method3(case: DisputeCase, s_revealed: int | None = None) -> 
     for t, idx in _composite_groups(pairs, p).items():
         e = pow(s, t, p.q)
         # (t, e) stand where methods 1 and 2 put their statement (base, y)
-        big_m, big_z = dleq_composite([pairs[i][:2] for i in idx], t, e, p)
+        big_m, big_z = dleq_composite([pairs[i][:2] for i in idx if i], t, e, p)
+        if t == 1:  # the binding (g, K_1), pair 0, at weight one
+            big_m, big_z = big_m * p.g % p.n, big_z * k1 % p.n
         if pow_fast(big_m, e, p) == big_z:
             proven.update(idx)
     for i, (m, m_out, t, signed) in enumerate(pairs):

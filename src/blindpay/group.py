@@ -489,10 +489,9 @@ def dleq_composite(pairs: list[tuple[int, int]], base: int, y: int,
     2^-128 (the small-exponents test of Bellare-Garay-Rabin).  That bound
     needs every input to be a subgroup member: an order-2 component
     vanishes under every even weight, so callers check membership first.
-    A single pair is its own composite.
+    Every pair is weighted, a single one too: a caller may fold in one more
+    pair at weight one, whose error an unweighted pair could cancel.
     """
-    if len(pairs) == 1:
-        return pairs[0]
     h = hashlib.sha256(b"dleq-composite-v1")
     for v in (params.n, params.g, base, y, len(pairs)):
         h.update(enc_int(v))

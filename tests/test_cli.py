@@ -910,6 +910,35 @@ def test_a_secrets_file_others_can_read_exits_1_naming_it(tmp_path, capsys, monk
     assert (served, out.exists()) == ([], False)
 
 
+@pytest.mark.parametrize("command", ["serve", "answer"])
+@pytest.mark.parametrize("foreign", [("s", "sign_sk"), ("s",), ("sign_sk",)],
+                         ids=["both", "s", "sign_sk"])
+def test_secrets_of_another_catalog_exit_1_naming_both_files(tmp_path, capsys, monkeypatch,
+                                                             command, foreign):
+    # before, seller answer exited 0 with an answer that convicted an honest
+    # seller, and seller serve signed steps the catalog's key does not verify
+    catp, secp = seller_files(tmp_path, "lic-a:2:read-only")
+    other = tmp_path / "other"
+    other.mkdir()
+    assert run_cli("seller", "init", "--catalog", str(other / "cat.txt"), "--secrets",
+                   str(other / "sec.txt"), "--seed", "4", "--license", "lic-a:2:read-only") == 0
+    own, theirs = cli._read_secrets(secp), cli._read_secrets(str(other / "sec.txt"))
+    cli._write_secrets(secp, replace(own, **{key: getattr(theirs, key) for key in foreign}))
+    cat = parse_catalog((tmp_path / "cat.txt").read_text())
+    case, out = tmp_path / "case.txt", tmp_path / "answered.txt"
+    case.write_text(write_case(DisputeCase(kind="D", params=cat.params, verify_pk=cat.verify_pk,
+                                           k_table=cat.k_table, steps=[])))
+    served = []
+    monkeypatch.setattr(cli, "_serve", lambda who, *rest: served.append(who) or 0)
+    more = (["--bank", "127.0.0.1:9"] if command == "serve"
+            else ["--case", str(case), "--out", str(out)])
+    capsys.readouterr()
+    assert run_cli("seller", command, "--catalog", catp, "--secrets", secp, *more) == 1
+    err = capsys.readouterr().err
+    assert one_line_naming(err, secp) and catp in err
+    assert (served, out.exists()) == ([], False)
+
+
 @contextlib.contextmanager
 def cli_market(tmp_path, capsys, wrap=lambda handle: handle):
     """A seller (catalog price 3) and its bank served in-process, plus a
@@ -1420,6 +1449,16 @@ def test_a_spec_integer_that_is_not_unsigned_ascii_digits_exits_2(tmp_path, caps
     assert run_cli("scenario", "run", "--spec", str(spec)) == 2
     out, err = capsys.readouterr()
     assert out == "" and one_line_naming(err, line.split(": ")[1])
+
+
+@pytest.mark.parametrize("value", ["ffdhe1024", "65", "4", "3_2"])
+def test_a_sweep_group_that_group_for_refuses_names_the_flag(capsys, value):
+    # before, the sweep's refusal read "invalid scenario: group_bits: ...",
+    # naming a scenario key where the operator typed a flag
+    assert run_cli("scenario", "sweep", "--group-bits", value) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and one_line_naming(err, "scenario sweep: --group-bits: ")
+    assert value in err and "invalid scenario" not in err
 
 
 @pytest.mark.parametrize("value", ["ffdhe1024", "65", "4"])  # 3_2: the test above

@@ -1017,8 +1017,49 @@ def test_method3_checks_eight_steps_and_the_binding_with_one_power(params64, pow
     assert verdict == Verdict(BUYER_CLAIM_REJECTED,
                               "all responses recompute exactly; seller is honest", 8)
     assert len(pow_fast_calls) == 1
-    assert composites == [[(params64.g, cat.k_table[1]),
-                           *((st.m, st.m_out) for st in case.steps)]]
+    # the binding (g, K_1) joins the composite at weight one, outside the fold
+    assert composites == [[(st.m, st.m_out) for st in case.steps]]
+
+
+@pytest.fixture()
+def weight_powers(monkeypatch):
+    """The number of group.pow_fast calls: a composite's 128-bit weight
+    powers, which dispute's own full-size powers do not pass through."""
+    count = [0]
+    original = group.pow_fast
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(group, "pow_fast", counting)
+    return count
+
+
+@pytest.mark.parametrize("price", [1, 2, 4])
+def test_method3_weighs_each_step_and_not_the_binding(params64, pow_fast_calls, weight_powers,
+                                                      price):
+    keys, cat, bank, session = completed_session(params64, price=price, seed=72)
+    verdict = resolve_type_d_method3(build_type_d_case(cat, session), keys.s)
+    assert verdict.outcome == BUYER_CLAIM_REJECTED
+    assert (weight_powers[0], len(pow_fast_calls)) == (2 * price, 1)
+
+
+@pytest.mark.parametrize("price", [1, 2])
+def test_method3_convicts_a_binding_and_a_step_wrong_by_inverse_factors(params64, price):
+    # K_1 off by u and the last step off by u^-1, re-signed: a plain product
+    # of the binding and the step would cancel the two, a weighted one not.
+    keys, cat = make_catalog(params64, prices=(price,), seed=85)
+    p = params64
+    case = signed_d_case(keys, cat, [(None, None, 1)] * price, random.Random(86))
+    u = pow(p.g, 12345, p.n)
+    case.k_table[1] = mul_mod(case.k_table[1], u, p)
+    last = case.steps[-1]
+    m_out = mul_mod(last.m_out, pow(u, -1, p.n), p)
+    case.steps[-1] = replace(last, m_out=m_out, signature=sign_payload(
+        keys.sign_sk, step_payload(last.m, m_out)))
+    assert resolve_type_d_method3(case, keys.s) == Verdict(
+        SELLER_AT_FAULT, "revealed factor does not match the public commitment", 0)
 
 
 def test_method3_wrong_s_step_at_fault(params64):
@@ -1043,7 +1084,7 @@ def test_method3_commitment_mismatch(params64, pow_fast_calls):
 
 @pytest.mark.parametrize("values, bad_step, folded", [
     ((1, 1, 1, 1), 3, []),   # the bad pair keeps its whole value out of the fold
-    ((1, 1, 2, 2), 4, [3]),  # value 1 still folds, with the binding
+    ((1, 1, 2, 2), 4, [2]),  # value 1 still folds its two steps (the binding at weight one)
 ])
 def test_method3_keeps_a_non_member_out_of_the_fold(params64, composites, values, bad_step,
                                                     folded):
@@ -1083,7 +1124,7 @@ def fold_catalog(params64):
 
 
 _CORRUPTIONS = ("none", "edit-one", "edit-two", "zero-before", "zero-after", "s-plus-one",
-                "edit-k1", "non-member-k1", "non-member")
+                "edit-k1", "non-member-k1", "non-member", "k1-cancels-step")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1132,6 +1173,11 @@ def test_method3_fold_matches_the_per_step_check(params64, fold_catalog, data):
     elif corruption == "non-member":
         i = data.draw(position)
         resign(i, p.n - case.steps[i].m_out)
+    elif corruption == "k1-cancels-step":  # K_1 off by g, a step of value 1 by g^-1
+        case.k_table[1] = mul_mod(case.k_table[1], p.g, p)
+        i = data.draw(position)
+        if case.steps[i].t == 1:
+            resign(i, mul_mod(case.steps[i].m_out, pow(p.g, -1, p.n), p))
 
     def outcome(resolve):
         try:

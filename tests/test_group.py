@@ -707,9 +707,22 @@ def _pairs(params, e, count, seed):
     return [(m, pow(m, e, params.n)) for m in ms]
 
 
-def test_dleq_composite_single_pair_is_itself(params64):
-    pair = _pairs(params64, 5, 1, 42)
-    assert dleq_composite(pair, params64.g, pow(params64.g, 5, params64.n), params64) == pair[0]
+def test_dleq_composite_weights_a_single_pair(params64):
+    # A lone pair is weighted too: a caller that folds in another pair at
+    # weight one relies on it, or errors by inverse factors would cancel.
+    p = params64
+    y = pow(p.g, 5, p.n)
+    (m, m_out), = _pairs(p, 5, 1, 42)
+    big_m, big_z = dleq_composite([(m, m_out)], p.g, y, p)
+    assert (big_m, big_z) != (m, m_out)
+    assert big_z == pow(big_m, 5, p.n)
+    # a pair (g, y*u) at weight one and (m, m_out/u): unweighted they cancel
+    u = pow(p.g, 7, p.n)
+    bad = (m, mul_mod(m_out, pow(u, -1, p.n), p))
+    lead_m, lead_z = p.g, mul_mod(y, u, p)
+    assert mul_mod(lead_z, bad[1], p) == pow(mul_mod(lead_m, m, p), 5, p.n)
+    big_m, big_z = dleq_composite([bad], p.g, y, p)
+    assert mul_mod(lead_z, big_z, p) != pow(mul_mod(lead_m, big_m, p), 5, p.n)
 
 
 def test_dleq_composite_keeps_true_statements_and_breaks_false_ones(params64):

@@ -41,6 +41,7 @@ from blindpay.harness import (
     report_tables,
     run_scenario,
     run_sweep,
+    step_reply,
 )
 from blindpay.purchase import SellerStepHandler
 
@@ -599,6 +600,23 @@ def test_seller_refuses_a_step_its_bank_cannot_take_and_keeps_the_connection(par
         srv.stop()
         bank.close()
     assert ledger.cards[card.card_id].status is CardStatus.DISTRIBUTED
+
+
+def test_seller_refuses_a_step_without_cards_as_a_bad_request(params64):
+    keys, cat = make_catalog(params64)
+    ledger = CardLedger(rng=random.Random(27))
+    seller = make_seller_handler(SellerStepHandler(keys, params64, ledger, "seller-1"), cat)
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
+    assert seller(wire.StepReq(card_ids=(), m=m)) == wire.StepErr(
+        "bad-request", "step request carries no cards")
+
+
+@pytest.mark.parametrize("reply", [wire.CatalogGet(), wire.CatalogDoc(text="")])
+def test_a_step_reply_of_another_type_is_a_protocol_refusal(reply):
+    with pytest.raises(StepRejected) as exc:
+        step_reply(reply)
+    assert exc.value.code == "protocol"
+    assert type(reply).__name__ in exc.value.detail
 
 
 def test_seller_redials_a_bank_that_is_back_on_its_address(params64):

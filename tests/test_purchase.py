@@ -325,6 +325,33 @@ def test_allocation_infeasible_still_refused(params64):
         buyer_begin(cat, "lic-4", fund(bank, [2] * 5), mode=MODE_BASIC)
 
 
+def test_allocation_backs_up_across_steps(params64):
+    # Step one's first pick, 3 + 1, leaves nothing of value 1 for step two:
+    # the search must give it back and pay step one with 2 + 2.
+    keys, cat = make_catalog(params64, prices=(5,))
+    bank = CardLedger(rng=random.Random(17))
+    cards = fund(bank, [3, 1, 2, 2])
+    value = dict(cards)
+    session = buyer_begin(cat, "lic-5", cards, mode=MODE_ENHANCED, rng=random.Random(18))
+    assert session.plan == [4, 1]
+    assert [[value[cid] for cid in step] for step in session.step_cards] == [[2, 2], [1]]
+    # without a second 2, every pick for step one is a dead end
+    with pytest.raises(InsufficientFunds):
+        buyer_begin(cat, "lic-5", fund(bank, [3, 1, 2]), mode=MODE_ENHANCED)
+
+
+def test_a_request_or_response_out_of_turn_is_refused(params64):
+    keys, cat, bank, handler, session = rig(params64, price=2)
+    req = buyer_step_request(session)
+    with pytest.raises(SessionStateError, match="still awaiting its response"):
+        buyer_step_request(session)
+    resp = handler.handle(req)
+    buyer_process_response(session, resp)
+    with pytest.raises(SessionStateError, match="no request outstanding"):
+        buyer_process_response(session, resp)
+    assert session.remaining == 1
+
+
 def test_missing_unit_power_rejected(params64):
     from blindpay.errors import MissingKPower
     keys, cat = make_catalog(params64, prices=(2,))
