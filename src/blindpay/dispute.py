@@ -18,6 +18,8 @@ covers them all, a proof for methods 1 and 2 and one power for method 3.
 A false step survives the fold with probability about 2^-128.  A batch
 that fails falls back to one check per step, which names the first bad
 step; a record without batch proofs still replays to the same verdicts.
+Each proof is checked by one bare group.dleq_verify call, False alike for
+a withheld proof, a value outside the subgroup and a false proof.
 
 The case record is the only channel between the parties.  The buyer
 fills its kind, group and step lines, and for kind B the license lines
@@ -52,7 +54,6 @@ from .encoding import B64, HEX, INT, INTS, PAIR, STR, Codec, RecordFormat
 from .errors import (
     AuthenticationFailure,
     BadStepSignature,
-    MalformedElement,
     MalformedEvidence,
     MissingKPower,
 )
@@ -291,8 +292,9 @@ class SellerDisputeAgent:
 
     def original_values(self, m: int, t: int) -> tuple[int, int]:
         """Recompute what this seller would have responded to request m.
-        No step carries a non-member m (MalformedElement) or a value t
-        outside the K table (ValueError), so neither gets an answer."""
+        A non-member m, which the step handler refuses, raises
+        MalformedElement; a value t outside the K table, whose response no
+        key unblinds, raises ValueError."""
         p = self.params
         ensure_member(m, p)
         if t not in self.catalog.k_table:
@@ -314,11 +316,9 @@ class SellerDisputeAgent:
         # when the bases are members and the claim below holds.
         if not (is_member(base1, p) and is_member(base2, p)):
             return None
-        own = self._own_power(base2, t)
-        if own is not None and own != y2:
-            return None
         secret = pow(self.keys.s, t, p.q)
-        return dleq_prove(secret, base1, base2, p, self.rng, claim=(y1, y2), y2=own)
+        return dleq_prove(secret, base1, base2, p, self.rng, claim=(y1, y2),
+                          y2=self._own_power(base2, t))
 
     def reveal_chain(self, license_id: str) -> list[int]:
         """x, x^s, ..., x^(s^price) for the license's factor x."""
@@ -327,16 +327,6 @@ class SellerDisputeAgent:
 
     def reveal_s(self) -> int:
         return self.keys.s
-
-
-def _safe_verify(proof: DlEqProof | None, b1: int, y1: int, b2: int, y2: int,
-                 params: GroupParams) -> bool:
-    if proof is None:
-        return False
-    try:
-        return dleq_verify(proof, b1, y1, b2, y2, params)
-    except MalformedElement:
-        return False
 
 
 # --- resolvers -----------------------------------------------------------------
@@ -392,14 +382,14 @@ def resolve_type_b(case: DisputeCase) -> Verdict:
 def resolve_type_c(case: DisputeCase) -> Verdict:
     """Corrupt step signature, judged from the record alone.
 
-    Valid signature: claim rejected.  A request no step carries (m outside
-    the subgroup, or t outside the K table) is refused by the step handler,
-    so a claim about one is rejected before the seller's lines are read.
+    Valid signature: claim rejected.  A claim about a non-member m, which
+    the step handler refuses, or a value t with no unblinding key, whose
+    response opens nothing, is rejected before the seller's lines are read.
     Seller concurs with the values: the remedy is a fresh valid signature.
     Seller's values conflict with the buyer's: escalate, the seller must
-    prove its own pair correct; success rejects the claim (and the proven
-    pair goes to the buyer), failure obliges the seller to sign the buyer's
-    values.  No answer at all is treated as fault by timeout.
+    prove its response to the buyer's m; success rejects the claim (and the
+    proven pair goes to the buyer), failure obliges the seller to sign the
+    buyer's values.  No answer at all is treated as fault by timeout.
     """
     if case.kind != "C":
         raise MalformedEvidence(f"type C resolver got kind {case.kind!r}")
@@ -424,7 +414,8 @@ def resolve_type_c(case: DisputeCase) -> Verdict:
                            "seller failed to produce a valid signature on agreed values", 1)
         return Verdict(SELLER_MUST_RESIGN,
                        "seller acknowledged the values; valid signature reissued", 1)
-    if _safe_verify(case.seller_proof, q_val, n_val, case.params.g, k, case.params):
+    if q_val == st.m and dleq_verify(case.seller_proof, q_val, n_val, case.params.g, k,
+                                     case.params):
         return Verdict(BUYER_CLAIM_REJECTED,
                        "seller proved its values correct; proven response forwarded", 1)
     return Verdict(SELLER_MUST_RESIGN,
@@ -469,8 +460,8 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
     the audited license must be one of its entries, exactly as published.
     The links share one batched proof, and so do the steps of each value;
     a batch that fails falls back to one proof per link or step.  Only a
-    live seller is asked to audit a license drawn from rng; a replay draws
-    nothing.
+    live seller is asked to audit a license drawn from rng among those
+    priced at least the largest step value; a replay draws nothing.
     """
     _require_d(case)
     if not case.audit_license_id and case.chain is not None:
@@ -478,7 +469,10 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
     if not case.audit_license_id and seller is not None:
         if catalog is None:
             raise MalformedEvidence("no audit license recorded and no catalog given")
-        e = rng.choice(catalog.licenses)
+        top = max(st.t for st in case.steps)
+        if not (pool := [e for e in catalog.licenses if e.price >= top]):
+            raise MalformedEvidence(f"no license of price {top} or more to audit")
+        e = rng.choice(pool)
         (case.audit_license_id, case.audit_x, case.audit_price,
          case.audit_blob) = (e.license_id, e.x, e.price, e.encrypted_license)
     audited = (case.audit_license_id, case.audit_x, case.audit_price, case.audit_blob)
@@ -615,8 +609,8 @@ def _first_unproven(case: DisputeCase, family: str,
     The record must hold one <family>_proofs entry per pair.  The pairs of
     each value that _composite_groups admits share one proof over their
     composite, recorded in batch_proofs under (family, t) or asked of the
-    seller, when the statement's two values are subgroup members too.  Any
-    other pair gets one proof, recorded or asked.  Pairs are judged in
+    seller.  Any other pair, and each pair of a batch whose proof fails,
+    gets one proof, recorded or asked.  Pairs are judged in
     order: an unsigned one raises MalformedEvidence, as statement(t) raises
     where no statement exists, once every earlier pair is proven."""
     p = case.params
@@ -636,8 +630,6 @@ def _first_unproven(case: DisputeCase, family: str,
             base, y = statement(t)
         except (MissingKPower, MalformedEvidence):
             continue
-        if not (is_member(base, p) and is_member(y, p)):
-            continue
         batch = [pairs[i][:2] for i in idx]
         big_m, big_z = dleq_composite(batch, base, y, p)
         if key not in case.batch_proofs:
@@ -645,7 +637,7 @@ def _first_unproven(case: DisputeCase, family: str,
             if proof is None:
                 continue
             case.batch_proofs[key] = proof
-        if _safe_verify(case.batch_proofs[key], big_m, big_z, base, y, p):
+        if dleq_verify(case.batch_proofs[key], big_m, big_z, base, y, p):
             proven.update(idx)
     for i, (m, m_out, t, signed) in enumerate(pairs):
         if not signed:
@@ -655,7 +647,7 @@ def _first_unproven(case: DisputeCase, family: str,
             continue
         if proofs[i] is None and seller is not None:
             proofs[i] = seller.prove(m, m_out, base, y, t)
-        if not _safe_verify(proofs[i], m, m_out, base, y, p):
+        if not dleq_verify(proofs[i], m, m_out, base, y, p):
             return i
     return None
 
@@ -681,7 +673,7 @@ def verify_k_table(catalog: Catalog, proofs: dict[tuple[int, int], DlEqProof]) -
         if 2 * t not in catalog.k_table:
             continue
         proof = proofs.get((t, 2 * t))
-        if not _safe_verify(proof, catalog.k_table[t], catalog.k_table[2 * t],
+        if not dleq_verify(proof, catalog.k_table[t], catalog.k_table[2 * t],
                             p.g, catalog.k_table[t], p):
             return False
     return True
@@ -737,8 +729,9 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     Method 2 reveals the key chain of the license it audits.  The draw is
     seeded by the least SHA-256 of step_payload over the record's validly
     signed steps, so answering one record again, or with its steps
-    reordered, reveals the same chain.  A buyer who drops steps may draw
-    again, so it opens at most one license per signed step it holds."""
+    reordered, reveals the same chain.  A buyer who drops steps, or edits
+    the step values that bound the draw, may draw again, so it opens at
+    most one license per signed step it holds and price in the catalog."""
     check_commitments(case, catalog)
     answered = DisputeCase(**{f.name: getattr(case, f.name) for f in fields(DisputeCase)
                               if f.name not in _SELLER_FIELDS})

@@ -443,13 +443,13 @@ def _dleq_weight(params: GroupParams, base1: int, y1: int, base2: int, y2: int,
     return int.from_bytes(h.digest()[:16], "big")
 
 
-def dleq_verify(proof: DlEqProof, base1: int, y1: int, base2: int, y2: int,
+def dleq_verify(proof: DlEqProof | None, base1: int, y1: int, base2: int, y2: int,
                 params: GroupParams) -> bool:
     """Check a proof against the statement (base1, y1, base2, y2).
 
-    Raises MalformedElement if any input is outside the subgroup; returns
-    False for any proof that fails the recomputed challenge or the
-    verification equations.
+    Returns False, and raises nothing, for a withheld proof (None), any of
+    the six values outside the subgroup, a challenge or response outside
+    [0, q), a challenge not the recomputed hash or a failed equation.
 
     The two equations of dleq_equations_hold are checked as one,
     (base1 * base2^r)^z = (a1 * a2^r) * (y1 * y2^r)^c, with a 128-bit
@@ -461,11 +461,12 @@ def dleq_verify(proof: DlEqProof, base1: int, y1: int, base2: int, y2: int,
     2^-128 above q = 2^128, and of order 1/q on desk groups, like the
     challenge itself.
     """
+    if proof is None:
+        return False
     a1, a2 = proof.commitment_a, proof.commitment_b
-    for e in (base1, y1, base2, y2, a1, a2):
-        ensure_member(e, params)
     c, z = proof.challenge, proof.response
-    if not (0 <= c < params.q and 0 <= z < params.q):
+    if not (all(is_member(e, params) for e in (base1, y1, base2, y2, a1, a2))
+            and 0 <= c < params.q and 0 <= z < params.q):
         return False
     if c != _dleq_challenge(params, base1, y1, base2, y2, a1, a2):
         return False

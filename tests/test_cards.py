@@ -454,6 +454,8 @@ SPENT_AB = ISSUE_AB + b"2\tDIST\tab\t1\tstore-1\n3\tSPEND\tab\t1\tseller-1\n"
 UNAPPLIABLE = {
     "not-utf8": (b"1\tISSUE\t\xff\t1\t-\n", "not five UTF-8 fields"),
     "unknown-op": (ISSUE_AB + b"2\tBURN\tab\t1\t-\n", "unknown op 'BURN'"),
+    "sequence-gap": (ISSUE_AB + b"3\tDIST\tab\t1\tstore-1\n",
+                     r"ledger.tsv:2: sequence gap \(3 after 1\)"),
     "unknown-card": (ISSUE_AB + b"2\tDIST\tcd\t1\tstore-1\n", "DIST of unknown card"),
     "second-spend": (SPENT_AB + b"4\tSPEND\tab\t1\tseller-1\n",
                      "ledger.tsv:4: SPEND of card 'ab' already spent"),
@@ -497,6 +499,13 @@ def test_a_ledger_line_the_replay_cannot_apply_is_corrupt(tmp_path, lines):
     with pytest.raises(LedgerCorrupt, match=problem):  # the writer loads by the same rule
         CardLedger(path=str(path))
     assert path.read_bytes() == text
+
+
+def test_a_blank_ledger_line_is_skipped(tmp_path):
+    path = tmp_path / "ledger.tsv"
+    path.write_bytes(ISSUE_AB + b"\n" + b"2\tDIST\tab\t1\tstore-1\n")
+    replayed = CardLedger.replay(str(path))
+    assert (replayed.cards["ab"].status, replayed._seq) == (CardStatus.DISTRIBUTED, 2)
 
 
 def _state(ledger):

@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from blindpay.catalog import (
     LicensePlaintext,
@@ -10,6 +11,7 @@ from blindpay.catalog import (
     derive_license_key,
     encrypt_license,
     k_powers_for,
+    kdf,
     parse_catalog,
     serialize_catalog,
     setup,
@@ -94,6 +96,14 @@ def test_decrypt_any_flipped_byte_fails(params64, plain):
 def test_decrypt_truncated_blob(params64):
     with pytest.raises(AuthenticationFailure):
         decrypt_license(4, b"short")
+
+
+def test_decrypt_a_corrupt_plaintext_under_its_key_fails(params64):
+    key = pow_mod(params64.g, 4242, params64)
+    nonce = bytes(12)
+    blob = nonce + AESGCM(kdf(key)).encrypt(nonce, b"not a license", b"")
+    with pytest.raises(AuthenticationFailure, match="license plaintext corrupt"):
+        decrypt_license(key, blob)
 
 
 def test_plaintext_encoding_roundtrip(plain):
@@ -199,6 +209,11 @@ def test_setup_rejects_duplicates_and_bad_prices(params64, plain):
         setup(params64, [LicenseSpec("a", "c", 0, "t", plain)])
     with pytest.raises(ValueError):
         setup(params64, [LicenseSpec("a", "c", 1, "two\nlines", plain)])
+
+
+def test_setup_refuses_an_empty_catalog(params64):
+    with pytest.raises(ValueError, match="at least one license"):
+        setup(params64, [])
 
 
 def test_setup_deterministic_with_rng(params64):

@@ -44,7 +44,7 @@ from blindpay.encoding import enc_int, enc_u32
 from blindpay.errors import AuthenticationFailure
 from blindpay.group import NAMED_GROUPS, DlEqProof, hash_to_group, pow_mod
 from blindpay.harness import RemoteBank, make_bank_handler, make_seller_handler, run_sweep
-from blindpay.purchase import SellerStepHandler, run_purchase, step_payload
+from blindpay.purchase import MODE_ENHANCED, SellerStepHandler, run_purchase, step_payload
 
 from conftest import make_catalog
 from test_dispute import completed_session, type_c_evidence, type_d_evidence
@@ -405,6 +405,21 @@ def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, e
     assert capsys.readouterr().out == "".join(
         f"{label}: {v.outcome} (steps checked: {v.checked_steps})\n  {v.rationale}\n"
         for label, v in live)
+
+
+def test_seller_answer_of_an_enhanced_false_claim_exits_0(tmp_path, capsys, params64):
+    # steps 4 and 1 of the price-5 license beside cheaper licenses: the audit
+    # must draw a license whose chain reaches the value-4 step
+    keys, cat, bank, session = completed_session(params64, price=5, mode=MODE_ENHANCED,
+                                                 seed=2, prices=(1, 2, 3, 5))
+    code, answered = seller_answer(tmp_path, keys, cat, build_type_d_case(cat, session))
+    assert code == 0
+    capsys.readouterr()
+    assert run_cli("arbitrate", "--case", str(answered),
+                   "--catalog", str(tmp_path / "cat.txt")) == 0
+    out = capsys.readouterr().out
+    assert f"D-method1: {BUYER_CLAIM_REJECTED}" in out
+    assert f"D-method2: {BUYER_CLAIM_REJECTED}" in out
 
 
 def test_seller_answer_signs_only_its_own_values(tmp_path, capsys, params64):

@@ -399,14 +399,31 @@ def test_type_c_unresponsive_seller_at_fault(params64):
                                            "seller unresponsive within the deadline", 1)
 
 
+class OtherRequestAgent(SellerDisputeAgent):
+    def original_values(self, m, t):
+        return super().original_values(pow_mod(self.params.g, 777, self.params), t)
+
+
+def test_type_c_answer_about_another_request_must_resign(params64):
+    # the seller's proof is true, but of g^777, not of the buyer's request:
+    # the response it would forward opens nothing
+    keys, cat, case = corrupt_signature_case(params64)
+    answered = answer_case(case, cat, OtherRequestAgent(keys, cat, random.Random(4)))
+    assert dleq_verify(answered.seller_proof, *answered.seller_values, params64.g,
+                       cat.k_table[1], params64)
+    assert resolve_type_c(answered) == Verdict(
+        SELLER_MUST_RESIGN, "seller could not prove its values; must sign the buyer's values", 1)
+
+
 @pytest.mark.parametrize("with_agent", [True, False], ids=["agent", "no-agent"])
 @pytest.mark.parametrize("bad, check", [
     (lambda p: {"m": p.n - 1}, "subgroup member"),  # Jacobi symbol -1
     (lambda p: {"t": 999}, "no unblinding key for step value 999"),
 ], ids=["nonmember-m", "t=999"])
 def test_type_c_claim_no_step_carries_is_rejected(params64, with_agent, bad, check):
-    # the step handler refuses such a request, so no seller signed or owes
-    # anything for it; the public check decides before the seller is asked
+    # the step handler refuses a non-member request; it answers a value with
+    # no K power, but no unblinding key exists for that step, so its response
+    # opens nothing.  The public check decides before the seller is asked
     keys, cat, case = corrupt_signature_case(params64)
     case.steps[0] = replace(case.steps[0], **bad(params64))
     if with_agent:
@@ -579,6 +596,27 @@ def test_method2_honest_seller_rejected(params64):
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert case.chain is not None
     assert len(case.chain) == case.audit_price + 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_an_enhanced_false_claim_audits_a_license_that_reaches_every_step(params64, seed):
+    # steps 4 and 1 of the price-5 license; a draw among all four licenses
+    # would often audit a chain shorter than the value-4 step
+    keys, cat, bank, session = completed_session(params64, price=5, mode=MODE_ENHANCED,
+                                                 seed=seed, prices=(1, 2, 3, 5))
+    case = build_type_d_case(cat, session)
+    assert [st.t for st in case.steps] == [4, 1]
+    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(seed)))
+    assert answered.audit_price == 5
+    assert [v.outcome for _, v in resolve_case(answered, cat)] == [BUYER_CLAIM_REJECTED] * 2
+
+
+def test_method2_refuses_a_record_no_license_reaches(params64):
+    keys, cat, bank, session = completed_session(params64, price=2, seed=61, prices=(1, 2))
+    case = build_type_d_case(cat, session)
+    case.steps[0] = replace(case.steps[0], t=4)
+    with pytest.raises(MalformedEvidence, match="no license of price 4 or more"):
+        resolve_type_d_method2(case, cat, SellerDisputeAgent(keys, cat), random.Random(8))
 
 
 def test_method2_dead_key_at_fault(params64):
@@ -809,6 +847,32 @@ def test_batch_proofs_round_trip_the_record(params64):
     assert [v.outcome for _, v in resolve_case(replayed)] == [BUYER_CLAIM_REJECTED] * 2
     with pytest.raises(MalformedEvidence):
         parse_case(text.replace("batch_proof: step 1 ", "batch_proof: chain 1 "))
+
+
+def test_a_withheld_batch_proof_falls_back_to_per_step_proofs(params64):
+    keys, cat, bank, session = completed_session(params64, price=4, seed=82, prices=(3, 4))
+    agent = SellerDisputeAgent(keys, cat, random.Random(83))
+    answered = answer_case(build_type_d_case(cat, session), cat, agent)
+    answered.step_proofs = [agent.prove(st.m, st.m_out, params64.g, cat.k_table[1], 1)
+                            for st in answered.steps]
+    text = re.sub(r"(?m)^batch_proof: step 1 .*$", "batch_proof: step 1 -", write_case(answered))
+    replayed = parse_case(text)
+    assert replayed.batch_proofs[("step", 1)] is None
+    assert resolve_type_d_method1(replayed) == Verdict(
+        BUYER_CLAIM_REJECTED, "all steps proven correct; seller is honest", 4)
+    replayed.step_proofs[2] = None
+    assert resolve_type_d_method1(replayed) == Verdict(
+        SELLER_AT_FAULT, "step 3: response not proven consistent with K_1", 3)
+
+
+def test_a_step_proof_with_a_non_member_commitment_convicts(params64):
+    keys, cat, bank, session = completed_session(params64, price=1, seed=84, prices=(1,))
+    answered = answer_case(build_type_d_case(cat, session), cat,
+                           SellerDisputeAgent(keys, cat, random.Random(85)))
+    assert resolve_type_d_method1(answered).outcome == BUYER_CLAIM_REJECTED
+    answered.step_proofs[0] = replace(answered.step_proofs[0], commitment_a=params64.n - 1)
+    assert resolve_type_d_method1(answered) == Verdict(
+        SELLER_AT_FAULT, "step 1: response not proven consistent with K_1", 1)
 
 
 _NUM = strategies.integers(0, 2**64)

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blindpay import group
-from blindpay.errors import MalformedElement
 from blindpay.group import (
     _MR_BASES,
     _MR_DETERMINISTIC_BOUND,
@@ -660,8 +659,24 @@ def test_dleq_shifted_statement_rejects(params64):
 def test_dleq_rejects_nonmember_inputs(params23):
     rng = random.Random(3)
     proof = dleq_prove(3, 4, 9, params23, rng)
-    with pytest.raises(MalformedElement):
-        dleq_verify(proof, 4, 18, 9, 5, params23)  # 5 is not a QR mod 23
+    assert not dleq_verify(proof, 4, 18, 9, 5, params23)  # 5 is not a QR mod 23
+
+
+def test_dleq_verify_answers_false_and_raises_nothing(params64):
+    # a withheld proof, n - 1 (of order 2) in each of the six values, and a
+    # challenge or response of q
+    p, s = params64, 4321
+    base1 = pow_mod(p.g, 777, p)
+    statement = [base1, pow_mod(base1, s, p), p.g, pow_mod(p.g, s, p)]
+    proof = dleq_prove(s, base1, p.g, p, random.Random(37))
+    assert dleq_verify(proof, *statement, p)
+    assert dleq_verify(None, *statement, p) is False
+    for i in range(4):
+        edited = statement[:i] + [p.n - 1] + statement[i + 1:]
+        assert dleq_verify(proof, *edited, p) is False
+    for name, value in (("commitment_a", p.n - 1), ("commitment_b", p.n - 1),
+                        ("challenge", p.q), ("response", p.q)):
+        assert dleq_verify(replace(proof, **{name: value}), *statement, p) is False
 
 
 def test_dleq_soundness_exhaustive_q11(params23):

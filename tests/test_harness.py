@@ -63,6 +63,11 @@ def test_scenario_group_bits_takes_what_seller_init_takes(group_bits):
     assert parse_scenario(f"group_bits: {group_bits}\n").group_bits == group_bits
 
 
+@pytest.mark.parametrize("text, refresh", [("refresh: on\n", True), ("refresh: off\n", False)])
+def test_scenario_refresh_reads_on_and_off(text, refresh):
+    assert parse_scenario(text).refresh is refresh
+
+
 @pytest.mark.parametrize("text", [
     "mode: turbo\n",
     "price: 0\n",
@@ -77,6 +82,7 @@ def test_scenario_group_bits_takes_what_seller_init_takes(group_bits):
     "group_bits: ffdhe1024\n",  # not a named group
     "group_bits: 3_2\n",  # not ASCII digits
     "price: 3\nprice: 5\n",  # a repeated key, which would run at the last price
+    "price 3\n",  # no colon
 ])
 def test_scenario_parse_rejects(text):
     with pytest.raises(ScenarioInvalid):

@@ -301,6 +301,13 @@ def test_insufficient_funds(params64):
         buyer_begin(cat, "lic-3", cards)
 
 
+def test_buyer_begin_refuses_an_unknown_mode(params64):
+    keys, cat = make_catalog(params64, prices=(1,))
+    cards = fund(CardLedger(rng=random.Random(13)), [1])
+    with pytest.raises(ValueError, match="unknown mode 'turbo'"):
+        buyer_begin(cat, "lic-1", cards, mode="turbo")
+
+
 def test_allocation_finds_what_greedy_misses(params64):
     # Largest-first greedy puts the 3 on the 4-unit step and is left one
     # unit short; 2 + 2 pays it.
