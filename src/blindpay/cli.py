@@ -21,7 +21,6 @@ from .catalog import (
     LicenseSpec,
     SellerKeys,
     parse_catalog,
-    serialize_catalog,
     setup,
     verify_catalog,
 )
@@ -271,7 +270,7 @@ def cmd_seller_init(args) -> int:
         params = group_for(args.group_bits, rng)
         specs = [_license_spec(text, args.x_label, rng) for text in args.license]
         keys, cat = setup(params, specs, rng=rng)
-        catalog_text = serialize_catalog(cat)  # refuses a value that is not one line
+        catalog_text = harness.catalog_reply(cat).text  # one line a value, and sendable
     except ValueError as exc:
         print(f"seller init: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -283,6 +282,7 @@ def cmd_seller_init(args) -> int:
 
 def cmd_seller_serve(args) -> int:
     cat, keys = _read_seller(args.catalog, args.secrets)
+    harness.catalog_reply(cat)  # a catalog too big to send fails before the bind
     return _serve("seller", args.listen, lambda: harness.RemoteBank(wire.connect(*args.bank)),
                   lambda bank: harness.make_seller_handler(
                       SellerStepHandler(keys, cat.params, bank, args.account), cat))
@@ -292,7 +292,7 @@ def cmd_seller_answer(args) -> int:
     """Answer a case record as the seller (see dispute.answer_case)."""
     case = parse_case(_read_file(args.case))
     cat, keys = _read_seller(args.catalog, args.secrets)
-    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat))
+    answered = answer_case(case, SellerDisputeAgent(keys, cat))
     _write_file(args.out, write_case(answered))
     print(f"answered case written to {args.out}")
     return EXIT_OK
@@ -342,7 +342,7 @@ def cmd_buyer_purchase(args) -> int:
 def cmd_arbitrate(args) -> int:
     case = parse_case(_read_file(args.case))
     cat = parse_catalog(_read_file(args.catalog))
-    for label, verdict in resolve_case(case, catalog=cat):
+    for label, verdict in resolve_case(case, cat):
         print(f"{label}: {verdict.outcome} (steps checked: {verdict.checked_steps})")
         print(f"  {verdict.rationale}")
     return EXIT_OK

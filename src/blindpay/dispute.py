@@ -26,7 +26,8 @@ fills its kind, group and step lines, and for kind B the license lines
 (settle_purchase).  Only answer_case (``blindpay seller answer``) fills
 the seller's lines, and asks the seller agent only where the timeout
 rule would convict it on the unanswered record; resolve_case judges a
-record alone, for ``blindpay arbitrate`` and the scenario runner.
+record against the seller's catalog (check_commitments), for
+``blindpay arbitrate`` and the scenario runner.
 Evidence for kinds C and D carries only blinded request/response pairs:
 the arbitrator never sees card identifiers, the license factor, or
 anything naming the buyer.
@@ -51,12 +52,7 @@ from .catalog import (
     verify_terms,
 )
 from .encoding import B64, HEX, INT, INTS, PAIR, STR, Codec, RecordFormat
-from .errors import (
-    AuthenticationFailure,
-    BadStepSignature,
-    MalformedEvidence,
-    MissingKPower,
-)
+from .errors import AuthenticationFailure, BadStepSignature, MalformedEvidence
 from .group import (
     SYSTEM_RANDOM,
     DlEqProof,
@@ -436,7 +432,7 @@ def resolve_type_d_method1(case: DisputeCase,
 
     def k_power(t: int) -> tuple[int, int]:
         if t not in case.k_table:
-            raise MissingKPower(t)
+            raise MalformedEvidence(f"no unblinding key for value {t}")
         return g, case.k_table[t]
 
     i = _first_unproven(case, "step", _step_pairs(case), k_power, seller)
@@ -448,7 +444,7 @@ def resolve_type_d_method1(case: DisputeCase,
                    len(case.steps))
 
 
-def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
+def resolve_type_d_method2(case: DisputeCase, catalog: Catalog,
                            seller: SellerDisputeAgent | None = None,
                            rng: random.Random = SYSTEM_RANDOM) -> Verdict:
     """Audit a random license's key chain and tie the disputed steps to it.
@@ -456,8 +452,8 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
     The seller reveals the full tower x, x^s, ..., up to the audited
     license's key, proves every link uses one exponent, proves each
     disputed step used that same exponent (per step value), and the
-    revealed key must actually open the audited license.  Given a catalog,
-    the audited license must be one of its entries, exactly as published.
+    revealed key must actually open the audited license, and the audited
+    license must be one of the catalog's entries, exactly as published.
     The links share one batched proof, and so do the steps of each value;
     a batch that fails falls back to one proof per link or step.  Only a
     live seller is asked to audit a license drawn from rng among those
@@ -467,8 +463,6 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
     if not case.audit_license_id and case.chain is not None:
         raise MalformedEvidence("chain recorded without its audited license")
     if not case.audit_license_id and seller is not None:
-        if catalog is None:
-            raise MalformedEvidence("no audit license recorded and no catalog given")
         top = max(st.t for st in case.steps)
         if not (pool := [e for e in catalog.licenses if e.price >= top]):
             raise MalformedEvidence(f"no license of price {top} or more to audit")
@@ -476,7 +470,7 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog | None = None,
         (case.audit_license_id, case.audit_x, case.audit_price,
          case.audit_blob) = (e.license_id, e.x, e.price, e.encrypted_license)
     audited = (case.audit_license_id, case.audit_x, case.audit_price, case.audit_blob)
-    if case.audit_license_id and catalog is not None and audited not in [
+    if case.audit_license_id and audited not in [
             (e.license_id, e.x, e.price, e.encrypted_license) for e in catalog.licenses]:
         return Verdict(SELLER_AT_FAULT, "audited license is not the catalog's", 0)
     if case.chain is None and seller is not None:
@@ -545,7 +539,7 @@ def resolve_type_d_method3(case: DisputeCase, s_revealed: int | None = None) -> 
     p = case.params
     k1 = case.k_table.get(1)
     if k1 is None:
-        raise MissingKPower(1)
+        raise MalformedEvidence("no unblinding key for value 1")
     s = case.s_revealed % p.q
     pairs = [(p.g, k1, 1, True), *_step_pairs(case)]  # pair i >= 1 is step i
     proven: set[int] = set()
@@ -628,7 +622,7 @@ def _first_unproven(case: DisputeCase, family: str,
             continue
         try:
             base, y = statement(t)
-        except (MissingKPower, MalformedEvidence):
+        except MalformedEvidence:
             continue
         batch = [pairs[i][:2] for i in idx]
         big_m, big_z = dleq_composite(batch, base, y, p)
@@ -681,12 +675,10 @@ def verify_k_table(catalog: Catalog, proofs: dict[tuple[int, int], DlEqProof]) -
 
 # --- judging and answering a case record ------------------------------------------
 
-def resolve_case(case: DisputeCase,
-                 catalog: Catalog | None = None) -> list[tuple[str, Verdict]]:
-    """Judge a case record from what it holds, its commitments checked first
-    given a catalog.  Kind D runs each method whose material it holds."""
-    if catalog is not None:
-        check_commitments(case, catalog)
+def resolve_case(case: DisputeCase, catalog: Catalog) -> list[tuple[str, Verdict]]:
+    """Judge a case record against the seller's catalog, its commitments
+    checked first.  Kind D runs each method whose material it holds."""
+    check_commitments(case, catalog)
     if case.kind == "B":
         return [("B", resolve_type_b(case))]
     if case.kind == "C":
@@ -714,11 +706,10 @@ def check_commitments(case: DisputeCase, catalog: Catalog):
             raise MalformedEvidence(f"case record {what} differs from the seller's catalog")
 
 
-def answer_case(case: DisputeCase, catalog: Catalog,
-                seller: SellerDisputeAgent) -> DisputeCase:
+def answer_case(case: DisputeCase, seller: SellerDisputeAgent) -> DisputeCase:
     """The seller's answer to a case record, for the arbitrator to replay.
 
-    The record must carry this seller's commitments (check_commitments).
+    The record must carry seller.catalog's commitments (check_commitments).
     Every seller's line the record already carries is dropped, so every
     value, signature, proof and chain in the answer is the seller's own
     computation, and the seller picks the audited license itself.  Method
@@ -732,14 +723,14 @@ def answer_case(case: DisputeCase, catalog: Catalog,
     reordered, reveals the same chain.  A buyer who drops steps, or edits
     the step values that bound the draw, may draw again, so it opens at
     most one license per signed step it holds and price in the catalog."""
-    check_commitments(case, catalog)
+    check_commitments(case, seller.catalog)
     answered = DisputeCase(**{f.name: getattr(case, f.name) for f in fields(DisputeCase)
                               if f.name not in _SELLER_FIELDS})
     seed = min((hashlib.sha256(step_payload(st.m, st.m_out)).digest()
                 for st in case.steps if _step_signed(case, st)), default=b"")
     if answered.kind == "D":
         resolve_type_d_method1(answered, seller)
-        resolve_type_d_method2(answered, catalog, seller, random.Random(seed))
+        resolve_type_d_method2(answered, seller.catalog, seller, random.Random(seed))
     elif answered.kind == "C" and resolve_type_c(answered).outcome == SELLER_AT_FAULT:
         (st,), g = answered.steps, answered.params.g
         answered.seller_values = values = seller.original_values(st.m, st.t)

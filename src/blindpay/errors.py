@@ -51,12 +51,6 @@ class InsufficientFunds(BlindpayError):
     pass
 
 
-class MissingKPower(BlindpayError):
-    def __init__(self, t: int):
-        super().__init__(f"no published unblinding key for step value {t}")
-        self.t = t
-
-
 class SessionStateError(BlindpayError):
     """Session calls arrived out of order: a step requested once every unit
     is paid or while the last one awaits its response, a response with no
@@ -94,14 +88,11 @@ class MalformedMessage(BlindpayError):
     def __init__(self, offset: int, reason: str):
         super().__init__(f"malformed message at byte {offset}: {reason}")
         self.offset = offset
-        self.reason = reason
 
 
 class OversizeFrame(BlindpayError):
     def __init__(self, length: int, limit: int):
         super().__init__(f"frame of {length} bytes exceeds limit of {limit}")
-        self.length = length
-        self.limit = limit
 
 
 class ConnectionClosed(BlindpayError):

@@ -44,6 +44,7 @@ from .errors import (
     ConnectionClosed,
     MalformedElement,
     MalformedMessage,
+    OversizeFrame,
     ScenarioInvalid,
     ServerBusy,
     StepRejected,
@@ -55,7 +56,7 @@ from .purchase import (
     SellerStepHandler,
     StepResponse,
     buyer_begin,
-    plan_steps,
+    plan_for,
 )
 
 BETA = CARD_ID_BITS  # card identifier bits
@@ -290,6 +291,19 @@ def make_bank_handler(ledger: CardLedger):
     return handle
 
 
+def catalog_reply(catalog: Catalog) -> wire.CatalogDoc:
+    """The reply to a CatalogGet.  One that no frame can hold raises
+    BlindpayError naming its size and the limit: the seller fails to start."""
+    doc = wire.CatalogDoc(text=serialize_catalog(catalog))
+    try:
+        wire.frame(wire.encode(doc))
+    except (ValueError, OversizeFrame):  # the text field's cap, or the frame's
+        size = len(wire.encode(wire.CatalogDoc(text=""))) + len(doc.text.encode())
+        raise BlindpayError(f"the catalog's reply is {size} bytes, over the frame "
+                            f"limit of {wire.MAX_FRAME}") from None
+    return doc
+
+
 def make_seller_handler(step_handler, catalog: Catalog):
     """Wire handler for a seller: purchase steps and catalog fetches.  A
     request it cannot serve (one its bank did not serve too) or a frame
@@ -297,7 +311,7 @@ def make_seller_handler(step_handler, catalog: Catalog):
     This is the one place a refused step gets its code, over sockets and
     in memory alike.  Dispute evidence never comes through here: the
     seller answers a case record file (``blindpay seller answer``)."""
-    catalog_text = serialize_catalog(catalog)
+    doc = catalog_reply(catalog)
 
     def handle(msg: wire.Message | MalformedMessage | ServerBusy) -> wire.Message:
         why = msg
@@ -306,7 +320,7 @@ def make_seller_handler(step_handler, catalog: Catalog):
                 resp = step_handler.handle(msg)
                 return wire.StepResp(m_out=resp.m_out, signature=resp.step_signature)
             if isinstance(msg, wire.CatalogGet):
-                return wire.CatalogDoc(text=catalog_text)
+                return doc
         except (CardError, ConnectionClosed, MalformedElement, ValueError) as exc:
             why = exc
         code, detail = refusal(why)
@@ -389,8 +403,7 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
         cat = with_published_terms(cat, keys, "lic-main", "standard plus printing")
 
     bank = CardLedger(rng=rng)
-    powers = set(cat.k_table) if sc.mode == MODE_ENHANCED else {1}
-    plan = plan_steps(sc.price, powers)
+    plan = plan_for(cat, sc.price, sc.mode)
     if sc.fault in STEP_FAULTS and sc.fault_step > len(plan):
         raise ScenarioInvalid(f"{sc.fault} fault_step beyond the plan's {len(plan)} steps")
     issued = []
@@ -451,10 +464,10 @@ def run_scenario(sc: Scenario) -> ScenarioReport:
     verdicts: list[tuple[str, Verdict]] = []
     if case is not None:
         agent = SellerDisputeAgent(keys, cat, rng=rng)
-        answered = answer_case(case, cat, agent)
+        answered = answer_case(case, agent)
         if answered.kind == "D":
             answered.s_revealed = agent.reveal_s()  # this seller discloses s: method 3
-        verdicts = resolve_case(parse_case(write_case(answered)), catalog=cat)
+        verdicts = resolve_case(parse_case(write_case(answered)), cat)
 
     bank.check_conservation()
     return ScenarioReport(scenario=sc, gamma=gamma, outcome=outcome, key_ok=key_ok,

@@ -28,13 +28,7 @@ from .catalog import (
     verify_payload,
 )
 from .encoding import INT, Codec, enc_int
-from .errors import (
-    BadStepSignature,
-    BlindpayError,
-    InsufficientFunds,
-    MissingKPower,
-    SessionStateError,
-)
+from .errors import BadStepSignature, BlindpayError, InsufficientFunds, SessionStateError
 from .group import SYSTEM_RANDOM, GroupParams, div_mod, ensure_member, mul_mod, pow_fast, pow_mod
 from .wire import StepReq
 
@@ -102,6 +96,16 @@ def plan_steps(price: int, available_powers: set[int]) -> list[int]:
             plan.append(t)
             remaining -= t
     return plan
+
+
+def plan_for(catalog: Catalog, units: int, mode: str) -> list[int]:
+    """The step values paying units: 1s in basic mode, the catalog's K table
+    values in enhanced mode (plan_steps).  ValueError: unknown mode, no K_1."""
+    if mode not in (MODE_BASIC, MODE_ENHANCED):
+        raise ValueError(f"unknown mode {mode!r}")
+    if 1 not in catalog.k_table:
+        raise ValueError("the catalog publishes no unblinding key for value 1")
+    return plan_steps(units, set(catalog.k_table) if mode == MODE_ENHANCED else {1})
 
 
 def _allocate_cards(cards: list[tuple[str, int]], plan: list[int]) -> list[list[str]]:
@@ -199,18 +203,13 @@ def _blind(session: PurchaseSession, alpha: int):
 def _begin(catalog: Catalog, entry: LicenseEntry, start_acc: int, units: int,
            cards: list[tuple[str, int]], mode: str, refresh_blinding: bool,
            rng: random.Random, ops) -> PurchaseSession:
-    if mode not in (MODE_BASIC, MODE_ENHANCED):
-        raise ValueError(f"unknown mode {mode!r}")
+    plan = plan_for(catalog, units, mode)
     twice = [cid for cid, n in Counter(cid for cid, _ in cards).items() if n > 1]
     if twice:  # two steps would pay with one card, and the second be refused
         raise BlindpayError(f"card {twice[0]!r} is named twice in the cards list")
     total = sum(v for _, v in cards)
     if total < units:
         raise InsufficientFunds(f"cards total {total}, need {units}")
-    powers = set(catalog.k_table) if mode == MODE_ENHANCED else {1}
-    if 1 not in catalog.k_table:
-        raise MissingKPower(1)
-    plan = plan_steps(units, powers)
     step_cards = _allocate_cards(cards, plan)
     session = PurchaseSession(
         catalog=catalog, entry=entry, refresh_blinding=refresh_blinding,

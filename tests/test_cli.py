@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from blindpay import cli, wire
+from blindpay import cli, encoding, wire
 from blindpay.cards import CardLedger
 from blindpay.catalog import (
     LicensePlaintext,
@@ -349,7 +349,7 @@ def test_arbitrate_replay(tmp_path, capsys, params64):
 def test_arbitrate_type_c_record(tmp_path, capsys, params64):
     from test_dispute import corrupt_signature_case
     keys, cat, case = corrupt_signature_case(params64, seed=81)
-    case = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(2)))
+    case = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(2)))
     live = resolve_type_c(case)
     path, catp = tmp_path / "case-c.txt", tmp_path / "cat.txt"
     path.write_text(write_case(case))
@@ -388,7 +388,7 @@ def test_seller_answer_then_arbitrate_matches_live(tmp_path, capsys, params64, e
     # the generation factor, which the file channel never carries
     agent = SellerDisputeAgent(keys, cat, random.Random(17))
     if evidence.startswith("C"):
-        live = [("C", resolve_type_c(answer_case(new_case(), cat, agent)))]
+        live = [("C", resolve_type_c(answer_case(new_case(), agent)))]
     else:
         live = [("D-method1", resolve_type_d_method1(new_case(), agent)),
                 ("D-method2", resolve_type_d_method2(new_case(), cat, agent,
@@ -647,6 +647,54 @@ def test_seller_init_refuses_a_value_its_catalog_could_not_hold(tmp_path, capsys
     assert re.fullmatch(r"seller init: (license|terms) value .* is not a single line\n", err,
                         re.DOTALL), err
     assert list(tmp_path.iterdir()) == []
+
+
+def lower_frame_limit(monkeypatch, limit: int):
+    """Cap a frame and a length-prefixed field at limit bytes."""
+    monkeypatch.setattr(encoding, "MAX_FIELD", limit)
+    monkeypatch.setattr(wire, "MAX_FRAME", limit)
+
+
+THREE_LICENSES = ("a:2:t", "b:3:t", "c:5:t")
+
+
+def test_seller_init_of_a_catalog_too_big_to_send_exits_1_and_writes_no_file(
+        tmp_path, capsys, monkeypatch):
+    # before, it wrote the catalog, and every CatalogGet then dropped the buyer's connection
+    catp, _ = seller_files(tmp_path, *THREE_LICENSES)
+    text = pathlib.Path(catp).read_text()
+    lower_frame_limit(monkeypatch, len(text) - 1)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run_cli("seller", "init", "--catalog", str(out / "cat.txt"), "--secrets",
+                   str(out / "sec.txt"), "--seed", "3",
+                   *(arg for lic in THREE_LICENSES for arg in ("--license", lic))) == 1
+    err = capsys.readouterr().err
+    assert one_line_naming(err, f"{len(text) + 5} bytes, over the frame limit of {len(text) - 1}")
+    assert list(out.iterdir()) == []
+
+
+def test_seller_serve_of_a_catalog_too_big_to_send_exits_1_and_never_listens(
+        tmp_path, capsys, monkeypatch):
+    # before, it listened, and every CatalogGet then dropped the buyer's connection
+    catp, secp = seller_files(tmp_path, *THREE_LICENSES)
+    text = pathlib.Path(catp).read_text()
+    lower_frame_limit(monkeypatch, len(text) + 4)  # the text fits a field, its reply no frame
+    bound = []
+
+    def no_server(*args):
+        bound.append(args)
+        raise OSError("this test binds no listener")
+
+    monkeypatch.setattr(wire, "Server", no_server)
+    capsys.readouterr()
+    assert run_cli("seller", "serve", "--catalog", catp, "--secrets", secp,
+                   "--bank", "127.0.0.1:9") == 1
+    captured = capsys.readouterr()
+    assert one_line_naming(captured.err,
+                           f"{len(text) + 5} bytes, over the frame limit of {len(text) + 4}")
+    assert (bound, captured.out) == ([], "")
 
 
 @pytest.mark.parametrize("argv", [

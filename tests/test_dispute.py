@@ -34,6 +34,8 @@ from blindpay.dispute import (
     write_case,
 )
 from blindpay.catalog import (
+    Catalog,
+    LicenseEntry,
     decrypt_license,
     k_table_payload,
     sign_payload,
@@ -47,7 +49,6 @@ from blindpay.errors import (
     BlindpayError,
     MalformedElement,
     MalformedEvidence,
-    MissingKPower,
     StepRejected,
 )
 from blindpay.group import (
@@ -173,7 +174,7 @@ def test_agent_stores_no_base_the_asker_chose(params64):
     case = signed_d_case(keys, cat, [(entry.x, junk, 2), (None, None, 2), (junk, junk, 1),
                                      (None, None, 1)], random.Random(80))
     agent = SellerDisputeAgent(keys, cat, random.Random(81))
-    answered = answer_case(case, cat, agent)
+    answered = answer_case(case, agent)
     assert answered.chain is not None
     prices = {e.x: e.price for e in cat.licenses}
     assert agent._powers
@@ -227,7 +228,7 @@ def test_type_b_wrong_terms_seller_at_fault(params64):
     assert verdict.checked_steps == 3
     # written, parsed and resolved, the record gives the live verdict
     record = parse_case(write_case(build_type_b_case(crooked_cat, session)))
-    assert resolve_case(record) == [("B", verdict)]
+    assert resolve_case(record, crooked_cat) == [("B", verdict)]
 
 
 def test_type_b_matching_terms_rejected(params64):
@@ -338,7 +339,7 @@ def test_parse_case_refuses_an_unnamed_group_above_64_bits(params64, params, pri
 
 def test_type_c_seller_agrees_must_resign(params64):
     keys, cat, case = corrupt_signature_case(params64)
-    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(1)))
+    answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(1)))
     assert resolve_type_c(answered).outcome == SELLER_MUST_RESIGN
     assert answered.seller_resign is not None
 
@@ -349,7 +350,7 @@ def test_type_c_valid_signature_rejected(params64):
     buyer_process_response(session, resp)
     tr = session.transcripts[0]
     fake = BadStepSignature(replace(tr, alpha=None))
-    answered = answer_case(build_type_c_case(cat, fake), cat, SellerDisputeAgent(keys, cat))
+    answered = answer_case(build_type_c_case(cat, fake), SellerDisputeAgent(keys, cat))
     assert resolve_type_c(answered).outcome == BUYER_CLAIM_REJECTED
     assert answered.seller_values is None  # nothing to answer
 
@@ -359,7 +360,7 @@ def test_type_c_conflicting_values_seller_proof_accepted(params64):
     # the buyer's record of the response got mangled in transit
     case.steps[0] = replace(case.steps[0],
                             m_out=mul_mod(case.steps[0].m_out, params64.g, params64))
-    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(2)))
+    answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(2)))
     verdict = resolve_type_c(answered)
     assert verdict == Verdict(BUYER_CLAIM_REJECTED,
                               "seller proved its values correct; proven response forwarded", 1)
@@ -375,7 +376,7 @@ class LyingAgent(SellerDisputeAgent):
 
 def test_type_c_conflicting_values_seller_proof_fails(params64):
     keys, cat, case = corrupt_signature_case(params64)
-    verdict = resolve_type_c(answer_case(case, cat, LyingAgent(keys, cat, random.Random(3))))
+    verdict = resolve_type_c(answer_case(case, LyingAgent(keys, cat, random.Random(3))))
     assert verdict == Verdict(SELLER_MUST_RESIGN,
                               "seller could not prove its values; must sign the buyer's values", 1)
 
@@ -387,7 +388,7 @@ class ZeroSignatureAgent(SellerDisputeAgent):
 
 def test_type_c_seller_that_will_not_resign_is_at_fault(params64):
     keys, cat, case = corrupt_signature_case(params64)
-    verdict = resolve_type_c(answer_case(case, cat,
+    verdict = resolve_type_c(answer_case(case,
                                          ZeroSignatureAgent(keys, cat, random.Random(3))))
     assert verdict == Verdict(SELLER_AT_FAULT,
                               "seller failed to produce a valid signature on agreed values", 1)
@@ -408,7 +409,7 @@ def test_type_c_answer_about_another_request_must_resign(params64):
     # the seller's proof is true, but of g^777, not of the buyer's request:
     # the response it would forward opens nothing
     keys, cat, case = corrupt_signature_case(params64)
-    answered = answer_case(case, cat, OtherRequestAgent(keys, cat, random.Random(4)))
+    answered = answer_case(case, OtherRequestAgent(keys, cat, random.Random(4)))
     assert dleq_verify(answered.seller_proof, *answered.seller_values, params64.g,
                        cat.k_table[1], params64)
     assert resolve_type_c(answered) == Verdict(
@@ -427,7 +428,7 @@ def test_type_c_claim_no_step_carries_is_rejected(params64, with_agent, bad, che
     keys, cat, case = corrupt_signature_case(params64)
     case.steps[0] = replace(case.steps[0], **bad(params64))
     if with_agent:
-        case = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(9)))
+        case = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(9)))
     verdict = resolve_type_c(case)
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert check in verdict.rationale
@@ -444,7 +445,7 @@ def test_answer_case_picks_the_audit_license_itself(params64):
         case = new_case()
         case.audit_license_id, case.audit_x = entry.license_id, entry.x
         case.audit_price, case.audit_blob = entry.price, entry.encrypted_license
-        answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(5)))
+        answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(5)))
         picks.add(answered.audit_license_id)
         assert answered.s_revealed is None
     assert len(picks) == 1
@@ -457,7 +458,7 @@ def test_answer_case_audits_one_license_per_record(params64):
                                                  prices=(1, 2, 3, 4, 5))
     case = build_type_d_case(cat, session)
     reordered = replace(case, steps=case.steps[::-1])
-    picks = {answer_case(record, cat, SellerDisputeAgent(keys, cat)).audit_license_id
+    picks = {answer_case(record, SellerDisputeAgent(keys, cat)).audit_license_id
              for record in [case] * 5 + [reordered]}
     assert len(picks) == 1
 
@@ -470,7 +471,7 @@ def test_answer_case_never_reveals_s(params64):
         def reveal_s(self):
             raise AssertionError("answer_case asked for the generation factor")
 
-    answered = answer_case(new_case(), cat, KeepsS(keys, cat, random.Random(6)))
+    answered = answer_case(new_case(), KeepsS(keys, cat, random.Random(6)))
     assert answered.s_revealed is None
     assert answered.step_proofs is not None and answered.chain is not None
 
@@ -487,7 +488,7 @@ class NoDraws(random.Random):
 
 def test_replay_draws_nothing(params64):
     keys, cat, new_case = type_d_evidence(params64, None)
-    answered = write_case(answer_case(new_case(), cat, SellerDisputeAgent(keys, cat)))
+    answered = write_case(answer_case(new_case(), SellerDisputeAgent(keys, cat)))
     verdicts = resolve_case(parse_case(answered), catalog=cat)
     assert [label for label, _ in verdicts] == ["D-method1", "D-method2"]
     # an unanswered record, asked of no seller, is judged by the timeout rule
@@ -502,7 +503,7 @@ def test_a_replayed_chain_without_its_audited_license_is_malformed(params64):
     # catalog licenses, a pick would convict or acquit by chance
     keys, cat, new_case = type_d_evidence(params64, None)
     assert len(cat.licenses) == 2
-    answered = write_case(answer_case(new_case(), cat, SellerDisputeAgent(keys, cat)))
+    answered = write_case(answer_case(new_case(), SellerDisputeAgent(keys, cat)))
     stripped = "".join(line for line in answered.splitlines(keepends=True)
                        if not line.startswith("audit_"))
     assert "chain: " in stripped and stripped != answered
@@ -514,7 +515,7 @@ def test_a_replayed_chain_without_its_audited_license_is_malformed(params64):
 def test_answer_case_without_steps_is_malformed(params64):
     keys, cat, new_case = type_d_evidence(params64, None)
     with pytest.raises(MalformedEvidence):
-        answer_case(replace(new_case(), steps=[]), cat, SellerDisputeAgent(keys, cat))
+        answer_case(replace(new_case(), steps=[]), SellerDisputeAgent(keys, cat))
 
 
 @pytest.mark.parametrize("fault, outcome", [("wrong-s", SELLER_AT_FAULT),
@@ -528,7 +529,7 @@ def test_type_d_arbitration_on_a_named_group(fault, outcome):
     _, _, case = dispute.settle_purchase(session, FaultingSeller(handler, fault, 2).handle)
     if fault == "none":
         case = build_type_d_case(cat, session)
-    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(9)))
+    answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(9)))
     answered.s_revealed = keys.s
     verdicts = resolve_case(parse_case(write_case(answered)), catalog=cat)
     assert [label for label, _ in verdicts] == ["D-method1", "D-method2", "D-method3"]
@@ -581,8 +582,20 @@ def test_method1_missing_k_power_raises(params64):
     keys, cat, bank, session = completed_session(params64, price=2, seed=42)
     case = build_type_d_case(cat, session)
     case.k_table = {2: case.k_table.get(2, 5)}
-    with pytest.raises(MissingKPower):
+    with pytest.raises(MalformedEvidence, match="no unblinding key for value 1$"):
         resolve_type_d_method1(case, SellerDisputeAgent(keys, cat))
+
+
+def test_a_step_value_with_no_k_power_is_refused_alike_by_b_and_d(params64):
+    # methods 1 and 3 once raised a class of their own where type B raised MalformedEvidence
+    keys, cat, bank, session = completed_session(params64, price=2, seed=42)
+    case_b, case_d = build_type_b_case(cat, session), build_type_d_case(cat, session)
+    del case_b.k_table[1], case_d.k_table[1]
+    for resolve in (lambda: resolve_type_b(case_b),
+                    lambda: resolve_type_d_method1(case_d, SellerDisputeAgent(keys, cat)),
+                    lambda: resolve_type_d_method3(case_d, keys.s)):
+        with pytest.raises(MalformedEvidence, match="no unblinding key for value 1$"):
+            resolve()
 
 
 # --- type D method 2 ---------------------------------------------------------------------
@@ -606,7 +619,7 @@ def test_an_enhanced_false_claim_audits_a_license_that_reaches_every_step(params
                                                  seed=seed, prices=(1, 2, 3, 5))
     case = build_type_d_case(cat, session)
     assert [st.t for st in case.steps] == [4, 1]
-    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(seed)))
+    answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(seed)))
     assert answered.audit_price == 5
     assert [v.outcome for _, v in resolve_case(answered, cat)] == [BUYER_CLAIM_REJECTED] * 2
 
@@ -695,7 +708,7 @@ def test_method2_wrong_s_step_named_at_every_position(params64, bad_step):
 
 def answered_d_record(params64):
     keys, cat, new_case = type_d_evidence(params64, None)
-    return answer_case(new_case(), cat, SellerDisputeAgent(keys, cat)), cat
+    return answer_case(new_case(), SellerDisputeAgent(keys, cat)), cat
 
 
 def test_method2_replay_of_a_chain_one_entry_short_raises(params64):
@@ -815,10 +828,10 @@ def test_answer_case_opens_no_license_through_a_batch(params64, signed):
                 return super().prove(*statement)
 
         with pytest.raises(MalformedEvidence):
-            answer_case(case, cat, Recording(keys, cat, random.Random(81)))
+            answer_case(case, Recording(keys, cat, random.Random(81)))
         assert asked == []  # the unsigned pair never reached the prover
         return
-    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(81)))
+    answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(81)))
     # method 2 opens the license it audits by design; this draw audits the other one
     assert answered.audit_license_id == "lic-3"
     assert ("step", 2) not in answered.batch_proofs
@@ -837,14 +850,14 @@ def test_answer_case_opens_no_license_through_a_batch(params64, signed):
 
 def test_batch_proofs_round_trip_the_record(params64):
     keys, cat, bank, session = completed_session(params64, price=4, seed=82, prices=(3, 4))
-    answered = answer_case(build_type_d_case(cat, session), cat,
+    answered = answer_case(build_type_d_case(cat, session),
                            SellerDisputeAgent(keys, cat, random.Random(83)))
     text = write_case(answered)
     assert "batch_proof: step 1 " in text
     replayed = parse_case(text)
     assert replayed.batch_proofs == answered.batch_proofs
     assert write_case(replayed) == text
-    assert [v.outcome for _, v in resolve_case(replayed)] == [BUYER_CLAIM_REJECTED] * 2
+    assert [v.outcome for _, v in resolve_case(replayed, cat)] == [BUYER_CLAIM_REJECTED] * 2
     with pytest.raises(MalformedEvidence):
         parse_case(text.replace("batch_proof: step 1 ", "batch_proof: chain 1 "))
 
@@ -852,7 +865,7 @@ def test_batch_proofs_round_trip_the_record(params64):
 def test_a_withheld_batch_proof_falls_back_to_per_step_proofs(params64):
     keys, cat, bank, session = completed_session(params64, price=4, seed=82, prices=(3, 4))
     agent = SellerDisputeAgent(keys, cat, random.Random(83))
-    answered = answer_case(build_type_d_case(cat, session), cat, agent)
+    answered = answer_case(build_type_d_case(cat, session), agent)
     answered.step_proofs = [agent.prove(st.m, st.m_out, params64.g, cat.k_table[1], 1)
                             for st in answered.steps]
     text = re.sub(r"(?m)^batch_proof: step 1 .*$", "batch_proof: step 1 -", write_case(answered))
@@ -867,7 +880,7 @@ def test_a_withheld_batch_proof_falls_back_to_per_step_proofs(params64):
 
 def test_a_step_proof_with_a_non_member_commitment_convicts(params64):
     keys, cat, bank, session = completed_session(params64, price=1, seed=84, prices=(1,))
-    answered = answer_case(build_type_d_case(cat, session), cat,
+    answered = answer_case(build_type_d_case(cat, session),
                            SellerDisputeAgent(keys, cat, random.Random(85)))
     assert resolve_type_d_method1(answered).outcome == BUYER_CLAIM_REJECTED
     answered.step_proofs[0] = replace(answered.step_proofs[0], commitment_a=params64.n - 1)
@@ -947,7 +960,7 @@ def test_a_kind_b_record_missing_a_b_line_is_refused(params64, key):
 @pytest.mark.parametrize("key", ["audit_x", "audit_price", "audit_blob"])
 def test_an_audit_missing_one_of_its_lines_is_refused(params64, key):
     keys, cat, bank, session = completed_session(params64, price=2, seed=84)
-    text = write_case(answer_case(build_type_d_case(cat, session), cat,
+    text = write_case(answer_case(build_type_d_case(cat, session),
                                   SellerDisputeAgent(keys, cat, random.Random(85))))
     cut = "".join(line for line in text.splitlines(keepends=True)
                   if not line.startswith(f"{key}: "))
@@ -963,7 +976,7 @@ def test_a_stray_b_line_in_a_d_record_is_read_as_absent_and_never_answered(param
     case = parse_case(stray)
     assert case == parse_case(text)
     assert (case.license_id, case.buyer_key) == ("", 0)
-    answered = write_case(answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(87))))
+    answered = write_case(answer_case(case, SellerDisputeAgent(keys, cat, random.Random(87))))
     assert not re.search(r"^(license|buyer_key): ", answered, re.MULTILINE)
     assert answered.startswith(text)
 
@@ -993,7 +1006,13 @@ def test_record_without_batch_proofs_replays(name):
     assert "batch_proof" not in text and "step_proof: " in text
     case = parse_case(text)
     assert write_case(case) == text
-    got = [(label, v.outcome, v.rationale, v.checked_steps) for label, v in resolve_case(case)]
+    audited = LicenseEntry(license_id=case.audit_license_id, content_id="", price=case.audit_price,
+                           x=case.audit_x, terms="", encrypted_license=case.audit_blob,
+                           terms_signature=b"")
+    cat = Catalog(params=case.params, verify_pk=case.verify_pk, licenses=[audited],
+                  k_table=case.k_table)
+    got = [(label, v.outcome, v.rationale, v.checked_steps)
+           for label, v in resolve_case(case, cat)]
     assert got == PINNED_REPLAYS[name]
 
 
@@ -1048,7 +1067,7 @@ def test_an_honest_answer_and_its_check_make_16_and_3_full_size_powers(full_size
     run_purchase(session, handler.handle)
     case = build_type_d_case(cat, session)
     full_size_powers[0] = 0
-    answered = answer_case(case, cat, SellerDisputeAgent(keys, cat, random.Random(9)))
+    answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(9)))
     assert (answered.audit_price, sorted(answered.batch_proofs)) == (
         3, [("link", 1), ("segment", 1), ("step", 1)])
     assert full_size_powers[0] == 16
@@ -1169,7 +1188,7 @@ def _method3_per_step(case: DisputeCase, s_revealed: int) -> Verdict:
     power each.  The reference the folded resolver must agree with."""
     p = case.params
     if 1 not in case.k_table:
-        raise MissingKPower(1)
+        raise MalformedEvidence("no unblinding key for value 1")
     s = s_revealed % p.q
     if pow_mod(p.g, s, p) != case.k_table[1]:
         return Verdict(SELLER_AT_FAULT, "revealed factor does not match the public commitment", 0)
@@ -1262,7 +1281,7 @@ def test_method3_without_k1_raises(params64):
     keys, cat, bank, session = completed_session(params64, price=2, seed=64)
     case = build_type_d_case(cat, session)
     del case.k_table[1]
-    with pytest.raises(MissingKPower):
+    with pytest.raises(MalformedEvidence, match="no unblinding key for value 1$"):
         resolve_type_d_method3(case, keys.s)
 
 
@@ -1334,7 +1353,7 @@ def test_case_replay_reaches_same_verdict(params64, tmp_path):
 
     replayed = parse_case(write_case(case))
     assert resolve_type_d_method1(replayed) == live1
-    assert resolve_type_d_method2(replayed) == live2
+    assert resolve_type_d_method2(replayed, cat) == live2
     assert resolve_type_d_method3(replayed) == live3
     # and determinism on the exact same record
     assert resolve_type_d_method1(parse_case(write_case(case))) == live1
@@ -1359,7 +1378,7 @@ def test_case_record_with_composite_modulus_refused(params64):
 def test_resolve_case_dispatch(params64):
     keys, cat, bank, session = completed_session(params64, price=2, seed=69)
     agent = SellerDisputeAgent(keys, cat, random.Random(13))
-    answered = answer_case(build_type_d_case(cat, session), cat, agent)
+    answered = answer_case(build_type_d_case(cat, session), agent)
     answered.s_revealed = agent.reveal_s()
     results = resolve_case(answered, catalog=cat)
     assert [label for label, _ in results] == ["D-method1", "D-method2", "D-method3"]
@@ -1432,7 +1451,7 @@ def test_k_table_on_a_wrong_exponent_passes_methods_1_and_3(params64):
     with pytest.raises(AuthenticationFailure):
         run_purchase(session, SellerStepHandler(liar, p, bank, "seller-1").handle)
     agent = SellerDisputeAgent(liar, cat, random.Random(94))
-    answered = answer_case(build_type_d_case(cat, session), cat, agent)
+    answered = answer_case(build_type_d_case(cat, session), agent)
     answered.s_revealed = agent.reveal_s()
     verdicts = dict(resolve_case(answered, catalog=cat))
     assert verdicts["D-method2"].outcome == SELLER_AT_FAULT

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blindpay.purchase
-from blindpay import wire
+from blindpay import encoding, wire
 from blindpay.cards import CardLedger, CardStatus
+from blindpay.catalog import serialize_catalog
 from blindpay.encoding import enc_bytes, enc_str, enc_u32
 from blindpay.dispute import (
     BUYER_CLAIM_REJECTED,
@@ -28,7 +29,13 @@ from blindpay.dispute import (
     resolve_type_d_method2,
     write_case,
 )
-from blindpay.errors import CardError, ConnectionClosed, ScenarioInvalid, StepRejected
+from blindpay.errors import (
+    BlindpayError,
+    CardError,
+    ConnectionClosed,
+    ScenarioInvalid,
+    StepRejected,
+)
 from blindpay.harness import (
     FAULTS,
     Metrics,
@@ -253,6 +260,25 @@ def test_memory_and_socket_reports_agree():
                 mem = run_scenario(sc).render()
                 sock = run_scenario(replace(sc, transport="socket")).render()
                 assert sock == mem.replace("transport=memory", "transport=socket"), sc
+
+
+@pytest.mark.parametrize("short", [0, 1, 6], ids=["fits", "frame-over", "field-over"])
+def test_a_catalog_too_big_for_one_frame_fails_the_seller_handler_when_built(
+        params64, monkeypatch, short):
+    # before, the handler was built, and each CatalogGet then failed in the
+    # server thread and dropped the buyer's connection
+    keys, cat = make_catalog(params64, prices=(2, 3, 5))
+    doc = wire.CatalogDoc(text=serialize_catalog(cat))
+    reply = len(wire.encode(doc))  # the tag, the text's length prefix and the text
+    monkeypatch.setattr(encoding, "MAX_FIELD", reply - short)
+    monkeypatch.setattr(wire, "MAX_FRAME", reply - short)
+    handler = SellerStepHandler(keys, params64, CardLedger(), "seller-1")
+    if not short:
+        assert make_seller_handler(handler, cat)(wire.CatalogGet()) == doc
+        return
+    with pytest.raises(BlindpayError, match=f"^the catalog's reply is {reply} bytes, over "
+                                            f"the frame limit of {reply - short}$"):
+        make_seller_handler(handler, cat)
 
 
 def test_run_sweep_tables_all_pass():
@@ -770,12 +796,12 @@ def _answer_apart(case, cat, agent):
     """The seller answers the case record on its own side (answer_case, as
     ``blindpay seller answer`` does); the arbitrator gets back only the
     answered record."""
-    return parse_case(write_case(answer_case(parse_case(write_case(case)), cat, agent)))
+    return parse_case(write_case(answer_case(parse_case(write_case(case)), agent)))
 
 
 RESOLVERS = {
     # type C's resolver reads a record only: its local answer is answer_case's in memory
-    "C": lambda case, cat, seller: resolve_type_c(answer_case(case, cat, seller) if seller
+    "C": lambda case, cat, seller: resolve_type_c(answer_case(case, seller) if seller
                                                   else case),
     "D-method1": lambda case, cat, seller: resolve_type_d_method1(case, seller),
     "D-method2": lambda case, cat, seller: resolve_type_d_method2(case, cat, seller,
