@@ -27,7 +27,10 @@ fills its kind, group and step lines, and for kind B the license lines
 the seller's lines, and asks the seller agent only where the timeout
 rule would convict it on the unanswered record; resolve_case judges a
 record against the seller's catalog (check_commitments), for
-``blindpay arbitrate`` and the scenario runner.
+``blindpay arbitrate`` and the scenario runner.  A record carries no
+value the arbitrator already holds: the audited license's factor, price
+and blob are the catalog's, type B's key is replayed from its steps, and
+type C's m is the step's.
 Evidence for kinds C and D carries only blinded request/response pairs:
 the arbitrator never sees card identifiers, the license factor, or
 anything naming the buyer.
@@ -52,7 +55,7 @@ from .catalog import (
     verify_terms,
 )
 from .encoding import B64, HEX, INT, INTS, PAIR, STR, Codec, RecordFormat
-from .errors import AuthenticationFailure, BadStepSignature, MalformedEvidence
+from .errors import AuthenticationFailure, BadStepSignature, MalformedEvidence, UnknownLicense
 from .group import (
     SYSTEM_RANDOM,
     DlEqProof,
@@ -104,23 +107,17 @@ _PROOF = Codec(lambda pr: "-" if pr is None else INTS.write(astuple(pr)), _read_
 _BATCH = Codec(lambda b: f"{b[0][0]} {b[0][1]} {_PROOF.write(b[1])}", _read_batch)
 
 
-_Line = namedtuple("_Line", "key codec many seller part")
+_Line = namedtuple("_Line", "key codec many seller kind")
 
 
-def _line(key: str, codec: Codec, default=None, *, many=False, seller=False, part=""):
+def _line(key: str, codec: Codec, default=None, *, many=False, seller=False, kind=""):
     """A DisputeCase field and its record line.  default is the value with no
     line, or a factory the line values go through.  A field that repeats has
     a line per item (a dict's items in order); a seller's line is filled by
-    answer_case alone; part is a key of _PARTS."""
+    answer_case alone.  A line of a kind is in every record of that kind and
+    read from no other: a stray one is read as absent."""
     default = {"default_factory" if callable(default) else "default": default}
-    return field(**default, metadata={"line": _Line(key, codec, many, seller, part)})
-
-
-# The parts whose lines are written all or none, each as (a case holds it, a
-# record holds it).  A record holding a part must carry all its lines; a stray
-# line of a part it does not hold is read as absent.
-_PARTS = {"B": (lambda case: case.kind == "B", lambda rec: rec["kind"] == "B"),
-          "audit": (lambda case: bool(case.audit_license_id), lambda rec: "audit_license" in rec)}
+    return field(**default, metadata={"line": _Line(key, codec, many, seller, kind)})
 
 
 @dataclass
@@ -133,22 +130,21 @@ class DisputeCase:
     verify_pk: bytes
     k_table: dict[int, int]
     steps: list[StepTranscript] = _line("step", STEP, list, many=True)  # alpha: type B only
-    # type B: the buyer gives up the license to prove the claim
-    license_id: str = _line("license", STR, "", part="B")
-    x: int = _line("x", INT, 0, part="B")
-    published_terms: str = _line("published_terms", STR, "", part="B")
-    encrypted_license: bytes = _line("blob", B64, b"", part="B")
-    terms_signature: bytes = _line("terms_signature", HEX, b"", part="B")
-    buyer_key: int = _line("buyer_key", INT, 0, part="B")
-    # the seller's lines: its answer to a type C claim, then to a type D claim
-    seller_values: tuple[int, int] | None = _line("seller_values", PAIR, seller=True)
+    # type B: the buyer gives up the license to prove the claim, as the
+    # seller's signed terms showed it; the key is replayed from the steps
+    license_id: str = _line("license", STR, "", kind="B")
+    x: int = _line("x", INT, 0, kind="B")
+    published_terms: str = _line("published_terms", STR, "", kind="B")
+    encrypted_license: bytes = _line("blob", B64, b"", kind="B")
+    terms_signature: bytes = _line("terms_signature", HEX, b"", kind="B")
+    # the seller's lines: its answer to a type C claim (its response to the
+    # step's m), then to a type D claim
+    seller_m_out: int | None = _line("seller_m_out", INT, seller=True)
     seller_resign: bytes | None = _line("seller_resign", HEX, seller=True)
     seller_proof: DlEqProof | None = _line("seller_proof", _PROOF, seller=True)
     step_proofs: list[DlEqProof] | None = _line("step_proof", _PROOF, many=True, seller=True)
-    audit_license_id: str = _line("audit_license", STR, "", seller=True, part="audit")
-    audit_x: int = _line("audit_x", INT, 0, seller=True, part="audit")
-    audit_price: int = _line("audit_price", INT, 0, seller=True, part="audit")
-    audit_blob: bytes = _line("audit_blob", B64, b"", seller=True, part="audit")
+    # method 2: a catalog license and its key chain x^s, ..., x^(s^price)
+    audit_license_id: str | None = _line("audit_license", STR, seller=True)
     chain: list[int] | None = _line("chain", INTS, seller=True)
     link_proofs: list[DlEqProof] | None = _line("link_proof", _PROOF, many=True, seller=True)
     segment_proofs: list[DlEqProof] | None = _line("segment_proof", _PROOF, many=True,
@@ -177,7 +173,7 @@ def write_case(case: DisputeCase) -> str:
         if line.many:
             items = sorted(value.items()) if isinstance(value, dict) else value or []
             out += [(line.key, item) for item in items]
-        elif _PARTS[line.part][0](case) if line.part else value is not None:
+        elif case.kind == line.kind if line.kind else value is not None:
             out.append((line.key, value))
     return CASE.write(out)
 
@@ -196,7 +192,7 @@ def parse_case(text: str) -> DisputeCase:
         if line.many:
             items = rec[line.key]
             values[f.name] = f.default_factory(items) if f.default is MISSING else items or None
-        elif _PARTS[line.part][1](rec) if line.part else line.key in rec:
+        elif kind == line.kind if line.kind else line.key in rec:
             values[f.name] = rec[line.key]
     return DisputeCase(kind=kind, params=params, verify_pk=verify_pk, k_table=k_table, **values)
 
@@ -212,7 +208,7 @@ def build_type_b_case(catalog: Catalog, session) -> DisputeCase:
         k_table=dict(catalog.k_table), steps=list(session.transcripts),
         license_id=entry.license_id, x=entry.x, published_terms=entry.terms,
         encrypted_license=entry.encrypted_license,
-        terms_signature=entry.terms_signature, buyer_key=session.acc,
+        terms_signature=entry.terms_signature,
     )
 
 
@@ -317,9 +313,9 @@ class SellerDisputeAgent:
                           y2=self._own_power(base2, t))
 
     def reveal_chain(self, license_id: str) -> list[int]:
-        """x, x^s, ..., x^(s^price) for the license's factor x."""
+        """x^s, ..., x^(s^price) for the license's factor x."""
         entry = self.catalog.entry(license_id)
-        return [self._own_power(entry.x, j) for j in range(entry.price + 1)]
+        return [self._own_power(entry.x, j) for j in range(1, entry.price + 1)]
 
     def reveal_s(self) -> int:
         return self.keys.s
@@ -330,10 +326,11 @@ class SellerDisputeAgent:
 def resolve_type_b(case: DisputeCase) -> Verdict:
     """Check the seller's public commitment against what the key opened.
 
-    The seller is at fault only when every buyer-provided piece checks out
-    (signature, blinding chain, decryption) and the embedded terms still
-    differ from the published ones.  Any broken piece rejects the claim and
-    names the failing check.
+    The key is replayed from the record: x, then each step's response
+    unblinded.  The seller is at fault only when every buyer-provided piece
+    checks out (signature, blinding chain, decryption) and the embedded
+    terms still differ from the published ones.  Any broken piece rejects
+    the claim and names the failing check.
     """
     if case.kind != "B":
         raise MalformedEvidence(f"type B resolver got kind {case.kind!r}")
@@ -358,11 +355,8 @@ def resolve_type_b(case: DisputeCase) -> Verdict:
             raise MalformedEvidence(f"step {i}: no unblinding key for value {st.t}")
         unblinder = pow_fast(k, st.alpha, p)
         acc = div_mod(st.m_out, unblinder, p)
-    if acc != case.buyer_key:
-        return Verdict(BUYER_CLAIM_REJECTED,
-                       "claimed key does not follow from the transcript", len(case.steps))
     try:
-        plain = decrypt_license(case.buyer_key, case.encrypted_license)
+        plain = decrypt_license(acc, case.encrypted_license)
     except AuthenticationFailure:
         return Verdict(BUYER_CLAIM_REJECTED,
                        "key does not decrypt the license (raise type D instead)",
@@ -381,11 +375,11 @@ def resolve_type_c(case: DisputeCase) -> Verdict:
     Valid signature: claim rejected.  A claim about a non-member m, which
     the step handler refuses, or a value t with no unblinding key, whose
     response opens nothing, is rejected before the seller's lines are read.
-    Seller concurs with the values: the remedy is a fresh valid signature.
-    Seller's values conflict with the buyer's: escalate, the seller must
-    prove its response to the buyer's m; success rejects the claim (and the
-    proven pair goes to the buyer), failure obliges the seller to sign the
-    buyer's values.  No answer at all is treated as fault by timeout.
+    The seller answers with its response to the step's m.  The same
+    response: the remedy is a fresh valid signature.  Another response:
+    escalate, the seller must prove it; success rejects the claim (and the
+    proven response goes to the buyer), failure obliges the seller to sign
+    the buyer's values.  No answer at all is treated as fault by timeout.
     """
     if case.kind != "C":
         raise MalformedEvidence(f"type C resolver got kind {case.kind!r}")
@@ -399,19 +393,17 @@ def resolve_type_c(case: DisputeCase) -> Verdict:
     k = case.k_table.get(st.t)
     if k is None:
         return Verdict(BUYER_CLAIM_REJECTED, f"no unblinding key for step value {st.t}", 1)
-    if case.seller_values is None:
+    if case.seller_m_out is None:
         return Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline", 1)
 
-    q_val, n_val = case.seller_values
-    if (q_val, n_val) == (st.m, st.m_out):
+    if case.seller_m_out == st.m_out:
         if case.seller_resign is None or not _step_signed(
                 case, replace(st, signature=case.seller_resign)):
             return Verdict(SELLER_AT_FAULT,
                            "seller failed to produce a valid signature on agreed values", 1)
         return Verdict(SELLER_MUST_RESIGN,
                        "seller acknowledged the values; valid signature reissued", 1)
-    if q_val == st.m and dleq_verify(case.seller_proof, q_val, n_val, case.params.g, k,
-                                     case.params):
+    if dleq_verify(case.seller_proof, st.m, case.seller_m_out, case.params.g, k, case.params):
         return Verdict(BUYER_CLAIM_REJECTED,
                        "seller proved its values correct; proven response forwarded", 1)
     return Verdict(SELLER_MUST_RESIGN,
@@ -449,42 +441,38 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog,
                            rng: random.Random = SYSTEM_RANDOM) -> Verdict:
     """Audit a random license's key chain and tie the disputed steps to it.
 
-    The seller reveals the full tower x, x^s, ..., up to the audited
-    license's key, proves every link uses one exponent, proves each
+    The record names the audited license, whose factor x, price and blob
+    the catalog holds, and the seller reveals the tower x^s, ... up to its
+    key.  The seller proves every link uses one exponent, proves each
     disputed step used that same exponent (per step value), and the
-    revealed key must actually open the audited license, and the audited
-    license must be one of the catalog's entries, exactly as published.
-    The links share one batched proof, and so do the steps of each value;
-    a batch that fails falls back to one proof per link or step.  Only a
-    live seller is asked to audit a license drawn from rng among those
-    priced at least the largest step value; a replay draws nothing.
+    revealed key must actually open the audited license.  The links share
+    one batched proof, and so do the steps of each value; a batch that
+    fails falls back to one proof per link or step.  Only a live seller is
+    asked to audit a license drawn from rng among those priced at least
+    the largest step value; a replay draws nothing.
     """
     _require_d(case)
-    if not case.audit_license_id and case.chain is not None:
-        raise MalformedEvidence("chain recorded without its audited license")
-    if not case.audit_license_id and seller is not None:
-        top = max(st.t for st in case.steps)
-        if not (pool := [e for e in catalog.licenses if e.price >= top]):
-            raise MalformedEvidence(f"no license of price {top} or more to audit")
-        e = rng.choice(pool)
-        (case.audit_license_id, case.audit_x, case.audit_price,
-         case.audit_blob) = (e.license_id, e.x, e.price, e.encrypted_license)
-    audited = (case.audit_license_id, case.audit_x, case.audit_price, case.audit_blob)
-    if case.audit_license_id and audited not in [
-            (e.license_id, e.x, e.price, e.encrypted_license) for e in catalog.licenses]:
-        return Verdict(SELLER_AT_FAULT, "audited license is not the catalog's", 0)
     if case.chain is None and seller is not None:
+        if case.audit_license_id is None:
+            top = max(st.t for st in case.steps)
+            if not (pool := [e for e in catalog.licenses if e.price >= top]):
+                raise MalformedEvidence(f"no license of price {top} or more to audit")
+            case.audit_license_id = rng.choice(pool).license_id
         case.chain = seller.reveal_chain(case.audit_license_id)
     if case.chain is None:
         return Verdict(SELLER_AT_FAULT, "seller unresponsive within the deadline", 0)
-    chain = case.chain
-    if len(chain) != case.audit_price + 1:
-        raise MalformedEvidence(
-            f"chain has {len(chain)} entries for price {case.audit_price}")
-    if chain[0] != case.audit_x:
-        return Verdict(SELLER_AT_FAULT, "chain does not start at the audited factor", 0)
+    if case.audit_license_id is None:
+        raise MalformedEvidence("chain recorded without its audited license")
     try:
-        decrypt_license(chain[-1], case.audit_blob)
+        audited = catalog.entry(case.audit_license_id)
+    except UnknownLicense:
+        return Verdict(SELLER_AT_FAULT, "audited license is not the catalog's", 0)
+    if len(case.chain) != audited.price:
+        raise MalformedEvidence(
+            f"chain has {len(case.chain)} entries for price {audited.price}")
+    chain = [audited.x, *case.chain]
+    try:
+        decrypt_license(chain[-1], audited.encrypted_license)
     except AuthenticationFailure:
         return Verdict(SELLER_AT_FAULT,
                        "revealed key does not decrypt the audited license", 0)
@@ -495,9 +483,9 @@ def resolve_type_d_method2(case: DisputeCase, catalog: Catalog,
         return Verdict(SELLER_AT_FAULT, f"chain link {j + 2} not proven", 0)
 
     def segment(t: int) -> tuple[int, int]:
-        if t > case.audit_price:
+        if t > audited.price:
             raise MalformedEvidence(
-                f"step value {t} exceeds audited chain length {case.audit_price}")
+                f"step value {t} exceeds audited chain length {audited.price}")
         return chain[0], chain[t]
 
     i = _first_unproven(case, "segment", _step_pairs(case), segment, seller)
@@ -717,12 +705,13 @@ def answer_case(case: DisputeCase, seller: SellerDisputeAgent) -> DisputeCase:
     claim needs no answer, and a type C claim is put to the seller only
     where resolve_type_c would convict it by the timeout rule unanswered.
 
-    Method 2 reveals the key chain of the license it audits.  The draw is
-    seeded by the least SHA-256 of step_payload over the record's validly
-    signed steps, so answering one record again, or with its steps
-    reordered, reveals the same chain.  A buyer who drops steps, or edits
-    the step values that bound the draw, may draw again, so it opens at
-    most one license per signed step it holds and price in the catalog."""
+    Method 2 names the license it audits and reveals its chain from x^s.
+    The draw is seeded by the least SHA-256 of step_payload over the
+    record's validly signed steps, so answering one record again, or with
+    its steps reordered, reveals the same chain.  A buyer who drops steps,
+    or edits the step values that bound the draw, may draw again, so it
+    opens at most one license per signed step it holds and price in the
+    catalog."""
     check_commitments(case, seller.catalog)
     answered = DisputeCase(**{f.name: getattr(case, f.name) for f in fields(DisputeCase)
                               if f.name not in _SELLER_FIELDS})
@@ -733,9 +722,10 @@ def answer_case(case: DisputeCase, seller: SellerDisputeAgent) -> DisputeCase:
         resolve_type_d_method2(answered, seller.catalog, seller, random.Random(seed))
     elif answered.kind == "C" and resolve_type_c(answered).outcome == SELLER_AT_FAULT:
         (st,), g = answered.steps, answered.params.g
-        answered.seller_values = values = seller.original_values(st.m, st.t)
-        if values == (st.m, st.m_out):
-            answered.seller_resign = seller.sign_values(*values)
+        m, m_out = seller.original_values(st.m, st.t)
+        answered.seller_m_out = m_out
+        if (m, m_out) == (st.m, st.m_out):
+            answered.seller_resign = seller.sign_values(m, m_out)
         else:
-            answered.seller_proof = seller.prove(*values, g, answered.k_table[st.t], st.t)
+            answered.seller_proof = seller.prove(m, m_out, g, answered.k_table[st.t], st.t)
     return answered

@@ -30,6 +30,7 @@ from blindpay.purchase import (
     SellerStepHandler,
     begin_upgrade,
     buyer_begin,
+    plan_for,
     run_purchase,
 )
 
@@ -61,9 +62,7 @@ def test_criterion_1_end_to_end_correctness():
                 for mode in (MODE_BASIC, MODE_ENHANCED):
                     for refresh in (False, True):
                         bank = CardLedger(rng=random.Random(seed + p))
-                        powers = set(cat.k_table) if mode == MODE_ENHANCED else {1}
-                        from blindpay.purchase import plan_steps
-                        cards = fund(bank, plan_steps(p, powers))
+                        cards = fund(bank, plan_for(cat, p, mode))
                         handler = SellerStepHandler(keys, params, bank, "seller-1")
                         session = buyer_begin(cat, f"lic-{p}", cards, mode=mode,
                                               refresh_blinding=refresh,

@@ -423,18 +423,18 @@ def test_seller_answer_of_an_enhanced_false_claim_exits_0(tmp_path, capsys, para
 
 
 def test_seller_answer_signs_only_its_own_values(tmp_path, capsys, params64):
-    # A type C record that already names the buyer's pair as the seller's
-    # values must not come back with the seller's signature on that pair:
+    # A type C record that already names the buyer's m_out as the seller's
+    # must not come back with the seller's signature on the buyer's pair:
     # such a signed step would convict an honest seller in a type D case.
     keys, cat, new_case = type_c_evidence(params64, 1)
     case = new_case()
     m, forged_out = case.steps[0].m, pow_mod(params64.g, 12345, params64)
     case.steps[0] = replace(case.steps[0], m_out=forged_out)
-    case.seller_values = (m, forged_out)
+    case.seller_m_out = forged_out
     code, answered = seller_answer(tmp_path, keys, cat, case)
     assert code == 0
     record = parse_case(answered.read_text())
-    assert record.seller_values != (m, forged_out)
+    assert record.seller_m_out != forged_out
     assert record.seller_resign is None or not verify_payload(
         cat.verify_pk, step_payload(m, forged_out), record.seller_resign)
     capsys.readouterr()
@@ -451,16 +451,15 @@ def test_seller_answer_ignores_seller_material_in_the_record(tmp_path, capsys, p
     case, entry = new_case(), cat.licenses[0]
     bogus = DlEqProof(commitment_a=1, commitment_b=1, challenge=1, response=1)
     case.step_proofs = [bogus] * len(case.steps)
-    case.audit_license_id, case.audit_price = entry.license_id, entry.price
-    case.audit_x, case.audit_blob = params64.g, entry.encrypted_license
-    case.chain = [params64.g] * (entry.price + 1)
+    case.audit_license_id = entry.license_id
+    case.chain = [params64.g] * entry.price
     case.link_proofs = [bogus] * (entry.price - 1)
     case.segment_proofs = [bogus] * len(case.steps)
     case.batch_proofs = {("step", 1): bogus, ("segment", 1): bogus, ("link", 1): bogus}
     code, answered = seller_answer(tmp_path, keys, cat, case)
     assert code == 0
     record = parse_case(answered.read_text())
-    assert record.audit_x == cat.entry(record.audit_license_id).x
+    assert record.chain == SellerDisputeAgent(keys, cat).reveal_chain(record.audit_license_id)
     # the batch proofs in the answer are the seller's own, none the buyer's
     assert set(record.batch_proofs) == {("step", 1), ("segment", 1), ("link", 1)}
     assert bogus not in record.batch_proofs.values()
@@ -839,7 +838,9 @@ def test_arbitrate_refuses_an_audit_of_a_license_not_in_the_catalog(tmp_path, ca
                                                                     params64):
     # A seller answers every step with s + 1, so the buyer's key is dead.  It
     # then audits a license of its own making, consistent with s + 1 (x, blob,
-    # chain, link and segment proofs), and offers no step proofs.
+    # chain, link and segment proofs), and offers no step proofs.  The record
+    # names the audited license alone: the arbitrator reads the rest from the
+    # catalog.
     keys, cat, bank, _, session = rig(params64, price=3, seed=84, prices=(2, 3))
     liar = replace(keys, s=(keys.s + 1) % params64.q)
     with pytest.raises(AuthenticationFailure):
@@ -855,13 +856,15 @@ def test_arbitrate_refuses_an_audit_of_a_license_not_in_the_catalog(tmp_path, ca
                                   random.Random(2)).outcome == BUYER_CLAIM_REJECTED
     path, catp = tmp_path / "case.txt", tmp_path / "cat.txt"
     catp.write_text(serialize_catalog(cat))
-    for audited in ("lic-x", "lic-3"):  # an unknown id, then a catalog id
+    # an unknown id, then a catalog id, whose factor and blob the catalog holds
+    for audited, rationale in (("lic-x", "audited license is not the catalog's"),
+                               ("lic-3", "revealed key does not decrypt the audited license")):
         case.audit_license_id = audited
         path.write_text(write_case(case))
         capsys.readouterr()
         assert run_cli("arbitrate", "--case", str(path), "--catalog", str(catp)) == 0
         assert capsys.readouterr().out == (f"D-method2: {SELLER_AT_FAULT} (steps checked: 0)\n"
-                                           "  audited license is not the catalog's\n")
+                                           f"  {rationale}\n")
 
 
 def per_pair_record(params64):
@@ -871,7 +874,7 @@ def per_pair_record(params64):
     agent = SellerDisputeAgent(keys, cat, random.Random(18))
     case = new_case()
     resolve_type_d_method2(case, cat, agent, random.Random(19))
-    chain = case.chain
+    chain = [cat.entry(case.audit_license_id).x, *case.chain]
     case.link_proofs = [agent.prove(chain[j - 1], chain[j], chain[0], chain[1], 1)
                         for j in range(2, len(chain))]
     case.segment_proofs = [agent.prove(st.m, st.m_out, chain[0], chain[st.t], st.t)

@@ -1,4 +1,5 @@
 import ast
+import base64
 import inspect
 import pathlib
 import random
@@ -190,7 +191,7 @@ def test_reveal_chain_is_the_iterated_powers_and_reads_the_store(params64, pow_f
         chain = [entry.x]
         for _ in range(entry.price):
             chain.append(pow(chain[-1], keys.s, params64.n))
-        assert agent.reveal_chain(entry.license_id) == chain
+        assert agent.reveal_chain(entry.license_id) == chain[1:]  # x is the catalog's
     assert len(pow_fast_calls) == 1 + 3 + 5
     for entry in cat.licenses:
         agent.reveal_chain(entry.license_id)
@@ -247,15 +248,6 @@ def test_type_b_forged_transcript_rejected_citing_step(params64, bad_step):
     verdict = resolve_type_b(case)
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert f"step {bad_step}" in verdict.rationale
-
-
-def test_type_b_claimed_key_must_follow_from_transcript(params64):
-    keys, cat, bank, session = completed_session(params64, price=2, seed=41)
-    case = build_type_b_case(cat, session)
-    case.buyer_key = mul_mod(case.buyer_key, params64.g, params64)
-    verdict = resolve_type_b(case)
-    assert verdict.outcome == BUYER_CLAIM_REJECTED
-    assert "does not follow" in verdict.rationale
 
 
 def edit_step_2(case, **change):
@@ -352,7 +344,7 @@ def test_type_c_valid_signature_rejected(params64):
     fake = BadStepSignature(replace(tr, alpha=None))
     answered = answer_case(build_type_c_case(cat, fake), SellerDisputeAgent(keys, cat))
     assert resolve_type_c(answered).outcome == BUYER_CLAIM_REJECTED
-    assert answered.seller_values is None  # nothing to answer
+    assert answered.seller_m_out is None  # nothing to answer
 
 
 def test_type_c_conflicting_values_seller_proof_accepted(params64):
@@ -364,8 +356,7 @@ def test_type_c_conflicting_values_seller_proof_accepted(params64):
     verdict = resolve_type_c(answered)
     assert verdict == Verdict(BUYER_CLAIM_REJECTED,
                               "seller proved its values correct; proven response forwarded", 1)
-    assert answered.seller_values is not None
-    assert answered.seller_values[1] != case.steps[0].m_out
+    assert answered.seller_m_out not in (None, case.steps[0].m_out)
 
 
 class LyingAgent(SellerDisputeAgent):
@@ -410,8 +401,8 @@ def test_type_c_answer_about_another_request_must_resign(params64):
     # the response it would forward opens nothing
     keys, cat, case = corrupt_signature_case(params64)
     answered = answer_case(case, OtherRequestAgent(keys, cat, random.Random(4)))
-    assert dleq_verify(answered.seller_proof, *answered.seller_values, params64.g,
-                       cat.k_table[1], params64)
+    assert dleq_verify(answered.seller_proof, pow_mod(params64.g, 777, params64),
+                       answered.seller_m_out, params64.g, cat.k_table[1], params64)
     assert resolve_type_c(answered) == Verdict(
         SELLER_MUST_RESIGN, "seller could not prove its values; must sign the buyer's values", 1)
 
@@ -432,7 +423,7 @@ def test_type_c_claim_no_step_carries_is_rejected(params64, with_agent, bad, che
     verdict = resolve_type_c(case)
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert check in verdict.rationale
-    assert case.seller_values is None
+    assert case.seller_m_out is None
 
 
 def test_answer_case_picks_the_audit_license_itself(params64):
@@ -443,8 +434,7 @@ def test_answer_case_picks_the_audit_license_itself(params64):
     picks = set()
     for entry in cat.licenses:
         case = new_case()
-        case.audit_license_id, case.audit_x = entry.license_id, entry.x
-        case.audit_price, case.audit_blob = entry.price, entry.encrypted_license
+        case.audit_license_id = entry.license_id
         answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(5)))
         picks.add(answered.audit_license_id)
         assert answered.s_revealed is None
@@ -608,7 +598,7 @@ def test_method2_honest_seller_rejected(params64):
                                      random.Random(7))
     assert verdict.outcome == BUYER_CLAIM_REJECTED
     assert case.chain is not None
-    assert len(case.chain) == case.audit_price + 1
+    assert len(case.chain) == cat.entry(case.audit_license_id).price
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -620,7 +610,7 @@ def test_an_enhanced_false_claim_audits_a_license_that_reaches_every_step(params
     case = build_type_d_case(cat, session)
     assert [st.t for st in case.steps] == [4, 1]
     answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(seed)))
-    assert answered.audit_price == 5
+    assert cat.entry(answered.audit_license_id).price == 5
     assert [v.outcome for _, v in resolve_case(answered, cat)] == [BUYER_CLAIM_REJECTED] * 2
 
 
@@ -663,17 +653,13 @@ def test_method2_forged_middle_link_at_fault(params64):
                                                 self.params.g, self.params)
             return chain
 
-    # tamper every interior position in turn; the verdict must flag it
+    # tamper every entry before the key in turn; the verdict must flag it
     rng = random.Random(9)
     case_probe = build_type_d_case(cat, session)
     resolve_type_d_method2(case_probe, cat, SellerDisputeAgent(keys, cat), rng)
-    audited_price = case_probe.audit_price
-    for bad in range(1, audited_price):
+    for bad in range(len(case_probe.chain) - 1):
         case = build_type_d_case(cat, session)
         case.audit_license_id = case_probe.audit_license_id
-        case.audit_x = case_probe.audit_x
-        case.audit_price = case_probe.audit_price
-        case.audit_blob = case_probe.audit_blob
         verdict = resolve_type_d_method2(case, cat,
                                          ForgedLinkAgent(keys, cat, bad), rng)
         assert verdict.outcome == SELLER_AT_FAULT
@@ -718,11 +704,12 @@ def test_method2_replay_of_a_chain_one_entry_short_raises(params64):
         resolve_type_d_method2(parse_case(write_case(case)), cat)
 
 
-def test_method2_replay_of_a_chain_not_at_the_audited_factor_convicts(params64):
+def test_method2_replay_of_an_edited_first_chain_entry_convicts(params64):
+    # x is the catalog's, so the record's chain starts at x^s
     case, cat = answered_d_record(params64)
     case.chain[0] = mul_mod(case.chain[0], params64.g, params64)
     verdict = resolve_type_d_method2(parse_case(write_case(case)), cat)
-    assert verdict == Verdict(SELLER_AT_FAULT, "chain does not start at the audited factor", 0)
+    assert verdict == Verdict(SELLER_AT_FAULT, "chain link 2 not proven", 0)
 
 
 def signed_d_case(keys, cat, steps, rng):
@@ -769,7 +756,7 @@ def test_method2_proves_links_and_segments_with_one_proof_each(params64, dleq_ca
     verdict = resolve_type_d_method2(case, cat, SellerDisputeAgent(keys, cat, random.Random(4)),
                                      random.Random(5))
     assert verdict.outcome == BUYER_CLAIM_REJECTED
-    assert case.audit_price == 4  # three links, four 1-unit steps
+    assert len(case.chain) == 4  # three links, four 1-unit steps
     assert set(case.batch_proofs) == {("link", 1), ("segment", 1)}
     assert dleq_calls == {"prove": 2, "verify": 2}
 
@@ -894,15 +881,12 @@ _PROOFS = strategies.lists(strategies.none() | _PROOF, min_size=1, max_size=3)
 _TEXT = strategies.text(alphabet="ab -:.", max_size=8)
 # a value for each group of the seller's lines, drawn whole or not at all
 _SELLER_LINES = {
-    "seller_values": strategies.fixed_dictionaries(
-        {"seller_values": strategies.tuples(_NUM, _NUM)}),
+    "seller_m_out": strategies.fixed_dictionaries({"seller_m_out": _NUM}),
     "seller_resign": strategies.fixed_dictionaries(
         {"seller_resign": strategies.binary(min_size=64, max_size=64)}),
     "seller_proof": strategies.fixed_dictionaries({"seller_proof": _PROOF}),
     "step_proofs": strategies.fixed_dictionaries({"step_proofs": _PROOFS}),
-    "audit": strategies.fixed_dictionaries({
-        "audit_license_id": _TEXT.filter(bool), "audit_x": _NUM,
-        "audit_price": strategies.integers(0, 8), "audit_blob": strategies.binary(max_size=40)}),
+    "audit_license_id": strategies.fixed_dictionaries({"audit_license_id": _TEXT}),
     "chain": strategies.fixed_dictionaries({"chain": strategies.lists(_NUM, max_size=4)}),
     "link_proofs": strategies.fixed_dictionaries({"link_proofs": _PROOFS}),
     "segment_proofs": strategies.fixed_dictionaries({"segment_proofs": _PROOFS}),
@@ -925,7 +909,7 @@ def test_any_case_record_round_trips(params64, data):
     claim = {} if kind != "B" else data.draw(strategies.fixed_dictionaries({
         "license_id": _TEXT, "x": _NUM, "published_terms": _TEXT,
         "encrypted_license": strategies.binary(max_size=40),
-        "terms_signature": strategies.binary(max_size=64), "buyer_key": _NUM}), label="B")
+        "terms_signature": strategies.binary(max_size=64)}), label="B")
     answer = {}
     for group_name in data.draw(strategies.sets(strategies.sampled_from(sorted(_SELLER_LINES))),
                                 label="seller lines"):
@@ -942,12 +926,10 @@ def b_record(params64) -> str:
     return write_case(DisputeCase(
         kind="B", params=params64, verify_pk=bytes(32), k_table={1: 5},
         steps=[StepTranscript(7, 8, 1, bytes(64), alpha=3)], license_id="lic-3", x=11,
-        published_terms="read-only", encrypted_license=b"sealed", terms_signature=bytes(64),
-        buyer_key=13))
+        published_terms="read-only", encrypted_license=b"sealed", terms_signature=bytes(64)))
 
 
-@pytest.mark.parametrize("key", ["license", "x", "published_terms", "blob",
-                                 "terms_signature", "buyer_key"])
+@pytest.mark.parametrize("key", ["license", "x", "published_terms", "blob", "terms_signature"])
 def test_a_kind_b_record_missing_a_b_line_is_refused(params64, key):
     text = b_record(params64)
     parse_case(text)
@@ -957,27 +939,30 @@ def test_a_kind_b_record_missing_a_b_line_is_refused(params64, key):
         parse_case(cut)
 
 
-@pytest.mark.parametrize("key", ["audit_x", "audit_price", "audit_blob"])
-def test_an_audit_missing_one_of_its_lines_is_refused(params64, key):
-    keys, cat, bank, session = completed_session(params64, price=2, seed=84)
-    text = write_case(answer_case(build_type_d_case(cat, session),
-                                  SellerDisputeAgent(keys, cat, random.Random(85))))
-    cut = "".join(line for line in text.splitlines(keepends=True)
-                  if not line.startswith(f"{key}: "))
-    assert cut != text
-    with pytest.raises(MalformedEvidence, match=f"^no '{key}' line$"):
-        parse_case(cut)
+@pytest.mark.parametrize("line", ["audit_x: 5", "audit_price: 2", "audit_blob: c2VhbGVk",
+                                  "buyer_key: 13", "seller_values: 7 8"],
+                         ids=lambda line: line.split(":")[0])
+def test_a_line_of_a_value_the_arbitrator_holds_is_refused(params64, line):
+    # the catalog holds the audited license's factor, price and blob, the
+    # steps replay type B's key, and type C's m is the step's
+    for kind in "BCD":
+        text = b_record(params64).replace("kind: B", f"kind: {kind}")
+        parse_case(text)
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(MalformedEvidence, match=re.escape(
+                f"line {lineno}: unknown key {line.split(':')[0]!r}")):
+            parse_case(text + line + "\n")
 
 
 def test_a_stray_b_line_in_a_d_record_is_read_as_absent_and_never_answered(params64):
     keys, cat, bank, session = completed_session(params64, price=2, seed=86)
     text = write_case(build_type_d_case(cat, session))
-    stray = text + "license: lic-2\nbuyer_key: 5\n"
+    stray = text + "license: lic-2\nx: 5\n"
     case = parse_case(stray)
     assert case == parse_case(text)
-    assert (case.license_id, case.buyer_key) == ("", 0)
+    assert (case.license_id, case.x) == ("", 0)
     answered = write_case(answer_case(case, SellerDisputeAgent(keys, cat, random.Random(87))))
-    assert not re.search(r"^(license|buyer_key): ", answered, re.MULTILINE)
+    assert not re.search(r"^(license|x): ", answered, re.MULTILINE)
     assert answered.startswith(text)
 
 
@@ -985,7 +970,16 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 # Verdicts of the records in tests/fixtures/case_d_answered_*.txt: answered
 # type D records (64-bit group, basic mode, three steps) written before
-# batched proofs existed, with one proof per step, link and segment.
+# batched proofs existed, with one proof per step, link and segment.  The
+# catalog entry each one audits is (id, price, x, blob).
+AUDITED = {
+    "honest": ("lic-2", 2, 13080068420724172964,
+               "dkbn55nEMFFM0+ZJN9rN1opvGFR5KeP1XRxlb7zMYzkxDQFX1vMyTcZg0BttwgWmPWTotuu02F/vEsm"
+               "TmeB5An85tzeTPuNkQKMa9Ltiv6mnOA=="),
+    "wrong_s": ("lic-3", 3, 11629218839303069250,
+                "p4x1uKCvnls5S7o4BLbdQ1VDvu3Y1jofKyRXhBt/aN4+G2/7zc3QIgJwLWpQOTDdJnut51PTFw1aZVV"
+                "RY4JmxuJJKXeI8W3FGEwAlUrIJPozDQ=="),
+}
 PINNED_REPLAYS = {
     "honest": [
         ("D-method1", BUYER_CLAIM_REJECTED, "all steps proven correct; seller is honest", 3),
@@ -1006,9 +1000,10 @@ def test_record_without_batch_proofs_replays(name):
     assert "batch_proof" not in text and "step_proof: " in text
     case = parse_case(text)
     assert write_case(case) == text
-    audited = LicenseEntry(license_id=case.audit_license_id, content_id="", price=case.audit_price,
-                           x=case.audit_x, terms="", encrypted_license=case.audit_blob,
-                           terms_signature=b"")
+    license_id, price, x, blob = AUDITED[name]
+    assert case.audit_license_id == license_id
+    audited = LicenseEntry(license_id=license_id, content_id="", price=price, x=x, terms="",
+                           encrypted_license=base64.b64decode(blob), terms_signature=b"")
     cat = Catalog(params=case.params, verify_pk=case.verify_pk, licenses=[audited],
                   k_table=case.k_table)
     got = [(label, v.outcome, v.rationale, v.checked_steps)
@@ -1068,7 +1063,7 @@ def test_an_honest_answer_and_its_check_make_16_and_3_full_size_powers(full_size
     case = build_type_d_case(cat, session)
     full_size_powers[0] = 0
     answered = answer_case(case, SellerDisputeAgent(keys, cat, random.Random(9)))
-    assert (answered.audit_price, sorted(answered.batch_proofs)) == (
+    assert (cat.entry(answered.audit_license_id).price, sorted(answered.batch_proofs)) == (
         3, [("link", 1), ("segment", 1), ("step", 1)])
     assert full_size_powers[0] == 16
     record = parse_case(write_case(answered))

@@ -643,6 +643,23 @@ def test_seller_refuses_a_step_without_cards_as_a_bad_request(params64):
         "bad-request", "step request carries no cards")
 
 
+def test_item_40_a_step_value_with_no_k_power_is_served_and_credited(params64):
+    """ROADMAP item 40's open hole, pinned as it stands: nothing checks a
+    step's value against the K table, so a value-3 card against {1, 2, 4}
+    is spent and answered with m^(s^3), which no key unblinds.  Its fix
+    refuses the step with nothing spent and must flip this test."""
+    keys, cat = make_catalog(params64, prices=(5,))
+    assert set(cat.k_table) == {1, 2, 4}
+    ledger = CardLedger(rng=random.Random(28))
+    ((card_id, _),) = fund(ledger, [3])
+    seller = make_seller_handler(SellerStepHandler(keys, params64, ledger, "seller-1"), cat)
+    m = blindpay.purchase.pow_mod(params64.g, 777, params64)
+    reply = seller(wire.StepReq(card_ids=(card_id,), m=m))
+    assert isinstance(reply, wire.StepResp)
+    assert reply.m_out == pow(m, pow(keys.s, 3, params64.q), params64.n)
+    assert ledger.balance("seller-1") == 3
+
+
 @pytest.mark.parametrize("reply", [wire.CatalogGet(), wire.CatalogDoc(text="")])
 def test_a_step_reply_of_another_type_is_a_protocol_refusal(reply):
     with pytest.raises(StepRejected) as exc:

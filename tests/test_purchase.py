@@ -27,6 +27,7 @@ from blindpay.purchase import (
     buyer_finish,
     buyer_process_response,
     buyer_step_request,
+    plan_for,
     plan_steps,
     run_purchase,
     seller_handle_step,
@@ -46,9 +47,7 @@ def fund(bank, plan):
 def rig(params, price=3, mode=MODE_BASIC, refresh=False, seed=5, prices=None, ops=None):
     keys, cat = make_catalog(params, prices=prices or (price,), seed=seed)
     bank = CardLedger(rng=random.Random(seed + 1))
-    powers = set(cat.k_table) if mode == MODE_ENHANCED else {1}
-    plan = plan_steps(price, powers)
-    cards = fund(bank, plan)
+    cards = fund(bank, plan_for(cat, price, mode))
     handler = SellerStepHandler(keys, params, bank, "seller-1")
     rng = random.Random(seed + 2)
     session = buyer_begin(cat, f"lic-{price}", cards, mode=mode,
